@@ -35,7 +35,7 @@ import yaml
 
 from curvezeta import artin, invariants, mass, rank2, yoshida
 from curvezeta.exact import RationalFunction, ZeroReport
-from curvezeta.fields import CurveModel, census, curve_from_model
+from curvezeta.fields import CurveModel, census, curve_from_model, is_prime_power
 from curvezeta.group_zeta import period_residue_oracle, slr_fe_check, slr_numerator, slr_rh_report, slr_zeta
 
 TASKS = ("artin", "invariants", "rank2", "slr", "mass", "yoshida", "rh-report")
@@ -122,6 +122,10 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
             if not isinstance(src, dict) or "type" not in src:
                 raise ValueError("each curve source needs a 'type'")
             kind = src["type"]
+            if kind in ("coefficients", "counts", "elliptic"):
+                q = src["q"]
+                if isinstance(q, bool) or not isinstance(q, int) or not is_prime_power(q):
+                    raise ValueError(f"q must be a prime power, got {q!r}")
             if kind == "coefficients":
                 curves.append(
                     artin.CurveData(
@@ -164,7 +168,15 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
         problems.append(f"tasks: unknown entries {bad}; valid: {list(TASKS)}")
         tasks = [t for t in tasks if t in TASKS]
     degree = raw.get("degree", 0)
-    tolerance = float(raw.get("tolerance", 1e-9))
+    if isinstance(degree, bool) or not isinstance(degree, int):
+        problems.append(f"degree: need an integer, got {degree!r}")
+        degree = 0
+    tolerance = raw.get("tolerance", 1e-9)
+    try:
+        tolerance = float(tolerance)  # YAML reads 1e-9 (no dot) as a string
+    except (TypeError, ValueError):
+        problems.append(f"tolerance: need a number, got {tolerance!r}")
+        tolerance = 1e-9
     fmt = raw.get("format", "json")
     if fmt not in ("json", "csv"):
         problems.append("format: must be json or csv")

@@ -179,15 +179,6 @@ class Poly:
             out[d - i] = a
         return Poly(out)
 
-    def root_multiplicity(self, x0: Rat) -> int:
-        """Multiplicity of the rational root x0 (0 if not a root)."""
-        m = 0
-        p = self
-        while not p.is_zero() and p.evaluate(x0) == 0:
-            p = p.exact_div(Poly([-_frac(x0), 1]))
-            m += 1
-        return m
-
     def content_normalized(self) -> tuple[Poly, Fraction]:
         """(primitive integer polynomial with positive leading coeff, scale).
 

@@ -44,6 +44,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def is_prime_power(n: int) -> bool:
+    """True when n = p^m for a prime p and m >= 1."""
+    if n < 2:
+        return False
+    p = 2
+    while p * p <= n and n % p:
+        p += 1
+    if p * p > n:
+        return True  # no divisor up to sqrt(n): n is prime
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
 def _mod_poly_mul(a: list[int], b: list[int], modulus: list[int], p: int) -> list[int]:
     m = len(modulus) - 1
     out = [0] * (len(a) + len(b) - 1)

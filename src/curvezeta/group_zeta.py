@@ -18,14 +18,22 @@ at stage j is always simple, and the zeta quotients along the roots through
 the last coordinate telescope to a single zh(s + n).  The per-term factors
 are read off the root combinatorics with no residue computation at all.
 :func:`period_residue_oracle` instead materializes the period as an exact
-(multivariate, for r = 3) rational function and takes the limits
-lim (1 - u_j) f literally; the two must agree up to a recorded constant.
+(bivariate, for r = 3) rational function and takes the limit
+lim (1 - u_1) f literally; the two must agree up to a recorded constant.
+For r = 3 each Weyl term is kept factored (a constant, a monomial and
+normalized binomial and Weil-numerator factors), equal factors cancel within
+a term, and the terms are added over the LCM of their factored denominators
+instead of by cross-multiplying them pairwise.  The limit stays literal:
+the sum is multiplied out into one numerator and one denominator polynomial,
+(1 - u_1) is removed from both by exact synthetic division, and u_1 = 1 is
+substituted.  The oracle shares only :func:`build_root_system` with
+:func:`slr_zeta`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -345,6 +353,7 @@ def slr_rh_report(z: SlrZeta, tol: float = 1e-9) -> ZeroReport:
 # ---------------------------------------------------------------------------
 
 Poly2 = dict[tuple[int, int], Fraction]
+Key2 = tuple[tuple[tuple[int, int], Fraction], ...]  # a normalized Poly2, frozen
 
 
 def _p2_add(a: Poly2, b: Poly2) -> Poly2:
@@ -369,10 +378,6 @@ def _p2_mul(a: Poly2, b: Poly2) -> Poly2:
             else:
                 out.pop(k, None)
     return out
-
-
-def _p2_const(c: Fraction) -> Poly2:
-    return {(0, 0): c} if c else {}
 
 
 def _p2_divide_one_minus_u1(a: Poly2) -> Poly2 | None:
@@ -410,63 +415,122 @@ def _p2_eval_u1(a: Poly2) -> Poly:
     return Poly(out)
 
 
+def _one_minus(c: Fraction, e1: int, e2: int) -> Poly2:
+    """1 - c * u1^e1 * u2^e2, exponents possibly negative."""
+    return _p2_add({(0, 0): Fraction(1)}, {(e1, e2): -c})
+
+
 @dataclass
-class _Rat2:
-    """Unreduced bivariate quotient; only the operations the oracle needs."""
+class _FactoredTerm:
+    """const * u1^a1 * u2^a2 * prod key^m, with m > 0 upstairs and m < 0 downstairs.
 
-    num: Poly2
-    den: Poly2
-
-    def __mul__(self, other: _Rat2) -> _Rat2:
-        return _Rat2(_p2_mul(self.num, other.num), _p2_mul(self.den, other.den))
-
-    def __add__(self, other: _Rat2) -> _Rat2:
-        return _Rat2(
-            _p2_add(_p2_mul(self.num, other.den), _p2_mul(other.num, self.den)),
-            _p2_mul(self.den, other.den),
-        )
-
-
-def _rat2_one_minus(c: Fraction, e1: int, e2: int) -> _Rat2:
-    """1/(1 - c * u1^e1 * u2^e2) with possibly negative exponents."""
-    s1, s2 = max(-e1, 0), max(-e2, 0)
-    shift = {(s1, s2): Fraction(1)}
-    mono = {(e1 + s1, e2 + s2): c}
-    return _Rat2(shift, _p2_add(shift, _p2_mul(_p2_const(Fraction(-1)), mono)))
-
-
-def _rat2_monomial(c: Fraction, e1: int, e2: int) -> _Rat2:
-    s1, s2 = max(-e1, 0), max(-e2, 0)
-    return _Rat2({(e1 + s1, e2 + s2): c}, {(s1, s2): Fraction(1)})
-
-
-def _rat2_zeta_hat(c: CurveData, shift: int, e1: int, e2: int) -> _Rat2:
-    """zh(shift + e1*s1 + e2*s2) as a bivariate rational function.
-
-    Equals q^{(g-1) shift} U^{-(g-1)} P(q^{-shift} U) / ((1 - q^{-shift} U)
-    (1 - q^{1-shift} U)) with U = u1^e1 u2^e2.
+    Factors are stored normalized: monomial content divided out and the
+    coefficient of the lowest monomial scaled to 1, both moved into
+    ``const`` and ``mono``.  Equal factors from different sources thus share
+    one key and cancel as they are multiplied in.
     """
-    q, g = Fraction(c.q), c.g
-    scale = q**-shift
 
-    def u_poly(p: Poly, s: Fraction) -> Poly2:
-        out: Poly2 = {}
-        for k, a in enumerate(p.coeffs):
-            if a * s**k:
-                out[(e1 * k, e2 * k)] = a * s**k
-        return out
+    const: Fraction = Fraction(1)
+    mono: tuple[int, int] = (0, 0)
+    factors: dict[Key2, int] = field(default_factory=dict)
 
-    num = u_poly(c.numerator, scale)
-    den = _p2_mul(
-        _p2_add(_p2_const(Fraction(1)), {(e1, e2): -scale}),
-        _p2_add(_p2_const(Fraction(1)), {(e1, e2): -scale * q}),
-    )
-    pref = _rat2_monomial(q ** ((g - 1) * shift), -e1 * (g - 1), -e2 * (g - 1))
-    return _Rat2(num, den) * pref
+    def mul(self, p: Poly2, power: int) -> None:
+        """Multiply by p**power, for a nonzero p with possibly negative exponents."""
+        m1 = min(i for i, _ in p)
+        m2 = min(j for _, j in p)
+        lead = p[min(p)]
+        key = tuple(sorted(((i - m1, j - m2), v / lead) for (i, j), v in p.items()))
+        self.const *= lead**power
+        self.mono = (self.mono[0] + power * m1, self.mono[1] + power * m2)
+        if len(key) == 1:  # a monomial is all content
+            return
+        n = self.factors.get(key, 0) + power
+        if n:
+            self.factors[key] = n
+        else:
+            del self.factors[key]
+
+    def mul_zeta_hat(self, c: CurveData, shift: int, e1: int, e2: int, power: int) -> None:
+        """Multiply by zh(shift + e1*s1 + e2*s2)**power.
+
+        zh = q^{(g-1) shift} U^{-(g-1)} P(q^{-shift} U) / ((1 - q^{-shift} U)
+        (1 - q^{1-shift} U)) with U = u1^e1 u2^e2.
+        """
+        q, g = Fraction(c.q), c.g
+        scale = q**-shift
+        self.mul({(-e1 * (g - 1), -e2 * (g - 1)): q ** ((g - 1) * shift)}, power)
+        self.mul(
+            {(e1 * k, e2 * k): a * scale**k for k, a in enumerate(c.numerator.coeffs) if a},
+            power,
+        )
+        self.mul(_one_minus(scale, e1, e2), -power)
+        self.mul(_one_minus(scale * q, e1, e2), -power)
 
 
-def _rat2_reciprocal(x: _Rat2) -> _Rat2:
-    return _Rat2(x.den, x.num)
+def _weyl_terms_r3(c: CurveData) -> list[_FactoredTerm]:
+    """The six Weyl terms of the SL_3 period in u_j = q^{-s_j}, factored."""
+    rs, _ = build_root_system(3)
+    q = Fraction(c.q)
+    terms = []
+    for w in rs.weyl:
+        v = w.inverse()
+        term = _FactoredTerm()
+        for alpha in rs.simple_roots:
+            beta = v.apply(alpha)
+            lo, hi = min(beta), max(beta)
+            sign = 1 if is_positive(beta) else -1
+            e1 = sign if lo <= 1 < hi else 0
+            e2 = sign if lo <= 2 < hi else 0
+            term.mul(_one_minus(q ** (1 - root_height(beta)), e1, e2), -1)
+        for a in rs.flipped_positive_roots(w):
+            h = root_height(a)
+            e1 = 1 if a[0] <= 1 < a[1] else 0
+            e2 = 1 if a[0] <= 2 < a[1] else 0
+            term.mul_zeta_hat(c, h, e1, e2, 1)
+            term.mul_zeta_hat(c, h + 1, e1, e2, -1)
+        terms.append(term)
+    return terms
+
+
+def _factored_sum(terms: list[_FactoredTerm]) -> tuple[Poly2, Poly2]:
+    """The sum of the terms as one numerator over one denominator.
+
+    The denominator L is the LCM of the factored term denominators: each key
+    at its largest multiplicity downstairs, times the monomial that clears
+    negative exponents.  Each term contributes its value times L: every key
+    at L's multiplicity plus the term's own, which is never negative.  Keys that
+    differ but share a polynomial factor are not merged, so L is a common
+    multiple, not always the least one; the quotient is the same.
+    """
+    lcm: dict[Key2, int] = {}
+    for t in terms:
+        for key, m in t.factors.items():
+            if m < 0:
+                lcm[key] = max(lcm.get(key, 0), -m)
+    s1 = min(0, *(t.mono[0] for t in terms))
+    s2 = min(0, *(t.mono[1] for t in terms))
+    powers: dict[tuple[Key2, int], Poly2] = {}
+
+    def times(a: Poly2, key: Key2, m: int) -> Poly2:
+        if (key, m) not in powers:
+            p: Poly2 = {(0, 0): Fraction(1)}
+            for _ in range(m):
+                p = _p2_mul(p, dict(key))
+            powers[key, m] = p
+        return _p2_mul(a, powers[key, m])
+
+    num: Poly2 = {}
+    for t in terms:
+        part = {(t.mono[0] - s1, t.mono[1] - s2): t.const}
+        for key in lcm.keys() | t.factors.keys():
+            m = lcm.get(key, 0) + t.factors.get(key, 0)
+            if m:
+                part = times(part, key, m)
+        num = _p2_add(num, part)
+    den: Poly2 = {(-s1, -s2): Fraction(1)}
+    for key, m in lcm.items():
+        den = times(den, key, m)
+    return num, den
 
 
 def period_sum_r2(c: CurveData, identity_only: bool = False) -> RationalFunction:
@@ -480,57 +544,32 @@ def period_sum_r2(c: CurveData, identity_only: bool = False) -> RationalFunction
     return t_id + t_flip
 
 
-def _rat2_tree_sum(terms: list[_Rat2]) -> _Rat2:
-    """Pairwise folding keeps the unreduced denominators balanced."""
-    while len(terms) > 1:
-        terms = [
-            terms[i] + terms[i + 1] if i + 1 < len(terms) else terms[i]
-            for i in range(0, len(terms), 2)
-        ]
-    return terms[0]
-
-
 @lru_cache(maxsize=64)
 def period_residue_oracle(c: CurveData, r: int) -> tuple[RationalFunction, Fraction]:
     """The period route to zh_SLr, plus its constant ratio to the sum route.
 
-    r = 2 needs no residue; r = 3 takes one literal limit
-    lim_{u1 -> 1} (1 - u1) * omega, computed on the exact bivariate rational
-    function by cancelling (1 - u1) factors.  A pole of order >= 2 raises;
-    order <= 0 would make the limit vanish, which is also reported.  The
-    returned constant is oracle / assembled and is asserted constant.
+    r = 2 needs no residue.  For r = 3 the six Weyl terms are bivariate
+    rational functions in u_j = q^{-s_j}, each a constant, a monomial and
+    known factors: binomials (1 - c u1^e1 u2^e2) and scaled copies
+    P(q^{-h} U) of the Weil numerator.  They are summed over the LCM of
+    their factored denominators (:func:`_factored_sum`), multiplied out once
+    into one numerator and one denominator polynomial.  The limit
+    lim_{u1 -> 1} (1 - u1) * omega is then taken literally on those two
+    polynomials: (1 - u1) is stripped from each by exact synthetic division
+    as often as it divides, never read off the factor keys, and u1 = 1 is
+    substituted.  A pole of order >= 2 raises; order <= 0 would make the
+    limit vanish, which is also reported.  The returned constant is
+    oracle / assembled and is asserted constant.
     """
     if r == 2:
         oracle = period_sum_r2(c) * zeta_hat_ratfun(c, shift=2)
     elif r == 3:
-        rs, _ = build_root_system(3)
-        terms: list[_Rat2] = []
-        for w in rs.weyl:
-            v = w.inverse()
-            term = _Rat2(_p2_const(Fraction(1)), _p2_const(Fraction(1)))
-            for alpha in rs.simple_roots:
-                beta = v.apply(alpha)
-                h = root_height(beta)
-                lo, hi = min(beta), max(beta)
-                sign = 1 if is_positive(beta) else -1
-                e1 = sign if lo <= 1 < hi else 0
-                e2 = sign if lo <= 2 < hi else 0
-                term = term * _rat2_one_minus(Fraction(c.q) ** (1 - h), e1, e2)
-            for a in rs.flipped_positive_roots(w):
-                h = root_height(a)
-                e1 = 1 if a[0] <= 1 < a[1] else 0
-                e2 = 1 if a[0] <= 2 < a[1] else 0
-                term = term * _rat2_zeta_hat(c, h, e1, e2)
-                term = term * _rat2_reciprocal(_rat2_zeta_hat(c, h + 1, e1, e2))
-            terms.append(term)
-        total = _rat2_tree_sum(terms)
+        num, den = _factored_sum(_weyl_terms_r3(c))
         k_den = 0
-        den = total.den
         while (nxt := _p2_divide_one_minus_u1(den)) is not None:
             den = nxt
             k_den += 1
         k_num = 0
-        num = total.num
         while k_num < k_den and (nxt := _p2_divide_one_minus_u1(num)) is not None:
             num = nxt
             k_num += 1

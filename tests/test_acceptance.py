@@ -6,6 +6,7 @@ criterion.  Every tolerance is pinned here, not configured elsewhere.
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import curvezeta
 from curvezeta.artin import (
     CurveData,
     artin_fe_check,
@@ -213,6 +215,9 @@ def test_criterion_10_cli_determinism(tmp_path: Path):
         "ranks: [2, 3]\n"
         "tasks: [artin, invariants, rank2, slr, mass, yoshida, rh-report]\n"
     )
+    # the CLI processes import the same curvezeta as this one
+    src = str(Path(curvezeta.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     start = time.perf_counter()
     outputs = []
     for run_dir in ("one", "two"):
@@ -221,6 +226,7 @@ def test_criterion_10_cli_determinism(tmp_path: Path):
             [sys.executable, "-m", "curvezeta.cli", "run", str(job), "--out", str(out)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})

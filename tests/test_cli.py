@@ -150,6 +150,25 @@ class TestMain:
         path.write_text("curves: []\n")
         assert main(["run", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ("curves:\n  - {type: elliptic, q: 6, a: 0}\n", "curves[0]"),
+            ("curves:\n  - {type: coefficients, q: 6, g: 1, A: [1, 0, 6]}\n", "curves[0]"),
+            ("curves:\n  - {type: counts, q: 6, g: 1, counts: [7]}\n", "curves[0]"),
+            ("curves:\n  - {type: elliptic, q: 2, a: 0}\ntolerance: abc\n", "tolerance"),
+            ("curves:\n  - {type: elliptic, q: 2, a: 0}\ndegree: x\n", "degree"),
+        ],
+        ids=["elliptic-q6", "coefficients-q6", "counts-q6", "tolerance-abc", "degree-x"],
+    )
+    def test_bad_value_exits_two(self, tmp_path, capsys, body, field):
+        path = tmp_path / "bad.yaml"
+        path.write_text(body)
+        with pytest.raises(JobError, match=field.replace("[", r"\[")):
+            parse_job(path)
+        assert main(["run", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_counterexample_flag(self, tmp_path, capsys):
         path = tmp_path / "one.yaml"
         path.write_text("curves:\n  - {type: elliptic, q: 2, a: 0}\n")

@@ -1,12 +1,18 @@
 """Root systems, the SL_r assembly, the period oracle, RH reports."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from curvezeta.artin import CurveData, zeta_hat_ratfun
-from curvezeta.exact import RationalFunction, ratfun_equal
+from curvezeta.exact import Poly, RationalFunction, ratfun_equal
 from curvezeta.group_zeta import (
+    _factored_sum,
+    _FactoredTerm,
+    _p2_divide_one_minus_u1,
+    _weyl_terms_r3,
     build_root_system,
     period_residue_oracle,
     period_sum_r2,
@@ -18,6 +24,23 @@ from curvezeta.group_zeta import (
 from curvezeta.rank2 import rank2_closed_form, rank2_invariants, rank2_numerator
 
 F = Fraction
+
+# the synthetic genus-3 datum of the criterion-10 CLI job
+GENUS3_DATUM = CurveData(2, 3, [1, 1, 2, 6, 4, 4, 8], label="genus-3 datum")
+
+
+def elliptic_product(q: int, g: int, seed: int) -> CurveData:
+    """A genuine Weil numerator prod_i (1 - a_i t + q t^2), traces drawn from the seed."""
+    rng = random.Random(seed)
+    bound = math.isqrt(4 * q)
+    while True:
+        P = Poly.one()
+        for _ in range(g):
+            P = P * Poly([1, -rng.randint(-bound, bound), q])
+        try:
+            return CurveData(q, g, P.coeffs, genuine=True, label=f"product(q={q},g={g},seed={seed})")
+        except ValueError:  # a draw whose counts go negative is not a curve
+            continue
 
 
 class TestRootSystem:
@@ -175,9 +198,79 @@ class TestPeriodOracle:
             assert ratio == 1, c.describe()
 
     def test_rank3_constant_is_one(self, curve_g1, curve_g2):
-        _, r1 = period_residue_oracle(curve_g1, 3)
-        _, r2 = period_residue_oracle(curve_g2, 3)
-        assert r1 == 1 and r2 == 1
+        for c in (curve_g1, curve_g2, GENUS3_DATUM):
+            _, ratio = period_residue_oracle(c, 3)
+            assert ratio == 1, c.describe()
+
+    @pytest.mark.parametrize("q, g, seed", [(2, 2, 1), (2, 3, 2), (3, 2, 3), (3, 3, 4)])
+    def test_rank3_constant_is_one_elliptic_products(self, q, g, seed):
+        c = elliptic_product(q, g, seed)
+        _, ratio = period_residue_oracle(c, 3)
+        assert ratio == 1, c.describe()
+
+    @pytest.mark.parametrize("curve", ["g1", "genus3"])
+    def test_rank3_sum_matches_termwise_values(self, curve, curve_g1):
+        # each Weyl term evaluated on its own from root pairings and zeta_hat_ratfun
+        c = curve_g1 if curve == "g1" else GENUS3_DATUM
+        rs, _ = build_root_system(3)
+        lam, rho = rs.fundamental_weights, rs.rho
+        q = F(c.q)
+        num, den = _factored_sum(_weyl_terms_r3(c))
+        for u in [(F(1, 5), F(1, 7)), (F(3, 11), F(-2, 13)), (F(7, 3), F(5, 17))]:
+
+            def u_root(root):  # u1^<w1, root^> * u2^<w2, root^>
+                return u[0] ** int(rs.pairing(lam[0], root)) * u[1] ** int(rs.pairing(lam[1], root))
+
+            expect = F(0)
+            for w in rs.weyl:
+                v = w.inverse()
+                term = F(1)
+                for alpha in rs.simple_roots:
+                    beta = v.apply(alpha)
+                    term /= 1 - q ** (1 - rs.pairing(rho, beta)) * u_root(beta)
+                for a in rs.flipped_positive_roots(w):
+                    h = int(rs.pairing(rho, a))
+                    term *= zeta_hat_ratfun(c, shift=h).evaluate(u_root(a))
+                    term /= zeta_hat_ratfun(c, shift=h + 1).evaluate(u_root(a))
+                expect += term
+
+            def value(p):
+                return sum(v * u[0] ** i * u[1] ** j for (i, j), v in p.items())
+
+            assert value(den) != 0
+            assert value(num) / value(den) == expect, u
+
+    def test_factored_sum_repeated_factor_and_negative_monomial(self):
+        # u1^{-1} / (1 - u1)^2 + 3 u2 / (2 - 2 u1)
+        a, b = _FactoredTerm(), _FactoredTerm()
+        a.mul({(-1, 0): F(1)}, 1)
+        a.mul({(0, 0): F(1), (1, 0): F(-1)}, -2)
+        b.mul({(0, 1): F(3)}, 1)
+        b.mul({(0, 0): F(2), (1, 0): F(-2)}, -1)
+        num, den = _factored_sum([a, b])
+        assert min(min(k) for k in [*num, *den]) >= 0
+        for u1, u2 in [(F(1, 3), F(2, 5)), (F(-4, 7), F(9, 2))]:
+
+            def value(p):
+                return sum(v * u1**i * u2**j for (i, j), v in p.items())
+
+            expect = 1 / (u1 * (1 - u1) ** 2) + 3 * u2 / (2 - 2 * u1)
+            assert value(num) / value(den) == expect
+
+    def test_divide_one_minus_u1_exact(self):
+        b = {(0, 0): F(2), (1, 1): F(-3), (2, 0): F(1, 2), (0, 3): F(5)}
+        a = {}
+        for (i, j), v in b.items():  # a = (1 - u1) * b
+            a[(i, j)] = a.get((i, j), 0) + v
+            a[(i + 1, j)] = a.get((i + 1, j), 0) - v
+        a = {k: v for k, v in a.items() if v}
+        assert _p2_divide_one_minus_u1(a) == b
+        assert _p2_divide_one_minus_u1({}) == {}
+
+    def test_divide_one_minus_u1_inexact(self):
+        assert _p2_divide_one_minus_u1({(0, 0): F(1), (1, 0): F(1)}) is None  # 1 + u1
+        # 1 - u1 + u2: the u2 column leaves a remainder
+        assert _p2_divide_one_minus_u1({(0, 0): F(1), (1, 0): F(-1), (0, 1): F(1)}) is None
 
     def test_rank4_unsupported(self, curve_g1):
         with pytest.raises(ValueError):
