@@ -39,7 +39,6 @@ from curvezeta.exact import (
     ZeroReport,
     complex_roots,
     pole_regularized_value,
-    ratfun_equal,
     series_exp,
     series_log,
 )
@@ -129,7 +128,6 @@ __all__ = [
     "rank2_closed_form",
     "rank2_invariants",
     "rank2_numerator",
-    "ratfun_equal",
     "rh_check_artin",
     "rh_check_zeta2",
     "series_exp",

@@ -30,7 +30,6 @@ from curvezeta.exact import (
     TruncatedSeries,
     ZeroReport,
     complex_roots,
-    ratfun_equal,
     series_exp,
 )
 
@@ -216,7 +215,7 @@ def artin_fe_ratfun_check(c: CurveData) -> bool:
         * RationalFunction.t(2 * (g - 1))
         * z.reciprocal_arg(1 / q)
     )
-    return ratfun_equal(lhs, z)
+    return lhs == z
 
 
 def rh_check_artin(c: CurveData, tol: float = 1e-9) -> ZeroReport:

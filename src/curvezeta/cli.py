@@ -17,16 +17,19 @@ Subcommands mirror the tasks (`artin`, `invariants`, `rank2`,
 `slr --rank R`, `mass --rank R --degree D`, `yoshida [--counterexample]`,
 `rh-report`) and `run` executes whatever the file's ``tasks`` lists.  Exit
 codes: 0 all asserted identities hold, 1 an asserted identity failed,
-2 bad input.  Reports render exact rationals as "p/q" strings and floats
-at fixed precision, so identical jobs produce byte-identical files.
+2 bad input.  A task that stops on a failed identity still gets a report
+entry, ``{"error": "<Type>: <message>"}`` with the check
+``completed: false``.  Reports render exact rationals as "p/q" strings and
+floats at fixed precision, so identical jobs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -34,11 +37,15 @@ from typing import Sequence
 import yaml
 
 from curvezeta import artin, invariants, mass, rank2, yoshida
-from curvezeta.exact import RationalFunction, ZeroReport
-from curvezeta.fields import CurveModel, census, curve_from_model, is_prime_power
-from curvezeta.group_zeta import period_residue_oracle, slr_fe_check, slr_numerator, slr_rh_report, slr_zeta
+from curvezeta.exact import RationalFunction, RootFindError, ZeroReport
+from curvezeta.fields import CurveModel, census, is_prime_power
+from curvezeta.group_zeta import ConventionError, period_residue_oracle, slr_fe_check
+from curvezeta.group_zeta import slr_numerator, slr_rh_report, slr_zeta
 
 TASKS = ("artin", "invariants", "rank2", "slr", "mass", "yoshida", "rh-report")
+
+# Raised by a task whose asserted identity fails or whose root finder gives up.
+_TASK_FAILURES = (AssertionError, ConventionError, RootFindError)
 
 
 class JobError(ValueError):
@@ -48,7 +55,7 @@ class JobError(ValueError):
 @dataclass
 class JobSpec:
     curves: list[artin.CurveData]
-    models: list[CurveModel]
+    census_rows: list[tuple[CurveModel, list[int]]]  # counts N_1..N_g per model
     ranks: list[int]
     degree: int
     tasks: list[str]
@@ -111,7 +118,7 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
         raise JobError("job file must hold a mapping at top level")
 
     curves: list[artin.CurveData] = []
-    models: list[CurveModel] = []
+    census_rows: list[tuple[CurveModel, list[int]]] = []
     sources = raw.get("curves", [])
     if not isinstance(sources, list) or not sources:
         problems.append("curves: need a nonempty list of curve sources")
@@ -126,6 +133,10 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
                 q = src["q"]
                 if isinstance(q, bool) or not isinstance(q, int) or not is_prime_power(q):
                     raise ValueError(f"q must be a prime power, got {q!r}")
+            if kind in ("coefficients", "counts"):
+                g = src["g"]
+                if isinstance(g, bool) or not isinstance(g, int):
+                    raise ValueError(f"g must be an integer, got {g!r}")
             if kind == "coefficients":
                 curves.append(
                     artin.CurveData(
@@ -138,19 +149,16 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
                 )
             elif kind == "counts":
                 data = artin.numerator_from_counts(src["q"], src["g"], src["counts"])
-                curves.append(
-                    artin.CurveData(
-                        data.q, data.g, data.A, genuine=True,
-                        label=src.get("label", f"counts(q={src['q']},N={src['counts']})"),
-                    )
-                )
+                label = src.get("label", f"counts(q={src['q']},N={src['counts']})")
+                curves.append(replace(data, label=label))
             elif kind == "model":
                 model = CurveModel(
                     src["kind"], src["q"], tuple(src.get("f", ())), src.get("label", "")
                 )
-                models.append(model)
+                census_rows += census([model])
                 if model.genus >= 1:
-                    curves.append(curve_from_model(model))
+                    data = artin.numerator_from_counts(model.q, model.genus, census_rows[-1][1])
+                    curves.append(replace(data, label=model.describe()))
             elif kind == "elliptic":
                 curves.append(artin.CurveData.elliptic(src["q"], src["a"]))
             else:
@@ -163,10 +171,9 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
         problems.append("ranks: need a list of integers between 2 and 6")
         ranks = [2]
     tasks = raw.get("tasks", ["artin"])
-    bad = [t for t in tasks if t not in TASKS]
-    if bad:
-        problems.append(f"tasks: unknown entries {bad}; valid: {list(TASKS)}")
-        tasks = [t for t in tasks if t in TASKS]
+    if not isinstance(tasks, list) or any(t not in TASKS for t in tasks):
+        problems.append(f"tasks: need a list of task names from {list(TASKS)}, got {tasks!r}")
+        tasks = []
     degree = raw.get("degree", 0)
     if isinstance(degree, bool) or not isinstance(degree, int):
         problems.append(f"degree: need an integer, got {degree!r}")
@@ -191,12 +198,14 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
             tolerance = overrides.tolerance
         if getattr(overrides, "fmt", None):
             fmt = overrides.fmt
+    if not 0 < tolerance < math.inf:
+        problems.append(f"tolerance: need a finite number > 0, got {tolerance!r}")
 
     if problems:
         raise JobError("invalid job file:\n  " + "\n  ".join(problems))
     return JobSpec(
         curves=curves,
-        models=models,
+        census_rows=census_rows,
         ranks=sorted(set(ranks)),
         degree=degree,
         tasks=list(tasks),
@@ -226,8 +235,6 @@ def _task_artin(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
 
 
 def _task_invariants(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
-    if c.g < 1:
-        return {"skipped": "genus 0"}, {}
     table = invariants.invariant_table(c)
     report = {
         "alpha": list(table.alphas),
@@ -249,8 +256,6 @@ def _task_invariants(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
 
 
 def _task_rank2(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
-    if c.g < 1:
-        return {"skipped": "genus 0"}, {}
     F, shift = rank2.rank2_closed_form(c)
     table = rank2.rank2_invariants(c)
     numerator = rank2.rank2_numerator(c)
@@ -270,8 +275,6 @@ def _task_rank2(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
 
 
 def _task_slr(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
-    if c.g < 1:
-        return {"skipped": "genus 0"}, {}
     report = {}
     checks = {}
     for r in job.ranks:
@@ -297,8 +300,6 @@ def _task_slr(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
 
 
 def _task_mass(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
-    if c.g < 1:
-        return {"skipped": "genus 0"}, {}
     rmax = min(max(job.ranks), 4)
     table = mass.beta_crosscheck(c, rmax)  # raises if the asserted rows fail
     report = {
@@ -314,8 +315,6 @@ def _task_mass(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
 
 
 def _task_yoshida(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
-    if c.g < 1:
-        return {"skipped": "genus 0"}, {}
     z = yoshida.zeta2_canonical(c)
     rh = yoshida.rh_check_zeta2(z, job.tolerance)
     report = {"rh": rh}
@@ -354,35 +353,20 @@ def _task_yoshida(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
 
 
 def _task_rh_report(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
-    if c.g < 1:
-        return {"skipped": "genus 0"}, {}
-    rows = []
-    art = artin.rh_check_artin(c, job.tolerance)
-    for z, d in zip(art.zeros, art.deviations):
-        rows.append(("artin", z, abs(z), d))
-    z2 = slr_zeta(c, 2)
-    slr_rep = slr_rh_report(z2, job.tolerance)
-    for z, d in zip(slr_rep.zeros, slr_rep.deviations):
-        rows.append(("slr2_Tgrid", z, abs(z), d))
-    yz = yoshida.rh_check_zeta2(yoshida.zeta2_canonical(c), job.tolerance)
-    for z, d in zip(yz.zeros, yz.deviations):
-        rows.append(("zeta2", z, abs(z), d))
+    verdicts = [  # (verdict key, zeros.csv object name, zero report)
+        ("artin", "artin", artin.rh_check_artin(c, job.tolerance)),
+        ("slr2", "slr2_Tgrid", slr_rh_report(slr_zeta(c, 2), job.tolerance)),
+        ("zeta2", "zeta2", yoshida.rh_check_zeta2(yoshida.zeta2_canonical(c), job.tolerance)),
+    ]
     report = {
         "zeros": [
-            {"object": name, "value": v, "modulus": m, "deviation": d}
-            for name, v, m, d in rows
+            {"object": name, "value": z, "modulus": abs(z), "deviation": d}
+            for _, name, rep in verdicts
+            for z, d in zip(rep.zeros, rep.deviations)
         ],
-        "verdicts": {
-            "artin": art.verdict,
-            "slr2": slr_rep.verdict,
-            "zeta2": yz.verdict,
-        },
+        "verdicts": {key: rep.verdict for key, _, rep in verdicts},
     }
-    checks = {}
-    if c.genuine:
-        checks["artin_rh"] = art.verdict
-        checks["slr2_rh"] = slr_rep.verdict
-        checks["zeta2_rh"] = yz.verdict
+    checks = {f"{key}_rh": rep.verdict for key, _, rep in verdicts} if c.genuine else {}
     return report, checks
 
 
@@ -398,7 +382,11 @@ _TASK_FN = {
 
 
 def run(job: JobSpec, tasks: Sequence[str] | None = None) -> tuple[int, dict]:
-    """Execute tasks over every curve; returns (exit_code, report tree)."""
+    """Execute tasks over every curve; returns (exit_code, report tree).
+
+    Genus-0 curves skip every task but artin; a task that raises one of
+    ``_TASK_FAILURES`` becomes a failed entry and the rest still run.
+    """
     chosen = list(tasks) if tasks else job.tasks
     out = {
         "report_version": 1,
@@ -407,14 +395,20 @@ def run(job: JobSpec, tasks: Sequence[str] | None = None) -> tuple[int, dict]:
         "reports": [],
     }
     failed = False
-    if job.models and ("artin" in chosen or "rh-report" in chosen):
-        rows = []
-        for model, counts in census(job.models):
-            rows.append({"model": model.describe(), "genus": model.genus, "counts": counts})
-        out["census"] = rows
+    if job.census_rows and ("artin" in chosen or "rh-report" in chosen):
+        out["census"] = [
+            {"model": model.describe(), "genus": model.genus, "counts": counts}
+            for model, counts in job.census_rows
+        ]
     for c in job.curves:
         for task in chosen:
-            report, checks = _TASK_FN[task](c, job)
+            if c.g < 1 and task != "artin":
+                report, checks = {"skipped": "genus 0"}, {}
+            else:
+                try:
+                    report, checks = _TASK_FN[task](c, job)
+                except _TASK_FAILURES as e:
+                    report, checks = {"error": f"{type(e).__name__}: {e}"}, {"completed": False}
             failed = failed or not all(checks.values())
             out["reports"].append(
                 {
@@ -460,7 +454,7 @@ def render(tree: dict, fmt: str) -> dict[str, str]:
     for rep in tree.get("reports", []):
         if rep["task"] != "rh-report":
             continue
-        for row in rep["data"]["zeros"]:
+        for row in rep["data"].get("zeros", ()):  # none on skipped or failed entries
             z = row["value"]
             zero_lines.append(
                 f"\"{rep['curve']}\",{row['object']},{z},{row['modulus']},{row['deviation']}"

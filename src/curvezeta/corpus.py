@@ -8,8 +8,10 @@ code paths the census cannot reach at desk scale.
 
 from __future__ import annotations
 
-from curvezeta.artin import CurveData
-from curvezeta.fields import CurveModel, curve_from_model
+from dataclasses import replace
+
+from curvezeta.artin import CurveData, numerator_from_counts
+from curvezeta.fields import CurveModel, census
 
 
 def census_models() -> list[CurveModel]:
@@ -30,7 +32,11 @@ def census_models() -> list[CurveModel]:
 
 
 def census_curves() -> list[CurveData]:
-    return [curve_from_model(m) for m in census_models()]
+    """The census models as genuine curve data, labelled by their equations."""
+    return [
+        replace(numerator_from_counts(model.q, model.genus, counts), label=model.describe())
+        for model, counts in census(census_models())
+    ]
 
 
 def elliptic_grid() -> list[CurveData]:

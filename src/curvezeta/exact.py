@@ -406,11 +406,6 @@ def _as_ratfun(x) -> RationalFunction:
     raise TypeError(f"cannot coerce {type(x)} to RationalFunction")
 
 
-def ratfun_equal(f: RationalFunction, g: RationalFunction) -> bool:
-    """Exact equality via cross multiplication of the stored quotients."""
-    return f.num * g.den == g.num * f.den
-
-
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Power series truncated at a fixed order; length = order + 1."""

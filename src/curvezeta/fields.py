@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from curvezeta.artin import CurveData, numerator_from_counts
-
 FIELD_CAP = 2**20
 
 Element = tuple[int, ...]
@@ -347,11 +345,3 @@ def census(models: Sequence[CurveModel]) -> list[tuple[CurveModel, list[int]]]:
         g = model.genus
         out.append((model, [count_points(model, m) for m in range(1, g + 1)]))
     return out
-
-
-def curve_from_model(model: CurveModel) -> CurveData:
-    """CurveData with genuine point-count provenance."""
-    g = model.genus
-    counts = [count_points(model, m) for m in range(1, g + 1)]
-    data = numerator_from_counts(model.q, g, counts)
-    return CurveData(data.q, data.g, data.A, genuine=True, label=model.describe())

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from curvezeta.artin import CurveData, zeta_hat_ratfun, zeta_hat_special
-from curvezeta.exact import Poly, RationalFunction, ZeroReport, complex_roots, ratfun_equal
+from curvezeta.exact import Poly, RationalFunction, ZeroReport, complex_roots
 from curvezeta.rank2 import triangular_alpha_ratios
 
 Root = tuple[int, int]  # (x, y) encodes e_x - e_y; positive iff x < y
@@ -318,7 +318,7 @@ def slr_numerator(z: SlrZeta, c: CurveData) -> SlrNumeratorInfo:
 def slr_fe_check(z: SlrZeta) -> bool:
     """Exact identity zh_SLr(-r-s) = zh_SLr(s), i.e. u -> q^r / u."""
     Q = Fraction(z.q) ** z.r
-    return ratfun_equal(z.combined.reciprocal_arg(Q), z.combined)
+    return z.combined.reciprocal_arg(Q) == z.combined
 
 
 def slr_rh_report(z: SlrZeta, tol: float = 1e-9) -> ZeroReport:

@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from curvezeta.artin import CurveData, zeta_hat_special
-from curvezeta.exact import Poly, RationalFunction, ratfun_equal
+from curvezeta.exact import Poly, RationalFunction
 from curvezeta.invariants import InvariantTable
 
 
@@ -89,7 +89,7 @@ def rank2_closed_form(c: CurveData) -> tuple[RationalFunction, int]:
         * RationalFunction(P.scale_arg(q), Poly([1, -q]) * Poly([1, -q * q]))
         * RationalFunction(Poly([0, -1]), Poly([1, -1]))
     )
-    if not ratfun_equal(F, first + second):
+    if F != first + second:
         raise AssertionError("closed form disagrees with the two-term sum")
     return F, g - 1
 
@@ -121,7 +121,7 @@ def rank2_numerator(c: CurveData) -> Rank2Numerator:
         Poly(coeffs).scale_arg(q),
         Fraction(q**g) * Poly([1, -1]) * Poly([1, -q * q]),
     )
-    if not ratfun_equal(F, recon):
+    if F != recon:
         raise AssertionError("grouped expansion disagrees with the closed form")
     return numerator
 
@@ -203,7 +203,7 @@ def pure_fe_check(z: PureZeta) -> bool:
         * RationalFunction.t(2 * z.shift)
         * z.Z.reciprocal_arg(1 / Q)
     )
-    return ratfun_equal(lhs, z.Z)
+    return lhs == z.Z
 
 
 def triangular_alpha_ratios(

@@ -34,7 +34,6 @@ from curvezeta.exact import (
     RationalFunction,
     ZeroReport,
     complex_roots_numeric,
-    ratfun_equal,
 )
 
 Rat = Fraction | int
@@ -192,9 +191,9 @@ class WeilPairSet:
     geometric: bool = False
 
     @staticmethod
-    def from_pair_sums(q: int, sums: Sequence[Rat], enforce_bound: bool = True) -> WeilPairSet:
+    def from_pair_sums(q: int, sums: Sequence[Rat]) -> WeilPairSet:
         cs = tuple(Fraction(c) for c in sums)
-        if enforce_bound and any(abs(c) > q + 1 for c in cs):
+        if any(abs(c) > q + 1 for c in cs):
             raise ValueError("pair sum violates |c| <= q + 1")
         x1 = Poly.one()
         for c in cs:
@@ -273,7 +272,7 @@ def x1_fe_check(xy: XY) -> bool:
     q = Fraction(xy.q)
     lhs = xy.x1.reciprocal_arg(1 / q)
     rhs = RationalFunction.constant(q**-xy.g) * RationalFunction.t(-2 * xy.g) * xy.x1
-    return ratfun_equal(lhs, rhs)
+    return lhs == rhs
 
 
 def y_fe_check(xy: XY) -> bool:
@@ -410,10 +409,9 @@ def sextic_identity_report(q: int, c_sum: Rat) -> dict:
         "q": q,
         "c": c_sum,
         "zeta2_is_plain_rational": left.odd.is_zero(),
-        "expansion_ok": left.odd.is_zero() and ratfun_equal(left.even, expansion),
-        "corrected_factorization_ok": left.odd.is_zero()
-        and ratfun_equal(left.even, corrected),
-        "literal_factorization_ok": left.odd.is_zero() and ratfun_equal(left.even, literal),
+        "expansion_ok": left.odd.is_zero() and left.even == expansion,
+        "corrected_factorization_ok": left.odd.is_zero() and left.even == corrected,
+        "literal_factorization_ok": left.odd.is_zero() and left.even == literal,
         "quartic": quartic,
     }
 
@@ -603,6 +601,6 @@ def canonical_group_cross_check(c: CurveData, combined: RationalFunction) -> int
     rhs_ratfun = prefactor * combined.reciprocal_arg(1).stretch(2)
     if not lhs.odd.is_zero():
         raise AssertionError("left side kept a half power; parity bookkeeping broke")
-    if not ratfun_equal(lhs.even, rhs_ratfun):
+    if lhs.even != rhs_ratfun:
         raise AssertionError("canonical zeta2 does not match the group zeta route")
     return c.g - 1

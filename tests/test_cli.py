@@ -1,11 +1,13 @@
 """CLI: job parsing, task execution, determinism, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from curvezeta.cli import JobError, main, parse_job, render, run
+from curvezeta import fields
+from curvezeta.cli import TASKS, JobError, main, parse_job, render, run
 
 FULL_JOB = """\
 curves:
@@ -19,6 +21,29 @@ tasks: [artin, invariants, rank2, slr, mass, yoshida, rh-report]
 tolerance: 1.0e-9
 format: json
 """
+
+
+DATA = Path(__file__).parent / "data"
+
+# A fixed-precision float, real or complex, as _fmt_number writes it.
+_FLOAT = r"-?\d\.\d{12}e[+-]\d+"
+_FLOAT_RE = re.compile(f"{_FLOAT}({_FLOAT.replace('-?', '[+-]')}j)?")
+_MASK = "d.dddddddddddde±NN"
+
+
+def mask_floats(text: str) -> str:
+    """Replace every rendered float with a placeholder; exact values stay."""
+    return _FLOAT_RE.sub(lambda m: _MASK + (f"±{_MASK}j" if m.group(1) else ""), text)
+
+
+# What the seven tasks raise on non-genuine data that breaks their identities.
+NON_GENUINE_ERRORS = {
+    "rank2": "AssertionError",
+    "slr": "ConventionError",
+    "mass": "AssertionError",
+    "yoshida": "ConventionError",
+    "rh-report": "ConventionError",
+}
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +130,69 @@ class TestRun:
         checks = tree["reports"][0]["checks"]
         assert not checks["coefficient_symmetry"]
 
+    def test_each_model_counted_once(self, tmp_path, monkeypatch):
+        calls = []
+        count_points = fields.count_points
+
+        def counting(model, m):
+            calls.append((model.f, m))
+            return count_points(model, m)
+
+        monkeypatch.setattr(fields, "count_points", counting)
+        path = tmp_path / "models.yaml"
+        path.write_text(
+            "curves:\n"
+            "  - {type: model, kind: artin_schreier, q: 2, f: [0, 0, 0, 0, 0, 1]}\n"
+            "  - {type: model, kind: quadratic, q: 3, f: [1, 2, 0, 1]}\n"
+            "  - {type: model, kind: projective_line, q: 3}\n"
+            "tasks: [artin, invariants]\n"
+        )
+        code, tree = run(parse_job(path))
+        assert code == 0
+        assert sorted(calls) == [((0, 0, 0, 0, 0, 1), 1), ((0, 0, 0, 0, 0, 1), 2), ((1, 2, 0, 1), 1)]
+        assert [row["counts"] for row in tree["census"]] == [[3, 5], [7], []]
+
+    def test_genus_zero_skips_all_but_artin(self, tmp_path):
+        path = tmp_path / "g0.yaml"
+        path.write_text(
+            f"curves:\n  - {{type: coefficients, q: 2, g: 0, A: [1]}}\ntasks: {json.dumps(TASKS)}\n"
+        )
+        code, tree = run(parse_job(path))
+        assert code == 0
+        assert [r["data"] for r in tree["reports"][1:]] == [{"skipped": "genus 0"}] * 6
+        assert all(r["checks"] == {} for r in tree["reports"][1:])
+        assert "zeros.csv" not in render(tree, "csv")
+
+    @pytest.mark.parametrize(
+        "curve, ranks, tasks, errors",
+        [
+            ("{type: coefficients, q: 2, g: 1, A: [1, 1, 1]}", [2, 3], list(TASKS), NON_GENUINE_ERRORS),
+            ("{type: coefficients, q: 3, g: 2, A: [1, 1, 1, 2, 5]}", [2, 3], list(TASKS), NON_GENUINE_ERRORS),
+            ("{type: elliptic, q: 1000003, a: 1}", [6], ["slr"], {"slr": "RootFindError"}),
+        ],
+        ids=["nongenuine-g1", "nongenuine-g2", "slr-r6-q1000003"],
+    )
+    def test_failed_task_still_writes_report(self, tmp_path, capsys, curve, ranks, tasks, errors):
+        good = "{type: elliptic, q: 2, a: 0}"
+
+        def jobfile(*curves) -> Path:
+            path = tmp_path / f"job{len(curves)}.yaml"
+            lines = [f"  - {c}\n" for c in curves]
+            path.write_text(f"curves:\n{''.join(lines)}ranks: {ranks}\ntasks: {json.dumps(tasks)}\n")
+            return path
+
+        out = tmp_path / "out"
+        assert main(["run", str(jobfile(curve, good)), "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        reports = json.loads((out / "report.json").read_text())["reports"]
+        assert [r["task"] for r in reports] == tasks * 2
+        failed = {r["task"]: r for r in reports[: len(tasks)] if "error" in r["data"]}
+        assert {task: r["data"]["error"].split(":")[0] for task, r in failed.items()} == errors
+        assert all(r["checks"] == {"completed": False} for r in failed.values())
+        # the genuine curve's entries are those of a job that holds it alone
+        _, alone = run(parse_job(jobfile(good)))
+        assert reports[len(tasks):] == alone["reports"]
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, jobfile):
@@ -114,6 +202,14 @@ class TestDeterminism:
         _, t2 = run(job2)
         assert render(t1, "json") == render(t2, "json")
         assert render(t1, "csv") == render(t2, "csv")
+
+    def test_criterion_10_report_matches_recorded_bytes(self):
+        """The criterion-10 job's report.json, floats masked, as recorded in tests/data."""
+        job = parse_job(DATA / "criterion10_job.yaml")
+        code, tree = run(job)
+        assert code == 0
+        text = render(tree, job.fmt)["report.json"]
+        assert mask_floats(text) == (DATA / "criterion10_report.masked.json").read_text()
 
     def test_zeros_csv_emitted(self, full_tree):
         _, tree = full_tree
@@ -158,8 +254,33 @@ class TestMain:
             ("curves:\n  - {type: counts, q: 6, g: 1, counts: [7]}\n", "curves[0]"),
             ("curves:\n  - {type: elliptic, q: 2, a: 0}\ntolerance: abc\n", "tolerance"),
             ("curves:\n  - {type: elliptic, q: 2, a: 0}\ndegree: x\n", "degree"),
+            ("curves:\n  - {type: elliptic, q: 2, a: 0}\ntasks: 5\n", "tasks: need a list"),
+            ("curves:\n  - {type: elliptic, q: 2, a: 0}\ntasks: artin\n", "tasks: need a list"),
+            # an RH-violating datum must not pass through an infinite tolerance
+            (
+                "curves:\n  - {type: coefficients, q: 5, g: 1, A: [1, -5, 5], genuine: true}\n"
+                "tolerance: .inf\n",
+                "tolerance",
+            ),
+            ("curves:\n  - {type: elliptic, q: 2, a: 0}\ntolerance: -1\n", "tolerance"),
+            ("curves:\n  - {type: elliptic, q: 2, a: 0}\ntolerance: .nan\n", "tolerance"),
+            ("curves:\n  - {type: coefficients, q: 5, g: 1.5, A: [1, 0, 5]}\n", "curves[0]: g"),
+            ("curves:\n  - {type: counts, q: 5, g: 1.5, counts: [6]}\n", "curves[0]: g"),
         ],
-        ids=["elliptic-q6", "coefficients-q6", "counts-q6", "tolerance-abc", "degree-x"],
+        ids=[
+            "elliptic-q6",
+            "coefficients-q6",
+            "counts-q6",
+            "tolerance-abc",
+            "degree-x",
+            "tasks-int",
+            "tasks-string",
+            "tolerance-inf",
+            "tolerance-negative",
+            "tolerance-nan",
+            "coefficients-g-float",
+            "counts-g-float",
+        ],
     )
     def test_bad_value_exits_two(self, tmp_path, capsys, body, field):
         path = tmp_path / "bad.yaml"
@@ -168,6 +289,11 @@ class TestMain:
             parse_job(path)
         assert main(["run", str(path)]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "-1", "nan", "0"])
+    def test_bad_tolerance_flag_exits_two(self, jobfile, capsys, value):
+        assert main(["run", str(jobfile), "--tolerance", value]) == 2
+        assert "tolerance" in capsys.readouterr().err
 
     def test_counterexample_flag(self, tmp_path, capsys):
         path = tmp_path / "one.yaml"

@@ -16,7 +16,6 @@ from curvezeta.exact import (
     TruncatedSeries,
     complex_roots,
     pole_regularized_value,
-    ratfun_equal,
     series_exp,
     series_log,
 )
@@ -67,19 +66,26 @@ class TestRationalFunction:
         assert f == RationalFunction([1, 1])
 
     def test_ratfun_equal_examples(self):
-        assert ratfun_equal(RationalFunction([1, 0, -1], [1, -1]), RationalFunction([1, 1]))
-        assert not ratfun_equal(RationalFunction([0, 1]), RationalFunction([1, 1]))
+        # value equality of rational functions is canonical ==
+        assert RationalFunction([1, 0, -1], [1, -1]) == RationalFunction([1, 1])
+        assert not RationalFunction([0, 1]) == RationalFunction([1, 1])
 
     def test_equal_is_equivalence_on_canonical_forms(self):
-        # same value, three syntactic presentations
-        forms = [
-            RationalFunction([2, 0, 4], [2, -2]),
-            RationalFunction([1, 0, 2], [1, -1]),
-            RationalFunction(Poly([1, 0, 2]) * Poly([3]), Poly([3]) * Poly([1, -1])),
+        # same value, several syntactic presentations; == is exact value equality
+        classes = [
+            [
+                RationalFunction([2, 0, 4], [2, -2]),
+                RationalFunction([1, 0, 2], [1, -1]),
+                RationalFunction(Poly([1, 0, 2]) * Poly([3]), Poly([3]) * Poly([1, -1])),
+            ],
+            [RationalFunction([1, 0, -1], [1, -1]), RationalFunction([1, 1])],
+            [RationalFunction([0, 1])],
         ]
-        for a in forms:
-            for b in forms:
-                assert a == b and ratfun_equal(a, b)
+        for i, left in enumerate(classes):
+            for j, right in enumerate(classes):
+                for a in left:
+                    for b in right:
+                        assert (a == b) == (i == j), (a, b)
 
     def test_series_expansion(self):
         f = RationalFunction([1], [1, -3, 2])  # 1/((1-t)(1-2t))
@@ -219,7 +225,7 @@ class TestPoleRegularized:
 
 
 def test_closed_form_two_summand_equality_is_ratfun_equal(curve_g1):
-    """The two-summand and single-fraction presentations agree under ratfun_equal."""
+    """The two-summand and single-fraction presentations agree under ==."""
     from curvezeta.rank2 import rank2_closed_form
 
     F1, shift = rank2_closed_form(curve_g1)  # raises if the internal check fails
