@@ -167,8 +167,8 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
             problems.append(f"{where}: {e}")
 
     ranks = raw.get("ranks", [2])
-    if not isinstance(ranks, list) or any(not isinstance(r, int) or not 2 <= r <= 6 for r in ranks):
-        problems.append("ranks: need a list of integers between 2 and 6")
+    if not isinstance(ranks, list) or not ranks or any(not isinstance(r, int) or not 2 <= r <= 6 for r in ranks):
+        problems.append(f"ranks: need a non-empty list of integers between 2 and 6, got {ranks!r}")
         ranks = [2]
     tasks = raw.get("tasks", ["artin"])
     if not isinstance(tasks, list) or any(t not in TASKS for t in tasks):

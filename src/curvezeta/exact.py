@@ -4,7 +4,9 @@ A polynomial is a dense tuple of ``Fraction`` coefficients, constant term
 first, with trailing zeros stripped (the zero polynomial is the empty
 tuple).  A rational function is a reduced quotient of two polynomials with
 a monic denominator, so equal values have equal representations and ``==``
-is exact semantic equality.
+is exact semantic equality.  Reduction uses :func:`poly_gcd`, which runs a
+primitive pseudo-remainder sequence on integer coefficients, so no Euclidean
+division over ``Fraction`` happens on the way to a canonical form.
 
 The only floating point in this module lives in :func:`complex_roots`, a
 deterministic Aberth-Ehrlich simultaneous iteration with Newton polishing.
@@ -14,6 +16,7 @@ Everything else is exact.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -187,16 +190,8 @@ class Poly:
         """
         if self.is_zero():
             return self, Fraction(1)
-        from math import gcd, lcm
-
-        den = lcm(*(c.denominator for c in self.coeffs))
-        ints = [c * den for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = gcd(g, int(c))
-        sign = -1 if ints[-1] < 0 else 1
-        scale = Fraction(sign * g, den)
-        return Poly([c / (sign * g) for c in ints]), scale
+        ints, scale = _primitive_ints(self.coeffs)
+        return Poly(ints), scale
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -214,11 +209,64 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
+def _primitive_ints(coeffs: Sequence[Rat]) -> tuple[list[int], Fraction]:
+    """(ints, scale) with coeffs == scale * ints, ints coprime, last one positive.
+
+    The coefficients must not all be zero; ints and Fractions both work.
+    """
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    content = math.gcd(*ints)
+    if ints[-1] < 0:
+        content = -content
+    return [c // content for c in ints], Fraction(content, den)
+
+
+def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
+    """A nonzero integer multiple of (f mod g), for len(f) >= len(g).
+
+    Each step scales the running remainder by lead(g)/d and subtracts
+    (top/d) x^k g, with d = gcd(top, lead(g)), so the coefficients stay
+    integers and grow no more than the classical pseudo-remainder's.
+    """
+    r = list(f)
+    lead, n = g[-1], len(g)
+    while len(r) >= n:
+        top = r[-1]
+        d = math.gcd(top, lead)
+        a, b = lead // d, top // d
+        if a != 1:
+            r = [a * c for c in r]
+        k = len(r) - n
+        for i, c in enumerate(g):
+            r[k + i] -= b * c
+        r.pop()  # a * top - b * lead == 0
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd by a primitive pseudo-remainder sequence over the integers.
+
+    Both inputs are scaled to primitive integer polynomials; each pseudo-
+    remainder is divided by its integer content before the next step
+    (Collins, J. ACM 1967), so no rational arithmetic happens in the loop.
+    The last nonzero remainder is made monic.  gcd(0, 0) is the zero
+    polynomial and gcd(a, 0) is a.monic().
+    """
+    if a.is_zero() or b.is_zero():
+        return (b if a.is_zero() else a).monic()
+    f, _ = _primitive_ints(a.coeffs)
+    g, _ = _primitive_ints(b.coeffs)
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        r = _pseudo_remainder(f, g)
+        if not r:
+            break
+        f, g = g, _primitive_ints(r)[0]
+    return Poly(g).monic()
 
 
 class RationalFunction:

@@ -17,6 +17,13 @@ maps every parabolic simple root into Delta or the negative roots, the pole
 at stage j is always simple, and the zeta quotients along the roots through
 the last coordinate telescope to a single zh(s + n).  The per-term factors
 are read off the root combinatorics with no residue computation at all.
+Their only denominators are powers of u and linear factors (1 - a u): a
+factor 1/(1 - c/u) is rewritten as -(1/c) u / (1 - u/c), and zh(s + n) is
+q^{(g-1)n} u^{1-g} P(q^{-n} u) / ((1 - q^{-n} u)(1 - q^{1-n} u)).  So each
+term is kept as value * u^k over a multiset of factors keyed by a, each R_n
+is summed in one pass over the LCM of its terms' factors, and the products
+R_n * zh(s + n) are summed the same way; every result is reduced once by
+the ordinary :class:`RationalFunction` constructor.
 :func:`period_residue_oracle` instead materializes the period as an exact
 (bivariate, for r = 3) rational function and takes the limit
 lim (1 - u_1) f literally; the two must agree up to a recorded constant.
@@ -177,18 +184,67 @@ class SlrZeta:
     numerator_T: tuple[Fraction, ...]  # A(0..2g) of zh_SLr(-rs) on the T-grid
 
 
-def _one_minus_q_u(c: Fraction, upower: int) -> RationalFunction:
-    """1/(1 - c * u^upower) for upower in {-1, +1}."""
-    if upower == 1:
-        return RationalFunction(Poly.one(), Poly([1, -c]))
-    return RationalFunction(Poly([0, 1]), Poly([-c, 1]))
+@dataclass
+class _LinearTerm:
+    """num(u) * u^k / prod_a (1 - a u)^m_a, the denominator kept factored by a."""
+
+    num: Poly
+    k: int = 0
+    den: dict[Fraction, int] = field(default_factory=dict)
+
+    def divide(self, a: Fraction) -> None:
+        """Divide by (1 - a u)."""
+        self.den[a] = self.den.get(a, 0) + 1
+
+    def times_zeta_hat(self, c: CurveData, n: int) -> _LinearTerm:
+        """This term times zh(s + n), in the form of the module docstring."""
+        q, g = Fraction(c.q), c.g
+        num = self.num * c.numerator.scale_arg(q**-n) * q ** ((g - 1) * n)
+        out = _LinearTerm(num, self.k + 1 - g, dict(self.den))
+        out.divide(q**-n)
+        out.divide(q ** (1 - n))
+        return out
+
+    def ratfun(self) -> RationalFunction:
+        den = Poly.one()
+        for a, m in self.den.items():
+            den = den * Poly([1, -a]) ** m
+        if self.k >= 0:
+            return RationalFunction(self.num * Poly.x(self.k), den)
+        return RationalFunction(self.num, den * Poly.x(-self.k))
+
+
+def _linear_sum(terms: list[_LinearTerm]) -> _LinearTerm:
+    """The sum over the LCM of the factored denominators, as one term.
+
+    The LCM takes each linear factor at its largest multiplicity and the
+    lowest power of u; every term's numerator is scaled up to it, so the
+    only polynomial products are by known powers of (1 - a u).
+    """
+    lcm: dict[Fraction, int] = {}
+    for t in terms:
+        for a, m in t.den.items():
+            lcm[a] = max(lcm.get(a, 0), m)
+    k = min(t.k for t in terms)
+    powers: dict[tuple[Fraction, int], Poly] = {}
+    num = Poly()
+    for t in terms:
+        part = t.num * Poly.x(t.k - k)
+        for a, m in lcm.items():
+            e = m - t.den.get(a, 0)
+            if e:
+                if (a, e) not in powers:
+                    powers[a, e] = Poly([1, -a]) ** e
+                part = part * powers[a, e]
+        num = num + part
+    return _LinearTerm(num, k, lcm)
 
 
 def _term_data(rs: RootSystemData, pb: ParabolicData, w: WeylElt, r: int):
     """Shift index n_w, constant zeta exponents, and rational factor recipe.
 
     Returns (n_w, zeta_exponents, constant_q_factors, s_factors) where the
-    s_factors are (coefficient, u_power) pairs for 1/(1 - coeff * u^power).
+    s_factors are (e, u_power) pairs for 1/(1 - q^e * u^u_power).
     The run-of-heights property behind the telescoping is asserted, not
     assumed.
     """
@@ -246,7 +302,7 @@ def slr_zeta(c: CurveData, r: int) -> SlrZeta:
         raise ValueError("group zeta needs genus >= 1")
     rs, pb = build_root_system(r)
     q = Fraction(c.q)
-    R: dict[int, RationalFunction] = {}
+    R: dict[int, list[_LinearTerm]] = {}
     for w in pb.frak_w_p:
         n_w, zeta_exp, const_factors, s_factors = _term_data(rs, pb, w, r)
         if any(e < 0 for e in zeta_exp.values()):
@@ -257,16 +313,20 @@ def slr_zeta(c: CurveData, r: int) -> SlrZeta:
                 value *= zeta_hat_special(c, n) ** e
         for e in const_factors:
             value /= 1 - q**e
-        term = RationalFunction.constant(value)
+        term = _LinearTerm(Poly([value]))
         for e, upow in s_factors:
-            term = term * _one_minus_q_u(q**e, upow)
-        R[n_w] = R.get(n_w, RationalFunction.zero()) + term
+            a = q**e
+            if upow == 1:
+                term.divide(a)
+            else:  # 1/(1 - a/u) = -(1/a) u / (1 - u/a)
+                term.num = term.num * (-1 / a)
+                term.k += 1
+                term.divide(1 / a)
+        R.setdefault(n_w, []).append(term)
 
-    combined = RationalFunction.zero()
-    terms = []
-    for n in sorted(R):
-        terms.append((n, R[n]))
-        combined = combined + R[n] * zeta_hat_ratfun(c, shift=n)
+    sums = {n: _linear_sum(R[n]) for n in sorted(R)}
+    terms = [(n, t.ratfun()) for n, t in sums.items()]
+    combined = _linear_sum([t.times_zeta_hat(c, n) for n, t in sums.items()]).ratfun()
     numerator = _extract_numerator(combined, c, r)
     return SlrZeta(r, c.q, c.g, tuple(terms), combined, numerator)
 
@@ -536,11 +596,11 @@ def _factored_sum(terms: list[_FactoredTerm]) -> tuple[Poly2, Poly2]:
 def period_sum_r2(c: CurveData, identity_only: bool = False) -> RationalFunction:
     """The raw rank-two period in u, before the zeta-clearing multiplier."""
     q = Fraction(c.q)
-    t_id = _one_minus_q_u(Fraction(1), 1)
+    t_id = RationalFunction([1], [1, -1])  # 1/(1 - u)
     if identity_only:
         return t_id
     quot = zeta_hat_ratfun(c, shift=1) / zeta_hat_ratfun(c, shift=2)
-    t_flip = _one_minus_q_u(q**2, -1) * quot
+    t_flip = RationalFunction([0, 1], [-(q**2), 1]) * quot  # 1/(1 - q^2/u)
     return t_id + t_flip
 
 

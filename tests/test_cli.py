@@ -266,6 +266,7 @@ class TestMain:
             ("curves:\n  - {type: elliptic, q: 2, a: 0}\ntolerance: .nan\n", "tolerance"),
             ("curves:\n  - {type: coefficients, q: 5, g: 1.5, A: [1, 0, 5]}\n", "curves[0]: g"),
             ("curves:\n  - {type: counts, q: 5, g: 1.5, counts: [6]}\n", "curves[0]: g"),
+            ("curves:\n  - {type: elliptic, q: 2, a: 0}\nranks: []\ntasks: [mass]\n", "ranks"),
         ],
         ids=[
             "elliptic-q6",
@@ -280,6 +281,7 @@ class TestMain:
             "tolerance-nan",
             "coefficients-g-float",
             "counts-g-float",
+            "ranks-empty",
         ],
     )
     def test_bad_value_exits_two(self, tmp_path, capsys, body, field):

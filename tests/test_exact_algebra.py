@@ -16,11 +16,24 @@ from curvezeta.exact import (
     TruncatedSeries,
     complex_roots,
     pole_regularized_value,
+    poly_gcd,
     series_exp,
     series_log,
+    squarefree_decomposition,
 )
 
 F = Fraction
+
+fraction_polys = st.lists(
+    st.fractions(min_value=-6, max_value=6, max_denominator=7), max_size=6
+).map(Poly)
+
+
+def euclid_gcd(a: Poly, b: Poly) -> Poly:
+    """Reference: the monic gcd by Euclidean division over the rationals."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
 
 
 class TestPoly:
@@ -57,6 +70,39 @@ class TestPoly:
         assert p.reversed() == Poly([2, 0, 1])
         assert p.scale_arg(F(1, 2)) == Poly([1, 0, F(1, 2)])
         assert p.stretch(3) == Poly([1, 0, 0, 0, 0, 0, 2])
+
+
+class TestPolyGcd:
+    @given(fraction_polys, fraction_polys, fraction_polys)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_euclid_with_shared_factor(self, x, y, common):
+        a, b = x * common, y * common
+        assert poly_gcd(a, b) == euclid_gcd(a, b)
+        assert poly_gcd(x, y) == euclid_gcd(x, y)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (Poly(), Poly()),
+            (Poly([F(1, 2), 3, -1]), Poly()),
+            (Poly(), Poly([0, F(-2, 3)])),
+            (Poly([F(-7, 2)]), Poly([1, 2, 3])),
+            (Poly([4]), Poly([F(1, 9)])),
+            (Poly([F(2, 3), 0, -6]), Poly([F(2, 3), 0, -6])),
+            (Poly([F(2, 3), 0, -6]), Poly([-2, 0, 18])),
+        ],
+        ids=["zero-zero", "a-zero", "zero-b", "constant", "two-constants", "equal", "scaled"],
+    )
+    def test_matches_euclid_edge_cases(self, a, b):
+        assert poly_gcd(a, b) == euclid_gcd(a, b)
+        assert poly_gcd(b, a) == euclid_gcd(b, a)
+
+    @pytest.mark.parametrize("q, a, b, m", [(5, 1, -3, 2), (3, 2, 0, 3), (101, 7, -19, 2)])
+    def test_squarefree_weil_numerator_repeated_elliptic_factor(self, q, a, b, m):
+        # (1 - a t + q t^2)^m (1 - b t + q t^2): Yun splits off the repeated factor
+        ea, eb = Poly([1, -a, q]), Poly([1, -b, q])
+        parts = squarefree_decomposition(ea**m * eb)
+        assert parts == [(eb.monic(), 1), (ea.monic(), m)]
 
 
 class TestRationalFunction:

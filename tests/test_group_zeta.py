@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from curvezeta.artin import CurveData, zeta_hat_ratfun
+from curvezeta.artin import CurveData, zeta_hat_ratfun, zeta_hat_special
 from curvezeta.exact import Poly, RationalFunction
 from curvezeta.group_zeta import (
     _factored_sum,
     _FactoredTerm,
+    _extract_numerator,
     _p2_divide_one_minus_u1,
+    _term_data,
     _weyl_terms_r3,
     build_root_system,
     period_residue_oracle,
@@ -41,6 +43,31 @@ def elliptic_product(q: int, g: int, seed: int) -> CurveData:
             return CurveData(q, g, P.coeffs, genuine=True, label=f"product(q={q},g={g},seed={seed})")
         except ValueError:  # a draw whose counts go negative is not a curve
             continue
+
+
+def pairwise_slr(c: CurveData, r: int):
+    """Reference: each R_n and the combined sum by pairwise RationalFunction additions."""
+    rs, pb = build_root_system(r)
+    q = F(c.q)
+    R = {}
+    for w in pb.frak_w_p:
+        n_w, zeta_exp, const_factors, s_factors = _term_data(rs, pb, w, r)
+        value = F(1)
+        for n, e in zeta_exp.items():
+            value *= zeta_hat_special(c, n) ** e
+        for e in const_factors:
+            value /= 1 - q**e
+        term = RationalFunction.constant(value)
+        for e, upow in s_factors:  # 1/(1 - q^e u^upow)
+            if upow == 1:
+                term = term * RationalFunction([1], [1, -(q**e)])
+            else:
+                term = term * RationalFunction([0, 1], [-(q**e), 1])
+        R[n_w] = R.get(n_w, RationalFunction.zero()) + term
+    combined = RationalFunction.zero()
+    for n in sorted(R):
+        combined = combined + R[n] * zeta_hat_ratfun(c, shift=n)
+    return tuple(sorted(R.items())), combined
 
 
 class TestRootSystem:
@@ -138,6 +165,27 @@ class TestSlrAssembly:
         A = z.numerator_T
         assert len(A) == 3
         assert A[2] == 8 * A[0]
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("curve", ["g1", "g2", "genus3"])
+    def test_matches_pairwise_sum(self, r, curve, curve_g1, curve_g2):
+        c = {"g1": curve_g1, "g2": curve_g2, "genus3": GENUS3_DATUM}[curve]
+        terms, combined = pairwise_slr(c, r)
+        z = slr_zeta(c, r)
+        assert z.terms == terms
+        assert z.combined == combined
+        assert z.numerator_T == _extract_numerator(combined, c, r)
+
+    @pytest.mark.parametrize("q, g, seed", [(3, 12, 0)])
+    def test_large_genus_rank6(self, q, g, seed):
+        c = elliptic_product(q, g, seed)
+        z = slr_zeta(c, 6)
+        assert slr_fe_check(z)
+        Q = F(q) ** 6
+        for i in range(g + 1):
+            assert z.numerator_T[2 * g - i] == Q ** (g - i) * z.numerator_T[i]
+        rep = slr_rh_report(z)
+        assert len(rep.zeros) + len(rep.excluded) == Poly(z.numerator_T).degree
 
     def test_broken_term_breaks_fe(self, curve_g1):
         import dataclasses
