@@ -42,7 +42,7 @@ from curvezeta.exact import (
     series_exp,
     series_log,
 )
-from curvezeta.fields import CurveModel, FieldRep, build_field, census, count_points
+from curvezeta.fields import CurveModel, census, count_points
 from curvezeta.group_zeta import (
     SlrZeta,
     build_root_system,
@@ -90,7 +90,6 @@ __all__ = [
     "ComplexRootSet",
     "CurveData",
     "CurveModel",
-    "FieldRep",
     "HalfShiftRational",
     "InvariantTable",
     "Poly",
@@ -109,7 +108,6 @@ __all__ = [
     "beta_composition_formula",
     "beta_crosscheck",
     "beta_hn_mass",
-    "build_field",
     "build_root_system",
     "census",
     "complex_roots",

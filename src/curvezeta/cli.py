@@ -152,9 +152,9 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
                 label = src.get("label", f"counts(q={src['q']},N={src['counts']})")
                 curves.append(replace(data, label=label))
             elif kind == "model":
-                model = CurveModel(
-                    src["kind"], src["q"], tuple(src.get("f", ())), src.get("label", "")
-                )
+                f = src.get("f", ())
+                f = tuple(f) if isinstance(f, list) else f
+                model = CurveModel(src["kind"], src["q"], f, src.get("label", ""))
                 census_rows += census([model])
                 if model.genus >= 1:
                     data = artin.numerator_from_counts(model.q, model.genus, census_rows[-1][1])

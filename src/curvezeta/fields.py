@@ -1,30 +1,32 @@
-"""Naive point counting of explicit curve models over small finite fields.
+"""Point counting of explicit curve models over finite fields F_{p^m}.
 
-Fields F_{p^m} are realized as F_p[x] modulo the lexicographically smallest
-irreducible monic polynomial of degree m; elements are coefficient tuples.
-This is deliberately desk-scale machinery (p^m capped at 2**20): its job is
-to produce ground-truth point counts N_m = #X(F_{q^m}) for the zeta layer,
-not to be fast.
+An element of F_{p^m} is the integer sum(d_i p^i), where d_i is its x^i digit
+in F_p[x] modulo a monic modulus of degree m.  The modulus is the
+lexicographically smallest primitive one: walking the powers of x from 1
+returns to 1 first at step p^m - 1, which proves the modulus irreducible and
+makes x a generator.  That one walk fills the power table exp[k] = x^k and the
+log table, so a product is one lookup of exp at a sum of logs.  Tables are
+built once per field, for p^m up to 2**20.  The counts N_m = #X(F_{q^m}) are
+the ground truth for the zeta layer.
 
 Supported smooth models, all with a single point at infinity:
 
 * ``projective_line`` -- N_m = q^m + 1, genus 0;
 * ``quadratic``       -- y^2 = f(x), odd characteristic, f squarefree of
-  odd degree 2g+1, counted with the quadratic-character test
-  z^((Q-1)/2) == 1;
+  odd degree 2g+1; a nonzero f(x) is a square when its log is even;
 * ``artin_schreier``  -- y^2 + y = f(x), characteristic 2, f of odd degree
-  2g+1, counted with the absolute-trace test.
+  2g+1; it has two solutions y when the absolute trace of f(x) is 0, which
+  is the parity of f(x) under a precomputed F_2-linear mask.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 FIELD_CAP = 2**20
-
-Element = tuple[int, ...]
 
 
 def _is_prime(n: int) -> bool:
@@ -56,26 +58,6 @@ def is_prime_power(n: int) -> bool:
     return n == 1
 
 
-def _mod_poly_mul(a: list[int], b: list[int], modulus: list[int], p: int) -> list[int]:
-    m = len(modulus) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce modulo the monic modulus
-    for k in range(len(out) - 1, m - 1, -1):
-        c = out[k]
-        if c:
-            out[k] = 0
-            for j in range(m):
-                out[k - m + j] = (out[k - m + j] - c * modulus[j]) % p
-    out = out[:m]
-    while len(out) < m:
-        out.append(0)
-    return out
-
-
 def _poly_gcd_fp(a: list[int], b: list[int], p: int) -> list[int]:
     def trim(v: list[int]) -> list[int]:
         while v and v[-1] == 0:
@@ -98,146 +80,56 @@ def _poly_gcd_fp(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _is_irreducible(coeffs: list[int], p: int) -> bool:
-    """Monic degree-m polynomial test: gcd(f, x^(p^k) - x) = 1 for k <= m/2.
-
-    A reducible polynomial has an irreducible factor of degree k <= m/2, and
-    every such factor divides x^(p^k) - x, so the gcd criterion is complete.
-    """
-    m = len(coeffs) - 1
-    if m == 1:
-        return True
-    if coeffs[0] == 0:  # divisible by x
-        return False
-    xq = [0, 1]  # the polynomial x, iterated through Frobenius
-    for _ in range(1, m // 2 + 1):
-        xq = _pow_mod_poly(xq, p, coeffs, p)
-        diff = list(xq)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd_fp(diff, coeffs, p)
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-
-def _pow_mod_poly(base: list[int], e: int, modulus: list[int], p: int) -> list[int]:
-    result = [1]
-    b = list(base)
-    while e:
-        if e & 1:
-            result = _mod_poly_mul(result, b, modulus, p)
-        b = _mod_poly_mul(b, b, modulus, p)
-        e >>= 1
-    return result
-
-
-@dataclass(frozen=True)
-class FieldRep:
-    """F_{p^m} as F_p[x] modulo an irreducible monic modulus of degree m."""
-
-    p: int
-    m: int
-    modulus: tuple[int, ...]  # length m+1, monic
-
-    @property
-    def size(self) -> int:
-        return self.p**self.m
-
-    def zero(self) -> Element:
-        return (0,) * self.m
-
-    def one(self) -> Element:
-        return (1,) + (0,) * (self.m - 1)
-
-    def elements(self):
-        """All p^m elements, in lexicographic coefficient order."""
-        def rec(k: int, acc: list[int]):
-            if k == self.m:
-                yield tuple(acc)
-                return
-            for c in range(self.p):
-                acc.append(c)
-                yield from rec(k + 1, acc)
-                acc.pop()
-
-        yield from rec(0, [])
-
-    def add(self, a: Element, b: Element) -> Element:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def mul(self, a: Element, b: Element) -> Element:
-        return tuple(_mod_poly_mul(list(a), list(b), list(self.modulus), self.p))
-
-    def pow(self, a: Element, e: int) -> Element:
-        result = self.one()
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def from_int(self, c: int) -> Element:
-        return (c % self.p,) + (0,) * (self.m - 1)
-
-    def is_zero(self, a: Element) -> bool:
-        return all(c == 0 for c in a)
-
-    def trace(self, a: Element) -> int:
-        """Absolute trace to F_p: a + a^p + ... + a^(p^(m-1))."""
-        acc = self.zero()
-        x = a
-        for _ in range(self.m):
-            acc = self.add(acc, x)
-            x = self.pow(x, self.p)
-        if any(c != 0 for c in acc[1:]):
-            raise ArithmeticError("trace landed outside the prime field")
-        return acc[0]
-
-    def is_square(self, a: Element) -> bool:
-        """Quadratic-character test a^((Q-1)/2) == 1 for nonzero a, odd p."""
-        if self.p == 2:
-            raise ValueError("character test needs odd characteristic")
-        if self.is_zero(a):
-            raise ValueError("character test needs a nonzero element")
-        return self.pow(a, (self.size - 1) // 2) == self.one()
-
-    def eval_prime_poly(self, f: Sequence[int], x: Element) -> Element:
-        """Evaluate a polynomial with F_p coefficients at a field element."""
-        acc = self.zero()
-        for c in reversed(list(f)):
-            acc = self.add(self.mul(acc, x), self.from_int(c))
-        return acc
-
-
 @lru_cache(maxsize=None)
-def build_field(p: int, m: int) -> FieldRep:
-    """F_{p^m} with the lexicographically smallest irreducible monic modulus.
+def _field_tables(p: int, m: int) -> tuple[tuple[int, ...], array, array, int]:
+    """(modulus, exp, log, trace_mask) for F_{p^m}, elements coded sum(d_i p^i).
 
-    "Smallest" compares coefficient vectors from the highest degree below
-    x^m downwards, which is the same as minimizing sum(c_i p^i).
+    The monic modulus is listed constant term first.  Moduli x^m + sum(c_i x^i)
+    are tried in the order of sum(c_i p^i), and the first whose walk through
+    the powers of x first returns to 1 at step p^m - 1 is kept: exp[k] = x^k
+    and log[exp[k]] = k.  For p = 2, bit i of ``trace_mask`` is the absolute
+    trace of x^i; it is 0 for odd p.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if m < 1:
         raise ValueError("extension degree must be >= 1")
-    if p**m > FIELD_CAP:
+    size = p**m
+    if size > FIELD_CAP:
         raise ValueError(f"field size {p}^{m} exceeds the cap {FIELD_CAP}")
-    if m == 1:
-        return FieldRep(p, 1, (0, 1))
-    for code in range(p**m):
-        coeffs = []
-        c = code
-        for _ in range(m):
-            coeffs.append(c % p)
-            c //= p
-        coeffs.append(1)
-        if _is_irreducible(coeffs, p):
-            return FieldRep(p, m, tuple(coeffs))
-    raise RuntimeError("no irreducible modulus found")  # unreachable
+    order, top = size - 1, size // p
+    weights = [p**i for i in range(m)]
+    exp = array("l", [0]) * order
+    log = array("l", [0]) * size
+    for code in range(1, size):
+        if code % p == 0:
+            continue  # x divides the modulus, so its powers never return to 1
+        low = [code // w % p for w in weights]
+        fold = [(w, -c % p) for w, c in zip(weights, low) if c]  # x^m, nonzero digits
+        z = 1
+        for k in range(1, size):
+            exp[k - 1], log[z] = z, k - 1
+            d, z = divmod(z, top)
+            z *= p  # shift the digits up; the top digit d comes back as d * x^m
+            if d:
+                for w, b in fold:
+                    old = z // w % p
+                    z += ((old + d * b) % p - old) * w
+            if z == 1:
+                break
+        if z != 1 or k != order:
+            continue
+        trace_mask = 0
+        if p == 2:
+            for i in range(m):
+                t = 0
+                for j in range(m):
+                    t ^= exp[(i << j) % order]  # (x^i)^(2^j)
+                if t > 1:
+                    raise ArithmeticError("trace landed outside the prime field")
+                trace_mask |= t << i
+        return tuple(low) + (1,), exp, log, trace_mask
+    raise RuntimeError("no primitive modulus found")  # unreachable
 
 
 @dataclass(frozen=True)
@@ -257,6 +149,12 @@ class CurveModel:
     def __post_init__(self):
         if self.kind not in ("projective_line", "quadratic", "artin_schreier"):
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if isinstance(self.q, bool) or not isinstance(self.q, int):
+            raise ValueError(f"q must be an integer, got {self.q!r}")
+        if not isinstance(self.f, tuple) or any(
+            isinstance(c, bool) or not isinstance(c, int) for c in self.f
+        ):
+            raise ValueError(f"f must be a list of integers, got {self.f!r}")
         if not _is_prime(self.q):
             raise ValueError("explicit models are supported over prime base fields only")
         if self.kind == "projective_line":
@@ -323,25 +221,35 @@ def count_points(model: CurveModel, m: int) -> int:
         raise ValueError("field size exceeds the cap")
     if model.kind == "projective_line":
         return model.q**m + 1
-    fld = build_field(model.q, m)
-    total = 1  # the point at infinity
-    for x in fld.elements():
-        z = fld.eval_prime_poly(model.f, x)
+    p = model.q
+    _, exp, log, trace_mask = _field_tables(p, m)
+    order = len(exp)
+    coeffs = [c % p for c in reversed(model.f)]
+
+    def points_over(z: int) -> int:
         if model.kind == "quadratic":
-            if fld.is_zero(z):
-                total += 1
-            elif fld.is_square(z):
-                total += 2
-        else:  # artin_schreier
-            if fld.trace(z) == 0:
-                total += 2
+            return 1 if z == 0 else 2 - 2 * (log[z] & 1)
+        return 2 - 2 * ((z & trace_mask).bit_count() & 1)
+
+    total = 1 + points_over(coeffs[-1])  # the point at infinity, then x = 0
+    for lx in range(order):  # x = exp[lx], every nonzero element once
+        acc = 0  # Horner: acc * x is a lookup, adding c touches digit 0 only
+        for c in coeffs:
+            if acc:
+                acc = exp[(log[acc] + lx) % order]
+            low = acc % p
+            acc += (low + c) % p - low
+        total += points_over(acc)
     return total
 
 
 def census(models: Sequence[CurveModel]) -> list[tuple[CurveModel, list[int]]]:
-    """Counts N_1..N_g per model, the exact input the zeta layer needs."""
-    out = []
+    """Counts N_1..N_g per model, the exact input the zeta layer needs.
+
+    Every model is checked against ``FIELD_CAP`` before anything is counted.
+    """
     for model in models:
-        g = model.genus
-        out.append((model, [count_points(model, m) for m in range(1, g + 1)]))
-    return out
+        q, g = model.q, model.genus
+        if q**g > FIELD_CAP:
+            raise ValueError(f"genus {g} over F_{q} needs F_{q}^{g}, above the field cap {FIELD_CAP}")
+    return [(model, [count_points(model, m) for m in range(1, model.genus + 1)]) for model in models]

@@ -267,6 +267,30 @@ class TestMain:
             ("curves:\n  - {type: coefficients, q: 5, g: 1.5, A: [1, 0, 5]}\n", "curves[0]: g"),
             ("curves:\n  - {type: counts, q: 5, g: 1.5, counts: [6]}\n", "curves[0]: g"),
             ("curves:\n  - {type: elliptic, q: 2, a: 0}\nranks: []\ntasks: [mass]\n", "ranks"),
+            (
+                "curves:\n  - {type: model, kind: quadratic, q: 5, f: x}\n",
+                "curves[0]: f must be a list of integers",
+            ),
+            (
+                "curves:\n  - {type: model, kind: quadratic, q: 5, f: 5}\n",
+                "curves[0]: f must be a list of integers",
+            ),
+            (
+                "curves:\n  - {type: model, kind: quadratic, q: 5, f: [0.5, 1, 0, 1]}\n",
+                "curves[0]: f must be a list of integers",
+            ),
+            (
+                "curves:\n  - {type: model, kind: quadratic, q: 5, f: [true, 1, 0, 1]}\n",
+                "curves[0]: f must be a list of integers",
+            ),
+            (
+                "curves:\n  - {type: model, kind: quadratic, q: '5', f: [1, 1, 0, 1]}\n",
+                "curves[0]: q must be an integer",
+            ),
+            (
+                "curves:\n  - {type: model, kind: artin_schreier, q: 2, f: [" + "0, " * 43 + "1]}\n",
+                "curves[0]: genus 21",
+            ),
         ],
         ids=[
             "elliptic-q6",
@@ -282,6 +306,12 @@ class TestMain:
             "coefficients-g-float",
             "counts-g-float",
             "ranks-empty",
+            "model-f-string",
+            "model-f-int",
+            "model-f-float",
+            "model-f-bool",
+            "model-q-string",
+            "model-over-cap",
         ],
     )
     def test_bad_value_exits_two(self, tmp_path, capsys, body, field):

@@ -2,27 +2,67 @@
 
 import pytest
 
+from curvezeta import fields
 from curvezeta.artin import counts_from_numerator, numerator_from_counts
 from curvezeta.corpus import census_models
 from curvezeta.fields import (
     CurveModel,
-    build_field,
+    _field_tables,
     census,
     count_points,
 )
 
 
+# Test-local field arithmetic on codes sum(d_i p^i): a schoolbook product
+# modulo the modulus the tables report, independent of the tables themselves.
+def _digits(code: int, p: int, m: int) -> list[int]:
+    return [code // p**i % p for i in range(m)]
+
+
+def _code(digits: list[int], p: int) -> int:
+    return sum(d * p**i for i, d in enumerate(digits))
+
+
+def _add(a: int, b: int, p: int, m: int) -> int:
+    return _code([(x + y) % p for x, y in zip(_digits(a, p, m), _digits(b, p, m))], p)
+
+
+def _mul(a: int, b: int, p: int, modulus: tuple[int, ...]) -> int:
+    m = len(modulus) - 1
+    out = [0] * (2 * m - 1)
+    for i, ai in enumerate(_digits(a, p, m)):
+        for j, bj in enumerate(_digits(b, p, m)):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    for k in range(len(out) - 1, m - 1, -1):
+        c, out[k] = out[k], 0
+        for j in range(m):
+            out[k - m + j] = (out[k - m + j] - c * modulus[j]) % p
+    return _code(out[:m], p)
+
+
+def _pow(a: int, e: int, p: int, modulus: tuple[int, ...]) -> int:
+    result = 1
+    while e:
+        if e & 1:
+            result = _mul(result, a, p, modulus)
+        a = _mul(a, a, p, modulus)
+        e >>= 1
+    return result
+
+
 def brute_force_count(model: CurveModel, m: int) -> int:
     """Independent oracle: enumerate (x, y) pairs and test the equation."""
-    fld = build_field(model.q, m)
+    p = model.q
+    modulus = _field_tables(p, m)[0]
     total = 1
-    for x in fld.elements():
-        z = fld.eval_prime_poly(model.f, x)
-        for y in fld.elements():
-            if model.kind == "quadratic":
-                lhs = fld.mul(y, y)
-            else:
-                lhs = fld.add(fld.mul(y, y), y)
+    for x in range(p**m):
+        z = 0
+        for c in reversed(model.f):
+            z = _add(_mul(z, x, p, modulus), c % p, p, m)
+        for y in range(p**m):
+            lhs = _mul(y, y, p, modulus)
+            if model.kind == "artin_schreier":
+                lhs = _add(lhs, y, p, m)
             if lhs == z:
                 total += 1
     return total
@@ -30,30 +70,56 @@ def brute_force_count(model: CurveModel, m: int) -> int:
 
 class TestBuildField:
     def test_smallest_moduli(self):
-        assert build_field(2, 2).modulus == (1, 1, 1)  # x^2 + x + 1
-        assert build_field(2, 3).modulus == (1, 1, 0, 1)  # x^3 + x + 1
-        assert build_field(3, 2).modulus == (1, 0, 1)  # x^2 + 1
+        assert _field_tables(2, 2)[0] == (1, 1, 1)  # x^2 + x + 1
+        assert _field_tables(2, 3)[0] == (1, 1, 0, 1)  # x^3 + x + 1
+        # x^2 + 1 is irreducible over F_3 but x has order 4 there, not 8
+        assert _field_tables(3, 2)[0] == (2, 1, 1)  # x^2 + x + 2
 
     def test_rejects_composite_characteristic(self):
         with pytest.raises(ValueError):
-            build_field(4, 1)
+            _field_tables(4, 1)
 
     def test_rejects_oversized_field(self):
         with pytest.raises(ValueError):
-            build_field(2, 21)
+            _field_tables(2, 21)
 
     @pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (3, 2), (5, 2), (2, 10)])
     def test_multiplicative_order_divides_group(self, p, m):
-        fld = build_field(p, m)
-        one = fld.one()
-        for x in fld.elements():
-            if not fld.is_zero(x):
-                assert fld.pow(x, fld.size - 1) == one
+        modulus = _field_tables(p, m)[0]
+        for z in range(1, p**m):
+            assert _pow(z, p**m - 1, p, modulus) == 1
+
+    @pytest.mark.parametrize("p,m", [(2, 1), (2, 4), (3, 1), (3, 3), (5, 2), (7, 2), (2, 10)])
+    def test_walk_first_returns_at_group_order(self, p, m):
+        modulus, exp, _, _ = _field_tables(p, m)
+        x = -modulus[0] % p if m == 1 else p  # x modulo x + c_0 is -c_0
+        assert len(exp) == p**m - 1
+        z = 1
+        for k in range(p**m - 1):
+            assert exp[k] == z
+            z = _mul(z, x, p, modulus)
+            assert (z == 1) == (k == p**m - 2)
+
+    @pytest.mark.parametrize("p,m", [(2, 1), (2, 7), (3, 4), (5, 3), (13, 1)])
+    def test_exp_and_log_are_inverse(self, p, m):
+        _, exp, log, _ = _field_tables(p, m)
+        assert sorted(exp) == list(range(1, p**m))
+        assert all(log[exp[k]] == k for k in range(p**m - 1))
+        assert all(exp[log[z]] == z for z in range(1, p**m))
 
     def test_trace_is_additive_and_onto(self):
-        fld = build_field(2, 3)
-        values = {fld.trace(x) for x in fld.elements()}
-        assert values == {0, 1}
+        for m in (1, 3, 6):
+            modulus, _, _, mask = _field_tables(2, m)
+            traces = []
+            for z in range(2**m):
+                acc = 0
+                for _ in range(m):  # z + z^2 + ... + z^(2^(m-1))
+                    acc, z = _add(acc, z, 2, m), _mul(z, z, 2, modulus)
+                traces.append(acc)
+            assert traces == [(z & mask).bit_count() & 1 for z in range(2**m)]
+            assert set(traces) == {0, 1}
+            pairs = [(a, b) for a in range(2**m) for b in range(2**m)]
+            assert all(traces[a ^ b] == traces[a] ^ traces[b] for a, b in pairs)
 
 
 class TestCountPoints:
@@ -98,6 +164,15 @@ class TestCensus:
         rows = census([CurveModel("projective_line", 3)])
         assert rows[0][1] == []
 
+    def test_over_cap_model_fails_before_counting(self, monkeypatch):
+        def no_counting(model, m):
+            raise AssertionError("counted a field")
+
+        monkeypatch.setattr(fields, "count_points", no_counting)
+        genus_21 = CurveModel("artin_schreier", 2, (0,) * 43 + (1,))
+        with pytest.raises(ValueError, match=f"genus 21 .*cap {fields.FIELD_CAP}"):
+            census([CurveModel("artin_schreier", 2, (0, 0, 0, 1)), genus_21])
+
     def test_cubic_and_quintic_rows(self):
         rows = census(
             [
@@ -124,3 +199,25 @@ class TestCensus:
         c = numerator_from_counts(model.q, model.genus, counts)
         for m in range(1, 2 * c.g + 1):
             assert counts_from_numerator(c, m) == count_points(model, m)
+
+
+# N_1..N_m over fields beyond the brute-force oracle's reach, as counted by an
+# earlier implementation with coefficient-tuple elements and one
+# exponentiation per character or trace test.
+@pytest.mark.parametrize(
+    "model, counts",
+    [
+        (
+            CurveModel("artin_schreier", 2, (0, 0, 0, 0, 0, 0, 0, 1)),
+            [3, 5, 3, 17, 33, 101, 129, 257, 633, 1025, 2049, 4049, 8193, 16385],
+        ),
+        (CurveModel("quadratic", 3, (1, 0, 2, 0, 0, 1)), [5, 9, 38, 105, 215, 738, 2021, 6609]),
+        (CurveModel("quadratic", 5, (1, 2, 0, 0, 0, 1)), [6, 26, 126, 726, 3126]),
+    ],
+    ids=lambda v: v.describe() if isinstance(v, CurveModel) else f"N1-N{len(v)}",
+)
+def test_recorded_counts_over_larger_fields(model, counts):
+    assert [count_points(model, m) for m in range(1, len(counts) + 1)] == counts
+    # N_1..N_g fix the Weil numerator, which fixes every later count
+    c = numerator_from_counts(model.q, model.genus, counts[: model.genus])
+    assert [counts_from_numerator(c, m) for m in range(1, len(counts) + 1)] == counts
