@@ -106,6 +106,25 @@ def _jsonable(obj):
     return obj
 
 
+def _require_int(src: dict, key: str) -> int:
+    """src[key] as an integer; a bool, though an int subclass, is rejected."""
+    value = src[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _rational_list(src: dict, key: str) -> list[Fraction]:
+    """src[key] as a list of rationals: numbers, or strings such as '1/2'."""
+    value = src[key]
+    if isinstance(value, list):
+        try:
+            return [Fraction(str(v)) for v in value]  # str() also turns bools away
+        except ValueError:
+            pass
+    raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+
+
 def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpec:
     problems: list[str] = []
     try:
@@ -134,21 +153,24 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
                 if isinstance(q, bool) or not isinstance(q, int) or not is_prime_power(q):
                     raise ValueError(f"q must be a prime power, got {q!r}")
             if kind in ("coefficients", "counts"):
-                g = src["g"]
-                if isinstance(g, bool) or not isinstance(g, int):
-                    raise ValueError(f"g must be an integer, got {g!r}")
+                _require_int(src, "g")
             if kind == "coefficients":
                 curves.append(
                     artin.CurveData(
                         src["q"],
                         src["g"],
-                        [Fraction(str(a)) for a in src["A"]],
+                        _rational_list(src, "A"),
                         genuine=bool(src.get("genuine", False)),
                         label=src.get("label", f"coeffs(q={src['q']},g={src['g']})"),
                     )
                 )
             elif kind == "counts":
-                data = artin.numerator_from_counts(src["q"], src["g"], src["counts"])
+                counts = src["counts"]
+                if not isinstance(counts, list) or any(
+                    isinstance(n, bool) or not isinstance(n, int) for n in counts
+                ):
+                    raise ValueError(f"counts must be a list of integers, got {counts!r}")
+                data = artin.numerator_from_counts(src["q"], src["g"], counts)
                 label = src.get("label", f"counts(q={src['q']},N={src['counts']})")
                 curves.append(replace(data, label=label))
             elif kind == "model":
@@ -160,10 +182,12 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
                     data = artin.numerator_from_counts(model.q, model.genus, census_rows[-1][1])
                     curves.append(replace(data, label=model.describe()))
             elif kind == "elliptic":
-                curves.append(artin.CurveData.elliptic(src["q"], src["a"]))
+                curves.append(artin.CurveData.elliptic(src["q"], _require_int(src, "a")))
             else:
                 raise ValueError(f"unknown curve source type {kind!r}")
-        except (KeyError, ValueError, TypeError) as e:
+        except KeyError as e:
+            problems.append(f"{where}: missing field {e.args[0]!r}")
+        except (ValueError, TypeError) as e:
             problems.append(f"{where}: {e}")
 
     ranks = raw.get("ranks", [2])
@@ -327,7 +351,7 @@ def _task_yoshida(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
     checks["group_zeta_cross_check"] = True
     report["group_constant_half_power"] = c.g - 1
     if c.g == 1 and c.genuine:
-        rep = yoshida.sextic_identity_report(c.q, -c.A[1])
+        rep = yoshida.sextic_identity_report(z, -c.A[1])
         report["sextic"] = {
             "expansion_ok": rep["expansion_ok"],
             "corrected_factorization_ok": rep["corrected_factorization_ok"],

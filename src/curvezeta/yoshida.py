@@ -12,11 +12,19 @@ shapes every zero sits on Re(s) = 1/2, while the bare C1 = 1 choice loses
 RH once a conjugate pair is raised to a large multiplicity
 (:func:`counterexample_search` finds the escaping real zero).
 
-Exactness note: the half-integer powers of q never leave the two-component
-form E(t) + sqrt(q) * O(t) with E, O exact rational functions of t = q^-s,
-so all functional-equation and factorization identities here are structural
-equalities, not numerical ones.  When q is a perfect square the odd part
-folds away entirely.
+Exactness note: with t = q^-s the family member is built in one pass as
+S = (sqrt q)^{g-1} zeta2.  C1's extra pairs multiply to
+P(t) = prod_j (t^2 + 1 - (c_j/q) sqrt(q) t) = P_e + sqrt(q) P_o, and with
+P~(t) = (qt)^{2h} P(1/(qt)) for h extra pairs,
+
+    S = [P X1(t^2) - q^{a-h-g} t^{2a} P~ X1(q t^2)]
+        / [(1-t)(1-qt)(1-qt^2) t^{a+h+2(g-1)}],
+
+which splits into an even and an odd rational function of t, one reduction
+each.  The half power (sqrt q)^{1-g} is applied once at the end by a
+rational scaling that swaps the parts when g - 1 is odd, so every result is
+a structural E(t) + sqrt(q) * O(t) identity, never a numerical one.  When q
+is a perfect square the odd part folds away entirely.
 """
 
 from __future__ import annotations
@@ -241,23 +249,6 @@ class XY:
             self.q, shift
         )
 
-    def y_double(self) -> HalfShiftRational:
-        """Y(2s) as a function of t: t^{-2(g-1)} (sqrt q)^{-(g-1)} X(t^2)."""
-        body = RationalFunction.t(-2 * (self.g - 1)) * self.x.stretch(2)
-        return HalfShiftRational.sqrt_power(self.q, -(self.g - 1)) * HalfShiftRational.of(
-            self.q, body
-        )
-
-    def y_double_down(self) -> HalfShiftRational:
-        """Y(2s - 1): t^{-2(g-1)} (sqrt q)^{-3(g-1)} X1(q t^2)/((1-qt^2)(1-q^2 t^2))."""
-        q = Fraction(self.q)
-        x1q = self.x1.as_poly().scale_arg(q).stretch(2)
-        den = Poly([1, 0, -q]) * Poly([1, 0, -q * q])
-        body = RationalFunction.t(-2 * (self.g - 1)) * RationalFunction(x1q, den)
-        return HalfShiftRational.sqrt_power(self.q, -3 * (self.g - 1)) * HalfShiftRational.of(
-            self.q, body
-        )
-
 
 def build_XY(ws: WeilPairSet) -> XY:
     """Materialize X1, X, Y exactly as rational objects in t = q^{-s}."""
@@ -281,8 +272,32 @@ def y_fe_check(xy: XY) -> bool:
     return y.substitute_reciprocal(Fraction(1, xy.q)) == y
 
 
+def _times_sqrt_power(q: int, even: Poly, odd: Poly, k: int) -> tuple[Poly, Poly]:
+    """(even + sqrt(q) * odd) * (sqrt q)^k as an (even, odd) pair, exactly.
+
+    (sqrt q)^k = q^{k // 2} * sqrt(q)^{k % 2}, so an odd k swaps the parts
+    (one of them picking up a factor q) before the rational scaling.  For
+    square q the odd part is folded into the even one.
+    """
+    qf = Fraction(q)
+    if k % 2:
+        even, odd = odd * qf, even
+    root = _isqrt_exact(q)
+    if root is not None:
+        even, odd = even + odd * root, Poly()
+    scale = qf ** (k // 2)
+    return even * scale, odd * scale
+
+
 def zeta2_family(ws: WeilPairSet, params: C1Params) -> HalfShiftRational:
     """The family member for one pair set and prefactor shape, exactly.
+
+    One pass (see the module's exactness note): the numerators of the even
+    and odd parts of S = (sqrt q)^{g-1} zeta2 are formed as polynomials,
+    scaled by (sqrt q)^{1-g}, and each is reduced over the common
+    denominator (1-t)(1-qt)(1-qt^2) t^{a+h+2(g-1)} by one
+    :class:`RationalFunction` constructor.  The factor (1+t)(1-q^2 t^2)
+    shared by the two terms of the definition is already cancelled.
 
     Requires integer a (see :class:`C1Params`); use
     :func:`zeta2_family_numeric` for real exponents.
@@ -293,29 +308,27 @@ def zeta2_family(ws: WeilPairSet, params: C1Params) -> HalfShiftRational:
     q = Fraction(ws.q)
     h = len(params.extra_pair_sums)
 
-    c1 = HalfShiftRational.of(
-        ws.q,
-        RationalFunction.t(-a) * RationalFunction(Poly([1, 1])) * RationalFunction.t(h),
-    )
+    # (1 - g q^{s-1/2})(1 - d q^{s-1/2}) = t^-2 (t^2 + 1 - (c/q) sqrt(q) t), so
+    # C1 = t^{-a-h} (1 + t) P with P = pe + sqrt(q) po
+    pe, po = Poly.one(), Poly()
     for cj in params.extra_pair_sums:
         if abs(cj) > q + 1:
             raise ValueError("extra pair sum violates |c| <= q + 1")
-        # (1 - g q^{s-1/2})(1 - d q^{s-1/2}) = 1 + t^-2 - (c/q) sqrt(q) t^-1
-        pair = HalfShiftRational(
-            ws.q,
-            RationalFunction.one() + RationalFunction.t(-2),
-            RationalFunction.constant(-cj / q) * RationalFunction.t(-1),
-        )
-        c1 = c1 * pair
-    c2 = c1.substitute_reciprocal(Fraction(1, ws.q))
+        be, bo = Poly([1, 0, 1]), Poly([0, -cj / q])
+        pe, po = pe * be + po * bo * q, pe * bo + po * be
 
-    xy = build_XY(ws)
-    one_minus_qt = RationalFunction(Poly.one(), Poly([1, -q]))
-    one_minus_t = RationalFunction(Poly.one(), Poly([1, -1]))
-    t = RationalFunction.t(1)
-    return c1 * xy.y_double() * one_minus_qt - c2 * HalfShiftRational.of(
-        ws.q, t * one_minus_t
-    ) * xy.y_double_down()
+    x1_sq = ws.x1.stretch(2)  # X1(t^2)
+    lifted = Poly.x(2 * a, q ** (a - h - ws.g)) * ws.x1.scale_arg(q).stretch(2)
+    tpow = a + h + 2 * (ws.g - 1)  # power of t in the denominator; g = 0 can make it negative
+    shift = Poly.x(max(-tpow, 0))
+
+    def part(p: Poly) -> Poly:
+        tilde = p.reversed(2 * h).scale_arg(q)  # (qt)^{2h} p(1/(qt))
+        return (p * x1_sq - lifted * tilde) * shift
+
+    even, odd = _times_sqrt_power(ws.q, part(pe), part(po), 1 - ws.g)
+    den = Poly([1, -1]) * Poly([1, -q]) * Poly([1, 0, -q]) * Poly.x(max(tpow, 0))
+    return HalfShiftRational(ws.q, RationalFunction(even, den), RationalFunction(odd, den))
 
 
 def zeta2_family_numeric(
@@ -374,10 +387,11 @@ def zeta2_fe_check(z: HalfShiftRational) -> bool:
     return z.substitute_reciprocal(Fraction(1, z.q)) == z
 
 
-def sextic_identity_report(q: int, c_sum: Rat) -> dict:
+def sextic_identity_report(z: HalfShiftRational, c_sum: Rat) -> dict:
     """The genus-one numerator identity, in all three published shapes.
 
-    With P6(t) = t(1-t)(1-qt)(1-qt^2) zeta2(t):
+    ``z`` is the canonical (a = 1) member over F_q, q = z.q, of the genus-one
+    pair set with sum ``c_sum``.  With P6(t) = t(1-t)(1-qt)(1-qt^2) zeta2(t):
       * expansion:   P6 = (1 - c t^2 + q t^4) - t^2 (1 - q c t^2 + q^3 t^4)
       * factored:    P6 = -(q t^2 - 1)(q^2 t^4 + (q - c - 1) t^2 + 1)
       * literal:     P6 = -(q t^2 + 1)(...), which fails: the printed sign
@@ -386,19 +400,12 @@ def sextic_identity_report(q: int, c_sum: Rat) -> dict:
         factor.  All three verdicts are reported so the discrepancy stays
         visible.
     """
+    q = z.q
     c_sum = Fraction(c_sum)
-    ws = WeilPairSet.from_pair_sums(q, [c_sum])
-    z = zeta2_family(ws, C1Params(a=1))
     qf = Fraction(q)
-    left = (
-        HalfShiftRational.of(
-            q,
-            RationalFunction(
-                Poly([0, 1]) * Poly([1, -1]) * Poly([1, -qf]) * Poly([1, 0, -qf])
-            ),
-        )
-        * z
-    )
+    p6 = Poly([0, 1]) * Poly([1, -1]) * Poly([1, -qf]) * Poly([1, 0, -qf])
+    plain = z.odd.is_zero()
+    left = RationalFunction(p6 * z.even.num, z.even.den)
     expansion = RationalFunction(
         Poly([1, 0, -c_sum, 0, qf]) - Poly([0, 0, 1]) * Poly([1, 0, -qf * c_sum, 0, qf**3])
     )
@@ -408,10 +415,10 @@ def sextic_identity_report(q: int, c_sum: Rat) -> dict:
     return {
         "q": q,
         "c": c_sum,
-        "zeta2_is_plain_rational": left.odd.is_zero(),
-        "expansion_ok": left.odd.is_zero() and left.even == expansion,
-        "corrected_factorization_ok": left.odd.is_zero() and left.even == corrected,
-        "literal_factorization_ok": left.odd.is_zero() and left.even == literal,
+        "zeta2_is_plain_rational": plain,
+        "expansion_ok": plain and left == expansion,
+        "corrected_factorization_ok": plain and left == corrected,
+        "literal_factorization_ok": plain and left == literal,
         "quartic": quartic,
     }
 
@@ -591,16 +598,19 @@ def canonical_group_cross_check(c: CurveData, combined: RationalFunction) -> int
 
     The identity is  zeta2(s) * (sqrt q)^{g-1} =
     (1 + q^s)(1 + q^{1-s}) * zh_SL2(-2s), with the right side materialized
-    from the group-zeta combined form by u -> 1/t^2.  Returns the recorded
-    half-power g-1 (the ratio of the two completion conventions); raises if
-    the identity fails.
+    from the group-zeta combined form by u -> 1/t^2 in one reduction.  It is
+    compared as zeta2 = (sqrt q)^{1-g} * (right side), the half power
+    applied to the right side's numerator, so the cached canonical member
+    is used as it is.  Returns the recorded half-power g-1 (the ratio of
+    the two completion conventions); raises if the identity fails.
     """
     q = Fraction(c.q)
-    lhs = zeta2_canonical(c) * HalfShiftRational.sqrt_power(c.q, c.g - 1)
-    prefactor = RationalFunction(Poly([1, 1]), Poly([0, 1])) * RationalFunction(Poly([1, q]))
-    rhs_ratfun = prefactor * combined.reciprocal_arg(1).stretch(2)
-    if not lhs.odd.is_zero():
-        raise AssertionError("left side kept a half power; parity bookkeeping broke")
-    if lhs.even != rhs_ratfun:
+    z = zeta2_canonical(c)
+    # (1+t)(1+qt)/t * (n/d)(1/t^2), both sides of the fraction times t^{2D}
+    d = max(combined.num.degree, combined.den.degree)
+    num = Poly([1, 1]) * Poly([1, q]) * combined.num.reversed(d).stretch(2)
+    den = Poly([0, 1]) * combined.den.reversed(d).stretch(2)
+    even, odd = _times_sqrt_power(c.q, num, Poly(), 1 - c.g)
+    if z.even != RationalFunction(even, den) or z.odd != RationalFunction(odd, den):
         raise AssertionError("canonical zeta2 does not match the group zeta route")
     return c.g - 1

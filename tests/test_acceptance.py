@@ -157,7 +157,7 @@ def test_criterion_7_sl2_riemann_hypothesis():
     ok = True
     for c in elliptic_grid():
         trace = -c.A[1]
-        rep = sextic_identity_report(c.q, trace)
+        rep = sextic_identity_report(zeta2_canonical(c), trace)
         # the identity holds in its derivation-consistent form; the printed
         # factorization's sign typo stays flagged, never asserted
         ok = ok and rep["expansion_ok"] and rep["corrected_factorization_ok"]

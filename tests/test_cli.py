@@ -291,6 +291,17 @@ class TestMain:
                 "curves:\n  - {type: model, kind: artin_schreier, q: 2, f: [" + "0, " * 43 + "1]}\n",
                 "curves[0]: genus 21",
             ),
+            ("curves:\n  - {type: elliptic, q: 5, a: x}\n", "curves[0]: a must be an integer"),
+            ("curves:\n  - {type: elliptic, q: 5, a: true}\n", "curves[0]: a must be an integer"),
+            ("curves:\n  - {type: elliptic, q: 5}\n", "curves[0]: missing field 'a'"),
+            (
+                "curves:\n  - {type: counts, q: 2, g: 2, counts: [3, x]}\n",
+                "curves[0]: counts must be a list of integers",
+            ),
+            (
+                "curves:\n  - {type: coefficients, q: 5, g: 1, A: 5}\n",
+                "curves[0]: A must be a list of numbers",
+            ),
         ],
         ids=[
             "elliptic-q6",
@@ -312,6 +323,11 @@ class TestMain:
             "model-f-bool",
             "model-q-string",
             "model-over-cap",
+            "elliptic-a-string",
+            "elliptic-a-bool",
+            "elliptic-a-missing",
+            "counts-string",
+            "coefficients-A-int",
         ],
     )
     def test_bad_value_exits_two(self, tmp_path, capsys, body, field):

@@ -32,6 +32,45 @@ from curvezeta.yoshida import (
 F = Fraction
 
 
+def _genus_one_member(q, c):
+    return zeta2_family(WeilPairSet.from_pair_sums(q, [c]), C1Params(a=1))
+
+
+def _zeta2_by_products(ws, params):
+    """Reference member: C1 Y(2s)/(1-qt) - C2 t/(1-t) Y(2s-1), term by term.
+
+    Every factor is a HalfShiftRational and every step one of its field
+    operations, as the definition reads; no half power is factored out.
+    """
+    q, g, a = ws.q, ws.g, int(params.a)
+    h = len(params.extra_pair_sums)
+    qf = F(q)
+
+    def of(f):
+        return HalfShiftRational.of(q, f)
+
+    c1 = of(RationalFunction.t(h - a) * RationalFunction([1, 1]))
+    for cj in params.extra_pair_sums:
+        # (1 - g q^{s-1/2})(1 - d q^{s-1/2}) = 1 + t^-2 - (c/q) sqrt(q) t^-1
+        c1 = c1 * HalfShiftRational(
+            q,
+            RationalFunction.one() + RationalFunction.t(-2),
+            RationalFunction.constant(-F(cj) / qf) * RationalFunction.t(-1),
+        )
+    c2 = c1.substitute_reciprocal(F(1, q))
+    shift = RationalFunction.t(-2 * (g - 1))
+    x1 = RationalFunction(ws.x1)
+    y_double = HalfShiftRational.sqrt_power(q, -(g - 1)) * of(
+        shift * x1.stretch(2) / RationalFunction([1, 0, -1]) / RationalFunction([1, 0, -qf])
+    )
+    y_double_down = HalfShiftRational.sqrt_power(q, -3 * (g - 1)) * of(
+        shift * x1.scale_arg(qf).stretch(2) / RationalFunction([1, 0, -qf]) / RationalFunction([1, 0, -qf * qf])
+    )
+    return c1 * y_double / of(RationalFunction([1, -qf])) - c2 * of(
+        RationalFunction([0, 1], [1, -1])
+    ) * y_double_down
+
+
 class TestHalfShiftRational:
     def test_square_q_folds(self):
         x = HalfShiftRational.sqrt_power(4, 3)  # (sqrt 4)^3 = 8
@@ -125,7 +164,7 @@ class TestXY:
 
 class TestSexticIdentity:
     def test_fixture_numbers(self):
-        rep = sextic_identity_report(2, 0)
+        rep = sextic_identity_report(_genus_one_member(2, 0), 0)
         assert rep["expansion_ok"]
         assert rep["corrected_factorization_ok"]
         assert not rep["literal_factorization_ok"]
@@ -134,7 +173,7 @@ class TestSexticIdentity:
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_all_integer_traces(self, q):
         for c in range(-(q + 1), q + 2):
-            rep = sextic_identity_report(q, c)
+            rep = sextic_identity_report(_genus_one_member(q, c), c)
             assert rep["expansion_ok"], (q, c)
             assert rep["corrected_factorization_ok"], (q, c)
 
@@ -193,6 +232,35 @@ class TestFamily:
         ws = WeilPairSet.from_curve(curve_g2)
         zg = zeta2_family(ws, C1Params(a=curve_g2.g))
         assert zeta2_fe_check(zg)
+
+
+class TestOnePassFamily:
+    """zeta2_family against the term-by-term HalfShiftRational reference."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+    def test_equals_product_reference(self, q):
+        for g in (0, 1, 2):  # g = 0 gives a negative power of t
+            ws = WeilPairSet.from_pair_sums(q, [F(1), F(-2)][:g])
+            for a in sorted({0, 1, 3, g}):
+                for h in (0, 1, 2):
+                    params = C1Params(a=a, extra_pair_sums=(F(3, 2), F(-1))[:h])
+                    z = zeta2_family(ws, params)
+                    ref = _zeta2_by_products(ws, params)
+                    where = (q, g, a, h)
+                    assert z == ref, where
+                    # equal exact parts give bit-identical floats for the root finder
+                    assert z.numerator_over_lcm() == ref.numerator_over_lcm(), where
+                    assert zeta2_fe_check(z), where
+                    if a == 1 and h == 0 and g >= 1:
+                        curve = CurveData(q, g, ws.x1.coeffs)
+                        assert zeta2_canonical(curve) == z, where
+                        combined = slr_zeta(curve, 2).combined
+                        assert canonical_group_cross_check(curve, combined) == g - 1, where
+
+    def test_cross_check_rejects_a_wrong_right_side(self, curve_g2):
+        combined = slr_zeta(curve_g2, 2).combined
+        with pytest.raises(AssertionError):
+            canonical_group_cross_check(curve_g2, combined * 2)
 
 
 class TestRhChecks:
