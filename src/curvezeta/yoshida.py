@@ -606,7 +606,7 @@ def canonical_group_cross_check(c: CurveData, combined: RationalFunction) -> int
     """
     q = Fraction(c.q)
     z = zeta2_canonical(c)
-    # (1+t)(1+qt)/t * (n/d)(1/t^2), both sides of the fraction times t^{2D}
+    # (1+t)(1+qt)/t * (n/d)(1/t^2), numerator and denominator times t^{2D}
     d = max(combined.num.degree, combined.den.degree)
     num = Poly([1, 1]) * Poly([1, q]) * combined.num.reversed(d).stretch(2)
     den = Poly([0, 1]) * combined.den.reversed(d).stretch(2)
