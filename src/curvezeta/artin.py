@@ -21,6 +21,7 @@ in some classical displays and the distinction matters from genus two on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -218,6 +219,7 @@ def artin_fe_ratfun_check(c: CurveData) -> bool:
     return lhs == z
 
 
+@lru_cache(maxsize=256)
 def rh_check_artin(c: CurveData, tol: float = 1e-9) -> ZeroReport:
     """Numerically check |omega_i| = sqrt(q) for all reciprocal roots.
 

@@ -148,6 +148,11 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
             if not isinstance(src, dict) or "type" not in src:
                 raise ValueError("each curve source needs a 'type'")
             kind = src["type"]
+            genuine = src.get("genuine", False)
+            if not isinstance(genuine, bool):
+                raise ValueError(f"genuine must be true or false, got {genuine!r}")
+            if not isinstance(src.get("label", ""), str):
+                raise ValueError(f"label must be a string, got {src['label']!r}")
             if kind in ("coefficients", "counts", "elliptic"):
                 q = src["q"]
                 if isinstance(q, bool) or not isinstance(q, int) or not is_prime_power(q):
@@ -160,7 +165,7 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
                         src["q"],
                         src["g"],
                         _rational_list(src, "A"),
-                        genuine=bool(src.get("genuine", False)),
+                        genuine=genuine,
                         label=src.get("label", f"coeffs(q={src['q']},g={src['g']})"),
                     )
                 )

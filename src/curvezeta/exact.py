@@ -1,12 +1,16 @@
 """Exact univariate polynomial and rational-function arithmetic.
 
-A polynomial is a dense tuple of ``Fraction`` coefficients, constant term
-first, with trailing zeros stripped (the zero polynomial is the empty
-tuple).  A rational function is a reduced quotient of two polynomials with
-a monic denominator, so equal values have equal representations and ``==``
-is exact semantic equality.  Reduction uses :func:`poly_gcd`, which runs a
-primitive pseudo-remainder sequence on integer coefficients, so no Euclidean
-division over ``Fraction`` happens on the way to a canonical form.
+A polynomial is stored as a tuple of Python ints, constant term first, with
+no common factor and a positive leading entry, times one ``Fraction`` scale
+(the zero polynomial is the empty tuple).  By Gauss's lemma a product of
+primitive polynomials is primitive and an exact quotient of primitive
+polynomials is integral, so products, sums and exact divisions run on ints
+and touch the scale once.  A rational function is a reduced quotient of two
+polynomials with a monic denominator, so equal values have equal
+representations and ``==`` is exact semantic equality.  Reduction uses
+:func:`poly_gcd`, a primitive pseudo-remainder sequence on the stored ints.
+``Poly.coeffs`` gives the rational coefficients back for display and for
+the root finder.
 
 The only floating point in this module lives in :func:`complex_roots`, a
 deterministic Aberth-Ehrlich simultaneous iteration with Newton polishing.
@@ -29,79 +33,107 @@ def _frac(x: Rat) -> Fraction:
 
 
 class Poly:
-    """Dense univariate polynomial over the rationals."""
+    """Univariate polynomial over the rationals, ``scale * ints``.
 
-    __slots__ = ("coeffs",)
+    ``ints`` is a tuple of Python ints, constant term first, with no common
+    factor and a positive last entry; ``scale`` is a nonzero ``Fraction``.
+    The zero polynomial is ``()`` with scale 0.  Construct from rational
+    coefficients with ``Poly([...])``; :attr:`coeffs` gives them back.
+    """
+
+    __slots__ = ("ints", "scale", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @staticmethod
-    def zero() -> Poly:
-        return Poly()
+        cs = [c if isinstance(c, int) else _frac(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        _normalize(self, [c.numerator * (den // c.denominator) for c in cs], Fraction(1, den))
 
     @staticmethod
     def one() -> Poly:
-        return Poly([1])
+        return _ONE
 
     @staticmethod
     def x(power: int = 1, coeff: Rat = 1) -> Poly:
         """The monomial coeff * t**power."""
-        return Poly([0] * power + [coeff])
+        if not coeff:
+            return _ZERO
+        return _make((0,) * power + (1,), _frac(coeff))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients, constant term first (computed once)."""
+        cs = self._coeffs
+        if cs is None:
+            n, d = self.scale.numerator, self.scale.denominator
+            cs = self._coeffs = tuple(Fraction(c * n, d) for c in self.ints)
+        return cs
 
     @property
     def degree(self) -> int:
         """Degree of the canonical form; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return self.coeffs[i] if 0 <= i < len(self.ints) else Fraction(0)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.ints == other.ints and self.scale == other.scale
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.ints, self.scale))
 
     def __add__(self, other: Poly) -> Poly:
-        a, b = self.coeffs, other.coeffs
+        a, b = self.ints, other.ints
+        if not a:
+            return other
+        if not b:
+            return self
+        s, t = self.scale, other.scale
+        # s a + t b = (x a + y b) / lcm of the scale denominators
+        g = math.gcd(s.denominator, t.denominator)
+        x = s.numerator * (t.denominator // g)
+        y = t.numerator * (s.denominator // g)
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+            a, b, x, y = b, a, y, x
+        out = [x * c for c in a]
         for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+            out[i] += y * c
+        return _poly(out, Fraction(1, s.denominator // g * t.denominator))
 
     def __neg__(self) -> Poly:
-        return Poly([-c for c in self.coeffs])
+        return _make(self.ints, -self.scale) if self.ints else self
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __mul__(self, other: Poly | Rat) -> Poly:
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+            return _make(self.ints, self.scale * other) if other and self.ints else _ZERO
+        a, b = self.ints, other.ints
+        if not a or not b:
+            return _ZERO
+        scale = self.scale * other.scale
+        if len(a) == 1:
+            return _make(b, scale)
+        if len(b) == 1:
+            return _make(a, scale)
+        # Gauss's lemma: a product of primitive polynomials is primitive
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                for j, d in enumerate(b, i):
+                    out[j] += c * d
+        return _make(tuple(out), scale)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one()
+        result = _ONE
         base = self
         while n:
             if n & 1:
@@ -111,87 +143,105 @@ class Poly:
         return result
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
-        if other.is_zero():
+        b = other.ints
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        dlead = other.coeffs[-1]
-        dn = len(other.coeffs)
-        while len(rem) >= dn:
-            c = rem[-1] / dlead
-            k = len(rem) - dn
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] -= c * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < dn or not rem:
-                break
-        return Poly(q), Poly(rem)
-
-    def __floordiv__(self, other: Poly) -> Poly:
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: Poly) -> Poly:
-        return divmod(self, other)[1]
+        n, lead = len(b), b[-1]
+        rem = list(self.ints)
+        quo = [0] * max(len(rem) - n + 1, 0)
+        den = 1  # den * self.ints == quo * b + rem, all integers
+        for k in reversed(range(len(quo))):
+            top = rem[k + n - 1]
+            if top:
+                d = math.gcd(top, lead)
+                m, c = lead // d, top // d
+                if m != 1:
+                    rem = [m * v for v in rem]
+                    quo = [m * v for v in quo]
+                    den *= m
+                quo[k] = c
+                for i, v in enumerate(b, k):
+                    rem[i] -= c * v
+        scale = self.scale / den
+        return _poly(quo, scale / other.scale), _poly(rem, scale)
 
     def exact_div(self, other: Poly) -> Poly:
         """Quotient self/other, raising if the division is not exact."""
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
+        if not other.ints:
+            raise ZeroDivisionError("polynomial division by zero")
+        if not self.ints:
+            return _ZERO
+        return _make(_exact_quotient(self.ints, other.ints), self.scale / other.scale)
 
     def monic(self) -> Poly:
-        if self.is_zero():
+        if not self.ints:
             return self
-        lead = self.coeffs[-1]
-        return Poly([c / lead for c in self.coeffs])
+        return _make(self.ints, Fraction(1, self.ints[-1]))
 
     def derivative(self) -> Poly:
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _poly([i * c for i, c in enumerate(self.ints)][1:], self.scale)
 
     def evaluate(self, x):
         """Horner evaluation; works for Fraction, int, float and complex x."""
+        if isinstance(x, (Fraction, int)):
+            if not self.ints:
+                return 0
+            # sum c_i a^i b^(n-i) over b^n, in integers
+            a, b = x.numerator, x.denominator
+            acc, bpow = 0, 1
+            for c in reversed(self.ints):
+                acc = acc * a + c * bpow
+                bpow *= b
+            s = self.scale
+            return Fraction(s.numerator * acc, s.denominator * (bpow // b))
         acc = 0 if not isinstance(x, complex) else 0j
         for c in reversed(self.coeffs):
-            acc = acc * x + (c if isinstance(x, (Fraction, int)) else float(c))
+            acc = acc * x + float(c)
         return acc
 
     def scale_arg(self, c: Rat) -> Poly:
         """p(c*t) as a polynomial in t."""
-        c = _frac(c)
-        return Poly([a * c**i for i, a in enumerate(self.coeffs)])
+        if not self.ints:
+            return self
+        u, v = c.numerator, c.denominator
+        out = []
+        upow = 1
+        for a in self.ints:
+            out.append(a * upow)
+            upow *= u
+        n = len(out) - 1
+        if v != 1:
+            vpow = 1
+            for i in range(n, -1, -1):
+                out[i] *= vpow
+                vpow *= v
+        s = self.scale
+        return _poly(out, Fraction(s.numerator, s.denominator * v**n))
 
     def stretch(self, k: int) -> Poly:
         """p(t**k)."""
         if k < 1:
             raise ValueError("stretch factor must be >= 1")
-        out = [Fraction(0)] * (k * len(self.coeffs))
-        for i, a in enumerate(self.coeffs):
-            out[k * i] = a
-        return Poly(out)
+        if k == 1 or not self.ints:
+            return self
+        out = [0] * (k * self.degree + 1)
+        out[::k] = self.ints
+        return _make(tuple(out), self.scale)
 
     def reversed(self, degree: int | None = None) -> Poly:
         """t**d * p(1/t) for d = degree (default deg p)."""
         d = self.degree if degree is None else degree
         if d < self.degree:
             raise ValueError("reversal degree below polynomial degree")
-        out = [Fraction(0)] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            out[d - i] = a
-        return Poly(out)
-
-    def content_normalized(self) -> tuple[Poly, Fraction]:
-        """(primitive integer polynomial with positive leading coeff, scale).
-
-        Returns (p0, s) with self == s * p0.  Used for display only; the
-        arithmetic canonical form is the monic denominator convention.
-        """
-        if self.is_zero():
-            return self, Fraction(1)
-        ints, scale = _primitive_ints(self.coeffs)
-        return Poly(ints), scale
+        if not self.ints:
+            return self
+        low = 0
+        while not self.ints[low]:
+            low += 1
+        out = (0,) * (d - self.degree) + self.ints[low:][::-1]
+        if out[-1] < 0:
+            return _make(tuple(-c for c in out), -self.scale)
+        return _make(out, self.scale)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -209,17 +259,68 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def _primitive_ints(coeffs: Sequence[Rat]) -> tuple[list[int], Fraction]:
-    """(ints, scale) with coeffs == scale * ints, ints coprime, last one positive.
+def _make(ints: tuple[int, ...], scale: Fraction) -> Poly:
+    """A Poly from ints that are already primitive with a positive last entry."""
+    p = object.__new__(Poly)
+    p.ints, p.scale, p._coeffs = ints, scale, None
+    return p
 
-    The coefficients must not all be zero; ints and Fractions both work.
+
+def _normalize(p: Poly, ints: list[int], scale: Fraction) -> None:
+    """Set p to scale * ints, taking out trailing zeros, content and sign."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        p.ints, p.scale, p._coeffs = (), Fraction(0), None
+        return
+    content = _content(ints)
+    if content != 1:
+        ints = [c // content for c in ints]
+        scale *= content
+    p.ints, p.scale, p._coeffs = tuple(ints), scale, None
+
+
+def _poly(ints: list[int], scale: Fraction) -> Poly:
+    """scale * ints for any integer list."""
+    p = object.__new__(Poly)
+    _normalize(p, ints, scale)
+    return p
+
+
+_ZERO = _make((), Fraction(0))
+_ONE = _make((1,), Fraction(1))
+
+
+def _exact_quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The integer quotient a / b of primitive polynomials, or ValueError.
+
+    When b divides a over the rationals the quotient is primitive (Gauss's
+    lemma), so every quotient digit must divide exactly by lead(b).
     """
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    n, lead = len(b), b[-1]
+    if n == 1:
+        return a
+    rem = list(a)
+    quo = [0] * (len(a) - n + 1)
+    if not quo:
+        raise ValueError("inexact polynomial division")
+    for k in reversed(range(len(quo))):
+        c, r = divmod(rem[k + n - 1], lead)
+        if r:
+            raise ValueError("inexact polynomial division")
+        if c:
+            quo[k] = c
+            for i in range(n - 1):
+                rem[k + i] -= c * b[i]
+    if any(rem[: n - 1]):
+        raise ValueError("inexact polynomial division")
+    return tuple(quo)
+
+
+def _content(ints: list[int]) -> int:
+    """The gcd of nonzero ints, with the sign of the last entry."""
     content = math.gcd(*ints)
-    if ints[-1] < 0:
-        content = -content
-    return [c // content for c in ints], Fraction(content, den)
+    return -content if ints[-1] < 0 else content
 
 
 def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
@@ -249,24 +350,24 @@ def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd by a primitive pseudo-remainder sequence over the integers.
 
-    Both inputs are scaled to primitive integer polynomials; each pseudo-
-    remainder is divided by its integer content before the next step
-    (Collins, J. ACM 1967), so no rational arithmetic happens in the loop.
-    The last nonzero remainder is made monic.  gcd(0, 0) is the zero
+    Both inputs are already primitive integer polynomials times a scale;
+    each pseudo-remainder is divided by its integer content before the next
+    step (Collins, J. ACM 1967), so no rational arithmetic happens in the
+    loop.  The last nonzero remainder is made monic.  gcd(0, 0) is the zero
     polynomial and gcd(a, 0) is a.monic().
     """
     if a.is_zero() or b.is_zero():
         return (b if a.is_zero() else a).monic()
-    f, _ = _primitive_ints(a.coeffs)
-    g, _ = _primitive_ints(b.coeffs)
+    f, g = a.ints, b.ints
     if len(f) < len(g):
         f, g = g, f
     while len(g) > 1:
         r = _pseudo_remainder(f, g)
         if not r:
             break
-        f, g = g, _primitive_ints(r)[0]
-    return Poly(g).monic()
+        content = _content(r)
+        f, g = g, [c // content for c in r]
+    return _make(tuple(g), Fraction(1, g[-1]))
 
 
 class RationalFunction:
@@ -282,18 +383,20 @@ class RationalFunction:
     def __init__(self, num: Poly | Iterable[Rat], den: Poly | Iterable[Rat] = (1,)):
         n = num if isinstance(num, Poly) else Poly(num)
         d = den if isinstance(den, Poly) else Poly(den)
-        if d.is_zero():
+        a, b = n.ints, d.ints
+        if not b:
             raise ZeroDivisionError("rational function with zero denominator")
-        if n.is_zero():
-            self.num, self.den = Poly(), Poly.one()
+        if not a:
+            self.num, self.den = _ZERO, _ONE
             return
-        g = poly_gcd(n, d)
-        if g.degree > 0:
-            n = n.exact_div(g)
-            d = d.exact_div(g)
-        lead = d.coeffs[-1]
-        self.num = Poly([c / lead for c in n.coeffs])
-        self.den = Poly([c / lead for c in d.coeffs])
+        if len(a) > 1 and len(b) > 1:
+            g = poly_gcd(n, d).ints
+            if len(g) > 1:
+                a, b = _exact_quotient(a, g), _exact_quotient(b, g)
+        # n/d = (s/t) a/b; the denominator becomes b/lead(b)
+        s, t, lead = n.scale, d.scale, b[-1]
+        self.num = _make(a, Fraction(s.numerator * t.denominator, s.denominator * t.numerator * lead))
+        self.den = _make(b, Fraction(1, lead))
 
     @staticmethod
     def zero() -> RationalFunction:
@@ -430,12 +533,10 @@ class RationalFunction:
         The denominator keeps a positive leading coefficient; used for
         reports so humans see integer coefficients.
         """
-        n0, sn = self.num.content_normalized()
-        d0, sd = self.den.content_normalized()
-        s = sn / sd
-        return Poly([c * s.numerator for c in n0.coeffs]), Poly(
-            [c * s.denominator for c in d0.coeffs]
-        )
+        if self.num.is_zero():
+            return _ZERO, _ONE
+        s = self.num.scale / self.den.scale
+        return _make(self.num.ints, Fraction(s.numerator)), _make(self.den.ints, Fraction(s.denominator))
 
     def __repr__(self) -> str:
         n, d = self.display_pair()

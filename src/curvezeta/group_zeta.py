@@ -381,6 +381,7 @@ def slr_fe_check(z: SlrZeta) -> bool:
     return z.combined.reciprocal_arg(Q) == z.combined
 
 
+@lru_cache(maxsize=256)
 def slr_rh_report(z: SlrZeta, tol: float = 1e-9) -> ZeroReport:
     """Zero moduli of the numerator against the critical value q^{-1/2}.
 

@@ -426,6 +426,7 @@ def sextic_identity_report(z: HalfShiftRational, c_sum: Rat) -> dict:
 _EXCLUDED_POLE_OFFSETS = (0, 1, 2)  # q^{2s} in {1, q, q^2}
 
 
+@lru_cache(maxsize=256)
 def rh_check_zeta2(z: HalfShiftRational, tol: float = 1e-9) -> ZeroReport:
     """Zero moduli of the numerator against q^{-1/2}, poles excluded.
 

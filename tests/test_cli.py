@@ -302,6 +302,14 @@ class TestMain:
                 "curves:\n  - {type: coefficients, q: 5, g: 1, A: 5}\n",
                 "curves[0]: A must be a list of numbers",
             ),
+            (
+                "curves:\n  - {type: coefficients, q: 5, g: 1, A: [1, 0, 5], genuine: 'false'}\n",
+                "curves[0]: genuine must be true or false",
+            ),
+            (
+                "curves:\n  - {type: coefficients, q: 5, g: 1, A: [1, 0, 5], label: {x: 1}}\n",
+                "curves[0]: label must be a string",
+            ),
         ],
         ids=[
             "elliptic-q6",
@@ -328,6 +336,8 @@ class TestMain:
             "elliptic-a-missing",
             "counts-string",
             "coefficients-A-int",
+            "genuine-string",
+            "label-mapping",
         ],
     )
     def test_bad_value_exits_two(self, tmp_path, capsys, body, field):

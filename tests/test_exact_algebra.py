@@ -24,16 +24,108 @@ from curvezeta.exact import (
 
 F = Fraction
 
-fraction_polys = st.lists(
-    st.fractions(min_value=-6, max_value=6, max_denominator=7), max_size=6
-).map(Poly)
+fraction_lists = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=7), max_size=6)
+fraction_polys = fraction_lists.map(Poly)
+
+
+class DensePoly:
+    """Reference: dense Fraction coefficients, constant first, no trailing zeros."""
+
+    def __init__(self, coeffs=()):
+        cs = [F(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __add__(self, other):
+        a, b = sorted((self.coeffs, other.coeffs), key=len, reverse=True)
+        return DensePoly([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
+
+    def __neg__(self):
+        return DensePoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not self.coeffs or not other.coeffs:
+            return DensePoly()
+        out = [F(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return DensePoly(out)
+
+    def __pow__(self, n):
+        out = DensePoly([1])
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __divmod__(self, other):
+        rem, d = list(self.coeffs), other.coeffs
+        quo = [F(0)] * max(len(rem) - len(d) + 1, 0)
+        for k in reversed(range(len(quo))):
+            c = rem[k + len(d) - 1] / d[-1]
+            quo[k] = c
+            for i, b in enumerate(d):
+                rem[k + i] -= c * b
+        return DensePoly(quo), DensePoly(rem)
+
+    def monic(self):
+        return DensePoly([c / self.coeffs[-1] for c in self.coeffs]) if self.coeffs else self
+
+    def derivative(self):
+        return DensePoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def evaluate(self, x):
+        acc = F(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def scale_arg(self, c):
+        return DensePoly([a * F(c) ** i for i, a in enumerate(self.coeffs)])
+
+    def stretch(self, k):
+        out = [F(0)] * (k * len(self.coeffs))
+        out[::k] = self.coeffs
+        return DensePoly(out)
+
+    def reversed(self, d):
+        return DensePoly([0] * (d + 1 - len(self.coeffs)) + list(self.coeffs[::-1]))
+
+
+def dense_gcd(a: DensePoly, b: DensePoly) -> DensePoly:
+    while not b.is_zero():
+        a, b = b, divmod(a, b)[1]
+    return a.monic()
 
 
 def euclid_gcd(a: Poly, b: Poly) -> Poly:
     """Reference: the monic gcd by Euclidean division over the rationals."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return Poly(dense_gcd(DensePoly(a.coeffs), DensePoly(b.coeffs)).coeffs)
+
+
+def dense_ratfun(num: DensePoly, den: DensePoly) -> tuple[tuple, tuple]:
+    """Reference canonical form: gcd divided out, monic denominator, zero as 0/1."""
+    if num.is_zero():
+        return (), (F(1),)
+    g = dense_gcd(num, den)
+    num, den = divmod(num, g)[0], divmod(den, g)[0]
+    lead = den.coeffs[-1]
+    return tuple(c / lead for c in num.coeffs), tuple(c / lead for c in den.coeffs)
+
+
+def assert_canonical(p: Poly) -> None:
+    """The stored ints are primitive with a positive last entry; zero is ()."""
+    assert isinstance(p.ints, tuple) and all(type(c) is int for c in p.ints)
+    if p.ints:
+        assert math.gcd(*p.ints) == 1 and p.ints[-1] > 0 and p.scale != 0
+    assert p.coeffs == tuple(F(c) * p.scale for c in p.ints)
 
 
 class TestPoly:
@@ -70,6 +162,93 @@ class TestPoly:
         assert p.reversed() == Poly([2, 0, 1])
         assert p.scale_arg(F(1, 2)) == Poly([1, 0, F(1, 2)])
         assert p.stretch(3) == Poly([1, 0, 0, 0, 0, 0, 2])
+
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+class TestIntegerCore:
+    """Poly and RationalFunction against the dense Fraction reference."""
+
+    @given(fraction_lists, fraction_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_ring_operations_match_dense(self, a, b):
+        p, q = Poly(a), Poly(b)
+        dp, dq = DensePoly(a), DensePoly(b)
+        assert p.coeffs == dp.coeffs
+        for got, want in [(p + q, dp + dq), (p - q, dp - dq), (p * q, dp * dq), (-p, -dp)]:
+            assert_canonical(got)
+            assert got.coeffs == want.coeffs
+
+    @given(fraction_lists, st.integers(0, 4), small_fractions)
+    @settings(max_examples=100, deadline=None)
+    def test_powers_and_scalar_products_match_dense(self, a, n, c):
+        p = Poly(a)
+        for got, want in [(p**n, DensePoly(a) ** n), (p * c, DensePoly([x * c for x in a]))]:
+            assert_canonical(got)
+            assert got.coeffs == want.coeffs
+
+    @given(fraction_lists, fraction_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_division_matches_dense(self, a, b):
+        p, q = Poly(a), Poly(b)
+        if q.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                p.exact_div(q)
+            return
+        want_q, want_r = divmod(DensePoly(a), DensePoly(b))
+        got_q, got_r = divmod(p, q)
+        assert (got_q.coeffs, got_r.coeffs) == (want_q.coeffs, want_r.coeffs)
+        exact = (p * q).exact_div(q)
+        assert_canonical(exact)
+        assert exact.coeffs == p.coeffs
+        if want_r.is_zero():
+            assert p.exact_div(q).coeffs == want_q.coeffs
+        else:
+            with pytest.raises(ValueError):
+                p.exact_div(q)
+
+    @given(fraction_lists, small_fractions, st.integers(1, 3), st.integers(0, 2))
+    @settings(max_examples=100, deadline=None)
+    def test_substitutions_match_dense(self, a, c, k, extra):
+        p, dp = Poly(a), DensePoly(a)
+        d = len(dp.coeffs) - 1 + extra
+        for got, want in [
+            (p.scale_arg(c), dp.scale_arg(c)),
+            (p.reversed(d), dp.reversed(d)),
+            (p.stretch(k), dp.stretch(k)),
+            (p.derivative(), dp.derivative()),
+            (p.monic(), dp.monic()),
+        ]:
+            assert_canonical(got)
+            assert got.coeffs == want.coeffs
+        assert p.evaluate(c) == dp.evaluate(c)
+        assert p.evaluate(k) == dp.evaluate(k)
+
+    @given(fraction_lists, fraction_lists, fraction_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_ratfun_constructor_matches_dense(self, a, b, common):
+        if DensePoly(b).is_zero() or DensePoly(common).is_zero():
+            return
+        for n, d in [(a, b), ((Poly(a) * Poly(common)).coeffs, (Poly(b) * Poly(common)).coeffs)]:
+            f = RationalFunction(Poly(n), Poly(d))
+            assert (f.num.coeffs, f.den.coeffs) == dense_ratfun(DensePoly(n), DensePoly(d))
+            assert_canonical(f.num)
+            assert_canonical(f.den)
+            assert f.den.scale == F(1, f.den.ints[-1])  # monic
+
+    def test_zero_is_empty_over_one(self):
+        assert Poly().ints == () and Poly([0, F(0)]).ints == ()
+        zero = RationalFunction(Poly(), Poly([3, 1]))
+        assert zero.num.ints == () and zero.den == Poly.one()
+        assert zero == RationalFunction.zero()
+
+    def test_coeffs_view_is_cached_and_read_only(self):
+        p = Poly([F(1, 2), -3, F(9, 4)])
+        assert p.ints == (2, -12, 9) and p.scale == F(1, 4)
+        assert p.coeffs is p.coeffs
+        with pytest.raises(AttributeError):
+            p.coeffs = ()
 
 
 class TestPolyGcd:
