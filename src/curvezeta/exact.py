@@ -36,9 +36,10 @@ class Poly:
     """Univariate polynomial over the rationals, ``scale * ints``.
 
     ``ints`` is a tuple of Python ints, constant term first, with no common
-    factor and a positive last entry; ``scale`` is a nonzero ``Fraction``.
-    The zero polynomial is ``()`` with scale 0.  Construct from rational
-    coefficients with ``Poly([...])``; :attr:`coeffs` gives them back.
+    factor and a positive last entry; ``scale`` is a ``Fraction``.  The zero
+    polynomial is ``()`` with scale 0, and no other has scale 0.  Construct
+    from rational coefficients with ``Poly([...])``; :attr:`coeffs` gives
+    them back.
     """
 
     __slots__ = ("ints", "scale", "_coeffs")
