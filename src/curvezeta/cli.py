@@ -47,6 +47,9 @@ TASKS = ("artin", "invariants", "rank2", "slr", "mass", "yoshida", "rh-report")
 # Raised by a task whose asserted identity fails or whose root finder gives up.
 _TASK_FAILURES = (AssertionError, ConventionError, RootFindError)
 
+# libyaml's parser if PyYAML was built with it; both build with SafeConstructor
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class JobError(ValueError):
     """Bad job file; the message carries every violation found."""
@@ -126,11 +129,15 @@ def _rational_list(src: dict, key: str) -> list[Fraction]:
 
 
 def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpec:
+    """Read and check a job file.  A path that cannot be read, bytes that are not
+    UTF-8, malformed YAML and every bad field all raise one JobError."""
     problems: list[str] = []
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_bytes(), Loader=_LOADER)
     except FileNotFoundError:
         raise JobError(f"job file not found: {path}")
+    except OSError as e:
+        raise JobError(f"cannot read job file {path}: {e.strerror or e}")
     except yaml.YAMLError as e:
         raise JobError(f"cannot parse job file: {e}")
     if not isinstance(raw, dict):
@@ -463,11 +470,47 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
         rows.append((prefix, _fmt_number(value)))
 
 
+_escape = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
+
+
+def _emit(obj, indent: str, out: list[str]) -> None:
+    """Append json.dumps(obj, indent=2, sort_keys=True) for plain dicts (str keys),
+    lists, tuples, strs, ints, bools and None; other leaves use json.dumps."""
+    kind = type(obj)
+    if kind is str:
+        out.append(_escape(obj))
+    elif kind is dict or kind is list or kind is tuple:
+        is_dict = kind is dict
+        if not obj:
+            out.append("{}" if is_dict else "[]")
+            return
+        inner = indent + "  "
+        sep = "\n" + inner
+        out.append("{" if is_dict else "[")
+        for item in sorted(obj) if is_dict else obj:
+            out.append(sep)
+            if is_dict:
+                out += (_escape(item), ": ")
+                item = obj[item]
+            _emit(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + ("}" if is_dict else "]"))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif obj is None or kind is bool:
+        out.append("null" if obj is None else "true" if obj else "false")
+    else:
+        out.append(json.dumps(obj))
+
+
 def render(tree: dict, fmt: str) -> dict[str, str]:
-    """Map of filename -> contents; stable bytes for identical trees."""
+    """Map of filename -> contents; stable bytes for identical trees.  ``report.json``
+    is ``json.dumps(tree, indent=2, sort_keys=True)`` plus a newline, by ``_emit``."""
     files = {}
     if fmt == "json":
-        files["report.json"] = json.dumps(tree, indent=2, sort_keys=True) + "\n"
+        out: list[str] = []
+        _emit(tree, "", out)
+        files["report.json"] = "".join(out) + "\n"
     else:
         rows: list[tuple[str, str]] = []
         _flatten("", {k: v for k, v in tree.items() if k != "reports"}, rows)
