@@ -5,8 +5,11 @@ import re
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from curvezeta import fields
+from curvezeta import cli, fields
 from curvezeta.cli import TASKS, JobError, main, parse_job, render, run
 
 FULL_JOB = """\
@@ -46,6 +49,111 @@ NON_GENUINE_ERRORS = {
 }
 
 
+# (job body, text the error must name) for job files that must exit 2
+BAD_VALUES = [
+    ("curves:\n  - {type: elliptic, q: 6, a: 0}\n", "curves[0]"),
+    ("curves:\n  - {type: coefficients, q: 6, g: 1, A: [1, 0, 6]}\n", "curves[0]"),
+    ("curves:\n  - {type: counts, q: 6, g: 1, counts: [7]}\n", "curves[0]"),
+    ("curves:\n  - {type: elliptic, q: 2, a: 0}\ntolerance: abc\n", "tolerance"),
+    ("curves:\n  - {type: elliptic, q: 2, a: 0}\ndegree: x\n", "degree"),
+    ("curves:\n  - {type: elliptic, q: 2, a: 0}\ntasks: 5\n", "tasks: need a list"),
+    ("curves:\n  - {type: elliptic, q: 2, a: 0}\ntasks: artin\n", "tasks: need a list"),
+    # an RH-violating datum must not pass through an infinite tolerance
+    (
+        "curves:\n  - {type: coefficients, q: 5, g: 1, A: [1, -5, 5], genuine: true}\n"
+        "tolerance: .inf\n",
+        "tolerance",
+    ),
+    ("curves:\n  - {type: elliptic, q: 2, a: 0}\ntolerance: -1\n", "tolerance"),
+    ("curves:\n  - {type: elliptic, q: 2, a: 0}\ntolerance: .nan\n", "tolerance"),
+    ("curves:\n  - {type: coefficients, q: 5, g: 1.5, A: [1, 0, 5]}\n", "curves[0]: g"),
+    ("curves:\n  - {type: counts, q: 5, g: 1.5, counts: [6]}\n", "curves[0]: g"),
+    ("curves:\n  - {type: elliptic, q: 2, a: 0}\nranks: []\ntasks: [mass]\n", "ranks"),
+    (
+        "curves:\n  - {type: model, kind: quadratic, q: 5, f: x}\n",
+        "curves[0]: f must be a list of integers",
+    ),
+    (
+        "curves:\n  - {type: model, kind: quadratic, q: 5, f: 5}\n",
+        "curves[0]: f must be a list of integers",
+    ),
+    (
+        "curves:\n  - {type: model, kind: quadratic, q: 5, f: [0.5, 1, 0, 1]}\n",
+        "curves[0]: f must be a list of integers",
+    ),
+    (
+        "curves:\n  - {type: model, kind: quadratic, q: 5, f: [true, 1, 0, 1]}\n",
+        "curves[0]: f must be a list of integers",
+    ),
+    (
+        "curves:\n  - {type: model, kind: quadratic, q: '5', f: [1, 1, 0, 1]}\n",
+        "curves[0]: q must be an integer",
+    ),
+    (
+        "curves:\n  - {type: model, kind: artin_schreier, q: 2, f: [" + "0, " * 43 + "1]}\n",
+        "curves[0]: genus 21",
+    ),
+    ("curves:\n  - {type: elliptic, q: 5, a: x}\n", "curves[0]: a must be an integer"),
+    ("curves:\n  - {type: elliptic, q: 5, a: true}\n", "curves[0]: a must be an integer"),
+    ("curves:\n  - {type: elliptic, q: 5}\n", "curves[0]: missing field 'a'"),
+    (
+        "curves:\n  - {type: counts, q: 2, g: 2, counts: [3, x]}\n",
+        "curves[0]: counts must be a list of integers",
+    ),
+    (
+        "curves:\n  - {type: coefficients, q: 5, g: 1, A: 5}\n",
+        "curves[0]: A must be a list of numbers",
+    ),
+    (
+        "curves:\n  - {type: coefficients, q: 5, g: 1, A: [1, 0, 5], genuine: 'false'}\n",
+        "curves[0]: genuine must be true or false",
+    ),
+    (
+        "curves:\n  - {type: coefficients, q: 5, g: 1, A: [1, 0, 5], label: {x: 1}}\n",
+        "curves[0]: label must be a string",
+    ),
+]
+BAD_VALUE_IDS = [
+    "elliptic-q6",
+    "coefficients-q6",
+    "counts-q6",
+    "tolerance-abc",
+    "degree-x",
+    "tasks-int",
+    "tasks-string",
+    "tolerance-inf",
+    "tolerance-negative",
+    "tolerance-nan",
+    "coefficients-g-float",
+    "counts-g-float",
+    "ranks-empty",
+    "model-f-string",
+    "model-f-int",
+    "model-f-float",
+    "model-f-bool",
+    "model-q-string",
+    "model-over-cap",
+    "elliptic-a-string",
+    "elliptic-a-bool",
+    "elliptic-a-missing",
+    "counts-string",
+    "coefficients-A-int",
+    "genuine-string",
+    "label-mapping",
+]
+
+
+# the pure-Python loader, and libyaml's when this PyYAML was built with it
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+@pytest.fixture(params=LOADERS, ids=lambda loader: loader.__name__)
+def loader(request, monkeypatch):
+    """Run the test with parse_job reading through each available YAML loader."""
+    monkeypatch.setattr(cli, "_LOADER", request.param)
+    return request.param
+
+
 @pytest.fixture(scope="module")
 def jobfile(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("jobs") / "job.yaml"
@@ -70,6 +178,31 @@ class TestParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(JobError):
             parse_job(tmp_path / "nope.yaml")
+
+    def test_directory_path_exits_two(self, tmp_path, loader, capsys):
+        path = tmp_path / "job.yaml"
+        path.mkdir()
+        with pytest.raises(JobError, match="cannot read job file"):
+            parse_job(path)
+        assert main(["run", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"curves:\n  - {type: elliptic, q: 2, a: 0, label: \"\xff\"}\n",
+            b"curves: [",
+            b"curves:\n  - {type: elliptic, q: 2, a: 0}\n---\ncurves: []\n",
+        ],
+        ids=["non-utf8", "malformed", "two-documents"],
+    )
+    def test_unparsable_file_exits_two(self, tmp_path, loader, capsys, data):
+        path = tmp_path / "job.yaml"
+        path.write_bytes(data)
+        with pytest.raises(JobError, match="cannot parse job file"):
+            parse_job(path)
+        assert main(["run", str(path)]) == 2
+        assert "cannot parse job file" in capsys.readouterr().err
 
     def test_empty_curves(self, tmp_path):
         path = tmp_path / "empty.yaml"
@@ -219,6 +352,68 @@ class TestDeterminism:
         assert header == "curve,object,re,im,modulus,deviation"
 
 
+class TestLoaders:
+    def test_libyaml_used_when_present(self):
+        assert cli._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+    def test_criterion_10_job_same_under_both_loaders(self, monkeypatch):
+        path = DATA / "criterion10_job.yaml"
+        job = parse_job(path)
+        monkeypatch.setattr(cli, "_LOADER", yaml.SafeLoader)
+        pure = parse_job(path)
+        assert pure == job
+        _, tree = run(job)
+        _, pure_tree = run(pure)
+        for fmt in ("json", "csv"):
+            assert render(pure_tree, fmt) == render(tree, fmt)
+
+    @pytest.mark.parametrize("body, field", BAD_VALUES, ids=BAD_VALUE_IDS)
+    def test_bad_value_exits_two_under_pure_loader(self, tmp_path, monkeypatch, capsys, body, field):
+        monkeypatch.setattr(cli, "_LOADER", yaml.SafeLoader)
+        path = tmp_path / "bad.yaml"
+        path.write_text(body)
+        assert main(["run", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+
+# str keys and leaves with quotes, backslashes, control and non-ASCII characters
+_TEXT = st.text(max_size=6) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\n\t", "é\u2028", "😀"])
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.sampled_from([0, 1])
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | _TEXT
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestEmitter:
+    """report.json is written by cli._emit; it must give json.dumps's exact bytes."""
+
+    @given(tree=_TREES)
+    @example(tree={"b": [True, 1, False, 0, None], "a": {}, "": [], "t": (), "f": 0.1, "n": -(10**30)})
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, tree):
+        out: list[str] = []
+        cli._emit(tree, "", out)
+        assert "".join(out) == json.dumps(tree, indent=2, sort_keys=True)
+
+    def test_real_reports(self, full_tree):
+        job = parse_job(DATA / "criterion10_job.yaml")
+        for _, tree in (run(job), full_tree):
+            text = render(tree, "json")["report.json"]
+            assert text == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
 class TestMain:
     def test_end_to_end(self, jobfile, tmp_path, capsys):
         code = main(["run", str(jobfile), "--out", str(tmp_path / "out")])
@@ -246,100 +441,7 @@ class TestMain:
         path.write_text("curves: []\n")
         assert main(["run", str(path)]) == 2
 
-    @pytest.mark.parametrize(
-        "body, field",
-        [
-            ("curves:\n  - {type: elliptic, q: 6, a: 0}\n", "curves[0]"),
-            ("curves:\n  - {type: coefficients, q: 6, g: 1, A: [1, 0, 6]}\n", "curves[0]"),
-            ("curves:\n  - {type: counts, q: 6, g: 1, counts: [7]}\n", "curves[0]"),
-            ("curves:\n  - {type: elliptic, q: 2, a: 0}\ntolerance: abc\n", "tolerance"),
-            ("curves:\n  - {type: elliptic, q: 2, a: 0}\ndegree: x\n", "degree"),
-            ("curves:\n  - {type: elliptic, q: 2, a: 0}\ntasks: 5\n", "tasks: need a list"),
-            ("curves:\n  - {type: elliptic, q: 2, a: 0}\ntasks: artin\n", "tasks: need a list"),
-            # an RH-violating datum must not pass through an infinite tolerance
-            (
-                "curves:\n  - {type: coefficients, q: 5, g: 1, A: [1, -5, 5], genuine: true}\n"
-                "tolerance: .inf\n",
-                "tolerance",
-            ),
-            ("curves:\n  - {type: elliptic, q: 2, a: 0}\ntolerance: -1\n", "tolerance"),
-            ("curves:\n  - {type: elliptic, q: 2, a: 0}\ntolerance: .nan\n", "tolerance"),
-            ("curves:\n  - {type: coefficients, q: 5, g: 1.5, A: [1, 0, 5]}\n", "curves[0]: g"),
-            ("curves:\n  - {type: counts, q: 5, g: 1.5, counts: [6]}\n", "curves[0]: g"),
-            ("curves:\n  - {type: elliptic, q: 2, a: 0}\nranks: []\ntasks: [mass]\n", "ranks"),
-            (
-                "curves:\n  - {type: model, kind: quadratic, q: 5, f: x}\n",
-                "curves[0]: f must be a list of integers",
-            ),
-            (
-                "curves:\n  - {type: model, kind: quadratic, q: 5, f: 5}\n",
-                "curves[0]: f must be a list of integers",
-            ),
-            (
-                "curves:\n  - {type: model, kind: quadratic, q: 5, f: [0.5, 1, 0, 1]}\n",
-                "curves[0]: f must be a list of integers",
-            ),
-            (
-                "curves:\n  - {type: model, kind: quadratic, q: 5, f: [true, 1, 0, 1]}\n",
-                "curves[0]: f must be a list of integers",
-            ),
-            (
-                "curves:\n  - {type: model, kind: quadratic, q: '5', f: [1, 1, 0, 1]}\n",
-                "curves[0]: q must be an integer",
-            ),
-            (
-                "curves:\n  - {type: model, kind: artin_schreier, q: 2, f: [" + "0, " * 43 + "1]}\n",
-                "curves[0]: genus 21",
-            ),
-            ("curves:\n  - {type: elliptic, q: 5, a: x}\n", "curves[0]: a must be an integer"),
-            ("curves:\n  - {type: elliptic, q: 5, a: true}\n", "curves[0]: a must be an integer"),
-            ("curves:\n  - {type: elliptic, q: 5}\n", "curves[0]: missing field 'a'"),
-            (
-                "curves:\n  - {type: counts, q: 2, g: 2, counts: [3, x]}\n",
-                "curves[0]: counts must be a list of integers",
-            ),
-            (
-                "curves:\n  - {type: coefficients, q: 5, g: 1, A: 5}\n",
-                "curves[0]: A must be a list of numbers",
-            ),
-            (
-                "curves:\n  - {type: coefficients, q: 5, g: 1, A: [1, 0, 5], genuine: 'false'}\n",
-                "curves[0]: genuine must be true or false",
-            ),
-            (
-                "curves:\n  - {type: coefficients, q: 5, g: 1, A: [1, 0, 5], label: {x: 1}}\n",
-                "curves[0]: label must be a string",
-            ),
-        ],
-        ids=[
-            "elliptic-q6",
-            "coefficients-q6",
-            "counts-q6",
-            "tolerance-abc",
-            "degree-x",
-            "tasks-int",
-            "tasks-string",
-            "tolerance-inf",
-            "tolerance-negative",
-            "tolerance-nan",
-            "coefficients-g-float",
-            "counts-g-float",
-            "ranks-empty",
-            "model-f-string",
-            "model-f-int",
-            "model-f-float",
-            "model-f-bool",
-            "model-q-string",
-            "model-over-cap",
-            "elliptic-a-string",
-            "elliptic-a-bool",
-            "elliptic-a-missing",
-            "counts-string",
-            "coefficients-A-int",
-            "genuine-string",
-            "label-mapping",
-        ],
-    )
+    @pytest.mark.parametrize("body, field", BAD_VALUES, ids=BAD_VALUE_IDS)
     def test_bad_value_exits_two(self, tmp_path, capsys, body, field):
         path = tmp_path / "bad.yaml"
         path.write_text(body)

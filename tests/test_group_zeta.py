@@ -23,7 +23,8 @@ from curvezeta.group_zeta import (
     slr_rh_report,
     slr_zeta,
 )
-from curvezeta.rank2 import rank2_closed_form, rank2_invariants, rank2_numerator
+from curvezeta.mass import beta_hn_mass
+from curvezeta.rank2 import alpha2_zero, rank2_closed_form, rank2_invariants, rank2_numerator
 
 F = Fraction
 
@@ -323,6 +324,39 @@ class TestPeriodOracle:
     def test_rank4_unsupported(self, curve_g1):
         with pytest.raises(ValueError):
             period_residue_oracle(curve_g1, 4)
+
+
+class TestSpecialUniformity:
+    """The paper's identity, read off the group side: alpha_r(0) = q^{(r-1)(g-1)} beta_{r-1}(0).
+
+    With s_m the T-series of N(T)/N(0)/((1 - T)(1 - QT)), N the SL_r numerator
+    on the T-grid and Q = q^r, the group zeta gives beta_r(0)/alpha_r(0) as
+    (s_g - Q s_{g-2})/(Q - 1), the rank-r analogue of ``rank2.eq_extract``;
+    beta_r and beta_{r-1} come from the Harder-Narasimhan mass sum.
+    """
+
+    CURVES = [
+        CurveData.elliptic(2, 0),
+        GENUS3_DATUM,
+        *(elliptic_product(q, g, seed=q + g) for q, g in [(2, 2), (3, 2), (5, 3), (3, 4), (101, 2)]),
+    ]
+
+    @staticmethod
+    def beta_over_alpha(c: CurveData, r: int) -> Fraction:
+        N = slr_zeta(c, r).numerator_T
+        Q = F(c.q) ** r
+        # 1/((1 - T)(1 - QT)) has T^m coefficient (Q^{m+1} - 1)/(Q - 1)
+        s = [sum(N[k] / N[0] * (Q ** (m - k + 1) - 1) / (Q - 1) for k in range(m + 1))
+             for m in range(c.g + 1)]
+        return (s[c.g] - (Q * s[c.g - 2] if c.g >= 2 else 0)) / (Q - 1)
+
+    @pytest.mark.parametrize("c", CURVES, ids=lambda c: c.label)
+    @pytest.mark.parametrize("r", range(2, 7))
+    def test_alpha_zero_from_lower_rank_mass(self, c, r):
+        alpha0 = beta_hn_mass(c, r, 0) / self.beta_over_alpha(c, r)
+        assert alpha0 == F(c.q) ** ((r - 1) * (c.g - 1)) * beta_hn_mass(c, r - 1, 0)
+        if r == 2:
+            assert alpha0 == alpha2_zero(c)
 
 
 class TestRhReports:
