@@ -110,12 +110,13 @@ class WeilRoots:
     max_pair_defect: float
 
 
-def numerator_from_counts(q: int, g: int, counts: Sequence[int]) -> CurveData:
+def numerator_from_counts(q: int, g: int, counts: Sequence[int], label: str = "") -> CurveData:
     """Weil numerator coefficients from the point counts N_1..N_g.
 
     Expands exp(sum_{m<=g} N_m t^m / m) * (1 - t)(1 - q t) to order g with
     exact series arithmetic and completes A_{g+1}..A_{2g} by the symmetry
-    A_{2g-i} = q^{g-i} A_i.
+    A_{2g-i} = q^{g-i} A_i.  The genuine :class:`CurveData` is built, and
+    checked, once, with the given label.
     """
     if len(counts) != g:
         raise ValueError(f"need exactly g = {g} counts, got {len(counts)}")
@@ -134,7 +135,7 @@ def numerator_from_counts(q: int, g: int, counts: Sequence[int]) -> CurveData:
         raise ValueError("inconsistent counts: expansion has A_0 != 1")
     for i in range(g):
         A[2 * g - i] = Fraction(q) ** (g - i) * A[i]
-    return CurveData(q, g, A, genuine=True)
+    return CurveData(q, g, A, genuine=True, label=label)
 
 
 def counts_from_numerator(c: CurveData, m: int) -> int:

@@ -29,7 +29,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -182,17 +182,16 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
                     isinstance(n, bool) or not isinstance(n, int) for n in counts
                 ):
                     raise ValueError(f"counts must be a list of integers, got {counts!r}")
-                data = artin.numerator_from_counts(src["q"], src["g"], counts)
                 label = src.get("label", f"counts(q={src['q']},N={src['counts']})")
-                curves.append(replace(data, label=label))
+                curves.append(artin.numerator_from_counts(src["q"], src["g"], counts, label))
             elif kind == "model":
                 f = src.get("f", ())
                 f = tuple(f) if isinstance(f, list) else f
                 model = CurveModel(src["kind"], src["q"], f, src.get("label", ""))
                 census_rows += census([model])
                 if model.genus >= 1:
-                    data = artin.numerator_from_counts(model.q, model.genus, census_rows[-1][1])
-                    curves.append(replace(data, label=model.describe()))
+                    counts = census_rows[-1][1]
+                    curves.append(artin.numerator_from_counts(model.q, model.genus, counts, model.describe()))
             elif kind == "elliptic":
                 curves.append(artin.CurveData.elliptic(src["q"], _require_int(src, "a")))
             else:
@@ -216,6 +215,8 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
         degree = 0
     tolerance = raw.get("tolerance", 1e-9)
     try:
+        if isinstance(tolerance, bool):
+            raise TypeError  # float(True) would pass as 1.0
         tolerance = float(tolerance)  # YAML reads 1e-9 (no dot) as a string
     except (TypeError, ValueError):
         problems.append(f"tolerance: need a number, got {tolerance!r}")

@@ -674,11 +674,52 @@ def _relative_residual(coeffs: list[complex], z: complex) -> float:
     return abs(val) / scale if scale else abs(val)
 
 
+_CERT_PRIME = 1073741789  # the largest prime below 2^30
+
+
+def _squarefree_mod_prime(ints: tuple[int, ...]) -> bool:
+    """True when gcd(f mod p, f' mod p) is constant for f = ints, p = _CERT_PRIME.
+
+    Then f is square-free over the rationals, provided p does not divide
+    lead(f): a primitive h = gcd(f, f') of degree >= 1 divides f and f' in
+    Z[x] and keeps its degree mod p, so it would divide both reductions.
+    A False answer proves nothing; the input may still be square-free.
+    """
+    p = _CERT_PRIME
+    if ints[-1] % p == 0:
+        return False
+    f = [c % p for c in ints]
+    g = [i * c % p for i, c in enumerate(ints)][1:]
+    while g and not g[-1]:
+        g.pop()
+    while g:  # Euclid over F_p; f is never shorter than g
+        inv = pow(g[-1], -1, p)
+        n = len(g)
+        while len(f) >= n:
+            top = f.pop() * inv % p
+            if top:
+                k = len(f) - n + 1
+                for i in range(n - 1):
+                    f[k + i] = (f[k + i] - top * g[i]) % p
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) == 1
+
+
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun decomposition [(factor, multiplicity)], factors monic square-free."""
+    """Yun decomposition [(factor, multiplicity)], factors monic square-free.
+
+    A square-free certificate modulo one fixed prime comes first
+    (:func:`_squarefree_mod_prime`); most inputs pass it and skip the
+    integer gcd of f and f'.  Inputs it cannot certify, square-free or
+    not, go through Yun's algorithm, so the answer never depends on it.
+    """
     if p.degree < 1:
         raise ValueError("decomposition needs degree >= 1")
     f = p.monic()
+    if _squarefree_mod_prime(p.ints):
+        return [(f, 1)]
     g = poly_gcd(f, f.derivative())
     if g.degree == 0:
         return [(f, 1)]
@@ -703,11 +744,15 @@ def complex_roots(p: Poly, residual_bound: float = 1e-8) -> ComplexRootSet:
 
     Exact square-free decomposition comes first, so the iteration only ever
     sees simple roots (full double-precision accuracy) and multiplicities
-    are exact integers rather than numerical clusters.  Start points sit on
-    a circle of radius 1 + max|coeff|/|lead| at fixed angles, the sweep
-    order is by index, and convergence means every step fell below
-    1e-14 * (1 + |root|), followed by a Newton polish.  Residuals are
-    relative backward errors on the square-free factor; exceeding
+    are exact integers rather than numerical clusters.  The decomposition
+    first tries a certificate modulo one fixed prime l: when l does not
+    divide the leading coefficient and the input is coprime to its
+    derivative mod l, it is square-free and no integer gcd is computed.
+    Otherwise, square-free or not, Yun's algorithm splits it exactly.
+    Start points sit on a circle of radius 1 + max|coeff|/|lead| at fixed
+    angles, the sweep order is by index, and convergence means every step
+    fell below 1e-14 * (1 + |root|), followed by a Newton polish.  Residuals
+    are relative backward errors on the square-free factor; exceeding
     ``residual_bound`` (or the iteration cap) raises :class:`RootFindError`
     carrying the partial results.
     """

@@ -13,17 +13,26 @@ with every R_n an exact rational function of u = q^{-s}.
 
 Two independent routes are implemented.  :func:`slr_zeta` collapses each
 surviving Weyl term directly: a term survives the residues exactly when w
-maps every parabolic simple root into Delta or the negative roots, the pole
-at stage j is always simple, and the zeta quotients along the roots through
-the last coordinate telescope to a single zh(s + n).  The per-term factors
-are read off the root combinatorics with no residue computation at all.
-Their only denominators are powers of u and linear factors (1 - a u): a
-factor 1/(1 - c/u) is rewritten as -(1/c) u / (1 - u/c), and zh(s + n) is
+maps every parabolic simple root into Delta or the negative roots, that is
+w(i+1) <= w(i) + 1 for i <= r - 2, the pole at stage j is always simple,
+and the zeta quotients along the roots through the last coordinate
+telescope to a single zh(s + n).  The per-term factors are read off the
+root combinatorics with no residue computation at all; the root data
+(Phi_w, inversion counts, the surviving set) are read straight from the
+permutation w.perm.  The constant weights are products of zh(n) at
+integers n < r, each evaluated once per assembly on first use.  The only
+denominators are powers of u and linear factors (1 - q^e u) with e an
+integer: a factor 1/(1 - q^e/u) is rewritten as -q^{-e} u / (1 - q^{-e} u),
+and zh(s + n) is
 q^{(g-1)n} u^{1-g} P(q^{-n} u) / ((1 - q^{-n} u)(1 - q^{1-n} u)).  So each
-term is kept as value * u^k over a multiset of factors keyed by a, each R_n
+term is kept as value * u^k over a multiset of factors keyed by e, each R_n
 is summed in one pass over the LCM of its terms' factors, and the products
 R_n * zh(s + n) are summed the same way; every result is reduced once by
-the ordinary :class:`RationalFunction` constructor.
+the ordinary :class:`RationalFunction` constructor.  :func:`slr_rh_report`
+finds the zeros of the T-grid numerator with :func:`complex_roots`, whose
+exact square-free split first tries a certificate modulo one fixed prime
+(gcd(f, f') constant mod p proves f square-free) and falls back to Yun's
+algorithm only when the certificate fails.
 :func:`period_residue_oracle` instead materializes the period as an exact
 (bivariate, for r = 3) rational function and takes the limit
 lim (1 - u_1) f literally; the two must agree up to a recorded constant.
@@ -74,8 +83,7 @@ class WeylElt:
         return WeylElt(tuple(inv))
 
     def inversions(self) -> int:
-        p = self.perm
-        return sum(1 for a, b in itertools.combinations(range(len(p)), 2) if p[a] > p[b])
+        return sum(1 for a, b in itertools.combinations(self.perm, 2) if a > b)
 
 
 def root_height(root: Root) -> int:
@@ -103,8 +111,9 @@ class RootSystemData:
         return weight[root[0] - 1] - weight[root[1] - 1]
 
     def flipped_positive_roots(self, w: WeylElt) -> list[Root]:
-        """Phi_w: positive roots sent negative by w."""
-        return [a for a in self.positive_roots if not is_positive(w.apply(a))]
+        """Phi_w: positive roots sent negative by w, i.e. (x, y) with w(x) > w(y)."""
+        p = w.perm
+        return [(x, y) for x, y in self.positive_roots if p[x - 1] > p[y - 1]]
 
 
 @dataclass(frozen=True)
@@ -149,26 +158,20 @@ def build_root_system(r: int) -> tuple[RootSystemData, ParabolicData]:
     delta_p = simple[: r - 2]
     phi_p_plus = tuple(a for a in positive if a[1] <= r - 1)
     lambda_p = weights[r - 2]
-    frak = tuple(
-        w
-        for w in weyl
-        if all(
-            (lambda b: (is_positive(b) and root_height(b) == 1) or not is_positive(b))(
-                w.apply(a)
-            )
-            for a in delta_p
-        )
-    )
+    # w alpha_i = (w(i), w(i+1)) is negative or simple iff w(i+1) <= w(i) + 1
+    frak = tuple(w for w in weyl if all(w.perm[i] <= w.perm[i - 1] + 1 for i in range(1, r - 1)))
     pb = ParabolicData(delta_p, phi_p_plus, lambda_p, frak)
 
     for a in delta_p:
         if rs.pairing(lambda_p, a) != 0:
             raise AssertionError("lambda_P pairs nontrivially with Delta_P")
-    stab = [w for w in weyl if w(r) == r]  # S_{r-1} embedded
-    for w in stab:
-        image = {tuple(sorted(w.apply(a))) for a in phi_p_plus}
-        if image != {tuple(sorted(a)) for a in phi_p_plus}:
-            raise AssertionError("embedded S_{r-1} does not stabilize Phi_P")
+    phi_p_set = set(phi_p_plus)
+    for w in weyl:
+        p = w.perm
+        if p[-1] == r:  # S_{r-1} embedded
+            image = {tuple(sorted((p[x - 1], p[y - 1]))) for x, y in phi_p_plus}
+            if image != phi_p_set:
+                raise AssertionError("embedded S_{r-1} does not stabilize Phi_P")
     return rs, pb
 
 
@@ -186,56 +189,56 @@ class SlrZeta:
 
 @dataclass
 class _LinearTerm:
-    """num(u) * u^k / prod_a (1 - a u)^m_a, the denominator kept factored by a."""
+    """num(u) * u^k / prod_e (1 - q^e u)^m_e, the denominator kept factored by e."""
 
     num: Poly
     k: int = 0
-    den: dict[Fraction, int] = field(default_factory=dict)
+    den: dict[int, int] = field(default_factory=dict)
 
-    def divide(self, a: Fraction) -> None:
-        """Divide by (1 - a u)."""
-        self.den[a] = self.den.get(a, 0) + 1
+    def divide(self, e: int) -> None:
+        """Divide by (1 - q^e u)."""
+        self.den[e] = self.den.get(e, 0) + 1
 
     def times_zeta_hat(self, c: CurveData, n: int) -> _LinearTerm:
         """This term times zh(s + n), in the form of the module docstring."""
         q, g = Fraction(c.q), c.g
         num = self.num * c.numerator.scale_arg(q**-n) * q ** ((g - 1) * n)
         out = _LinearTerm(num, self.k + 1 - g, dict(self.den))
-        out.divide(q**-n)
-        out.divide(q ** (1 - n))
+        out.divide(-n)
+        out.divide(1 - n)
         return out
 
-    def ratfun(self) -> RationalFunction:
+    def ratfun(self, q: Fraction) -> RationalFunction:
         den = Poly.one()
-        for a, m in self.den.items():
-            den = den * Poly([1, -a]) ** m
+        for e, m in self.den.items():
+            den = den * Poly([1, -(q**e)]) ** m
         if self.k >= 0:
             return RationalFunction(self.num * Poly.x(self.k), den)
         return RationalFunction(self.num, den * Poly.x(-self.k))
 
 
-def _linear_sum(terms: list[_LinearTerm]) -> _LinearTerm:
+def _linear_sum(terms: list[_LinearTerm], q: Fraction) -> _LinearTerm:
     """The sum over the LCM of the factored denominators, as one term.
 
     The LCM takes each linear factor at its largest multiplicity and the
     lowest power of u; every term's numerator is scaled up to it, so the
-    only polynomial products are by known powers of (1 - a u).
+    only polynomial products are by known powers of (1 - q^e u).
     """
-    lcm: dict[Fraction, int] = {}
+    lcm: dict[int, int] = {}
     for t in terms:
-        for a, m in t.den.items():
-            lcm[a] = max(lcm.get(a, 0), m)
+        for e, m in t.den.items():
+            lcm[e] = max(lcm.get(e, 0), m)
     k = min(t.k for t in terms)
-    powers: dict[tuple[Fraction, int], Poly] = {}
+    powers: dict[tuple[int, int], Poly] = {}
     num = Poly()
     for t in terms:
         part = t.num * Poly.x(t.k - k)
-        for a, m in lcm.items():
-            e = m - t.den.get(a, 0)
-            if e:
-                if (a, e) not in powers:
-                    powers[a, e] = Poly([1, -a]) ** e
-                part = part * powers[a, e]
+        for e, m in lcm.items():
+            d = m - t.den.get(e, 0)
+            if d:
+                if (e, d) not in powers:
+                    powers[e, d] = Poly([1, -(q**e)]) ** d
+                part = part * powers[e, d]
         num = num + part
     return _LinearTerm(num, k, lcm)
 
@@ -302,6 +305,7 @@ def slr_zeta(c: CurveData, r: int) -> SlrZeta:
         raise ValueError("group zeta needs genus >= 1")
     rs, pb = build_root_system(r)
     q = Fraction(c.q)
+    zh: dict[int, Fraction] = {}  # zh(n), each evaluated on first use
     R: dict[int, list[_LinearTerm]] = {}
     for w in pb.frak_w_p:
         n_w, zeta_exp, const_factors, s_factors = _term_data(rs, pb, w, r)
@@ -310,23 +314,24 @@ def slr_zeta(c: CurveData, r: int) -> SlrZeta:
         value = Fraction(1)
         for n, e in zeta_exp.items():
             if e:
-                value *= zeta_hat_special(c, n) ** e
+                if n not in zh:
+                    zh[n] = zeta_hat_special(c, n)
+                value *= zh[n] ** e
         for e in const_factors:
             value /= 1 - q**e
         term = _LinearTerm(Poly([value]))
         for e, upow in s_factors:
-            a = q**e
             if upow == 1:
-                term.divide(a)
-            else:  # 1/(1 - a/u) = -(1/a) u / (1 - u/a)
-                term.num = term.num * (-1 / a)
+                term.divide(e)
+            else:  # 1/(1 - q^e/u) = -q^{-e} u / (1 - q^{-e} u)
+                term.num = term.num * -(q**-e)
                 term.k += 1
-                term.divide(1 / a)
+                term.divide(-e)
         R.setdefault(n_w, []).append(term)
 
-    sums = {n: _linear_sum(R[n]) for n in sorted(R)}
-    terms = [(n, t.ratfun()) for n, t in sums.items()]
-    combined = _linear_sum([t.times_zeta_hat(c, n) for n, t in sums.items()]).ratfun()
+    sums = {n: _linear_sum(R[n], q) for n in sorted(R)}
+    terms = [(n, t.ratfun(q)) for n, t in sums.items()]
+    combined = _linear_sum([t.times_zeta_hat(c, n) for n, t in sums.items()], q).ratfun(q)
     numerator = _extract_numerator(combined, c, r)
     return SlrZeta(r, c.q, c.g, tuple(terms), combined, numerator)
 

@@ -9,7 +9,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curvezeta import cli, fields
+from curvezeta import artin, cli, fields
 from curvezeta.cli import TASKS, JobError, main, parse_job, render, run
 
 FULL_JOB = """\
@@ -66,6 +66,7 @@ BAD_VALUES = [
     ),
     ("curves:\n  - {type: elliptic, q: 2, a: 0}\ntolerance: -1\n", "tolerance"),
     ("curves:\n  - {type: elliptic, q: 2, a: 0}\ntolerance: .nan\n", "tolerance"),
+    ("curves:\n  - {type: elliptic, q: 2, a: 0}\ntolerance: true\n", "tolerance"),
     ("curves:\n  - {type: coefficients, q: 5, g: 1.5, A: [1, 0, 5]}\n", "curves[0]: g"),
     ("curves:\n  - {type: counts, q: 5, g: 1.5, counts: [6]}\n", "curves[0]: g"),
     ("curves:\n  - {type: elliptic, q: 2, a: 0}\nranks: []\ntasks: [mass]\n", "ranks"),
@@ -124,6 +125,7 @@ BAD_VALUE_IDS = [
     "tolerance-inf",
     "tolerance-negative",
     "tolerance-nan",
+    "tolerance-bool",
     "coefficients-g-float",
     "counts-g-float",
     "ranks-empty",
@@ -174,6 +176,21 @@ class TestParsing:
         assert len(job.curves) == 4
         assert job.ranks == [2, 3]
         assert job.tasks[0] == "artin"
+
+    @pytest.mark.parametrize("source", ["full", "criterion10"])
+    def test_each_curve_built_once(self, jobfile, monkeypatch, source):
+        # counts and model curves are checked by one CurveData.__init__, not two
+        calls = []
+        init = artin.CurveData.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(artin.CurveData, "__init__", counting_init)
+        job = parse_job(jobfile if source == "full" else DATA / "criterion10_job.yaml")
+        assert len(job.curves) == 4
+        assert len(calls) == len(job.curves)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(JobError):

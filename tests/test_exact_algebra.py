@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvezeta.exact import (
+    _CERT_PRIME,
+    _squarefree_mod_prime,
     complex_roots_numeric,
     ComplexRootSet,
     Poly,
@@ -279,6 +281,70 @@ class TestPolyGcd:
         ea, eb = Poly([1, -a, q]), Poly([1, -b, q])
         parts = squarefree_decomposition(ea**m * eb)
         assert parts == [(eb.monic(), 1), (ea.monic(), m)]
+
+
+nonconstant_polys = fraction_lists.map(Poly).filter(lambda p: p.degree >= 1)
+distinct_ints = st.lists(st.integers(min_value=-9, max_value=9), unique=True)
+
+
+class TestSquarefreeCertificate:
+    @given(nonconstant_polys, fraction_polys, st.integers(min_value=1, max_value=3))
+    @settings(max_examples=100, deadline=None)
+    def test_certified_means_coprime_to_derivative(self, f, g, k):
+        # f * g^k is square-free for k = 1 on most draws and never when k >= 2, deg g >= 1
+        assume(not g.is_zero())
+        h = f * g**k
+        if _squarefree_mod_prime(h.ints):
+            assert poly_gcd(h, h.derivative()).degree == 0
+            assert squarefree_decomposition(h) == [(h.monic(), 1)]
+
+    @given(fraction_polys, nonconstant_polys, st.integers(min_value=2, max_value=3))
+    @settings(max_examples=100, deadline=None)
+    def test_square_factor_never_certified(self, f, g, k):
+        assume(not f.is_zero())
+        h = f * g**k
+        assert not _squarefree_mod_prime(h.ints)
+        parts = squarefree_decomposition(h)
+        product = Poly.one()
+        for factor, mult in parts:
+            product = product * factor**mult
+        assert product == h.monic()
+        assert max(mult for _, mult in parts) >= k
+
+    @given(distinct_ints, st.lists(st.integers(min_value=-9, max_value=9), min_size=1, unique=True), st.integers(2, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_complex_roots_keep_exact_multiplicities(self, simple, repeated, k):
+        # prod (t - a) over simple times prod (t - b)^k over repeated: each root comes
+        # back as exact copies of one float, as often as it divides the product
+        h = Poly.one()
+        for a in simple:
+            h = h * Poly([-a, 1])
+        for b in repeated:
+            h = h * Poly([-b, 1]) ** k
+        assert not _squarefree_mod_prime(h.ints)
+        roots = complex_roots(h).roots
+        assert len(roots) == h.degree
+        for b in set(simple) | set(repeated):
+            near = [z for z in roots if abs(z - b) < 1e-9]
+            assert len(near) == (b in simple) + k * (b in repeated)
+            assert len(set(near)) == 1
+
+    @pytest.mark.parametrize(
+        "f, parts",
+        [
+            (Poly([-_CERT_PRIME, 0, 1]), [(Poly([-_CERT_PRIME, 0, 1]), 1)]),
+            (
+                Poly([1, _CERT_PRIME]) ** 2 * Poly([-2, 1]),
+                [(Poly([-2, 1]), 1), (Poly([F(1, _CERT_PRIME), 1]), 2)],
+            ),
+        ],
+        ids=["square-free-but-square-mod-p", "square-with-p-dividing-lead"],
+    )
+    def test_uncertified_inputs_fall_back_to_yun(self, f, parts):
+        # t^2 - p is t^2 mod p.  (p t + 1)^2 (t - 2) is t - 2 mod p, coprime to
+        # its derivative there; only the lead check keeps it from being certified
+        assert not _squarefree_mod_prime(f.ints)
+        assert squarefree_decomposition(f) == parts
 
 
 class TestRationalFunction:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from curvezeta.artin import CurveData, zeta_hat_ratfun, zeta_hat_special
+from curvezeta import group_zeta
 from curvezeta.exact import Poly, RationalFunction
 from curvezeta.group_zeta import (
     _factored_sum,
@@ -16,11 +17,13 @@ from curvezeta.group_zeta import (
     _term_data,
     _weyl_terms_r3,
     build_root_system,
+    is_positive,
     period_residue_oracle,
     period_sum_r2,
     slr_fe_check,
     slr_numerator,
     slr_rh_report,
+    root_height,
     slr_zeta,
 )
 from curvezeta.mass import beta_hn_mass
@@ -89,11 +92,27 @@ class TestRootSystem:
         assert len(rs.weyl) == 24
         assert len(rs.positive_roots) == 6
 
-    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
     def test_flips_equal_inversions(self, r):
         rs, _ = build_root_system(r)
         for w in rs.weyl:
             assert len(rs.flipped_positive_roots(w)) == w.inversions()
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+    def test_tables_match_root_action_definitions(self, r):
+        # the tables read off w.perm against their definitions through w.apply
+        rs, pb = build_root_system(r)
+        for w in rs.weyl:
+            flipped = [a for a in rs.positive_roots if not is_positive(w.apply(a))]
+            assert rs.flipped_positive_roots(w) == flipped
+            assert w.inversions() == sum(1 for i in range(1, r + 1) for j in range(i + 1, r + 1) if w(i) > w(j))
+
+        def negative_or_simple(b):
+            return not is_positive(b) or root_height(b) == 1
+
+        expect = tuple(w for w in rs.weyl if all(negative_or_simple(w.apply(a)) for a in pb.delta_p))
+        assert pb.frak_w_p == expect
+        assert len(expect) == {2: 2, 3: 5, 4: 12, 5: 28, 6: 64}[r]  # (r + 2) 2^(r - 3)
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
     def test_weight_and_rho_pairings(self, r):
@@ -116,6 +135,21 @@ class TestSlrAssembly:
         q = F(2)
         assert terms[1] == RationalFunction([0, 1], [-q * q, 1])
         assert terms[2] == RationalFunction([1], [1, -1])
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+    def test_zeta_values_evaluated_once_per_assembly(self, monkeypatch, r):
+        calls = []
+
+        def counting(c, n):
+            calls.append(n)
+            return zeta_hat_special(c, n)
+
+        monkeypatch.setattr(group_zeta, "zeta_hat_special", counting)
+        c = elliptic_product(3, 2, 100 + r)  # a curve no other test assembles
+        z = slr_zeta.__wrapped__(c, r)
+        assert len(calls) == len(set(calls)) and set(calls) <= set(range(1, r))
+        assert bool(calls) == (r > 2)  # the rank-two terms carry no zh(n) factor
+        assert pairwise_slr(c, r) == (z.terms, z.combined)
 
     def test_rank2_combined_display(self, corpus):
         # zh(s+1)/(1-q^{s+2}) + zh(s+2)/(1-q^{-s}), assembled independently

@@ -69,11 +69,12 @@ class TestHnMass:
                     assert beta_hn_mass(c, r, d) == beta_hn_mass(c, r, d + r), c.describe()
                     assert beta_hn_mass(c, r, d) == beta_hn_mass(c, r, d - r)
 
-    def test_agrees_with_composition_formula(self, corpus):
-        for c in corpus:
+    def test_agrees_with_composition_formula(self, curve_g1, curve_g2, corpus):
+        # exact at every rank the package covers, beyond the r <= 3 that beta_crosscheck asserts
+        for c in [curve_g1, curve_g2, *corpus]:
             if c.g < 1:
                 continue
-            for r in (1, 2, 3):
+            for r in range(1, 7):
                 assert beta_hn_mass(c, r, 0) == beta_composition_formula(c, r), (
                     c.describe(),
                     r,
