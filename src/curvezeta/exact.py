@@ -682,7 +682,9 @@ def _squarefree_mod_prime(ints: tuple[int, ...]) -> bool:
 
     Then f is square-free over the rationals, provided p does not divide
     lead(f): a primitive h = gcd(f, f') of degree >= 1 divides f and f' in
-    Z[x] and keeps its degree mod p, so it would divide both reductions.
+    Z[x], and lead(h) divides lead(f), so h keeps its degree mod p and
+    would divide both reductions (von zur Gathen and Gerhard, Modern
+    Computer Algebra, 6.4-6.6).
     A False answer proves nothing; the input may still be square-free.
     """
     p = _CERT_PRIME

@@ -284,7 +284,7 @@ class TestPolyGcd:
 
 
 nonconstant_polys = fraction_lists.map(Poly).filter(lambda p: p.degree >= 1)
-distinct_ints = st.lists(st.integers(min_value=-9, max_value=9), unique=True)
+small_ints = st.integers(min_value=-9, max_value=9)
 
 
 class TestSquarefreeCertificate:
@@ -311,7 +311,7 @@ class TestSquarefreeCertificate:
         assert product == h.monic()
         assert max(mult for _, mult in parts) >= k
 
-    @given(distinct_ints, st.lists(st.integers(min_value=-9, max_value=9), min_size=1, unique=True), st.integers(2, 3))
+    @given(st.lists(small_ints, unique=True), st.lists(small_ints, min_size=1, unique=True), st.integers(2, 3))
     @settings(max_examples=100, deadline=None)
     def test_complex_roots_keep_exact_multiplicities(self, simple, repeated, k):
         # prod (t - a) over simple times prod (t - b)^k over repeated: each root comes
