@@ -16,12 +16,19 @@ degree-zero line-bundle classes and the point count N_1 = #X(F_q) coincide
 for genus one but differ in general.  Formulas in this package that weight
 by "the number of classes" always use h, never N_1; the two are conflated
 in some classical displays and the distinction matters from genus two on.
+
+A curve computes its derived data on first use and keeps it: its field hash,
+the numerator polynomial, the class number, the reduced Z(t), the Newton
+power sums p_1, p_2, ... (extended by :func:`counts_from_numerator`) and the
+coefficients of the Z(t) series (extended by :meth:`CurveData.zeta_coefficient`).
+The per-(curve, n) values ``zeta_hat_special``, ``zeta_plain`` and
+``zeta_hat_ratfun`` are memoized, so a job derives each of them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -84,18 +91,63 @@ class CurveData:
             raise ValueError("trace violates |a| <= 2*sqrt(q)")
         return CurveData(q, 1, [1, -a, q], genuine=genuine, label=label or f"elliptic(q={q},a={a})")
 
-    @property
+    def __hash__(self) -> int:
+        return self._field_hash
+
+    @cached_property
+    def _field_hash(self) -> int:
+        # the dataclass field hash, kept: every cache keyed by a curve asks for it
+        return hash((self.q, self.g, self.A, self.genuine, self.label))
+
+    @cached_property
     def numerator(self) -> Poly:
         return Poly(self.A)
 
-    @property
+    @cached_property
     def class_number(self) -> Fraction:
         """h = P(1), the number of degree-zero line-bundle classes."""
         return sum(self.A, Fraction(0))
 
-    def zeta_ratfun(self) -> RationalFunction:
-        """Z(t) as an exact rational function of t."""
+    @cached_property
+    def _zeta(self) -> RationalFunction:
         return RationalFunction(self.numerator, Poly([1, -(self.q + 1), self.q]))
+
+    def zeta_ratfun(self) -> RationalFunction:
+        """Z(t) as an exact rational function of t, reduced once per curve."""
+        return self._zeta
+
+    def zeta_coefficient(self, d: int) -> Fraction:
+        """The t^d coefficient of Z(t), d >= 0, from one series kept on the curve.
+
+        Z(t) (1 - (q+1) t + q t^2) = P(t) gives a_d = A_d + (q+1) a_{d-1} - q a_{d-2};
+        the series is extended only past the largest d asked for so far.
+        """
+        A, a, q = self._exact_A, self._zeta_series, self.q
+        for n in range(len(a), d + 1):
+            acc = A[n] if n <= 2 * self.g else 0
+            if n >= 1:
+                acc += (q + 1) * a[n - 1]
+            if n >= 2:
+                acc -= q * a[n - 2]
+            a.append(acc)
+        return Fraction(a[d])
+
+    @cached_property
+    def _exact_A(self) -> tuple[Rat, ...]:
+        # A_0..A_{2g} as ints when every one is an integer, else as Fractions
+        if all(a.denominator == 1 for a in self.A):
+            return tuple(a.numerator for a in self.A)
+        return self.A
+
+    @cached_property
+    def _power_sums(self) -> list[Rat]:
+        # [p_0, p_1, ...]: p_0 is a placeholder; counts_from_numerator extends it
+        return [0]
+
+    @cached_property
+    def _zeta_series(self) -> list[Rat]:
+        # the t^0, t^1, ... coefficients of Z(t); zeta_coefficient extends it
+        return []
 
     def describe(self) -> str:
         return self.label or f"curve(q={self.q},g={self.g},A={[str(a) for a in self.A]})"
@@ -142,39 +194,43 @@ def counts_from_numerator(c: CurveData, m: int) -> int:
     """N_m = q^m + 1 - p_m via the Newton power-sum recurrence on the A_i.
 
     p_m is the m-th power sum of the reciprocal roots; no floating point.
+    The sums are kept on the curve and extended only past the largest m
+    asked for so far, so one pass serves every m.  They run on ints when
+    every A_i is an integer and on Fractions otherwise.
     """
     if m < 1:
         raise ValueError("extension degree must be >= 1")
-    p = [Fraction(0)] * (m + 1)
-    for n in range(1, m + 1):
-        acc = -n * c.A[n] if n <= 2 * c.g else Fraction(0)
-        for k in range(1, n):
-            if n - k <= 2 * c.g:
-                acc -= p[k] * c.A[n - k]
-        p[n] = acc
-    val = Fraction(c.q) ** m + 1 - p[m]
-    if val.denominator != 1:
-        raise ValueError("non-integer reconstructed count (non-genuine data)")
-    return int(val)
+    A, p, top = c._exact_A, c._power_sums, 2 * c.g
+    for n in range(len(p), m + 1):
+        acc = -n * A[n] if n <= top else 0
+        for k in range(max(1, n - top), n):
+            acc -= p[k] * A[n - k]
+        p.append(acc)
+    val = c.q**m + 1 - p[m]
+    if isinstance(val, Fraction):
+        if val.denominator != 1:
+            raise ValueError("non-integer reconstructed count (non-genuine data)")
+        val = val.numerator
+    return val
 
 
+@lru_cache(maxsize=256)
 def zeta_hat_special(c: CurveData, n: int) -> Fraction:
     """The completed zeta q^{(g-1)s} Z(q^{-s}) at the integer s = n.
 
     n = 0 and n = 1 are the simple-pole regularized values
-    (sum A_i)/(q-1) and (sum A_i q^{g-i})/(q-1); every other integer is a
-    plain exact evaluation.
+    (sum A_i)/(q-1) and (sum A_i q^{g-i})/(q-1); every other integer is
+    q^{(g-1)n} times the plain value :func:`zeta_plain`.
     """
     q, g = Fraction(c.q), c.g
     if n == 0:
-        return sum(c.A, Fraction(0)) / (q - 1)
+        return c.class_number / (q - 1)
     if n == 1:
         return sum(a * q ** (g - i) for i, a in enumerate(c.A)) / (q - 1)
-    u = q**-n
-    value = c.numerator.evaluate(u) / ((1 - u) * (1 - q * u))
-    return q ** ((g - 1) * n) * value
+    return q ** ((g - 1) * n) * zeta_plain(c, n)
 
 
+@lru_cache(maxsize=256)
 def zeta_plain(c: CurveData, n: int) -> Fraction:
     """The unhatted value Z(q^{-n}); n must avoid the poles n = 0, 1."""
     if n in (0, 1):
@@ -184,6 +240,7 @@ def zeta_plain(c: CurveData, n: int) -> Fraction:
     return c.numerator.evaluate(u) / ((1 - u) * (1 - q * u))
 
 
+@lru_cache(maxsize=256)
 def zeta_hat_ratfun(c: CurveData, shift: int = 0, u_power: int = 1) -> RationalFunction:
     """The completed zeta at argument (s_var * u_power + shift), in u = q^{-s_var}.
 

@@ -15,6 +15,12 @@ The triangular conversion between (alpha_0..alpha_{g-1}, beta_0) and the
 numerator coefficients A_0..A_g, and a genus-one brute-force oracle that
 recomputes everything from the h^0 stratification directly, give two
 independent routes to the same numbers.
+
+alpha(d) is read from the Z(t) series the curve keeps
+(:meth:`~curvezeta.artin.CurveData.zeta_coefficient`): it is expanded once,
+on the curve's integer numerator when it has one, and only extended when a
+higher degree is asked for; Z(t) is never reduced for it.  beta_0 reads the
+curve's cached class number.
 """
 
 from __future__ import annotations
@@ -118,7 +124,7 @@ def alpha_degree(c: CurveData, d: int) -> Fraction:
         raise ValueError("invariants need genus >= 1")
     if d < 0:
         return Fraction(0)
-    return c.zeta_ratfun().series(d)[d]
+    return c.zeta_coefficient(d)
 
 
 def gamma(c: CurveData, d: int) -> Fraction:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 from curvezeta.artin import CurveData, zeta_hat_special, zeta_plain
@@ -87,6 +88,7 @@ def beta_composition_formula(c: CurveData, r: int) -> Fraction:
     return q ** ((c.g - 1) * r * (r - 1) // 2) * total
 
 
+@lru_cache(maxsize=256)
 def _v_block(c: CurveData, n: int) -> Fraction:
     """v_n(q) = h/(q-1) * q^{(n^2-1)(g-1)} * Z(q^-2)..Z(q^-n)."""
     q = Fraction(c.q)
@@ -96,8 +98,17 @@ def _v_block(c: CurveData, n: int) -> Fraction:
     return value
 
 
+@lru_cache(maxsize=256)
 def beta_hn_mass(c: CurveData, r: int, d: int) -> Fraction:
-    """beta_r(d) through the Harder-Narasimhan mass sum (any integer d)."""
+    """beta_r(d) through the Harder-Narasimhan mass sum (any integer d).
+
+    The q-exponent of each composition, (g-1) sum_{i<j} n_i n_j plus
+    sum_i (n_i + n_{i+1}) {k_i d / r} with k_i = n_1 + .. + n_i, is an
+    integer although its fractional-part terms need not be: without the
+    floors the second sum telescopes, sum_i (k_{i+1} - k_{i-1}) k_i d / r
+    = k_{s-1} d.  So it is added up exactly and q is raised to it once,
+    and the mass is an exact Fraction for every d.
+    """
     if r < 1 or c.g < 1:
         raise ValueError("need r >= 1 and genus >= 1")
     q = Fraction(c.q)
@@ -106,13 +117,17 @@ def beta_hn_mass(c: CurveData, r: int, d: int) -> Fraction:
         parts = comp.parts
         s = len(parts)
         cross = sum(parts[i] * parts[j] for i in range(s) for j in range(i + 1, s))
-        term = q ** ((c.g - 1) * cross)
+        exponent = Fraction((c.g - 1) * cross)
+        term = Fraction(1)
         prefix = 0
         for i in range(s - 1):
             prefix += parts[i]
             frac_part = Fraction(prefix * d, r) - (prefix * d // r)
-            term *= q ** ((parts[i] + parts[i + 1]) * frac_part)
+            exponent += (parts[i] + parts[i + 1]) * frac_part
             term /= 1 - q ** (parts[i] + parts[i + 1])
+        if exponent.denominator != 1:
+            raise AssertionError(f"non-integer q-exponent {exponent} for {parts} at d = {d}")
+        term *= q**exponent.numerator
         for n in parts:
             term *= _v_block(c, n)
         total += term

@@ -149,6 +149,7 @@ def beta_from_special_values(c: CurveData) -> Fraction:
     return q ** (2 * (c.g - 1)) * (z2 - z1 * z1 / (q * q - 1))
 
 
+@lru_cache(maxsize=256)
 def alpha2_zero(c: CurveData) -> Fraction:
     """alpha(0) in rank two: q^{g-1} * zeta_hat(1)."""
     return Fraction(c.q) ** (c.g - 1) * zeta_hat_special(c, 1)
@@ -179,8 +180,13 @@ def eq_extract(
     return InvariantTable(r=2, alphas=alphas, beta0=beta, gammas=gammas)
 
 
+@lru_cache(maxsize=256)
 def rank2_invariants(c: CurveData) -> InvariantTable:
-    """The full rank-two pipeline: closed form -> series -> invariants."""
+    """The full rank-two pipeline: closed form -> series -> invariants.
+
+    Memoized: callers share the returned table and must not change its
+    ``gammas``.
+    """
     F, shift = rank2_closed_form(c)
     return eq_extract(F, shift, alpha2_zero(c), c.q, c.g)
 

@@ -19,6 +19,34 @@ from curvezeta.artin import (
 F = Fraction
 
 
+def newton_count_reference(c: CurveData, m: int) -> int:
+    """The per-m Fraction recurrence that the power sums kept on the curve replace."""
+    p = [F(0)] * (m + 1)
+    for n in range(1, m + 1):
+        acc = -n * c.A[n] if n <= 2 * c.g else F(0)
+        for k in range(1, n):
+            if n - k <= 2 * c.g:
+                acc -= p[k] * c.A[n - k]
+        p[n] = acc
+    val = F(c.q) ** m + 1 - p[m]
+    if val.denominator != 1:
+        raise ValueError("non-integer reconstructed count (non-genuine data)")
+    return int(val)
+
+
+def fresh(c: CurveData) -> CurveData:
+    """An equal curve with nothing derived yet."""
+    return CurveData(c.q, c.g, c.A, genuine=c.genuine, label=c.label)
+
+
+# rational non-genuine data; the last reconstructs integral N_1, N_2 but not N_3
+RATIONAL_CURVES = [
+    CurveData(3, 2, [1, F(1, 2), F(2, 3), 5, F(-1, 7)]),
+    CurveData(2, 1, [1, F(-11, 3), 2]),
+    CurveData(5, 2, [1, 2, 1, F(1, 2), 1]),
+]
+
+
 class TestCurveData:
     def test_projective_line(self):
         c = numerator_from_counts(3, 0, [])
@@ -43,6 +71,20 @@ class TestCurveData:
     def test_elliptic_trace_bound(self):
         with pytest.raises(ValueError):
             CurveData.elliptic(2, 3)
+
+    def test_equality_and_hash_are_those_of_the_fields(self, corpus):
+        for c in corpus:
+            other = fresh(c)
+            counts_from_numerator(c, 3 * c.g + 2)
+            c.zeta_ratfun()
+            assert c == other and hash(c) == hash(other)
+            assert hash(c) == hash((c.q, c.g, c.A, c.genuine, c.label))
+        assert CurveData(2, 1, [1, 0, 2]) != CurveData(2, 1, [1, 0, 2], label="other")
+
+    def test_derived_data_kept(self, curve_g2):
+        c = fresh(curve_g2)
+        assert c.numerator is c.numerator
+        assert c.zeta_ratfun() is c.zeta_ratfun()
 
 
 class TestNumeratorFromCounts:
@@ -82,6 +124,30 @@ class TestCountsFromNumerator:
 
     def test_quintic_count(self, curve_g2):
         assert counts_from_numerator(curve_g2, 2) == 5
+
+    def test_matches_per_m_recurrence(self, corpus):
+        # one power-sum list per curve, asked in either order on a fresh curve
+        g0 = [numerator_from_counts(q, 0, []) for q in (2, 3, 4)]
+        asym = [CurveData(2, 1, [1, 1, 1]), CurveData(3, 2, [1, 1, 1, 2, 5])]
+        for c in [*corpus, *g0, *asym, *RATIONAL_CURVES]:
+            ms = range(1, 3 * c.g + 3)
+            for order in (ms, reversed(ms)):
+                other = fresh(c)
+                for m in order:
+                    try:
+                        want = newton_count_reference(c, m)
+                    except ValueError:
+                        with pytest.raises(ValueError, match="non-integer"):
+                            counts_from_numerator(other, m)
+                        continue
+                    got = counts_from_numerator(other, m)
+                    assert got == want and type(got) is int, (c.describe(), m)
+
+    def test_rational_data_still_raises(self):
+        assert [counts_from_numerator(RATIONAL_CURVES[2], m) for m in (1, 2)] == [8, 24]
+        for c in RATIONAL_CURVES:
+            with pytest.raises(ValueError, match="non-integer"):
+                counts_from_numerator(fresh(c), 3)
 
 
 class TestZetaHatSpecial:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,9 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curvezeta import artin, cli, fields
+from curvezeta import artin, cli, fields, mass, rank2
 from curvezeta.cli import TASKS, JobError, main, parse_job, render, run
+from curvezeta.exact import Poly
 
 FULL_JOB = """\
 curves:
@@ -154,6 +156,15 @@ def loader(request, monkeypatch):
     """Run the test with parse_job reading through each available YAML loader."""
     monkeypatch.setattr(cli, "_LOADER", request.param)
     return request.param
+
+
+def clear_caches() -> None:
+    """Empty every curvezeta lru_cache, as in a fresh process."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("curvezeta."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +312,52 @@ class TestRun:
         assert code == 0
         assert sorted(calls) == [((0, 0, 0, 0, 0, 1), 1), ((0, 0, 0, 0, 0, 1), 2), ((1, 2, 0, 1), 1)]
         assert [row["counts"] for row in tree["census"]] == [[3, 5], [7], []]
+
+    def test_curve_data_derived_once_per_job(self, jobfile, monkeypatch):
+        # a cold run of all seven tasks reduces Z(t) once per curve and
+        # evaluates each numerator once at each point q^-n
+        clear_caches()
+        reduced = []
+        zeta = artin.CurveData.__dict__["_zeta"]
+        monkeypatch.setattr(zeta, "func", lambda c, func=zeta.func: reduced.append(c) or func(c))
+        job = parse_job(jobfile)
+        numerators = {id(c.numerator) for c in job.curves}
+        evaluated = []
+        evaluate = Poly.evaluate
+
+        def counting(p, x):
+            if id(p) in numerators:
+                evaluated.append((id(p), x))
+            return evaluate(p, x)
+
+        monkeypatch.setattr(Poly, "evaluate", counting)
+        code, _ = run(job)
+        assert code == 0
+        assert sorted(map(id, reduced)) == sorted(map(id, job.curves))
+        assert evaluated and len(evaluated) == len(set(evaluated))
+        memoized = [
+            artin.zeta_hat_special,
+            artin.zeta_plain,
+            artin.zeta_hat_ratfun,
+            rank2.alpha2_zero,
+            rank2.rank2_invariants,
+            mass._v_block,
+            mass.beta_hn_mass,
+        ]
+        for f in memoized:
+            info = f.cache_info()
+            assert info.misses == info.currsize and info.hits, (f.__name__, info)
+
+    def test_mass_at_degree_not_divisible_by_rank(self, tmp_path):
+        path = tmp_path / "mass.yaml"
+        path.write_text(
+            "curves:\n  - {type: elliptic, q: 2, a: 0}\nranks: [3]\ndegree: 1\ntasks: [mass]\n"
+        )
+        job = parse_job(path)
+        code, tree = run(job)
+        assert code == 0
+        report = json.loads(render(tree, job.fmt)["report.json"])
+        assert report["reports"][0]["data"]["beta_at_degree"]["r3"] == "3"
 
     def test_genus_zero_skips_all_but_artin(self, tmp_path):
         path = tmp_path / "g0.yaml"

@@ -91,12 +91,24 @@ class TestGamma:
         assert gamma(curve_g2, 0) == 6
 
     def test_alpha_is_series_coefficient(self, corpus):
-        for c in corpus:
-            if c.g < 1:
-                continue
-            series = c.zeta_ratfun().series(2 * c.g + 2)
-            for d in range(2 * c.g + 3):
-                assert alpha_degree(c, d) == series[d]
+        # alpha_degree reads one series kept on the curve, asked in either order
+        # on a fresh curve; the reference expands the reduced Z(t) afresh
+        rng = random.Random(10)
+        rational = [
+            CurveData(3, 2, [1, F(1, 2), F(2, 3), 5, F(-1, 7)]),
+            CurveData(2, 1, [1, F(-11, 3), 2]),
+            CurveData(2, 1, [1, 1, 1]),
+        ]
+        synthetic = [random_palindromic(rng, q, g) for q, g in [(2, 3), (3, 2), (7, 4)]]
+        for c in [*corpus, *rational, *synthetic]:
+            series = c.zeta_ratfun().series(2 * c.g + 3)
+            ds = range(-1, 2 * c.g + 4)
+            for order in (ds, reversed(ds)):
+                fresh = CurveData(c.q, c.g, c.A, genuine=c.genuine, label=c.label)
+                for d in order:
+                    got = alpha_degree(fresh, d)
+                    assert got == (series[d] if d >= 0 else 0), (c.describe(), d)
+                    assert type(got) is Fraction
 
     def test_alpha_duality_with_tail(self, corpus):
         # for g <= d <= 2g-2: alpha(d) = q^{d-g+1} alpha(2g-2-d) + b0 (q^{d-g+1}-1)
@@ -171,3 +183,8 @@ def test_invariant_table_shape(curve_g2):
     assert set(table.gammas) == set(range(2 * curve_g2.g + 1))
     for d, val in table.gammas.items():
         assert val == alpha_degree(curve_g2, d) + table.beta0
+
+
+def test_alpha_degree_rejects_genus_zero():
+    with pytest.raises(ValueError, match="genus >= 1"):
+        alpha_degree(CurveData(2, 0, [1], genuine=True), 0)

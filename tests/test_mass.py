@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvezeta.artin import zeta_plain
+from curvezeta.artin import CurveData, zeta_plain
 from curvezeta.invariants import beta0
 from curvezeta.mass import (
     Composition,
@@ -129,3 +129,37 @@ class TestCrosscheck:
         out = beta_crosscheck(curve_g1, 4)
         assert len(out["rows"]) == 4
         assert "ratio" in out["rows"][3]
+
+
+class TestHnMassExact:
+    """beta_r(d) for r = 1..6 and d in [-r, 2r) on the fixture curves."""
+
+    @pytest.fixture
+    def fixtures(self, curve_g1, curve_g2):
+        return [curve_g1, curve_g2]
+
+    def test_exact_fraction(self, fixtures):
+        for c in fixtures:
+            for r in range(1, 7):
+                for d in range(-r, 2 * r):
+                    assert type(beta_hn_mass(c, r, d)) is Fraction, (c.describe(), r, d)
+
+    def test_twist_and_duality(self, fixtures):
+        # tensoring by a degree-one line bundle shifts d by r; duality sends d to -d
+        for c in fixtures:
+            for r in range(1, 7):
+                for d in range(-r, 2 * r):
+                    value = beta_hn_mass(c, r, d)
+                    assert value == beta_hn_mass(c, r, d + r), (c.describe(), r, d)
+                    assert value == beta_hn_mass(c, r, -d), (c.describe(), r, d)
+
+    def test_rank_one_is_class_count(self, fixtures):
+        for c in fixtures:
+            for d in range(-1, 2):
+                assert beta_hn_mass(c, 1, d) == c.class_number / (c.q - 1)
+
+    def test_non_divisible_degrees_exact(self):
+        # these came out as the floats 3.0, 3.0 and 6.0 while each fractional
+        # q-power was applied on its own
+        c = CurveData.elliptic(2, 0)
+        assert [beta_hn_mass(c, r, d) for r, d in [(3, 1), (3, 2), (4, 2)]] == [3, 3, 6]
