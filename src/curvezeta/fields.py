@@ -5,9 +5,15 @@ in F_p[x] modulo a monic modulus of degree m.  The modulus is the
 lexicographically smallest primitive one: walking the powers of x from 1
 returns to 1 first at step p^m - 1, which proves the modulus irreducible and
 makes x a generator.  That one walk fills the power table exp[k] = x^k and the
-log table, so a product is one lookup of exp at a sum of logs.  Tables are
-built once per field, for p^m up to 2**20.  The counts N_m = #X(F_{q^m}) are
-the ground truth for the zeta layer.
+log table, so a product is one lookup of exp at a sum of logs.  Before a
+modulus is walked, two necessary conditions for primitivity are tested: the
+norm (-1)^m c_0 of x must generate F_p^*, and for m > 1 the modulus must have
+no root in F_p^*.  Tables are built once per field, for p^m up to 2**20.
+
+The counts N_m = #X(F_{q^m}) are the ground truth for the zeta layer.  The
+model's coefficients lie in F_p, and the quadratic character and the absolute
+trace are both invariant under Frobenius z -> z^p, so f is evaluated once per
+Frobenius orbit of x and the orbit's points are counted by its size.
 
 Supported smooth models, all with a single point at infinity:
 
@@ -24,7 +30,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 FIELD_CAP = 2**20
 
@@ -80,15 +86,57 @@ def _poly_gcd_fp(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def _candidate_moduli(p: int, m: int) -> Iterator[list[int]]:
+    """Low digits [c_0, ..., c_{m-1}] of the moduli x^m + sum(c_i x^i), in the
+    order of sum(c_i p^i), less those that cannot make x primitive.
+
+    Skipped: c_0 = 0 (x divides the modulus); a norm (-1)^m c_0 that does not
+    generate F_p^*, since the norm of x is x^((p^m - 1)/(p - 1)), which has
+    order p - 1 when x does have order p^m - 1 (Lidl and Niederreiter, Finite
+    Fields, Thm. 3.18); and, for m > 1, a root in F_p^*, which makes the
+    modulus reducible.
+    """
+    weights = [p**i for i in range(m)]
+    norm_exponents = [(p - 1) // ell for ell in _prime_factors(p - 1)]
+    for code in range(1, p**m):
+        low = [code // w % p for w in weights]
+        norm = low[0] if m % 2 == 0 else -low[0] % p
+        if not norm or any(pow(norm, e, p) == 1 for e in norm_exponents):
+            continue
+        if m > 1 and any(_is_root(low, a, p) for a in range(1, p)):
+            continue
+        yield low
+
+
+def _is_root(low: list[int], a: int, p: int) -> bool:
+    v = 1  # Horner on the monic x^m + sum(low[i] x^i)
+    for c in reversed(low):
+        v = (v * a + c) % p
+    return v == 0
+
+
 @lru_cache(maxsize=None)
 def _field_tables(p: int, m: int) -> tuple[tuple[int, ...], array, array, int]:
     """(modulus, exp, log, trace_mask) for F_{p^m}, elements coded sum(d_i p^i).
 
-    The monic modulus is listed constant term first.  Moduli x^m + sum(c_i x^i)
-    are tried in the order of sum(c_i p^i), and the first whose walk through
-    the powers of x first returns to 1 at step p^m - 1 is kept: exp[k] = x^k
-    and log[exp[k]] = k.  For p = 2, bit i of ``trace_mask`` is the absolute
-    trace of x^i; it is 0 for odd p.
+    The monic modulus is listed constant term first.  Of the moduli that
+    ``_candidate_moduli`` does not rule out, in the order of sum(c_i p^i), the
+    first whose walk through the powers of x first returns to 1 at step
+    p^m - 1 is kept: exp[k] = x^k and log[exp[k]] = k.  The skipped moduli
+    are never primitive, so this is the lexicographically smallest primitive
+    modulus.  For p = 2, bit i of ``trace_mask`` is the absolute trace of x^i;
+    it is 0 for odd p.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -101,10 +149,7 @@ def _field_tables(p: int, m: int) -> tuple[tuple[int, ...], array, array, int]:
     weights = [p**i for i in range(m)]
     exp = array("l", [0]) * order
     log = array("l", [0]) * size
-    for code in range(1, size):
-        if code % p == 0:
-            continue  # x divides the modulus, so its powers never return to 1
-        low = [code // w % p for w in weights]
+    for low in _candidate_moduli(p, m):
         fold = [(w, -c % p) for w, c in zip(weights, low) if c]  # x^m, nonzero digits
         z = 1
         for k in range(1, size):
@@ -214,6 +259,13 @@ def count_points(model: CurveModel, m: int) -> int:
     count square roots of f(x) through the quadratic character; the
     Artin-Schreier count uses that y^2 + y = z has two solutions when the
     absolute trace of z vanishes and none otherwise.
+
+    f has coefficients in F_p, so f(x^p) = f(x)^p, and both the character and
+    the trace take the same value at z and z^p: log(z^p) = p log(z) has the
+    parity of log(z) modulo the even p^m - 1, and Tr(z^p) = Tr(z).  So every x
+    in the Frobenius orbit {x, x^p, x^(p^2), ...} gives the same points.  In
+    log coordinates Frobenius is lx -> p lx mod (p^m - 1); f is evaluated once
+    at the first lx of each orbit and weighted by the orbit's size.
     """
     if m < 1:
         raise ValueError("extension degree must be >= 1")
@@ -232,14 +284,22 @@ def count_points(model: CurveModel, m: int) -> int:
         return 2 - 2 * ((z & trace_mask).bit_count() & 1)
 
     total = 1 + points_over(coeffs[-1])  # the point at infinity, then x = 0
-    for lx in range(order):  # x = exp[lx], every nonzero element once
+    seen = bytearray(order)
+    for lx in range(order):  # x = exp[lx], every nonzero element in one orbit
+        if seen[lx]:
+            continue
+        size, k = 0, lx
+        while not seen[k]:  # x -> x^p until the orbit closes
+            seen[k] = 1
+            size += 1
+            k = k * p % order
         acc = 0  # Horner: acc * x is a lookup, adding c touches digit 0 only
         for c in coeffs:
             if acc:
                 acc = exp[(log[acc] + lx) % order]
             low = acc % p
             acc += (low + c) % p - low
-        total += points_over(acc)
+        total += size * points_over(acc)
     return total
 
 

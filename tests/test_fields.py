@@ -1,6 +1,12 @@
 """Finite-field construction and naive point counting."""
 
+import json
+import random
+from math import gcd
+from pathlib import Path
+
 import pytest
+import yaml
 
 from curvezeta import fields
 from curvezeta.artin import counts_from_numerator, numerator_from_counts
@@ -68,6 +74,105 @@ def brute_force_count(model: CurveModel, m: int) -> int:
     return total
 
 
+# Every field F_{p^m} with p <= 13 and p^m <= 2**12.
+SMALL_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(1, 13) if p**m <= 2**12]
+
+
+def unfiltered_tables(p: int, m: int) -> tuple[tuple[int, ...], list[int], list[int], int]:
+    """The table search without screening: every modulus x^m + ... that x
+    does not divide is walked, in the order of sum(c_i p^i)."""
+    size = p**m
+    order, top = size - 1, size // p
+    weights = [p**i for i in range(m)]
+    for code in range(1, size):
+        if code % p == 0:
+            continue
+        low = [code // w % p for w in weights]
+        fold = [(w, -c % p) for w, c in zip(weights, low) if c]
+        exp, log = [0] * order, [0] * size
+        z = 1
+        for k in range(1, size):
+            exp[k - 1], log[z] = z, k - 1
+            d, z = divmod(z, top)
+            z *= p
+            if d:
+                for w, b in fold:
+                    old = z // w % p
+                    z += ((old + d * b) % p - old) * w
+            if z == 1:
+                break
+        if z != 1 or k != order:
+            continue
+        trace_mask = 0
+        if p == 2:
+            for i in range(m):
+                t = 0
+                for j in range(m):
+                    t ^= exp[(i << j) % order]
+                trace_mask |= t << i
+        return tuple(low) + (1,), exp, log, trace_mask
+    raise AssertionError("no primitive modulus")
+
+
+def primitive_moduli(p: int, m: int) -> set[tuple[int, ...]]:
+    """Low digits of every primitive modulus of F_{p^m}: the minimal polynomial
+    prod_j (X - a^(p^j)) of each generator a, multiplied out with the tables."""
+    _, exp, log, _ = _field_tables(p, m)
+    order = p**m - 1
+    digits = [_digits(z, p, m) for z in range(p**m)]
+
+    def minus_times(a: int, b: int, c: int) -> int:  # a - b * c
+        if not (b and c):
+            return a
+        bc = exp[(log[b] + log[c]) % order]
+        return a ^ bc if p == 2 else _code([(x - y) % p for x, y in zip(digits[a], digits[bc])], p)
+
+    out = set()
+    for k in range(order):
+        orbit = [k * p**j % order for j in range(m)]
+        if gcd(k, order) != 1 or min(orbit) != k:
+            continue
+        poly = [1]  # constant term first, coefficients in F_{p^m}
+        for j in orbit:  # poly * (X - exp[j])
+            poly = [minus_times(high, low, exp[j]) for high, low in zip([0] + poly, poly + [0])]
+        assert all(c < p for c in poly), "minimal polynomial outside F_p[X]"
+        out.add(tuple(poly[:m]))
+    return out
+
+
+def per_element_count(model: CurveModel, m: int) -> int:
+    """N_m with one Horner evaluation of f at every element of F_{p^m}."""
+    p = model.q
+    _, exp, log, trace_mask = _field_tables(p, m)
+    order = p**m - 1
+
+    def points_over(z: int) -> int:
+        if model.kind == "quadratic":
+            return 1 if z == 0 else 2 - 2 * (log[z] & 1)
+        return 2 - 2 * ((z & trace_mask).bit_count() & 1)
+
+    total = 1 + points_over(model.f[0] % p)  # infinity and x = 0
+    for lx in range(order):
+        z = 0
+        for c in reversed(model.f):
+            if z:
+                z = exp[(log[z] + lx) % order]
+            z += (z % p + c) % p - z % p
+        total += points_over(z)
+    return total
+
+
+def random_model(p: int, rng: random.Random) -> CurveModel:
+    kind = "artin_schreier" if p == 2 else "quadratic"
+    while True:
+        deg = rng.choice((3, 5, 7))
+        f = tuple(rng.randrange(p) for _ in range(deg)) + (rng.randrange(1, p),)
+        try:
+            return CurveModel(kind, p, f)
+        except ValueError:  # not squarefree
+            continue
+
+
 class TestBuildField:
     def test_smallest_moduli(self):
         assert _field_tables(2, 2)[0] == (1, 1, 1)  # x^2 + x + 1
@@ -122,6 +227,29 @@ class TestBuildField:
             assert all(traces[a ^ b] == traces[a] ^ traces[b] for a, b in pairs)
 
 
+    @pytest.mark.parametrize("p,m", SMALL_FIELDS)
+    def test_same_tables_as_unfiltered_search(self, p, m):
+        modulus, exp, log, trace_mask = _field_tables(p, m)
+        assert (modulus, list(exp), list(log), trace_mask) == unfiltered_tables(p, m)
+
+    @pytest.mark.parametrize("p,m", SMALL_FIELDS)
+    def test_screened_moduli_are_never_primitive(self, p, m):
+        # a modulus walks to p^m - 1 exactly when it is the minimal polynomial
+        # of a generator; no such modulus may be screened out
+        primitive = primitive_moduli(p, m)
+        kept = {tuple(low) for low in fields._candidate_moduli(p, m)}
+        assert primitive <= kept
+        assert len(primitive) * m == len([k for k in range(p**m - 1) if gcd(k, p**m - 1) == 1])
+
+
+    def test_screen_drops_bad_norms_and_roots(self):
+        assert (1, 0) not in map(tuple, fields._candidate_moduli(3, 2))  # norm 1 of x^2 + 1
+        kept = set(map(tuple, fields._candidate_moduli(5, 2)))
+        assert (2, 3) not in kept  # (x + 1)(x + 2), though its norm 2 generates F_5^*
+        assert (2, 1) in kept  # x^2 + x + 2: norm 2, no root in F_5
+        assert (1, 0) not in map(tuple, fields._candidate_moduli(2, 2))  # x^2 + 1 = (x + 1)^2
+
+
 class TestCountPoints:
     def test_projective_line(self):
         model = CurveModel("projective_line", 2)
@@ -157,6 +285,14 @@ class TestCountPoints:
     def test_quadratic_needs_odd_characteristic(self):
         with pytest.raises(ValueError):
             CurveModel("quadratic", 2, (0, 0, 0, 1))
+
+
+    @pytest.mark.parametrize("p,m", [(p, m) for p, m in SMALL_FIELDS if m > 1])
+    def test_orbit_count_matches_per_element_count(self, p, m):
+        rng = random.Random(1000 * p + m)
+        for _ in range(2):
+            model = random_model(p, rng)
+            assert count_points(model, m) == per_element_count(model, m)
 
 
 class TestCensus:
@@ -221,3 +357,18 @@ def test_recorded_counts_over_larger_fields(model, counts):
     # N_1..N_g fix the Weil numerator, which fixes every later count
     c = numerator_from_counts(model.q, model.genus, counts[: model.genus])
     assert [counts_from_numerator(c, m) for m in range(1, len(counts) + 1)] == counts
+
+
+def test_field_cap_counts_agree_with_job_on_small_fields():
+    """tests/data/field_cap_counts.json holds N_1..N_g of the field-cap job's
+    models; CI checks all of them, tier-1 the ones over fields up to 2**14."""
+    data = Path(__file__).parent / "data"
+    job = yaml.safe_load((data / "field_cap_job.yaml").read_text())
+    rows = json.loads((data / "field_cap_counts.json").read_text())
+    assert len(rows) == len(job["curves"])
+    for src, row in zip(job["curves"], rows):
+        model = CurveModel(src["kind"], src["q"], tuple(src["f"]), src["label"])
+        assert (row["model"], row["genus"]) == (model.describe(), model.genus)
+        assert model.q**model.genus <= fields.FIELD_CAP < model.q ** (model.genus + 1)
+        small = [m for m in range(1, model.genus + 1) if model.q**m <= 2**14]
+        assert [count_points(model, m) for m in small] == row["counts"][: len(small)]
