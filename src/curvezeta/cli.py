@@ -44,8 +44,9 @@ from curvezeta.group_zeta import slr_numerator, slr_rh_report, slr_zeta
 
 TASKS = ("artin", "invariants", "rank2", "slr", "mass", "yoshida", "rh-report")
 
-# Raised by a task whose asserted identity fails or whose root finder gives up.
-_TASK_FAILURES = (AssertionError, ConventionError, RootFindError)
+# Raised by a task whose asserted identity fails, whose root finder gives up, or
+# whose float arithmetic overflows (a coefficient beyond the float range).
+_TASK_FAILURES = (AssertionError, ConventionError, RootFindError, ArithmeticError)
 
 # libyaml's parser if PyYAML was built with it; both build with SafeConstructor
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -115,6 +116,10 @@ def _require_int(src: dict, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def _is_rank(r) -> bool:
+    return isinstance(r, int) and not isinstance(r, bool) and 2 <= r <= 6
 
 
 def _rational_list(src: dict, key: str) -> list[Fraction]:
@@ -202,7 +207,7 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
             problems.append(f"{where}: {e}")
 
     ranks = raw.get("ranks", [2])
-    if not isinstance(ranks, list) or not ranks or any(not isinstance(r, int) or not 2 <= r <= 6 for r in ranks):
+    if not isinstance(ranks, list) or not ranks or not all(_is_rank(r) for r in ranks):
         problems.append(f"ranks: need a non-empty list of integers between 2 and 6, got {ranks!r}")
         ranks = [2]
     tasks = raw.get("tasks", ["artin"])
@@ -227,8 +232,11 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
         fmt = "json"
 
     if overrides is not None:
-        if getattr(overrides, "rank", None):
-            ranks = [overrides.rank]
+        rank = getattr(overrides, "rank", None)
+        if rank is not None:
+            if not _is_rank(rank):
+                problems.append(f"--rank: need an integer between 2 and 6, got {rank!r}")
+            ranks = [rank]
         if getattr(overrides, "degree", None) is not None:
             degree = overrides.degree
         if getattr(overrides, "tolerance", None) is not None:

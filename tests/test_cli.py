@@ -401,6 +401,26 @@ class TestRun:
         assert reports[len(tasks):] == alone["reports"]
 
 
+    def test_float_overflow_becomes_failed_entry(self, tmp_path, capsys):
+        # a genuine numerator whose SL_6 T-grid numerator has a coefficient
+        # beyond the float range, so the root finder's float conversion overflows
+        path = tmp_path / "overflow.yaml"
+        path.write_text(
+            "curves:\n"
+            "  - {type: coefficients, q: 10007, g: 5, genuine: true, A: [1, 88, 6252, -669878,\n"
+            "     -321137, -4050712996, -3213617959, -67081615744022, 6265138392584436,\n"
+            "     882466588407571288, 100350490343120066807]}\n"
+            "ranks: [6]\ntasks: [slr, rh-report]\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        slr, rh_report = json.loads((out / "report.json").read_text())["reports"]
+        assert slr["checks"] == {"completed": False}
+        assert slr["data"]["error"].startswith("OverflowError: ")
+        assert rh_report["checks"] and all(rh_report["checks"].values())
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, jobfile):
         job1 = parse_job(jobfile)
@@ -528,6 +548,23 @@ class TestMain:
     def test_bad_tolerance_flag_exits_two(self, jobfile, capsys, value):
         assert main(["run", str(jobfile), "--tolerance", value]) == 2
         assert "tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, rank", [("slr", 0), ("slr", 1), ("slr", -2), ("slr", 9), ("mass", 9)]
+    )
+    def test_bad_rank_flag_exits_two(self, tmp_path, capsys, command, rank):
+        out = tmp_path / "out"
+        job = str(DATA / "criterion10_job.yaml")
+        assert main([command, job, f"--rank={rank}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--rank: need an integer between 2 and 6, got {rank}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_rank_flag_replaces_job_ranks(self, capsys):
+        assert main(["slr", str(DATA / "criterion10_job.yaml"), "--rank", "3"]) == 0
+        tree = json.loads(capsys.readouterr().out)
+        assert all(sorted(r["data"]) == ["r3"] for r in tree["reports"] if r["g"] >= 1)
 
     def test_counterexample_flag(self, tmp_path, capsys):
         path = tmp_path / "one.yaml"
