@@ -226,7 +226,6 @@ class TestBuildField:
             pairs = [(a, b) for a in range(2**m) for b in range(2**m)]
             assert all(traces[a ^ b] == traces[a] ^ traces[b] for a, b in pairs)
 
-
     @pytest.mark.parametrize("p,m", SMALL_FIELDS)
     def test_same_tables_as_unfiltered_search(self, p, m):
         modulus, exp, log, trace_mask = _field_tables(p, m)
@@ -239,8 +238,8 @@ class TestBuildField:
         primitive = primitive_moduli(p, m)
         kept = {tuple(low) for low in fields._candidate_moduli(p, m)}
         assert primitive <= kept
+        # the oracle is complete: each primitive modulus has m generators as roots
         assert len(primitive) * m == len([k for k in range(p**m - 1) if gcd(k, p**m - 1) == 1])
-
 
     def test_screen_drops_bad_norms_and_roots(self):
         assert (1, 0) not in map(tuple, fields._candidate_moduli(3, 2))  # norm 1 of x^2 + 1
@@ -286,8 +285,7 @@ class TestCountPoints:
         with pytest.raises(ValueError):
             CurveModel("quadratic", 2, (0, 0, 0, 1))
 
-
-    @pytest.mark.parametrize("p,m", [(p, m) for p, m in SMALL_FIELDS if m > 1])
+    @pytest.mark.parametrize("p,m", SMALL_FIELDS)
     def test_orbit_count_matches_per_element_count(self, p, m):
         rng = random.Random(1000 * p + m)
         for _ in range(2):
