@@ -39,7 +39,7 @@ import yaml
 from curvezeta import artin, invariants, mass, rank2, yoshida
 from curvezeta.exact import RationalFunction, RootFindError, ZeroReport
 from curvezeta.fields import CurveModel, census, is_prime_power
-from curvezeta.group_zeta import ConventionError, period_residue_oracle, slr_fe_check
+from curvezeta.group_zeta import R_MAX, ConventionError, period_residue_oracle, slr_fe_check
 from curvezeta.group_zeta import slr_numerator, slr_rh_report, slr_zeta
 
 TASKS = ("artin", "invariants", "rank2", "slr", "mass", "yoshida", "rh-report")
@@ -119,7 +119,7 @@ def _require_int(src: dict, key: str) -> int:
 
 
 def _is_rank(r) -> bool:
-    return isinstance(r, int) and not isinstance(r, bool) and 2 <= r <= 6
+    return isinstance(r, int) and not isinstance(r, bool) and 2 <= r <= R_MAX
 
 
 def _rational_list(src: dict, key: str) -> list[Fraction]:
@@ -134,8 +134,10 @@ def _rational_list(src: dict, key: str) -> list[Fraction]:
 
 
 def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpec:
-    """Read and check a job file.  A path that cannot be read, bytes that are not
-    UTF-8, malformed YAML and every bad field all raise one JobError."""
+    """Read and check a job file and the command-line overrides.  A path that
+    cannot be read, bytes that are not UTF-8, malformed YAML, every bad field
+    and every bad option all raise one JobError; its message lists the file's
+    problems and the options' problems under separate headers."""
     problems: list[str] = []
     try:
         raw = yaml.load(path.read_bytes(), Loader=_LOADER)
@@ -208,7 +210,7 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
 
     ranks = raw.get("ranks", [2])
     if not isinstance(ranks, list) or not ranks or not all(_is_rank(r) for r in ranks):
-        problems.append(f"ranks: need a non-empty list of integers between 2 and 6, got {ranks!r}")
+        problems.append(f"ranks: need a non-empty list of integers between 2 and {R_MAX}, got {ranks!r}")
         ranks = [2]
     tasks = raw.get("tasks", ["artin"])
     if not isinstance(tasks, list) or any(t not in TASKS for t in tasks):
@@ -226,28 +228,32 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
     except (TypeError, ValueError):
         problems.append(f"tolerance: need a number, got {tolerance!r}")
         tolerance = 1e-9
+    if not 0 < tolerance < math.inf:
+        problems.append(f"tolerance: need a finite number > 0, got {tolerance!r}")
     fmt = raw.get("format", "json")
     if fmt not in ("json", "csv"):
         problems.append("format: must be json or csv")
         fmt = "json"
 
+    option_problems: list[str] = []
     if overrides is not None:
         rank = getattr(overrides, "rank", None)
         if rank is not None:
             if not _is_rank(rank):
-                problems.append(f"--rank: need an integer between 2 and 6, got {rank!r}")
+                option_problems.append(f"--rank: need an integer between 2 and {R_MAX}, got {rank!r}")
             ranks = [rank]
         if getattr(overrides, "degree", None) is not None:
             degree = overrides.degree
         if getattr(overrides, "tolerance", None) is not None:
             tolerance = overrides.tolerance
+            if not 0 < tolerance < math.inf:
+                option_problems.append(f"--tolerance: need a finite number > 0, got {tolerance!r}")
         if getattr(overrides, "fmt", None):
             fmt = overrides.fmt
-    if not 0 < tolerance < math.inf:
-        problems.append(f"tolerance: need a finite number > 0, got {tolerance!r}")
 
-    if problems:
-        raise JobError("invalid job file:\n  " + "\n  ".join(problems))
+    if problems or option_problems:
+        sections = (("invalid job file", problems), ("invalid command-line option", option_problems))
+        raise JobError("\n".join(f"{head}:\n  " + "\n  ".join(found) for head, found in sections if found))
     return JobSpec(
         curves=curves,
         census_rows=census_rows,

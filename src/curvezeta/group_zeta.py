@@ -18,9 +18,14 @@ w(i+1) <= w(i) + 1 for i <= r - 2, the pole at stage j is always simple,
 and the zeta quotients along the roots through the last coordinate
 telescope to a single zh(s + n).  The per-term factors are read off the
 root combinatorics with no residue computation at all; the root data
-(Phi_w, inversion counts, the surviving set) are read straight from the
-permutation w.perm.  The constant weights are products of zh(n) at
-integers n < r, each evaluated once per assembly on first use.  The only
+(Phi_w, inversion counts) are read straight from the permutation w.perm.
+The surviving set frak_W_P, of (r + 2) 2^{r-3} elements against r! in S_r,
+is generated directly, depth first over prefixes that keep the bound, in
+lexicographic order; :func:`build_root_system` runs its eager invariant
+checks on that set and checks the embedded S_{r-1} on its generators, so no
+rank lists S_r and r runs up to ``R_MAX``.  The constant weights are
+products of zh(n) at integers n < r, each evaluated once per assembly on
+first use.  The only
 denominators are powers of u and linear factors (1 - q^e u) with e an
 integer: a factor 1/(1 - q^e/u) is rewritten as -q^{-e} u / (1 - q^{-e} u),
 and zh(s + n) is
@@ -42,8 +47,8 @@ a term, and the terms are added over the LCM of their factored denominators
 instead of by cross-multiplying them pairwise.  The limit stays literal:
 the sum is multiplied out into one numerator and one denominator polynomial,
 (1 - u_1) is removed from both by exact synthetic division, and u_1 = 1 is
-substituted.  The oracle shares only :func:`build_root_system` with
-:func:`slr_zeta`.
+substituted.  The oracle lists the six elements of S_3 itself and shares
+only :func:`build_root_system` with :func:`slr_zeta`.
 """
 
 from __future__ import annotations
@@ -58,6 +63,8 @@ from curvezeta.exact import Poly, RationalFunction, ZeroReport, complex_roots
 from curvezeta.rank2 import triangular_alpha_ratios
 
 Root = tuple[int, int]  # (x, y) encodes e_x - e_y; positive iff x < y
+
+R_MAX = 10  # the largest rank accepted; one slr_zeta at r = 10 takes about 0.5 s
 
 
 class ConventionError(RuntimeError):
@@ -97,14 +104,13 @@ def is_positive(root: Root) -> bool:
 
 @dataclass(frozen=True)
 class RootSystemData:
-    """Type A_{r-1} inside R^r: roots, Weyl vector, weights, Weyl group."""
+    """Type A_{r-1} inside R^r: roots, Weyl vector and fundamental weights."""
 
     r: int
     positive_roots: tuple[Root, ...]
     simple_roots: tuple[Root, ...]
     rho: tuple[Fraction, ...]
     fundamental_weights: tuple[tuple[Fraction, ...], ...]
-    weyl: tuple[WeylElt, ...]
 
     def pairing(self, weight: tuple[Fraction, ...], root: Root) -> Fraction:
         """<weight, root_check> in coordinates: weight[x] - weight[y]."""
@@ -126,11 +132,43 @@ class ParabolicData:
     frak_w_p: tuple[WeylElt, ...]  # {w : Delta_P subset w^{-1}(Delta u Phi^-)}
 
 
+def _frak_w_p_perms(r: int) -> list[tuple[int, ...]]:
+    """The permutations w of 1..r with w(i+1) <= w(i) + 1 for 1 <= i <= r - 2.
+
+    Depth first over prefixes, each position trying the unused values in
+    increasing order, so the result comes in lexicographic order, the order
+    of the same filter over ``itertools.permutations``, without listing S_r.
+    The last position takes the one value left, unconstrained.
+    """
+    out: list[tuple[int, ...]] = []
+
+    def extend(prefix: tuple[int, ...], free: tuple[int, ...]) -> None:
+        if not free:
+            out.append(prefix)
+            return
+        bound = prefix[-1] + 1 if 0 < len(prefix) < r - 1 else r
+        for idx, v in enumerate(free):
+            if v > bound:
+                break
+            extend(prefix + (v,), free[:idx] + free[idx + 1 :])
+
+    extend((), tuple(range(1, r + 1)))
+    return out
+
+
 @lru_cache(maxsize=None)
 def build_root_system(r: int) -> tuple[RootSystemData, ParabolicData]:
-    """All root data for 2 <= r <= 6, with the invariants verified eagerly."""
-    if not 2 <= r <= 6:
-        raise ValueError("rank parameter must satisfy 2 <= r <= 6")
+    """All root data for 2 <= r <= R_MAX, with the invariants verified eagerly.
+
+    Only the surviving set frak_w_p (of size (r + 2) 2^{r-3} for r >= 3) is
+    built, by :func:`_frak_w_p_perms`; S_r is never listed.  The eager checks:
+    the pairings of the fundamental weights and rho with the (simple) roots,
+    |Phi_w| = inv(w) for every w in frak_w_p, lambda_P orthogonal to Delta_P,
+    and the embedded S_{r-1} stabilizing Phi_P^+, checked on its generators
+    s_1 .. s_{r-2}: a group stabilizes a set exactly when its generators do.
+    """
+    if not 2 <= r <= R_MAX:
+        raise ValueError(f"rank parameter must satisfy 2 <= r <= {R_MAX}")
     positive = tuple((i, j) for i in range(1, r) for j in range(i + 1, r + 1))
     simple = tuple((i, i + 1) for i in range(1, r))
     rho = tuple(Fraction(r + 1 - 2 * i, 2) for i in range(1, r + 1))
@@ -138,8 +176,7 @@ def build_root_system(r: int) -> tuple[RootSystemData, ParabolicData]:
         tuple(Fraction(1) - Fraction(k, r) if i <= k else -Fraction(k, r) for i in range(1, r + 1))
         for k in range(1, r)
     )
-    weyl = tuple(WeylElt(p) for p in itertools.permutations(range(1, r + 1)))
-    rs = RootSystemData(r, positive, simple, rho, weights, weyl)
+    rs = RootSystemData(r, positive, simple, rho, weights)
 
     if len(positive) != r * (r - 1) // 2:
         raise AssertionError("positive root count is off")
@@ -151,27 +188,27 @@ def build_root_system(r: int) -> tuple[RootSystemData, ParabolicData]:
     for a in positive:
         if rs.pairing(rho, a) != root_height(a):
             raise AssertionError("rho pairing does not equal the coroot height")
-    for w in weyl:
-        if len(rs.flipped_positive_roots(w)) != w.inversions():
-            raise AssertionError("|Phi_w| does not match the inversion count")
 
     delta_p = simple[: r - 2]
     phi_p_plus = tuple(a for a in positive if a[1] <= r - 1)
     lambda_p = weights[r - 2]
     # w alpha_i = (w(i), w(i+1)) is negative or simple iff w(i+1) <= w(i) + 1
-    frak = tuple(w for w in weyl if all(w.perm[i] <= w.perm[i - 1] + 1 for i in range(1, r - 1)))
+    frak = tuple(WeylElt(p) for p in _frak_w_p_perms(r))
     pb = ParabolicData(delta_p, phi_p_plus, lambda_p, frak)
 
+    for w in frak:
+        if len(rs.flipped_positive_roots(w)) != w.inversions():
+            raise AssertionError("|Phi_w| does not match the inversion count")
     for a in delta_p:
         if rs.pairing(lambda_p, a) != 0:
             raise AssertionError("lambda_P pairs nontrivially with Delta_P")
     phi_p_set = set(phi_p_plus)
-    for w in weyl:
-        p = w.perm
-        if p[-1] == r:  # S_{r-1} embedded
-            image = {tuple(sorted((p[x - 1], p[y - 1]))) for x, y in phi_p_plus}
-            if image != phi_p_set:
-                raise AssertionError("embedded S_{r-1} does not stabilize Phi_P")
+    for i in range(1, r - 1):  # s_i swaps i and i + 1 and fixes r
+        p = list(range(1, r + 1))
+        p[i - 1], p[i] = p[i], p[i - 1]
+        image = {tuple(sorted((p[x - 1], p[y - 1]))) for x, y in phi_p_plus}
+        if image != phi_p_set:
+            raise AssertionError("embedded S_{r-1} does not stabilize Phi_P")
     return rs, pb
 
 
@@ -538,7 +575,7 @@ def _weyl_terms_r3(c: CurveData) -> list[_FactoredTerm]:
     rs, _ = build_root_system(3)
     q = Fraction(c.q)
     terms = []
-    for w in rs.weyl:
+    for w in map(WeylElt, itertools.permutations(range(1, 4))):
         v = w.inverse()
         term = _FactoredTerm()
         for alpha in rs.simple_roots:

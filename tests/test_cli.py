@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from curvezeta import artin, cli, fields, mass, rank2
 from curvezeta.cli import TASKS, JobError, main, parse_job, render, run
 from curvezeta.exact import Poly
+from curvezeta.group_zeta import R_MAX
 
 FULL_JOB = """\
 curves:
@@ -545,20 +546,41 @@ class TestMain:
 
     @pytest.mark.parametrize("value", ["inf", "-1", "nan", "0"])
     def test_bad_tolerance_flag_exits_two(self, jobfile, capsys, value):
+        # a valid job file with a bad option: the option is named, not the file
         assert main(["run", str(jobfile), "--tolerance", value]) == 2
-        assert "tolerance" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid command-line option:\n  --tolerance: need a finite number > 0" in err
+        assert "invalid job file" not in err
 
     @pytest.mark.parametrize(
-        "command, rank", [("slr", 0), ("slr", 1), ("slr", -2), ("slr", 9), ("mass", 9)]
+        "command, rank",
+        [("slr", 0), ("slr", 1), ("slr", -2), ("slr", R_MAX + 1), ("mass", R_MAX + 1)],
     )
     def test_bad_rank_flag_exits_two(self, tmp_path, capsys, command, rank):
         out = tmp_path / "out"
         job = str(DATA / "criterion10_job.yaml")
         assert main([command, job, f"--rank={rank}", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"--rank: need an integer between 2 and 6, got {rank}" in err
+        assert f"invalid command-line option:\n  --rank: need an integer between 2 and {R_MAX}, got {rank}" in err
+        assert "invalid job file" not in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_bad_file_and_bad_option_under_own_headers(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("curves:\n  - {type: elliptic, q: 2, a: 0}\ndegree: x\n")
+        assert main(["slr", str(path), "--rank", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "invalid job file:\n  degree: need an integer, got 'x'\n"
+            f"invalid command-line option:\n  --rank: need an integer between 2 and {R_MAX}, got 1\n"
+        )
+
+    def test_rank_flag_above_six(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["slr", str(DATA / "elliptic_q2_job.yaml"), "--rank", "8", "--out", str(out)]) == 0
+        (report,) = json.loads((out / "report.json").read_text())["reports"]
+        assert sorted(report["data"]) == ["r8"]
+        assert report["checks"] == {"functional_equation_r8": True}
 
     def test_rank_flag_replaces_job_ranks(self, capsys):
         assert main(["slr", str(DATA / "criterion10_job.yaml"), "--rank", "3"]) == 0

@@ -1,5 +1,6 @@
 """Root systems, the SL_r assembly, the period oracle, RH reports."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,8 @@ from curvezeta.artin import CurveData, zeta_hat_ratfun, zeta_hat_special
 from curvezeta import group_zeta
 from curvezeta.exact import Poly, RationalFunction
 from curvezeta.group_zeta import (
+    R_MAX,
+    WeylElt,
     _factored_sum,
     _FactoredTerm,
     _extract_numerator,
@@ -47,6 +50,11 @@ def elliptic_product(q: int, g: int, seed: int) -> CurveData:
             return CurveData(q, g, P.coeffs, genuine=True, label=f"product(q={q},g={g},seed={seed})")
         except ValueError:  # a draw whose counts go negative is not a curve
             continue
+
+
+def weyl_group(r: int) -> list[WeylElt]:
+    """All of S_r in lexicographic order, listed here and not by the library."""
+    return [WeylElt(p) for p in itertools.permutations(range(1, r + 1))]
 
 
 def pairwise_slr(c: CurveData, r: int):
@@ -88,21 +96,22 @@ class TestRootSystem:
         assert len(pb.frak_w_p) == 5
 
     def test_rank4_facts(self):
-        rs, _ = build_root_system(4)
-        assert len(rs.weyl) == 24
+        rs, pb = build_root_system(4)
+        assert len(pb.frak_w_p) == 12
         assert len(rs.positive_roots) == 6
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
     def test_flips_equal_inversions(self, r):
         rs, _ = build_root_system(r)
-        for w in rs.weyl:
+        for w in weyl_group(r):
             assert len(rs.flipped_positive_roots(w)) == w.inversions()
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
     def test_tables_match_root_action_definitions(self, r):
         # the tables read off w.perm against their definitions through w.apply
         rs, pb = build_root_system(r)
-        for w in rs.weyl:
+        weyl = weyl_group(r)
+        for w in weyl:
             flipped = [a for a in rs.positive_roots if not is_positive(w.apply(a))]
             assert rs.flipped_positive_roots(w) == flipped
             assert w.inversions() == sum(1 for i in range(1, r + 1) for j in range(i + 1, r + 1) if w(i) > w(j))
@@ -110,7 +119,7 @@ class TestRootSystem:
         def negative_or_simple(b):
             return not is_positive(b) or root_height(b) == 1
 
-        expect = tuple(w for w in rs.weyl if all(negative_or_simple(w.apply(a)) for a in pb.delta_p))
+        expect = tuple(w for w in weyl if all(negative_or_simple(w.apply(a)) for a in pb.delta_p))
         assert pb.frak_w_p == expect
         assert len(expect) == {2: 2, 3: 5, 4: 12, 5: 28, 6: 64}[r]  # (r + 2) 2^(r - 3)
 
@@ -120,9 +129,22 @@ class TestRootSystem:
         for a in rs.positive_roots:
             assert rs.pairing(rs.rho, a) == a[1] - a[0]
 
+    @pytest.mark.parametrize("r", range(2, 9))
+    def test_frak_w_p_is_the_filtered_weyl_group(self, r):
+        # the generator against the defining filter over all of S_r, order included
+        _, pb = build_root_system(r)
+        expect = tuple(w for w in weyl_group(r) if all(w(i + 1) <= w(i) + 1 for i in range(1, r - 1)))
+        assert pb.frak_w_p == expect
+
+    @pytest.mark.parametrize("r", range(3, R_MAX + 1))
+    def test_frak_w_p_size(self, r):
+        _, pb = build_root_system(r)
+        assert len(pb.frak_w_p) == (r + 2) * 2 ** (r - 3)
+        assert len(set(pb.frak_w_p)) == len(pb.frak_w_p)
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            build_root_system(7)
+            build_root_system(R_MAX + 1)
         with pytest.raises(ValueError):
             build_root_system(1)
 
@@ -175,6 +197,11 @@ class TestSlrAssembly:
     def test_functional_equation_fixtures(self, r, curve_g1, curve_g2):
         assert slr_fe_check(slr_zeta(curve_g1, r))
         assert slr_fe_check(slr_zeta(curve_g2, r))
+
+    @pytest.mark.parametrize("r", [7, 8])
+    @pytest.mark.parametrize("c", [CurveData.elliptic(2, 0), CurveData.elliptic(3, 1)], ids=lambda c: c.label)
+    def test_functional_equation_above_six(self, c, r):
+        assert slr_fe_check(slr_zeta(c, r))
 
     def test_functional_equation_corpus(self, corpus):
         for c in corpus:
@@ -303,7 +330,7 @@ class TestPeriodOracle:
                 return u[0] ** int(rs.pairing(lam[0], root)) * u[1] ** int(rs.pairing(lam[1], root))
 
             expect = F(0)
-            for w in rs.weyl:
+            for w in weyl_group(3):
                 v = w.inverse()
                 term = F(1)
                 for alpha in rs.simple_roots:
@@ -372,6 +399,11 @@ class TestSpecialUniformity:
         GENUS3_DATUM,
         *(elliptic_product(q, g, seed=q + g) for q, g in [(2, 2), (3, 2), (5, 3), (3, 4), (101, 2)]),
     ]
+    # every curve up to r = 6, and two elliptic curves at r = 7 and 8, above the old rank cap
+    CASES = [
+        *itertools.product(range(2, 7), CURVES),
+        *itertools.product((7, 8), (CurveData.elliptic(2, 0), CurveData.elliptic(3, 1))),
+    ]
 
     @staticmethod
     def beta_over_alpha(c: CurveData, r: int) -> Fraction:
@@ -382,8 +414,7 @@ class TestSpecialUniformity:
              for m in range(c.g + 1)]
         return (s[c.g] - (Q * s[c.g - 2] if c.g >= 2 else 0)) / (Q - 1)
 
-    @pytest.mark.parametrize("c", CURVES, ids=lambda c: c.label)
-    @pytest.mark.parametrize("r", range(2, 7))
+    @pytest.mark.parametrize("r, c", CASES, ids=[f"{r}-{c.label}" for r, c in CASES])
     def test_alpha_zero_from_lower_rank_mass(self, c, r):
         alpha0 = beta_hn_mass(c, r, 0) / self.beta_over_alpha(c, r)
         assert alpha0 == F(c.q) ** ((r - 1) * (c.g - 1)) * beta_hn_mass(c, r - 1, 0)
