@@ -35,12 +35,9 @@ from curvezeta.exact import (
     ComplexRootSet,
     Poly,
     RationalFunction,
-    TruncatedSeries,
     ZeroReport,
     complex_roots,
-    pole_regularized_value,
     series_exp,
-    series_log,
 )
 from curvezeta.fields import CurveModel, census, count_points
 from curvezeta.group_zeta import (
@@ -97,7 +94,6 @@ __all__ = [
     "Rank2Numerator",
     "RationalFunction",
     "SlrZeta",
-    "TruncatedSeries",
     "WeilPairSet",
     "WeilRoots",
     "ZeroReport",
@@ -120,7 +116,6 @@ __all__ = [
     "modulus_ordering",
     "numerator_from_counts",
     "period_residue_oracle",
-    "pole_regularized_value",
     "pure_fe_check",
     "pure_zeta",
     "rank2_closed_form",
@@ -129,7 +124,6 @@ __all__ = [
     "rh_check_artin",
     "rh_check_zeta2",
     "series_exp",
-    "series_log",
     "slr_fe_check",
     "slr_numerator",
     "slr_rh_report",

@@ -32,14 +32,7 @@ from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Sequence
 
-from curvezeta.exact import (
-    Poly,
-    RationalFunction,
-    TruncatedSeries,
-    ZeroReport,
-    complex_roots,
-    series_exp,
-)
+from curvezeta.exact import Poly, RationalFunction, ZeroReport, complex_roots, series_exp
 
 Rat = Fraction | int
 
@@ -175,7 +168,7 @@ def numerator_from_counts(q: int, g: int, counts: Sequence[int], label: str = ""
     if any(n < 0 for n in counts):
         raise ValueError("point counts must be nonnegative")
     log_terms = [Fraction(0)] + [Fraction(counts[m - 1], m) for m in range(1, g + 1)]
-    expanded = series_exp(TruncatedSeries(log_terms))
+    expanded = series_exp(log_terms)
     poly = Poly([1, -(q + 1), q])
     A = [Fraction(0)] * (2 * g + 1)
     for i in range(g + 1):
@@ -241,17 +234,15 @@ def zeta_plain(c: CurveData, n: int) -> Fraction:
 
 
 @lru_cache(maxsize=256)
-def zeta_hat_ratfun(c: CurveData, shift: int = 0, u_power: int = 1) -> RationalFunction:
-    """The completed zeta at argument (s_var * u_power + shift), in u = q^{-s_var}.
+def zeta_hat_ratfun(c: CurveData, shift: int = 0) -> RationalFunction:
+    """The completed zeta at argument s_var + shift, in u = q^{-s_var}.
 
-    zeta_hat(n + k*s) = q^{(g-1)n} * u^{-k(g-1)} * Z(q^{-n} u^k); everything
-    stays an exact rational function of u.
+    zeta_hat(n + s) = q^{(g-1)n} * u^{1-g} * Z(q^{-n} u); everything stays an
+    exact rational function of u.
     """
     q, g = Fraction(c.q), c.g
-    base = c.zeta_ratfun().compose_monomial(q**-shift, u_power)
-    pref = RationalFunction.constant(q ** ((g - 1) * shift)) * RationalFunction.t(
-        -(g - 1) * u_power
-    )
+    base = c.zeta_ratfun().scale_arg(q**-shift)
+    pref = RationalFunction.constant(q ** ((g - 1) * shift)) * RationalFunction.t(1 - g)
     return pref * base
 
 

@@ -143,29 +143,6 @@ class Poly:
             n >>= 1
         return result
 
-    def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
-        b = other.ints
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        n, lead = len(b), b[-1]
-        rem = list(self.ints)
-        quo = [0] * max(len(rem) - n + 1, 0)
-        den = 1  # den * self.ints == quo * b + rem, all integers
-        for k in reversed(range(len(quo))):
-            top = rem[k + n - 1]
-            if top:
-                d = math.gcd(top, lead)
-                m, c = lead // d, top // d
-                if m != 1:
-                    rem = [m * v for v in rem]
-                    quo = [m * v for v in quo]
-                    den *= m
-                quo[k] = c
-                for i, v in enumerate(b, k):
-                    rem[i] -= c * v
-        scale = self.scale / den
-        return _poly(quo, scale / other.scale), _poly(rem, scale)
-
     def exact_div(self, other: Poly) -> Poly:
         """Quotient self/other, raising if the division is not exact."""
         if not other.ints:
@@ -505,18 +482,8 @@ class RationalFunction:
         m = self.den.scale_arg(c).reversed(d)
         return RationalFunction(n, m)
 
-    def compose_monomial(self, c: Rat, power: int) -> RationalFunction:
-        """f(c * t**power) for a nonzero integer power."""
-        if power == 0:
-            raise ValueError("power must be nonzero")
-        g = self.scale_arg(c)
-        if power < 0:
-            g = g.reciprocal_arg()
-            power = -power
-        return g.stretch(power) if power > 1 else g
-
-    def series(self, order: int) -> TruncatedSeries:
-        """Power-series expansion at t = 0 up to the given order."""
+    def series(self, order: int) -> tuple[Fraction, ...]:
+        """The coefficients of t^0..t^order of the power series at t = 0."""
         if self.den[0] == 0:
             raise ZeroDivisionError("pole at t = 0; no power series")
         d0 = self.den[0]
@@ -526,7 +493,7 @@ class RationalFunction:
             for k in range(1, n + 1):
                 acc -= self.den[k] * out[n - k]
             out.append(acc / d0)
-        return TruncatedSeries(out)
+        return tuple(out)
 
     def display_pair(self) -> tuple[Poly, Poly]:
         """(num, den) rescaled to primitive integer polynomials.
@@ -556,73 +523,22 @@ def _as_ratfun(x) -> RationalFunction:
     raise TypeError(f"cannot coerce {type(x)} to RationalFunction")
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Power series truncated at a fixed order; length = order + 1."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs: Iterable[Rat]):
-        object.__setattr__(self, "coeffs", tuple(_frac(c) for c in coeffs))
-        if not self.coeffs:
-            raise ValueError("series needs at least the constant term")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i]
-
-    def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        if self.order != other.order:
-            raise ValueError("series order mismatch")
-        return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other: TruncatedSeries | Rat) -> TruncatedSeries:
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([c * other for c in self.coeffs])
-        if self.order != other.order:
-            raise ValueError("series order mismatch")
-        m = self.order
-        out = [Fraction(0)] * (m + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j in range(m + 1 - i):
-                    out[i + j] += a * other.coeffs[j]
-        return TruncatedSeries(out)
-
-
-def series_exp(c: TruncatedSeries) -> TruncatedSeries:
-    """Formal exponential of a series with zero constant term.
+def series_exp(c: Sequence[Rat]) -> tuple[Fraction, ...]:
+    """Formal exponential of c_0 + c_1 t + ... (c_0 = 0), to the same order.
 
     Uses the derivative recurrence b_n = (1/n) * sum_{k=1..n} k a_k b_{n-k},
     which keeps every coefficient an exact rational.
     """
     if c[0] != 0:
         raise ValueError("series_exp requires a zero constant term")
-    m = c.order
+    m = len(c) - 1
     out = [Fraction(1)] + [Fraction(0)] * m
     for n in range(1, m + 1):
         acc = Fraction(0)
         for k in range(1, n + 1):
             acc += k * c[k] * out[n - k]
         out[n] = acc / n
-    return TruncatedSeries(out)
-
-
-def series_log(c: TruncatedSeries) -> TruncatedSeries:
-    """Formal logarithm of a series with constant term one (exp's inverse)."""
-    if c[0] != 1:
-        raise ValueError("series_log requires constant term one")
-    m = c.order
-    out = [Fraction(0)] * (m + 1)
-    for n in range(1, m + 1):
-        acc = n * c[n]
-        for k in range(1, n):
-            acc -= k * out[k] * c[n - k]
-        out[n] = acc / n
-    return TruncatedSeries(out)
+    return tuple(out)
 
 
 class RootFindError(RuntimeError):
@@ -677,17 +593,19 @@ def _relative_residual(coeffs: list[complex], z: complex) -> float:
 _CERT_PRIME = 1073741789  # the largest prime below 2^30
 
 
-def _squarefree_mod_prime(ints: tuple[int, ...]) -> bool:
-    """True when gcd(f mod p, f' mod p) is constant for f = ints, p = _CERT_PRIME.
+def _squarefree_mod_prime(ints: Sequence[int], p: int) -> bool:
+    """True when p does not divide lead(f) and gcd(f mod p, f' mod p) is constant.
 
-    Then f is square-free over the rationals, provided p does not divide
-    lead(f): a primitive h = gcd(f, f') of degree >= 1 divides f and f' in
-    Z[x], and lead(h) divides lead(f), so h keeps its degree mod p and
-    would divide both reductions (von zur Gathen and Gerhard, Modern
-    Computer Algebra, 6.4-6.6).
-    A False answer proves nothing; the input may still be square-free.
+    f = ints, constant term first, degree >= 1; p is a prime.  This is the
+    test for f mod p being square-free over F_p, which is how curve models
+    check their right-hand side.  With p = _CERT_PRIME it is also a
+    certificate that f is square-free over the rationals: a primitive
+    h = gcd(f, f') of degree >= 1 divides f and f' in Z[x], and lead(h)
+    divides lead(f), so h keeps its degree mod p and would divide both
+    reductions (von zur Gathen and Gerhard, Modern Computer Algebra,
+    6.4-6.6).  There a False answer proves nothing; the input may still be
+    square-free.
     """
-    p = _CERT_PRIME
     if ints[-1] % p == 0:
         return False
     f = [c % p for c in ints]
@@ -720,7 +638,7 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     if p.degree < 1:
         raise ValueError("decomposition needs degree >= 1")
     f = p.monic()
-    if _squarefree_mod_prime(p.ints):
+    if _squarefree_mod_prime(p.ints, _CERT_PRIME):
         return [(f, 1)]
     g = poly_gcd(f, f.derivative())
     if g.degree == 0:
@@ -901,22 +819,3 @@ def complex_roots_numeric(
         )
     return ComplexRootSet(tuple(all_roots), residuals)
 
-
-def pole_regularized_value(f: RationalFunction, u0: Rat) -> Fraction:
-    """f(u0) when finite, else lim_{u -> u0} (1 - u/u0) * f(u) for a simple pole.
-
-    Poles of order two or more are rejected.  u0 must be a nonzero rational
-    (the normalization 1 - u/u0 has no meaning at the origin).
-    """
-    u0 = _frac(u0)
-    if u0 == 0:
-        raise ValueError("regularization point must be nonzero")
-    if f.den.evaluate(u0) != 0:
-        return f.evaluate(u0)
-    # canonical form => num(u0) != 0, so the pole order is den's multiplicity
-    linear = Poly([-u0, 1])
-    reduced = f.den.exact_div(linear)
-    if reduced.evaluate(u0) == 0:
-        raise ValueError(f"pole of order >= 2 at {u0}")
-    # (1 - u/u0) = -(u - u0)/u0
-    return -f.num.evaluate(u0) / (u0 * reduced.evaluate(u0))

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
+from curvezeta.exact import _squarefree_mod_prime
+
 FIELD_CAP = 2**20
 
 
@@ -62,28 +64,6 @@ def is_prime_power(n: int) -> bool:
     while n % p == 0:
         n //= p
     return n == 1
-
-
-def _poly_gcd_fp(a: list[int], b: list[int], p: int) -> list[int]:
-    def trim(v: list[int]) -> list[int]:
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        while len(r) >= len(b) and trim(r):
-            if not r:
-                break
-            c = (r[-1] * inv) % p
-            k = len(r) - len(b)
-            for j, bj in enumerate(b):
-                r[k + j] = (r[k + j] - c * bj) % p
-            r = trim(r)
-        a, b = b, r
-    return a
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -213,7 +193,7 @@ class CurveModel:
         if self.kind == "quadratic":
             if self.q == 2:
                 raise ValueError("quadratic models need odd characteristic")
-            if not _squarefree_mod_p(f, self.q):
+            if not _squarefree_mod_prime(f, self.q):
                 raise ValueError("right-hand side must be squarefree")
         if self.kind == "artin_schreier" and self.q != 2:
             raise ValueError("artin_schreier models need characteristic 2")
@@ -244,12 +224,6 @@ def _trimmed_degree(f: Sequence[int], p: int) -> int:
     while g and g[-1] == 0:
         g.pop()
     return len(g) - 1
-
-
-def _squarefree_mod_p(f: list[int], p: int) -> bool:
-    deriv = [(i * c) % p for i, c in enumerate(f)][1:]
-    g = _poly_gcd_fp(list(f), deriv, p)
-    return len(g) - 1 == 0
 
 
 def count_points(model: CurveModel, m: int) -> int:

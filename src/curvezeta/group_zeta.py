@@ -60,7 +60,7 @@ from functools import lru_cache
 
 from curvezeta.artin import CurveData, zeta_hat_ratfun, zeta_hat_special
 from curvezeta.exact import Poly, RationalFunction, ZeroReport, complex_roots
-from curvezeta.rank2 import triangular_alpha_ratios
+from curvezeta.invariants import alpha_from_A
 
 Root = tuple[int, int]  # (x, y) encodes e_x - e_y; positive iff x < y
 
@@ -284,7 +284,7 @@ def _term_data(rs: RootSystemData, pb: ParabolicData, w: WeylElt, r: int):
     """Shift index n_w, constant zeta exponents, and rational factor recipe.
 
     Returns (n_w, zeta_exponents, constant_q_factors, s_factors) where the
-    s_factors are (e, u_power) pairs for 1/(1 - q^e * u^u_power).
+    s_factors are (e, k) pairs for 1/(1 - q^e * u^k).
     The run-of-heights property behind the telescoping is asserted, not
     assumed.
     """
@@ -413,7 +413,7 @@ def slr_numerator(z: SlrZeta, c: CurveData) -> SlrNumeratorInfo:
         raise ConventionError("vanishing constant coefficient; ratios undefined")
     normalized = tuple(a / coeffs[0] for a in coeffs)
     Q = Fraction(z.q) ** z.r
-    ratios = tuple(triangular_alpha_ratios(list(normalized), Q, z.g))
+    ratios = tuple(alpha_from_A(normalized, Q, z.g))
     return SlrNumeratorInfo(coeffs, normalized, ratios, coeffs[0] == 1)
 
 
@@ -636,12 +636,10 @@ def _factored_sum(terms: list[_FactoredTerm]) -> tuple[Poly2, Poly2]:
     return num, den
 
 
-def period_sum_r2(c: CurveData, identity_only: bool = False) -> RationalFunction:
+def period_sum_r2(c: CurveData) -> RationalFunction:
     """The raw rank-two period in u, before the zeta-clearing multiplier."""
     q = Fraction(c.q)
     t_id = RationalFunction([1], [1, -1])  # 1/(1 - u)
-    if identity_only:
-        return t_id
     quot = zeta_hat_ratfun(c, shift=1) / zeta_hat_ratfun(c, shift=2)
     t_flip = RationalFunction([0, 1], [-(q**2), 1]) * quot  # 1/(1 - q^2/u)
     return t_id + t_flip

@@ -69,19 +69,21 @@ class BrillNoetherTable:
                     raise AssertionError(f"section bound fails at (d={d}, i={i})")
 
 
-def alpha_from_A(c: CurveData) -> list[Fraction]:
-    """alpha_0..alpha_{g-1} as the triangular combination of the A_i.
+def alpha_from_A(A: Sequence[Rat], q: Rat, count: int) -> list[Fraction]:
+    """alpha_0..alpha_{count-1} as the triangular combination of the A_i.
 
-    alpha_i = sum_{j<=i} (q^{i-j+1} - 1)/(q - 1) * A_j, so alpha_0 = 1.
+    alpha_i = sum_{j<=i} (q^{i-j+1} - 1)/(q - 1) * A_j, with A_j = 0 past the
+    end of A, so alpha_0 = A_0.  A curve's rank-one alphas are
+    alpha_from_A(c.A, c.q, c.g).  With q replaced by Q = q^r and A by a
+    numerator normalized to a unit constant term, the same system predicts
+    the ratios alpha(r i)/alpha(0) of the SL_r and rank-two zetas.
     """
-    if c.g < 1:
-        raise ValueError("invariants need genus >= 1")
-    q = Fraction(c.q)
+    q = Fraction(q)
     out = []
-    for i in range(c.g):
+    for i in range(count):
         acc = Fraction(0)
-        for j in range(i + 1):
-            acc += (q ** (i - j + 1) - 1) / (q - 1) * c.A[j]
+        for j in range(min(i, len(A) - 1) + 1):
+            acc += (q ** (i - j + 1) - 1) / (q - 1) * A[j]
         out.append(acc)
     return out
 
@@ -148,19 +150,18 @@ def middle_coefficient_identity_check(c: CurveData) -> bool:
     """
     if c.g < 2:
         raise ValueError("identity needs genus >= 2")
-    al = alpha_from_A(c)
+    al = alpha_from_A(c.A, c.q, c.g)
     q = Fraction(c.q)
     return 2 * q * al[c.g - 2] - (q + 1) * al[c.g - 1] + (q - 1) * beta0(c) == c.A[c.g]
 
 
-def invariant_table(c: CurveData, dmax: int | None = None) -> InvariantTable:
-    """The rank-one table with gamma evaluated for 0 <= d <= dmax."""
-    top = 2 * c.g if dmax is None else dmax
+def invariant_table(c: CurveData) -> InvariantTable:
+    """The rank-one table with gamma evaluated for 0 <= d <= 2g."""
     return InvariantTable(
         r=1,
-        alphas=tuple(alpha_from_A(c)),
+        alphas=tuple(alpha_from_A(c.A, c.q, c.g)),
         beta0=beta0(c),
-        gammas={d: gamma(c, d) for d in range(top + 1)},
+        gammas={d: gamma(c, d) for d in range(2 * c.g + 1)},
     )
 
 
@@ -200,7 +201,7 @@ def elliptic_oracle(q: int, a: int, dmax: int) -> tuple[BrillNoetherTable, Invar
     table = InvariantTable(r=1, alphas=alphas, beta0=betas, gammas=gammas)
 
     curve = CurveData.elliptic(q, a)
-    if alphas and alphas[0] != alpha_from_A(curve)[0]:
+    if alphas and alphas[0] != alpha_from_A(curve.A, q, 1)[0]:
         raise AssertionError("oracle alpha(0) disagrees with the triangular formula")
     if betas != beta0(curve):
         raise AssertionError("oracle beta_0 disagrees with h/(q-1)")

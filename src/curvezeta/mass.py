@@ -20,7 +20,9 @@ where {x} is the fractional part.  The v_n exponent is read as (n^2-1)(g-1):
 the block variable must be n, not r, or the two formulas already disagree at
 rank two on any genus-two curve (the genus-one fixtures cannot tell, since
 the exponent vanishes there).  ``beta_crosscheck`` tabulates both routes
-and the rank-two series-derived value side by side.
+and the rank-two series-derived value side by side, and asserts that the two
+routes agree at every rank up to the one asked for; the CLI's mass task asks
+for the largest rank of the job.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ class Composition:
     def __post_init__(self):
         if not self.parts or any(p < 1 for p in self.parts):
             raise ValueError("composition parts must be positive")
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
 
 
 def compositions(r: int) -> Iterator[Composition]:
@@ -135,16 +133,16 @@ def beta_hn_mass(c: CurveData, r: int, d: int) -> Fraction:
 
 
 def beta_crosscheck(c: CurveData, rmax: int) -> dict:
-    """Both beta routes per rank, with the rank-two series value alongside.
+    """Both beta routes for r = 1..rmax, with the rank-two series value alongside.
 
-    Equality of the two composition sums is asserted for r <= 3 (where the
-    v_n exponent reading has been pinned by the genus-two discriminating
-    fixture); r = 4 rows are reported without assertion.  The rank-two row
-    also carries the series-derived beta and the alternate special-value
+    Equality of the two composition sums is asserted on every row: the v_n
+    exponent reading (n^2-1)(g-1) is pinned by the genus-two discriminating
+    fixture, and the two routes compute the same mass at every rank
+    (Mozgovoy and Reineke, arXiv 1310.4991).  The rank-one row is also
+    asserted against h/(q-1) and the rank-two row against the series-derived
+    beta; the rank-two row further carries the alternate special-value
     display, which is recorded but never asserted.
     """
-    if rmax > 4:
-        raise ValueError("crosscheck covers rmax <= 4")
     rows = []
     for r in range(1, rmax + 1):
         comp = beta_composition_formula(c, r)
@@ -165,7 +163,7 @@ def beta_crosscheck(c: CurveData, rmax: int) -> dict:
             row["special_value_variant"] = beta_from_special_values(c)
             if comp != row["series_value"]:
                 raise AssertionError("rank-two composition sum disagrees with the series route")
-        if r <= 3 and not row["agree"]:
+        if not row["agree"]:
             raise AssertionError(f"mass routes disagree at rank {r}")
         rows.append(row)
     return {"curve": c.describe(), "rows": rows}

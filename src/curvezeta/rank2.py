@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from curvezeta.artin import CurveData, zeta_hat_special
 from curvezeta.exact import Poly, RationalFunction
@@ -41,10 +40,6 @@ class Rank2Numerator:
     """Palindromic coefficients of N(X), X = qT, from the grouped expansion."""
 
     coeffs: tuple[Fraction, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def is_palindromic(self) -> bool:
         return self.coeffs == tuple(reversed(self.coeffs))
@@ -210,25 +205,6 @@ def pure_fe_check(z: PureZeta) -> bool:
         * z.Z.reciprocal_arg(1 / Q)
     )
     return lhs == z.Z
-
-
-def triangular_alpha_ratios(
-    normalized: Sequence[Fraction], Q: Fraction, count: int
-) -> list[Fraction]:
-    """Predicted alpha(r m)/alpha(0) from unit-normalized numerator coefficients.
-
-    The rank-one triangular system with q replaced by Q:
-    ratio_m = sum_{j<=m} (Q^{m-j+1} - 1)/(Q - 1) * coeff_j.
-    """
-    if not normalized or normalized[0] != 1:
-        raise ValueError("coefficients must be normalized to a unit constant term")
-    out = []
-    for m in range(count):
-        acc = Fraction(0)
-        for j in range(min(m, len(normalized) - 1) + 1):
-            acc += (Q ** (m - j + 1) - 1) / (Q - 1) * normalized[j]
-        out.append(acc)
-    return out
 
 
 def variant_report(c: CurveData) -> dict:

@@ -93,7 +93,7 @@ def test_criterion_3_triangular_roundtrips():
         for i in range(g):
             full[2 * g - i] = F(q) ** (g - i) * full[i]
         c = CurveData(q, g, full)
-        back = A_from_alpha(alpha_from_A(c), beta0(c), q, g)
+        back = A_from_alpha(alpha_from_A(c.A, q, g), beta0(c), q, g)
         ok = ok and back == list(c.A[: g + 1])
         ok = ok and middle_coefficient_identity_check(c)
     _report(3, "200 random triangular roundtrips and closing-row identities, exact", ok)

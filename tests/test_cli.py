@@ -582,6 +582,14 @@ class TestMain:
         assert sorted(report["data"]) == ["r8"]
         assert report["checks"] == {"functional_equation_r8": True}
 
+    def test_mass_rank_flag_asserts_every_row(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["mass", str(DATA / "elliptic_q2_job.yaml"), "--rank", "8", "--out", str(out)]) == 0
+        (report,) = json.loads((out / "report.json").read_text())["reports"]
+        ranks = [f"r{r}" for r in range(1, 9)]
+        assert list(report["data"]["beta_at_degree"]) == ranks
+        assert report["checks"] == {f"mass_agreement_{r}": True for r in ranks}
+
     def test_rank_flag_replaces_job_ranks(self, capsys):
         assert main(["slr", str(DATA / "criterion10_job.yaml"), "--rank", "3"]) == 0
         tree = json.loads(capsys.readouterr().out)

@@ -11,6 +11,7 @@ import yaml
 from curvezeta import fields
 from curvezeta.artin import counts_from_numerator, numerator_from_counts
 from curvezeta.corpus import census_models
+from curvezeta.exact import _squarefree_mod_prime
 from curvezeta.fields import (
     CurveModel,
     _field_tables,
@@ -249,6 +250,28 @@ class TestBuildField:
         assert (1, 0) not in map(tuple, fields._candidate_moduli(2, 2))  # x^2 + 1 = (x + 1)^2
 
 
+def _gcd_fp(a: list[int], b: list[int], p: int) -> list[int]:
+    """Reference: gcd over F_p by schoolbook Euclid, constant term first."""
+
+    def trim(v: list[int]) -> list[int]:
+        while v and v[-1] == 0:
+            v.pop()
+        return v
+
+    a, b = trim(list(a)), trim(list(b))
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        r = list(a)
+        while len(r) >= len(b):
+            c = r[-1] * inv % p
+            k = len(r) - len(b)
+            for j, bj in enumerate(b):
+                r[k + j] = (r[k + j] - c * bj) % p
+            trim(r)
+        a, b = b, r
+    return a
+
+
 class TestCountPoints:
     def test_projective_line(self):
         model = CurveModel("projective_line", 2)
@@ -280,6 +303,25 @@ class TestCountPoints:
         # x^3 + 2x^2 + x = x (x+1)^2 over F_3
         with pytest.raises(ValueError):
             CurveModel("quadratic", 3, (0, 1, 2, 1))
+
+    @pytest.mark.parametrize("p, top", [(3, 5), (5, 5), (7, 4)])
+    def test_squarefree_rule_matches_euclid_reference(self, p, top):
+        # every f of degree 1..top over F_p: the shared F_p test agrees with
+        # gcd(f, f') by the reference, and CurveModel accepts exactly the f of
+        # odd degree that pass it
+        for deg in range(1, top + 1):
+            for code in range((p - 1) * p**deg):
+                f = tuple(_digits(code % p**deg, p, deg)) + (code // p**deg + 1,)
+                deriv = [i * c % p for i, c in enumerate(f)][1:]
+                squarefree = len(_gcd_fp(f, deriv, p)) == 1
+                assert _squarefree_mod_prime(f, p) == squarefree, (p, f)
+                try:
+                    CurveModel("quadratic", p, f)
+                except ValueError:
+                    accepted = False
+                else:
+                    accepted = True
+                assert accepted == (deg % 2 == 1 and squarefree), (p, f)
 
     def test_quadratic_needs_odd_characteristic(self):
         with pytest.raises(ValueError):

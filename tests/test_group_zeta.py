@@ -296,7 +296,11 @@ class TestNumeratorInfo:
 
 class TestPeriodOracle:
     def test_rank2_identity_only_term(self, curve_g1):
-        assert period_sum_r2(curve_g1, identity_only=True) == RationalFunction([1], [1, -1])
+        # the period less its flip term is the identity term 1/(1 - u)
+        q = F(curve_g1.q)
+        quot = zeta_hat_ratfun(curve_g1, shift=1) / zeta_hat_ratfun(curve_g1, shift=2)
+        flip = RationalFunction([0, 1], [-(q**2), 1]) * quot  # 1/(1 - q^2/u) * zh(s+1)/zh(s+2)
+        assert period_sum_r2(curve_g1) - flip == RationalFunction([1], [1, -1])
 
     def test_rank2_constant_is_one(self, corpus):
         for c in corpus[:6]:

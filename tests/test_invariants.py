@@ -32,18 +32,18 @@ def random_palindromic(rng: random.Random, q: int, g: int) -> CurveData:
 class TestAlphaFromA:
     def test_alpha0_is_one(self, corpus):
         for c in corpus:
-            assert alpha_from_A(c)[0] == 1
+            assert alpha_from_A(c.A, c.q, c.g)[0] == 1
 
     def test_quintic_alpha1(self, curve_g2):
-        assert alpha_from_A(curve_g2) == [1, 3]
+        assert alpha_from_A(curve_g2.A, curve_g2.q, curve_g2.g) == [1, 3]
 
     def test_synthetic_genus3(self):
         c = CurveData(2, 3, [1, 1, 2, 6, 4, 4, 8])
-        assert alpha_from_A(c) == [1, 4, 12]
+        assert alpha_from_A(c.A, c.q, c.g) == [1, 4, 12]
 
     def test_genus_zero_unsupported(self):
-        with pytest.raises(ValueError):
-            alpha_from_A(CurveData(2, 0, [1], genuine=True))
+        with pytest.raises(ValueError, match="genus >= 1"):
+            invariant_table(CurveData(2, 0, [1], genuine=True))
 
 
 class TestAFromAlpha:
@@ -59,7 +59,7 @@ class TestAFromAlpha:
             q = rng.choice([2, 3, 4, 5])
             g = rng.randint(2, 10)
             c = random_palindromic(rng, q, g)
-            back = A_from_alpha(alpha_from_A(c), beta0(c), q, g)
+            back = A_from_alpha(alpha_from_A(c.A, q, g), beta0(c), q, g)
             assert back == list(c.A[: g + 1])
             assert middle_coefficient_identity_check(c)
 
@@ -68,7 +68,7 @@ class TestAFromAlpha:
         for _ in range(50):
             q = rng.choice([2, 3, 4, 5])
             c = random_palindromic(rng, q, 1)
-            assert A_from_alpha(alpha_from_A(c), beta0(c), q, 1) == list(c.A[:2])
+            assert A_from_alpha(alpha_from_A(c.A, q, 1), beta0(c), q, 1) == list(c.A[:2])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ class TestCompositions:
 
     def test_parts_sum(self):
         for comp in compositions(5):
-            assert comp.total == 5
+            assert sum(comp.parts) == 5
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -103,17 +103,19 @@ class TestHnMass:
 
 class TestCrosscheck:
     def test_g1_table(self, curve_g1):
-        out = beta_crosscheck(curve_g1, 2)
+        out = beta_crosscheck(curve_g1, 6)
         rows = out["rows"]
         assert rows[0]["composition"] == 3
         assert rows[1]["composition"] == 6
         assert rows[1]["series_value"] == 6
         assert rows[1]["special_value_variant"] == 0  # flagged, not asserted
-        assert all(row["agree"] for row in rows)
+        assert [row["r"] for row in rows] == [1, 2, 3, 4, 5, 6]
+        assert all(row["agree"] and row["ratio"] == 1 for row in rows)
 
     def test_g2_table(self, curve_g2):
-        out = beta_crosscheck(curve_g2, 3)
-        assert all(row["agree"] for row in out["rows"])
+        out = beta_crosscheck(curve_g2, 6)
+        assert [row["r"] for row in out["rows"]] == [1, 2, 3, 4, 5, 6]
+        assert all(row["agree"] and row["ratio"] == 1 for row in out["rows"])
 
     def test_rank_two_matches_series_route(self, corpus):
         for c in corpus:
@@ -121,14 +123,11 @@ class TestCrosscheck:
                 continue
             assert beta_composition_formula(c, 2) == rank2_invariants(c).beta0, c.describe()
 
-    def test_rmax_bound(self, curve_g1):
-        with pytest.raises(ValueError):
-            beta_crosscheck(curve_g1, 5)
-
     def test_rank_four_reported(self, curve_g1):
         out = beta_crosscheck(curve_g1, 4)
         assert len(out["rows"]) == 4
         assert "ratio" in out["rows"][3]
+        assert out["rows"][3]["agree"]
 
 
 class TestHnMassExact:
