@@ -344,8 +344,9 @@ def _task_slr(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
             checks["riemann_hypothesis_r2"] = rh.verdict
         if r in (2, 3):
             _, ratio = period_residue_oracle(c, r)
-            entry["period_oracle_ratio"] = ratio
-            checks[f"period_oracle_constant_r{r}"] = True
+            constant = ratio.is_constant()
+            entry["period_oracle_ratio"] = ratio.constant_value() if constant else ratio
+            checks[f"period_oracle_constant_r{r}"] = constant
         report[f"r{r}"] = entry
     return report, checks
 

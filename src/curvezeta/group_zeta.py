@@ -40,23 +40,30 @@ exact square-free split first tries a certificate modulo one fixed prime
 algorithm only when the certificate fails.
 :func:`period_residue_oracle` instead materializes the period as an exact
 (bivariate, for r = 3) rational function and takes the limit
-lim (1 - u_1) f literally; the two must agree up to a recorded constant.
+lim (1 - u_1) f literally; the two must agree up to a constant ratio, which
+the caller records and checks.
 For r = 3 each Weyl term is kept factored (a constant, a monomial and
-normalized binomial and Weil-numerator factors), equal factors cancel within
-a term, and the terms are added over the LCM of their factored denominators
-instead of by cross-multiplying them pairwise.  The limit stays literal:
-the sum is multiplied out into one numerator and one denominator polynomial,
-(1 - u_1) is removed from both by exact synthetic division, and u_1 = 1 is
-substituted.  The oracle lists the six elements of S_3 itself and shares
-only :func:`build_root_system` with :func:`slr_zeta`.
+primitive integer binomial and Weil-numerator factors), equal factors cancel
+within a term, and the terms are added over the LCM of their factored
+denominators instead of by cross-multiplying them pairwise.  The sum is
+multiplied out on the univariate integer :class:`Poly` core by Kronecker
+substitution, u1^i u2^j as x^(i + D j) with the stride D above every
+u1-degree formed, which makes the packing an injective ring homomorphism.
+The limit stays literal: (1 - u_1) divides a packed polynomial exactly when
+its column sums at u_1 = 1 vanish, and is then removed from the numerator
+and the denominator by exact division by (1 - x); u_1 = 1 is substituted
+by summing the columns.  The oracle lists the six elements of S_3 itself
+and shares only :func:`build_root_system` with :func:`slr_zeta`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from curvezeta.artin import CurveData, zeta_hat_ratfun, zeta_hat_special
 from curvezeta.exact import Poly, RationalFunction, ZeroReport, complex_roots
@@ -455,125 +462,97 @@ def slr_rh_report(z: SlrZeta, tol: float = 1e-9) -> ZeroReport:
 # Independent oracle: the period itself, with literal (1 - u_j) limits.
 # ---------------------------------------------------------------------------
 
-Poly2 = dict[tuple[int, int], Fraction]
-Key2 = tuple[tuple[tuple[int, int], Fraction], ...]  # a normalized Poly2, frozen
+Key = tuple[int, int, tuple[int, ...]]  # (e1, e2, ints): sum_k ints[k] (u1^e1 u2^e2)^k
+
+_ONE_MINUS_X = Poly([1, -1])
 
 
-def _p2_add(a: Poly2, b: Poly2) -> Poly2:
-    out = dict(a)
-    for k, v in b.items():
-        nv = out.get(k, Fraction(0)) + v
-        if nv:
-            out[k] = nv
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _p2_mul(a: Poly2, b: Poly2) -> Poly2:
-    out: Poly2 = {}
-    for (i1, j1), v1 in a.items():
-        for (i2, j2), v2 in b.items():
-            k = (i1 + i2, j1 + j2)
-            nv = out.get(k, Fraction(0)) + v1 * v2
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-    return out
-
-
-def _p2_divide_one_minus_u1(a: Poly2) -> Poly2 | None:
-    """Exact quotient a / (1 - u1), or None if the division is inexact."""
-    if not a:
-        return {}
-    max1 = max(i for i, _ in a)
-    cols: dict[int, dict[int, Fraction]] = {}
-    for (i, j), v in a.items():
-        cols.setdefault(j, {})[i] = v
-    out: Poly2 = {}
-    for j, col in cols.items():
-        # synthetic division by (1 - u1): q_i = sum_{k<=i} a_k
-        acc = Fraction(0)
-        qcol = {}
-        for i in range(max1 + 1):
-            acc += col.get(i, Fraction(0))
-            qcol[i] = acc
-        if acc != 0:  # remainder = column value at u1 = 1
-            return None
-        for i in range(max1):  # quotient has degree max1 - 1
-            if qcol[i]:
-                out[(i, j)] = qcol[i]
-    return out
-
-
-def _p2_eval_u1(a: Poly2) -> Poly:
-    """Collapse u1 = 1 into a univariate polynomial in u2."""
-    if not a:
-        return Poly()
-    maxj = max(j for _, j in a)
-    out = [Fraction(0)] * (maxj + 1)
-    for (_, j), v in a.items():
-        out[j] += v
-    return Poly(out)
-
-
-def _one_minus(c: Fraction, e1: int, e2: int) -> Poly2:
-    """1 - c * u1^e1 * u2^e2, exponents possibly negative."""
-    return _p2_add({(0, 0): Fraction(1)}, {(e1, e2): -c})
+def _q_power(q: int, e: int) -> tuple[int, int]:
+    """q^e as an integer fraction (a, b)."""
+    return (q**e, 1) if e >= 0 else (1, q**-e)
 
 
 @dataclass
 class _FactoredTerm:
     """const * u1^a1 * u2^a2 * prod key^m, with m > 0 upstairs and m < 0 downstairs.
 
-    Factors are stored normalized: monomial content divided out and the
-    coefficient of the lowest monomial scaled to 1, both moved into
-    ``const`` and ``mono``.  Equal factors from different sources thus share
-    one key and cancel as they are multiplied in.
+    A key (e1, e2, ints) is the polynomial sum_k ints[k] U^k in the monomial
+    U = u1^e1 u2^e2 with e1, e2 >= 0, and ints is primitive with a positive
+    constant term (the coefficient of the lowest monomial).  The sign, the
+    integer content and the monomial content of each factor are moved into
+    ``const`` = num/den and ``mono``, so equal factors from different sources
+    share one key and cancel as they are multiplied in.
     """
 
-    const: Fraction = Fraction(1)
+    num: int = 1
+    den: int = 1
     mono: tuple[int, int] = (0, 0)
-    factors: dict[Key2, int] = field(default_factory=dict)
+    factors: dict[Key, int] = field(default_factory=dict)
 
-    def mul(self, p: Poly2, power: int) -> None:
-        """Multiply by p**power, for a nonzero p with possibly negative exponents."""
-        m1 = min(i for i, _ in p)
-        m2 = min(j for _, j in p)
-        lead = p[min(p)]
-        key = tuple(sorted(((i - m1, j - m2), v / lead) for (i, j), v in p.items()))
-        self.const *= lead**power
-        self.mono = (self.mono[0] + power * m1, self.mono[1] + power * m2)
-        if len(key) == 1:  # a monomial is all content
+    @property
+    def const(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    def mul(
+        self, ints: Sequence[int], e1: int, e2: int, power: int, num: int = 1, den: int = 1
+    ) -> None:
+        """Multiply by (num/den * sum_k ints[k] U^k)**power, U = u1^e1 u2^e2.
+
+        The ints are not all zero; e1 and e2 are both >= 0 or both <= 0, and
+        f(1/V) = V^{-n} (rev f)(V) turns the second case into the first.
+        """
+        a1, a2 = self.mono
+        if e1 < 0 or e2 < 0:
+            n = power * (len(ints) - 1)
+            a1, a2 = a1 + n * e1, a2 + n * e2
+            ints, e1, e2 = ints[::-1], -e1, -e2
+        nonzero = [k for k, a in enumerate(ints) if a]
+        lo, hi = nonzero[0], nonzero[-1]
+        self.mono = (a1 + power * lo * e1, a2 + power * lo * e2)
+        content = math.gcd(*ints) if ints[lo] > 0 else -math.gcd(*ints)
+        num *= content
+        if power < 0:
+            num, den = den, num
+        self.num *= num ** abs(power)
+        self.den *= den ** abs(power)
+        if lo == hi:  # a monomial is all content
             return
-        n = self.factors.get(key, 0) + power
-        if n:
-            self.factors[key] = n
+        key = (e1, e2, tuple(a // content for a in ints[lo : hi + 1]))
+        m = self.factors.get(key, 0) + power
+        if m:
+            self.factors[key] = m
         else:
             del self.factors[key]
+
+    def mul_one_minus(self, q: int, e: int, e1: int, e2: int, power: int) -> None:
+        """Multiply by (1 - q^e U)**power; with q^e = a/b this is ((b - a U)/b)**power."""
+        a, b = _q_power(q, e)
+        self.mul((b, -a), e1, e2, power, 1, b)
 
     def mul_zeta_hat(self, c: CurveData, shift: int, e1: int, e2: int, power: int) -> None:
         """Multiply by zh(shift + e1*s1 + e2*s2)**power.
 
         zh = q^{(g-1) shift} U^{-(g-1)} P(q^{-shift} U) / ((1 - q^{-shift} U)
-        (1 - q^{1-shift} U)) with U = u1^e1 u2^e2.
+        (1 - q^{1-shift} U)) with U = u1^e1 u2^e2.  With P = scale * sum n_k t^k
+        and q^{-shift} = a/b, P(q^{-shift} U) = scale b^{-d} sum n_k a^k b^{d-k} U^k,
+        all in integers.
         """
-        q, g = Fraction(c.q), c.g
-        scale = q**-shift
-        self.mul({(-e1 * (g - 1), -e2 * (g - 1)): q ** ((g - 1) * shift)}, power)
-        self.mul(
-            {(e1 * k, e2 * k): a * scale**k for k, a in enumerate(c.numerator.coeffs) if a},
-            power,
-        )
-        self.mul(_one_minus(scale, e1, e2), -power)
-        self.mul(_one_minus(scale * q, e1, e2), -power)
+        q, g = c.q, c.g
+        P = c.numerator
+        a, b = _q_power(q, -shift)
+        qa, qb = _q_power(q, (g - 1) * shift)
+        d = len(P.ints) - 1
+        ints = [n * a**k * b ** (d - k) for k, n in enumerate(P.ints)]
+        a1, a2 = self.mono
+        self.mono = (a1 - power * e1 * (g - 1), a2 - power * e2 * (g - 1))
+        self.mul(ints, e1, e2, power, P.scale.numerator * qa, P.scale.denominator * qb * b**d)
+        self.mul_one_minus(q, -shift, e1, e2, -power)
+        self.mul_one_minus(q, 1 - shift, e1, e2, -power)
 
 
 def _weyl_terms_r3(c: CurveData) -> list[_FactoredTerm]:
     """The six Weyl terms of the SL_3 period in u_j = q^{-s_j}, factored."""
     rs, _ = build_root_system(3)
-    q = Fraction(c.q)
     terms = []
     for w in map(WeylElt, itertools.permutations(range(1, 4))):
         v = w.inverse()
@@ -584,7 +563,7 @@ def _weyl_terms_r3(c: CurveData) -> list[_FactoredTerm]:
             sign = 1 if is_positive(beta) else -1
             e1 = sign if lo <= 1 < hi else 0
             e2 = sign if lo <= 2 < hi else 0
-            term.mul(_one_minus(q ** (1 - root_height(beta)), e1, e2), -1)
+            term.mul_one_minus(c.q, 1 - root_height(beta), e1, e2, -1)
         for a in rs.flipped_positive_roots(w):
             h = root_height(a)
             e1 = 1 if a[0] <= 1 < a[1] else 0
@@ -595,8 +574,8 @@ def _weyl_terms_r3(c: CurveData) -> list[_FactoredTerm]:
     return terms
 
 
-def _factored_sum(terms: list[_FactoredTerm]) -> tuple[Poly2, Poly2]:
-    """The sum of the terms as one numerator over one denominator.
+def _factored_sum(terms: list[_FactoredTerm]) -> tuple[Poly, Poly, int]:
+    """The sum of the terms as one numerator over one denominator, packed.
 
     The denominator L is the LCM of the factored term denominators: each key
     at its largest multiplicity downstairs, times the monomial that clears
@@ -604,36 +583,74 @@ def _factored_sum(terms: list[_FactoredTerm]) -> tuple[Poly2, Poly2]:
     at L's multiplicity plus the term's own, which is never negative.  Keys that
     differ but share a polynomial factor are not merged, so L is a common
     multiple, not always the least one; the quotient is the same.
+
+    Both polynomials are returned packed by Kronecker substitution, u1^i u2^j
+    as x^(i + D j), with the stride D also returned.  D exceeds the
+    u1-degree of every product formed, read off the monomial shifts and the
+    key multiplicities before anything is multiplied out, so the packing is
+    an injective ring homomorphism on everything the sum forms and the
+    products and sums run on :class:`Poly`.
     """
-    lcm: dict[Key2, int] = {}
+    lcm: dict[Key, int] = {}
     for t in terms:
         for key, m in t.factors.items():
             if m < 0:
                 lcm[key] = max(lcm.get(key, 0), -m)
     s1 = min(0, *(t.mono[0] for t in terms))
     s2 = min(0, *(t.mono[1] for t in terms))
-    powers: dict[tuple[Key2, int], Poly2] = {}
+    parts = [  # (const, shifted monomial, key multiplicities); the denominator last
+        (
+            t.const,
+            (t.mono[0] - s1, t.mono[1] - s2),
+            {k: lcm.get(k, 0) + t.factors.get(k, 0) for k in lcm.keys() | t.factors.keys()},
+        )
+        for t in terms
+    ]
+    parts.append((Fraction(1), (-s1, -s2), lcm))
+    stride = 1 + max(  # the u1-degree of each product, before it is formed
+        mono[0] + sum(m * key[0] * (len(key[2]) - 1) for key, m in ms.items())
+        for _, mono, ms in parts
+    )
+    powers: dict[tuple[Key, int], Poly] = {}
 
-    def times(a: Poly2, key: Key2, m: int) -> Poly2:
-        if (key, m) not in powers:
-            p: Poly2 = {(0, 0): Fraction(1)}
-            for _ in range(m):
-                p = _p2_mul(p, dict(key))
-            powers[key, m] = p
-        return _p2_mul(a, powers[key, m])
-
-    num: Poly2 = {}
-    for t in terms:
-        part = {(t.mono[0] - s1, t.mono[1] - s2): t.const}
-        for key in lcm.keys() | t.factors.keys():
-            m = lcm.get(key, 0) + t.factors.get(key, 0)
+    def product(const: Fraction, mono: tuple[int, int], ms: dict[Key, int]) -> Poly:
+        p = Poly.one()
+        # keys with the most terms first, while p is short; each packed key is
+        # the left factor, whose zeros Poly.__mul__ skips
+        for key, m in sorted(ms.items(), key=lambda km: -len(km[0][2])):
             if m:
-                part = times(part, key, m)
-        num = _p2_add(num, part)
-    den: Poly2 = {(-s1, -s2): Fraction(1)}
-    for key, m in lcm.items():
-        den = times(den, key, m)
-    return num, den
+                if (key, m) not in powers:
+                    e1, e2, ints = key
+                    powers[key, m] = Poly(ints).stretch(e1 + stride * e2) ** m
+                p = powers[key, m] * p
+        return Poly.x(mono[0] + stride * mono[1], const) * p
+
+    num = Poly()
+    for part in parts[:-1]:
+        num = num + product(*part)
+    return num, product(*parts[-1]), stride
+
+
+def _u1_columns(p: Poly, stride: int) -> list[int]:
+    """The integer column sums of a packed p: the ints of p at u1 = 1, by power of u2."""
+    ints = p.ints
+    return [sum(ints[j : j + stride]) for j in range(0, len(ints), stride)]
+
+
+def _at_u1_one(p: Poly, stride: int) -> Poly:
+    """A packed polynomial at u1 = 1, a polynomial in u2."""
+    return Poly(_u1_columns(p, stride)) * p.scale
+
+
+def _divide_one_minus_u1(p: Poly, stride: int) -> Poly | None:
+    """The packed quotient p / (1 - u1), or None when (1 - u1) does not divide p.
+
+    (1 - u1) divides p exactly when p vanishes at u1 = 1, and (1 - u1) b
+    packs to (1 - x) pack(b), so the quotient is one exact univariate division.
+    """
+    if any(_u1_columns(p, stride)):
+        return None
+    return p.exact_div(_ONE_MINUS_X)
 
 
 def period_sum_r2(c: CurveData) -> RationalFunction:
@@ -646,32 +663,36 @@ def period_sum_r2(c: CurveData) -> RationalFunction:
 
 
 @lru_cache(maxsize=64)
-def period_residue_oracle(c: CurveData, r: int) -> tuple[RationalFunction, Fraction]:
-    """The period route to zh_SLr, plus its constant ratio to the sum route.
+def period_residue_oracle(c: CurveData, r: int) -> tuple[RationalFunction, RationalFunction]:
+    """The period route to zh_SLr, plus its ratio to the sum route.
 
     r = 2 needs no residue.  For r = 3 the six Weyl terms are bivariate
     rational functions in u_j = q^{-s_j}, each a constant, a monomial and
-    known factors: binomials (1 - c u1^e1 u2^e2) and scaled copies
-    P(q^{-h} U) of the Weil numerator.  They are summed over the LCM of
-    their factored denominators (:func:`_factored_sum`), multiplied out once
-    into one numerator and one denominator polynomial.  The limit
-    lim_{u1 -> 1} (1 - u1) * omega is then taken literally on those two
-    polynomials: (1 - u1) is stripped from each by exact synthetic division
-    as often as it divides, never read off the factor keys, and u1 = 1 is
-    substituted.  A pole of order >= 2 raises; order <= 0 would make the
-    limit vanish, which is also reported.  The returned constant is
-    oracle / assembled and is asserted constant.
+    known factors: binomials (1 - q^e U) and scaled copies P(q^{-h} U) of
+    the Weil numerator, in monomials U = u1^e1 u2^e2, kept as primitive
+    integer keys.  They are summed over the LCM of their factored
+    denominators (:func:`_factored_sum`), multiplied out once into one
+    numerator and one denominator polynomial, each packed by Kronecker
+    substitution into a univariate integer :class:`Poly` (u1^i u2^j as
+    x^(i + D j)).  The limit lim_{u1 -> 1} (1 - u1) * omega is then taken
+    literally on those two polynomials: (1 - u1) is stripped from each as
+    often as it divides, which is when the column sums at u1 = 1 vanish,
+    by exact division by (1 - x); the pole order is never read off the
+    factor keys.  Then u1 = 1 is substituted.  A pole of order >= 2 raises;
+    order <= 0 would make the limit vanish, which is also reported.  The
+    returned ratio is oracle / assembled, a constant when the two routes
+    agree; the caller checks that it is.
     """
     if r == 2:
         oracle = period_sum_r2(c) * zeta_hat_ratfun(c, shift=2)
     elif r == 3:
-        num, den = _factored_sum(_weyl_terms_r3(c))
+        num, den, stride = _factored_sum(_weyl_terms_r3(c))
         k_den = 0
-        while (nxt := _p2_divide_one_minus_u1(den)) is not None:
+        while (nxt := _divide_one_minus_u1(den, stride)) is not None:
             den = nxt
             k_den += 1
         k_num = 0
-        while k_num < k_den and (nxt := _p2_divide_one_minus_u1(num)) is not None:
+        while k_num < k_den and (nxt := _divide_one_minus_u1(num, stride)) is not None:
             num = nxt
             k_num += 1
         order = k_den - k_num
@@ -679,7 +700,7 @@ def period_residue_oracle(c: CurveData, r: int) -> tuple[RationalFunction, Fract
             raise ValueError(f"pole of order {order} at u1 = 1; limit unsupported")
         if order < 1:
             raise ValueError("no pole at u1 = 1; the residue vanishes")
-        residue = RationalFunction(_p2_eval_u1(num), _p2_eval_u1(den))
+        residue = RationalFunction(_at_u1_one(num, stride), _at_u1_one(den, stride))
         oracle = (
             residue
             * RationalFunction.constant(zeta_hat_special(c, 2))
@@ -688,8 +709,4 @@ def period_residue_oracle(c: CurveData, r: int) -> tuple[RationalFunction, Fract
     else:
         raise ValueError("the period oracle covers r in {2, 3} only")
 
-    assembled = slr_zeta(c, r).combined
-    ratio = oracle / assembled
-    if not ratio.is_constant():
-        raise AssertionError("oracle and assembled zeta differ by a non-constant")
-    return oracle, ratio.constant_value()
+    return oracle, oracle / slr_zeta(c, r).combined

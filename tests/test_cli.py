@@ -10,9 +10,9 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curvezeta import artin, cli, fields, mass, rank2
+from curvezeta import artin, cli, fields, group_zeta, mass, rank2
 from curvezeta.cli import TASKS, JobError, main, parse_job, render, run
-from curvezeta.exact import Poly
+from curvezeta.exact import Poly, RationalFunction
 from curvezeta.group_zeta import R_MAX
 
 FULL_JOB = """\
@@ -291,6 +291,33 @@ class TestRun:
         assert code == 1
         checks = tree["reports"][0]["checks"]
         assert not checks["coefficient_symmetry"]
+
+    def test_period_oracle_mismatch_is_a_false_check(self, tmp_path, monkeypatch):
+        # an r = 3 oracle off by the non-constant factor (1 + u): the slr entry
+        # stays whole, only the oracle check reads false, and the exit code is 1
+        path = tmp_path / "slr.yaml"
+        path.write_text("curves:\n  - {type: elliptic, q: 2, a: 0}\nranks: [2, 3]\ntasks: [slr]\n")
+        _, good = run(parse_job(path))
+        zeta_hat_ratfun = group_zeta.zeta_hat_ratfun
+
+        def skewed(c, shift=0):
+            f = zeta_hat_ratfun(c, shift)
+            return f * RationalFunction([1, 1]) if shift == 3 else f
+
+        monkeypatch.setattr(group_zeta, "zeta_hat_ratfun", skewed)
+        group_zeta.period_residue_oracle.cache_clear()
+        try:
+            code, tree = run(parse_job(path))
+        finally:
+            group_zeta.period_residue_oracle.cache_clear()
+        assert code == 1
+        (entry,), (good_entry,) = tree["reports"], good["reports"]
+        assert entry["checks"] == {**good_entry["checks"], "period_oracle_constant_r3": False}
+        assert entry["data"]["r2"] == good_entry["data"]["r2"]
+        r3, good_r3 = dict(entry["data"]["r3"]), dict(good_entry["data"]["r3"])
+        assert r3.pop("period_oracle_ratio") == {"num": ["1", "1"], "den": ["1"]}  # 1 + u
+        assert good_r3.pop("period_oracle_ratio") == "1"
+        assert r3 == good_r3
 
     def test_each_model_counted_once(self, tmp_path, monkeypatch):
         calls = []

@@ -3,20 +3,23 @@
 import itertools
 import math
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from curvezeta.artin import CurveData, zeta_hat_ratfun, zeta_hat_special
 from curvezeta import group_zeta
+from curvezeta.cli import parse_job
 from curvezeta.exact import Poly, RationalFunction
 from curvezeta.group_zeta import (
     R_MAX,
     WeylElt,
+    _divide_one_minus_u1,
     _factored_sum,
     _FactoredTerm,
     _extract_numerator,
-    _p2_divide_one_minus_u1,
     _term_data,
     _weyl_terms_r3,
     build_root_system,
@@ -36,6 +39,9 @@ F = Fraction
 
 # the synthetic genus-3 datum of the criterion-10 CLI job
 GENUS3_DATUM = CurveData(2, 3, [1, 1, 2, 6, 4, 4, 8], label="genus-3 datum")
+
+# (q, g, seed) of the elliptic_product curves the r = 3 oracle is run on
+ELLIPTIC_PRODUCTS = [(2, 2, 1), (2, 3, 2), (3, 2, 3), (3, 3, 4), (2, 5, 5), (3, 6, 6)]
 
 
 def elliptic_product(q: int, g: int, seed: int) -> CurveData:
@@ -80,6 +86,187 @@ def pairwise_slr(c: CurveData, r: int):
     for n in sorted(R):
         combined = combined + R[n] * zeta_hat_ratfun(c, shift=n)
     return tuple(sorted(R.items())), combined
+
+
+# ---------------------------------------------------------------------------
+# Reference for the r = 3 period oracle: bivariate polynomials as
+# dict[(i, j)] -> Fraction and Fraction-keyed factored terms, summed without
+# packing.  The library multiplies out on packed integer Poly instead.
+# ---------------------------------------------------------------------------
+
+Poly2 = dict[tuple[int, int], Fraction]
+Key2 = tuple[tuple[tuple[int, int], Fraction], ...]  # a normalized Poly2, frozen
+
+
+def p2_add(a: Poly2, b: Poly2) -> Poly2:
+    out = dict(a)
+    for k, v in b.items():
+        nv = out.get(k, F(0)) + v
+        if nv:
+            out[k] = nv
+        else:
+            out.pop(k, None)
+    return out
+
+
+def p2_mul(a: Poly2, b: Poly2) -> Poly2:
+    out: Poly2 = {}
+    for (i1, j1), v1 in a.items():
+        for (i2, j2), v2 in b.items():
+            k = (i1 + i2, j1 + j2)
+            nv = out.get(k, F(0)) + v1 * v2
+            if nv:
+                out[k] = nv
+            else:
+                out.pop(k, None)
+    return out
+
+
+def p2_divide_one_minus_u1(a: Poly2) -> Poly2 | None:
+    """Exact quotient a / (1 - u1) by synthetic division, or None if inexact."""
+    if not a:
+        return {}
+    max1 = max(i for i, _ in a)
+    cols: dict[int, dict[int, Fraction]] = {}
+    for (i, j), v in a.items():
+        cols.setdefault(j, {})[i] = v
+    out: Poly2 = {}
+    for j, col in cols.items():
+        acc = F(0)
+        qcol = {}
+        for i in range(max1 + 1):
+            acc += col.get(i, F(0))
+            qcol[i] = acc
+        if acc != 0:  # remainder = column value at u1 = 1
+            return None
+        for i in range(max1):
+            if qcol[i]:
+                out[(i, j)] = qcol[i]
+    return out
+
+
+def p2_one_minus(c: Fraction, e1: int, e2: int) -> Poly2:
+    """1 - c * u1^e1 * u2^e2, exponents possibly negative."""
+    return p2_add({(0, 0): F(1)}, {(e1, e2): -c})
+
+
+@dataclass
+class RefFactoredTerm:
+    """const * u1^a1 * u2^a2 * prod key^m, each key scaled to lowest coefficient 1."""
+
+    const: Fraction = F(1)
+    mono: tuple[int, int] = (0, 0)
+    factors: dict[Key2, int] = field(default_factory=dict)
+
+    def mul(self, p: Poly2, power: int) -> None:
+        m1 = min(i for i, _ in p)
+        m2 = min(j for _, j in p)
+        lead = p[min(p)]
+        key = tuple(sorted(((i - m1, j - m2), v / lead) for (i, j), v in p.items()))
+        self.const *= lead**power
+        self.mono = (self.mono[0] + power * m1, self.mono[1] + power * m2)
+        if len(key) == 1:
+            return
+        n = self.factors.get(key, 0) + power
+        if n:
+            self.factors[key] = n
+        else:
+            del self.factors[key]
+
+    def mul_zeta_hat(self, c: CurveData, shift: int, e1: int, e2: int, power: int) -> None:
+        q, g = F(c.q), c.g
+        scale = q**-shift
+        self.mul({(-e1 * (g - 1), -e2 * (g - 1)): q ** ((g - 1) * shift)}, power)
+        self.mul(
+            {(e1 * k, e2 * k): a * scale**k for k, a in enumerate(c.numerator.coeffs) if a},
+            power,
+        )
+        self.mul(p2_one_minus(scale, e1, e2), -power)
+        self.mul(p2_one_minus(scale * q, e1, e2), -power)
+
+
+def ref_weyl_terms_r3(c: CurveData) -> list[RefFactoredTerm]:
+    rs, _ = build_root_system(3)
+    q = F(c.q)
+    terms = []
+    for w in weyl_group(3):
+        v = w.inverse()
+        term = RefFactoredTerm()
+        for alpha in rs.simple_roots:
+            beta = v.apply(alpha)
+            lo, hi = min(beta), max(beta)
+            sign = 1 if is_positive(beta) else -1
+            e1 = sign if lo <= 1 < hi else 0
+            e2 = sign if lo <= 2 < hi else 0
+            term.mul(p2_one_minus(q ** (1 - root_height(beta)), e1, e2), -1)
+        for a in rs.flipped_positive_roots(w):
+            h = root_height(a)
+            e1 = 1 if a[0] <= 1 < a[1] else 0
+            e2 = 1 if a[0] <= 2 < a[1] else 0
+            term.mul_zeta_hat(c, h, e1, e2, 1)
+            term.mul_zeta_hat(c, h + 1, e1, e2, -1)
+        terms.append(term)
+    return terms
+
+
+def ref_factored_sum(terms: list[RefFactoredTerm]) -> tuple[Poly2, Poly2]:
+    lcm: dict[Key2, int] = {}
+    for t in terms:
+        for key, m in t.factors.items():
+            if m < 0:
+                lcm[key] = max(lcm.get(key, 0), -m)
+    s1 = min(0, *(t.mono[0] for t in terms))
+    s2 = min(0, *(t.mono[1] for t in terms))
+
+    def times(a: Poly2, key: Key2, m: int) -> Poly2:
+        for _ in range(m):
+            a = p2_mul(a, dict(key))
+        return a
+
+    num: Poly2 = {}
+    for t in terms:
+        part = {(t.mono[0] - s1, t.mono[1] - s2): t.const}
+        for key in lcm.keys() | t.factors.keys():
+            part = times(part, key, lcm.get(key, 0) + t.factors.get(key, 0))
+        num = p2_add(num, part)
+    den: Poly2 = {(-s1, -s2): F(1)}
+    for key, m in lcm.items():
+        den = times(den, key, m)
+    return num, den
+
+
+def pack(p: Poly2, stride: int) -> Poly:
+    """u1^i u2^j as x^(i + stride j), for 0 <= i < stride and j >= 0."""
+    coeffs = [F(0)] * (1 + max((i + stride * j for i, j in p), default=0))
+    for (i, j), v in p.items():
+        assert 0 <= i < stride and j >= 0
+        coeffs[i + stride * j] = v
+    return Poly(coeffs)
+
+
+def unpack(p: Poly, stride: int) -> Poly2:
+    """The bivariate polynomial a packed Poly stands for."""
+    return {(e % stride, e // stride): v for e, v in enumerate(p.coeffs) if v}
+
+
+def p2_value(p: Poly2, u1: Fraction, u2: Fraction) -> Fraction:
+    return sum((v * u1**i * u2**j for (i, j), v in p.items()), F(0))
+
+
+def u1_pole_order(num, den, divide) -> int:
+    """The order of the pole of num/den at u1 = 1, stripping (1 - u1) by ``divide``."""
+    k_den = 0
+    while (nxt := divide(den)) is not None:
+        den, k_den = nxt, k_den + 1
+    k_num = 0
+    while k_num < k_den and (nxt := divide(num)) is not None:
+        num, k_num = nxt, k_num + 1
+    return k_den - k_num
+
+
+def criterion10_curves() -> list[CurveData]:
+    return list(parse_job(Path(__file__).parent / "data" / "criterion10_job.yaml").curves)
+
 
 
 class TestRootSystem:
@@ -314,11 +501,30 @@ class TestPeriodOracle:
             _, ratio = period_residue_oracle(c, 3)
             assert ratio == 1, c.describe()
 
-    @pytest.mark.parametrize("q, g, seed", [(2, 2, 1), (2, 3, 2), (3, 2, 3), (3, 3, 4)])
+    @pytest.mark.parametrize("q, g, seed", ELLIPTIC_PRODUCTS)
     def test_rank3_constant_is_one_elliptic_products(self, q, g, seed):
         c = elliptic_product(q, g, seed)
         _, ratio = period_residue_oracle(c, 3)
         assert ratio == 1, c.describe()
+
+    @pytest.mark.parametrize(
+        "curve",
+        [*criterion10_curves(), *(elliptic_product(*case) for case in ELLIPTIC_PRODUCTS),
+         CurveData(3, 1, [1, F(1, 2), 3])],
+        ids=lambda c: c.describe(),
+    )
+    def test_packed_sum_matches_reference(self, curve):
+        # the packed num/den against the dict/Fraction reference: the same
+        # quotient, and the same pole order at u1 = 1
+        num, den, stride = _factored_sum(_weyl_terms_r3(curve))
+        ref_num, ref_den = ref_factored_sum(ref_weyl_terms_r3(curve))
+        num2, den2 = unpack(num, stride), unpack(den, stride)
+        # num2 ref_den == ref_num den2, compared packed with a stride above the
+        # u1-degree of either product, where packing is injective
+        wide = 1 + 2 * max(i for i, _ in [*num2, *den2, *ref_num, *ref_den])
+        assert pack(num2, wide) * pack(ref_den, wide) == pack(ref_num, wide) * pack(den2, wide)
+        assert u1_pole_order(num, den, lambda p: _divide_one_minus_u1(p, stride)) == 1
+        assert u1_pole_order(ref_num, ref_den, p2_divide_one_minus_u1) == 1
 
     @pytest.mark.parametrize("curve", ["g1", "genus3"])
     def test_rank3_sum_matches_termwise_values(self, curve, curve_g1):
@@ -327,7 +533,8 @@ class TestPeriodOracle:
         rs, _ = build_root_system(3)
         lam, rho = rs.fundamental_weights, rs.rho
         q = F(c.q)
-        num, den = _factored_sum(_weyl_terms_r3(c))
+        num, den, stride = _factored_sum(_weyl_terms_r3(c))
+        num, den = unpack(num, stride), unpack(den, stride)
         for u in [(F(1, 5), F(1, 7)), (F(3, 11), F(-2, 13)), (F(7, 3), F(5, 17))]:
 
             def u_root(root):  # u1^<w1, root^> * u2^<w2, root^>
@@ -346,43 +553,44 @@ class TestPeriodOracle:
                     term /= zeta_hat_ratfun(c, shift=h + 1).evaluate(u_root(a))
                 expect += term
 
-            def value(p):
-                return sum(v * u[0] ** i * u[1] ** j for (i, j), v in p.items())
-
-            assert value(den) != 0
-            assert value(num) / value(den) == expect, u
+            assert p2_value(den, *u) != 0
+            assert p2_value(num, *u) / p2_value(den, *u) == expect, u
 
     def test_factored_sum_repeated_factor_and_negative_monomial(self):
         # u1^{-1} / (1 - u1)^2 + 3 u2 / (2 - 2 u1)
         a, b = _FactoredTerm(), _FactoredTerm()
-        a.mul({(-1, 0): F(1)}, 1)
-        a.mul({(0, 0): F(1), (1, 0): F(-1)}, -2)
-        b.mul({(0, 1): F(3)}, 1)
-        b.mul({(0, 0): F(2), (1, 0): F(-2)}, -1)
-        num, den = _factored_sum([a, b])
-        assert min(min(k) for k in [*num, *den]) >= 0
+        a.mul((0, 1), -1, 0, 1)  # U = 1/u1
+        a.mul((1, -1), 1, 0, -2)
+        b.mul((0, 3), 0, 1, 1)
+        b.mul((2, -2), 1, 0, -1)
+        assert a.mono == (-1, 0) and b.mono == (0, 1)
+        assert a.factors == {(1, 0, (1, -1)): -2} and b.factors == {(1, 0, (1, -1)): -1}
+        assert (a.const, b.const) == (1, F(3, 2))
+        num, den, stride = _factored_sum([a, b])
+        # u1^{-1} is cleared into the denominator: u1 divides it, every packed
+        # exponent is >= 0, and the stride exceeds both u1-degrees
+        assert den.ints[0] == 0
+        assert stride > max(i for i, _ in [*unpack(num, stride), *unpack(den, stride)])
+        num, den = unpack(num, stride), unpack(den, stride)
         for u1, u2 in [(F(1, 3), F(2, 5)), (F(-4, 7), F(9, 2))]:
-
-            def value(p):
-                return sum(v * u1**i * u2**j for (i, j), v in p.items())
-
             expect = 1 / (u1 * (1 - u1) ** 2) + 3 * u2 / (2 - 2 * u1)
-            assert value(num) / value(den) == expect
+            assert p2_value(num, u1, u2) / p2_value(den, u1, u2) == expect
 
     def test_divide_one_minus_u1_exact(self):
         b = {(0, 0): F(2), (1, 1): F(-3), (2, 0): F(1, 2), (0, 3): F(5)}
-        a = {}
-        for (i, j), v in b.items():  # a = (1 - u1) * b
-            a[(i, j)] = a.get((i, j), 0) + v
-            a[(i + 1, j)] = a.get((i + 1, j), 0) - v
-        a = {k: v for k, v in a.items() if v}
-        assert _p2_divide_one_minus_u1(a) == b
-        assert _p2_divide_one_minus_u1({}) == {}
+        a = p2_mul(b, {(0, 0): F(1), (1, 0): F(-1)})  # a = (1 - u1) * b
+        stride = 4  # above the u1-degree 3 of a
+        assert unpack(_divide_one_minus_u1(pack(a, stride), stride), stride) == b
+        assert _divide_one_minus_u1(Poly(), stride) == Poly()
 
     def test_divide_one_minus_u1_inexact(self):
-        assert _p2_divide_one_minus_u1({(0, 0): F(1), (1, 0): F(1)}) is None  # 1 + u1
+        stride = 3
+        assert _divide_one_minus_u1(pack({(0, 0): F(1), (1, 0): F(1)}, stride), stride) is None
         # 1 - u1 + u2: the u2 column leaves a remainder
-        assert _p2_divide_one_minus_u1({(0, 0): F(1), (1, 0): F(-1), (0, 1): F(1)}) is None
+        one_minus_u1_plus_u2 = {(0, 0): F(1), (1, 0): F(-1), (0, 1): F(1)}
+        assert _divide_one_minus_u1(pack(one_minus_u1_plus_u2, stride), stride) is None
+        # u1 - u2 packs to x - x^3, which (1 - x) divides, but (1 - u1) does not
+        assert _divide_one_minus_u1(pack({(1, 0): F(1), (0, 1): F(-1)}, stride), stride) is None
 
     def test_rank4_unsupported(self, curve_g1):
         with pytest.raises(ValueError):
