@@ -464,9 +464,6 @@ def slr_rh_report(z: SlrZeta, tol: float = 1e-9) -> ZeroReport:
 
 Key = tuple[int, int, tuple[int, ...]]  # (e1, e2, ints): sum_k ints[k] (u1^e1 u2^e2)^k
 
-_ONE_MINUS_X = Poly([1, -1])
-
-
 def _q_power(q: int, e: int) -> tuple[int, int]:
     """q^e as an integer fraction (a, b)."""
     return (q**e, 1) if e >= 0 else (1, q**-e)
@@ -650,7 +647,7 @@ def _divide_one_minus_u1(p: Poly, stride: int) -> Poly | None:
     """
     if any(_u1_columns(p, stride)):
         return None
-    return p.exact_div(_ONE_MINUS_X)
+    return p.exact_div(Poly([1, -1]))
 
 
 def period_sum_r2(c: CurveData) -> RationalFunction:
