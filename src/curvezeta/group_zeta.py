@@ -464,6 +464,7 @@ def slr_rh_report(z: SlrZeta, tol: float = 1e-9) -> ZeroReport:
 
 Key = tuple[int, int, tuple[int, ...]]  # (e1, e2, ints): sum_k ints[k] (u1^e1 u2^e2)^k
 
+
 def _q_power(q: int, e: int) -> tuple[int, int]:
     """q^e as an integer fraction (a, b)."""
     return (q**e, 1) if e >= 0 else (1, q**-e)
