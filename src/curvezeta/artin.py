@@ -272,13 +272,14 @@ def artin_fe_ratfun_check(c: CurveData) -> bool:
 def rh_check_artin(c: CurveData, tol: float = 1e-9) -> ZeroReport:
     """Numerically check |omega_i| = sqrt(q) for all reciprocal roots.
 
-    The numerator's roots t_i are found by the deterministic root finder;
+    The numerator's roots t_i are found by the deterministic root finder,
+    solved in sqrt(q) t (``Q = q``), where they lie on the unit circle;
     the report lists the reciprocal-root moduli 1/|t_i| and their deviation
     from sqrt(q).  Genus zero passes vacuously.
     """
     if c.g < 1:
         return ZeroReport((), float(c.q) ** 0.5, (), True, tol)
-    rset = complex_roots(c.numerator)
+    rset = complex_roots(c.numerator, Q=c.q)
     sq = float(c.q) ** 0.5
     omegas = tuple(1 / t for t in rset.roots)
     deviations = tuple(abs(abs(w) - sq) for w in omegas)
@@ -294,7 +295,7 @@ def weil_roots(c: CurveData, tol: float = 1e-6) -> WeilRoots:
     """
     if c.g < 1:
         return WeilRoots((), (), 0.0)
-    rset = complex_roots(c.numerator)
+    rset = complex_roots(c.numerator, Q=c.q)
     omegas = [1 / t for t in rset.roots]
     unused = list(range(len(omegas)))
     ordered: list[complex] = []

@@ -552,10 +552,15 @@ class RootFindError(RuntimeError):
 
 @dataclass(frozen=True)
 class ComplexRootSet:
-    """All complex roots of a polynomial, with per-root backward errors."""
+    """All complex roots of a polynomial, with per-root backward errors.
+
+    ``iterations`` counts the Aberth sweeps run, summed over square-free
+    factors; it is not part of any report.
+    """
 
     roots: tuple[complex, ...]
     residuals: tuple[float, ...]
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -659,7 +664,7 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def complex_roots(p: Poly, residual_bound: float = 1e-8) -> ComplexRootSet:
+def complex_roots(p: Poly, residual_bound: float = 1e-8, *, Q: int = 1) -> ComplexRootSet:
     """All roots of p with multiplicity, by Aberth-Ehrlich iteration.
 
     Exact square-free decomposition comes first, so the iteration only ever
@@ -669,38 +674,85 @@ def complex_roots(p: Poly, residual_bound: float = 1e-8) -> ComplexRootSet:
     divide the leading coefficient and the input is coprime to its
     derivative mod l, it is square-free and no integer gcd is computed.
     Otherwise, square-free or not, Yun's algorithm splits it exactly.
-    Start points sit on a circle of radius 1 + max|coeff|/|lead| at fixed
-    angles, the sweep order is by index, and convergence means every step
-    fell below 1e-14 * (1 + |root|), followed by a Newton polish.  Residuals
-    are relative backward errors on the square-free factor; exceeding
-    ``residual_bound`` (or the iteration cap) raises :class:`RootFindError`
-    carrying the partial results.
+
+    Each factor f is solved on the critical circle of ``Q``: the roots of
+    interest lie near |T| = Q^{-1/2}, so the driver works in W = sqrt(Q) T,
+    on b_i = (f_i / f_0) / Q^{floor(i/2)}, taken exactly and divided by one
+    float sqrt(Q) after the float conversion when i is odd; the roots come
+    back as T = W / sqrt(Q).  The default Q = 1 leaves T as it is.
+
+    f_0 is the normalizer because b is then f(W / sqrt(Q)) / f(0): b_0 = 1,
+    and when every root has |W| = 1 the product of the root moduli gives
+    |b_n| = 1 and |b_i| <= binom(n, i).  The coefficients f_i themselves
+    grow like Q^{i/2} and leave the float range at large Q, and roots of
+    modulus Q^{-1/2} lie far from a start circle read off them; the b_i
+    have neither problem.  When f_0 = 0 the lowest nonzero coefficient
+    takes its place, and the driver strips the roots at the origin.
+
+    Residuals are relative backward errors on the square-free factor (the
+    map leaves them unchanged); exceeding ``residual_bound`` (or the
+    iteration cap) raises :class:`RootFindError` carrying the partial
+    results.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no well-defined root set")
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
+    s = math.sqrt(Q)
+
+    def solve(f: Poly) -> ComplexRootSet:
+        w = complex_roots_numeric(_critical_circle_coeffs(f.ints, Q, s), residual_bound)
+        return ComplexRootSet(tuple(z / s for z in w.roots), w.residuals, w.iterations)
+
     parts = squarefree_decomposition(p)
     if len(parts) == 1 and parts[0][1] == 1:
-        return complex_roots_numeric([complex(c) for c in p.coeffs], residual_bound)
+        return solve(p)
     roots: list[complex] = []
     residuals: list[float] = []
+    iterations = 0
     for factor, mult in parts:
         if factor.degree < 1:
             continue
-        sub = complex_roots_numeric([complex(c) for c in factor.coeffs], residual_bound)
+        sub = solve(factor)
+        iterations += sub.iterations
         for z, res in zip(sub.roots, sub.residuals):
             roots.extend([z] * mult)
             residuals.extend([res] * mult)
     if len(roots) != p.degree:
         raise RootFindError("square-free decomposition lost degree", roots, residuals)
-    return ComplexRootSet(tuple(roots), tuple(residuals))
+    return ComplexRootSet(tuple(roots), tuple(residuals), iterations)
+
+
+def _critical_circle_coeffs(ints: Sequence[int], Q: int, s: float) -> list[float]:
+    """Coefficients of f(W / s) / f_k in W, s = sqrt(Q), f_k the lowest nonzero.
+
+    b_i = (f_i / f_k) / Q^{floor((i-k)/2)} exactly, then over s once more
+    when i - k is odd; below k the coefficients are 0.
+    """
+    k = next(i for i, c in enumerate(ints) if c)
+    fk = ints[k]
+    out = [0.0] * k
+    power = 1
+    for j, c in enumerate(ints[k:]):
+        if j and j % 2 == 0:
+            power *= Q
+        b = c / (fk * power)  # int / int: the exact quotient, rounded once
+        out.append(b / s if j % 2 else b)
+    return out
 
 
 def complex_roots_numeric(
     coefficients: Sequence[complex], residual_bound: float = 1e-8
 ) -> ComplexRootSet:
-    """The same Aberth-Ehrlich driver on raw complex coefficients."""
+    """The Aberth-Ehrlich driver on raw complex coefficients, constant first.
+
+    Exact roots at the origin come off first.  The start points sit at fixed
+    angles on the circle of radius |c_0 / c_n|^{1/n} (c_0 the constant term
+    after that, n the remaining degree): the geometric mean of the root
+    moduli, so exactly 1 for inputs already mapped to the unit circle.  The
+    sweep order is by index, and convergence means every step fell below
+    1e-14 * (1 + |root|), followed by a Newton polish.
+    """
     cs = list(coefficients)
     while cs and cs[-1] == 0:
         cs.pop()
@@ -714,16 +766,17 @@ def complex_roots_numeric(
     while cs[nzero] == 0:
         nzero += 1
     work = [complex(c) for c in cs[nzero:]]
-    lead = work[-1]
-    work = [c / lead for c in work]
     n = len(work) - 1
 
     roots: list[complex] = [0j] * nzero
     if n == 0:
         residuals = tuple(0.0 for _ in roots)
-        return ComplexRootSet(tuple(roots), residuals)
+        return ComplexRootSet(tuple(roots), residuals, 0)
 
-    radius = 1.0 + max(abs(c) for c in work[:-1])
+    # |c_0 / c_n|^(1/n), in logs so that no quotient under- or overflows
+    radius = math.exp((math.log(abs(work[0])) - math.log(abs(work[-1]))) / n)
+    lead = work[-1]
+    work = [c / lead for c in work]
     zs = [
         radius * cmath.exp(2j * cmath.pi * k / n + 1j * _SEED_ANGLE)
         for k in range(n)
@@ -737,7 +790,9 @@ def complex_roots_numeric(
         return acc
 
     converged = False
-    for _ in range(_MAX_ITER):
+    sweeps = 0
+    while sweeps < _MAX_ITER:
+        sweeps += 1
         max_rel_step = 0.0
         for i in range(n):
             z = zs[i]
@@ -817,5 +872,5 @@ def complex_roots_numeric(
             all_roots,
             residuals,
         )
-    return ComplexRootSet(tuple(all_roots), residuals)
+    return ComplexRootSet(tuple(all_roots), residuals, sweeps)
 

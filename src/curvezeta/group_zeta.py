@@ -37,7 +37,8 @@ the ordinary :class:`RationalFunction` constructor.  :func:`slr_rh_report`
 finds the zeros of the T-grid numerator with :func:`complex_roots`, whose
 exact square-free split first tries a certificate modulo one fixed prime
 (gcd(f, f') constant mod p proves f square-free) and falls back to Yun's
-algorithm only when the certificate fails.
+algorithm only when the certificate fails; each factor is solved in
+W = sqrt(Q) T, Q = q^r, where the zeros lie on |W| = 1.
 :func:`period_residue_oracle` instead materializes the period as an exact
 (bivariate, for r = 3) rational function and takes the limit
 lim (1 - u_1) f literally; the two must agree up to a constant ratio, which
@@ -434,26 +435,33 @@ def slr_fe_check(z: SlrZeta) -> bool:
 def slr_rh_report(z: SlrZeta, tol: float = 1e-9) -> ZeroReport:
     """Zero moduli of the numerator against the critical value q^{-1/2}.
 
-    Roots are found on the T-grid and reported as t-plane moduli |T|^{1/r};
-    roots sitting at the cleared poles T in {1, 1/Q} are excluded, matching
-    the pole analysis of the construction.
+    Roots are found in W = sqrt(Q) T, Q = q^r (see :func:`complex_roots`),
+    where the critical circle |T| = Q^{-1/2} is |W| = 1, and are reported on
+    the T-grid.  Roots at the cleared poles T in {1, 1/Q}, that is
+    W in {sqrt(Q), 1/sqrt(Q)}, are excluded, matching the pole analysis of
+    the construction; the test is relative, |W - sqrt(Q)| <= tol sqrt(Q) or
+    |sqrt(Q) W - 1| <= tol, so it never takes in a zero on |W| = 1 however
+    large Q is.  The deviation of the t-plane modulus |T|^{1/r} from
+    q^{-1/2} is taken as q^{-1/2} | |W|^{1/r} - 1 |.
     """
     coeffs = z.numerator_T
     poly = Poly(coeffs)
-    if poly.degree < 1:
-        return ZeroReport((), float(z.q) ** -0.5, (), True, tol)
-    rset = complex_roots(poly)
-    Q = float(z.q) ** z.r
     critical = float(z.q) ** -0.5
+    if poly.degree < 1:
+        return ZeroReport((), critical, (), True, tol)
+    Q = z.q**z.r
+    rset = complex_roots(poly, Q=Q)
+    s = math.sqrt(Q)
     zeros: list[complex] = []
     excluded: list[complex] = []
     deviations: list[float] = []
     for T in rset.roots:
-        if abs(T - 1) <= tol or abs(T - 1 / Q) <= tol:
+        W = T * s
+        if abs(W - s) <= tol * s or abs(W * s - 1) <= tol:
             excluded.append(T)
             continue
         zeros.append(T)
-        deviations.append(abs(abs(T) ** (1.0 / z.r) - critical))
+        deviations.append(critical * abs(abs(W) ** (1.0 / z.r) - 1))
     verdict = all(d <= tol for d in deviations)
     return ZeroReport(tuple(zeros), critical, tuple(deviations), verdict, tol, tuple(excluded))
 

@@ -1,9 +1,11 @@
 """CLI: job parsing, task execution, determinism, exit codes."""
 
 import json
+import math
 import re
 import sys
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 import yaml
@@ -12,8 +14,8 @@ from hypothesis import strategies as st
 
 from curvezeta import artin, cli, fields, group_zeta, mass, rank2
 from curvezeta.cli import TASKS, JobError, main, parse_job, render, run
-from curvezeta.exact import Poly, RationalFunction
-from curvezeta.group_zeta import R_MAX
+from curvezeta.exact import Poly, RationalFunction, RootFindError
+from curvezeta.group_zeta import R_MAX, slr_rh_report, slr_zeta
 
 FULL_JOB = """\
 curves:
@@ -403,12 +405,26 @@ class TestRun:
         [
             ("{type: coefficients, q: 2, g: 1, A: [1, 1, 1]}", [2, 3], list(TASKS), NON_GENUINE_ERRORS),
             ("{type: coefficients, q: 3, g: 2, A: [1, 1, 1, 2, 5]}", [2, 3], list(TASKS), NON_GENUINE_ERRORS),
-            ("{type: elliptic, q: 1000003, a: 1}", [6], ["slr"], {"slr": "RootFindError"}),
+            ("{type: elliptic, q: 3, a: 1}", [6], ["slr"], {"slr": "RootFindError"}),
         ],
-        ids=["nongenuine-g1", "nongenuine-g2", "slr-r6-q1000003"],
+        ids=["nongenuine-g1", "nongenuine-g2", "slr-root-finder-gives-up"],
     )
-    def test_failed_task_still_writes_report(self, tmp_path, capsys, curve, ranks, tasks, errors):
+    def test_failed_task_still_writes_report(
+        self, tmp_path, capsys, monkeypatch, curve, ranks, tasks, errors
+    ):
         good = "{type: elliptic, q: 2, a: 0}"
+        if errors == {"slr": "RootFindError"}:
+            # the root finder gives up on every polynomial over F_3, so only
+            # the first curve's RH report fails
+            solve = group_zeta.complex_roots
+
+            def gives_up(p, residual_bound=1e-8, *, Q=None):
+                if Q is not None and Q % 3 == 0:
+                    raise RootFindError("forced", (), ())
+                return solve(p, residual_bound, Q=Q)
+
+            monkeypatch.setattr(group_zeta, "complex_roots", gives_up)
+            group_zeta.slr_rh_report.cache_clear()
 
         def jobfile(*curves) -> Path:
             path = tmp_path / f"job{len(curves)}.yaml"
@@ -428,9 +444,10 @@ class TestRun:
         _, alone = run(parse_job(jobfile(good)))
         assert reports[len(tasks):] == alone["reports"]
 
-    def test_float_overflow_becomes_failed_entry(self, tmp_path, capsys):
-        # a genuine numerator whose SL_6 T-grid numerator has a coefficient
-        # beyond the float range, so the root finder's float conversion overflows
+    def test_former_float_overflow_job_solves(self, tmp_path, capsys):
+        # a genuine numerator whose SL_6 T-grid numerator has coefficients
+        # beyond the float range; solved on the critical circle, the float
+        # coefficients stay near the unit scale
         path = tmp_path / "overflow.yaml"
         path.write_text(
             "curves:\n"
@@ -440,12 +457,66 @@ class TestRun:
             "ranks: [6]\ntasks: [slr, rh-report]\n"
         )
         out = tmp_path / "out"
-        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert main(["run", str(path), "--out", str(out)]) == 0
         assert "Traceback" not in capsys.readouterr().err
         slr, rh_report = json.loads((out / "report.json").read_text())["reports"]
-        assert slr["checks"] == {"completed": False}
-        assert slr["data"]["error"].startswith("OverflowError: ")
+        assert slr["checks"] and all(slr["checks"].values())
+        rh = slr["data"]["r6"]["rh"]
+        assert len(rh["zeros"]) == 10 and rh["excluded"] == [] and rh["verdict"] is True
         assert rh_report["checks"] and all(rh_report["checks"].values())
+
+
+def weil_product(q: int, traces: Sequence[int]) -> list[int]:
+    """A_0..A_2g of prod (1 - a t + q t^2) over the traces a."""
+    A = [1]
+    for a in traces:
+        A = [x - a * y + q * z for x, y, z in zip(A + [0, 0], [0] + A + [0], [0, 0] + A)]
+    return A
+
+
+# distinct traces within the Hasse bound |a| <= 2 sqrt(q)
+LARGE_Q_TRACES = {1000003: (1, -1999, 1234, -5, 2000), 10007: (1, -199, 123, -5, 200)}
+# SL_r jobs whose T-grid numerators overflowed the float conversion or
+# defeated the root finder before it solved on the critical circle
+LARGE_Q_CASES = (
+    [(1000003, g, r) for g in (1, 2, 3) for r in range(2, 8)]
+    + [(1000003, g, r) for g in (4, 5) for r in (5, 6)]
+    + [(10007, g, 6) for g in (4, 5)]
+)
+
+
+class TestLargeQ:
+    @pytest.mark.parametrize("q, g, r", LARGE_Q_CASES)
+    def test_slr_zeros_on_critical_circle(self, tmp_path, q, g, r):
+        A = weil_product(q, LARGE_Q_TRACES[q][:g])
+        path = tmp_path / "job.yaml"
+        path.write_text(
+            f"curves:\n  - {{type: coefficients, q: {q}, g: {g}, A: {A}, genuine: true}}\n"
+            f"ranks: [{r}]\ntasks: [slr]\n"
+        )
+        job = parse_job(path)
+        code, tree = run(job)
+        assert code == 0
+        (entry,) = tree["reports"]
+        assert entry["checks"] and all(entry["checks"].values())
+        # the report renders 12 digits; the memoized report has the floats
+        rh = slr_rh_report(slr_zeta(job.curves[0], r), job.tolerance)
+        assert len(rh.zeros) == 2 * g and rh.excluded == () and rh.verdict
+        assert entry["data"][f"r{r}"]["rh"]["zeros"] == [cli._fmt_number(T) for T in rh.zeros]
+        s = math.sqrt(q**r)
+        assert max(abs(abs(T) * s - 1) for T in rh.zeros) <= 1e-12
+
+    @pytest.mark.parametrize("r", [3, 4, 5, 6, 7, 10])
+    def test_elliptic_zeros_not_taken_for_poles(self, tmp_path, capsys, r):
+        # at Q = q^r >= 1e18 every zero, |T| = Q^{-1/2}, lies within 1e-9 of
+        # the pole T = 1/Q, so an absolute pole test on T excluded them all
+        out = tmp_path / "out"
+        job = DATA / "elliptic_q1000003_job.yaml"
+        assert main(["slr", str(job), "--rank", str(r), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        (entry,) = json.loads((out / "report.json").read_text())["reports"]
+        rh = entry["data"][f"r{r}"]["rh"]
+        assert len(rh["zeros"]) == 2 and rh["excluded"] == [] and rh["verdict"] is True
 
 
 class TestDeterminism:

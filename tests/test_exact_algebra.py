@@ -493,6 +493,46 @@ class TestComplexRoots:
         for z in rset.roots:
             assert abs(z - 1) < 1e-12
 
+    def test_critical_circle_map_agrees_with_plain_solve(self):
+        # the map T = W / sqrt(Q) is exact for any roots, not only |T| = Q^{-1/2}
+        p = Poly([1, 2, 3]) * Poly([1, -1, 5]) * Poly([2, 0, 0, 7])
+        mapped = complex_roots(p, Q=5).roots
+        assert len(mapped) == 7
+        for a in complex_roots(p).roots:
+            assert min(abs(a - b) for b in mapped) <= 1e-12 * abs(a)
+
+    def test_critical_circle_map_keeps_origin_and_multiplicities(self):
+        # t (1 - 3t + 7t^2)^2: a root at 0 and two double roots on |t| = 7^{-1/2}
+        p = Poly([0, 1]) * Poly([1, -3, 7]) ** 2
+        rset = complex_roots(p, Q=7)
+        assert len(rset.roots) == 5 and rset.roots.count(0j) == 1
+        for z in rset.roots:
+            if z:
+                assert abs(abs(z) * math.sqrt(7) - 1) <= 1e-14
+                assert sum(abs(w - z) <= 1e-14 for w in rset.roots) == 2
+
+    def test_critical_circle_map_beyond_float_range(self):
+        # prod (1 - a t + q t^2), q = 10^40: lead q^8 = 1e320 has no float,
+        # but in W = q^{1/2} t every coefficient is at most binom(16, 8)
+        q = 10**40
+        p = Poly.one()
+        for k in (0, 2, -2, 4, -4, 6, -6, 1):  # a = k sqrt(q) / 4
+            p = p * Poly([1, -k * 25 * 10**18, q])
+        with pytest.raises(OverflowError):
+            complex_roots(p)
+        rset = complex_roots(p, Q=q)
+        assert len(rset.roots) == 16 and max(rset.residuals) <= 1e-14
+        for z in rset.roots:
+            assert abs(abs(z) * 1e20 - 1) <= 1e-13
+
+    def test_start_radius_is_geometric_mean_of_root_moduli(self):
+        # z^6 - 1e-36 has its roots on |z| = 1e-6; the old start circle had
+        # radius 1 + 1e-36 and took dozens of sweeps to shrink
+        rset = complex_roots_numeric([-1e-36, 0, 0, 0, 0, 0, 1])
+        assert rset.iterations <= 8
+        assert all(abs(abs(z) * 1e6 - 1) <= 1e-14 for z in rset.roots)
+        assert complex_roots_numeric([0, 0, 3]).iterations == 0
+
     def test_failure_carries_partial_results(self):
         with pytest.raises(RootFindError) as info:
             complex_roots_numeric([6, -5, 1, 7, 3], residual_bound=1e-25)

@@ -12,7 +12,7 @@ import pytest
 from curvezeta.artin import CurveData, zeta_hat_ratfun, zeta_hat_special
 from curvezeta import group_zeta
 from curvezeta.cli import parse_job
-from curvezeta.exact import Poly, RationalFunction
+from curvezeta.exact import Poly, RationalFunction, complex_roots
 from curvezeta.group_zeta import (
     R_MAX,
     WeylElt,
@@ -648,6 +648,29 @@ class TestRhReports:
                 c = CurveData.elliptic(q, a)
                 rep = slr_rh_report(slr_zeta(c, 2))
                 assert rep.verdict, (q, a, rep.max_deviation)
+
+    def test_slr_scaling_numerator_converges_in_few_sweeps(self):
+        # the seed-0 slr-scaling datum at q = 101, g = 4: its r = 6 T-grid
+        # numerator has zeros at |T| = 101^{-3}, about 1e-6; started on the
+        # circle of radius 1 + max |c_i / c_n| it took 48 sweeps
+        A = [1, 17, 184, 2575, 29246, 260075, 1876984, 17515117, 104060401]
+        z = slr_zeta(CurveData(101, 4, A, genuine=True), 6)
+        rset = complex_roots(Poly(z.numerator_T), Q=101**6)
+        assert len(rset.roots) == 8 and rset.iterations <= 8
+
+    def test_poles_excluded_in_w(self):
+        # (1 - T)(1 - QT) N(T) at Q = (10^6 + 3)^3: the roots T = 1 and T = 1/Q
+        # are the cleared poles; the zeros of N sit within 1e-9 of T = 1/Q but
+        # are kept, at W = sqrt(Q) T on the unit circle
+        import dataclasses
+
+        z = slr_zeta(CurveData.elliptic(1000003, 1), 3)
+        Q = 1000003**3
+        poles = Poly([1, -1]) * Poly([1, -Q]) * Poly(z.numerator_T)
+        rep = slr_rh_report(dataclasses.replace(z, numerator_T=poles.coeffs))
+        assert len(rep.zeros) == 2 and rep.verdict
+        assert sorted(abs(T) for T in rep.excluded) == pytest.approx([1 / Q, 1], rel=1e-12)
+        assert all(abs(T) < 1e-9 for T in rep.zeros)
 
     def test_rank3_report_emitted(self, curve_g1):
         rep = slr_rh_report(slr_zeta(curve_g1, 3))
