@@ -414,12 +414,12 @@ class TestRun:
     ):
         good = "{type: elliptic, q: 2, a: 0}"
         if errors == {"slr": "RootFindError"}:
-            # the root finder gives up on every polynomial over F_3, so only
+            # the root finder gives up whenever Q is a power of 3, so only
             # the first curve's RH report fails
             solve = group_zeta.complex_roots
 
-            def gives_up(p, residual_bound=1e-8, *, Q=None):
-                if Q is not None and Q % 3 == 0:
+            def gives_up(p, residual_bound=1e-8, *, Q=1):
+                if Q % 3 == 0:
                     raise RootFindError("forced", (), ())
                 return solve(p, residual_bound, Q=Q)
 
@@ -476,8 +476,8 @@ def weil_product(q: int, traces: Sequence[int]) -> list[int]:
 
 # distinct traces within the Hasse bound |a| <= 2 sqrt(q)
 LARGE_Q_TRACES = {1000003: (1, -1999, 1234, -5, 2000), 10007: (1, -199, 123, -5, 200)}
-# SL_r jobs whose T-grid numerators overflowed the float conversion or
-# defeated the root finder before it solved on the critical circle
+# SL_r sizes whose T-grid coefficients leave the float range, or whose zeros
+# lie far inside the unit circle (ROADMAP item 1)
 LARGE_Q_CASES = (
     [(1000003, g, r) for g in (1, 2, 3) for r in range(2, 8)]
     + [(1000003, g, r) for g in (4, 5) for r in (5, 6)]
@@ -509,7 +509,7 @@ class TestLargeQ:
     @pytest.mark.parametrize("r", [3, 4, 5, 6, 7, 10])
     def test_elliptic_zeros_not_taken_for_poles(self, tmp_path, capsys, r):
         # at Q = q^r >= 1e18 every zero, |T| = Q^{-1/2}, lies within 1e-9 of
-        # the pole T = 1/Q, so an absolute pole test on T excluded them all
+        # the pole T = 1/Q, so the pole test must be relative
         out = tmp_path / "out"
         job = DATA / "elliptic_q1000003_job.yaml"
         assert main(["slr", str(job), "--rank", str(r), "--out", str(out)]) == 0

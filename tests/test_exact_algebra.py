@@ -526,8 +526,8 @@ class TestComplexRoots:
             assert abs(abs(z) * 1e20 - 1) <= 1e-13
 
     def test_start_radius_is_geometric_mean_of_root_moduli(self):
-        # z^6 - 1e-36 has its roots on |z| = 1e-6; the old start circle had
-        # radius 1 + 1e-36 and took dozens of sweeps to shrink
+        # z^6 - 1e-36 has its roots on |z| = 1e-6; from a start circle of
+        # radius 1 + max |c_i / c_n| it takes dozens of sweeps to reach them
         rset = complex_roots_numeric([-1e-36, 0, 0, 0, 0, 0, 1])
         assert rset.iterations <= 8
         assert all(abs(abs(z) * 1e6 - 1) <= 1e-14 for z in rset.roots)

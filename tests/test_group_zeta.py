@@ -651,8 +651,8 @@ class TestRhReports:
 
     def test_slr_scaling_numerator_converges_in_few_sweeps(self):
         # the seed-0 slr-scaling datum at q = 101, g = 4: its r = 6 T-grid
-        # numerator has zeros at |T| = 101^{-3}, about 1e-6; started on the
-        # circle of radius 1 + max |c_i / c_n| it took 48 sweeps
+        # numerator has zeros at |T| = 101^{-3}, about 1e-6; solved in T from
+        # the circle of radius 1 + max |c_i / c_n| it takes 48 sweeps
         A = [1, 17, 184, 2575, 29246, 260075, 1876984, 17515117, 104060401]
         z = slr_zeta(CurveData(101, 4, A, genuine=True), 6)
         rset = complex_roots(Poly(z.numerator_T), Q=101**6)
