@@ -275,9 +275,10 @@ def rh_check_artin(c: CurveData, tol: float = 1e-9) -> ZeroReport:
     The numerator's roots t_i are found by the deterministic root finder,
     solved in sqrt(q) t (``Q = q``), where they lie on the unit circle;
     the report lists the reciprocal-root moduli 1/|t_i| and their deviation
-    from sqrt(q).  Genus zero passes vacuously.
+    from sqrt(q).  A constant numerator (genus zero, or a degree-deficient
+    datum) has no zeros and passes vacuously.
     """
-    if c.g < 1:
+    if c.numerator.degree < 1:
         return ZeroReport((), float(c.q) ** 0.5, (), True, tol)
     rset = complex_roots(c.numerator, Q=c.q)
     sq = float(c.q) ** 0.5

@@ -698,7 +698,7 @@ def complex_roots(p: Poly, residual_bound: float = 1e-8, *, Q: int = 1) -> Compl
         raise ValueError("zero polynomial has no well-defined root set")
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
-    s = math.sqrt(Q)
+    s = float_sqrt(Q)
 
     def solve(f: Poly) -> ComplexRootSet:
         w = complex_roots_numeric(_critical_circle_coeffs(f.ints, Q, s), residual_bound)
@@ -721,6 +721,13 @@ def complex_roots(p: Poly, residual_bound: float = 1e-8, *, Q: int = 1) -> Compl
     if len(roots) != p.degree:
         raise RootFindError("square-free decomposition lost degree", roots, residuals)
     return ComplexRootSet(tuple(roots), tuple(residuals), iterations)
+
+
+def float_sqrt(n: int) -> float:
+    """math.sqrt(n) for an integer n >= 0, also beyond the float range: above
+    2^1000, n is shifted right by 2k bits first and the root scaled by 2^k."""
+    k = max(0, n.bit_length() - 1000) // 2
+    return math.ldexp(math.sqrt(n >> 2 * k), k)
 
 
 def _critical_circle_coeffs(ints: Sequence[int], Q: int, s: float) -> list[float]:

@@ -67,7 +67,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from curvezeta.artin import CurveData, zeta_hat_ratfun, zeta_hat_special
-from curvezeta.exact import Poly, RationalFunction, ZeroReport, complex_roots
+from curvezeta.exact import Poly, RationalFunction, ZeroReport, complex_roots, float_sqrt
 from curvezeta.invariants import alpha_from_A
 
 Root = tuple[int, int]  # (x, y) encodes e_x - e_y; positive iff x < y
@@ -451,7 +451,7 @@ def slr_rh_report(z: SlrZeta, tol: float = 1e-9) -> ZeroReport:
         return ZeroReport((), critical, (), True, tol)
     Q = z.q**z.r
     rset = complex_roots(poly, Q=Q)
-    s = math.sqrt(Q)
+    s = float_sqrt(Q)
     zeros: list[complex] = []
     excluded: list[complex] = []
     deviations: list[float] = []

@@ -171,8 +171,8 @@ def elliptic_oracle(q: int, a: int, dmax: int) -> tuple[BrillNoetherTable, Invar
     Every line-bundle class has automorphisms F_q^* (order q-1); the h
     classes of each degree split as: degree 0 has the trivial class with
     h^0 = 1 and h-1 classes with h^0 = 0, degree d >= 1 has all classes
-    with h^0 = d.  Summation over that table *is* the oracle; the result is
-    cross-checked against the triangular formulas before returning.
+    with h^0 = d.  Summation over that table *is* the oracle; at dmax = 2 its
+    table compares with :func:`invariant_table` of the curve with trace a.
     """
     if a * a > 4 * q:
         raise ValueError("trace violates |a| <= 2*sqrt(q)")
@@ -199,15 +199,6 @@ def elliptic_oracle(q: int, a: int, dmax: int) -> tuple[BrillNoetherTable, Invar
     betas = Fraction(h) / aut
     gammas = {d: weighted(d, lambda i: qf**i) for d in range(dmax + 1)}
     table = InvariantTable(r=1, alphas=alphas, beta0=betas, gammas=gammas)
-
-    curve = CurveData.elliptic(q, a)
-    if alphas and alphas[0] != alpha_from_A(curve.A, q, 1)[0]:
-        raise AssertionError("oracle alpha(0) disagrees with the triangular formula")
-    if betas != beta0(curve):
-        raise AssertionError("oracle beta_0 disagrees with h/(q-1)")
-    for d in range(dmax + 1):
-        if gammas[d] != gamma(curve, d):
-            raise AssertionError(f"oracle gamma({d}) disagrees with the zeta route")
 
     bn = BrillNoetherTable(w=w, h=h, g=1)
     bn.check(dmax)

@@ -20,9 +20,9 @@ where {x} is the fractional part.  The v_n exponent is read as (n^2-1)(g-1):
 the block variable must be n, not r, or the two formulas already disagree at
 rank two on any genus-two curve (the genus-one fixtures cannot tell, since
 the exponent vanishes there).  ``beta_crosscheck`` tabulates both routes
-and the rank-two series-derived value side by side, and asserts that the two
-routes agree at every rank up to the one asked for; the CLI's mass task asks
-for the largest rank of the job.
+and the rank-two series-derived value side by side, and records whether the
+two routes agree at every rank up to the one asked for; the CLI's mass task
+asks for the largest rank of the job.
 """
 
 from __future__ import annotations
@@ -135,13 +135,13 @@ def beta_hn_mass(c: CurveData, r: int, d: int) -> Fraction:
 def beta_crosscheck(c: CurveData, rmax: int) -> dict:
     """Both beta routes for r = 1..rmax, with the rank-two series value alongside.
 
-    Equality of the two composition sums is asserted on every row: the v_n
+    Each row records whether the two composition sums agree: the v_n
     exponent reading (n^2-1)(g-1) is pinned by the genus-two discriminating
     fixture, and the two routes compute the same mass at every rank
-    (Mozgovoy and Reineke, arXiv 1310.4991).  The rank-one row is also
-    asserted against h/(q-1) and the rank-two row against the series-derived
-    beta; the rank-two row further carries the alternate special-value
-    display, which is recorded but never asserted.
+    (Mozgovoy and Reineke, arXiv 1310.4991).  The rank-one row also carries
+    h/(q-1) and the rank-two row the series-derived beta, for the caller to
+    compare with the composition sum; the rank-two row further carries the
+    alternate special-value display, which is recorded but never compared.
     """
     rows = []
     for r in range(1, rmax + 1):
@@ -156,14 +156,8 @@ def beta_crosscheck(c: CurveData, rmax: int) -> dict:
         }
         if r == 1:
             row["beta0"] = beta0(c)
-            if comp != row["beta0"]:
-                raise AssertionError("rank-one composition sum disagrees with h/(q-1)")
         if r == 2:
             row["series_value"] = rank2_invariants(c).beta0
             row["special_value_variant"] = beta_from_special_values(c)
-            if comp != row["series_value"]:
-                raise AssertionError("rank-two composition sum disagrees with the series route")
-        if not row["agree"]:
-            raise AssertionError(f"mass routes disagree at rank {r}")
         rows.append(row)
     return {"curve": c.describe(), "rows": rows}

@@ -61,41 +61,38 @@ class PureZeta:
 
 @lru_cache(maxsize=256)
 def rank2_closed_form(c: CurveData) -> tuple[RationalFunction, int]:
-    """F(T) and its Laurent shift g-1.
-
-    Built from the single-fraction display and cross-checked on the spot
-    against the independently assembled two-term sum
-    zeta_hat(2s)/(1 - q^{2-2s}) + zeta_hat(2s-1)/(1 - q^{2s}).
-    """
+    """F(T), built from the single-fraction display, and its Laurent shift g-1."""
     if c.g < 1:
         raise ValueError("rank-two zeta needs genus >= 1")
     q, g = Fraction(c.q), c.g
-    P = c.numerator
     num = Poly([a * q ** (g - 1) for a in c.A]) - Poly.x(1) * Poly(
         [a * q**i for i, a in enumerate(c.A)]
     )
     den = Fraction(q ** (g - 1)) * Poly([1, -1]) * Poly([1, -q]) * Poly([1, -q * q])
-    F = RationalFunction(num, den)
+    return RationalFunction(num, den), g - 1
 
-    # two-term assembly: both summands share the T^{-(g-1)} shift
+
+def closed_form_check(c: CurveData) -> bool:
+    """F(T) against the independently assembled two-term sum, exactly:
+    zeta_hat(2s)/(1 - q^{2-2s}) + zeta_hat(2s-1)/(1 - q^{2s}), both shifted by T^{-(g-1)}."""
+    F, _ = rank2_closed_form(c)
+    q, g = Fraction(c.q), c.g
+    P = c.numerator
     first = RationalFunction(P, Poly([1, -1]) * Poly([1, -q]) * Poly([1, -q * q]))
     second = (
         RationalFunction.constant(q ** -(g - 1))
         * RationalFunction(P.scale_arg(q), Poly([1, -q]) * Poly([1, -q * q]))
         * RationalFunction(Poly([0, -1]), Poly([1, -1]))
     )
-    if F != first + second:
-        raise AssertionError("closed form disagrees with the two-term sum")
-    return F, g - 1
+    return F == first + second
 
 
 @lru_cache(maxsize=256)
 def rank2_numerator(c: CurveData) -> Rank2Numerator:
-    """N(X) by the grouped expansion, checked against the closed form.
+    """N(X) by the grouped expansion.
 
     [X^k] N = sum_{j <= min(k, 2g-k)} (A_j q^{g-j} - A_{j-1}); palindromy
-    is structural.  Consistency with F(T): q * Num(T)|_{T=X/q} factors as
-    (1 - X) * N(X), equivalently F(T) = N(qT) / (q^g (1-T)(1-q^2 T)).
+    is structural.
     """
     if c.g < 1:
         raise ValueError("rank-two numerator needs genus >= 1")
@@ -108,17 +105,19 @@ def rank2_numerator(c: CurveData) -> Rank2Numerator:
             if j > 0:
                 acc -= c.A[j - 1]
         coeffs.append(acc)
-    numerator = Rank2Numerator(tuple(coeffs))
-    if not numerator.is_palindromic():
-        raise AssertionError("grouped expansion lost palindromy")
+    return Rank2Numerator(tuple(coeffs))
+
+
+def numerator_check(c: CurveData) -> bool:
+    """N(X) against the closed form, exactly: q * Num(T)|_{T=X/q} factors as
+    (1 - X) * N(X), equivalently F(T) = N(qT) / (q^g (1-T)(1-q^2 T))."""
     F, _ = rank2_closed_form(c)
+    q = Fraction(c.q)
     recon = RationalFunction(
-        Poly(coeffs).scale_arg(q),
-        Fraction(q**g) * Poly([1, -1]) * Poly([1, -q * q]),
+        Poly(rank2_numerator(c).coeffs).scale_arg(q),
+        Fraction(q**c.g) * Poly([1, -1]) * Poly([1, -q * q]),
     )
-    if F != recon:
-        raise AssertionError("grouped expansion disagrees with the closed form")
-    return numerator
+    return F == recon
 
 
 def normalized_coefficients(c: CurveData) -> list[Fraction]:

@@ -1,18 +1,22 @@
 """CLI: job parsing, task execution, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import re
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
 import pytest
 import yaml
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from curvezeta import artin, cli, fields, group_zeta, mass, rank2
+from curvezeta import artin, cli, fields, group_zeta, invariants, mass, rank2
 from curvezeta.cli import TASKS, JobError, main, parse_job, render, run
 from curvezeta.exact import Poly, RationalFunction, RootFindError
 from curvezeta.group_zeta import R_MAX, slr_rh_report, slr_zeta
@@ -44,11 +48,10 @@ def mask_floats(text: str) -> str:
     return _FLOAT_RE.sub(lambda m: _MASK + (f"±{_MASK}j" if m.group(1) else ""), text)
 
 
-# What the seven tasks raise on non-genuine data that breaks their identities.
+# What the tasks whose construction fails on non-genuine data raise; the
+# other tasks report their identities on such data as false checks.
 NON_GENUINE_ERRORS = {
-    "rank2": "AssertionError",
     "slr": "ConventionError",
-    "mass": "AssertionError",
     "yoshida": "ConventionError",
     "rh-report": "ConventionError",
 }
@@ -321,6 +324,75 @@ class TestRun:
         assert good_r3.pop("period_oracle_ratio") == "1"
         assert r3 == good_r3
 
+    @pytest.mark.parametrize(
+        "task, check, module, name, skew",
+        [
+            pytest.param(
+                "invariants",
+                "elliptic_oracle",
+                invariants,
+                "elliptic_oracle",
+                lambda out: (out[0], replace(out[1], beta0=out[1].beta0 + 1)),
+                id="elliptic_oracle",
+            ),
+            pytest.param(
+                "rank2",
+                "closed_form_two_term",
+                rank2,
+                "rank2_closed_form",
+                lambda out: (out[0] * RationalFunction([1, 1]), out[1]),
+                id="closed_form_two_term",
+            ),
+            pytest.param(
+                "rank2",
+                "numerator_closed_form",
+                rank2,
+                "rank2_numerator",
+                lambda n: rank2.Rank2Numerator((n.coeffs[0], *(x + 1 for x in n.coeffs[1:-1]), n.coeffs[-1])),
+                id="numerator_closed_form",
+            ),
+            pytest.param("mass", "mass_agreement_r2", mass, "beta_hn_mass", lambda b: b + 1, id="mass_agreement"),
+            pytest.param("mass", "mass_beta0_r1", mass, "beta0", lambda b: b + 1, id="mass_beta0_r1"),
+            pytest.param(
+                "mass",
+                "mass_series_r2",
+                mass,
+                "rank2_invariants",
+                lambda t: replace(t, beta0=t.beta0 + 1),
+                id="mass_series_r2",
+            ),
+            pytest.param(
+                "yoshida",
+                "group_zeta_cross_check",
+                cli,
+                "slr_zeta",
+                lambda z: replace(z, combined=z.combined * 2),
+                id="group_zeta_cross_check",
+            ),
+        ],
+    )
+    def test_identity_mismatch_is_a_false_check(self, tmp_path, capsys, monkeypatch, task, check, module, name, skew):
+        # one side of an identity skewed: the entry keeps its data, the check
+        # reads false, and the exit code is 1
+        path = tmp_path / "job.yaml"
+        path.write_text(f"curves:\n  - {{type: elliptic, q: 2, a: 0}}\ntasks: [{task}]\n")
+        _, good = run(parse_job(path))
+        (good_entry,) = good["reports"]
+        assert good_entry["checks"][check] is True
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: skew(original(*args)))
+        clear_caches()
+        try:
+            out = tmp_path / "out"
+            assert main([task, str(path), "--out", str(out)]) == 1
+        finally:
+            clear_caches()
+        assert "Traceback" not in capsys.readouterr().err
+        (entry,) = json.loads((out / "report.json").read_text())["reports"]
+        assert entry["checks"][check] is False
+        assert "error" not in entry["data"] and sorted(entry["data"]) == sorted(good_entry["data"])
+        assert sorted(entry["checks"]) == sorted(good_entry["checks"])
+
     def test_each_model_counted_once(self, tmp_path, monkeypatch):
         calls = []
         count_points = fields.count_points
@@ -440,6 +512,9 @@ class TestRun:
         failed = {r["task"]: r for r in reports[: len(tasks)] if "error" in r["data"]}
         assert {task: r["data"]["error"].split(":")[0] for task, r in failed.items()} == errors
         assert all(r["checks"] == {"completed": False} for r in failed.values())
+        for r in reports[: len(tasks)]:
+            if r["task"] in ("rank2", "mass"):  # data kept, the failed identities false
+                assert r["data"] and not all(r["checks"].values()), r
         # the genuine curve's entries are those of a job that holds it alone
         _, alone = run(parse_job(jobfile(good)))
         assert reports[len(tasks):] == alone["reports"]
@@ -519,6 +594,41 @@ class TestLargeQ:
         assert len(rh["zeros"]) == 2 and rh["excluded"] == [] and rh["verdict"] is True
 
 
+class TestDegenerateInput:
+    def test_constant_numerator_has_no_zeros(self, tmp_path, capsys):
+        # a degree-deficient non-genuine numerator: no zeros, false checks, exit 1
+        out = tmp_path / "out"
+        assert main(["run", str(DATA / "constant_numerator_job.yaml"), "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        artin_entry, rh_entry = json.loads((out / "report.json").read_text())["reports"]
+        rh = artin_entry["data"]["rh"]
+        assert rh["zeros"] == [] and rh["verdict"] is True
+        assert artin_entry["checks"] == {"coefficient_symmetry": False, "functional_equation": False}
+        assert rh_entry["task"] == "rh-report" and rh_entry["checks"] == {"completed": False}
+
+    def test_counts_beyond_hasse_bound(self, tmp_path, capsys):
+        # N_1 = 1 over F_5 gives trace 5 > 2 sqrt(5): the elliptic oracle does
+        # not apply, and the Artin RH check is what fails
+        path = tmp_path / "job.yaml"
+        path.write_text("curves:\n  - {type: counts, q: 5, g: 1, counts: [1]}\ntasks: [artin, invariants]\n")
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        artin_entry, invariants_entry = json.loads((out / "report.json").read_text())["reports"]
+        assert artin_entry["checks"]["riemann_hypothesis"] is False
+        assert invariants_entry["checks"] == {"triangular_roundtrip": True}
+
+    def test_q_beyond_float_range(self, tmp_path, capsys):
+        # Q = q^5 = 2^1025 overflows a float; sqrt(Q) and the zeros do not
+        out = tmp_path / "out"
+        assert main(["slr", str(DATA / "elliptic_q2pow205_job.yaml"), "--rank", "5", "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        (entry,) = json.loads((out / "report.json").read_text())["reports"]
+        rh = entry["data"]["r5"]["rh"]
+        assert len(rh["zeros"]) == 2 and rh["excluded"] == [] and rh["verdict"] is True
+        assert entry["checks"] == {"functional_equation_r5": True}
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, jobfile):
         job1 = parse_job(jobfile)
@@ -542,6 +652,22 @@ class TestDeterminism:
         assert "zeros.csv" in files
         header = files["zeros.csv"].splitlines()[0]
         assert header == "curve,object,re,im,modulus,deviation"
+
+
+class TestFmtNumber:
+    @pytest.mark.parametrize(
+        "x, text",
+        [
+            (-0.0, "0.000000000000e+00"),
+            (0.0, "0.000000000000e+00"),
+            (-1.5, "-1.500000000000e+00"),
+            (complex(-0.0, 1.0), "0.000000000000e+00+1.000000000000e+00j"),
+            (complex(1.0, -0.0), "1.000000000000e+00+0.000000000000e+00j"),
+            (complex(-2.0, -1.0), "-2.000000000000e+00-1.000000000000e+00j"),
+        ],
+    )
+    def test_no_negative_zero(self, x, text):
+        assert cli._fmt_number(x) == text
 
 
 class TestLoaders:
@@ -604,6 +730,106 @@ class TestEmitter:
         for _, tree in (run(job), full_tree):
             text = render(tree, "json")["report.json"]
             assert text == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+_JUNK = st.sampled_from(["x", True, 1.5, None, [], {}])
+
+
+def _mostly(valid: st.SearchStrategy, invalid: st.SearchStrategy = _JUNK) -> st.SearchStrategy:
+    """valid values about nine times in ten, invalid ones otherwise."""
+    return st.sampled_from([valid] * 9 + [invalid]).flatmap(lambda chosen: chosen)
+
+
+@st.composite
+def _curve_sources(draw) -> dict:
+    """A curve source of every type, valid or not: sizes kept small, a field
+    sometimes missing or of the wrong type."""
+    kind = draw(_mostly(st.sampled_from(["elliptic", "coefficients", "counts", "model"]), st.just("nope")))
+    q = draw(_mostly(st.sampled_from([2, 3, 4, 5, 9, 1000003]), st.just(6)))  # 6 is no prime power
+    if kind == "elliptic":
+        src = {"q": q, "a": draw(st.integers(-2, 2))}
+    elif kind == "coefficients":
+        g = draw(st.integers(0, 3))
+        size = 2 * g + draw(_mostly(st.just(0), st.sampled_from([-1, 1])))
+        A = [1] + draw(st.lists(st.integers(-3, 3), min_size=max(size, 0), max_size=max(size, 0)))
+        src = {"q": q, "g": g, "A": A, "genuine": draw(_mostly(st.just(False), st.just(True)))}
+    elif kind == "counts":
+        g = draw(st.integers(0, 2))
+        src = {"q": q, "g": g, "counts": draw(st.lists(st.integers(0, 30), min_size=g, max_size=g))}
+    elif kind == "model":
+        model = draw(_mostly(st.sampled_from(["quadratic", "artin_schreier", "projective_line"]), st.just("nope")))
+        f = draw(st.lists(st.integers(0, 4), max_size=6))
+        src = {"kind": model, "q": draw(st.sampled_from([2, 3, 5, 7, 9])), "f": f}
+    else:
+        src = {"q": q}
+    src = {"type": kind, **src}
+    change = draw(_mostly(st.just("keep"), st.sampled_from(["drop", "junk"])))
+    if change != "keep":
+        key = draw(st.sampled_from(sorted(src)))
+        src[key] = draw(_JUNK)
+        if change == "drop":
+            del src[key]
+    return src
+
+
+@st.composite
+def _cli_cases(draw) -> tuple[dict, list[str]]:
+    """(job tree, subcommand and options) for cli.main, valid and invalid."""
+    job = draw(
+        st.fixed_dictionaries(
+            {"curves": _mostly(st.lists(_curve_sources(), min_size=1, max_size=2), _JUNK | st.just([]))},
+            optional={
+                "ranks": _mostly(st.lists(st.integers(2, 4), min_size=1, max_size=2), st.just([1])),
+                "tasks": _mostly(
+                    st.lists(st.sampled_from(TASKS), min_size=1, max_size=3, unique=True), st.just(["nope"])
+                ),
+                "degree": _mostly(st.integers(-2, 3)),
+                "tolerance": _mostly(st.sampled_from([1e-9, 1e-6]), st.sampled_from([0, -1, "abc", math.inf])),
+                "format": _mostly(st.sampled_from(["json", "csv"]), st.just("xml")),
+            },
+        )
+    )
+    command = draw(st.sampled_from(["run", *TASKS]))
+    args = [command]
+    if command in ("slr", "mass") and draw(st.booleans()):
+        args += ["--rank", str(draw(_mostly(st.integers(2, 4), st.integers(0, 1))))]
+    if command == "mass" and draw(st.booleans()):
+        args += ["--degree", str(draw(st.integers(-2, 3)))]
+    if draw(st.booleans()):
+        args += ["--tolerance", draw(_mostly(st.just("1e-9"), st.sampled_from(["0", "nan"])))]
+    if draw(st.booleans()):
+        args += ["--format", draw(st.sampled_from(["json", "csv"]))]
+    return job, args
+
+
+class TestExitCodeContract:
+    """Whatever the job, main returns 0, 1 or 2 and raises nothing; exit 2
+    writes no report, and exits 0 and 1 write one in the chosen format."""
+
+    @given(case=_cli_cases())
+    @example(
+        case=(
+            {"curves": [{"type": "coefficients", "q": 3, "g": 1, "A": [1, 0, 0]}], "tasks": ["artin", "rh-report"]},
+            ["run"],
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_exit_codes(self, case):
+        job, args = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "job.yaml", Path(tmp) / "out"
+            path.write_text(yaml.safe_dump(job))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*args, str(path), "--out", str(out)])
+            event(f"exit {code}")
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert not out.exists()
+            else:
+                fmt = args[args.index("--format") + 1] if "--format" in args else job.get("format", "json")
+                assert sorted(p.name for p in out.glob("report.*")) == [f"report.{fmt}"]
 
 
 class TestMain:
@@ -686,7 +912,11 @@ class TestMain:
         (report,) = json.loads((out / "report.json").read_text())["reports"]
         ranks = [f"r{r}" for r in range(1, 9)]
         assert list(report["data"]["beta_at_degree"]) == ranks
-        assert report["checks"] == {f"mass_agreement_{r}": True for r in ranks}
+        assert report["checks"] == {
+            **{f"mass_agreement_{r}": True for r in ranks},
+            "mass_beta0_r1": True,
+            "mass_series_r2": True,
+        }
 
     def test_rank_flag_replaces_job_ranks(self, capsys):
         assert main(["slr", str(DATA / "criterion10_job.yaml"), "--rank", "3"]) == 0

@@ -541,8 +541,9 @@ class TestComplexRoots:
 
 def test_closed_form_two_summand_equality_is_ratfun_equal(curve_g1):
     """The two-summand and single-fraction presentations agree under ==."""
-    from curvezeta.rank2 import rank2_closed_form
+    from curvezeta.rank2 import closed_form_check, rank2_closed_form
 
-    F1, shift = rank2_closed_form(curve_g1)  # raises if the internal check fails
+    assert closed_form_check(curve_g1) is True
+    F1, shift = rank2_closed_form(curve_g1)
     assert shift == 0
     assert F1 == RationalFunction([1, 1, 4], [1, -5, 4])

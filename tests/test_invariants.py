@@ -164,9 +164,12 @@ class TestEllipticOracle:
 
     @pytest.mark.parametrize("q,a", [(2, 0), (2, -2), (3, 1), (4, -3), (5, 4)])
     def test_oracle_agrees_with_zeta_route(self, q, a):
-        # elliptic_oracle raises internally if the two routes disagree
-        bn, table = elliptic_oracle(q, a, 4)
         curve = CurveData.elliptic(q, a)
+        # the CLI's elliptic_oracle check: the whole table at dmax = 2
+        assert elliptic_oracle(q, a, 2)[1] == invariant_table(curve)
+        _, table = elliptic_oracle(q, a, 4)
+        assert table.alphas == (alpha_from_A(curve.A, q, 1)[0],)
+        assert table.beta0 == beta0(curve)
         for d in range(5):
             assert table.gammas[d] == gamma(curve, d)
 

@@ -111,11 +111,14 @@ class TestCrosscheck:
         assert rows[1]["special_value_variant"] == 0  # flagged, not asserted
         assert [row["r"] for row in rows] == [1, 2, 3, 4, 5, 6]
         assert all(row["agree"] and row["ratio"] == 1 for row in rows)
+        assert rows[0]["composition"] == rows[0]["beta0"]
 
     def test_g2_table(self, curve_g2):
-        out = beta_crosscheck(curve_g2, 6)
-        assert [row["r"] for row in out["rows"]] == [1, 2, 3, 4, 5, 6]
-        assert all(row["agree"] and row["ratio"] == 1 for row in out["rows"])
+        rows = beta_crosscheck(curve_g2, 6)["rows"]
+        assert [row["r"] for row in rows] == [1, 2, 3, 4, 5, 6]
+        assert all(row["agree"] and row["ratio"] == 1 for row in rows)
+        assert rows[0]["composition"] == rows[0]["beta0"]
+        assert rows[1]["composition"] == rows[1]["series_value"]
 
     def test_rank_two_matches_series_route(self, corpus):
         for c in corpus:

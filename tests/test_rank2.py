@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from curvezeta import rank2
 from curvezeta.artin import CurveData, zeta_hat_special
 from curvezeta.exact import Poly, RationalFunction
 from curvezeta.invariants import alpha_from_A
@@ -13,8 +14,10 @@ from curvezeta.rank2 import (
     PureZeta,
     alpha2_zero,
     beta_from_special_values,
+    closed_form_check,
     eq_extract,
     normalized_coefficients,
+    numerator_check,
     pure_fe_check,
     pure_zeta,
     rank2_closed_form,
@@ -64,6 +67,28 @@ class TestClosedForm:
                 continue
             Fm, _ = rank2_closed_form(c)
             assert Fm.series(0)[0] == 1, c.describe()
+
+
+class TestChecks:
+    def test_closed_form_and_numerator_checks_on_corpus(self, corpus):
+        for c in corpus:
+            if c.g < 1:
+                continue
+            assert closed_form_check(c) is True, c.describe()
+            assert numerator_check(c) is True, c.describe()
+
+    def test_numerator_check_false_on_asymmetric_data(self):
+        # the grouped expansion needs A_{2g-i} = q^{g-i} A_i; the two displays
+        # of the closed form are the same sum for any A
+        for c in (CurveData(2, 1, [1, 1, 1]), CurveData(3, 2, [1, 1, 1, 2, 5])):
+            assert closed_form_check(c) is True
+            assert numerator_check(c) is False
+
+    def test_closed_form_check_false_on_a_wrong_closed_form(self, curve_g1, monkeypatch):
+        F, shift = rank2_closed_form(curve_g1)
+        monkeypatch.setattr(rank2, "rank2_closed_form", lambda c: (F * RationalFunction([1, 1]), shift))
+        assert closed_form_check(curve_g1) is False
+        assert numerator_check(curve_g1) is False
 
 
 class TestNumerator:

@@ -255,12 +255,11 @@ class TestOnePassFamily:
                         curve = CurveData(q, g, ws.x1.coeffs)
                         assert zeta2_canonical(curve) == z, where
                         combined = slr_zeta(curve, 2).combined
-                        assert canonical_group_cross_check(curve, combined) == g - 1, where
+                        assert canonical_group_cross_check(curve, combined) is True, where
 
     def test_cross_check_rejects_a_wrong_right_side(self, curve_g2):
         combined = slr_zeta(curve_g2, 2).combined
-        with pytest.raises(AssertionError):
-            canonical_group_cross_check(curve_g2, combined * 2)
+        assert canonical_group_cross_check(curve_g2, combined * 2) is False
 
 
 class TestRhChecks:
@@ -294,8 +293,7 @@ class TestRhChecks:
         for c in corpus[:8]:
             if c.g < 1:
                 continue
-            half_power = canonical_group_cross_check(c, slr_zeta(c, 2).combined)
-            assert half_power == c.g - 1, c.describe()
+            assert canonical_group_cross_check(c, slr_zeta(c, 2).combined) is True, c.describe()
 
 
 class TestCounterexample:
