@@ -303,8 +303,8 @@ def _task_invariants(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
     checks["triangular_roundtrip"] = roundtrip == list(c.A[: c.g + 1])
     if c.g == 1 and c.genuine:
         a = c.q + 1 - artin.counts_from_numerator(c, 1)
-        if a * a <= 4 * c.q:  # beyond the Hasse bound the artin RH check fails instead
-            checks["elliptic_oracle"] = invariants.elliptic_oracle(c.q, a, 2)[1] == table
+        # a trace beyond the Hasse bound is no genus-one curve: the check fails
+        checks["elliptic_oracle"] = a * a <= 4 * c.q and invariants.elliptic_oracle(c.q, a, 2)[1] == table
     return report, checks
 
 

@@ -606,17 +606,19 @@ class TestDegenerateInput:
         assert artin_entry["checks"] == {"coefficient_symmetry": False, "functional_equation": False}
         assert rh_entry["task"] == "rh-report" and rh_entry["checks"] == {"completed": False}
 
-    def test_counts_beyond_hasse_bound(self, tmp_path, capsys):
-        # N_1 = 1 over F_5 gives trace 5 > 2 sqrt(5): the elliptic oracle does
-        # not apply, and the Artin RH check is what fails
+    @pytest.mark.parametrize("tasks", ["[artin, invariants]", "[invariants]"])
+    def test_counts_beyond_hasse_bound(self, tmp_path, capsys, tasks):
+        # N_1 = 1 over F_5 gives trace 5 > 2 sqrt(5): no genus-one curve has
+        # it, so the elliptic oracle check fails, whatever the other tasks
         path = tmp_path / "job.yaml"
-        path.write_text("curves:\n  - {type: counts, q: 5, g: 1, counts: [1]}\ntasks: [artin, invariants]\n")
+        path.write_text(f"curves:\n  - {{type: counts, q: 5, g: 1, counts: [1]}}\ntasks: {tasks}\n")
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == 1
         assert "Traceback" not in capsys.readouterr().err
-        artin_entry, invariants_entry = json.loads((out / "report.json").read_text())["reports"]
-        assert artin_entry["checks"]["riemann_hypothesis"] is False
-        assert invariants_entry["checks"] == {"triangular_roundtrip": True}
+        *artin_entries, invariants_entry = json.loads((out / "report.json").read_text())["reports"]
+        for entry in artin_entries:
+            assert entry["checks"]["riemann_hypothesis"] is False
+        assert invariants_entry["checks"] == {"triangular_roundtrip": True, "elliptic_oracle": False}
 
     def test_q_beyond_float_range(self, tmp_path, capsys):
         # Q = q^5 = 2^1025 overflows a float; sqrt(Q) and the zeros do not

@@ -177,6 +177,7 @@ class TestEllipticOracle:
         for q, a in [(2, 1), (3, -2), (5, 0)]:
             bn, _ = elliptic_oracle(q, a, 3)
             bn.check(3)
+            assert elliptic_oracle(q, a, 2)[1] == invariant_table(CurveData.elliptic(q, a))
 
 
 def test_invariant_table_shape(curve_g2):

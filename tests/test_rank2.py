@@ -116,6 +116,7 @@ class TestNumerator:
             n = rank2_numerator(c)
             assert n.is_palindromic()
             assert len(n.coeffs) == 2 * g + 1
+            assert numerator_check(c) and closed_form_check(c)
 
     def test_trace_extremal_curve_has_negative_middle(self):
         # the h=1 binary curve: positivity of the entries fails here even
