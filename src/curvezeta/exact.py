@@ -8,7 +8,9 @@ polynomials is integral, so products, sums and exact divisions run on ints
 and touch the scale once.  A rational function is a reduced quotient of two
 polynomials with a monic denominator, so equal values have equal
 representations and ``==`` is exact semantic equality.  Reduction uses
-:func:`poly_gcd`, a primitive pseudo-remainder sequence on the stored ints.
+:func:`poly_gcd`, a primitive pseudo-remainder sequence on the stored ints;
+a caller that has already cancelled every common factor skips it through
+:meth:`RationalFunction.coprime`, which builds the same canonical form.
 ``Poly.coeffs`` gives the rational coefficients back for display and for
 the root finder.
 
@@ -139,8 +141,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def exact_div(self, other: Poly) -> Poly:
@@ -364,15 +367,30 @@ class RationalFunction:
         a, b = n.ints, d.ints
         if not b:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not a:
-            self.num, self.den = _ZERO, _ONE
-            return
         if len(a) > 1 and len(b) > 1:
             g = poly_gcd(n, d).ints
             if len(g) > 1:
                 a, b = _exact_quotient(a, g), _exact_quotient(b, g)
-        # n/d = (s/t) a/b; the denominator becomes b/lead(b)
-        s, t, lead = n.scale, d.scale, b[-1]
+        self._set_coprime(a, b, n.scale, d.scale)
+
+    @staticmethod
+    def coprime(num: Poly, den: Poly) -> RationalFunction:
+        """num/den in canonical form without a gcd, for num and den the caller
+        knows to be coprime (say, every root of den is known and none is a root
+        of num).  Coprime inputs give the form the constructor gives."""
+        if not den.ints:
+            raise ZeroDivisionError("rational function with zero denominator")
+        f = object.__new__(RationalFunction)
+        f._set_coprime(num.ints, den.ints, num.scale, den.scale)
+        return f
+
+    def _set_coprime(self, a: tuple[int, ...], b: tuple[int, ...], s: Fraction, t: Fraction) -> None:
+        """Set self to (s a) / (t b), a and b coprime primitive ints, b nonempty:
+        zero becomes 0/1, and otherwise the denominator becomes b/lead(b)."""
+        if not a:
+            self.num, self.den = _ZERO, _ONE
+            return
+        lead = b[-1]
         self.num = _make(a, Fraction(s.numerator * t.denominator, s.denominator * t.numerator * lead))
         self.den = _make(b, Fraction(1, lead))
 

@@ -29,11 +29,22 @@ first use.  The only
 denominators are powers of u and linear factors (1 - q^e u) with e an
 integer: a factor 1/(1 - q^e/u) is rewritten as -q^{-e} u / (1 - q^{-e} u),
 and zh(s + n) is
-q^{(g-1)n} u^{1-g} P(q^{-n} u) / ((1 - q^{-n} u)(1 - q^{1-n} u)).  So each
-term is kept as value * u^k over a multiset of factors keyed by e, each R_n
-is summed in one pass over the LCM of its terms' factors, and the products
-R_n * zh(s + n) are summed the same way; every result is reduced once by
-the ordinary :class:`RationalFunction` constructor.  :func:`slr_rh_report`
+q^{(g-1)n} u^{1-g} P(q^{-n} u) / ((1 - q^{-n} u)(1 - q^{1-n} u)).  So the
+curve enters a term only through its constant weight; its shape, the shift
+n_w and the multiset of factors (1 - q^e u), depends on r alone.
+:func:`_slr_recipe` groups frak_W_P by shape once per r, on first use, and
+for each curve the weights of one shape are summed, as Fractions, into one
+polynomial in u: 30 shapes at r = 6 and 138 at r = 10 against 64 and 1536
+terms.  Each R_n is summed in one pass over the LCM of its shapes'
+factors, and the products R_n * zh(s + n) are summed the same way.  Every
+root of those denominators is known, so each result is reduced without a
+gcd: a factor (1 - q^e u) is divided out exactly while the numerator
+vanishes at q^{-e}, and u while the numerator vanishes at 0; what is left
+is coprime and goes straight to the canonical form
+(:meth:`RationalFunction.coprime`).  The T-grid numerator is one exact
+division of the reversed numerator, times the displayed poles, by the
+reversed denominator; an inexact one is a :class:`ConventionError`.
+:func:`slr_rh_report`
 finds the zeros of the T-grid numerator with :func:`complex_roots`, whose
 exact square-free split first tries a certificate modulo one fixed prime
 (gcd(f, f') constant mod p proves f square-free) and falls back to Yun's
@@ -72,7 +83,9 @@ from curvezeta.invariants import alpha_from_A
 
 Root = tuple[int, int]  # (x, y) encodes e_x - e_y; positive iff x < y
 
-R_MAX = 10  # the largest rank accepted; one slr_zeta at r = 10 takes about 0.5 s
+# the largest rank accepted; on a 2-vCPU VM under Python 3.11 the first slr_zeta at
+# r = 10 takes about 0.26 s, 0.19 s of it building the recipe, and later ones 0.07 s
+R_MAX = 10
 
 
 class ConventionError(RuntimeError):
@@ -254,12 +267,31 @@ class _LinearTerm:
         return out
 
     def ratfun(self, q: Fraction) -> RationalFunction:
+        """The canonical form, reduced by the known factors instead of a gcd.
+
+        (1 - q^e u) is divided out of num while num vanishes at its root
+        q^{-e}, and u while u is downstairs and num vanishes at 0.  Then
+        every root of the denominator is known and none is a root of num, so
+        the two are coprime and no gcd is needed.
+        """
+        num, k = self.num, self.k
+        if num.is_zero():
+            return RationalFunction.zero()
         den = Poly.one()
         for e, m in self.den.items():
-            den = den * Poly([1, -(q**e)]) ** m
-        if self.k >= 0:
-            return RationalFunction(self.num * Poly.x(self.k), den)
-        return RationalFunction(self.num, den * Poly.x(-self.k))
+            factor, root = Poly([1, -(q**e)]), q**-e
+            while m and num.evaluate(root) == 0:
+                num = num.exact_div(factor)
+                m -= 1
+            den = den * factor**m
+        low = 0
+        while low < -k and not num.ints[low]:
+            low += 1
+        if low:
+            num, k = num.exact_div(Poly.x(low)), k + low
+        if k >= 0:
+            return RationalFunction.coprime(num * Poly.x(k), den)
+        return RationalFunction.coprime(num, den * Poly.x(-k))
 
 
 def _linear_sum(terms: list[_LinearTerm], q: Fraction) -> _LinearTerm:
@@ -337,42 +369,75 @@ def _term_data(rs: RootSystemData, pb: ParabolicData, w: WeylElt, r: int):
     return n_w, zeta_exp, const_factors, s_factors
 
 
+Shape = tuple[int, tuple[tuple[int, int], ...]]  # (n_w, sorted (e, m) of prod (1 - q^e u)^m)
+Entry = tuple[int, tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]
+# (u-power k, nonzero zeta exponents (n, e), constant factors e, flipped e's)
+
+
+@lru_cache(maxsize=None)
+def _slr_recipe(r: int) -> dict[Shape, dict[Entry, int]]:
+    """The curve-independent recipe of the SL_r Weyl sum: shape -> {entry: multiplicity}.
+
+    A Weyl term is mult * prod zh(n)^{e_n} / prod (1 - q^e) over its constant
+    factors, times prod -q^{-e} u over its flipped factors 1/(1 - q^e/u) =
+    -q^{-e} u / (1 - q^{-e} u), over its shape's denominator.  Only the shape
+    depends on u, so a curve's terms of one shape sum to one polynomial.
+    Built on first use for each r, never at import.  A broken telescoping run
+    or a negative leftover zeta exponent raises :class:`ConventionError`.
+    """
+    rs, pb = build_root_system(r)
+    recipe: dict[Shape, dict[Entry, int]] = {}
+    for w in pb.frak_w_p:
+        n_w, zeta_exp, const_factors, s_factors = _term_data(rs, pb, w, r)
+        if any(e < 0 for e in zeta_exp.values()):
+            raise ConventionError(f"zeta denominators survive clearing for w = {w.perm}")
+        den: dict[int, int] = {}
+        flipped = []
+        for e, upow in s_factors:  # 1/(1 - q^e u^upow)
+            if upow != 1:
+                flipped.append(e)
+                e = -e
+            den[e] = den.get(e, 0) + 1
+        shape = (n_w, tuple(sorted(den.items())))
+        zetas = tuple(sorted((n, e) for n, e in zeta_exp.items() if e))
+        entry = (len(flipped), zetas, tuple(sorted(const_factors)), tuple(sorted(flipped)))
+        entries = recipe.setdefault(shape, {})
+        entries[entry] = entries.get(entry, 0) + 1
+    return recipe
+
+
 @lru_cache(maxsize=256)
 def slr_zeta(c: CurveData, r: int) -> SlrZeta:
     """Assemble zh_SLr(s) = sum_n R_n(s) zh(s + n) exactly in u = q^{-s}.
 
     Each surviving Weyl term is collapsed through the residues by pure
-    combinatorics (see module docstring); a negative leftover zeta exponent
-    or a broken telescoping run raises :class:`ConventionError` instead of
-    silently producing a wrong normalization.
+    combinatorics into the recipe of :func:`_slr_recipe` (see module
+    docstring); the curve enters only through the Fraction weight of each
+    entry, summed into one polynomial per shape.  A convention fault in the
+    recipe or in the T-grid extraction raises :class:`ConventionError`
+    instead of silently producing a wrong normalization.
     """
     if c.g < 1:
         raise ValueError("group zeta needs genus >= 1")
-    rs, pb = build_root_system(r)
     q = Fraction(c.q)
     zh: dict[int, Fraction] = {}  # zh(n), each evaluated on first use
+    zeta_parts: dict[tuple[tuple[int, int], ...], Fraction] = {}
+    const_parts: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
     R: dict[int, list[_LinearTerm]] = {}
-    for w in pb.frak_w_p:
-        n_w, zeta_exp, const_factors, s_factors = _term_data(rs, pb, w, r)
-        if any(e < 0 for e in zeta_exp.values()):
-            raise ConventionError(f"zeta denominators survive clearing for w = {w.perm}")
-        value = Fraction(1)
-        for n, e in zeta_exp.items():
-            if e:
-                if n not in zh:
-                    zh[n] = zeta_hat_special(c, n)
-                value *= zh[n] ** e
-        for e in const_factors:
-            value /= 1 - q**e
-        term = _LinearTerm(Poly([value]))
-        for e, upow in s_factors:
-            if upow == 1:
-                term.divide(e)
-            else:  # 1/(1 - q^e/u) = -q^{-e} u / (1 - q^{-e} u)
-                term.num = term.num * -(q**-e)
-                term.k += 1
-                term.divide(-e)
-        R.setdefault(n_w, []).append(term)
+    for (n_w, den), entries in _slr_recipe(r).items():
+        coeffs = [Fraction(0)] * (1 + max(entry[0] for entry in entries))
+        for (k, zetas, const_factors, flipped), mult in entries.items():
+            if zetas not in zeta_parts:
+                for n, _ in zetas:
+                    if n not in zh:
+                        zh[n] = zeta_hat_special(c, n)
+                zeta_parts[zetas] = math.prod(zh[n] ** e for n, e in zetas)
+            consts = (const_factors, flipped)
+            if consts not in const_parts:
+                value = math.prod((-(q**-e) for e in flipped), start=Fraction(1))
+                const_parts[consts] = value / math.prod(1 - q**e for e in const_factors)
+            coeffs[k] += mult * zeta_parts[zetas] * const_parts[consts]
+        R.setdefault(n_w, []).append(_LinearTerm(Poly(coeffs), 0, dict(den)))
 
     sums = {n: _linear_sum(R[n], q) for n in sorted(R)}
     terms = [(n, t.ratfun(q)) for n, t in sums.items()]
@@ -384,16 +449,20 @@ def slr_zeta(c: CurveData, r: int) -> SlrZeta:
 def _extract_numerator(combined: RationalFunction, c: CurveData, r: int) -> tuple[Fraction, ...]:
     """Coefficients A(0..2g) of zh_SLr(-rs) = sum A(i) T^i / ((1-T)(1-QT) T^{g-1}).
 
-    Composing with u = 1/T must leave exactly the displayed pole structure;
-    any stray factor means a convention bug, reported as such.
+    With u = 1/T and d = max(deg num, deg den), combined(1/T) is
+    rev_d(num) / rev_d(den), so the numerator is the exact quotient of
+    rev_d(num) (1-T)(1-QT) T^{g-1} by rev_d(den).  Composing with u = 1/T
+    must leave exactly the displayed pole structure; an inexact division
+    means a stray factor, a convention bug, reported as such.
     """
     q, g = Fraction(c.q), c.g
     Q = q**r
-    G = combined.reciprocal_arg(1)  # the function of T
-    E = G * RationalFunction.t(g - 1) * RationalFunction(Poly([1, -1]) * Poly([1, -Q]))
-    if not E.is_polynomial():
-        raise ConventionError("combined form does not reduce to the expected T-grid shape")
-    poly = E.as_poly()
+    d = max(combined.num.degree, combined.den.degree)
+    top = combined.num.reversed(d) * Poly.x(g - 1) * Poly([1, -1]) * Poly([1, -Q])
+    try:
+        poly = top.exact_div(combined.den.reversed(d))
+    except ValueError:
+        raise ConventionError("combined form does not reduce to the expected T-grid shape") from None
     if poly.degree > 2 * g:
         raise ConventionError(f"numerator degree {poly.degree} exceeds 2g = {2 * g}")
     return tuple(poly[i] for i in range(2 * g + 1))

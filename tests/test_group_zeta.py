@@ -2,24 +2,32 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curvezeta.artin import CurveData, zeta_hat_ratfun, zeta_hat_special
-from curvezeta import group_zeta
+from curvezeta import exact, group_zeta
 from curvezeta.cli import parse_job
 from curvezeta.exact import Poly, RationalFunction, complex_roots
 from curvezeta.group_zeta import (
     R_MAX,
+    ConventionError,
     WeylElt,
     _divide_one_minus_u1,
     _factored_sum,
     _FactoredTerm,
+    _LinearTerm,
     _extract_numerator,
+    _slr_recipe,
     _term_data,
     _weyl_terms_r3,
     build_root_system,
@@ -86,6 +94,20 @@ def pairwise_slr(c: CurveData, r: int):
     for n in sorted(R):
         combined = combined + R[n] * zeta_hat_ratfun(c, shift=n)
     return tuple(sorted(R.items())), combined
+
+
+def reference_numerator(combined: RationalFunction, c: CurveData, r: int) -> tuple[F, ...]:
+    """A(0..2g) by composing with u = 1/T and clearing the display's poles
+    through RationalFunction arithmetic, not by the library's exact division."""
+    Q = F(c.q) ** r
+    E = (
+        combined.reciprocal_arg(1)
+        * RationalFunction.t(c.g - 1)
+        * RationalFunction(Poly([1, -1]) * Poly([1, -Q]))
+    )
+    poly = E.as_poly()
+    assert poly.degree <= 2 * c.g
+    return tuple(poly[i] for i in range(2 * c.g + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +435,40 @@ class TestSlrAssembly:
         assert len(A) == 3
         assert A[2] == 8 * A[0]
 
-    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("curve", ["g1", "g2", "genus3"])
+    @pytest.mark.parametrize(
+        "curve, r",
+        [(curve, r) for r in (2, 3, 4, 5, 6) for curve in ("g1", "g2", "genus3")]
+        + [("g1", 7), ("g1", 8)],
+    )
     def test_matches_pairwise_sum(self, r, curve, curve_g1, curve_g2):
         c = {"g1": curve_g1, "g2": curve_g2, "genus3": GENUS3_DATUM}[curve]
         terms, combined = pairwise_slr(c, r)
         z = slr_zeta(c, r)
         assert z.terms == terms
         assert z.combined == combined
-        assert z.numerator_T == _extract_numerator(combined, c, r)
+        assert z.numerator_T == reference_numerator(combined, c, r)
+
+    @pytest.mark.parametrize("r", [2, 4, 6, 8])
+    def test_assembly_takes_no_gcd(self, monkeypatch, r):
+        # terms, combined and the T-grid numerator are reduced by their known factors
+        def no_gcd(a, b):
+            raise AssertionError("poly_gcd called")
+
+        monkeypatch.setattr(exact, "poly_gcd", no_gcd)
+        for c in (GENUS3_DATUM, CurveData.elliptic(101, 3)):
+            slr_zeta.__wrapped__(c, r)  # past the cache, which may hold this curve
+
+    def test_off_grid_combined_is_a_convention_error(self, curve_g1):
+        z = slr_zeta(curve_g1, 3)
+        off_grid = [
+            z.combined / RationalFunction([1, -5]),  # a stray pole at T = 5
+            z.combined * RationalFunction.t(1),  # a stray pole at T = 0
+        ]
+        for combined in off_grid:  # each is an inexact division, never a ValueError
+            with pytest.raises(ConventionError, match="does not reduce to the expected T-grid shape"):
+                _extract_numerator(combined, curve_g1, 3)
+        with pytest.raises(ConventionError, match="exceeds 2g"):  # times T^3
+            _extract_numerator(z.combined * RationalFunction.t(-3), curve_g1, 3)
 
     @pytest.mark.parametrize("q, g, seed", [(3, 12, 0)])
     def test_large_genus_rank6(self, q, g, seed):
@@ -442,6 +489,67 @@ class TestSlrAssembly:
             z, combined=z.combined + zeta_hat_ratfun(curve_g1, shift=1)
         )
         assert not slr_fe_check(broken)
+
+
+@st.composite
+def factored_terms(draw):
+    """(q, k, den, num) with num a rational polynomial times a sub-multiset of
+    den's factors (1 - q^e u) and of u: den maps e to its multiplicity."""
+    q = draw(st.sampled_from([2, 3, 101]))
+    k = draw(st.integers(-3, 3))
+    den = draw(st.dictionaries(st.integers(-4, 4), st.integers(1, 3), max_size=4))
+    base = draw(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=7), max_size=5))
+    num = Poly(base) * Poly.x(draw(st.integers(0, 3)))
+    for e, m in sorted(den.items()):
+        num = num * Poly([1, -F(q) ** e]) ** draw(st.integers(0, m))
+    return q, k, den, num
+
+
+class TestFactoredReduction:
+    @given(factored_terms())
+    @example((3, -2, {1: 2, -1: 1}, Poly()))  # the zero polynomial
+    @example((2, -2, {1: 2, -3: 1}, Poly.x(2) * Poly([1, -2]) ** 2 * Poly([1, F(-1, 8)])))  # all cancels
+    @example((101, 2, {0: 3, 4: 1}, Poly([1, -1]) ** 3 * Poly([1, -(101**4)]) * Poly([F(2, 3)])))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_gcd_reduction(self, case):
+        q, k, den, num = case
+        d = Poly.one()
+        for e, m in den.items():
+            d = d * Poly([1, -F(q) ** e]) ** m
+        if k >= 0:
+            expect = RationalFunction(num * Poly.x(k), d)
+        else:
+            expect = RationalFunction(num, d * Poly.x(-k))
+        got = _LinearTerm(num, k, dict(den)).ratfun(F(q))
+        assert got == expect
+        assert (got.num.ints, got.num.scale, got.den.ints) == (
+            expect.num.ints,
+            expect.num.scale,
+            expect.den.ints,
+        )
+
+
+class TestSlrRecipe:
+    SHAPES = {2: 2, 3: 5, 4: 10, 5: 18, 6: 30, 7: 47, 8: 70, 9: 100, 10: 138}
+
+    @pytest.mark.parametrize("r", range(2, R_MAX + 1))
+    def test_multiplicities_and_shape_count(self, r):
+        recipe = _slr_recipe(r)
+        size = 2 if r == 2 else (r + 2) * 2 ** (r - 3)
+        assert sum(m for entries in recipe.values() for m in entries.values()) == size
+        assert len(recipe) == self.SHAPES[r]
+
+    def test_not_built_at_import(self):
+        src = str(Path(group_zeta.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = (
+            "import curvezeta.cli\n"
+            "from curvezeta.group_zeta import _slr_recipe\n"
+            "print(_slr_recipe.cache_info().currsize)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
 
 class TestNumeratorInfo:
