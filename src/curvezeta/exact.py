@@ -1,18 +1,21 @@
 """Exact univariate polynomial and rational-function arithmetic.
 
 A polynomial is stored as a tuple of Python ints, constant term first, with
-no common factor and a positive leading entry, times one ``Fraction`` scale
-(the zero polynomial is the empty tuple).  By Gauss's lemma a product of
-primitive polynomials is primitive and an exact quotient of primitive
+no common factor and a positive leading entry, times a rational scale kept
+as a reduced integer pair, numerator and positive denominator (the zero
+polynomial is the empty tuple with scale 0/1).  By Gauss's lemma a product
+of primitive polynomials is primitive and an exact quotient of primitive
 polynomials is integral, so products, sums and exact divisions run on ints
-and touch the scale once.  A rational function is a reduced quotient of two
-polynomials with a monic denominator, so equal values have equal
-representations and ``==`` is exact semantic equality.  Reduction uses
-:func:`poly_gcd`, a primitive pseudo-remainder sequence on the stored ints;
-a caller that has already cancelled every common factor skips it through
-:meth:`RationalFunction.coprime`, which builds the same canonical form.
-``Poly.coeffs`` gives the rational coefficients back for display and for
-the root finder.
+and touch the scale once, with integer gcds and no ``Fraction`` arithmetic.
+A rational function is a reduced quotient of two polynomials with a monic
+denominator, so equal values have equal representations and ``==`` is exact
+semantic equality.  Reduction uses :func:`poly_gcd`, a primitive
+pseudo-remainder sequence on the stored ints; a caller that has already
+cancelled every common factor skips it through
+:meth:`RationalFunction.coprime`, which builds the same canonical form, and
+so do the maps that keep a reduced quotient reduced: -f, f**n, f(t**k), and
+f(c t) and f(c/t) for c != 0.  ``Poly.coeffs`` gives the rational
+coefficients back for display and for the root finder.
 
 The only floating point in this module lives in :func:`complex_roots`, a
 deterministic Aberth-Ehrlich simultaneous iteration with Newton polishing.
@@ -38,18 +41,19 @@ class Poly:
     """Univariate polynomial over the rationals, ``scale * ints``.
 
     ``ints`` is a tuple of Python ints, constant term first, with no common
-    factor and a positive last entry; ``scale`` is a ``Fraction``.  The zero
-    polynomial is ``()`` with scale 0, and no other has scale 0.  Construct
-    from rational coefficients with ``Poly([...])``; :attr:`coeffs` gives
-    them back.
+    factor and a positive last entry.  The scale is kept as a reduced integer
+    pair, numerator and positive denominator; :attr:`scale` gives it as a
+    ``Fraction``.  The zero polynomial is ``()`` with scale 0, and no other
+    has scale 0.  Construct from rational coefficients with ``Poly([...])``;
+    :attr:`coeffs` gives them back.
     """
 
-    __slots__ = ("ints", "scale", "_coeffs")
+    __slots__ = ("ints", "_sn", "_sd", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
         cs = [c if isinstance(c, int) else _frac(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
-        _normalize(self, [c.numerator * (den // c.denominator) for c in cs], Fraction(1, den))
+        _normalize(self, [c.numerator * (den // c.denominator) for c in cs], 1, den)
 
     @staticmethod
     def one() -> Poly:
@@ -57,17 +61,25 @@ class Poly:
 
     @staticmethod
     def x(power: int = 1, coeff: Rat = 1) -> Poly:
-        """The monomial coeff * t**power."""
+        """The monomial coeff * t**power, for power >= 0."""
+        if power < 0:
+            raise ValueError("negative monomial power")
         if not coeff:
             return _ZERO
-        return _make((0,) * power + (1,), _frac(coeff))
+        c = coeff if isinstance(coeff, int) else _frac(coeff)
+        return _make((0,) * power + (1,), c.numerator, c.denominator)
+
+    @property
+    def scale(self) -> Fraction:
+        """The rational factor in front of ``ints``; 0 for the zero polynomial."""
+        return Fraction(self._sn, self._sd)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The rational coefficients, constant term first (computed once)."""
         cs = self._coeffs
         if cs is None:
-            n, d = self.scale.numerator, self.scale.denominator
+            n, d = self._sn, self._sd
             cs = self._coeffs = tuple(Fraction(c * n, d) for c in self.ints)
         return cs
 
@@ -83,10 +95,15 @@ class Poly:
         return self.coeffs[i] if 0 <= i < len(self.ints) else Fraction(0)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and self.ints == other.ints and self.scale == other.scale
+        return (
+            isinstance(other, Poly)
+            and self.ints == other.ints
+            and self._sn == other._sn
+            and self._sd == other._sd
+        )
 
     def __hash__(self) -> int:
-        return hash((self.ints, self.scale))
+        return hash((self.ints, self._sn, self._sd))
 
     def __add__(self, other: Poly) -> Poly:
         a, b = self.ints, other.ints
@@ -94,42 +111,45 @@ class Poly:
             return other
         if not b:
             return self
-        s, t = self.scale, other.scale
+        sd, td = self._sd, other._sd
         # s a + t b = (x a + y b) / lcm of the scale denominators
-        g = math.gcd(s.denominator, t.denominator)
-        x = s.numerator * (t.denominator // g)
-        y = t.numerator * (s.denominator // g)
+        g = math.gcd(sd, td)
+        x = self._sn * (td // g)
+        y = other._sn * (sd // g)
         if len(a) < len(b):
             a, b, x, y = b, a, y, x
         out = [x * c for c in a]
         for i, c in enumerate(b):
             out[i] += y * c
-        return _poly(out, Fraction(1, s.denominator // g * t.denominator))
+        return _poly(out, 1, sd // g * td)
 
     def __neg__(self) -> Poly:
-        return _make(self.ints, -self.scale) if self.ints else self
+        return _make(self.ints, -self._sn, self._sd) if self.ints else self
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __mul__(self, other: Poly | Rat) -> Poly:
         if isinstance(other, (int, Fraction)):
-            return _make(self.ints, self.scale * other) if other and self.ints else _ZERO
+            if not other or not self.ints:
+                return _ZERO
+            n, d = _scale_product(self._sn, self._sd, other.numerator, other.denominator)
+            return _make(self.ints, n, d)
         a, b = self.ints, other.ints
         if not a or not b:
             return _ZERO
-        scale = self.scale * other.scale
+        n, d = _scale_product(self._sn, self._sd, other._sn, other._sd)
         if len(a) == 1:
-            return _make(b, scale)
+            return _make(b, n, d)
         if len(b) == 1:
-            return _make(a, scale)
+            return _make(a, n, d)
         # Gauss's lemma: a product of primitive polynomials is primitive
         out = [0] * (len(a) + len(b) - 1)
         for i, c in enumerate(a):
             if c:
-                for j, d in enumerate(b, i):
-                    out[j] += c * d
-        return _make(tuple(out), scale)
+                for j, e in enumerate(b, i):
+                    out[j] += c * e
+        return _make(tuple(out), n, d)
 
     __rmul__ = __mul__
 
@@ -152,15 +172,16 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if not self.ints:
             return _ZERO
-        return _make(_exact_quotient(self.ints, other.ints), self.scale / other.scale)
+        n, d = _scale_quotient(self._sn, self._sd, other._sn, other._sd)
+        return _make(_exact_quotient(self.ints, other.ints), n, d)
 
     def monic(self) -> Poly:
         if not self.ints:
             return self
-        return _make(self.ints, Fraction(1, self.ints[-1]))
+        return _make(self.ints, 1, self.ints[-1])
 
     def derivative(self) -> Poly:
-        return _poly([i * c for i, c in enumerate(self.ints)][1:], self.scale)
+        return _poly([i * c for i, c in enumerate(self.ints)][1:], self._sn, self._sd)
 
     def evaluate(self, x):
         """Horner evaluation; works for Fraction, int, float and complex x."""
@@ -173,8 +194,7 @@ class Poly:
             for c in reversed(self.ints):
                 acc = acc * a + c * bpow
                 bpow *= b
-            s = self.scale
-            return Fraction(s.numerator * acc, s.denominator * (bpow // b))
+            return Fraction(self._sn * acc, self._sd * (bpow // b))
         acc = 0 if not isinstance(x, complex) else 0j
         for c in reversed(self.coeffs):
             acc = acc * x + float(c)
@@ -196,8 +216,7 @@ class Poly:
             for i in range(n, -1, -1):
                 out[i] *= vpow
                 vpow *= v
-        s = self.scale
-        return _poly(out, Fraction(s.numerator, s.denominator * v**n))
+        return _poly(out, self._sn, self._sd * v**n)
 
     def stretch(self, k: int) -> Poly:
         """p(t**k)."""
@@ -207,7 +226,7 @@ class Poly:
             return self
         out = [0] * (k * self.degree + 1)
         out[::k] = self.ints
-        return _make(tuple(out), self.scale)
+        return _make(tuple(out), self._sn, self._sd)
 
     def reversed(self, degree: int | None = None) -> Poly:
         """t**d * p(1/t) for d = degree (default deg p)."""
@@ -221,8 +240,8 @@ class Poly:
             low += 1
         out = (0,) * (d - self.degree) + self.ints[low:][::-1]
         if out[-1] < 0:
-            return _make(tuple(-c for c in out), -self.scale)
-        return _make(out, self.scale)
+            return _make(tuple(-c for c in out), -self._sn, self._sd)
+        return _make(out, self._sn, self._sd)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -240,36 +259,51 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def _make(ints: tuple[int, ...], scale: Fraction) -> Poly:
-    """A Poly from ints that are already primitive with a positive last entry."""
+def _make(ints: tuple[int, ...], n: int, d: int) -> Poly:
+    """A Poly from ints that are already primitive with a positive last entry,
+    and a scale n/d already reduced with d > 0."""
     p = object.__new__(Poly)
-    p.ints, p.scale, p._coeffs = ints, scale, None
+    p.ints, p._sn, p._sd, p._coeffs = ints, n, d, None
     return p
 
 
-def _normalize(p: Poly, ints: list[int], scale: Fraction) -> None:
-    """Set p to scale * ints, taking out trailing zeros, content and sign."""
+def _scale_product(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """(a/b)(c/d) reduced, for reduced a/b and c/d with b, d > 0."""
+    g, h = math.gcd(a, d), math.gcd(c, b)
+    return (a // g) * (c // h), (b // h) * (d // g)
+
+
+def _scale_quotient(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """(a/b)/(c/d) reduced, for reduced a/b and nonzero c/d with b, d > 0."""
+    return _scale_product(a, b, -d, -c) if c < 0 else _scale_product(a, b, d, c)
+
+
+def _normalize(p: Poly, ints: list[int], n: int, d: int) -> None:
+    """Set p to (n/d) * ints, d > 0, taking out trailing zeros, content and sign."""
     while ints and not ints[-1]:
         ints.pop()
     if not ints:
-        p.ints, p.scale, p._coeffs = (), Fraction(0), None
+        p.ints, p._sn, p._sd, p._coeffs = (), 0, 1, None
         return
     content = _content(ints)
     if content != 1:
         ints = [c // content for c in ints]
-        scale *= content
-    p.ints, p.scale, p._coeffs = tuple(ints), scale, None
+        n *= content
+    g = math.gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    p.ints, p._sn, p._sd, p._coeffs = tuple(ints), n, d, None
 
 
-def _poly(ints: list[int], scale: Fraction) -> Poly:
-    """scale * ints for any integer list."""
+def _poly(ints: list[int], n: int, d: int) -> Poly:
+    """(n/d) * ints for any integer list, d > 0."""
     p = object.__new__(Poly)
-    _normalize(p, ints, scale)
+    _normalize(p, ints, n, d)
     return p
 
 
-_ZERO = _make((), Fraction(0))
-_ONE = _make((1,), Fraction(1))
+_ZERO = _make((), 0, 1)
+_ONE = _make((1,), 1, 1)
 
 
 def _exact_quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -348,7 +382,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
             break
         content = _content(r)
         f, g = g, [c // content for c in r]
-    return _make(tuple(g), Fraction(1, g[-1]))
+    return _make(tuple(g), 1, g[-1])
 
 
 class RationalFunction:
@@ -371,7 +405,7 @@ class RationalFunction:
             g = poly_gcd(n, d).ints
             if len(g) > 1:
                 a, b = _exact_quotient(a, g), _exact_quotient(b, g)
-        self._set_coprime(a, b, n.scale, d.scale)
+        self._set_coprime(a, b, n, d)
 
     @staticmethod
     def coprime(num: Poly, den: Poly) -> RationalFunction:
@@ -381,18 +415,22 @@ class RationalFunction:
         if not den.ints:
             raise ZeroDivisionError("rational function with zero denominator")
         f = object.__new__(RationalFunction)
-        f._set_coprime(num.ints, den.ints, num.scale, den.scale)
+        f._set_coprime(num.ints, den.ints, num, den)
         return f
 
-    def _set_coprime(self, a: tuple[int, ...], b: tuple[int, ...], s: Fraction, t: Fraction) -> None:
-        """Set self to (s a) / (t b), a and b coprime primitive ints, b nonempty:
-        zero becomes 0/1, and otherwise the denominator becomes b/lead(b)."""
+    def _set_coprime(self, a: tuple[int, ...], b: tuple[int, ...], s: Poly, t: Poly) -> None:
+        """Set self to (scale(s) a) / (scale(t) b), a and b coprime primitive
+        ints, b nonempty: zero becomes 0/1, and otherwise the denominator
+        becomes b/lead(b)."""
         if not a:
             self.num, self.den = _ZERO, _ONE
             return
         lead = b[-1]
-        self.num = _make(a, Fraction(s.numerator * t.denominator, s.denominator * t.numerator * lead))
-        self.den = _make(b, Fraction(1, lead))
+        # scale(s) / scale(t) = x/y in lowest terms, then x / (y lead)
+        x, y = _scale_quotient(s._sn, s._sd, t._sn, t._sd)
+        g = math.gcd(x, lead)
+        self.num = _make(a, x // g, y * (lead // g))
+        self.den = _make(b, 1, lead)
 
     @staticmethod
     def zero() -> RationalFunction:
@@ -453,7 +491,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self) -> RationalFunction:
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction.coprime(-self.num, self.den)
 
     def __sub__(self, other: RationalFunction | Rat) -> RationalFunction:
         return self + (-_as_ratfun(other))
@@ -476,8 +514,8 @@ class RationalFunction:
 
     def __pow__(self, n: int) -> RationalFunction:
         if n < 0:
-            return RationalFunction(self.den, self.num) ** (-n)
-        return RationalFunction(self.num**n, self.den**n)
+            return RationalFunction.coprime(self.den, self.num) ** (-n)
+        return RationalFunction.coprime(self.num**n, self.den**n)
 
     def evaluate(self, x):
         d = self.den.evaluate(x)
@@ -486,19 +524,29 @@ class RationalFunction:
         return self.num.evaluate(x) / d
 
     def scale_arg(self, c: Rat) -> RationalFunction:
-        """f(c*t)."""
-        return RationalFunction(self.num.scale_arg(c), self.den.scale_arg(c))
+        """f(c*t).  For c != 0 a common root z of the images would make c z a
+        common root of num and den, so no gcd is taken."""
+        build = RationalFunction.coprime if c else RationalFunction
+        return build(self.num.scale_arg(c), self.den.scale_arg(c))
 
     def stretch(self, k: int) -> RationalFunction:
-        """f(t**k)."""
-        return RationalFunction(self.num.stretch(k), self.den.stretch(k))
+        """f(t**k); a common root z of the images would make z**k a common
+        root of num and den, so no gcd is taken."""
+        return RationalFunction.coprime(self.num.stretch(k), self.den.stretch(k))
 
     def reciprocal_arg(self, c: Rat = 1) -> RationalFunction:
-        """f(c/t); clears the Laurent tail into the denominator."""
+        """f(c/t); clears the Laurent tail into the denominator.
+
+        Both sides are reversed at d = max(deg num, deg den).  For c != 0 a
+        common root z != 0 of the images would make c/z a common root of num
+        and den, and z = 0 is not one: the side of degree d keeps a nonzero
+        constant term.  So no gcd is taken.
+        """
         d = max(self.num.degree, self.den.degree)
         n = self.num.scale_arg(c).reversed(d)
         m = self.den.scale_arg(c).reversed(d)
-        return RationalFunction(n, m)
+        build = RationalFunction.coprime if c else RationalFunction
+        return build(n, m)
 
     def series(self, order: int) -> tuple[Fraction, ...]:
         """The coefficients of t^0..t^order of the power series at t = 0."""
@@ -521,8 +569,9 @@ class RationalFunction:
         """
         if self.num.is_zero():
             return _ZERO, _ONE
-        s = self.num.scale / self.den.scale
-        return _make(self.num.ints, Fraction(s.numerator)), _make(self.den.ints, Fraction(s.denominator))
+        num, den = self.num, self.den
+        n, d = _scale_quotient(num._sn, num._sd, den._sn, den._sd)
+        return _make(num.ints, n, 1), _make(den.ints, d, 1)
 
     def __repr__(self) -> str:
         n, d = self.display_pair()

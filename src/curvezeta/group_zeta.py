@@ -25,7 +25,8 @@ lexicographic order; :func:`build_root_system` runs its eager invariant
 checks on that set and checks the embedded S_{r-1} on its generators, so no
 rank lists S_r and r runs up to ``R_MAX``.  The constant weights are
 products of zh(n) at integers n < r, each evaluated once per assembly on
-first use.  The only
+first use and kept, like every product of them and of the constant factors
+1/(1 - q^e), as a reduced integer pair (numerator, denominator).  The only
 denominators are powers of u and linear factors (1 - q^e u) with e an
 integer: a factor 1/(1 - q^e/u) is rewritten as -q^{-e} u / (1 - q^{-e} u),
 and zh(s + n) is
@@ -33,18 +34,21 @@ q^{(g-1)n} u^{1-g} P(q^{-n} u) / ((1 - q^{-n} u)(1 - q^{1-n} u)).  So the
 curve enters a term only through its constant weight; its shape, the shift
 n_w and the multiset of factors (1 - q^e u), depends on r alone.
 :func:`_slr_recipe` groups frak_W_P by shape once per r, on first use, and
-for each curve the weights of one shape are summed, as Fractions, into one
-polynomial in u: 30 shapes at r = 6 and 138 at r = 10 against 64 and 1536
-terms.  Each R_n is summed in one pass over the LCM of its shapes'
-factors, and the products R_n * zh(s + n) are summed the same way.  Every
-root of those denominators is known, so each result is reduced without a
-gcd: a factor (1 - q^e u) is divided out exactly while the numerator
-vanishes at q^{-e}, and u while the numerator vanishes at 0; what is left
-is coprime and goes straight to the canonical form
+for each curve the weights of one shape are summed into one polynomial in
+u, as integer numerators over one denominator per power of u, so each
+coefficient is one ``Fraction``: 30 shapes at r = 6 and 138 at r = 10
+against 64 and 1536 terms.  Each R_n is summed in one pass over the LCM of
+its shapes' factors, and the products R_n * zh(s + n) are summed the same
+way.  Every root of those denominators is known, so each result is reduced
+without a gcd: a factor (1 - q^e u) is divided out exactly while the
+numerator vanishes at q^{-e}, and u while the numerator vanishes at 0; what
+is left is coprime and goes straight to the canonical form
 (:meth:`RationalFunction.coprime`).  The T-grid numerator is one exact
 division of the reversed numerator, times the displayed poles, by the
 reversed denominator; an inexact one is a :class:`ConventionError`.
-:func:`slr_rh_report`
+:func:`slr_fe_check` compares the combined form with its image under
+u -> q^r / u, which keeps a reduced quotient reduced, so it takes no gcd
+either.  :func:`slr_rh_report`
 finds the zeros of the T-grid numerator with :func:`complex_roots`, whose
 exact square-free split first tries a certificate modulo one fixed prime
 (gcd(f, f') constant mod p proves f square-free) and falls back to Yun's
@@ -84,7 +88,8 @@ from curvezeta.invariants import alpha_from_A
 Root = tuple[int, int]  # (x, y) encodes e_x - e_y; positive iff x < y
 
 # the largest rank accepted; on a 2-vCPU VM under Python 3.11 the first slr_zeta at
-# r = 10 takes about 0.26 s, 0.19 s of it building the recipe, and later ones 0.07 s
+# r = 10 takes about 0.19 s, 0.17 s of it building the recipe, and later ones 0.02 s
+# (medians of 7 fresh processes)
 R_MAX = 10
 
 
@@ -406,39 +411,72 @@ def _slr_recipe(r: int) -> dict[Shape, dict[Entry, int]]:
     return recipe
 
 
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms with d > 0, as an integer pair."""
+    g = math.gcd(n, d)
+    return (n // g, d // g) if d > 0 else (-n // g, -d // g)
+
+
+def _const_weight(q: int, const_factors: Sequence[int], flipped: Sequence[int]) -> tuple[int, int]:
+    """prod -q^{-e} over the flipped e's over prod (1 - q^e) over the constant
+    factors, as a reduced integer pair; with q^e = a/b, 1 - q^e = (b - a)/b."""
+    n = d = 1
+    for e in flipped:
+        a, b = _q_power(q, -e)
+        n, d = -n * a, d * b
+    for e in const_factors:
+        a, b = _q_power(q, e)
+        n, d = n * b, d * (b - a)
+    return _reduced(n, d)
+
+
 @lru_cache(maxsize=256)
 def slr_zeta(c: CurveData, r: int) -> SlrZeta:
     """Assemble zh_SLr(s) = sum_n R_n(s) zh(s + n) exactly in u = q^{-s}.
 
     Each surviving Weyl term is collapsed through the residues by pure
     combinatorics into the recipe of :func:`_slr_recipe` (see module
-    docstring); the curve enters only through the Fraction weight of each
-    entry, summed into one polynomial per shape.  A convention fault in the
-    recipe or in the T-grid extraction raises :class:`ConventionError`
-    instead of silently producing a wrong normalization.
+    docstring); the curve enters only through the weight of each entry, an
+    integer pair, and the weights of a shape are summed as integer numerators
+    over one denominator per u-power, one ``Fraction`` per coefficient.  A
+    convention fault in the recipe or in the T-grid extraction raises
+    :class:`ConventionError` instead of silently producing a wrong
+    normalization.
     """
     if c.g < 1:
         raise ValueError("group zeta needs genus >= 1")
-    q = Fraction(c.q)
-    zh: dict[int, Fraction] = {}  # zh(n), each evaluated on first use
-    zeta_parts: dict[tuple[tuple[int, int], ...], Fraction] = {}
-    const_parts: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
+    zh: dict[int, tuple[int, int]] = {}  # zh(n) as (num, den), each evaluated on first use
+    zeta_parts: dict[tuple[tuple[int, int], ...], tuple[int, int]] = {}
+    const_parts: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]] = {}
     R: dict[int, list[_LinearTerm]] = {}
     for (n_w, den), entries in _slr_recipe(r).items():
-        coeffs = [Fraction(0)] * (1 + max(entry[0] for entry in entries))
+        # per u-power, the integer numerators summed by denominator
+        by_power: list[dict[int, int]] = [{} for _ in range(1 + max(entry[0] for entry in entries))]
         for (k, zetas, const_factors, flipped), mult in entries.items():
-            if zetas not in zeta_parts:
+            z = zeta_parts.get(zetas)
+            if z is None:
                 for n, _ in zetas:
                     if n not in zh:
-                        zh[n] = zeta_hat_special(c, n)
-                zeta_parts[zetas] = math.prod(zh[n] ** e for n, e in zetas)
+                        v = zeta_hat_special(c, n)
+                        zh[n] = (v.numerator, v.denominator)
+                z = zeta_parts[zetas] = _reduced(
+                    math.prod(zh[n][0] ** e for n, e in zetas),
+                    math.prod(zh[n][1] ** e for n, e in zetas),
+                )
             consts = (const_factors, flipped)
-            if consts not in const_parts:
-                value = math.prod((-(q**-e) for e in flipped), start=Fraction(1))
-                const_parts[consts] = value / math.prod(1 - q**e for e in const_factors)
-            coeffs[k] += mult * zeta_parts[zetas] * const_parts[consts]
+            w = const_parts.get(consts)
+            if w is None:
+                w = const_parts[consts] = _const_weight(c.q, const_factors, flipped)
+            by_den = by_power[k]
+            d = z[1] * w[1]
+            by_den[d] = by_den.get(d, 0) + mult * z[0] * w[0]
+        coeffs = []
+        for by_den in by_power:
+            lcm = math.lcm(*by_den)
+            coeffs.append(Fraction(sum(a * (lcm // d) for d, a in by_den.items()), lcm))
         R.setdefault(n_w, []).append(_LinearTerm(Poly(coeffs), 0, dict(den)))
 
+    q = Fraction(c.q)
     sums = {n: _linear_sum(R[n], q) for n in sorted(R)}
     terms = [(n, t.ratfun(q)) for n, t in sums.items()]
     combined = _linear_sum([t.times_zeta_hat(c, n) for n, t in sums.items()], q).ratfun(q)

@@ -15,6 +15,7 @@ from curvezeta.artin import (
     zeta_hat_special,
     zeta_plain,
 )
+from curvezeta.exact import Poly
 
 F = Fraction
 
@@ -183,6 +184,14 @@ class TestFunctionalEquation:
     def test_ratfun_identity_over_corpus(self, corpus):
         for c in corpus:
             assert artin_fe_ratfun_check(c), c.describe()
+
+    def test_ratfun_identity_fails_on_skewed_numerator(self, corpus):
+        # P(t) (1 + t), padded to genus g + 1, has no functional equation
+        for c in corpus:
+            skewed = list((c.numerator * Poly([1, 1])).coeffs)
+            d = CurveData(c.q, c.g + 1, skewed + [0] * (2 * c.g + 3 - len(skewed)))
+            assert not artin_fe_ratfun_check(d), c.describe()
+        assert not artin_fe_ratfun_check(CurveData(2, 1, [1, 1, 1]))
 
     def test_class_number_positive(self, corpus):
         for c in corpus:

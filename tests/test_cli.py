@@ -648,6 +648,15 @@ class TestDeterminism:
         text = render(tree, job.fmt)["report.json"]
         assert mask_floats(text) == (DATA / "criterion10_report.masked.json").read_text()
 
+    def test_slr_rank_cap_report_matches_recorded_bytes(self, tmp_path):
+        """`slr --rank 10` on the q = 2 elliptic job, floats masked, as recorded in
+        tests/data: the exact values of every R_n and of the numerator at the cap."""
+        out = tmp_path / "r10"
+        job = DATA / "elliptic_q2_job.yaml"
+        assert main(["slr", str(job), "--rank", str(R_MAX), "--out", str(out)]) == 0
+        text = (out / "report.json").read_text()
+        assert mask_floats(text) == (DATA / "slr_rank10_report.masked.json").read_text()
+
     def test_zeros_csv_emitted(self, full_tree):
         _, tree = full_tree
         files = render(tree, "json")

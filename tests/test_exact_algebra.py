@@ -4,9 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from curvezeta import exact
 from curvezeta.exact import (
     _CERT_PRIME,
     _squarefree_mod_prime,
@@ -121,10 +122,13 @@ def dense_ratfun(num: DensePoly, den: DensePoly) -> tuple[tuple, tuple]:
 
 
 def assert_canonical(p: Poly) -> None:
-    """The stored ints are primitive with a positive last entry; zero is ()."""
+    """The stored ints are primitive with a positive last entry; zero is ();
+    the scale pair is in lowest terms with a positive denominator."""
     assert isinstance(p.ints, tuple) and all(type(c) is int for c in p.ints)
     if p.ints:
         assert math.gcd(*p.ints) == 1 and p.ints[-1] > 0 and p.scale != 0
+    assert type(p._sn) is int and type(p._sd) is int
+    assert p._sd > 0 and math.gcd(p._sn, p._sd) == 1
     assert p.coeffs == tuple(F(c) * p.scale for c in p.ints)
 
 
@@ -166,6 +170,20 @@ class TestPoly:
         assert p.reversed() == Poly([2, 0, 1])
         assert p.scale_arg(F(1, 2)) == Poly([1, 0, F(1, 2)])
         assert p.stretch(3) == Poly([1, 0, 0, 0, 0, 0, 2])
+
+    def test_monomial(self):
+        assert Poly.x() == Poly([0, 1])
+        assert Poly.x(0) == Poly.one()
+        assert Poly.x(2, F(-3, 4)) == Poly([0, 0, F(-3, 4)])
+        assert Poly.x(5, 0).is_zero()
+
+    @pytest.mark.parametrize("power", [-1, -3])
+    def test_negative_monomial_power_raises(self, power):
+        # (0,) * power is empty, which used to give the constant 1 silently
+        with pytest.raises(ValueError, match="negative monomial power"):
+            Poly.x(power)
+        with pytest.raises(ValueError, match="negative monomial power"):
+            Poly.x(power, F(1, 2))
 
 
 class TestIntegerCore:
@@ -391,6 +409,78 @@ class TestRationalFunction:
         f = RationalFunction([F(1, 4), F(1, 4), 1], [F(1, 4), F(-5, 4), 1])
         n, d = f.display_pair()
         assert n == Poly([1, 1, 4]) and d == Poly([1, -5, 4])
+
+
+def canonical_parts(f: RationalFunction) -> tuple:
+    return f.num.ints, f.num.scale, f.den.ints, f.den.scale
+
+
+def gcd_free_maps(f: RationalFunction, c: Fraction, k: int, n: int) -> list[tuple]:
+    """(name, the map's answer, the gcd constructor on the same images) for
+    each map that sends a reduced quotient to a reduced one without a gcd."""
+    num, den = f.num, f.den
+    d = max(num.degree, den.degree)
+    out = [
+        ("neg", -f, RationalFunction(-num, den)),
+        ("pow", f**n, RationalFunction(num**n, den**n)),
+        ("stretch", f.stretch(k), RationalFunction(num.stretch(k), den.stretch(k))),
+        ("scale_arg", f.scale_arg(c), RationalFunction(num.scale_arg(c), den.scale_arg(c))),
+        (
+            "reciprocal_arg",
+            f.reciprocal_arg(c),
+            RationalFunction(num.scale_arg(c).reversed(d), den.scale_arg(c).reversed(d)),
+        ),
+    ]
+    if not num.is_zero():
+        out.append(("negative pow", f**-n, RationalFunction(den**n, num**n)))
+    return out
+
+
+class TestGcdFreeMaps:
+    """-f, f**n, stretch, scale_arg and reciprocal_arg at c != 0 take no gcd;
+    their answers are the gcd constructor's, part for part."""
+
+    @given(
+        fraction_lists,
+        fraction_lists,
+        small_fractions.filter(bool),
+        st.integers(1, 3),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example([], [1, 2, 3], F(-2), 2, 2)  # zero numerator
+    @example([1, 1], [1, 0, 0, 5], F(-3, 2), 2, 3)  # deg num < deg den
+    @example([0, 1, 0, 0, 7], [2, 1], F(5, 3), 3, 2)  # deg num > deg den, zero constant term
+    @example([1, 2], [3, 0, 1], F(-1, 4), 1, 1)
+    def test_maps_match_the_gcd_constructor(self, a, b, c, k, n):
+        assume(any(b))
+        f = RationalFunction(Poly(a), Poly(b))
+        for name, got, want in gcd_free_maps(f, c, k, n):
+            assert canonical_parts(got) == canonical_parts(want), name
+            assert_canonical(got.num)
+            assert_canonical(got.den)
+
+    def test_maps_take_no_gcd(self, monkeypatch):
+        def no_gcd(a, b):
+            raise AssertionError("poly_gcd called")
+
+        f = RationalFunction([1, 2, 0, 5], [3, -1, 1])
+        monkeypatch.setattr(exact, "poly_gcd", no_gcd)
+        for g in (-f, f**3, f**-3, f.stretch(2), f.scale_arg(F(-2, 3)), f.reciprocal_arg(F(-2, 3))):
+            assert_canonical(g.num)
+            assert_canonical(g.den)
+
+    def test_zero_argument_keeps_the_constructor(self):
+        f = RationalFunction([1, 2], [3, 0, 1])
+        # the images t^2 and 3 t^2 share t^2, which only the constructor cancels
+        third = canonical_parts(RationalFunction.constant(F(1, 3)))
+        assert canonical_parts(f.reciprocal_arg(0)) == third
+        assert canonical_parts(f.scale_arg(0)) == third
+        g = RationalFunction([0, 0, 2, 1], [1, 4])
+        assert g.scale_arg(0) == RationalFunction.zero()
+        assert g.reciprocal_arg(0) == RationalFunction.zero()
+        with pytest.raises(ZeroDivisionError):
+            RationalFunction([1], [0, 1]).scale_arg(0)
 
 
 def series_log(c):

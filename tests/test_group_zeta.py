@@ -458,6 +458,16 @@ class TestSlrAssembly:
         for c in (GENUS3_DATUM, CurveData.elliptic(101, 3)):
             slr_zeta.__wrapped__(c, r)  # past the cache, which may hold this curve
 
+    @pytest.mark.parametrize("r", range(2, 9))
+    def test_fe_check_takes_no_gcd(self, monkeypatch, r):
+        # u -> Q/u keeps the reduced combined form reduced, so the check needs no gcd
+        def no_gcd(a, b):
+            raise AssertionError("poly_gcd called")
+
+        monkeypatch.setattr(exact, "poly_gcd", no_gcd)
+        for c in (GENUS3_DATUM, CurveData.elliptic(101, 3)):
+            assert slr_fe_check(slr_zeta.__wrapped__(c, r))
+
     def test_off_grid_combined_is_a_convention_error(self, curve_g1):
         z = slr_zeta(curve_g1, 3)
         off_grid = [

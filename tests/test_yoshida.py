@@ -1,5 +1,6 @@
 """The rank-two family: orderings, functional equations, RH, counterexample."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -157,6 +158,16 @@ class TestXY:
             assert x1_fe_check(xy), c.describe()
             assert y_fe_check(xy), c.describe()
 
+    def test_functional_equations_fail_on_skewed_input(self, corpus):
+        # a factor (1 + t) is not symmetric under t -> 1/(qt)
+        skew = RationalFunction([1, 1])
+        for c in corpus:
+            if c.g < 1:
+                continue
+            xy = build_XY(WeilPairSet.from_curve(c))
+            assert not x1_fe_check(dataclasses.replace(xy, x1=xy.x1 * skew)), c.describe()
+            assert not y_fe_check(dataclasses.replace(xy, x=xy.x * skew)), c.describe()
+
     def test_pair_sum_bound(self):
         with pytest.raises(ValueError):
             WeilPairSet.from_pair_sums(2, [4])
@@ -195,6 +206,14 @@ class TestFamily:
                 continue
             z = zeta2_canonical(c)
             assert zeta2_fe_check(z), c.describe()
+
+    def test_functional_equation_fails_on_skewed_input(self, corpus):
+        skew = RationalFunction([1, 1])  # not symmetric under t -> 1/(qt)
+        for c in corpus:
+            if c.g < 1:
+                continue
+            z = zeta2_canonical(c)
+            assert not zeta2_fe_check(z * skew), c.describe()
 
     def test_family_with_extra_pair_fe(self):
         ws = WeilPairSet.from_pair_sums(2, [0])
