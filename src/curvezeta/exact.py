@@ -17,9 +17,13 @@ so do the maps that keep a reduced quotient reduced: -f, f**n, f(t**k), and
 f(c t) and f(c/t) for c != 0.  ``Poly.coeffs`` gives the rational
 coefficients back for display and for the root finder.
 
-The only floating point in this module lives in :func:`complex_roots`, a
-deterministic Aberth-Ehrlich simultaneous iteration with Newton polishing.
-Everything else is exact.
+The only floating point in this module lives in :func:`complex_roots`.  It
+splits its input exactly into square-free factors, maps each onto the
+critical circle of Q with every coefficient an exact quotient rounded once,
+and hands it to a private, deterministic Aberth-Ehrlich iteration with Newton
+polishing.  Every RH report of the package (Artin, SL_r and zeta2) finds its
+zeros through this one call, on an exact polynomial whose poles were already
+divided out.  Everything else is exact.
 """
 
 from __future__ import annotations
@@ -768,7 +772,7 @@ def complex_roots(p: Poly, residual_bound: float = 1e-8, *, Q: int = 1) -> Compl
     s = float_sqrt(Q)
 
     def solve(f: Poly) -> ComplexRootSet:
-        w = complex_roots_numeric(_critical_circle_coeffs(f.ints, Q, s), residual_bound)
+        w = _aberth(_critical_circle_coeffs(f.ints, Q, s), residual_bound)
         return ComplexRootSet(tuple(z / s for z in w.roots), w.residuals, w.iterations)
 
     parts = squarefree_decomposition(p)
@@ -815,10 +819,9 @@ def _critical_circle_coeffs(ints: Sequence[int], Q: int, s: float) -> list[float
     return out
 
 
-def complex_roots_numeric(
-    coefficients: Sequence[complex], residual_bound: float = 1e-8
-) -> ComplexRootSet:
-    """The Aberth-Ehrlich driver on raw complex coefficients, constant first.
+def _aberth(coefficients: list[float], residual_bound: float) -> ComplexRootSet:
+    """The Aberth-Ehrlich driver on the float coefficients of one square-free
+    factor, constant term first, degree >= 1 (:func:`complex_roots` only).
 
     Exact roots at the origin come off first.  The start points sit at fixed
     angles on the circle of radius |c_0 / c_n|^{1/n} (c_0 the constant term
@@ -827,19 +830,10 @@ def complex_roots_numeric(
     sweep order is by index, and convergence means every step fell below
     1e-14 * (1 + |root|), followed by a Newton polish.
     """
-    cs = list(coefficients)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        raise ValueError("zero polynomial has no well-defined root set")
-    if len(cs) < 2:
-        raise ValueError("root finding needs degree >= 1")
-
-    # Exact roots at the origin come off first.
     nzero = 0
-    while cs[nzero] == 0:
+    while coefficients[nzero] == 0:
         nzero += 1
-    work = [complex(c) for c in cs[nzero:]]
+    work = [complex(c) for c in coefficients[nzero:]]
     n = len(work) - 1
 
     roots: list[complex] = [0j] * nzero
@@ -892,9 +886,8 @@ def complex_roots_numeric(
         if max_rel_step < _STEP_TOL:
             converged = True
             break
-        # steps stall near multiple roots (cluster radius ~ eps^(1/m)) while
-        # the values are already at machine level; a residual check keeps
-        # clusters from "failing"
+        # once every value is at rounding level the steps are rounding noise
+        # and need not fall below _STEP_TOL; this exit ends most solves
         if max_rel_step < 1e-2 and all(
             _relative_residual(work, z) < 1e-14 for z in zs
         ):
@@ -908,28 +901,6 @@ def complex_roots_numeric(
             if dv == 0:
                 break
             zs[i] -= pv / dv
-
-    # Multiple roots come out as clusters of radius ~ eps^(1/m); their
-    # centroid recovers machine accuracy.  Merge only when the centroid's
-    # residual confirms a genuine multiplicity, so nearby-but-distinct
-    # roots are never collapsed.
-    order = sorted(range(n), key=lambda i: (zs[i].real, zs[i].imag))
-    used = [False] * n
-    for a in range(n):
-        i = order[a]
-        if used[i]:
-            continue
-        cluster = [i]
-        for b in range(a + 1, n):
-            j = order[b]
-            if not used[j] and abs(zs[i] - zs[j]) <= 1e-5 * (1.0 + abs(zs[i])):
-                cluster.append(j)
-        if len(cluster) > 1:
-            centroid = sum(zs[j] for j in cluster) / len(cluster)
-            if _relative_residual(work, centroid) <= 1e-13:
-                for j in cluster:
-                    zs[j] = centroid
-                    used[j] = True
 
     all_roots = roots + zs
     residuals = tuple(

@@ -264,14 +264,13 @@ class _LinearTerm:
 
     def times_zeta_hat(self, c: CurveData, n: int) -> _LinearTerm:
         """This term times zh(s + n), in the form of the module docstring."""
-        q, g = Fraction(c.q), c.g
-        num = self.num * c.numerator.scale_arg(q**-n) * q ** ((g - 1) * n)
-        out = _LinearTerm(num, self.k + 1 - g, dict(self.den))
+        num = self.num * c.numerator.scale_arg(Fraction(1, c.q**n)) * c.q ** ((c.g - 1) * n)
+        out = _LinearTerm(num, self.k + 1 - c.g, dict(self.den))
         out.divide(-n)
         out.divide(1 - n)
         return out
 
-    def ratfun(self, q: Fraction) -> RationalFunction:
+    def ratfun(self, q: int) -> RationalFunction:
         """The canonical form, reduced by the known factors instead of a gcd.
 
         (1 - q^e u) is divided out of num while num vanishes at its root
@@ -284,7 +283,7 @@ class _LinearTerm:
             return RationalFunction.zero()
         den = Poly.one()
         for e, m in self.den.items():
-            factor, root = Poly([1, -(q**e)]), q**-e
+            factor, root = _linear_factor(q, e)
             while m and num.evaluate(root) == 0:
                 num = num.exact_div(factor)
                 m -= 1
@@ -299,7 +298,13 @@ class _LinearTerm:
         return RationalFunction.coprime(num, den * Poly.x(-k))
 
 
-def _linear_sum(terms: list[_LinearTerm], q: Fraction) -> _LinearTerm:
+def _linear_factor(q: int, e: int) -> tuple[Poly, Fraction]:
+    """(1 - q^e u) and its root q^{-e}: (b - a u) / b and b/a for q^e = a/b."""
+    a, b = _q_power(q, e)
+    return Poly([b, -a]) * Fraction(1, b), Fraction(b, a)
+
+
+def _linear_sum(terms: list[_LinearTerm], q: int) -> _LinearTerm:
     """The sum over the LCM of the factored denominators, as one term.
 
     The LCM takes each linear factor at its largest multiplicity and the
@@ -319,7 +324,7 @@ def _linear_sum(terms: list[_LinearTerm], q: Fraction) -> _LinearTerm:
             d = m - t.den.get(e, 0)
             if d:
                 if (e, d) not in powers:
-                    powers[e, d] = Poly([1, -(q**e)]) ** d
+                    powers[e, d] = _linear_factor(q, e)[0] ** d
                 part = part * powers[e, d]
         num = num + part
     return _LinearTerm(num, k, lcm)
@@ -476,10 +481,9 @@ def slr_zeta(c: CurveData, r: int) -> SlrZeta:
             coeffs.append(Fraction(sum(a * (lcm // d) for d, a in by_den.items()), lcm))
         R.setdefault(n_w, []).append(_LinearTerm(Poly(coeffs), 0, dict(den)))
 
-    q = Fraction(c.q)
-    sums = {n: _linear_sum(R[n], q) for n in sorted(R)}
-    terms = [(n, t.ratfun(q)) for n, t in sums.items()]
-    combined = _linear_sum([t.times_zeta_hat(c, n) for n, t in sums.items()], q).ratfun(q)
+    sums = {n: _linear_sum(R[n], c.q) for n in sorted(R)}
+    terms = [(n, t.ratfun(c.q)) for n, t in sums.items()]
+    combined = _linear_sum([t.times_zeta_hat(c, n) for n, t in sums.items()], c.q).ratfun(c.q)
     numerator = _extract_numerator(combined, c, r)
     return SlrZeta(r, c.q, c.g, tuple(terms), combined, numerator)
 
@@ -542,35 +546,29 @@ def slr_fe_check(z: SlrZeta) -> bool:
 def slr_rh_report(z: SlrZeta, tol: float = 1e-9) -> ZeroReport:
     """Zero moduli of the numerator against the critical value q^{-1/2}.
 
-    Roots are found in W = sqrt(Q) T, Q = q^r (see :func:`complex_roots`),
-    where the critical circle |T| = Q^{-1/2} is |W| = 1, and are reported on
-    the T-grid.  Roots at the cleared poles T in {1, 1/Q}, that is
-    W in {sqrt(Q), 1/sqrt(Q)}, are excluded, matching the pole analysis of
-    the construction; the test is relative, |W - sqrt(Q)| <= tol sqrt(Q) or
-    |sqrt(Q) W - 1| <= tol, so it never takes in a zero on |W| = 1 however
-    large Q is.  The deviation of the t-plane modulus |T|^{1/r} from
-    q^{-1/2} is taken as q^{-1/2} | |W|^{1/r} - 1 |.
+    The cleared poles T = 1 and T = 1/Q, Q = q^r, are removed exactly first:
+    (1 - T) and (1 - QT) are divided out of the numerator while it vanishes
+    at their roots, and each removed root is listed under ``excluded``.
+    The rest is solved in W = sqrt(Q) T (see :func:`complex_roots`), where
+    the critical circle |T| = Q^{-1/2} is |W| = 1, and reported on the
+    T-grid.  The deviation of the t-plane modulus |T|^{1/r} from q^{-1/2}
+    is taken as q^{-1/2} | |W|^{1/r} - 1 |.
     """
-    coeffs = z.numerator_T
-    poly = Poly(coeffs)
+    poly = Poly(z.numerator_T)
     critical = float(z.q) ** -0.5
-    if poly.degree < 1:
-        return ZeroReport((), critical, (), True, tol)
     Q = z.q**z.r
-    rset = complex_roots(poly, Q=Q)
-    s = float_sqrt(Q)
-    zeros: list[complex] = []
     excluded: list[complex] = []
-    deviations: list[float] = []
-    for T in rset.roots:
-        W = T * s
-        if abs(W - s) <= tol * s or abs(W * s - 1) <= tol:
-            excluded.append(T)
-            continue
-        zeros.append(T)
-        deviations.append(critical * abs(abs(W) ** (1.0 / z.r) - 1))
+    for root, factor in ((Fraction(1), Poly([1, -1])), (Fraction(1, Q), Poly([1, -Q]))):
+        while poly.degree >= 1 and poly.evaluate(root) == 0:
+            poly = poly.exact_div(factor)
+            excluded.append(complex(root))
+    if poly.degree < 1:
+        return ZeroReport((), critical, (), True, tol, tuple(excluded))
+    s = float_sqrt(Q)
+    zeros = complex_roots(poly, Q=Q).roots
+    deviations = tuple(critical * abs(abs(T * s) ** (1.0 / z.r) - 1) for T in zeros)
     verdict = all(d <= tol for d in deviations)
-    return ZeroReport(tuple(zeros), critical, tuple(deviations), verdict, tol, tuple(excluded))
+    return ZeroReport(zeros, critical, deviations, verdict, tol, tuple(excluded))
 
 
 # ---------------------------------------------------------------------------

@@ -584,7 +584,8 @@ class TestLargeQ:
     @pytest.mark.parametrize("r", [3, 4, 5, 6, 7, 10])
     def test_elliptic_zeros_not_taken_for_poles(self, tmp_path, capsys, r):
         # at Q = q^r >= 1e18 every zero, |T| = Q^{-1/2}, lies within 1e-9 of
-        # the pole T = 1/Q, so the pole test must be relative
+        # the pole T = 1/Q; the poles are divided out exactly, so no zero can
+        # be taken for one
         out = tmp_path / "out"
         job = DATA / "elliptic_q1000003_job.yaml"
         assert main(["slr", str(job), "--rank", str(r), "--out", str(out)]) == 0
@@ -629,6 +630,17 @@ class TestDegenerateInput:
         rh = entry["data"]["r5"]["rh"]
         assert len(rh["zeros"]) == 2 and rh["excluded"] == [] and rh["verdict"] is True
         assert entry["checks"] == {"functional_equation_r5": True}
+
+
+    def test_zeta2_at_q_2pow103(self, tmp_path, capsys):
+        # the zeta2 zeros in t-plane floats once failed the residual bound here
+        out = tmp_path / "out"
+        assert main(["run", str(DATA / "elliptic_q2pow103_job.yaml"), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        yoshida_entry, rh_entry = json.loads((out / "report.json").read_text())["reports"]
+        rh = yoshida_entry["data"]["rh"]
+        assert len(rh["zeros"]) == 4 and rh["excluded"] == [] and rh["verdict"] is True
+        assert rh_entry["checks"] == {"artin_rh": True, "slr2_rh": True, "zeta2_rh": True}
 
 
 class TestDeterminism:

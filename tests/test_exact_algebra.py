@@ -11,7 +11,6 @@ from curvezeta import exact
 from curvezeta.exact import (
     _CERT_PRIME,
     _squarefree_mod_prime,
-    complex_roots_numeric,
     ComplexRootSet,
     Poly,
     RationalFunction,
@@ -618,14 +617,16 @@ class TestComplexRoots:
     def test_start_radius_is_geometric_mean_of_root_moduli(self):
         # z^6 - 1e-36 has its roots on |z| = 1e-6; from a start circle of
         # radius 1 + max |c_i / c_n| it takes dozens of sweeps to reach them
-        rset = complex_roots_numeric([-1e-36, 0, 0, 0, 0, 0, 1])
+        rset = complex_roots(Poly([-1, 0, 0, 0, 0, 0, 10**36]))
         assert rset.iterations <= 8
         assert all(abs(abs(z) * 1e6 - 1) <= 1e-14 for z in rset.roots)
-        assert complex_roots_numeric([0, 0, 3]).iterations == 0
+        # 3 t^2 is t twice; the factor t is a root at the origin, no sweep
+        rset = complex_roots(Poly([0, 0, 3]))
+        assert rset.roots == (0j, 0j) and rset.iterations == 0
 
     def test_failure_carries_partial_results(self):
         with pytest.raises(RootFindError) as info:
-            complex_roots_numeric([6, -5, 1, 7, 3], residual_bound=1e-25)
+            complex_roots(Poly([6, -5, 1, 7, 3]), residual_bound=1e-25)
         assert len(info.value.roots) == 4
 
 

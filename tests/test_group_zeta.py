@@ -777,18 +777,20 @@ class TestRhReports:
         assert len(rset.roots) == 8 and rset.iterations <= 8
 
     def test_poles_excluded_in_w(self):
-        # (1 - T)(1 - QT) N(T) at Q = (10^6 + 3)^3: the roots T = 1 and T = 1/Q
-        # are the cleared poles; the zeros of N sit within 1e-9 of T = 1/Q but
-        # are kept, at W = sqrt(Q) T on the unit circle
+        # (1 - T)^2 (1 - QT) N(T) at Q = (10^6 + 3)^3: the roots T = 1 and
+        # T = 1/Q are the cleared poles, divided out exactly with their
+        # multiplicities; the zeros of N sit within 1e-9 of T = 1/Q but are
+        # kept, at W = sqrt(Q) T on the unit circle
         import dataclasses
 
         z = slr_zeta(CurveData.elliptic(1000003, 1), 3)
         Q = 1000003**3
-        poles = Poly([1, -1]) * Poly([1, -Q]) * Poly(z.numerator_T)
+        poles = Poly([1, -1]) ** 2 * Poly([1, -Q]) * Poly(z.numerator_T)
         rep = slr_rh_report(dataclasses.replace(z, numerator_T=poles.coeffs))
         assert len(rep.zeros) == 2 and rep.verdict
-        assert sorted(abs(T) for T in rep.excluded) == pytest.approx([1 / Q, 1], rel=1e-12)
+        assert rep.excluded == (1, 1, 1 / Q)
         assert all(abs(T) < 1e-9 for T in rep.zeros)
+        assert slr_rh_report(z).excluded == ()
 
     def test_rank3_report_emitted(self, curve_g1):
         rep = slr_rh_report(slr_zeta(curve_g1, 3))

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from curvezeta import exact
 from curvezeta.artin import CurveData
-from curvezeta.exact import Poly, RationalFunction
+from curvezeta.exact import Poly, RationalFunction, poly_gcd
 from curvezeta.group_zeta import slr_zeta
 from curvezeta.yoshida import (
     C1Params,
@@ -267,7 +268,7 @@ class TestOnePassFamily:
                     ref = _zeta2_by_products(ws, params)
                     where = (q, g, a, h)
                     assert z == ref, where
-                    # equal exact parts give bit-identical floats for the root finder
+                    # equal exact parts give equal exact numerators for the root finder
                     assert z.numerator_over_lcm() == ref.numerator_over_lcm(), where
                     assert zeta2_fe_check(z), where
                     if a == 1 and h == 0 and g >= 1:
@@ -281,7 +282,90 @@ class TestOnePassFamily:
         assert canonical_group_cross_check(curve_g2, combined * 2) is False
 
 
+def _float_route_zeros(z):
+    """The former zeta2 route, kept as a reference, built from the exact pair.
+
+    Float coefficients n1 + sqrt(q) n2 in t go to the Aberth driver with no
+    square-free split and no critical-circle map; roots where the least
+    common denominator vanishes, or within 1e-7 of +-1, +-q^{-1/2} and
+    +-1/q, are dropped.
+    """
+    n1, n2 = z.numerator_over_lcm()
+    lcm = z.even.den * z.odd.den.exact_div(poly_gcd(z.even.den, z.odd.den))
+    root = math.sqrt(z.q)
+    coeffs = [float(n1[i]) + root * float(n2[i]) for i in range(max(n1.degree, n2.degree) + 1)]
+    poles = [sign * z.q ** (-k / 2) for k in (0, 1, 2) for sign in (1, -1)]
+    dscale = max(abs(float(c)) for c in lcm.coeffs)
+    return [
+        t
+        for t in exact._aberth(coeffs, 1e-8).roots
+        if abs(lcm.evaluate(complex(t))) > 1e-9 * dscale * (1 + abs(t)) ** lcm.degree
+        and all(abs(t - p) > 1e-7 for p in poles)
+    ]
+
+
+def _same_multiset(xs, ys, rel):
+    """Each x matched to its own y within rel * |x|."""
+    ys = list(ys)
+    for x in xs:
+        k = min(range(len(ys)), key=lambda i: abs(ys[i] - x), default=None)
+        if k is None or abs(ys[k] - x) > rel * abs(x):
+            return False
+        ys.pop(k)
+    return not ys
+
+
 class TestRhChecks:
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_mixed_members_match_the_float_route(self, q):
+        # both parts nonzero: the W = sqrt(q) t route against the former one
+        mixed = 0
+        for g in (0, 1, 2):
+            ws = WeilPairSet.from_pair_sums(q, [F(1), F(-2)][:g])
+            for a in sorted({0, 1, 3, g}):
+                for h in (1, 2):
+                    z = zeta2_family(ws, C1Params(a=a, extra_pair_sums=(F(3, 2), F(-1))[:h]))
+                    if z.even.is_zero() or z.odd.is_zero():
+                        continue
+                    mixed += 1
+                    rep = rh_check_zeta2(z)
+                    assert rep.excluded == ()
+                    assert _same_multiset(_float_route_zeros(z), rep.zeros, 1e-9), (q, g, a, h)
+        assert mixed == 19
+
+    @pytest.mark.parametrize("q", [1000000000000037, 2**103])
+    def test_canonical_zeros_at_large_q(self, q):
+        # every zero lies within 1e-7 of t = +-q^{-1/2}, which an absolute
+        # pole test once took for poles; at 2^103 the float t-plane
+        # coefficients failed the residual bound
+        rep = rh_check_zeta2(zeta2_canonical(CurveData.elliptic(q, 1)))
+        assert len(rep.zeros) == 4 and rep.excluded == () and rep.verdict
+        assert max(abs(abs(t) * math.sqrt(q) - 1) for t in rep.zeros) <= 1e-12
+
+    def test_parts_of_one_parity_raise(self):
+        # 1 + t^2 + 3 sqrt(2): sqrt(2) stays in every W-coefficient
+        z = HalfShiftRational(2, RationalFunction([1, 0, 1]), RationalFunction([3]))
+        with pytest.raises(ArithmeticError):
+            rh_check_zeta2(z)
+
+    @pytest.mark.parametrize(
+        "even, odd, on_circle",
+        [
+            ([1], [0, 1], True),  # 1 + sqrt(2) t: t = -2^{-1/2}
+            ([1], [0, 3], False),  # 1 + 3 sqrt(2) t: t = -1/(3 sqrt(2))
+            ([0, 2], [1], True),  # 2 t + sqrt(2), odd n1: t = -2^{-1/2}
+            ([0, 1], [1], False),  # t + sqrt(2), odd n1: t = -sqrt(2)
+            ([1, 0, -9], [], False),  # one part: t = +-1/3
+            ([1, 0, 2], [], True),  # one part: t = +-i 2^{-1/2}
+        ],
+    )
+    def test_verdict_reads_the_zeros(self, even, odd, on_circle):
+        z = HalfShiftRational(2, RationalFunction(even), RationalFunction(odd or [0]))
+        rep = rh_check_zeta2(z)
+        assert rep.verdict is on_circle and rep.excluded == ()
+        for t in rep.zeros:
+            assert abs(z.evaluate(t)) <= 1e-12
+
     def test_canonical_over_elliptic_grid(self):
         for q in (2, 3, 4, 5):
             bound = int((4 * q) ** 0.5)
