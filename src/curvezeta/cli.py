@@ -540,7 +540,7 @@ def render(tree: dict, fmt: str) -> dict[str, str]:
             _flatten("", {"data": rep["data"], "checks": rep["checks"]}, sub)
             lines += [f"\"{base}\",{k},{v}" for k, v in sub]
         files["report.csv"] = "\n".join(lines) + "\n"
-    zero_lines = ["curve,object,re,im,modulus,deviation"]
+    zero_lines = ["curve,object,value,modulus,deviation"]
     for rep in tree.get("reports", []):
         if rep["task"] != "rh-report":
             continue

@@ -770,24 +770,14 @@ def complex_roots(p: Poly, residual_bound: float = 1e-8, *, Q: int = 1) -> Compl
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     s = float_sqrt(Q)
-
-    def solve(f: Poly) -> ComplexRootSet:
-        w = _aberth(_critical_circle_coeffs(f.ints, Q, s), residual_bound)
-        return ComplexRootSet(tuple(z / s for z in w.roots), w.residuals, w.iterations)
-
-    parts = squarefree_decomposition(p)
-    if len(parts) == 1 and parts[0][1] == 1:
-        return solve(p)
     roots: list[complex] = []
     residuals: list[float] = []
     iterations = 0
-    for factor, mult in parts:
-        if factor.degree < 1:
-            continue
-        sub = solve(factor)
-        iterations += sub.iterations
-        for z, res in zip(sub.roots, sub.residuals):
-            roots.extend([z] * mult)
+    for factor, mult in squarefree_decomposition(p):
+        w = _aberth(_critical_circle_coeffs(factor.ints, Q, s), residual_bound)
+        iterations += w.iterations
+        for z, res in zip(w.roots, w.residuals):
+            roots.extend([z / s] * mult)
             residuals.extend([res] * mult)
     if len(roots) != p.degree:
         raise RootFindError("square-free decomposition lost degree", roots, residuals)

@@ -37,14 +37,35 @@ from curvezeta.exact import _squarefree_mod_prime
 FIELD_CAP = 2**20
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2..41, exact below ``_MR_BOUND`` (Sorenson and
+    Webster, Math. Comp. 86, 2017); above it a witness still proves n composite,
+    and a number no base witnesses is settled by trial division."""
     if n < 2:
         return False
-    if n < 4:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n < _MR_BOUND:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
+    d = _MR_BASES[-1] + 2
     while d * d <= n:
         if n % d == 0:
             return False
@@ -52,18 +73,25 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def is_prime_power(n: int) -> bool:
-    """True when n = p^m for a prime p and m >= 1."""
+    """True when n = p^m for a prime p and m >= 1; the largest exact root is tried first."""
     if n < 2:
         return False
-    p = 2
-    while p * p <= n and n % p:
-        p += 1
-    if p * p > n:
-        return True  # no divisor up to sqrt(n): n is prime
-    while n % p == 0:
-        n //= p
-    return n == 1
+    for k in range(n.bit_length(), 0, -1):
+        b = _iroot(n, k)
+        if b**k == n and _is_prime(b):
+            return True
+    return False
 
 
 def _prime_factors(n: int) -> list[int]:

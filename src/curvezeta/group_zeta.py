@@ -17,19 +17,17 @@ maps every parabolic simple root into Delta or the negative roots, that is
 w(i+1) <= w(i) + 1 for i <= r - 2, the pole at stage j is always simple,
 and the zeta quotients along the roots through the last coordinate
 telescope to a single zh(s + n).  The per-term factors are read off the
-root combinatorics with no residue computation at all; the root data
-(Phi_w, inversion counts) are read straight from the permutation w.perm.
+root combinatorics with no residue computation at all, straight off each
+permutation tuple, with no :class:`WeylElt` or :func:`build_root_system`.
 The surviving set frak_W_P, of (r + 2) 2^{r-3} elements against r! in S_r,
 is generated directly, depth first over prefixes that keep the bound, in
-lexicographic order; :func:`build_root_system` runs its eager invariant
-checks on that set and checks the embedded S_{r-1} on its generators, so no
-rank lists S_r and r runs up to ``R_MAX``.  The constant weights are
-products of zh(n) at integers n < r, each evaluated once per assembly on
-first use and kept, like every product of them and of the constant factors
-1/(1 - q^e), as a reduced integer pair (numerator, denominator).  The only
-denominators are powers of u and linear factors (1 - q^e u) with e an
-integer: a factor 1/(1 - q^e/u) is rewritten as -q^{-e} u / (1 - q^{-e} u),
-and zh(s + n) is
+lexicographic order, so no rank lists S_r and r runs up to ``R_MAX``.  The
+constant weights are products of zh(n) at integers n < r, each evaluated
+once per assembly on first use and kept, like every product of them and of
+the constant factors 1/(1 - q^e), as a reduced integer pair (numerator,
+denominator).  The only denominators are powers of u and linear factors
+(1 - q^e u) with e an integer: a factor 1/(1 - q^e/u) is rewritten as
+-q^{-e} u / (1 - q^{-e} u), and zh(s + n) is
 q^{(g-1)n} u^{1-g} P(q^{-n} u) / ((1 - q^{-n} u)(1 - q^{1-n} u)).  So the
 curve enters a term only through its constant weight; its shape, the shift
 n_w and the multiset of factors (1 - q^e u), depends on r alone.
@@ -69,7 +67,7 @@ The limit stays literal: (1 - u_1) divides a packed polynomial exactly when
 its column sums at u_1 = 1 vanish, and is then removed from the numerator
 and the denominator by exact division by (1 - x); u_1 = 1 is substituted
 by summing the columns.  The oracle lists the six elements of S_3 itself
-and shares only :func:`build_root_system` with :func:`slr_zeta`.
+and reads their roots through :func:`build_root_system`; the routes share none.
 """
 
 from __future__ import annotations
@@ -88,7 +86,7 @@ from curvezeta.invariants import alpha_from_A
 Root = tuple[int, int]  # (x, y) encodes e_x - e_y; positive iff x < y
 
 # the largest rank accepted; on a 2-vCPU VM under Python 3.11 the first slr_zeta at
-# r = 10 takes about 0.19 s, 0.17 s of it building the recipe, and later ones 0.02 s
+# r = 10 takes about 0.065 s, 0.046 s of it building the recipe, and later ones 0.02 s
 # (medians of 7 fresh processes)
 R_MAX = 10
 
@@ -330,55 +328,6 @@ def _linear_sum(terms: list[_LinearTerm], q: int) -> _LinearTerm:
     return _LinearTerm(num, k, lcm)
 
 
-def _term_data(rs: RootSystemData, pb: ParabolicData, w: WeylElt, r: int):
-    """Shift index n_w, constant zeta exponents, and rational factor recipe.
-
-    Returns (n_w, zeta_exponents, constant_q_factors, s_factors) where the
-    s_factors are (e, k) pairs for 1/(1 - q^e * u^k).
-    The run-of-heights property behind the telescoping is asserted, not
-    assumed.
-    """
-    flipped = rs.flipped_positive_roots(w)
-    spanning_flipped = [a for a in flipped if a[1] == r]
-    starts = sorted(a[0] for a in spanning_flipped)
-    if starts != list(range(1, len(starts) + 1)):
-        raise ConventionError(f"flipped roots through the last slot are not a prefix: {starts}")
-    n_w = r - len(starts)
-
-    zeta_exp: dict[int, int] = {}
-
-    def bump(n: int, delta: int) -> None:
-        zeta_exp[n] = zeta_exp.get(n, 0) + delta
-
-    for n in range(2, r):
-        bump(n, 1)
-    e_minus = sum(1 for a in pb.delta_p if a in flipped)
-    if e_minus:
-        bump(1, e_minus)
-        bump(2, -e_minus)
-    for a in pb.phi_p_plus:
-        if a not in pb.delta_p and a in flipped:
-            h = root_height(a)
-            bump(h, 1)
-            bump(h + 1, -1)
-
-    const_factors: list[int] = []  # exponents e with factor 1/(1 - q^e)
-    s_factors: list[tuple[int, int]] = []  # (exponent of q, u power)
-    v = w.inverse()
-    for alpha in rs.simple_roots:
-        beta = v.apply(alpha)
-        h = root_height(beta)
-        if is_positive(beta) and h == 1 and beta[0] <= r - 2:
-            continue  # the residue at stage beta[0] consumed this factor
-        if max(beta) == r:
-            s_factors.append((1 - h, 1 if is_positive(beta) else -1))
-        else:
-            if 1 - h == 0:
-                raise ConventionError("vanishing exponent in a constant factor")
-            const_factors.append(1 - h)
-    return n_w, zeta_exp, const_factors, s_factors
-
-
 Shape = tuple[int, tuple[tuple[int, int], ...]]  # (n_w, sorted (e, m) of prod (1 - q^e u)^m)
 Entry = tuple[int, tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]
 # (u-power k, nonzero zeta exponents (n, e), constant factors e, flipped e's)
@@ -392,24 +341,52 @@ def _slr_recipe(r: int) -> dict[Shape, dict[Entry, int]]:
     factors, times prod -q^{-e} u over its flipped factors 1/(1 - q^e/u) =
     -q^{-e} u / (1 - q^{-e} u), over its shape's denominator.  Only the shape
     depends on u, so a curve's terms of one shape sum to one polynomial.
+    Each term is read off its permutation p: n_w = r - k for the k flipped
+    roots (x, r), which must be x = 1..k; zh(2..r-1), times zh(h)/zh(h+1)
+    for each flipped root of Phi_P^+ of height h, the telescoped quotients;
+    and for each simple root i, pulled back to (p^{-1}(i), p^{-1}(i+1)) of
+    height h, the factor 1/(1 - q^{1-h} u^{+-1}) through slot r, none when
+    a residue consumed it, and the constant 1/(1 - q^{1-h}) otherwise.
     Built on first use for each r, never at import.  A broken telescoping run
     or a negative leftover zeta exponent raises :class:`ConventionError`.
     """
-    rs, pb = build_root_system(r)
+    if not 2 <= r <= R_MAX:
+        raise ValueError(f"rank parameter must satisfy 2 <= r <= {R_MAX}")
     recipe: dict[Shape, dict[Entry, int]] = {}
-    for w in pb.frak_w_p:
-        n_w, zeta_exp, const_factors, s_factors = _term_data(rs, pb, w, r)
-        if any(e < 0 for e in zeta_exp.values()):
-            raise ConventionError(f"zeta denominators survive clearing for w = {w.perm}")
+    for p in _frak_w_p_perms(r):
+        w = (0, *p)  # w[x] = p(x), 1-based
+        starts = [x for x in range(1, r) if w[x] > w[r]]
+        if starts != list(range(1, len(starts) + 1)):
+            raise ConventionError(f"flipped roots through the last slot are not a prefix: {starts}")
+        zeta = [0, 0] + [1] * (r - 2) + [0]  # zeta[n] = exponent of zh(n), n = 0..r
+        for y in range(2, r):
+            for x in range(1, y):
+                if w[x] > w[y]:
+                    zeta[y - x] += 1
+                    zeta[y - x + 1] -= 1
+        if any(e < 0 for e in zeta):
+            raise ConventionError(f"zeta denominators survive clearing for w = {p}")
+        pos = {v: x for x, v in enumerate(p, start=1)}  # p^{-1}
         den: dict[int, int] = {}
-        flipped = []
-        for e, upow in s_factors:  # 1/(1 - q^e u^upow)
-            if upow != 1:
-                flipped.append(e)
-                e = -e
-            den[e] = den.get(e, 0) + 1
-        shape = (n_w, tuple(sorted(den.items())))
-        zetas = tuple(sorted((n, e) for n, e in zeta_exp.items() if e))
+        const_factors: list[int] = []
+        flipped: list[int] = []
+        for i in range(1, r):
+            a, b = pos[i], pos[i + 1]
+            h = b - a
+            if h == 1 and a <= r - 2:
+                continue  # the residue at stage a consumed this factor
+            if r in (a, b):
+                e = 1 - h
+                if h < 0:  # 1/(1 - q^e/u)
+                    flipped.append(e)
+                    e = -e
+                den[e] = den.get(e, 0) + 1
+            elif h == 1:
+                raise ConventionError("vanishing exponent in a constant factor")
+            else:
+                const_factors.append(1 - h)
+        shape = (r - len(starts), tuple(sorted(den.items())))
+        zetas = tuple((n, e) for n, e in enumerate(zeta) if e)
         entry = (len(flipped), zetas, tuple(sorted(const_factors)), tuple(sorted(flipped)))
         entries = recipe.setdefault(shape, {})
         entries[entry] = entries.get(entry, 0) + 1

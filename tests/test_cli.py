@@ -1,6 +1,7 @@
 """CLI: job parsing, task execution, determinism, exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -632,6 +633,15 @@ class TestDegenerateInput:
         assert entry["checks"] == {"functional_equation_r5": True}
 
 
+    def test_zeta2_at_large_prime_q(self, tmp_path, capsys):
+        # q = 10^15 + 37 parses without trial division to sqrt(q); every zeta2
+        # zero lies within 1e-7 of a pole of the construction, none is excluded
+        out = tmp_path / "out"
+        assert main(["run", str(DATA / "elliptic_q1000000000000037_job.yaml"), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rh = json.loads((out / "report.json").read_text())["reports"][0]["data"]["rh"]
+        assert len(rh["zeros"]) == 4 and rh["excluded"] == [] and rh["verdict"] is True
+
     def test_zeta2_at_q_2pow103(self, tmp_path, capsys):
         # the zeta2 zeros in t-plane floats once failed the residual bound here
         out = tmp_path / "out"
@@ -673,8 +683,9 @@ class TestDeterminism:
         _, tree = full_tree
         files = render(tree, "json")
         assert "zeros.csv" in files
-        header = files["zeros.csv"].splitlines()[0]
-        assert header == "curve,object,re,im,modulus,deviation"
+        header, *rows = list(csv.reader(io.StringIO(files["zeros.csv"])))
+        assert header == ["curve", "object", "value", "modulus", "deviation"]
+        assert rows and all(len(row) == len(header) for row in rows)
 
 
 class TestFmtNumber:

@@ -15,8 +15,10 @@ from curvezeta.exact import _squarefree_mod_prime
 from curvezeta.fields import (
     CurveModel,
     _field_tables,
+    _is_prime,
     census,
     count_points,
+    is_prime_power,
 )
 
 
@@ -172,6 +174,41 @@ def random_model(p: int, rng: random.Random) -> CurveModel:
             return CurveModel(kind, p, f)
         except ValueError:  # not squarefree
             continue
+
+
+def _smallest_factor(n: int) -> int:
+    return next(d for d in range(2, n + 1) if n % d == 0)
+
+
+class TestPrimality:
+    def test_agree_with_brute_force(self):
+        for n in range(10**4):
+            p = _smallest_factor(n) if n >= 2 else 0
+            assert _is_prime(n) == (n >= 2 and p == n), n
+            m = n
+            while p and m % p == 0:
+                m //= p
+            assert is_prime_power(n) == (n >= 2 and m == 1), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+            3825123056546413051,  # ... to every prime base up to 31
+            318665857834031151167461,  # ... to every prime base up to 37
+        ],
+    )
+    def test_strong_pseudoprimes_read_composite(self, n):
+        assert not _is_prime(n)
+        assert not is_prime_power(n)
+
+    @pytest.mark.parametrize("n", [10**15 + 37, 2**103, 3**64, (10**6 + 3) ** 2])
+    def test_large_prime_powers(self, n):
+        assert is_prime_power(n)
+
+    @pytest.mark.parametrize("n", [(10**6 + 3) * (10**6 + 33), 2 * (10**15 + 37)])
+    def test_large_non_prime_powers(self, n):
+        assert not is_prime_power(n)
 
 
 class TestBuildField:

@@ -28,7 +28,6 @@ from curvezeta.group_zeta import (
     _LinearTerm,
     _extract_numerator,
     _slr_recipe,
-    _term_data,
     _weyl_terms_r3,
     build_root_system,
     is_positive,
@@ -71,13 +70,82 @@ def weyl_group(r: int) -> list[WeylElt]:
     return [WeylElt(p) for p in itertools.permutations(range(1, r + 1))]
 
 
+def reference_term_data(rs, pb, w: WeylElt, r: int):
+    """Reference reading of one Weyl term through the root objects of build_root_system.
+
+    Returns (n_w, zeta_exponents, constant_q_factors, s_factors), the
+    s_factors being (e, k) pairs for 1/(1 - q^e * u^k).  The library reads the
+    same data off the permutation tuple alone.
+    """
+    flipped = rs.flipped_positive_roots(w)
+    starts = sorted(a[0] for a in flipped if a[1] == r)
+    if starts != list(range(1, len(starts) + 1)):
+        raise ConventionError(f"flipped roots through the last slot are not a prefix: {starts}")
+    n_w = r - len(starts)
+
+    zeta_exp: dict[int, int] = {}
+
+    def bump(n: int, delta: int) -> None:
+        zeta_exp[n] = zeta_exp.get(n, 0) + delta
+
+    for n in range(2, r):
+        bump(n, 1)
+    e_minus = sum(1 for a in pb.delta_p if a in flipped)
+    if e_minus:
+        bump(1, e_minus)
+        bump(2, -e_minus)
+    for a in pb.phi_p_plus:
+        if a not in pb.delta_p and a in flipped:
+            h = root_height(a)
+            bump(h, 1)
+            bump(h + 1, -1)
+
+    const_factors: list[int] = []  # exponents e with factor 1/(1 - q^e)
+    s_factors: list[tuple[int, int]] = []  # (exponent of q, u power)
+    v = w.inverse()
+    for alpha in rs.simple_roots:
+        beta = v.apply(alpha)
+        h = root_height(beta)
+        if is_positive(beta) and h == 1 and beta[0] <= r - 2:
+            continue  # the residue at stage beta[0] consumed this factor
+        if max(beta) == r:
+            s_factors.append((1 - h, 1 if is_positive(beta) else -1))
+        else:
+            if 1 - h == 0:
+                raise ConventionError("vanishing exponent in a constant factor")
+            const_factors.append(1 - h)
+    return n_w, zeta_exp, const_factors, s_factors
+
+
+def reference_recipe(r: int) -> dict:
+    """The shape -> {entry: multiplicity} recipe, built from :func:`reference_term_data`."""
+    rs, pb = build_root_system(r)
+    recipe: dict = {}
+    for w in pb.frak_w_p:
+        n_w, zeta_exp, const_factors, s_factors = reference_term_data(rs, pb, w, r)
+        assert all(e >= 0 for e in zeta_exp.values())
+        den: dict[int, int] = {}
+        flipped = []
+        for e, upow in s_factors:  # 1/(1 - q^e u^upow)
+            if upow != 1:
+                flipped.append(e)
+                e = -e
+            den[e] = den.get(e, 0) + 1
+        shape = (n_w, tuple(sorted(den.items())))
+        zetas = tuple(sorted((n, e) for n, e in zeta_exp.items() if e))
+        entry = (len(flipped), zetas, tuple(sorted(const_factors)), tuple(sorted(flipped)))
+        entries = recipe.setdefault(shape, {})
+        entries[entry] = entries.get(entry, 0) + 1
+    return recipe
+
+
 def pairwise_slr(c: CurveData, r: int):
     """Reference: each R_n and the combined sum by pairwise RationalFunction additions."""
     rs, pb = build_root_system(r)
     q = F(c.q)
     R = {}
     for w in pb.frak_w_p:
-        n_w, zeta_exp, const_factors, s_factors = _term_data(rs, pb, w, r)
+        n_w, zeta_exp, const_factors, s_factors = reference_term_data(rs, pb, w, r)
         value = F(1)
         for n, e in zeta_exp.items():
             value *= zeta_hat_special(c, n) ** e
@@ -548,6 +616,32 @@ class TestSlrRecipe:
         size = 2 if r == 2 else (r + 2) * 2 ** (r - 3)
         assert sum(m for entries in recipe.values() for m in entries.values()) == size
         assert len(recipe) == self.SHAPES[r]
+
+    @pytest.mark.parametrize("r", range(2, R_MAX + 1))
+    def test_matches_root_object_reading(self, r):
+        # the permutation reading against the root-object reading, dict order included
+        recipe, expect = _slr_recipe(r), reference_recipe(r)
+        assert recipe == expect
+        assert list(recipe) == list(expect)
+        assert [list(entries) for entries in recipe.values()] == [list(entries) for entries in expect.values()]
+
+    def test_out_of_range(self):
+        for r in (1, R_MAX + 1):
+            with pytest.raises(ValueError):
+                _slr_recipe(r)
+
+    def test_assembly_builds_no_root_system(self):
+        src = str(Path(group_zeta.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = (
+            "from curvezeta.artin import CurveData\n"
+            "from curvezeta.group_zeta import build_root_system, slr_zeta\n"
+            "slr_zeta(CurveData.elliptic(2, 1), 6)\n"
+            "print(build_root_system.cache_info().currsize)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
     def test_not_built_at_import(self):
         src = str(Path(group_zeta.__file__).resolve().parents[1])
