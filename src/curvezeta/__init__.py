@@ -6,9 +6,9 @@ The package computes, with exact rational arithmetic throughout:
   models or from given numerator coefficients;
 * the automorphism-weighted bundle-counting invariants alpha, beta, gamma
   in rank one and rank two;
-* SL_r group zetas assembled from type A_{r-1} root-system combinatorics,
-  together with their functional equations and an independent
-  period-residue oracle;
+* SL_r group zetas assembled from the type A_{r-1} Weyl sum, each term
+  read straight off its permutation, together with their functional
+  equations and an independent period-residue oracle;
 * masses of semistable bundles (inclusion-exclusion sums in the completed
   zeta values, and the general-degree Harder-Narasimhan mass sum);
 * a rank-two zeta family with half-integral q-powers tracked exactly, its
@@ -21,13 +21,11 @@ every identity test is an exact rational-function identity.
 
 from curvezeta.artin import (
     CurveData,
-    WeilRoots,
     artin_fe_check,
     artin_fe_ratfun_check,
     counts_from_numerator,
     numerator_from_counts,
     rh_check_artin,
-    weil_roots,
     zeta_hat_special,
     zeta_plain,
 )
@@ -42,7 +40,6 @@ from curvezeta.exact import (
 from curvezeta.fields import CurveModel, census, count_points
 from curvezeta.group_zeta import (
     SlrZeta,
-    build_root_system,
     period_residue_oracle,
     slr_fe_check,
     slr_numerator,
@@ -95,7 +92,6 @@ __all__ = [
     "RationalFunction",
     "SlrZeta",
     "WeilPairSet",
-    "WeilRoots",
     "ZeroReport",
     "alpha_from_A",
     "artin_fe_check",
@@ -104,7 +100,6 @@ __all__ = [
     "beta_composition_formula",
     "beta_crosscheck",
     "beta_hn_mass",
-    "build_root_system",
     "census",
     "complex_roots",
     "count_points",
@@ -128,7 +123,6 @@ __all__ = [
     "slr_numerator",
     "slr_rh_report",
     "slr_zeta",
-    "weil_roots",
     "zeta2_canonical",
     "zeta2_family",
     "zeta_hat_special",

@@ -146,15 +146,6 @@ class CurveData:
         return self.label or f"curve(q={self.q},g={self.g},A={[str(a) for a in self.A]})"
 
 
-@dataclass(frozen=True)
-class WeilRoots:
-    """Numerically paired reciprocal roots: omega_i * omega_pair(i) ~ q."""
-
-    omegas: tuple[complex, ...]
-    pair_sums: tuple[complex, ...]
-    max_pair_defect: float
-
-
 def numerator_from_counts(q: int, g: int, counts: Sequence[int], label: str = "") -> CurveData:
     """Weil numerator coefficients from the point counts N_1..N_g.
 
@@ -287,28 +278,3 @@ def rh_check_artin(c: CurveData, tol: float = 1e-9) -> ZeroReport:
     verdict = all(d <= tol * sq for d in deviations)
     return ZeroReport(omegas, sq, deviations, verdict, tol)
 
-
-def weil_roots(c: CurveData, tol: float = 1e-6) -> WeilRoots:
-    """Reciprocal roots paired so products land within tol of q.
-
-    Greedy matching on |omega_i * omega_j - q|; reports the worst pairing
-    defect so callers can decide whether the pairing is trustworthy.
-    """
-    if c.g < 1:
-        return WeilRoots((), (), 0.0)
-    rset = complex_roots(c.numerator, Q=c.q)
-    omegas = [1 / t for t in rset.roots]
-    unused = list(range(len(omegas)))
-    ordered: list[complex] = []
-    sums: list[complex] = []
-    worst = 0.0
-    while unused:
-        i = unused.pop(0)
-        best_j = min(unused, key=lambda j: abs(omegas[i] * omegas[j] - c.q))
-        unused.remove(best_j)
-        worst = max(worst, abs(omegas[i] * omegas[best_j] - c.q))
-        ordered.extend([omegas[i], omegas[best_j]])
-        sums.append(omegas[i] + omegas[best_j])
-    if worst > tol * c.q:
-        raise ValueError(f"pairing defect {worst:.3e} exceeds tolerance")
-    return WeilRoots(tuple(ordered), tuple(sums), worst)

@@ -171,7 +171,11 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
                 raise ValueError(f"label must be a string, got {src['label']!r}")
             if kind in ("coefficients", "counts", "elliptic"):
                 q = src["q"]
-                if isinstance(q, bool) or not isinstance(q, int) or not is_prime_power(q):
+                try:
+                    prime_power = not isinstance(q, bool) and isinstance(q, int) and is_prime_power(q)
+                except ValueError as e:
+                    raise ValueError(f"q: {e}") from None
+                if not prime_power:
                     raise ValueError(f"q must be a prime power, got {q!r}")
             if kind in ("coefficients", "counts"):
                 _require_int(src, "g")

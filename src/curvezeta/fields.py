@@ -43,8 +43,9 @@ _MR_BOUND = 3317044064679887385961981
 
 def _is_prime(n: int) -> bool:
     """Miller-Rabin to the bases 2..41, exact below ``_MR_BOUND`` (Sorenson and
-    Webster, Math. Comp. 86, 2017); above it a witness still proves n composite,
-    and a number no base witnesses is settled by trial division."""
+    Webster, Math. Comp. 86, 2017).  Above it a witness still proves n
+    composite, but a number that no base witnesses cannot be certified prime:
+    it raises ValueError."""
     if n < 2:
         return False
     for a in _MR_BASES:
@@ -63,13 +64,10 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
-    if n < _MR_BOUND:
-        return True
-    d = _MR_BASES[-1] + 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
+    if n >= _MR_BOUND:
+        raise ValueError(
+            f"{n} cannot be certified prime above {_MR_BOUND:,}: no base in 2..41 witnesses it composite"
+        )
     return True
 
 
@@ -84,14 +82,18 @@ def _iroot(n: int, k: int) -> int:
 
 
 def is_prime_power(n: int) -> bool:
-    """True when n = p^m for a prime p and m >= 1; the largest exact root is tried first."""
+    """True when n = p^m for a prime p and m >= 1.
+
+    The smallest exact root b = n^(1/k), k as large as possible, is not itself
+    a perfect power, so n is a prime power exactly when b is prime.  A b that
+    :func:`_is_prime` cannot certify raises ValueError.
+    """
     if n < 2:
         return False
-    for k in range(n.bit_length(), 0, -1):
+    for k in range(n.bit_length(), 0, -1):  # k = 1 always returns
         b = _iroot(n, k)
-        if b**k == n and _is_prime(b):
-            return True
-    return False
+        if b**k == n:
+            return _is_prime(b)
 
 
 def _prime_factors(n: int) -> list[int]:

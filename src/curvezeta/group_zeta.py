@@ -18,7 +18,7 @@ w(i+1) <= w(i) + 1 for i <= r - 2, the pole at stage j is always simple,
 and the zeta quotients along the roots through the last coordinate
 telescope to a single zh(s + n).  The per-term factors are read off the
 root combinatorics with no residue computation at all, straight off each
-permutation tuple, with no :class:`WeylElt` or :func:`build_root_system`.
+permutation tuple; the module builds no root-system objects.
 The surviving set frak_W_P, of (r + 2) 2^{r-3} elements against r! in S_r,
 is generated directly, depth first over prefixes that keep the bound, in
 lexicographic order, so no rank lists S_r and r runs up to ``R_MAX``.  The
@@ -67,7 +67,8 @@ The limit stays literal: (1 - u_1) divides a packed polynomial exactly when
 its column sums at u_1 = 1 vanish, and is then removed from the numerator
 and the denominator by exact division by (1 - x); u_1 = 1 is substituted
 by summing the columns.  The oracle lists the six elements of S_3 itself
-and reads their roots through :func:`build_root_system`; the routes share none.
+and reads their roots off each tuple with code of its own; the routes share
+none.
 """
 
 from __future__ import annotations
@@ -83,8 +84,6 @@ from curvezeta.artin import CurveData, zeta_hat_ratfun, zeta_hat_special
 from curvezeta.exact import Poly, RationalFunction, ZeroReport, complex_roots, float_sqrt
 from curvezeta.invariants import alpha_from_A
 
-Root = tuple[int, int]  # (x, y) encodes e_x - e_y; positive iff x < y
-
 # the largest rank accepted; on a 2-vCPU VM under Python 3.11 the first slr_zeta at
 # r = 10 takes about 0.065 s, 0.046 s of it building the recipe, and later ones 0.02 s
 # (medians of 7 fresh processes)
@@ -93,67 +92,6 @@ R_MAX = 10
 
 class ConventionError(RuntimeError):
     """The assembled sum violates a structural expectation of the display."""
-
-
-@dataclass(frozen=True)
-class WeylElt:
-    """A permutation of {1..r}, acting on roots through the coordinate index."""
-
-    perm: tuple[int, ...]  # perm[i-1] = image of i
-
-    def __call__(self, i: int) -> int:
-        return self.perm[i - 1]
-
-    def apply(self, root: Root) -> Root:
-        return (self(root[0]), self(root[1]))
-
-    def inverse(self) -> WeylElt:
-        inv = [0] * len(self.perm)
-        for i, v in enumerate(self.perm, start=1):
-            inv[v - 1] = i
-        return WeylElt(tuple(inv))
-
-    def inversions(self) -> int:
-        return sum(1 for a, b in itertools.combinations(self.perm, 2) if a > b)
-
-
-def root_height(root: Root) -> int:
-    """Signed coroot height of e_x - e_y: y - x."""
-    return root[1] - root[0]
-
-
-def is_positive(root: Root) -> bool:
-    return root[0] < root[1]
-
-
-@dataclass(frozen=True)
-class RootSystemData:
-    """Type A_{r-1} inside R^r: roots, Weyl vector and fundamental weights."""
-
-    r: int
-    positive_roots: tuple[Root, ...]
-    simple_roots: tuple[Root, ...]
-    rho: tuple[Fraction, ...]
-    fundamental_weights: tuple[tuple[Fraction, ...], ...]
-
-    def pairing(self, weight: tuple[Fraction, ...], root: Root) -> Fraction:
-        """<weight, root_check> in coordinates: weight[x] - weight[y]."""
-        return weight[root[0] - 1] - weight[root[1] - 1]
-
-    def flipped_positive_roots(self, w: WeylElt) -> list[Root]:
-        """Phi_w: positive roots sent negative by w, i.e. (x, y) with w(x) > w(y)."""
-        p = w.perm
-        return [(x, y) for x, y in self.positive_roots if p[x - 1] > p[y - 1]]
-
-
-@dataclass(frozen=True)
-class ParabolicData:
-    """The maximal parabolic of shape (r-1, 1) and its Weyl data."""
-
-    delta_p: tuple[Root, ...]  # alpha_1 .. alpha_{r-2}
-    phi_p_plus: tuple[Root, ...]  # positive roots inside the first r-1 slots
-    lambda_p: tuple[Fraction, ...]  # the last fundamental weight
-    frak_w_p: tuple[WeylElt, ...]  # {w : Delta_P subset w^{-1}(Delta u Phi^-)}
 
 
 def _frak_w_p_perms(r: int) -> list[tuple[int, ...]]:
@@ -178,62 +116,6 @@ def _frak_w_p_perms(r: int) -> list[tuple[int, ...]]:
 
     extend((), tuple(range(1, r + 1)))
     return out
-
-
-@lru_cache(maxsize=None)
-def build_root_system(r: int) -> tuple[RootSystemData, ParabolicData]:
-    """All root data for 2 <= r <= R_MAX, with the invariants verified eagerly.
-
-    Only the surviving set frak_w_p (of size (r + 2) 2^{r-3} for r >= 3) is
-    built, by :func:`_frak_w_p_perms`; S_r is never listed.  The eager checks:
-    the pairings of the fundamental weights and rho with the (simple) roots,
-    |Phi_w| = inv(w) for every w in frak_w_p, lambda_P orthogonal to Delta_P,
-    and the embedded S_{r-1} stabilizing Phi_P^+, checked on its generators
-    s_1 .. s_{r-2}: a group stabilizes a set exactly when its generators do.
-    """
-    if not 2 <= r <= R_MAX:
-        raise ValueError(f"rank parameter must satisfy 2 <= r <= {R_MAX}")
-    positive = tuple((i, j) for i in range(1, r) for j in range(i + 1, r + 1))
-    simple = tuple((i, i + 1) for i in range(1, r))
-    rho = tuple(Fraction(r + 1 - 2 * i, 2) for i in range(1, r + 1))
-    weights = tuple(
-        tuple(Fraction(1) - Fraction(k, r) if i <= k else -Fraction(k, r) for i in range(1, r + 1))
-        for k in range(1, r)
-    )
-    rs = RootSystemData(r, positive, simple, rho, weights)
-
-    if len(positive) != r * (r - 1) // 2:
-        raise AssertionError("positive root count is off")
-    for i, lam in enumerate(weights, start=1):
-        for j, a in enumerate(simple, start=1):
-            expect = Fraction(1 if i == j else 0)
-            if rs.pairing(lam, a) != expect:
-                raise AssertionError(f"<lambda_{i}, alpha_{j}^> != {expect}")
-    for a in positive:
-        if rs.pairing(rho, a) != root_height(a):
-            raise AssertionError("rho pairing does not equal the coroot height")
-
-    delta_p = simple[: r - 2]
-    phi_p_plus = tuple(a for a in positive if a[1] <= r - 1)
-    lambda_p = weights[r - 2]
-    # w alpha_i = (w(i), w(i+1)) is negative or simple iff w(i+1) <= w(i) + 1
-    frak = tuple(WeylElt(p) for p in _frak_w_p_perms(r))
-    pb = ParabolicData(delta_p, phi_p_plus, lambda_p, frak)
-
-    for w in frak:
-        if len(rs.flipped_positive_roots(w)) != w.inversions():
-            raise AssertionError("|Phi_w| does not match the inversion count")
-    for a in delta_p:
-        if rs.pairing(lambda_p, a) != 0:
-            raise AssertionError("lambda_P pairs nontrivially with Delta_P")
-    phi_p_set = set(phi_p_plus)
-    for i in range(1, r - 1):  # s_i swaps i and i + 1 and fixes r
-        p = list(range(1, r + 1))
-        p[i - 1], p[i] = p[i], p[i - 1]
-        image = {tuple(sorted((p[x - 1], p[y - 1]))) for x, y in phi_p_plus}
-        if image != phi_p_set:
-            raise AssertionError("embedded S_{r-1} does not stabilize Phi_P")
-    return rs, pb
 
 
 @dataclass(frozen=True)
@@ -639,25 +521,34 @@ class _FactoredTerm:
 
 
 def _weyl_terms_r3(c: CurveData) -> list[_FactoredTerm]:
-    """The six Weyl terms of the SL_3 period in u_j = q^{-s_j}, factored."""
-    rs, _ = build_root_system(3)
+    """The six Weyl terms of the SL_3 period in u_j = q^{-s_j}, factored.
+
+    Each w in S_3 is read off its tuple p, with code of its own, not through
+    :func:`_slr_recipe`.  A root (x, y) stands for e_x - e_y, of height
+    y - x, and pairs with the fundamental weight lambda_j to the sign of
+    y - x when min(x, y) <= j < max(x, y), else to 0; those pairings are the
+    exponents of u_1 and u_2.  Each simple root (i, i + 1), pulled back by w
+    to (p^{-1}(i), p^{-1}(i + 1)) of height h, gives 1/(1 - q^{1-h} U), and
+    each positive root (x, y) that w flips, p(x) > p(y), gives
+    zh(h)/zh(h + 1) in its monomial U.
+    """
     terms = []
-    for w in map(WeylElt, itertools.permutations(range(1, 4))):
-        v = w.inverse()
+    for p in itertools.permutations((1, 2, 3)):
+        pos = {v: x for x, v in enumerate(p, start=1)}  # p^{-1}
         term = _FactoredTerm()
-        for alpha in rs.simple_roots:
-            beta = v.apply(alpha)
-            lo, hi = min(beta), max(beta)
-            sign = 1 if is_positive(beta) else -1
+        for i in (1, 2):
+            a, b = pos[i], pos[i + 1]
+            lo, hi = min(a, b), max(a, b)
+            sign = 1 if a < b else -1
             e1 = sign if lo <= 1 < hi else 0
             e2 = sign if lo <= 2 < hi else 0
-            term.mul_one_minus(c.q, 1 - root_height(beta), e1, e2, -1)
-        for a in rs.flipped_positive_roots(w):
-            h = root_height(a)
-            e1 = 1 if a[0] <= 1 < a[1] else 0
-            e2 = 1 if a[0] <= 2 < a[1] else 0
-            term.mul_zeta_hat(c, h, e1, e2, 1)
-            term.mul_zeta_hat(c, h + 1, e1, e2, -1)
+            term.mul_one_minus(c.q, 1 - (b - a), e1, e2, -1)
+        for x, y in itertools.combinations((1, 2, 3), 2):
+            if p[x - 1] > p[y - 1]:
+                e1 = 1 if x <= 1 < y else 0
+                e2 = 1 if x <= 2 < y else 0
+                term.mul_zeta_hat(c, y - x, e1, e2, 1)
+                term.mul_zeta_hat(c, y - x + 1, e1, e2, -1)
         terms.append(term)
     return terms
 

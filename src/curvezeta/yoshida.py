@@ -219,9 +219,9 @@ class C1Params:
     """Shape parameters of the admissible prefactor C1.
 
     C1(s) = q^{a s} (1 + q^{-s}) q^{-h s} prod_j (1 - g_j q^{s-1/2})
-    (1 - d_j q^{s-1/2}) with g_j d_j = q and real bounded sums; ``a`` must
-    be a nonnegative integer for the exact path (q^{as} is then a monomial
-    in 1/t), anything else falls back to numerical evaluation.
+    (1 - d_j q^{s-1/2}) with g_j d_j = q and real bounded sums.  ``a`` may
+    be any nonnegative number here, but :func:`zeta2_family` builds a member
+    only for an integer ``a``, for which q^{as} is a monomial in 1/t.
     """
 
     a: int | float = 1
@@ -230,45 +230,6 @@ class C1Params:
     def __post_init__(self):
         if self.a < 0:
             raise ValueError("the exponent a must be nonnegative")
-
-
-@dataclass(frozen=True)
-class XY:
-    """X1, X and the symmetrized Y for one pair set."""
-
-    q: int
-    g: int
-    x1: RationalFunction
-    x: RationalFunction
-
-    def y(self) -> HalfShiftRational:
-        """Y(s) = (sqrt q)^{-(g-1)} t^{-(g-1)} X(t)."""
-        shift = RationalFunction.t(-(self.g - 1)) * self.x
-        return HalfShiftRational.sqrt_power(self.q, -(self.g - 1)) * HalfShiftRational.of(
-            self.q, shift
-        )
-
-
-def build_XY(ws: WeilPairSet) -> XY:
-    """Materialize X1, X, Y exactly as rational objects in t = q^{-s}."""
-    q = Fraction(ws.q)
-    x1 = RationalFunction(ws.x1)
-    x = RationalFunction(ws.x1, Poly([1, -1]) * Poly([1, -q]))
-    return XY(ws.q, ws.g, x1, x)
-
-
-def x1_fe_check(xy: XY) -> bool:
-    """X1(1-s) = q^{g(2s-1)} X1(s): exactly, t -> 1/(qt) vs q^{-g} t^{-2g}."""
-    q = Fraction(xy.q)
-    lhs = xy.x1.reciprocal_arg(1 / q)
-    rhs = RationalFunction.constant(q**-xy.g) * RationalFunction.t(-2 * xy.g) * xy.x1
-    return lhs == rhs
-
-
-def y_fe_check(xy: XY) -> bool:
-    """Y(1-s) = Y(s) as a tracked-shift identity."""
-    y = xy.y()
-    return y.substitute_reciprocal(Fraction(1, xy.q)) == y
 
 
 def _times_sqrt_power(q: int, even: Poly, odd: Poly, k: int) -> tuple[Poly, Poly]:
@@ -298,8 +259,8 @@ def zeta2_family(ws: WeilPairSet, params: C1Params) -> HalfShiftRational:
     :class:`RationalFunction` constructor.  The factor (1+t)(1-q^2 t^2)
     shared by the two terms of the definition is already cancelled.
 
-    Requires integer a (see :class:`C1Params`); use
-    :func:`zeta2_family_numeric` for real exponents.
+    Requires integer a (see :class:`C1Params`); any other exponent raises
+    ValueError.
     """
     if not float(params.a).is_integer():
         raise ValueError("exact materialization needs an integer exponent a")
@@ -328,51 +289,6 @@ def zeta2_family(ws: WeilPairSet, params: C1Params) -> HalfShiftRational:
     even, odd = _times_sqrt_power(ws.q, part(pe), part(po), 1 - ws.g)
     den = Poly([1, -1]) * Poly([1, -q]) * Poly([1, 0, -q]) * Poly.x(max(tpow, 0))
     return HalfShiftRational(ws.q, RationalFunction(even, den), RationalFunction(odd, den))
-
-
-def zeta2_family_numeric(
-    ws: WeilPairSet, params: C1Params, pair_sums: Sequence[float] | None = None
-) -> Callable[[complex], complex]:
-    """Direct complex evaluator of the same family member.
-
-    Works for any nonnegative real a.  Pair sums default to the exact ones
-    when the set carries them.
-    """
-    sums = [float(c) for c in (pair_sums or ws.pair_sums or ())]
-    if len(sums) != ws.g:
-        raise ValueError("need one pair sum per genus unit for numeric evaluation")
-    q = float(ws.q)
-    a = float(params.a)
-    extra = [float(c) for c in params.extra_pair_sums]
-    hcount = len(extra)
-    g = ws.g
-
-    def x1(s: complex) -> complex:
-        t = q**-s
-        acc = 1.0 + 0j
-        for c in sums:
-            acc *= 1 - c * t + q * t * t
-        return acc
-
-    def y(s: complex) -> complex:
-        return (
-            q ** ((g - 1) * (s - 0.5))
-            * x1(s)
-            / ((1 - q**-s) * (1 - q ** (1 - s)))
-        )
-
-    def c1(s: complex) -> complex:
-        acc = q ** (a * s) * (1 + q**-s) * q ** (-hcount * s)
-        for c in extra:
-            acc *= 1 - c * q ** (s - 0.5) + q * q ** (2 * s - 1)
-        return acc
-
-    def value(s: complex) -> complex:
-        return c1(s) * y(2 * s) / (1 - q ** (1 - s)) - c1(1 - s) * q**-s * y(
-            2 * s - 1
-        ) / (1 - q**-s)
-
-    return value
 
 
 @lru_cache(maxsize=256)
@@ -604,13 +520,6 @@ def counterexample_search(
         s = complex(0.5 + math.log(abs(w1)) / math.log(q), math.pi / math.log(q))
         return CounterexampleResult(True, m, w1, residual, s, dev)
     return CounterexampleResult(False)
-
-
-def boundary_values(q: int, alpha: complex, m: int) -> tuple[float, float]:
-    """(f, g) at w = -sqrt(q): g vanishes there, f stays positive."""
-    f, g = _deformed_sides(float(q), complex(alpha), m)
-    w = -math.sqrt(q)
-    return f(w), g(w)
 
 
 def canonical_group_cross_check(c: CurveData, combined: RationalFunction) -> bool:

@@ -17,6 +17,6 @@ def curve_g2():
 
 @pytest.fixture(scope="session")
 def corpus():
-    from curvezeta.corpus import corpus_curves
+    from corpus import corpus_curves
 
     return corpus_curves()

@@ -23,7 +23,6 @@ from curvezeta.artin import (
     rh_check_artin,
     zeta_hat_ratfun,
 )
-from curvezeta.corpus import census_models, corpus_curves, elliptic_grid
 from curvezeta.exact import RationalFunction
 from curvezeta.fields import census, count_points
 from curvezeta.group_zeta import slr_fe_check, slr_zeta
@@ -43,6 +42,8 @@ from curvezeta.yoshida import (
     sextic_identity_report,
     zeta2_canonical,
 )
+
+from corpus import census_models, corpus_curves, elliptic_grid
 
 F = Fraction
 

@@ -11,7 +11,6 @@ from curvezeta.artin import (
     counts_from_numerator,
     numerator_from_counts,
     rh_check_artin,
-    weil_roots,
     zeta_hat_special,
     zeta_plain,
 )
@@ -218,21 +217,6 @@ class TestRiemannHypothesis:
             if c.genuine and c.g >= 1:
                 rep = rh_check_artin(c, tol=1e-9)
                 assert rep.verdict, c.describe()
-
-
-class TestWeilRoots:
-    def test_pairing_products(self, curve_g2):
-        w = weil_roots(curve_g2)
-        assert len(w.omegas) == 4
-        for i in range(0, 4, 2):
-            assert abs(w.omegas[i] * w.omegas[i + 1] - 2) < 1e-9
-
-    def test_pair_sums_real(self, corpus):
-        for c in corpus:
-            if c.genuine and c.g >= 1:
-                w = weil_roots(c)
-                for s in w.pair_sums:
-                    assert abs(s.imag) < 1e-8
 
 
 def test_zeta_ratfun_matches_series_of_counts(curve_g2):

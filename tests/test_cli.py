@@ -8,6 +8,7 @@ import math
 import re
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -641,6 +642,24 @@ class TestDegenerateInput:
         assert "Traceback" not in capsys.readouterr().err
         rh = json.loads((out / "report.json").read_text())["reports"][0]["data"]["rh"]
         assert len(rh["zeros"]) == 4 and rh["excluded"] == [] and rh["verdict"] is True
+
+    def test_prime_above_miller_rabin_bound_refused(self, tmp_path):
+        # 2^89 - 1 is prime, but above the bound no base in 2..41 certifies
+        # it; the parse refuses it at once instead of trial dividing to sqrt(q)
+        path = tmp_path / "job.yaml"
+        path.write_text("curves:\n  - {type: elliptic, q: 618970019642690137449562111, a: 1}\n")
+        start = time.perf_counter()
+        with pytest.raises(JobError, match="q: 618970019642690137449562111 cannot be certified prime above "
+                           "3,317,044,064,679,887,385,961,981"):
+            parse_job(path)
+        assert time.perf_counter() - start < 1
+
+    def test_uncertifiable_prime_job_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(DATA / "elliptic_q2pow89m1_job.yaml"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot be certified prime" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_zeta2_at_q_2pow103(self, tmp_path, capsys):
         # the zeta2 zeros in t-plane floats once failed the residual bound here

@@ -10,7 +10,6 @@ import yaml
 
 from curvezeta import fields
 from curvezeta.artin import counts_from_numerator, numerator_from_counts
-from curvezeta.corpus import census_models
 from curvezeta.exact import _squarefree_mod_prime
 from curvezeta.fields import (
     CurveModel,
@@ -20,6 +19,8 @@ from curvezeta.fields import (
     count_points,
     is_prime_power,
 )
+
+from corpus import census_models
 
 
 # Test-local field arithmetic on codes sum(d_i p^i): a schoolbook product
@@ -209,6 +210,14 @@ class TestPrimality:
     @pytest.mark.parametrize("n", [(10**6 + 3) * (10**6 + 33), 2 * (10**15 + 37)])
     def test_large_non_prime_powers(self, n):
         assert not is_prime_power(n)
+
+    def test_no_witness_above_the_bound_is_refused(self):
+        # 2^89 - 1 is prime, but above _MR_BOUND the bases 2..41 certify nothing
+        for n in (2**89 - 1, (2**89 - 1) ** 2):
+            with pytest.raises(ValueError, match="cannot be certified prime"):
+                is_prime_power(n)
+        # a witness still proves compositeness above the bound
+        assert not is_prime_power((2**61 - 1) * (2**31 - 1))
 
 
 class TestBuildField:

@@ -1,6 +1,5 @@
 """The rank-two family: orderings, functional equations, RH, counterexample."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -16,18 +15,14 @@ from curvezeta.yoshida import (
     HalfShiftRational,
     Ordering,
     WeilPairSet,
-    boundary_values,
-    build_XY,
+    _deformed_sides,
     canonical_group_cross_check,
     counterexample_search,
     modulus_ordering,
     rh_check_zeta2,
     sextic_identity_report,
-    x1_fe_check,
-    y_fe_check,
     zeta2_canonical,
     zeta2_family,
-    zeta2_family_numeric,
     zeta2_fe_check,
 )
 
@@ -71,6 +66,36 @@ def _zeta2_by_products(ws, params):
     return c1 * y_double / of(RationalFunction([1, -qf])) - c2 * of(
         RationalFunction([0, 1], [1, -1])
     ) * y_double_down
+
+
+def _zeta2_numeric(ws, params):
+    """Reference member as a complex function of s, straight from the definition.
+
+    C1(s) Y(2s)/(1 - q^{1-s}) - C1(1-s) q^-s Y(2s-1)/(1 - q^-s) in floats,
+    with Y(s) = q^{(g-1)(s-1/2)} X1(s)/((1 - q^-s)(1 - q^{1-s})) and X1 the
+    product over the pair sums the set carries; any nonnegative real a.
+    """
+    sums = [float(c) for c in ws.pair_sums]
+    q, a, g = float(ws.q), float(params.a), ws.g
+    extra = [float(c) for c in params.extra_pair_sums]
+
+    def x1(s):
+        t = q**-s
+        return math.prod((1 - c * t + q * t * t for c in sums), start=1 + 0j)
+
+    def y(s):
+        return q ** ((g - 1) * (s - 0.5)) * x1(s) / ((1 - q**-s) * (1 - q ** (1 - s)))
+
+    def c1(s):
+        acc = q ** (a * s) * (1 + q**-s) * q ** (-len(extra) * s)
+        for c in extra:
+            acc *= 1 - c * q ** (s - 0.5) + q * q ** (2 * s - 1)
+        return acc
+
+    def value(s):
+        return c1(s) * y(2 * s) / (1 - q ** (1 - s)) - c1(1 - s) * q**-s * y(2 * s - 1) / (1 - q**-s)
+
+    return value
 
 
 class TestHalfShiftRational:
@@ -141,39 +166,6 @@ class TestModulusOrdering:
         assert modulus_ordering(2.0, 2.5, complex(0.6, 0.8)) is Ordering.EQ
 
 
-class TestXY:
-    def test_x1_from_single_pair(self):
-        xy = build_XY(WeilPairSet.from_pair_sums(2, [0]))
-        assert xy.x1 == RationalFunction([1, 0, 2])
-
-    def test_empty_pair_set_is_projective_line(self):
-        xy = build_XY(WeilPairSet.from_pair_sums(3, []))
-        assert xy.x1 == RationalFunction.one()
-        assert xy.x == RationalFunction([1], [1, -4, 3])
-
-    def test_functional_equations(self, corpus):
-        for c in corpus:
-            if c.g < 1:
-                continue
-            xy = build_XY(WeilPairSet.from_curve(c))
-            assert x1_fe_check(xy), c.describe()
-            assert y_fe_check(xy), c.describe()
-
-    def test_functional_equations_fail_on_skewed_input(self, corpus):
-        # a factor (1 + t) is not symmetric under t -> 1/(qt)
-        skew = RationalFunction([1, 1])
-        for c in corpus:
-            if c.g < 1:
-                continue
-            xy = build_XY(WeilPairSet.from_curve(c))
-            assert not x1_fe_check(dataclasses.replace(xy, x1=xy.x1 * skew)), c.describe()
-            assert not y_fe_check(dataclasses.replace(xy, x=xy.x * skew)), c.describe()
-
-    def test_pair_sum_bound(self):
-        with pytest.raises(ValueError):
-            WeilPairSet.from_pair_sums(2, [4])
-
-
 class TestSexticIdentity:
     def test_fixture_numbers(self):
         rep = sextic_identity_report(_genus_one_member(2, 0), 0)
@@ -221,6 +213,10 @@ class TestFamily:
         z = zeta2_family(ws, C1Params(a=1, extra_pair_sums=(F(3),)))
         assert zeta2_fe_check(z)
 
+    def test_pair_sum_bound(self):
+        with pytest.raises(ValueError):
+            WeilPairSet.from_pair_sums(2, [4])
+
     def test_extra_pair_bound(self):
         ws = WeilPairSet.from_pair_sums(2, [0])
         with pytest.raises(ValueError):
@@ -234,14 +230,14 @@ class TestFamily:
     def test_numeric_matches_exact(self):
         ws = WeilPairSet.from_pair_sums(2, [1])
         z = zeta2_family(ws, C1Params(a=1))
-        fn = zeta2_family_numeric(ws, C1Params(a=1))
+        fn = _zeta2_numeric(ws, C1Params(a=1))
         for s in (0.3 + 0.7j, 1.2 - 0.4j, 2.5 + 0j):
             t = 2.0**-s
             assert abs(z.evaluate(t) - fn(s)) < 1e-9 * (1 + abs(fn(s)))
 
     def test_numeric_fe_at_random_points(self):
         ws = WeilPairSet.from_pair_sums(3, [2])
-        fn = zeta2_family_numeric(ws, C1Params(a=1.0))
+        fn = _zeta2_numeric(ws, C1Params(a=1.0))
         rng = random.Random(5)
         for _ in range(100):
             s = complex(rng.uniform(-2, 3), rng.uniform(-8, 8))
@@ -401,11 +397,12 @@ class TestRhChecks:
 
 class TestCounterexample:
     def test_boundary_signs(self):
+        # at w = -sqrt(q) the right side vanishes and the left stays positive
         alpha = complex(0, math.sqrt(2))
         for m in (1, 2, 8, 32):
-            f_val, g_val = boundary_values(2, alpha, m)
-            assert g_val == 0.0
-            assert f_val > 0
+            f, g = _deformed_sides(2.0, alpha, m)
+            assert g(-math.sqrt(2)) == 0.0
+            assert f(-math.sqrt(2)) > 0
 
     def test_search_finds_small_multiplicity(self):
         res = counterexample_search(2, complex(0, math.sqrt(2)), range(1, 65))
