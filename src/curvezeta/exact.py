@@ -21,9 +21,13 @@ The only floating point in this module lives in :func:`complex_roots`.  It
 splits its input exactly into square-free factors, maps each onto the
 critical circle of Q with every coefficient an exact quotient rounded once,
 and hands it to a private, deterministic Aberth-Ehrlich iteration with Newton
-polishing.  Every RH report of the package (Artin, SL_r and zeta2) finds its
-zeros through this one call, on an exact polynomial whose poles were already
-divided out.  Everything else is exact.
+polishing.  A factor with the functional equation T -> 1/(QT) is solved at
+half degree: its exact integer trace polynomial h, T^{-g} f(T) = h(QT + 1/T)
+(:func:`_trace_polynomial`), goes through the same map and iteration, and
+each root comes back as a pair polished on f.  The roots are returned sorted
+by (real, imag).  Every RH report of the package (Artin, SL_r and zeta2)
+finds its zeros through this one call, on an exact polynomial whose poles
+were already divided out.  Everything else is exact.
 """
 
 from __future__ import annotations
@@ -653,16 +657,17 @@ class ZeroReport:
 _MAX_ITER = 1000
 _STEP_TOL = 1e-14
 _SEED_ANGLE = 0.3762643  # fixed phase so start points avoid axis symmetry
+_JOUKOWSKI_RADIUS = 1.05  # start circle in W for trace polynomials
 
 
 def _relative_residual(coeffs: list[complex], z: complex) -> float:
+    """|p(z)| / sum |c_i| |z|^i for p = coeffs, constant term first."""
     val = 0j
     scale = 0.0
-    zp = 1.0 + 0j
-    for c in coeffs:
-        val += c * zp
-        scale += abs(c) * abs(zp)
-        zp *= z
+    r = abs(z)
+    for c in reversed(coeffs):
+        val = val * z + c
+        scale = scale * r + abs(c)
     return abs(val) / scale if scale else abs(val)
 
 
@@ -736,7 +741,8 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
 
 def complex_roots(p: Poly, residual_bound: float = 1e-8, *, Q: int = 1) -> ComplexRootSet:
-    """All roots of p with multiplicity, by Aberth-Ehrlich iteration.
+    """All roots of p with multiplicity, by Aberth-Ehrlich iteration, sorted
+    by (real, imag) so that equal roots are adjacent.
 
     Exact square-free decomposition comes first, so the iteration only ever
     sees simple roots (full double-precision accuracy) and multiplicities
@@ -760,6 +766,13 @@ def complex_roots(p: Poly, residual_bound: float = 1e-8, *, Q: int = 1) -> Compl
     have neither problem.  When f_0 = 0 the lowest nonzero coefficient
     takes its place, and the driver strips the roots at the origin.
 
+    A factor that satisfies a functional equation T -> 1/(QT), of even
+    degree 2g with f_{2g-i} = Q^{g-i} f_i, is solved at half degree: its
+    exact trace polynomial h (:func:`_trace_polynomial`) is mapped the same
+    way to Y = W + 1/W and solved from starts on an ellipse around
+    [-2, 2]; each root Y lifts to the pair W, 1/W, which is Newton-polished
+    on f.  Other factors are solved at full degree.
+
     Residuals are relative backward errors on the square-free factor (the
     map leaves them unchanged); exceeding ``residual_bound`` (or the
     iteration cap) raises :class:`RootFindError` carrying the partial
@@ -770,18 +783,80 @@ def complex_roots(p: Poly, residual_bound: float = 1e-8, *, Q: int = 1) -> Compl
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     s = float_sqrt(Q)
-    roots: list[complex] = []
-    residuals: list[float] = []
+    found: list[tuple[complex, float]] = []
     iterations = 0
     for factor, mult in squarefree_decomposition(p):
-        w = _aberth(_critical_circle_coeffs(factor.ints, Q, s), residual_bound)
+        f = factor.ints
+        h = _trace_polynomial(f, Q)
+        if h is None:
+            w = _aberth(_critical_circle_coeffs(f, Q, s), residual_bound)
+        else:
+            w = _half_degree_roots(f, h, Q, s, residual_bound)
         iterations += w.iterations
         for z, res in zip(w.roots, w.residuals):
-            roots.extend([z / s] * mult)
-            residuals.extend([res] * mult)
+            found.extend([(z / s, res)] * mult)
+    found.sort(key=lambda zr: (zr[0].real, zr[0].imag))
+    roots = tuple(z for z, _ in found)
+    residuals = tuple(res for _, res in found)
     if len(roots) != p.degree:
         raise RootFindError("square-free decomposition lost degree", roots, residuals)
-    return ComplexRootSet(tuple(roots), tuple(residuals), iterations)
+    return ComplexRootSet(roots, residuals, iterations)
+
+
+def _trace_polynomial(f: Sequence[int], Q: int) -> list[int] | None:
+    """The integer h of degree g with T^{-g} f(T) = h(QT + 1/T), or None.
+
+    f = ints, constant term first, of degree 2g >= 2 with f_{2g-i} =
+    Q^{g-i} f_i for every i (Kedlaya, "Search techniques for root-unitary
+    polynomials", 2008); None for any other f.  T^{-k} + Q^k T^k = D_k(y),
+    y = QT + 1/T, with D_0 = 2, D_1 = y and D_k = y D_{k-1} - Q D_{k-2}, so
+    h = f_g + sum_{k=1..g} f_{g-k} D_k.  With f = prod (1 - a_i T + Q T^2),
+    h = prod (y - a_i).
+    """
+    n = len(f) - 1
+    if n % 2:
+        return None
+    g = n // 2
+    power = 1
+    for i in range(g - 1, -1, -1):
+        power *= Q
+        if f[n - i] != power * f[i]:
+            return None
+    h = [0] * (g + 1)
+    h[0] = f[g]
+    prev, cur = [2], [0, 1]
+    for k in range(1, g + 1):
+        c = f[g - k]
+        for j, d in enumerate(cur):
+            h[j] += c * d
+        nxt = [0] + cur
+        for j, d in enumerate(prev):
+            nxt[j] -= Q * d
+        prev, cur = cur, nxt
+    return h
+
+
+def _half_degree_roots(
+    f: Sequence[int], h: list[int], Q: int, s: float, residual_bound: float
+) -> ComplexRootSet:
+    """The roots W = sqrt(Q) T of f through its trace polynomial h.
+
+    In W, y = QT + 1/T is s Y with Y = W + 1/W, so h is solved on
+    h(sY) / (h_g s^g): the map of :func:`_critical_circle_coeffs` on the
+    reversed ints, read backwards.  Each root Y gives W = (Y +- sqrt(Y^2 -
+    4)) / 2, the larger one taken from the formula and the other as its
+    inverse, and every W is polished on f.  A root Y = +-2 would make
+    W = +-1 a double root of f, so for a square-free f it never occurs.
+    """
+    ys = _aberth(_critical_circle_coeffs(h[::-1], Q, s)[::-1], math.inf, ellipse=True)
+    ws: list[complex] = []
+    for y in ys.roots:
+        r = cmath.sqrt((y - 2) * (y + 2))
+        w = (y + r) / 2 if abs(y + r) >= abs(y - r) else (y - r) / 2
+        ws += [w, 1 / w]
+    # b_0 = 1 and, by the functional equation, b_{2g} = 1: already monic
+    work = [complex(c) for c in _critical_circle_coeffs(f, Q, s)]
+    return _polished(work, ws, 0, ys.iterations, True, residual_bound)
 
 
 def float_sqrt(n: int) -> float:
@@ -809,43 +884,38 @@ def _critical_circle_coeffs(ints: Sequence[int], Q: int, s: float) -> list[float
     return out
 
 
-def _aberth(coefficients: list[float], residual_bound: float) -> ComplexRootSet:
+def _aberth(
+    coefficients: list[float], residual_bound: float, *, ellipse: bool = False
+) -> ComplexRootSet:
     """The Aberth-Ehrlich driver on the float coefficients of one square-free
     factor, constant term first, degree >= 1 (:func:`complex_roots` only).
 
     Exact roots at the origin come off first.  The start points sit at fixed
     angles on the circle of radius |c_0 / c_n|^{1/n} (c_0 the constant term
     after that, n the remaining degree): the geometric mean of the root
-    moduli, so exactly 1 for inputs already mapped to the unit circle.  The
-    sweep order is by index, and convergence means every step fell below
-    1e-14 * (1 + |root|), followed by a Newton polish.
+    moduli, so exactly 1 for inputs already mapped to the unit circle.  With
+    ``ellipse`` they are the Joukowski images w + 1/w of the same angles on
+    |w| = 1.05, an ellipse around [-2, 2], where the roots Y = W + 1/W of a
+    trace polynomial lie when every |W| = 1.  The sweep order is by index,
+    and convergence means every step fell below 1e-14 * (1 + |root|),
+    followed by a Newton polish.
     """
     nzero = 0
     while coefficients[nzero] == 0:
         nzero += 1
     work = [complex(c) for c in coefficients[nzero:]]
     n = len(work) - 1
-
-    roots: list[complex] = [0j] * nzero
     if n == 0:
-        residuals = tuple(0.0 for _ in roots)
-        return ComplexRootSet(tuple(roots), residuals, 0)
+        return ComplexRootSet((0j,) * nzero, (0.0,) * nzero, 0)
 
-    # |c_0 / c_n|^(1/n), in logs so that no quotient under- or overflows
-    radius = math.exp((math.log(abs(work[0])) - math.log(abs(work[-1]))) / n)
+    if ellipse:
+        zs = [w + 1 / w for w in _start_circle(n, _JOUKOWSKI_RADIUS)]
+    else:
+        # |c_0 / c_n|^(1/n), in logs so that no quotient under- or overflows
+        radius = math.exp((math.log(abs(work[0])) - math.log(abs(work[-1]))) / n)
+        zs = _start_circle(n, radius)
     lead = work[-1]
     work = [c / lead for c in work]
-    zs = [
-        radius * cmath.exp(2j * cmath.pi * k / n + 1j * _SEED_ANGLE)
-        for k in range(n)
-    ]
-    deriv = [k * work[k] for k in range(1, n + 1)]
-
-    def horner(cs: list[complex], z: complex) -> complex:
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
 
     converged = False
     sweeps = 0
@@ -854,8 +924,7 @@ def _aberth(coefficients: list[float], residual_bound: float) -> ComplexRootSet:
         max_rel_step = 0.0
         for i in range(n):
             z = zs[i]
-            pv = horner(work, z)
-            dv = horner(deriv, z)
+            pv, dv = _horner(work, z)
             if dv == 0:
                 zs[i] = z + 1e-8 * (1 + abs(z))
                 max_rel_step = 1.0
@@ -883,20 +952,48 @@ def _aberth(coefficients: list[float], residual_bound: float) -> ComplexRootSet:
         ):
             converged = True
             break
+    return _polished(work, zs, nzero, sweeps, converged, residual_bound)
 
-    for i in range(n):
+
+def _start_circle(n: int, radius: float) -> list[complex]:
+    return [
+        radius * cmath.exp(2j * cmath.pi * k / n + 1j * _SEED_ANGLE)
+        for k in range(n)
+    ]
+
+
+def _horner(cs: list[complex], z: complex) -> tuple[complex, complex]:
+    """p(z) and p'(z) for p = cs, constant term first, in one pass."""
+    pv = dv = 0j
+    for c in reversed(cs):
+        dv = dv * z + pv
+        pv = pv * z + c
+    return pv, dv
+
+
+def _polished(
+    work: list[complex],
+    zs: list[complex],
+    nzero: int,
+    sweeps: int,
+    converged: bool,
+    residual_bound: float,
+) -> ComplexRootSet:
+    """Up to three Newton steps on each of zs as roots of work (constant
+    first), stopping once a step falls below 1e-14 * (1 + |root|); then
+    nzero roots at the origin in front, with their residuals checked."""
+    for i in range(len(zs)):
         for _ in range(3):
-            pv = horner(work, zs[i])
-            dv = horner(deriv, zs[i])
+            pv, dv = _horner(work, zs[i])
             if dv == 0:
                 break
-            zs[i] -= pv / dv
+            step = pv / dv
+            zs[i] -= step
+            if abs(step) < _STEP_TOL * (1.0 + abs(zs[i])):
+                break
 
-    all_roots = roots + zs
-    residuals = tuple(
-        0.0 if k < nzero else _relative_residual(work, all_roots[k])
-        for k in range(len(all_roots))
-    )
+    all_roots = [0j] * nzero + zs
+    residuals = (0.0,) * nzero + tuple(_relative_residual(work, z) for z in zs)
     if not converged:
         raise RootFindError(
             f"no convergence after {_MAX_ITER} iterations", all_roots, residuals
@@ -908,4 +1005,3 @@ def _aberth(coefficients: list[float], residual_bound: float) -> ComplexRootSet:
             residuals,
         )
     return ComplexRootSet(tuple(all_roots), residuals, sweeps)
-

@@ -51,7 +51,8 @@ finds the zeros of the T-grid numerator with :func:`complex_roots`, whose
 exact square-free split first tries a certificate modulo one fixed prime
 (gcd(f, f') constant mod p proves f square-free) and falls back to Yun's
 algorithm only when the certificate fails; each factor is solved in
-W = sqrt(Q) T, Q = q^r, where the zeros lie on |W| = 1.
+W = sqrt(Q) T, Q = q^r, where the zeros lie on |W| = 1, and at half degree
+when it has the functional equation T -> 1/(QT).
 :func:`period_residue_oracle` instead materializes the period as an exact
 (bivariate, for r = 3) rational function and takes the limit
 lim (1 - u_1) f literally; the two must agree up to a constant ratio, which
@@ -81,7 +82,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from curvezeta.artin import CurveData, zeta_hat_ratfun, zeta_hat_special
-from curvezeta.exact import Poly, RationalFunction, ZeroReport, complex_roots, float_sqrt
+from curvezeta.exact import Poly, RationalFunction, ZeroReport, _make, complex_roots, float_sqrt
 from curvezeta.invariants import alpha_from_A
 
 # the largest rank accepted; on a 2-vCPU VM under Python 3.11 the first slr_zeta at
@@ -179,9 +180,12 @@ class _LinearTerm:
 
 
 def _linear_factor(q: int, e: int) -> tuple[Poly, Fraction]:
-    """(1 - q^e u) and its root q^{-e}: (b - a u) / b and b/a for q^e = a/b."""
+    """(1 - q^e u) and its root q^{-e}: (b - a u) / b and b/a for q^e = a/b.
+
+    a and b are coprime and positive, so (-b, a) times -1/b is the
+    canonical form, built without normalizing."""
     a, b = _q_power(q, e)
-    return Poly([b, -a]) * Fraction(1, b), Fraction(b, a)
+    return _make((-b, a), -1, b), Fraction(b, a)
 
 
 def _linear_sum(terms: list[_LinearTerm], q: int) -> _LinearTerm:

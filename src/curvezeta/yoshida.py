@@ -219,15 +219,16 @@ class C1Params:
     """Shape parameters of the admissible prefactor C1.
 
     C1(s) = q^{a s} (1 + q^{-s}) q^{-h s} prod_j (1 - g_j q^{s-1/2})
-    (1 - d_j q^{s-1/2}) with g_j d_j = q and real bounded sums.  ``a`` may
-    be any nonnegative number here, but :func:`zeta2_family` builds a member
-    only for an integer ``a``, for which q^{as} is a monomial in 1/t.
+    (1 - d_j q^{s-1/2}) with g_j d_j = q and real bounded sums.  ``a`` is
+    a nonnegative integer, so q^{as} is a monomial in 1/t.
     """
 
-    a: int | float = 1
+    a: int = 1
     extra_pair_sums: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.a, int) or isinstance(self.a, bool):
+            raise ValueError(f"the exponent a must be an integer, got {self.a!r}")
         if self.a < 0:
             raise ValueError("the exponent a must be nonnegative")
 
@@ -258,13 +259,8 @@ def zeta2_family(ws: WeilPairSet, params: C1Params) -> HalfShiftRational:
     denominator (1-t)(1-qt)(1-qt^2) t^{a+h+2(g-1)} by one
     :class:`RationalFunction` constructor.  The factor (1+t)(1-q^2 t^2)
     shared by the two terms of the definition is already cancelled.
-
-    Requires integer a (see :class:`C1Params`); any other exponent raises
-    ValueError.
     """
-    if not float(params.a).is_integer():
-        raise ValueError("exact materialization needs an integer exponent a")
-    a = int(params.a)
+    a = params.a
     q = Fraction(ws.q)
     h = len(params.extra_pair_sums)
 

@@ -609,6 +609,17 @@ class TestDegenerateInput:
         assert artin_entry["checks"] == {"coefficient_symmetry": False, "functional_equation": False}
         assert rh_entry["task"] == "rh-report" and rh_entry["checks"] == {"completed": False}
 
+    def test_asymmetric_numerator_reports_every_zero(self, tmp_path, capsys):
+        # broken symmetry: all 2g zeros are reported, the identities fail, exit 1
+        out = tmp_path / "out"
+        assert main(["run", str(DATA / "asymmetric_coefficients_job.yaml"), "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        artin_entry, rh_entry = json.loads((out / "report.json").read_text())["reports"]
+        rh = artin_entry["data"]["rh"]
+        assert len(rh["zeros"]) == 4 and rh["verdict"] is False
+        assert artin_entry["checks"] == {"coefficient_symmetry": False, "functional_equation": False}
+        assert rh_entry["task"] == "rh-report" and rh_entry["checks"] == {"completed": False}
+
     @pytest.mark.parametrize("tasks", ["[artin, invariants]", "[invariants]"])
     def test_counts_beyond_hasse_bound(self, tmp_path, capsys, tasks):
         # N_1 = 1 over F_5 gives trace 5 > 2 sqrt(5): no genus-one curve has

@@ -1,6 +1,7 @@
 """Kernel tests: polynomials, rational functions, series, root finder."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -628,6 +629,141 @@ class TestComplexRoots:
         with pytest.raises(RootFindError) as info:
             complex_roots(Poly([6, -5, 1, 7, 3]), residual_bound=1e-25)
         assert len(info.value.roots) == 4
+
+
+def _weil_product(Q, traces):
+    """prod (1 - a T + Q T^2) over the traces a."""
+    p = Poly.one()
+    for a in traces:
+        p = p * Poly([1, -a, Q])
+    return p
+
+
+def _y_product(traces):
+    """prod (y - a) as integer coefficients, constant term first."""
+    h = [1]
+    for a in traces:
+        h = [x - a * y for x, y in zip([0] + h, h + [0])]
+    return h
+
+
+def _same_multiset(a, b, rel):
+    rest = list(b)
+    for z in a:
+        k = min(range(len(rest)), key=lambda i: abs(rest[i] - z))
+        assert abs(rest.pop(k) - z) <= rel * abs(z), (z, a, b)
+    assert not rest
+
+
+def _full_degree(monkeypatch, p, Q):
+    with monkeypatch.context() as m:
+        m.setattr(exact, "_trace_polynomial", lambda f, Q: None)
+        return complex_roots(p, Q=Q)
+
+
+def _aberth_degrees(monkeypatch):
+    """Record the degree of every polynomial the Aberth driver is handed."""
+    seen = []
+    solve = exact._aberth
+
+    def spy(coefficients, residual_bound, **kw):
+        seen.append(len(coefficients) - 1)
+        return solve(coefficients, residual_bound, **kw)
+
+    monkeypatch.setattr(exact, "_aberth", spy)
+    return seen
+
+
+class TestTracePolynomial:
+    """Self-reciprocal factors solved at half degree through h(QT + 1/T)."""
+
+    @pytest.mark.parametrize("q", [2, 3, 101, 1000003])
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_trace_polynomial_is_product_of_y_minus_traces(self, q, g):
+        rng = random.Random(q * 10 + g)
+        bound = math.isqrt(4 * q)
+        for _ in range(3):
+            traces = [rng.randint(-bound, bound) for _ in range(g)]
+            f = _weil_product(q, traces)
+            assert exact._trace_polynomial(f.ints, q) == _y_product(traces)
+
+    @pytest.mark.parametrize("q, g", [(2, 3), (3, 8), (101, 4), (1000003, 6)])
+    def test_half_degree_agrees_with_full_degree(self, monkeypatch, q, g):
+        rng = random.Random(g)
+        bound = math.isqrt(4 * q)
+        for _ in range(5):
+            f = _weil_product(q, [rng.randint(-bound, bound) for _ in range(g)])
+            half = complex_roots(f, Q=q)
+            _same_multiset(half.roots, _full_degree(monkeypatch, f, q).roots, 1e-10)
+            assert max(half.residuals) <= 1e-12
+
+    def test_half_degree_agrees_on_genuine_and_slr_numerators(self, monkeypatch, corpus):
+        from curvezeta.artin import CurveData
+        from curvezeta.group_zeta import slr_zeta
+
+        datum = CurveData(101, 4, [1, 17, 184, 2575, 29246, 260075, 1876984, 17515117, 104060401])
+        curves = [c for c in corpus if c.q <= 4][:6] + [datum]
+        for c in curves:
+            cases = [(c.numerator, c.q)]
+            cases += [(Poly(slr_zeta(c, r).numerator_T), c.q**r) for r in range(2, 7)]
+            for p, Q in cases:
+                assert exact._trace_polynomial(p.monic().ints, Q) is not None, (c, Q)
+                _same_multiset(complex_roots(p, Q=Q).roots, _full_degree(monkeypatch, p, Q).roots, 1e-10)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 101, 1000003])
+    def test_lifted_roots_are_polished_on_f(self, q):
+        # unpolished lifts of the roots of h reach residuals near 3e-13 on f
+        rng = random.Random(q)
+        bound = math.isqrt(4 * q)
+        for g in range(1, 17):
+            for _ in range(10):
+                f = _weil_product(q, [rng.randint(-bound, bound) for _ in range(g)])
+                assert max(complex_roots(f, Q=q).residuals) <= 1e-14, (q, g)
+
+    def test_aberth_sees_half_degree(self, monkeypatch):
+        seen = _aberth_degrees(monkeypatch)
+        rset = complex_roots(_weil_product(7, [1, -3, 4, 0, 5]), Q=7)
+        assert seen == [5] and len(rset.roots) == 10
+
+    @pytest.mark.parametrize(
+        "p, Q",
+        [
+            (Poly([1, 2, 3, 5, 7]), 3),  # asymmetric
+            (_weil_product(5, [1, 2]) * Poly([1, 4]), 5),  # odd degree
+            (Poly([1, -2]) * Poly([1, 2]) * _weil_product(4, [1]), 4),  # anti-reciprocal, W = +-1
+        ],
+    )
+    def test_other_factors_take_the_full_degree_path(self, monkeypatch, p, Q):
+        assert exact._trace_polynomial(p.monic().ints, Q) is None
+        seen = _aberth_degrees(monkeypatch)
+        rset = complex_roots(p, Q=Q)
+        assert seen == [p.degree] and len(rset.roots) == p.degree
+        for z in rset.roots:
+            assert abs(p.evaluate(z)) <= 1e-9 * sum(abs(float(c)) * abs(z) ** i for i, c in enumerate(p.coeffs))
+
+    def test_pair_near_w_equal_one_is_polished(self, monkeypatch):
+        # 1 - a T + Q T^2 at Q = 10^20, a = 2 10^10 - 100: Y = 2 - 1e-8, so the
+        # zeros are W = e^{+-i theta}, theta about 1e-4, a pair 2e-4 apart that
+        # is lifted from one root Y and must come back as two distinct roots
+        Q, a = 10**20, 2 * 10**10 - 100
+        seen = _aberth_degrees(monkeypatch)
+        rset = complex_roots(Poly([1, -a, Q]), Q=Q)
+        assert seen == [1]
+        assert max(rset.residuals) <= 1e-14
+        # the roots of 1 - y W + W^2 for the float y = a / 10^10 the solver
+        # sees, with 4 - y^2 = (2 - y)(2 + y) and 2 - y exact
+        y = a / 1e10
+        ws = sorted((z * 1e10 for z in rset.roots), key=lambda w: w.imag)
+        for w, sign in zip(ws, (-1, 1)):
+            assert abs(w - complex(y, sign * math.sqrt((2 - y) * (2 + y))) / 2) <= 1e-15
+
+    def test_roots_sorted_with_multiplicities_adjacent(self):
+        p = _weil_product(3, [1, -2]) ** 2 * Poly([1, 5]) * Poly([2, 0, 3])
+        roots = complex_roots(p, Q=3).roots
+        assert list(roots) == sorted(roots, key=lambda z: (z.real, z.imag))
+        for z in roots:
+            twins = [j for j, w in enumerate(roots) if w == z]
+            assert twins == list(range(twins[0], twins[0] + len(twins)))
 
 
 def test_closed_form_two_summand_equality_is_ratfun_equal(curve_g1):

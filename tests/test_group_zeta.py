@@ -718,7 +718,7 @@ class TestFactoredReduction:
             expect = RationalFunction(num * Poly.x(k), d)
         else:
             expect = RationalFunction(num, d * Poly.x(-k))
-        got = _LinearTerm(num, k, dict(den)).ratfun(F(q))
+        got = _LinearTerm(num, k, dict(den)).ratfun(q)
         assert got == expect
         assert (got.num.ints, got.num.scale, got.den.ints) == (
             expect.num.ints,

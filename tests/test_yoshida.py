@@ -223,9 +223,13 @@ class TestFamily:
             zeta2_family(ws, C1Params(a=1, extra_pair_sums=(F(7, 2),)))
 
     def test_exact_needs_integer_exponent(self):
-        ws = WeilPairSet.from_pair_sums(2, [0])
         with pytest.raises(ValueError):
-            zeta2_family(ws, C1Params(a=0.5))
+            C1Params(a=0.5)
+
+    @pytest.mark.parametrize("a", [1.0, True, -1, "1"])
+    def test_exponent_is_a_nonnegative_int(self, a):
+        with pytest.raises(ValueError):
+            C1Params(a=a)
 
     def test_numeric_matches_exact(self):
         ws = WeilPairSet.from_pair_sums(2, [1])
@@ -237,7 +241,7 @@ class TestFamily:
 
     def test_numeric_fe_at_random_points(self):
         ws = WeilPairSet.from_pair_sums(3, [2])
-        fn = _zeta2_numeric(ws, C1Params(a=1.0))
+        fn = _zeta2_numeric(ws, C1Params(a=1))
         rng = random.Random(5)
         for _ in range(100):
             s = complex(rng.uniform(-2, 3), rng.uniform(-8, 8))
