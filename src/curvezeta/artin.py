@@ -269,8 +269,6 @@ def rh_check_artin(c: CurveData, tol: float = 1e-9) -> ZeroReport:
     from sqrt(q).  A constant numerator (genus zero, or a degree-deficient
     datum) has no zeros and passes vacuously.
     """
-    if c.numerator.degree < 1:
-        return ZeroReport((), float(c.q) ** 0.5, (), True, tol)
     rset = complex_roots(c.numerator, Q=c.q)
     sq = float(c.q) ** 0.5
     omegas = tuple(1 / t for t in rset.roots)

@@ -21,8 +21,11 @@ codes: 0 all asserted identities hold, 1 an asserted identity failed,
 A task that stops, because its construction fails on the data, its root
 finder gives up or its float arithmetic overflows, still gets a report
 entry, ``{"error": "<Type>: <message>"}`` with the check
-``completed: false``.  Reports render exact rationals as "p/q" strings and
-floats at fixed precision, so identical jobs produce byte-identical files.
+``completed: false``.  ``rh-report`` runs its three parts one by one: a
+part that stops gets a null verdict and its message under ``errors``, and
+the other parts keep their zeros.  Reports render exact rationals as "p/q"
+strings and floats at fixed precision, so identical jobs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -410,22 +413,34 @@ def _task_yoshida(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
     return report, checks
 
 
+def _attempt(call):
+    """(call(), None), or (None, "<Type>: <message>") when call raises one of
+    ``_TASK_FAILURES``: the one place where a failure becomes report data."""
+    try:
+        return call(), None
+    except _TASK_FAILURES as e:
+        return None, f"{type(e).__name__}: {e}"
+
+
 def _task_rh_report(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
-    verdicts = [  # (verdict key, zeros.csv object name, zero report)
-        ("artin", "artin", artin.rh_check_artin(c, job.tolerance)),
-        ("slr2", "slr2_Tgrid", slr_rh_report(slr_zeta(c, 2), job.tolerance)),
-        ("zeta2", "zeta2", yoshida.rh_check_zeta2(yoshida.zeta2_canonical(c), job.tolerance)),
-    ]
-    report = {
-        "zeros": [
-            {"object": name, "value": z, "modulus": abs(z), "deviation": d}
-            for _, name, rep in verdicts
-            for z, d in zip(rep.zeros, rep.deviations)
-        ],
-        "verdicts": {key: rep.verdict for key, _, rep in verdicts},
-    }
-    checks = {f"{key}_rh": rep.verdict for key, _, rep in verdicts} if c.genuine else {}
-    return report, checks
+    parts = (  # (verdict key, zeros.csv object name, the zero report)
+        ("artin", "artin", lambda: artin.rh_check_artin(c, job.tolerance)),
+        ("slr2", "slr2_Tgrid", lambda: slr_rh_report(slr_zeta(c, 2), job.tolerance)),
+        ("zeta2", "zeta2", lambda: yoshida.rh_check_zeta2(yoshida.zeta2_canonical(c), job.tolerance)),
+    )
+    zeros, verdicts, errors = [], {}, {}
+    for key, name, solve in parts:
+        rep, error = _attempt(solve)
+        if error:  # a failed part has a null verdict and no zeros
+            verdicts[key], errors[key] = None, error
+            continue
+        for z, d in zip(rep.zeros, rep.deviations):
+            zeros.append({"object": name, "value": z, "modulus": abs(z), "deviation": d})
+        verdicts[key] = rep.verdict
+    checks = {f"{key}_rh": v for key, v in verdicts.items() if key not in errors} if c.genuine else {}
+    if errors:
+        return {"zeros": zeros, "verdicts": verdicts, "errors": errors}, {**checks, "completed": False}
+    return {"zeros": zeros, "verdicts": verdicts}, checks
 
 
 _TASK_FN = {
@@ -463,10 +478,8 @@ def run(job: JobSpec, tasks: Sequence[str] | None = None) -> tuple[int, dict]:
             if c.g < 1 and task != "artin":
                 report, checks = {"skipped": "genus 0"}, {}
             else:
-                try:
-                    report, checks = _TASK_FN[task](c, job)
-                except _TASK_FAILURES as e:
-                    report, checks = {"error": f"{type(e).__name__}: {e}"}, {"completed": False}
+                result, error = _attempt(lambda: _TASK_FN[task](c, job))
+                report, checks = ({"error": error}, {"completed": False}) if error else result
             failed = failed or not all(checks.values())
             out["reports"].append(
                 {

@@ -18,16 +18,18 @@ f(c t) and f(c/t) for c != 0.  ``Poly.coeffs`` gives the rational
 coefficients back for display and for the root finder.
 
 The only floating point in this module lives in :func:`complex_roots`.  It
-splits its input exactly into square-free factors, maps each onto the
-critical circle of Q with every coefficient an exact quotient rounded once,
-and hands it to a private, deterministic Aberth-Ehrlich iteration with Newton
-polishing.  A factor with the functional equation T -> 1/(QT) is solved at
-half degree: its exact integer trace polynomial h, T^{-g} f(T) = h(QT + 1/T)
-(:func:`_trace_polynomial`), goes through the same map and iteration, and
-each root comes back as a pair polished on f.  The roots are returned sorted
-by (real, imag).  Every RH report of the package (Artin, SL_r and zeta2)
-finds its zeros through this one call, on an exact polynomial whose poles
-were already divided out.  Everything else is exact.
+splits its input exactly into square-free factors and takes each along one
+path: a root at the origin is divided out exactly, the rest is mapped onto
+the critical circle of Q with every coefficient an exact quotient rounded
+once, solved by a private, deterministic Aberth-Ehrlich iteration, and
+Newton-polished and checked once on the factor.  A factor with the
+functional equation T -> 1/(QT) is iterated at half degree, on its exact
+integer trace polynomial h, T^{-g} f(T) = h(QT + 1/T)
+(:func:`_trace_polynomial`), with a zero trace divided out exactly; each
+root of h comes back as a pair.  The roots are returned sorted by
+(real, imag); a constant has none.  Every RH report of the package (Artin,
+SL_r and zeta2) finds its zeros through this one call, on an exact
+polynomial whose poles were already divided out.  Everything else is exact.
 """
 
 from __future__ import annotations
@@ -282,7 +284,7 @@ def _scale_product(a: int, b: int, c: int, d: int) -> tuple[int, int]:
 
 
 def _scale_quotient(a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    """(a/b)/(c/d) reduced, for reduced a/b and nonzero c/d with b, d > 0."""
+    """(a/b)/(c/d) reduced, for reduced a/b and non-zero c/d with b, d > 0."""
     return _scale_product(a, b, -d, -c) if c < 0 else _scale_product(a, b, d, c)
 
 
@@ -341,13 +343,13 @@ def _exact_quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _content(ints: list[int]) -> int:
-    """The gcd of nonzero ints, with the sign of the last entry."""
+    """The gcd of non-zero ints, with the sign of the last entry."""
     content = math.gcd(*ints)
     return -content if ints[-1] < 0 else content
 
 
 def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
-    """A nonzero integer multiple of (f mod g), for len(f) >= len(g).
+    """A non-zero integer multiple of (f mod g), for len(f) >= len(g).
 
     Each step scales the running remainder by lead(g)/d and subtracts
     (top/d) x^k g, with d = gcd(top, lead(g)), so the coefficients stay
@@ -376,7 +378,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     Both inputs are already primitive integer polynomials times a scale;
     each pseudo-remainder is divided by its integer content before the next
     step (Collins, J. ACM 1967), so no rational arithmetic happens in the
-    loop.  The last nonzero remainder is made monic.  gcd(0, 0) is the zero
+    loop.  The last non-zero remainder is made monic.  gcd(0, 0) is the zero
     polynomial and gcd(a, 0) is a.monic().
     """
     if a.is_zero() or b.is_zero():
@@ -547,7 +549,7 @@ class RationalFunction:
 
         Both sides are reversed at d = max(deg num, deg den).  For c != 0 a
         common root z != 0 of the images would make c/z a common root of num
-        and den, and z = 0 is not one: the side of degree d keeps a nonzero
+        and den, and z = 0 is not one: the side of degree d keeps a non-zero
         constant term.  So no gcd is taken.
         """
         d = max(self.num.degree, self.den.degree)
@@ -658,6 +660,7 @@ _MAX_ITER = 1000
 _STEP_TOL = 1e-14
 _SEED_ANGLE = 0.3762643  # fixed phase so start points avoid axis symmetry
 _JOUKOWSKI_RADIUS = 1.05  # start circle in W for trace polynomials
+_RESIDUAL_BOUND = 1e-8  # largest relative backward error of an accepted root
 
 
 def _relative_residual(coeffs: list[complex], z: complex) -> float:
@@ -740,17 +743,15 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def complex_roots(p: Poly, residual_bound: float = 1e-8, *, Q: int = 1) -> ComplexRootSet:
+def complex_roots(p: Poly, *, Q: int = 1) -> ComplexRootSet:
     """All roots of p with multiplicity, by Aberth-Ehrlich iteration, sorted
-    by (real, imag) so that equal roots are adjacent.
+    by (real, imag) so that equal roots are adjacent.  A constant has none.
 
-    Exact square-free decomposition comes first, so the iteration only ever
-    sees simple roots (full double-precision accuracy) and multiplicities
-    are exact integers rather than numerical clusters.  The decomposition
-    first tries a certificate modulo one fixed prime l: when l does not
-    divide the leading coefficient and the input is coprime to its
-    derivative mod l, it is square-free and no integer gcd is computed.
-    Otherwise, square-free or not, Yun's algorithm splits it exactly.
+    Exact square-free decomposition (:func:`squarefree_decomposition`) comes
+    first, so the iteration only ever sees simple roots (full double-precision
+    accuracy) and multiplicities are exact integers rather than numerical
+    clusters.  A square-free factor f has at most one root at the origin,
+    which is divided out exactly, so f_0 != 0.
 
     Each factor f is solved on the critical circle of ``Q``: the roots of
     interest lie near |T| = Q^{-1/2}, so the driver works in W = sqrt(Q) T,
@@ -763,37 +764,59 @@ def complex_roots(p: Poly, residual_bound: float = 1e-8, *, Q: int = 1) -> Compl
     |b_n| = 1 and |b_i| <= binom(n, i).  The coefficients f_i themselves
     grow like Q^{i/2} and leave the float range at large Q, and roots of
     modulus Q^{-1/2} lie far from a start circle read off them; the b_i
-    have neither problem.  When f_0 = 0 the lowest nonzero coefficient
-    takes its place, and the driver strips the roots at the origin.
+    have neither problem.  The starts sit on the circle at the geometric
+    mean |b_0 / b_n|^{1/n} of the root moduli.
 
     A factor that satisfies a functional equation T -> 1/(QT), of even
-    degree 2g with f_{2g-i} = Q^{g-i} f_i, is solved at half degree: its
-    exact trace polynomial h (:func:`_trace_polynomial`) is mapped the same
-    way to Y = W + 1/W and solved from starts on an ellipse around
-    [-2, 2]; each root Y lifts to the pair W, 1/W, which is Newton-polished
-    on f.  Other factors are solved at full degree.
+    degree 2g with f_{2g-i} = Q^{g-i} f_i, is solved at half degree through
+    its exact trace polynomial h (:func:`_trace_polynomial`), after an exact
+    root y = 0 (a zero trace, W = +-i) is divided out.  In W, y = QT + 1/T
+    is sqrt(Q) Y with Y = W + 1/W, so h is solved on h(sqrt(Q) Y) up to a
+    constant: the map above on the reversed ints, read backwards.  Its
+    starts are w + 1/w for w on |w| = 1.05, an ellipse around [-2, 2].
+    After up to three Newton steps on h, each root Y gives
+    W = (Y +- sqrt(Y^2 - 4)) / 2, the larger one from the formula and the
+    other as its inverse; Y = +-2 would make W = +-1 a double root of f.
 
-    Residuals are relative backward errors on the square-free factor (the
-    map leaves them unchanged); exceeding ``residual_bound`` (or the
-    iteration cap) raises :class:`RootFindError` carrying the partial
-    results.
+    Either way the roots W are polished once on f, whose relative backward
+    errors are the residuals (the map leaves them unchanged); one above
+    ``_RESIDUAL_BOUND``, or the iteration cap, raises :class:`RootFindError`
+    carrying the factor's partial results.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no well-defined root set")
-    if p.degree < 1:
-        raise ValueError("root finding needs degree >= 1")
+    if p.degree == 0:
+        return ComplexRootSet((), (), 0)
     s = float_sqrt(Q)
     found: list[tuple[complex, float]] = []
     iterations = 0
     for factor, mult in squarefree_decomposition(p):
         f = factor.ints
+        zero = 0 if f[0] else 1  # the root at the origin, if any
         h = _trace_polynomial(f, Q)
         if h is None:
-            w = _aberth(_critical_circle_coeffs(f, Q, s), residual_bound)
+            b = _critical_circle_coeffs(f[zero:], Q, s)
+            n = len(b) - 1
+            # in logs, so that no quotient under- or overflows
+            radius = math.exp((math.log(abs(b[0])) - math.log(abs(b[-1]))) / n) if n else 0.0
+            work = _unit_lead(b)
+            ws, sweeps, converged = _aberth(work, _start_circle(n, radius))
         else:
-            w = _half_degree_roots(f, h, Q, s, residual_bound)
-        iterations += w.iterations
-        for z, res in zip(w.roots, w.residuals):
+            y0 = 0 if h[0] else 1  # the zero trace, if any
+            hw = _unit_lead(_critical_circle_coeffs(h[y0:][::-1], Q, s)[::-1])
+            starts = [w + 1 / w for w in _start_circle(len(hw) - 1, _JOUKOWSKI_RADIUS)]
+            ys, sweeps, converged = _aberth(hw, starts)
+            _newton(hw, ys)
+            ws = []
+            for y in [0j] * y0 + ys:
+                r = cmath.sqrt((y - 2) * (y + 2))
+                w = (y + r) / 2 if abs(y + r) >= abs(y - r) else (y - r) / 2
+                ws += [w, 1 / w]
+            # b_0 = 1 and, by the functional equation, b_{2g} = 1: already monic
+            work = [complex(c) for c in _critical_circle_coeffs(f, Q, s)]
+        residuals = _polished(work, ws, converged)
+        iterations += sweeps
+        for z, res in zip([0j] * zero + ws, [0.0] * zero + residuals):
             found.extend([(z / s, res)] * mult)
     found.sort(key=lambda zr: (zr[0].real, zr[0].imag))
     roots = tuple(z for z, _ in found)
@@ -836,29 +859,6 @@ def _trace_polynomial(f: Sequence[int], Q: int) -> list[int] | None:
     return h
 
 
-def _half_degree_roots(
-    f: Sequence[int], h: list[int], Q: int, s: float, residual_bound: float
-) -> ComplexRootSet:
-    """The roots W = sqrt(Q) T of f through its trace polynomial h.
-
-    In W, y = QT + 1/T is s Y with Y = W + 1/W, so h is solved on
-    h(sY) / (h_g s^g): the map of :func:`_critical_circle_coeffs` on the
-    reversed ints, read backwards.  Each root Y gives W = (Y +- sqrt(Y^2 -
-    4)) / 2, the larger one taken from the formula and the other as its
-    inverse, and every W is polished on f.  A root Y = +-2 would make
-    W = +-1 a double root of f, so for a square-free f it never occurs.
-    """
-    ys = _aberth(_critical_circle_coeffs(h[::-1], Q, s)[::-1], math.inf, ellipse=True)
-    ws: list[complex] = []
-    for y in ys.roots:
-        r = cmath.sqrt((y - 2) * (y + 2))
-        w = (y + r) / 2 if abs(y + r) >= abs(y - r) else (y - r) / 2
-        ws += [w, 1 / w]
-    # b_0 = 1 and, by the functional equation, b_{2g} = 1: already monic
-    work = [complex(c) for c in _critical_circle_coeffs(f, Q, s)]
-    return _polished(work, ws, 0, ys.iterations, True, residual_bound)
-
-
 def float_sqrt(n: int) -> float:
     """math.sqrt(n) for an integer n >= 0, also beyond the float range: above
     2^1000, n is shifted right by 2k bits first and the root scaled by 2^k."""
@@ -867,60 +867,41 @@ def float_sqrt(n: int) -> float:
 
 
 def _critical_circle_coeffs(ints: Sequence[int], Q: int, s: float) -> list[float]:
-    """Coefficients of f(W / s) / f_k in W, s = sqrt(Q), f_k the lowest nonzero.
+    """Coefficients of f(W / s) / f_0 in W, s = sqrt(Q), for f_0 != 0.
 
-    b_i = (f_i / f_k) / Q^{floor((i-k)/2)} exactly, then over s once more
-    when i - k is odd; below k the coefficients are 0.
+    b_i = (f_i / f_0) / Q^{floor(i/2)} exactly, then over s once more when
+    i is odd.
     """
-    k = next(i for i, c in enumerate(ints) if c)
-    fk = ints[k]
-    out = [0.0] * k
+    f0 = ints[0]
+    out = []
     power = 1
-    for j, c in enumerate(ints[k:]):
-        if j and j % 2 == 0:
+    for i, c in enumerate(ints):
+        if i and i % 2 == 0:
             power *= Q
-        b = c / (fk * power)  # int / int: the exact quotient, rounded once
-        out.append(b / s if j % 2 else b)
+        b = c / (f0 * power)  # int / int: the exact quotient, rounded once
+        out.append(b / s if i % 2 else b)
     return out
 
 
-def _aberth(
-    coefficients: list[float], residual_bound: float, *, ellipse: bool = False
-) -> ComplexRootSet:
-    """The Aberth-Ehrlich driver on the float coefficients of one square-free
-    factor, constant term first, degree >= 1 (:func:`complex_roots` only).
-
-    Exact roots at the origin come off first.  The start points sit at fixed
-    angles on the circle of radius |c_0 / c_n|^{1/n} (c_0 the constant term
-    after that, n the remaining degree): the geometric mean of the root
-    moduli, so exactly 1 for inputs already mapped to the unit circle.  With
-    ``ellipse`` they are the Joukowski images w + 1/w of the same angles on
-    |w| = 1.05, an ellipse around [-2, 2], where the roots Y = W + 1/W of a
-    trace polynomial lie when every |W| = 1.  The sweep order is by index,
-    and convergence means every step fell below 1e-14 * (1 + |root|),
-    followed by a Newton polish.
-    """
-    nzero = 0
-    while coefficients[nzero] == 0:
-        nzero += 1
-    work = [complex(c) for c in coefficients[nzero:]]
-    n = len(work) - 1
-    if n == 0:
-        return ComplexRootSet((0j,) * nzero, (0.0,) * nzero, 0)
-
-    if ellipse:
-        zs = [w + 1 / w for w in _start_circle(n, _JOUKOWSKI_RADIUS)]
-    else:
-        # |c_0 / c_n|^(1/n), in logs so that no quotient under- or overflows
-        radius = math.exp((math.log(abs(work[0])) - math.log(abs(work[-1]))) / n)
-        zs = _start_circle(n, radius)
+def _unit_lead(coefficients: list[float]) -> list[complex]:
+    """The coefficients as complex numbers, divided by the leading one."""
+    work = [complex(c) for c in coefficients]
     lead = work[-1]
-    work = [c / lead for c in work]
+    return [c / lead for c in work]
 
-    converged = False
-    sweeps = 0
-    while sweeps < _MAX_ITER:
-        sweeps += 1
+
+def _aberth(work: list[complex], zs: list[complex]) -> tuple[list[complex], int, bool]:
+    """Aberth-Ehrlich iteration on the monic work (constant term first) of
+    one square-free factor from the starts zs, one per root, updated in
+    place; returns (zs, sweeps, converged) (:func:`complex_roots` only).
+
+    The sweep order is by index, and convergence means every step fell
+    below 1e-14 * (1 + |root|), or every residual is at rounding level.
+    """
+    n = len(zs)
+    if not n:
+        return zs, 0, True
+    for sweeps in range(1, _MAX_ITER + 1):
         max_rel_step = 0.0
         for i in range(n):
             z = zs[i]
@@ -943,16 +924,14 @@ def _aberth(
             rel = abs(step) / (1.0 + abs(zs[i]))
             max_rel_step = max(max_rel_step, rel)
         if max_rel_step < _STEP_TOL:
-            converged = True
-            break
+            return zs, sweeps, True
         # once every value is at rounding level the steps are rounding noise
         # and need not fall below _STEP_TOL; this exit ends most solves
         if max_rel_step < 1e-2 and all(
             _relative_residual(work, z) < 1e-14 for z in zs
         ):
-            converged = True
-            break
-    return _polished(work, zs, nzero, sweeps, converged, residual_bound)
+            return zs, sweeps, True
+    return zs, _MAX_ITER, False
 
 
 def _start_circle(n: int, radius: float) -> list[complex]:
@@ -971,17 +950,9 @@ def _horner(cs: list[complex], z: complex) -> tuple[complex, complex]:
     return pv, dv
 
 
-def _polished(
-    work: list[complex],
-    zs: list[complex],
-    nzero: int,
-    sweeps: int,
-    converged: bool,
-    residual_bound: float,
-) -> ComplexRootSet:
+def _newton(work: list[complex], zs: list[complex]) -> None:
     """Up to three Newton steps on each of zs as roots of work (constant
-    first), stopping once a step falls below 1e-14 * (1 + |root|); then
-    nzero roots at the origin in front, with their residuals checked."""
+    first), in place, stopping once a step falls below 1e-14 * (1 + |root|)."""
     for i in range(len(zs)):
         for _ in range(3):
             pv, dv = _horner(work, zs[i])
@@ -992,16 +963,17 @@ def _polished(
             if abs(step) < _STEP_TOL * (1.0 + abs(zs[i])):
                 break
 
-    all_roots = [0j] * nzero + zs
-    residuals = (0.0,) * nzero + tuple(_relative_residual(work, z) for z in zs)
+
+def _polished(work: list[complex], zs: list[complex], converged: bool) -> list[float]:
+    """The residuals of zs on the factor work after :func:`_newton`; raises
+    RootFindError when the iteration did not converge or one exceeds
+    ``_RESIDUAL_BOUND``."""
+    _newton(work, zs)
+    residuals = [_relative_residual(work, z) for z in zs]
     if not converged:
+        raise RootFindError(f"no convergence after {_MAX_ITER} iterations", zs, residuals)
+    if max(residuals, default=0.0) > _RESIDUAL_BOUND:
         raise RootFindError(
-            f"no convergence after {_MAX_ITER} iterations", all_roots, residuals
+            f"residual {max(residuals):.3e} exceeds bound {_RESIDUAL_BOUND:.3e}", zs, residuals
         )
-    if max(residuals) > residual_bound:
-        raise RootFindError(
-            f"residual {max(residuals):.3e} exceeds bound {residual_bound:.3e}",
-            all_roots,
-            residuals,
-        )
-    return ComplexRootSet(tuple(all_roots), residuals, sweeps)
+    return residuals

@@ -19,7 +19,7 @@ Supported smooth models, all with a single point at infinity:
 
 * ``projective_line`` -- N_m = q^m + 1, genus 0;
 * ``quadratic``       -- y^2 = f(x), odd characteristic, f squarefree of
-  odd degree 2g+1; a nonzero f(x) is a square when its log is even;
+  odd degree 2g+1; a non-zero f(x) is a square when its log is even;
 * ``artin_schreier``  -- y^2 + y = f(x), characteristic 2, f of odd degree
   2g+1; it has two solutions y when the absolute trace of f(x) is 0, which
   is the parity of f(x) under a precomputed F_2-linear mask.
@@ -160,7 +160,7 @@ def _field_tables(p: int, m: int) -> tuple[tuple[int, ...], array, array, int]:
     exp = array("l", [0]) * order
     log = array("l", [0]) * size
     for low in _candidate_moduli(p, m):
-        fold = [(w, -c % p) for w, c in zip(weights, low) if c]  # x^m, nonzero digits
+        fold = [(w, -c % p) for w, c in zip(weights, low) if c]  # x^m, non-zero digits
         z = 1
         for k in range(1, size):
             exp[k - 1], log[z] = z, k - 1
@@ -289,7 +289,7 @@ def count_points(model: CurveModel, m: int) -> int:
 
     total = 1 + points_over(coeffs[-1])  # the point at infinity, then x = 0
     seen = bytearray(order)
-    for lx in range(order):  # x = exp[lx], every nonzero element in one orbit
+    for lx in range(order):  # x = exp[lx], every non-zero element in one orbit
         if seen[lx]:
             continue
         size, k = 0, lx

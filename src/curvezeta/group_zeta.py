@@ -216,7 +216,7 @@ def _linear_sum(terms: list[_LinearTerm], q: int) -> _LinearTerm:
 
 Shape = tuple[int, tuple[tuple[int, int], ...]]  # (n_w, sorted (e, m) of prod (1 - q^e u)^m)
 Entry = tuple[int, tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]
-# (u-power k, nonzero zeta exponents (n, e), constant factors e, flipped e's)
+# (u-power k, non-zero zeta exponents (n, e), constant factors e, flipped e's)
 
 
 @lru_cache(maxsize=None)
@@ -425,8 +425,6 @@ def slr_rh_report(z: SlrZeta, tol: float = 1e-9) -> ZeroReport:
         while poly.degree >= 1 and poly.evaluate(root) == 0:
             poly = poly.exact_div(factor)
             excluded.append(complex(root))
-    if poly.degree < 1:
-        return ZeroReport((), critical, (), True, tol, tuple(excluded))
     s = float_sqrt(Q)
     zeros = complex_roots(poly, Q=Q).roots
     deviations = tuple(critical * abs(abs(T * s) ** (1.0 / z.r) - 1) for T in zeros)
@@ -480,8 +478,8 @@ class _FactoredTerm:
             n = power * (len(ints) - 1)
             a1, a2 = a1 + n * e1, a2 + n * e2
             ints, e1, e2 = ints[::-1], -e1, -e2
-        nonzero = [k for k, a in enumerate(ints) if a]
-        lo, hi = nonzero[0], nonzero[-1]
+        support = [k for k, a in enumerate(ints) if a]
+        lo, hi = support[0], support[-1]
         self.mono = (a1 + power * lo * e1, a2 + power * lo * e2)
         content = math.gcd(*ints) if ints[lo] > 0 else -math.gcd(*ints)
         num *= content

@@ -27,7 +27,6 @@ asks for the largest rank of the job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -37,21 +36,9 @@ from curvezeta.invariants import beta0
 from curvezeta.rank2 import beta_from_special_values, rank2_invariants
 
 
-@dataclass(frozen=True)
-class Composition:
-    """An ordered tuple of positive integers with a fixed sum."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.parts or any(p < 1 for p in self.parts):
-            raise ValueError("composition parts must be positive")
-
-
-def compositions(r: int) -> Iterator[Composition]:
-    """All 2^(r-1) compositions of r, in lexicographic part order."""
-    if r < 1:
-        raise ValueError("compositions need r >= 1")
+def compositions(r: int) -> Iterator[tuple[int, ...]]:
+    """All 2^(r-1) compositions of r >= 1, as tuples of positive parts, in
+    lexicographic part order."""
 
     def rec(remaining: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
@@ -62,8 +49,7 @@ def compositions(r: int) -> Iterator[Composition]:
             yield from rec(remaining - first, acc)
             acc.pop()
 
-    for parts in rec(r, []):
-        yield Composition(parts)
+    return rec(r, [])
 
 
 def beta_composition_formula(c: CurveData, r: int) -> Fraction:
@@ -73,8 +59,7 @@ def beta_composition_formula(c: CurveData, r: int) -> Fraction:
     q = Fraction(c.q)
     zh = {i: zeta_hat_special(c, i) for i in range(1, r + 1)}
     total = Fraction(0)
-    for comp in compositions(r):
-        parts = comp.parts
+    for parts in compositions(r):
         k = len(parts)
         term = Fraction(-1) ** (k - 1)
         for j in range(k - 1):
@@ -111,8 +96,7 @@ def beta_hn_mass(c: CurveData, r: int, d: int) -> Fraction:
         raise ValueError("need r >= 1 and genus >= 1")
     q = Fraction(c.q)
     total = Fraction(0)
-    for comp in compositions(r):
-        parts = comp.parts
+    for parts in compositions(r):
         s = len(parts)
         cross = sum(parts[i] * parts[j] for i in range(s) for j in range(i + 1, s))
         exponent = Fraction((c.g - 1) * cross)

@@ -20,17 +20,18 @@ P~(t) = (qt)^{2h} P(1/(qt)) for h extra pairs,
     S = [P X1(t^2) - q^{a-h-g} t^{2a} P~ X1(q t^2)]
         / [(1-t)(1-qt)(1-qt^2) t^{a+h+2(g-1)}],
 
-which splits into an even and an odd rational function of t, one reduction
-each.  The half power (sqrt q)^{1-g} is applied once at the end by a
-rational scaling that swaps the parts when g - 1 is odd, so every result is
-a structural E(t) + sqrt(q) * O(t) identity, never a numerical one.  When q
+whose numerator splits into E(t) + sqrt(q) * O(t) with E and O rational.
+The half power (sqrt q)^{1-g} is applied once at the end by a rational
+scaling that swaps the parts when g - 1 is odd.  A member is kept as the
+one fraction (E + sqrt(q) O) / D, reduced once (:class:`HalfShiftRational`),
+so every result is a structural identity, never a numerical one.  When q
 is a perfect square the odd part folds away entirely.
 
-The RH check, :func:`rh_check_zeta2`, solves the exact numerator through
-:func:`~curvezeta.exact.complex_roots`, like the Artin and SL_r reports,
-with no pole test.  P_e is even in t and P_o odd; over the parts' least
-common denominator their numerators kept opposite parities in every member
-tried, so in W = sqrt(q) t the numerator has rational coefficients.
+The RH check, :func:`rh_check_zeta2`, solves the exact numerator
+E + sqrt(q) O through :func:`~curvezeta.exact.complex_roots`, like the
+Artin and SL_r reports, with no pole test.  P_e is even in t and P_o odd;
+E and O kept opposite parities in every member tried, so in W = sqrt(q) t
+the numerator has rational coefficients.
 """
 
 from __future__ import annotations
@@ -61,124 +62,38 @@ class Ordering(Enum):
     GT = 1
 
 
-def _isqrt_exact(q: int) -> int | None:
-    r = math.isqrt(q)
-    return r if r * r == q else None
-
-
+@dataclass(frozen=True)
 class HalfShiftRational:
-    """E(t) + sqrt(q) * O(t) with E, O exact rational functions.
+    """(even(t) + sqrt(q) * odd(t)) / den(t), one reduced fraction.
 
-    Closed under field operations: the sqrt exponent is tracked mod 2 and
-    its magnitude folded into the components, which is all the bookkeeping
-    that half-integral powers of q require.  For square q the value is
-    rational and O is normalized away.
+    No root is common to even, odd and den, and den is monic.  For a
+    non-square q, 1 and sqrt(q) are independent over Q(t), so equal values
+    have equal fields and ``==`` and ``hash`` are exact.  Build a member with
+    :meth:`reduced`.  For square q the value is rational: the odd part is
+    folded into the even one before it gets here (:func:`_times_sqrt_power`).
     """
 
-    __slots__ = ("q", "even", "odd")
-
-    def __init__(self, q: int, even: RationalFunction, odd: RationalFunction | None = None):
-        self.q = int(q)
-        odd = RationalFunction.zero() if odd is None else odd
-        root = _isqrt_exact(self.q)
-        if root is not None and not odd.is_zero():
-            even = even + RationalFunction.constant(root) * odd
-            odd = RationalFunction.zero()
-        self.even = even
-        self.odd = odd
+    q: int
+    even: Poly
+    odd: Poly
+    den: Poly
 
     @staticmethod
-    def of(q: int, f: RationalFunction | Rat) -> HalfShiftRational:
-        if isinstance(f, (int, Fraction)):
-            f = RationalFunction.constant(f)
-        return HalfShiftRational(q, f)
+    def reduced(q: int, even: Poly, odd: Poly, den: Poly) -> HalfShiftRational:
+        """(even + sqrt(q) odd) / den in lowest terms: gcd(den, even), then,
+        unless that is 1 or odd is zero, its gcd with odd."""
+        g = poly_gcd(den, even)
+        if g.degree > 0 and not odd.is_zero():
+            g = poly_gcd(g, odd)
+        if g.degree > 0:
+            even, odd, den = even.exact_div(g), odd.exact_div(g), den.exact_div(g)
+        return _over_monic(q, even, odd, den)
 
-    @staticmethod
-    def sqrt_power(q: int, h: int) -> HalfShiftRational:
-        """(sqrt q)^h, exact."""
-        qf = Fraction(q)
-        if h % 2 == 0:
-            return HalfShiftRational.of(q, RationalFunction.constant(qf ** (h // 2)))
-        return HalfShiftRational(
-            q,
-            RationalFunction.zero(),
-            RationalFunction.constant(qf ** ((h - 1) // 2)),
-        )
 
-    def is_zero(self) -> bool:
-        return self.even.is_zero() and self.odd.is_zero()
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HalfShiftRational)
-            and self.q == other.q
-            and self.even == other.even
-            and self.odd == other.odd
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.even, self.odd))
-
-    def _coerce(self, other) -> HalfShiftRational:
-        if isinstance(other, HalfShiftRational):
-            if other.q != self.q:
-                raise ValueError("mixed base field sizes")
-            return other
-        if isinstance(other, (int, Fraction, RationalFunction)):
-            return HalfShiftRational.of(self.q, other)
-        raise TypeError(f"cannot combine HalfShiftRational with {type(other)}")
-
-    def __add__(self, other) -> HalfShiftRational:
-        o = self._coerce(other)
-        return HalfShiftRational(self.q, self.even + o.even, self.odd + o.odd)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> HalfShiftRational:
-        return HalfShiftRational(self.q, -self.even, -self.odd)
-
-    def __sub__(self, other) -> HalfShiftRational:
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other) -> HalfShiftRational:
-        o = self._coerce(other)
-        even = self.even * o.even + Fraction(self.q) * self.odd * o.odd
-        odd = self.even * o.odd + self.odd * o.even
-        return HalfShiftRational(self.q, even, odd)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> HalfShiftRational:
-        o = self._coerce(other)
-        norm = o.even * o.even - Fraction(self.q) * o.odd * o.odd
-        if norm.is_zero():
-            raise ZeroDivisionError("division by zero in the quadratic extension")
-        conj = HalfShiftRational(self.q, o.even, -o.odd)
-        scaled = self * conj
-        return HalfShiftRational(self.q, scaled.even / norm, scaled.odd / norm)
-
-    def substitute_reciprocal(self, c: Rat) -> HalfShiftRational:
-        """t -> c/t on both components (the s -> 1-s move for c = 1/q)."""
-        return HalfShiftRational(
-            self.q, self.even.reciprocal_arg(c), self.odd.reciprocal_arg(c)
-        )
-
-    def evaluate(self, t: complex) -> complex:
-        return self.even.evaluate(t) + math.sqrt(self.q) * self.odd.evaluate(t)
-
-    def numerator_over_lcm(self) -> tuple[Poly, Poly]:
-        """The exact pair (n1, n2) with E + sqrt(q) O = (n1 + sqrt(q) n2) / L,
-        L the least common denominator of E and O."""
-        lcm = self.even.den * self.odd.den.exact_div(poly_gcd(self.even.den, self.odd.den))
-        return (
-            self.even.num * lcm.exact_div(self.even.den),
-            self.odd.num * lcm.exact_div(self.odd.den),
-        )
-
-    def __repr__(self) -> str:
-        if self.odd.is_zero():
-            return f"HalfShiftRational({self.even!r})"
-        return f"HalfShiftRational({self.even!r} + sqrt({self.q})*{self.odd!r})"
+def _over_monic(q: int, even: Poly, odd: Poly, den: Poly) -> HalfShiftRational:
+    """The member with fields already coprime, scaled so that den is monic."""
+    scale = 1 / (den.scale * den.ints[-1])
+    return HalfShiftRational(q, even * scale, odd * scale, den.monic())
 
 
 @dataclass(frozen=True)
@@ -243,8 +158,8 @@ def _times_sqrt_power(q: int, even: Poly, odd: Poly, k: int) -> tuple[Poly, Poly
     qf = Fraction(q)
     if k % 2:
         even, odd = odd * qf, even
-    root = _isqrt_exact(q)
-    if root is not None:
+    root = math.isqrt(q)
+    if root * root == q:
         even, odd = even + odd * root, Poly()
     scale = qf ** (k // 2)
     return even * scale, odd * scale
@@ -255,10 +170,10 @@ def zeta2_family(ws: WeilPairSet, params: C1Params) -> HalfShiftRational:
 
     One pass (see the module's exactness note): the numerators of the even
     and odd parts of S = (sqrt q)^{g-1} zeta2 are formed as polynomials,
-    scaled by (sqrt q)^{1-g}, and each is reduced over the common
-    denominator (1-t)(1-qt)(1-qt^2) t^{a+h+2(g-1)} by one
-    :class:`RationalFunction` constructor.  The factor (1+t)(1-q^2 t^2)
-    shared by the two terms of the definition is already cancelled.
+    scaled by (sqrt q)^{1-g}, and reduced together over the common
+    denominator (1-t)(1-qt)(1-qt^2) t^{a+h+2(g-1)} by
+    :meth:`HalfShiftRational.reduced`.  The factor (1+t)(1-q^2 t^2) shared
+    by the two terms of the definition is already cancelled.
     """
     a = params.a
     q = Fraction(ws.q)
@@ -284,7 +199,7 @@ def zeta2_family(ws: WeilPairSet, params: C1Params) -> HalfShiftRational:
 
     even, odd = _times_sqrt_power(ws.q, part(pe), part(po), 1 - ws.g)
     den = Poly([1, -1]) * Poly([1, -q]) * Poly([1, 0, -q]) * Poly.x(max(tpow, 0))
-    return HalfShiftRational(ws.q, RationalFunction(even, den), RationalFunction(odd, den))
+    return HalfShiftRational.reduced(ws.q, even, odd, den)
 
 
 @lru_cache(maxsize=256)
@@ -294,8 +209,17 @@ def zeta2_canonical(c: CurveData) -> HalfShiftRational:
 
 
 def zeta2_fe_check(z: HalfShiftRational) -> bool:
-    """zeta2(1-s) = zeta2(s) as an exact tracked identity."""
-    return z.substitute_reciprocal(Fraction(1, z.q)) == z
+    """zeta2(1-s) = zeta2(s), i.e. t -> 1/(qt), as an exact identity.
+
+    Every field p goes to t^d p(1/(qt)), d the largest field degree.  A
+    common root w != 0 of the images would make 1/(qw) a common root of the
+    fields, and w = 0 is not one: the field of degree d keeps a non-zero
+    constant term.  So the image is reduced with no gcd taken.
+    """
+    d = max(z.even.degree, z.odd.degree, z.den.degree)
+    c = Fraction(1, z.q)
+    even, odd, den = (p.scale_arg(c).reversed(d) for p in (z.even, z.odd, z.den))
+    return _over_monic(z.q, even, odd, den) == z
 
 
 def sextic_identity_report(z: HalfShiftRational, c_sum: Rat) -> dict:
@@ -316,7 +240,7 @@ def sextic_identity_report(z: HalfShiftRational, c_sum: Rat) -> dict:
     qf = Fraction(q)
     p6 = Poly([0, 1]) * Poly([1, -1]) * Poly([1, -qf]) * Poly([1, 0, -qf])
     plain = z.odd.is_zero()
-    left = RationalFunction(p6 * z.even.num, z.even.den)
+    left = RationalFunction(p6 * z.even, z.den)
     expansion = RationalFunction(
         Poly([1, 0, -c_sum, 0, qf]) - Poly([0, 0, 1]) * Poly([1, 0, -qf * c_sum, 0, qf**3])
     )
@@ -335,7 +259,7 @@ def sextic_identity_report(z: HalfShiftRational, c_sum: Rat) -> dict:
 
 
 def _numerator_in_w(q: int, n1: Poly, n2: Poly) -> Poly:
-    """n1(t) + sqrt(q) n2(t) at t = W / sqrt(q), up to a nonzero constant, as
+    """n1(t) + sqrt(q) n2(t) at t = W / sqrt(q), up to a non-zero constant, as
     a rational polynomial in W; n1 and n2 have opposite parities in t.
 
     With n1 even and n2 odd, coefficient i is (n1 or n2)_i / q^{floor(i/2)}.
@@ -353,36 +277,29 @@ def _numerator_in_w(q: int, n1: Poly, n2: Poly) -> Poly:
 
 @lru_cache(maxsize=256)
 def rh_check_zeta2(z: HalfShiftRational, tol: float = 1e-9) -> ZeroReport:
-    """Zero moduli of the exact numerator against q^{-1/2}.
+    """Zero moduli of the exact numerator even + sqrt(q) odd against q^{-1/2}.
 
-    Over the least common denominator L of the two parts the member is
-    (n1 + sqrt(q) n2) / L, n1 and n2 exact.  When one part is zero (the
-    canonical member always, and every member over a square q, where the
-    odd part is folded away) the other is a rational polynomial in t,
-    solved like the Artin numerator by :func:`complex_roots` with Q = q.
-    Otherwise n1 and n2 have opposite parities in t (ArithmeticError if
-    not), so in W = sqrt(q) t the numerator is rational
-    (:func:`_numerator_in_w`); it is solved with
+    When one part is zero (the canonical member always, and every member
+    over a square q, where the odd part is folded away) the other is a
+    rational polynomial in t, solved like the Artin numerator by
+    :func:`complex_roots` with Q = q.  Otherwise the parts have opposite
+    parities in t (ArithmeticError if not), so in W = sqrt(q) t the
+    numerator is rational (:func:`_numerator_in_w`); it is solved with
     Q = 1 and the roots come back as t = W / sqrt(q).
 
-    No pole test is needed, so nothing is excluded.  A reduced part has no
-    root at a pole of its own.  At a root r of L where one part's
-    denominator vanishes to a higher order, the other part's term of the
-    numerator vanishes and the first does not; where both vanish to the
-    same order, a zero needs n1(r) = -sqrt(q) n2(r), impossible for a
-    rational r.  Of the construction's poles 0, 1, 1/q and +-q^{-1/2}, only
-    +-q^{-1/2} is irrational, and it lies on the critical circle, where it
-    cannot change the verdict.  None of 1260 family members (q in {2, 3, 4,
-    5, 7, 9, 11, 16, 25}, g <= 3, a <= 3, up to two extra pairs) had such a
-    root, and none broke the parity.  A constant numerator has no zeros.
+    No pole test is needed, so nothing is excluded.  At a rational root r of
+    den, even(r) and odd(r) are rational and not both zero, so
+    even(r) + sqrt(q) odd(r) != 0.  Of the construction's poles 0, 1, 1/q
+    and +-q^{-1/2}, only +-q^{-1/2} is irrational, and it lies on the
+    critical circle, where it cannot change the verdict.  None of 1260
+    family members (q in {2, 3, 4, 5, 7, 9, 11, 16, 25}, g <= 3, a <= 3, up
+    to two extra pairs) had such a root, and none broke the parity.  A
+    constant numerator has no zeros.
     """
-    n1, n2 = z.numerator_over_lcm()
+    n1, n2 = z.even, z.odd
     critical = float(z.q) ** -0.5
     if n1.is_zero() or n2.is_zero():
-        num = n2 if n1.is_zero() else n1
-        if num.degree == 0:
-            return ZeroReport((), critical, (), True, tol)
-        roots = complex_roots(num, Q=z.q).roots
+        roots = complex_roots(n2 if n1.is_zero() else n1, Q=z.q).roots
     else:
         s = float_sqrt(z.q)
         roots = tuple(W / s for W in complex_roots(_numerator_in_w(z.q, n1, n2)).roots)
@@ -523,11 +440,11 @@ def canonical_group_cross_check(c: CurveData, combined: RationalFunction) -> boo
 
     The identity is  zeta2(s) * (sqrt q)^{g-1} =
     (1 + q^s)(1 + q^{1-s}) * zh_SL2(-2s), with the right side materialized
-    from the group-zeta combined form by u -> 1/t^2 in one reduction.  It is
-    compared as zeta2 = (sqrt q)^{1-g} * (right side), the half power
-    applied to the right side's numerator, so the cached canonical member
-    is used as it is; the half power g-1 is the ratio of the two completion
-    conventions.
+    from the group-zeta combined form by u -> 1/t^2.  It is compared as
+    zeta2 = (sqrt q)^{1-g} * (right side), the half power applied to the
+    right side's numerator, by cross-multiplication, so no gcd is taken and
+    the cached canonical member is used as it is; the half power g-1 is the
+    ratio of the two completion conventions.
     """
     q = Fraction(c.q)
     z = zeta2_canonical(c)
@@ -536,4 +453,4 @@ def canonical_group_cross_check(c: CurveData, combined: RationalFunction) -> boo
     num = Poly([1, 1]) * Poly([1, q]) * combined.num.reversed(d).stretch(2)
     den = Poly([0, 1]) * combined.den.reversed(d).stretch(2)
     even, odd = _times_sqrt_power(c.q, num, Poly(), 1 - c.g)
-    return z.even == RationalFunction(even, den) and z.odd == RationalFunction(odd, den)
+    return z.even * den == even * z.den and z.odd * den == odd * z.den

@@ -51,12 +51,21 @@ def mask_floats(text: str) -> str:
 
 
 # What the tasks whose construction fails on non-genuine data raise; the
-# other tasks report their identities on such data as false checks.
+# other tasks report their identities on such data as false checks.  The
+# rh-report entry names the failed part and keeps the other parts' zeros.
 NON_GENUINE_ERRORS = {
     "slr": "ConventionError",
     "yoshida": "ConventionError",
-    "rh-report": "ConventionError",
+    "rh-report": {"slr2": "ConventionError"},
 }
+
+
+def _error_types(data: dict):
+    """The exception type a failed entry names, or, for an rh-report entry
+    with failed parts, the type each failed part names."""
+    if "error" in data:
+        return data["error"].split(":")[0]
+    return {part: error.split(":")[0] for part, error in data["errors"].items()}
 
 
 # (job body, text the error must name) for job files that must exit 2
@@ -492,10 +501,10 @@ class TestRun:
             # the first curve's RH report fails
             solve = group_zeta.complex_roots
 
-            def gives_up(p, residual_bound=1e-8, *, Q=1):
+            def gives_up(p, *, Q=1):
                 if Q % 3 == 0:
                     raise RootFindError("forced", (), ())
-                return solve(p, residual_bound, Q=Q)
+                return solve(p, Q=Q)
 
             monkeypatch.setattr(group_zeta, "complex_roots", gives_up)
             group_zeta.slr_rh_report.cache_clear()
@@ -511,9 +520,13 @@ class TestRun:
         assert "Traceback" not in capsys.readouterr().err
         reports = json.loads((out / "report.json").read_text())["reports"]
         assert [r["task"] for r in reports] == tasks * 2
-        failed = {r["task"]: r for r in reports[: len(tasks)] if "error" in r["data"]}
-        assert {task: r["data"]["error"].split(":")[0] for task, r in failed.items()} == errors
+        failed = {r["task"]: r for r in reports[: len(tasks)] if "error" in r["data"] or "errors" in r["data"]}
+        assert {task: _error_types(r["data"]) for task, r in failed.items()} == errors
         assert all(r["checks"] == {"completed": False} for r in failed.values())
+        if "rh-report" in failed:  # the parts that ran keep their verdicts and zeros
+            data = failed["rh-report"]["data"]
+            assert data["verdicts"]["slr2"] is None and data["verdicts"]["artin"] is False
+            assert {z["object"] for z in data["zeros"]} == {"artin", "zeta2"}
         for r in reports[: len(tasks)]:
             if r["task"] in ("rank2", "mass"):  # data kept, the failed identities false
                 assert r["data"] and not all(r["checks"].values()), r
@@ -608,6 +621,11 @@ class TestDegenerateInput:
         assert rh["zeros"] == [] and rh["verdict"] is True
         assert artin_entry["checks"] == {"coefficient_symmetry": False, "functional_equation": False}
         assert rh_entry["task"] == "rh-report" and rh_entry["checks"] == {"completed": False}
+        # the SL_2 part fails; the Artin part has no zeros and zeta2 keeps its one
+        assert list(rh_entry["data"]["errors"]) == ["slr2"]
+        assert rh_entry["data"]["errors"]["slr2"].startswith("ConventionError: ")
+        assert rh_entry["data"]["verdicts"] == {"artin": True, "slr2": None, "zeta2": False}
+        assert [z["object"] for z in rh_entry["data"]["zeros"]] == ["zeta2"]
 
     def test_asymmetric_numerator_reports_every_zero(self, tmp_path, capsys):
         # broken symmetry: all 2g zeros are reported, the identities fail, exit 1
@@ -619,6 +637,14 @@ class TestDegenerateInput:
         assert len(rh["zeros"]) == 4 and rh["verdict"] is False
         assert artin_entry["checks"] == {"coefficient_symmetry": False, "functional_equation": False}
         assert rh_entry["task"] == "rh-report" and rh_entry["checks"] == {"completed": False}
+        # the SL_2 part fails; the Artin and zeta2 zeros are still written
+        assert list(rh_entry["data"]["errors"]) == ["slr2"]
+        assert rh_entry["data"]["errors"]["slr2"].startswith("ConventionError: ")
+        assert rh_entry["data"]["verdicts"] == {"artin": False, "slr2": None, "zeta2": False}
+        rows = list(csv.DictReader(io.StringIO((out / "zeros.csv").read_text())))
+        assert [row["object"] for row in rows] == ["artin"] * 4 + ["zeta2"] * 10
+        artin_values = [z for z in rh_entry["data"]["zeros"] if z["object"] == "artin"]
+        assert [z["value"] for z in artin_values] == rh["zeros"]
 
     @pytest.mark.parametrize("tasks", ["[artin, invariants]", "[invariants]"])
     def test_counts_beyond_hasse_bound(self, tmp_path, capsys, tasks):

@@ -567,8 +567,8 @@ class TestComplexRoots:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             complex_roots(Poly())
-        with pytest.raises(ValueError):
-            complex_roots(Poly([5]))
+        # a nonzero constant has no roots
+        assert complex_roots(Poly([5])) == ComplexRootSet((), (), 0)
 
     def test_determinism(self):
         p = Poly([3, 1, 4, 1, 5, 9, 2, 6])
@@ -577,9 +577,9 @@ class TestComplexRoots:
     def test_high_multiplicity_resolved_exactly(self):
         # (t - 1)^6: the square-free split hands the finder a simple root
         p = Poly([1, -1]) ** 6
-        rset = complex_roots(p, residual_bound=1e-10)
+        rset = complex_roots(p)
         assert isinstance(rset, ComplexRootSet)
-        assert len(rset.roots) == 6
+        assert len(rset.roots) == 6 and max(rset.residuals) <= 1e-10
         for z in rset.roots:
             assert abs(z - 1) < 1e-12
 
@@ -625,10 +625,11 @@ class TestComplexRoots:
         rset = complex_roots(Poly([0, 0, 3]))
         assert rset.roots == (0j, 0j) and rset.iterations == 0
 
-    def test_failure_carries_partial_results(self):
+    def test_failure_carries_partial_results(self, monkeypatch):
+        monkeypatch.setattr(exact, "_RESIDUAL_BOUND", 1e-25)
         with pytest.raises(RootFindError) as info:
-            complex_roots(Poly([6, -5, 1, 7, 3]), residual_bound=1e-25)
-        assert len(info.value.roots) == 4
+            complex_roots(Poly([6, -5, 1, 7, 3]))
+        assert len(info.value.roots) == 4 and len(info.value.residuals) == 4
 
 
 def _weil_product(Q, traces):
@@ -666,9 +667,9 @@ def _aberth_degrees(monkeypatch):
     seen = []
     solve = exact._aberth
 
-    def spy(coefficients, residual_bound, **kw):
-        seen.append(len(coefficients) - 1)
-        return solve(coefficients, residual_bound, **kw)
+    def spy(work, starts):
+        seen.append(len(work) - 1)
+        return solve(work, starts)
 
     monkeypatch.setattr(exact, "_aberth", spy)
     return seen
@@ -721,9 +722,34 @@ class TestTracePolynomial:
                 assert max(complex_roots(f, Q=q).residuals) <= 1e-14, (q, g)
 
     def test_aberth_sees_half_degree(self, monkeypatch):
+        # the zero trace is divided out of h exactly: the driver sees h / y
         seen = _aberth_degrees(monkeypatch)
         rset = complex_roots(_weil_product(7, [1, -3, 4, 0, 5]), Q=7)
-        assert seen == [5] and len(rset.roots) == 10
+        assert seen == [4] and len(rset.roots) == 10
+
+    def test_zero_trace_gives_exact_pair(self, monkeypatch):
+        # 1 + 5 T^2 has h = y: its roots W = +-i come from the exact root
+        # y = 0, with no sweep, and stay exact through the polish on f
+        seen = _aberth_degrees(monkeypatch)
+        rset = complex_roots(Poly([1, 0, 5]), Q=5)
+        s = exact.float_sqrt(5)
+        assert rset.roots == (-1j / s, 1j / s) and rset.residuals == (0.0, 0.0)
+        assert seen == [0] and rset.iterations == 0
+
+    def test_final_polish_sees_each_factor_once(self, monkeypatch):
+        # a self-reciprocal factor of degree 10 and an asymmetric one of
+        # degree 4 (a square): each is polished once, on its own coefficients
+        seen = []
+        polish = exact._polished
+
+        def spy(work, zs, converged):
+            seen.append(len(work) - 1)
+            return polish(work, zs, converged)
+
+        monkeypatch.setattr(exact, "_polished", spy)
+        p = _weil_product(7, [1, -3, 4, 0, 5]) * Poly([1, 2, 3, 5, 7]) ** 2
+        rset = complex_roots(p, Q=7)
+        assert sorted(seen) == [4, 10] and len(rset.roots) == 18
 
     @pytest.mark.parametrize(
         "p, Q",

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from curvezeta import exact
+from curvezeta import exact, yoshida
 from curvezeta.artin import CurveData
-from curvezeta.exact import Poly, RationalFunction, poly_gcd
+from curvezeta.exact import Poly, RationalFunction
 from curvezeta.group_zeta import slr_zeta
 from curvezeta.yoshida import (
     C1Params,
@@ -33,23 +33,134 @@ def _genus_one_member(q, c):
     return zeta2_family(WeilPairSet.from_pair_sums(q, [c]), C1Params(a=1))
 
 
+def _member(q, even, odd=(), den=(1,)):
+    """The reduced member (even + sqrt(q) odd) / den from coefficient lists."""
+    return HalfShiftRational.reduced(q, Poly(even), Poly(odd), Poly(den))
+
+
+def _value(z, t):
+    """A member's float value at t."""
+    return (z.even.evaluate(t) + math.sqrt(z.q) * z.odd.evaluate(t)) / z.den.evaluate(t)
+
+
+class _HalfShiftField:
+    """E(t) + sqrt(q) * O(t) with E, O exact rational functions: the
+    reference's own arithmetic, closed under field operations.
+
+    The sqrt exponent is tracked mod 2 and its magnitude folded into the
+    components, which is all the bookkeeping that half-integral powers of q
+    require.  For square q the value is rational and O is normalized away.
+    """
+
+    __slots__ = ("q", "even", "odd")
+
+    def __init__(self, q, even, odd=None):
+        self.q = int(q)
+        odd = RationalFunction.zero() if odd is None else odd
+        root = math.isqrt(self.q)
+        if root * root == self.q and not odd.is_zero():
+            even = even + RationalFunction.constant(root) * odd
+            odd = RationalFunction.zero()
+        self.even = even
+        self.odd = odd
+
+    @staticmethod
+    def of(q, f):
+        if isinstance(f, (int, Fraction)):
+            f = RationalFunction.constant(f)
+        return _HalfShiftField(q, f)
+
+    @staticmethod
+    def sqrt_power(q, h):
+        """(sqrt q)^h, exact."""
+        qf = Fraction(q)
+        if h % 2 == 0:
+            return _HalfShiftField.of(q, RationalFunction.constant(qf ** (h // 2)))
+        return _HalfShiftField(q, RationalFunction.zero(), RationalFunction.constant(qf ** ((h - 1) // 2)))
+
+    def member(self):
+        """The same value as one reduced fraction over the product of the
+        parts' denominators."""
+        e, o = self.even, self.odd
+        return HalfShiftRational.reduced(self.q, e.num * o.den, o.num * e.den, e.den * o.den)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, _HalfShiftField)
+            and self.q == other.q
+            and self.even == other.even
+            and self.odd == other.odd
+        )
+
+    def _coerce(self, other):
+        if isinstance(other, _HalfShiftField):
+            if other.q != self.q:
+                raise ValueError("mixed base field sizes")
+            return other
+        if isinstance(other, (int, Fraction, RationalFunction)):
+            return _HalfShiftField.of(self.q, other)
+        raise TypeError(f"cannot combine _HalfShiftField with {type(other)}")
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return _HalfShiftField(self.q, self.even + o.even, self.odd + o.odd)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _HalfShiftField(self.q, -self.even, -self.odd)
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        even = self.even * o.even + Fraction(self.q) * self.odd * o.odd
+        odd = self.even * o.odd + self.odd * o.even
+        return _HalfShiftField(self.q, even, odd)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        norm = o.even * o.even - Fraction(self.q) * o.odd * o.odd
+        if norm.is_zero():
+            raise ZeroDivisionError("division by zero in the quadratic extension")
+        conj = _HalfShiftField(self.q, o.even, -o.odd)
+        scaled = self * conj
+        return _HalfShiftField(self.q, scaled.even / norm, scaled.odd / norm)
+
+    def substitute_reciprocal(self, c):
+        """t -> c/t on both components (the s -> 1-s move for c = 1/q)."""
+        return _HalfShiftField(self.q, self.even.reciprocal_arg(c), self.odd.reciprocal_arg(c))
+
+    def evaluate(self, t):
+        return self.even.evaluate(t) + math.sqrt(self.q) * self.odd.evaluate(t)
+
+    def __repr__(self):
+        if self.odd.is_zero():
+            return f"_HalfShiftField({self.even!r})"
+        return f"_HalfShiftField({self.even!r} + sqrt({self.q})*{self.odd!r})"
+
+
 def _zeta2_by_products(ws, params):
     """Reference member: C1 Y(2s)/(1-qt) - C2 t/(1-t) Y(2s-1), term by term.
 
-    Every factor is a HalfShiftRational and every step one of its field
+    Every factor is a _HalfShiftField and every step one of its field
     operations, as the definition reads; no half power is factored out.
+    The result is reduced to one fraction at the end.
     """
     q, g, a = ws.q, ws.g, int(params.a)
     h = len(params.extra_pair_sums)
     qf = F(q)
 
     def of(f):
-        return HalfShiftRational.of(q, f)
+        return _HalfShiftField.of(q, f)
 
     c1 = of(RationalFunction.t(h - a) * RationalFunction([1, 1]))
     for cj in params.extra_pair_sums:
         # (1 - g q^{s-1/2})(1 - d q^{s-1/2}) = 1 + t^-2 - (c/q) sqrt(q) t^-1
-        c1 = c1 * HalfShiftRational(
+        c1 = c1 * _HalfShiftField(
             q,
             RationalFunction.one() + RationalFunction.t(-2),
             RationalFunction.constant(-F(cj) / qf) * RationalFunction.t(-1),
@@ -57,15 +168,16 @@ def _zeta2_by_products(ws, params):
     c2 = c1.substitute_reciprocal(F(1, q))
     shift = RationalFunction.t(-2 * (g - 1))
     x1 = RationalFunction(ws.x1)
-    y_double = HalfShiftRational.sqrt_power(q, -(g - 1)) * of(
+    y_double = _HalfShiftField.sqrt_power(q, -(g - 1)) * of(
         shift * x1.stretch(2) / RationalFunction([1, 0, -1]) / RationalFunction([1, 0, -qf])
     )
-    y_double_down = HalfShiftRational.sqrt_power(q, -3 * (g - 1)) * of(
+    y_double_down = _HalfShiftField.sqrt_power(q, -3 * (g - 1)) * of(
         shift * x1.scale_arg(qf).stretch(2) / RationalFunction([1, 0, -qf]) / RationalFunction([1, 0, -qf * qf])
     )
-    return c1 * y_double / of(RationalFunction([1, -qf])) - c2 * of(
+    value = c1 * y_double / of(RationalFunction([1, -qf])) - c2 * of(
         RationalFunction([0, 1], [1, -1])
     ) * y_double_down
+    return value.member()
 
 
 def _zeta2_numeric(ws, params):
@@ -99,25 +211,47 @@ def _zeta2_numeric(ws, params):
 
 
 class TestHalfShiftRational:
+    """The reduced member, and the reference's field arithmetic."""
+
     def test_square_q_folds(self):
-        x = HalfShiftRational.sqrt_power(4, 3)  # (sqrt 4)^3 = 8
+        x = _HalfShiftField.sqrt_power(4, 3)  # (sqrt 4)^3 = 8
         assert x.odd.is_zero() and x.even == RationalFunction.constant(8)
 
     def test_field_identities(self):
-        a = HalfShiftRational(2, RationalFunction([1, 1]), RationalFunction([0, 2]))
-        b = HalfShiftRational(2, RationalFunction([3]), RationalFunction([1]))
+        a = _HalfShiftField(2, RationalFunction([1, 1]), RationalFunction([0, 2]))
+        b = _HalfShiftField(2, RationalFunction([3]), RationalFunction([1]))
         assert (a * b) / b == a
-        assert a - a == HalfShiftRational.of(2, 0)
+        assert a - a == _HalfShiftField.of(2, 0)
         assert (a + b) - b == a
+        # and as reduced members
+        assert ((a * b) / b).member() == a.member()
+        assert (a - a).member() == _member(2, [])
 
     def test_sqrt_squares_to_q(self):
-        s = HalfShiftRational.sqrt_power(3, 1)
-        assert s * s == HalfShiftRational.of(3, 3)
+        s = _HalfShiftField.sqrt_power(3, 1)
+        assert s * s == _HalfShiftField.of(3, 3)
 
     def test_numeric_evaluation(self):
-        a = HalfShiftRational(2, RationalFunction([1]), RationalFunction([0, 1]))
+        a = _HalfShiftField(2, RationalFunction([1]), RationalFunction([0, 1]))
         val = a.evaluate(0.25)
         assert abs(val - (1 + math.sqrt(2) * 0.25)) < 1e-15
+        assert abs(_value(a.member(), 0.25) - val) < 1e-15
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_reduced_form_is_canonical(self, q):
+        # one member built twice, every field first scaled by a common
+        # polynomial and rational factor: equal fields, equal hashes
+        ws = WeilPairSet.from_pair_sums(q, [F(1), F(-2)])
+        z = zeta2_family(ws, C1Params(a=1, extra_pair_sums=(F(3, 2),)))
+        assert not z.even.is_zero() and z.den.monic() == z.den
+        for k in (Poly([F(-5, 3)]), Poly([3, -1, 2]), Poly([0, 1]) * Poly([1, 1]) ** 2):
+            again = HalfShiftRational.reduced(q, z.even * k, z.odd * k, z.den * k)
+            assert again == z and hash(again) == hash(z)
+        assert len({z, HalfShiftRational.reduced(q, z.even * 2, z.odd * 2, z.den * 2)}) == 1
+
+    def test_zero_is_zero_over_one(self):
+        z = _member(5, [], [], [2, 7, 1])
+        assert z == HalfShiftRational(5, Poly(), Poly(), Poly.one())
 
 
 class TestModulusOrdering:
@@ -187,7 +321,7 @@ class TestSexticIdentity:
         for c in (-2, 0, 2):
             ws = WeilPairSet.from_pair_sums(2, [c])
             z = zeta2_family(ws, C1Params(a=0))
-            num = (z.even.num.monic(), z.even.den.monic())
+            num = (z.even.monic(), z.den)
             polys.add(num)
         assert len(polys) == 1
 
@@ -201,12 +335,13 @@ class TestFamily:
             assert zeta2_fe_check(z), c.describe()
 
     def test_functional_equation_fails_on_skewed_input(self, corpus):
-        skew = RationalFunction([1, 1])  # not symmetric under t -> 1/(qt)
+        skew = Poly([1, 1])  # not symmetric under t -> 1/(qt)
         for c in corpus:
             if c.g < 1:
                 continue
             z = zeta2_canonical(c)
-            assert not zeta2_fe_check(z * skew), c.describe()
+            skewed = HalfShiftRational.reduced(z.q, z.even * skew, z.odd * skew, z.den)
+            assert not zeta2_fe_check(skewed), c.describe()
 
     def test_family_with_extra_pair_fe(self):
         ws = WeilPairSet.from_pair_sums(2, [0])
@@ -237,7 +372,7 @@ class TestFamily:
         fn = _zeta2_numeric(ws, C1Params(a=1))
         for s in (0.3 + 0.7j, 1.2 - 0.4j, 2.5 + 0j):
             t = 2.0**-s
-            assert abs(z.evaluate(t) - fn(s)) < 1e-9 * (1 + abs(fn(s)))
+            assert abs(_value(z, t) - fn(s)) < 1e-9 * (1 + abs(fn(s)))
 
     def test_numeric_fe_at_random_points(self):
         ws = WeilPairSet.from_pair_sums(3, [2])
@@ -267,9 +402,7 @@ class TestOnePassFamily:
                     z = zeta2_family(ws, params)
                     ref = _zeta2_by_products(ws, params)
                     where = (q, g, a, h)
-                    assert z == ref, where
-                    # equal exact parts give equal exact numerators for the root finder
-                    assert z.numerator_over_lcm() == ref.numerator_over_lcm(), where
+                    assert z == ref and hash(z) == hash(ref), where
                     assert zeta2_fe_check(z), where
                     if a == 1 and h == 0 and g >= 1:
                         curve = CurveData(q, g, ws.x1.coeffs)
@@ -281,6 +414,26 @@ class TestOnePassFamily:
         combined = slr_zeta(curve_g2, 2).combined
         assert canonical_group_cross_check(curve_g2, combined * 2) is False
 
+    def test_checks_reject_one_changed_coefficient(self, monkeypatch, corpus):
+        # neither exact check is vacuous: the canonical member with the
+        # constant coefficient of its numerator off by one fails both
+        for c in corpus[:8]:
+            if c.g < 1:
+                continue
+            z = zeta2_canonical(c)
+            combined = slr_zeta(c, 2).combined
+            assert zeta2_fe_check(z) and canonical_group_cross_check(c, combined)
+            part = z.even if z.odd.is_zero() else z.odd
+            bumped = part + Poly.one()
+            if part is z.even:
+                changed = HalfShiftRational.reduced(z.q, bumped, z.odd, z.den)
+            else:
+                changed = HalfShiftRational.reduced(z.q, z.even, bumped, z.den)
+            assert not zeta2_fe_check(changed), c.describe()
+            with monkeypatch.context() as m:
+                m.setattr(yoshida, "zeta2_canonical", lambda _: changed)
+                assert canonical_group_cross_check(c, combined) is False, c.describe()
+
 
 def _float_route_zeros(z):
     """The former zeta2 route, kept as a reference, built from the exact pair.
@@ -290,15 +443,23 @@ def _float_route_zeros(z):
     common denominator vanishes, or within 1e-7 of +-1, +-q^{-1/2} and
     +-1/q, are dropped.
     """
-    n1, n2 = z.numerator_over_lcm()
-    lcm = z.even.den * z.odd.den.exact_div(poly_gcd(z.even.den, z.odd.den))
+    n1, n2, lcm = z.even, z.odd, z.den
     root = math.sqrt(z.q)
     coeffs = [float(n1[i]) + root * float(n2[i]) for i in range(max(n1.degree, n2.degree) + 1)]
+    zeros = 0
+    while coeffs[zeros] == 0:
+        zeros += 1
+    coeffs = coeffs[zeros:]
+    n = len(coeffs) - 1
+    radius = (abs(coeffs[0]) / abs(coeffs[-1])) ** (1 / n)
+    work = [complex(c) / coeffs[-1] for c in coeffs]
+    roots, _, converged = exact._aberth(work, exact._start_circle(n, radius))
+    assert converged
     poles = [sign * z.q ** (-k / 2) for k in (0, 1, 2) for sign in (1, -1)]
     dscale = max(abs(float(c)) for c in lcm.coeffs)
     return [
         t
-        for t in exact._aberth(coeffs, 1e-8).roots
+        for t in [0j] * zeros + roots
         if abs(lcm.evaluate(complex(t))) > 1e-9 * dscale * (1 + abs(t)) ** lcm.degree
         and all(abs(t - p) > 1e-7 for p in poles)
     ]
@@ -344,7 +505,7 @@ class TestRhChecks:
 
     def test_parts_of_one_parity_raise(self):
         # 1 + t^2 + 3 sqrt(2): sqrt(2) stays in every W-coefficient
-        z = HalfShiftRational(2, RationalFunction([1, 0, 1]), RationalFunction([3]))
+        z = _member(2, [1, 0, 1], [3])
         with pytest.raises(ArithmeticError):
             rh_check_zeta2(z)
 
@@ -360,11 +521,11 @@ class TestRhChecks:
         ],
     )
     def test_verdict_reads_the_zeros(self, even, odd, on_circle):
-        z = HalfShiftRational(2, RationalFunction(even), RationalFunction(odd or [0]))
+        z = _member(2, even, odd)
         rep = rh_check_zeta2(z)
         assert rep.verdict is on_circle and rep.excluded == ()
         for t in rep.zeros:
-            assert abs(z.evaluate(t)) <= 1e-12
+            assert abs(_value(z, t)) <= 1e-12
 
     def test_canonical_over_elliptic_grid(self):
         for q in (2, 3, 4, 5):
@@ -390,7 +551,7 @@ class TestRhChecks:
             assert (z.odd if c.g % 2 == 1 else z.even).is_zero()
             A = slr_zeta(c, 2).numerator_T
             stretched = Poly(A).stretch(2)
-            assert RationalFunction(part.num.monic()) == RationalFunction(stretched.monic()), c.describe()
+            assert part.monic() == stretched.monic(), c.describe()
 
     def test_cross_check_constant(self, corpus):
         for c in corpus[:8]:
