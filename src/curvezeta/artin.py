@@ -21,8 +21,10 @@ A curve computes its derived data on first use and keeps it: its field hash,
 the numerator polynomial, the class number, the reduced Z(t), the Newton
 power sums p_1, p_2, ... (extended by :func:`counts_from_numerator`) and the
 coefficients of the Z(t) series (extended by :meth:`CurveData.zeta_coefficient`).
-The per-(curve, n) values ``zeta_hat_special``, ``zeta_plain`` and
-``zeta_hat_ratfun`` are memoized, so a job derives each of them once.
+The per-(curve, n) values ``zeta_hat_special`` and ``zeta_plain`` are
+memoized, so a job derives each of them once.  The completed zeta as a
+function, ``zeta_hat_ratfun``, and Z(t) are reduced through their known
+factorization (:func:`_mul_zeta_hat`), never by a gcd.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from curvezeta.exact import Poly, RationalFunction, ZeroReport, complex_roots, series_exp
+from curvezeta.exact import _FactoredTerm, _q_power
 
 Rat = Fraction | int
 
@@ -103,7 +106,10 @@ class CurveData:
 
     @cached_property
     def _zeta(self) -> RationalFunction:
-        return RationalFunction(self.numerator, Poly([1, -(self.q + 1), self.q]))
+        # Z(u) = u^{g-1} zh(s), u = q^{-s}
+        term = _FactoredTerm(mono=(self.g - 1, 0))
+        _mul_zeta_hat(term, self, 0)
+        return term.ratfun()
 
     def zeta_ratfun(self) -> RationalFunction:
         """Z(t) as an exact rational function of t, reduced once per curve."""
@@ -224,17 +230,39 @@ def zeta_plain(c: CurveData, n: int) -> Fraction:
     return c.numerator.evaluate(u) / ((1 - u) * (1 - q * u))
 
 
-@lru_cache(maxsize=256)
 def zeta_hat_ratfun(c: CurveData, shift: int = 0) -> RationalFunction:
     """The completed zeta at argument s_var + shift, in u = q^{-s_var}.
 
-    zeta_hat(n + s) = q^{(g-1)n} * u^{1-g} * Z(q^{-n} u); everything stays an
-    exact rational function of u.
+    zeta_hat(n + s) = q^{(g-1)n} * u^{1-g} * Z(q^{-n} u), reduced through its
+    factorization (:func:`_mul_zeta_hat`), with no gcd.
     """
-    q, g = Fraction(c.q), c.g
-    base = c.zeta_ratfun().scale_arg(q**-shift)
-    pref = RationalFunction.constant(q ** ((g - 1) * shift)) * RationalFunction.t(1 - g)
-    return pref * base
+    term = _FactoredTerm()
+    _mul_zeta_hat(term, c, shift)
+    return term.ratfun()
+
+
+def _mul_zeta_hat(
+    term: _FactoredTerm, c: CurveData, shift: int, e1: int = 1, e2: int = 0, power: int = 1
+) -> None:
+    """Multiply the term by zh(shift + e1*s1 + e2*s2)**power, in u_j = q^{-s_j}.
+
+    zh = q^{(g-1) shift} U^{-(g-1)} P(q^{-shift} U) / ((1 - q^{-shift} U)
+    (1 - q^{1-shift} U)) with U = u1^e1 u2^e2.  With P = scale * sum n_k t^k
+    and q^{-shift} = a/b, P(q^{-shift} U) = scale b^{-d} sum n_k a^k b^{d-k} U^k,
+    all in integers.  This is the one place the package writes zh's
+    factorization down.
+    """
+    q, g = c.q, c.g
+    P = c.numerator
+    a, b = _q_power(q, -shift)
+    qa, qb = _q_power(q, (g - 1) * shift)
+    d = len(P.ints) - 1
+    ints = [n * a**k * b ** (d - k) for k, n in enumerate(P.ints)]
+    a1, a2 = term.mono
+    term.mono = (a1 - power * e1 * (g - 1), a2 - power * e2 * (g - 1))
+    term.mul(ints, e1, e2, power, P.scale.numerator * qa, P.scale.denominator * qb * b**d)
+    term.mul_one_minus(q, -shift, e1, e2, -power)
+    term.mul_one_minus(q, 1 - shift, e1, e2, -power)
 
 
 def artin_fe_check(c: CurveData) -> bool:
@@ -247,16 +275,14 @@ def artin_fe_ratfun_check(c: CurveData) -> bool:
     """Functional equation as an exact rational-function identity in u = q^{-s}.
 
     q^{(g-1)(1-s)} Z(q^{s-1}) = q^{(g-1)s} Z(q^{-s}) becomes, after clearing
-    the u powers,  q^{g-1} u^{2(g-1)} Z(1/(q u)) = Z(u).
+    the u powers,  q^{g-1} u^{2(g-1)} Z(1/(q u)) = Z(u).  Both sides are
+    compared cross-multiplied, on reduced forms, so no gcd is taken.
     """
-    q, g = Fraction(c.q), c.g
     z = c.zeta_ratfun()
-    lhs = (
-        RationalFunction.constant(q ** (g - 1))
-        * RationalFunction.t(2 * (g - 1))
-        * z.reciprocal_arg(1 / q)
-    )
-    return lhs == z
+    w = z.reciprocal_arg(Fraction(1, c.q))
+    k = 2 * (c.g - 1)
+    lhs = Poly.x(max(k, 0), Fraction(c.q) ** (c.g - 1)) * w.num * z.den
+    return lhs == Poly.x(max(-k, 0)) * z.num * w.den
 
 
 @lru_cache(maxsize=256)

@@ -17,6 +17,15 @@ so do the maps that keep a reduced quotient reduced: -f, f**n, f(t**k), and
 f(c t) and f(c/t) for c != 0.  ``Poly.coeffs`` gives the rational
 coefficients back for display and for the root finder.
 
+Every zeta of the package has a denominator made of known binomials
+1 - q^e U and monomials, so it is kept as one factored type,
+:class:`_FactoredTerm`: a constant, a monomial, one polynomial kept whole
+and primitive integer factors with multiplicities, equal factors cancelling.
+:func:`_factored_sum` adds such terms over the LCM of their denominators,
+and :meth:`_FactoredTerm.ratfun` reduces a term in one variable by exact
+division at the known roots of its linear factors, with no gcd; the gcd is
+left to quotients whose factorization is unknown.
+
 The only floating point in this module lives in :func:`complex_roots`.  It
 splits its input exactly into square-free factors and takes each along one
 path: a root at the origin is divided out exactly, the rest is mapped onto
@@ -38,6 +47,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 Rat = Fraction | int
@@ -600,6 +610,187 @@ def _as_ratfun(x) -> RationalFunction:
     raise TypeError(f"cannot coerce {type(x)} to RationalFunction")
 
 
+class ConventionError(RuntimeError):
+    """An assembled sum violates a structural expectation of its display."""
+
+
+def _q_power(q: int, e: int) -> tuple[int, int]:
+    """q^e as an integer fraction (a, b)."""
+    return (q**e, 1) if e >= 0 else (1, q**-e)
+
+
+Key = tuple[int, int, tuple[int, ...]]  # (e1, e2, ints): sum_k ints[k] (u1^e1 u2^e2)^k
+
+
+@dataclass
+class _FactoredTerm:
+    """num/den * poly(u1) * u1^a1 * u2^a2 * prod key^m, m > 0 upstairs and m < 0 downstairs.
+
+    A key (e1, e2, ints) is the polynomial sum_k ints[k] U^k in the monomial
+    U = u1^e1 u2^e2 with e1, e2 >= 0, and ints is primitive with a positive
+    constant term (the coefficient of the lowest monomial).  The sign, the
+    integer content and the monomial content of each factor are moved into
+    ``const`` = num/den and ``mono``, so equal factors from different sources
+    share one key and cancel as they are multiplied in.  ``poly`` is one more
+    factor upstairs, a polynomial in u1 kept whole, as a sum leaves its
+    numerator; the zero term has poly 0.
+    """
+
+    num: int = 1
+    den: int = 1
+    mono: tuple[int, int] = (0, 0)
+    factors: dict[Key, int] = field(default_factory=dict)
+    poly: Poly = _ONE
+
+    @property
+    def const(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    def mul(self, ints: Sequence[int], e1: int, e2: int, power: int, num: int = 1, den: int = 1) -> None:
+        """Multiply by (num/den * sum_k ints[k] U^k)**power, U = u1^e1 u2^e2.
+
+        The ints are not all zero; e1 and e2 are both >= 0 or both <= 0, and
+        f(1/V) = V^{-n} (rev f)(V) turns the second case into the first.
+        """
+        a1, a2 = self.mono
+        if e1 < 0 or e2 < 0:
+            n = power * (len(ints) - 1)
+            a1, a2 = a1 + n * e1, a2 + n * e2
+            ints, e1, e2 = ints[::-1], -e1, -e2
+        lo, hi = 0, len(ints) - 1
+        while not ints[lo]:
+            lo += 1
+        while not ints[hi]:
+            hi -= 1
+        self.mono = (a1 + power * lo * e1, a2 + power * lo * e2)
+        content = math.gcd(*ints) if ints[lo] > 0 else -math.gcd(*ints)
+        num *= content
+        if power < 0:
+            num, den = den, num
+        self.num *= num ** abs(power)
+        self.den *= den ** abs(power)
+        if lo == hi:  # a monomial is all content
+            return
+        ints = tuple(ints[lo : hi + 1])
+        key = (e1, e2, ints if content == 1 else tuple(a // content for a in ints))
+        m = self.factors.get(key, 0) + power
+        if m:
+            self.factors[key] = m
+        else:
+            del self.factors[key]
+
+    def mul_one_minus(self, q: int, e: int, e1: int, e2: int, power: int) -> None:
+        """Multiply by (1 - q^e U)**power; with q^e = a/b this is ((b - a U)/b)**power."""
+        a, b = _q_power(q, e)
+        self.mul((b, -a), e1, e2, power, 1, b)
+
+    def ratfun(self) -> RationalFunction:
+        """The canonical form of a term in u = u1 alone, reduced by its known
+        factors instead of a gcd.
+
+        Every downstairs key must be linear, b - a u; any other is a
+        :class:`ConventionError`.  It is divided out of the numerator (poly
+        and the upstairs keys multiplied out) while the numerator vanishes at
+        its root b/a.  Then u is divided out of the numerator while it
+        vanishes at 0.  What is left of the denominator has only known roots,
+        none of them a root of the numerator, so the two are coprime and no
+        gcd is needed (:meth:`RationalFunction.coprime`).
+        """
+        if self.mono[1] or any(e2 for _, e2, _ in self.factors):
+            raise ConventionError("a term in u2 has no form in u alone")
+        num, den = self.poly * self.const, _ONE
+        if num.is_zero():
+            return RationalFunction.zero()
+        for (e1, _, ints), m in self.factors.items():
+            if m > 0:
+                num = _key_power(ints, e1, m) * num
+        for (e1, _, ints), m in self.factors.items():
+            if m < 0:
+                if e1 != 1 or len(ints) != 2:
+                    raise ConventionError(f"a non-linear factor {ints} in u^{e1} downstairs")
+                factor, root = _key_power(ints, 1, 1), Fraction(-ints[0], ints[1])
+                while m and num.evaluate(root) == 0:
+                    num = num.exact_div(factor)
+                    m += 1
+                den = _key_power(ints, 1, -m) * den
+        k = self.mono[0]
+        while not num.ints[0]:  # dropping zeros keeps the ints primitive
+            num, k = _make(num.ints[1:], num._sn, num._sd), k + 1
+        if k >= 0:
+            return RationalFunction.coprime(num * Poly.x(k), den)
+        return RationalFunction.coprime(num, den * Poly.x(-k))
+
+
+@lru_cache(maxsize=1024)
+def _key_power(ints: tuple[int, ...], k: int, m: int) -> Poly:
+    """(sum_i ints[i] x^(k i))**m, from a key's primitive ints without
+    normalizing; kept, since the same binomials recur across the sums and
+    reductions of one job."""
+    p = _make(ints, 1, 1) if ints[-1] > 0 else _make(tuple(-a for a in ints), -1, 1)
+    return p.stretch(k) ** m
+
+
+def _factored_sum(terms: Sequence[_FactoredTerm]) -> _FactoredTerm | tuple[Poly, Poly, int]:
+    """The sum of the terms over the LCM of their factored denominators.
+
+    The denominator L is that LCM: each key at its largest multiplicity
+    downstairs, times the monomial that clears negative exponents.  Each term
+    contributes its value times L: its poly, and every key at L's
+    multiplicity plus the term's own, which is never negative.  Keys that
+    differ but share a polynomial factor are not merged, so L is a common
+    multiple, not always the least one; the quotient is the same.
+
+    When no term involves u2 the sum is returned as one term: the numerator
+    as its poly, over L kept factored.  Otherwise both numerator and
+    denominator are returned packed by Kronecker substitution, u1^i u2^j as
+    x^(i + D j), with the stride D also returned.  D exceeds the u1-degree
+    of every product formed, read off the monomial shifts, the polys' degrees
+    and the key multiplicities before anything is multiplied out, so the
+    packing is an injective ring homomorphism on everything the sum forms and
+    the products and sums run on :class:`Poly`.
+    """
+    lcm: dict[Key, int] = {}
+    for t in terms:
+        for key, m in t.factors.items():
+            if m < 0:
+                lcm[key] = max(lcm.get(key, 0), -m)
+    s1 = min(0, *(t.mono[0] for t in terms))
+    s2 = min(0, *(t.mono[1] for t in terms))
+    parts = []  # (const, shifted monomial, key multiplicities, poly); the denominator last
+    for t in terms:
+        ms = dict(lcm)
+        for key, m in t.factors.items():
+            ms[key] = ms.get(key, 0) + m
+        parts.append((t.const, (t.mono[0] - s1, t.mono[1] - s2), ms, t.poly))
+    parts.append((Fraction(1), (-s1, -s2), lcm, _ONE))
+    bivariate = any(t.mono[1] or any(key[1] for key in t.factors) for t in terms)
+    stride = 1  # packing is the identity in u1 alone
+    if bivariate:  # the u1-degree of each product, before it is formed
+        stride += max(
+            mono[0] + poly.degree + sum(m * key[0] * (len(key[2]) - 1) for key, m in ms.items())
+            for _, mono, ms, poly in parts
+        )
+
+    def product(const: Fraction, mono: tuple[int, int], ms: dict[Key, int], poly: Poly) -> Poly:
+        p = poly
+        # keys with the most terms first, while p is short; each packed key is
+        # the left factor, whose zeros Poly.__mul__ skips
+        for (e1, e2, ints), m in sorted(ms.items(), key=lambda km: -len(km[0][2])):
+            if m:
+                p = _key_power(ints, e1 + stride * e2, m) * p
+        if not p.ints:
+            return p
+        n, d = _scale_product(p._sn, p._sd, const.numerator, const.denominator)
+        return _make((0,) * (mono[0] + stride * mono[1]) + p.ints, n, d)  # times const x^mono
+
+    num = _ZERO
+    for part in parts[:-1]:
+        num = num + product(*part)
+    if bivariate:
+        return num, product(*parts[-1]), stride
+    return _FactoredTerm(mono=(s1, 0), factors={key: -m for key, m in lcm.items()}, poly=num)
+
+
 def series_exp(c: Sequence[Rat]) -> tuple[Fraction, ...]:
     """Formal exponential of c_0 + c_1 t + ... (c_0 = 0), to the same order.
 
@@ -619,7 +810,9 @@ def series_exp(c: Sequence[Rat]) -> tuple[Fraction, ...]:
 
 
 class RootFindError(RuntimeError):
-    """Simultaneous iteration failed; carries the partial approximation."""
+    """Simultaneous iteration failed; carries the partial approximation, the
+    failing factor's roots in T sorted by (real, imag) as in a result, with
+    their residuals."""
 
     def __init__(self, message: str, roots: Sequence[complex], residuals: Sequence[float]):
         super().__init__(message)
@@ -781,7 +974,7 @@ def complex_roots(p: Poly, *, Q: int = 1) -> ComplexRootSet:
     Either way the roots W are polished once on f, whose relative backward
     errors are the residuals (the map leaves them unchanged); one above
     ``_RESIDUAL_BOUND``, or the iteration cap, raises :class:`RootFindError`
-    carrying the factor's partial results.
+    carrying the factor's partial results, mapped back to T and sorted.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no well-defined root set")
@@ -814,13 +1007,11 @@ def complex_roots(p: Poly, *, Q: int = 1) -> ComplexRootSet:
                 ws += [w, 1 / w]
             # b_0 = 1 and, by the functional equation, b_{2g} = 1: already monic
             work = [complex(c) for c in _critical_circle_coeffs(f, Q, s)]
-        residuals = _polished(work, ws, converged)
+        residuals = _polished(work, ws, converged, s)
         iterations += sweeps
         for z, res in zip([0j] * zero + ws, [0.0] * zero + residuals):
             found.extend([(z / s, res)] * mult)
-    found.sort(key=lambda zr: (zr[0].real, zr[0].imag))
-    roots = tuple(z for z, _ in found)
-    residuals = tuple(res for _, res in found)
+    roots, residuals = _sorted_roots(found)
     if len(roots) != p.degree:
         raise RootFindError("square-free decomposition lost degree", roots, residuals)
     return ComplexRootSet(roots, residuals, iterations)
@@ -964,16 +1155,23 @@ def _newton(work: list[complex], zs: list[complex]) -> None:
                 break
 
 
-def _polished(work: list[complex], zs: list[complex], converged: bool) -> list[float]:
+def _polished(work: list[complex], zs: list[complex], converged: bool, s: float) -> list[float]:
     """The residuals of zs on the factor work after :func:`_newton`; raises
     RootFindError when the iteration did not converge or one exceeds
-    ``_RESIDUAL_BOUND``."""
+    ``_RESIDUAL_BOUND``, carrying the roots T = W / s like a result does."""
     _newton(work, zs)
     residuals = [_relative_residual(work, z) for z in zs]
     if not converged:
-        raise RootFindError(f"no convergence after {_MAX_ITER} iterations", zs, residuals)
-    if max(residuals, default=0.0) > _RESIDUAL_BOUND:
-        raise RootFindError(
-            f"residual {max(residuals):.3e} exceeds bound {_RESIDUAL_BOUND:.3e}", zs, residuals
-        )
-    return residuals
+        failure = f"no convergence after {_MAX_ITER} iterations"
+    elif max(residuals, default=0.0) > _RESIDUAL_BOUND:
+        failure = f"residual {max(residuals):.3e} exceeds bound {_RESIDUAL_BOUND:.3e}"
+    else:
+        return residuals
+    raise RootFindError(failure, *_sorted_roots([(z / s, res) for z, res in zip(zs, residuals)]))
+
+
+def _sorted_roots(found: list[tuple[complex, float]]) -> tuple[tuple[complex, ...], tuple[float, ...]]:
+    """The roots of (root, residual) pairs and their residuals, sorted by the
+    roots' (real, imag)."""
+    found = sorted(found, key=lambda zr: (zr[0].real, zr[0].imag))
+    return tuple(z for z, _ in found), tuple(res for _, res in found)

@@ -27,72 +27,64 @@ once per assembly on first use and kept, like every product of them and of
 the constant factors 1/(1 - q^e), as a reduced integer pair (numerator,
 denominator).  The only denominators are powers of u and linear factors
 (1 - q^e u) with e an integer: a factor 1/(1 - q^e/u) is rewritten as
--q^{-e} u / (1 - q^{-e} u), and zh(s + n) is
-q^{(g-1)n} u^{1-g} P(q^{-n} u) / ((1 - q^{-n} u)(1 - q^{1-n} u)).  So the
-curve enters a term only through its constant weight; its shape, the shift
-n_w and the multiset of factors (1 - q^e u), depends on r alone.
-:func:`_slr_recipe` groups frak_W_P by shape once per r, on first use, and
-for each curve the weights of one shape are summed into one polynomial in
-u, as integer numerators over one denominator per power of u, so each
-coefficient is one ``Fraction``: 30 shapes at r = 6 and 138 at r = 10
-against 64 and 1536 terms.  Each R_n is summed in one pass over the LCM of
-its shapes' factors, and the products R_n * zh(s + n) are summed the same
-way.  Every root of those denominators is known, so each result is reduced
-without a gcd: a factor (1 - q^e u) is divided out exactly while the
-numerator vanishes at q^{-e}, and u while the numerator vanishes at 0; what
-is left is coprime and goes straight to the canonical form
-(:meth:`RationalFunction.coprime`).  The T-grid numerator is one exact
-division of the reversed numerator, times the displayed poles, by the
-reversed denominator; an inexact one is a :class:`ConventionError`.
-:func:`slr_fe_check` compares the combined form with its image under
-u -> q^r / u, which keeps a reduced quotient reduced, so it takes no gcd
-either.  :func:`slr_rh_report`
-finds the zeros of the T-grid numerator with :func:`complex_roots`, whose
-exact square-free split first tries a certificate modulo one fixed prime
-(gcd(f, f') constant mod p proves f square-free) and falls back to Yun's
-algorithm only when the certificate fails; each factor is solved in
-W = sqrt(Q) T, Q = q^r, where the zeros lie on |W| = 1, and at half degree
-when it has the functional equation T -> 1/(QT).
-:func:`period_residue_oracle` instead materializes the period as an exact
-(bivariate, for r = 3) rational function and takes the limit
-lim (1 - u_1) f literally; the two must agree up to a constant ratio, which
-the caller records and checks.
-For r = 3 each Weyl term is kept factored (a constant, a monomial and
-primitive integer binomial and Weil-numerator factors), equal factors cancel
-within a term, and the terms are added over the LCM of their factored
-denominators instead of by cross-multiplying them pairwise.  The sum is
-multiplied out on the univariate integer :class:`Poly` core by Kronecker
-substitution, u1^i u2^j as x^(i + D j) with the stride D above every
-u1-degree formed, which makes the packing an injective ring homomorphism.
-The limit stays literal: (1 - u_1) divides a packed polynomial exactly when
-its column sums at u_1 = 1 vanish, and is then removed from the numerator
-and the denominator by exact division by (1 - x); u_1 = 1 is substituted
-by summing the columns.  The oracle lists the six elements of S_3 itself
-and reads their roots off each tuple with code of its own; the routes share
-none.
+-q^{-e} u / (1 - q^{-e} u).  So the curve enters a term only through its
+constant weight; its shape, the shift n_w and the multiset of factors
+(1 - q^e u), depends on r alone.  :func:`_slr_recipe` groups frak_W_P by
+shape once per r, on first use, and for each curve the weights of one shape
+are summed into one polynomial in u, as integer numerators over one
+denominator per power of u, so each coefficient is one ``Fraction``: 30
+shapes at r = 6 and 138 at r = 10 against 64 and 1536 terms.
+
+Every function here is a factored term of :mod:`curvezeta.exact`: a
+constant, a monomial, a polynomial kept whole and primitive integer factors
+with multiplicities, zh(s + n) among them through its one factorization
+(:func:`curvezeta.artin._mul_zeta_hat`).  Each R_n is the sum of its shapes
+over the LCM of their factored denominators, and zh_SLr the sum of the
+products R_n * zh(s + n), both by :func:`_factored_sum`.  Every root of
+those denominators is known, so each result is reduced without a gcd: a
+factor (1 - q^e u) is divided out exactly while the numerator vanishes at
+q^{-e}, and u while it vanishes at 0; what is left is coprime.  The T-grid
+numerator is one exact division of the reversed numerator, times the
+displayed poles, by the reversed denominator; an inexact one is a
+:class:`ConventionError`.  :func:`slr_fe_check` compares the combined form
+with its image under u -> q^r / u, which keeps a reduced quotient reduced,
+so it takes no gcd either.  :func:`slr_rh_report` finds the zeros of the
+T-grid numerator with :func:`complex_roots`, in W = sqrt(Q) T, Q = q^r,
+where they lie on |W| = 1, and at half degree when the numerator has the
+functional equation T -> 1/(QT).
+
+:func:`period_residue_oracle` instead sums the Weyl terms of the period
+itself, with their own reading, and shares only this arithmetic with the
+assembly.  At r = 2 the two terms are summed in u.  At r = 3 the six terms
+are bivariate in u_j = q^{-s_j}, the elements of S_3 listed and their roots
+read off each tuple with code of its own, and summed by the same
+:func:`_factored_sum`, which multiplies them out on the univariate integer
+:class:`Poly` core by Kronecker substitution, u1^i u2^j as x^(i + D j).
+The limit lim (1 - u_1) f stays literal: (1 - u_1) divides a packed
+polynomial exactly when its column sums at u_1 = 1 vanish, and is then
+removed by exact division by (1 - x); u_1 = 1 is substituted by summing the
+columns.  The two routes must agree up to a constant ratio, which the
+caller records and checks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from curvezeta.artin import CurveData, zeta_hat_ratfun, zeta_hat_special
-from curvezeta.exact import Poly, RationalFunction, ZeroReport, _make, complex_roots, float_sqrt
+from curvezeta.artin import CurveData, _mul_zeta_hat, zeta_hat_ratfun, zeta_hat_special
+from curvezeta.exact import ConventionError, Poly, RationalFunction, ZeroReport, complex_roots, float_sqrt
+from curvezeta.exact import _factored_sum, _FactoredTerm, _q_power
 from curvezeta.invariants import alpha_from_A
 
 # the largest rank accepted; on a 2-vCPU VM under Python 3.11 the first slr_zeta at
 # r = 10 takes about 0.065 s, 0.046 s of it building the recipe, and later ones 0.02 s
 # (medians of 7 fresh processes)
 R_MAX = 10
-
-
-class ConventionError(RuntimeError):
-    """The assembled sum violates a structural expectation of the display."""
 
 
 def _frak_w_p_perms(r: int) -> list[tuple[int, ...]]:
@@ -129,89 +121,6 @@ class SlrZeta:
     terms: tuple[tuple[int, RationalFunction], ...]  # (n, R_n), n = 1..r
     combined: RationalFunction  # in u = q^{-s}
     numerator_T: tuple[Fraction, ...]  # A(0..2g) of zh_SLr(-rs) on the T-grid
-
-
-@dataclass
-class _LinearTerm:
-    """num(u) * u^k / prod_e (1 - q^e u)^m_e, the denominator kept factored by e."""
-
-    num: Poly
-    k: int = 0
-    den: dict[int, int] = field(default_factory=dict)
-
-    def divide(self, e: int) -> None:
-        """Divide by (1 - q^e u)."""
-        self.den[e] = self.den.get(e, 0) + 1
-
-    def times_zeta_hat(self, c: CurveData, n: int) -> _LinearTerm:
-        """This term times zh(s + n), in the form of the module docstring."""
-        num = self.num * c.numerator.scale_arg(Fraction(1, c.q**n)) * c.q ** ((c.g - 1) * n)
-        out = _LinearTerm(num, self.k + 1 - c.g, dict(self.den))
-        out.divide(-n)
-        out.divide(1 - n)
-        return out
-
-    def ratfun(self, q: int) -> RationalFunction:
-        """The canonical form, reduced by the known factors instead of a gcd.
-
-        (1 - q^e u) is divided out of num while num vanishes at its root
-        q^{-e}, and u while u is downstairs and num vanishes at 0.  Then
-        every root of the denominator is known and none is a root of num, so
-        the two are coprime and no gcd is needed.
-        """
-        num, k = self.num, self.k
-        if num.is_zero():
-            return RationalFunction.zero()
-        den = Poly.one()
-        for e, m in self.den.items():
-            factor, root = _linear_factor(q, e)
-            while m and num.evaluate(root) == 0:
-                num = num.exact_div(factor)
-                m -= 1
-            den = den * factor**m
-        low = 0
-        while low < -k and not num.ints[low]:
-            low += 1
-        if low:
-            num, k = num.exact_div(Poly.x(low)), k + low
-        if k >= 0:
-            return RationalFunction.coprime(num * Poly.x(k), den)
-        return RationalFunction.coprime(num, den * Poly.x(-k))
-
-
-def _linear_factor(q: int, e: int) -> tuple[Poly, Fraction]:
-    """(1 - q^e u) and its root q^{-e}: (b - a u) / b and b/a for q^e = a/b.
-
-    a and b are coprime and positive, so (-b, a) times -1/b is the
-    canonical form, built without normalizing."""
-    a, b = _q_power(q, e)
-    return _make((-b, a), -1, b), Fraction(b, a)
-
-
-def _linear_sum(terms: list[_LinearTerm], q: int) -> _LinearTerm:
-    """The sum over the LCM of the factored denominators, as one term.
-
-    The LCM takes each linear factor at its largest multiplicity and the
-    lowest power of u; every term's numerator is scaled up to it, so the
-    only polynomial products are by known powers of (1 - q^e u).
-    """
-    lcm: dict[int, int] = {}
-    for t in terms:
-        for e, m in t.den.items():
-            lcm[e] = max(lcm.get(e, 0), m)
-    k = min(t.k for t in terms)
-    powers: dict[tuple[int, int], Poly] = {}
-    num = Poly()
-    for t in terms:
-        part = t.num * Poly.x(t.k - k)
-        for e, m in lcm.items():
-            d = m - t.den.get(e, 0)
-            if d:
-                if (e, d) not in powers:
-                    powers[e, d] = _linear_factor(q, e)[0] ** d
-                part = part * powers[e, d]
-        num = num + part
-    return _LinearTerm(num, k, lcm)
 
 
 Shape = tuple[int, tuple[tuple[int, int], ...]]  # (n_w, sorted (e, m) of prod (1 - q^e u)^m)
@@ -316,7 +225,7 @@ def slr_zeta(c: CurveData, r: int) -> SlrZeta:
     zh: dict[int, tuple[int, int]] = {}  # zh(n) as (num, den), each evaluated on first use
     zeta_parts: dict[tuple[tuple[int, int], ...], tuple[int, int]] = {}
     const_parts: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]] = {}
-    R: dict[int, list[_LinearTerm]] = {}
+    R: dict[int, list[_FactoredTerm]] = {}
     for (n_w, den), entries in _slr_recipe(r).items():
         # per u-power, the integer numerators summed by denominator
         by_power: list[dict[int, int]] = [{} for _ in range(1 + max(entry[0] for entry in entries))]
@@ -342,11 +251,16 @@ def slr_zeta(c: CurveData, r: int) -> SlrZeta:
         for by_den in by_power:
             lcm = math.lcm(*by_den)
             coeffs.append(Fraction(sum(a * (lcm // d) for d, a in by_den.items()), lcm))
-        R.setdefault(n_w, []).append(_LinearTerm(Poly(coeffs), 0, dict(den)))
+        term = _FactoredTerm(poly=Poly(coeffs))
+        for e, m in den:
+            term.mul_one_minus(c.q, e, 1, 0, -m)
+        R.setdefault(n_w, []).append(term)
 
-    sums = {n: _linear_sum(R[n], c.q) for n in sorted(R)}
-    terms = [(n, t.ratfun(c.q)) for n, t in sums.items()]
-    combined = _linear_sum([t.times_zeta_hat(c, n) for n, t in sums.items()], c.q).ratfun(c.q)
+    sums = {n: _factored_sum(R[n]) for n in sorted(R)}
+    terms = [(n, t.ratfun()) for n, t in sums.items()]
+    for n, t in sums.items():
+        _mul_zeta_hat(t, c, n)
+    combined = _factored_sum(list(sums.values())).ratfun()
     numerator = _extract_numerator(combined, c, r)
     return SlrZeta(r, c.q, c.g, tuple(terms), combined, numerator)
 
@@ -436,90 +350,16 @@ def slr_rh_report(z: SlrZeta, tol: float = 1e-9) -> ZeroReport:
 # Independent oracle: the period itself, with literal (1 - u_j) limits.
 # ---------------------------------------------------------------------------
 
-Key = tuple[int, int, tuple[int, ...]]  # (e1, e2, ints): sum_k ints[k] (u1^e1 u2^e2)^k
-
-
-def _q_power(q: int, e: int) -> tuple[int, int]:
-    """q^e as an integer fraction (a, b)."""
-    return (q**e, 1) if e >= 0 else (1, q**-e)
-
-
-@dataclass
-class _FactoredTerm:
-    """const * u1^a1 * u2^a2 * prod key^m, with m > 0 upstairs and m < 0 downstairs.
-
-    A key (e1, e2, ints) is the polynomial sum_k ints[k] U^k in the monomial
-    U = u1^e1 u2^e2 with e1, e2 >= 0, and ints is primitive with a positive
-    constant term (the coefficient of the lowest monomial).  The sign, the
-    integer content and the monomial content of each factor are moved into
-    ``const`` = num/den and ``mono``, so equal factors from different sources
-    share one key and cancel as they are multiplied in.
-    """
-
-    num: int = 1
-    den: int = 1
-    mono: tuple[int, int] = (0, 0)
-    factors: dict[Key, int] = field(default_factory=dict)
-
-    @property
-    def const(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-    def mul(
-        self, ints: Sequence[int], e1: int, e2: int, power: int, num: int = 1, den: int = 1
-    ) -> None:
-        """Multiply by (num/den * sum_k ints[k] U^k)**power, U = u1^e1 u2^e2.
-
-        The ints are not all zero; e1 and e2 are both >= 0 or both <= 0, and
-        f(1/V) = V^{-n} (rev f)(V) turns the second case into the first.
-        """
-        a1, a2 = self.mono
-        if e1 < 0 or e2 < 0:
-            n = power * (len(ints) - 1)
-            a1, a2 = a1 + n * e1, a2 + n * e2
-            ints, e1, e2 = ints[::-1], -e1, -e2
-        support = [k for k, a in enumerate(ints) if a]
-        lo, hi = support[0], support[-1]
-        self.mono = (a1 + power * lo * e1, a2 + power * lo * e2)
-        content = math.gcd(*ints) if ints[lo] > 0 else -math.gcd(*ints)
-        num *= content
-        if power < 0:
-            num, den = den, num
-        self.num *= num ** abs(power)
-        self.den *= den ** abs(power)
-        if lo == hi:  # a monomial is all content
-            return
-        key = (e1, e2, tuple(a // content for a in ints[lo : hi + 1]))
-        m = self.factors.get(key, 0) + power
-        if m:
-            self.factors[key] = m
-        else:
-            del self.factors[key]
-
-    def mul_one_minus(self, q: int, e: int, e1: int, e2: int, power: int) -> None:
-        """Multiply by (1 - q^e U)**power; with q^e = a/b this is ((b - a U)/b)**power."""
-        a, b = _q_power(q, e)
-        self.mul((b, -a), e1, e2, power, 1, b)
-
-    def mul_zeta_hat(self, c: CurveData, shift: int, e1: int, e2: int, power: int) -> None:
-        """Multiply by zh(shift + e1*s1 + e2*s2)**power.
-
-        zh = q^{(g-1) shift} U^{-(g-1)} P(q^{-shift} U) / ((1 - q^{-shift} U)
-        (1 - q^{1-shift} U)) with U = u1^e1 u2^e2.  With P = scale * sum n_k t^k
-        and q^{-shift} = a/b, P(q^{-shift} U) = scale b^{-d} sum n_k a^k b^{d-k} U^k,
-        all in integers.
-        """
-        q, g = c.q, c.g
-        P = c.numerator
-        a, b = _q_power(q, -shift)
-        qa, qb = _q_power(q, (g - 1) * shift)
-        d = len(P.ints) - 1
-        ints = [n * a**k * b ** (d - k) for k, n in enumerate(P.ints)]
-        a1, a2 = self.mono
-        self.mono = (a1 - power * e1 * (g - 1), a2 - power * e2 * (g - 1))
-        self.mul(ints, e1, e2, power, P.scale.numerator * qa, P.scale.denominator * qb * b**d)
-        self.mul_one_minus(q, -shift, e1, e2, -power)
-        self.mul_one_minus(q, 1 - shift, e1, e2, -power)
+def _weyl_terms_r2(c: CurveData) -> list[_FactoredTerm]:
+    """The two Weyl terms of the SL_2 period in u = q^{-s}, times the clearing
+    factor zh(s + 2): zh(s + 2)/(1 - u) for the identity and
+    zh(s + 1)/(1 - q^2/u) for the flip, whose zh(s + 1)/zh(s + 2) leaves zh(s + 1)."""
+    identity, flip = _FactoredTerm(), _FactoredTerm()
+    _mul_zeta_hat(identity, c, 2)
+    identity.mul_one_minus(c.q, 0, 1, 0, -1)
+    _mul_zeta_hat(flip, c, 1)
+    flip.mul_one_minus(c.q, 2, -1, 0, -1)
+    return [identity, flip]
 
 
 def _weyl_terms_r3(c: CurveData) -> list[_FactoredTerm]:
@@ -549,67 +389,10 @@ def _weyl_terms_r3(c: CurveData) -> list[_FactoredTerm]:
             if p[x - 1] > p[y - 1]:
                 e1 = 1 if x <= 1 < y else 0
                 e2 = 1 if x <= 2 < y else 0
-                term.mul_zeta_hat(c, y - x, e1, e2, 1)
-                term.mul_zeta_hat(c, y - x + 1, e1, e2, -1)
+                _mul_zeta_hat(term, c, y - x, e1, e2, 1)
+                _mul_zeta_hat(term, c, y - x + 1, e1, e2, -1)
         terms.append(term)
     return terms
-
-
-def _factored_sum(terms: list[_FactoredTerm]) -> tuple[Poly, Poly, int]:
-    """The sum of the terms as one numerator over one denominator, packed.
-
-    The denominator L is the LCM of the factored term denominators: each key
-    at its largest multiplicity downstairs, times the monomial that clears
-    negative exponents.  Each term contributes its value times L: every key
-    at L's multiplicity plus the term's own, which is never negative.  Keys that
-    differ but share a polynomial factor are not merged, so L is a common
-    multiple, not always the least one; the quotient is the same.
-
-    Both polynomials are returned packed by Kronecker substitution, u1^i u2^j
-    as x^(i + D j), with the stride D also returned.  D exceeds the
-    u1-degree of every product formed, read off the monomial shifts and the
-    key multiplicities before anything is multiplied out, so the packing is
-    an injective ring homomorphism on everything the sum forms and the
-    products and sums run on :class:`Poly`.
-    """
-    lcm: dict[Key, int] = {}
-    for t in terms:
-        for key, m in t.factors.items():
-            if m < 0:
-                lcm[key] = max(lcm.get(key, 0), -m)
-    s1 = min(0, *(t.mono[0] for t in terms))
-    s2 = min(0, *(t.mono[1] for t in terms))
-    parts = [  # (const, shifted monomial, key multiplicities); the denominator last
-        (
-            t.const,
-            (t.mono[0] - s1, t.mono[1] - s2),
-            {k: lcm.get(k, 0) + t.factors.get(k, 0) for k in lcm.keys() | t.factors.keys()},
-        )
-        for t in terms
-    ]
-    parts.append((Fraction(1), (-s1, -s2), lcm))
-    stride = 1 + max(  # the u1-degree of each product, before it is formed
-        mono[0] + sum(m * key[0] * (len(key[2]) - 1) for key, m in ms.items())
-        for _, mono, ms in parts
-    )
-    powers: dict[tuple[Key, int], Poly] = {}
-
-    def product(const: Fraction, mono: tuple[int, int], ms: dict[Key, int]) -> Poly:
-        p = Poly.one()
-        # keys with the most terms first, while p is short; each packed key is
-        # the left factor, whose zeros Poly.__mul__ skips
-        for key, m in sorted(ms.items(), key=lambda km: -len(km[0][2])):
-            if m:
-                if (key, m) not in powers:
-                    e1, e2, ints = key
-                    powers[key, m] = Poly(ints).stretch(e1 + stride * e2) ** m
-                p = powers[key, m] * p
-        return Poly.x(mono[0] + stride * mono[1], const) * p
-
-    num = Poly()
-    for part in parts[:-1]:
-        num = num + product(*part)
-    return num, product(*parts[-1]), stride
 
 
 def _u1_columns(p: Poly, stride: int) -> list[int]:
@@ -634,38 +417,23 @@ def _divide_one_minus_u1(p: Poly, stride: int) -> Poly | None:
     return p.exact_div(Poly([1, -1]))
 
 
-def period_sum_r2(c: CurveData) -> RationalFunction:
-    """The raw rank-two period in u, before the zeta-clearing multiplier."""
-    q = Fraction(c.q)
-    t_id = RationalFunction([1], [1, -1])  # 1/(1 - u)
-    quot = zeta_hat_ratfun(c, shift=1) / zeta_hat_ratfun(c, shift=2)
-    t_flip = RationalFunction([0, 1], [-(q**2), 1]) * quot  # 1/(1 - q^2/u)
-    return t_id + t_flip
-
-
 @lru_cache(maxsize=64)
 def period_residue_oracle(c: CurveData, r: int) -> tuple[RationalFunction, RationalFunction]:
     """The period route to zh_SLr, plus its ratio to the sum route.
 
-    r = 2 needs no residue.  For r = 3 the six Weyl terms are bivariate
-    rational functions in u_j = q^{-s_j}, each a constant, a monomial and
-    known factors: binomials (1 - q^e U) and scaled copies P(q^{-h} U) of
-    the Weil numerator, in monomials U = u1^e1 u2^e2, kept as primitive
-    integer keys.  They are summed over the LCM of their factored
-    denominators (:func:`_factored_sum`), multiplied out once into one
-    numerator and one denominator polynomial, each packed by Kronecker
-    substitution into a univariate integer :class:`Poly` (u1^i u2^j as
-    x^(i + D j)).  The limit lim_{u1 -> 1} (1 - u1) * omega is then taken
-    literally on those two polynomials: (1 - u1) is stripped from each as
-    often as it divides, which is when the column sums at u1 = 1 vanish,
-    by exact division by (1 - x); the pole order is never read off the
-    factor keys.  Then u1 = 1 is substituted.  A pole of order >= 2 raises;
-    order <= 0 would make the limit vanish, which is also reported.  The
-    returned ratio is oracle / assembled, a constant when the two routes
-    agree; the caller checks that it is.
+    r = 2 sums its two Weyl terms in u and needs no residue.  At r = 3 the
+    six bivariate terms are summed over the LCM of their factored
+    denominators and multiplied out packed (:func:`_factored_sum`), and the
+    limit lim_{u1 -> 1} (1 - u1) * omega is taken literally on the two
+    polynomials: (1 - u1) is stripped from each as often as it divides, the
+    pole order never read off the factor keys, and then u1 = 1 is
+    substituted.  A pole of order >= 2 raises; order <= 0 would make the
+    limit vanish, which is also reported.  The returned ratio is oracle /
+    assembled, a constant when the two routes agree; the caller checks that
+    it is.
     """
     if r == 2:
-        oracle = period_sum_r2(c) * zeta_hat_ratfun(c, shift=2)
+        oracle = _factored_sum(_weyl_terms_r2(c)).ratfun()
     elif r == 3:
         num, den, stride = _factored_sum(_weyl_terms_r3(c))
         k_den = 0

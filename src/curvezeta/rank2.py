@@ -25,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from curvezeta.artin import CurveData, zeta_hat_special
-from curvezeta.exact import Poly, RationalFunction
+from curvezeta.exact import Poly, RationalFunction, _factored_sum, _FactoredTerm
 from curvezeta.invariants import InvariantTable
 
 
@@ -59,32 +60,36 @@ class PureZeta:
     shift: int
 
 
+def _over_linear(q: int, p: Poly, es: Sequence[int], k: int = 0) -> _FactoredTerm:
+    """T^k p(T) / prod_e (1 - q^e T), factored."""
+    term = _FactoredTerm(mono=(k, 0), poly=p)
+    for e in es:
+        term.mul_one_minus(q, e, 1, 0, -1)
+    return term
+
+
 @lru_cache(maxsize=256)
 def rank2_closed_form(c: CurveData) -> tuple[RationalFunction, int]:
-    """F(T), built from the single-fraction display, and its Laurent shift g-1."""
+    """F(T), built from the single-fraction display, and its Laurent shift g-1.
+
+    The denominator is kept factored, so (1 - qT) leaves by exact division
+    where the numerator vanishes, with no gcd."""
     if c.g < 1:
         raise ValueError("rank-two zeta needs genus >= 1")
-    q, g = Fraction(c.q), c.g
-    num = Poly([a * q ** (g - 1) for a in c.A]) - Poly.x(1) * Poly(
-        [a * q**i for i, a in enumerate(c.A)]
-    )
-    den = Fraction(q ** (g - 1)) * Poly([1, -1]) * Poly([1, -q]) * Poly([1, -q * q])
-    return RationalFunction(num, den), g - 1
+    q, g = c.q, c.g
+    P = c.numerator
+    num = P - Poly.x(1, Fraction(1, q ** (g - 1))) * P.scale_arg(q)
+    return _over_linear(q, num, (0, 1, 2)).ratfun(), g - 1
 
 
 def closed_form_check(c: CurveData) -> bool:
     """F(T) against the independently assembled two-term sum, exactly:
     zeta_hat(2s)/(1 - q^{2-2s}) + zeta_hat(2s-1)/(1 - q^{2s}), both shifted by T^{-(g-1)}."""
     F, _ = rank2_closed_form(c)
-    q, g = Fraction(c.q), c.g
-    P = c.numerator
-    first = RationalFunction(P, Poly([1, -1]) * Poly([1, -q]) * Poly([1, -q * q]))
-    second = (
-        RationalFunction.constant(q ** -(g - 1))
-        * RationalFunction(P.scale_arg(q), Poly([1, -q]) * Poly([1, -q * q]))
-        * RationalFunction(Poly([0, -1]), Poly([1, -1]))
-    )
-    return F == first + second
+    q, P = c.q, c.numerator
+    first = _over_linear(q, P, (0, 1, 2))
+    second = _over_linear(q, -P.scale_arg(q) * Fraction(1, q ** (c.g - 1)), (0, 1, 2), 1)
+    return F == _factored_sum([first, second]).ratfun()
 
 
 @lru_cache(maxsize=256)
@@ -112,12 +117,8 @@ def numerator_check(c: CurveData) -> bool:
     """N(X) against the closed form, exactly: q * Num(T)|_{T=X/q} factors as
     (1 - X) * N(X), equivalently F(T) = N(qT) / (q^g (1-T)(1-q^2 T))."""
     F, _ = rank2_closed_form(c)
-    q = Fraction(c.q)
-    recon = RationalFunction(
-        Poly(rank2_numerator(c).coeffs).scale_arg(q),
-        Fraction(q**c.g) * Poly([1, -1]) * Poly([1, -q * q]),
-    )
-    return F == recon
+    N = Poly(rank2_numerator(c).coeffs).scale_arg(c.q) * Fraction(1, c.q**c.g)
+    return F == _over_linear(c.q, N, (0, 2)).ratfun()
 
 
 def normalized_coefficients(c: CurveData) -> list[Fraction]:
@@ -188,22 +189,20 @@ def rank2_invariants(c: CurveData) -> InvariantTable:
 def pure_zeta(c: CurveData) -> PureZeta:
     """The rank-two zeta alpha(0) * F(T) with its Laurent shift."""
     F, shift = rank2_closed_form(c)
-    return PureZeta(r=2, q=c.q, Z=RationalFunction.constant(alpha2_zero(c)) * F, shift=shift)
+    # a non-zero multiple of a reduced quotient stays reduced
+    return PureZeta(r=2, q=c.q, Z=RationalFunction.coprime(F.num * alpha2_zero(c), F.den), shift=shift)
 
 
 def pure_fe_check(z: PureZeta) -> bool:
     """Exact functional equation zeta_hat(1/(qt)) = zeta_hat(t).
 
     With zeta_hat(t) = Z(T) T^{-shift} and T = t^r the substitution reads
-    Q^{shift} T^{2 shift} Z(1/(QT)) = Z(T), Q = q^r.
+    Q^{shift} T^{2 shift} Z(1/(QT)) = Z(T), Q = q^r.  Both sides are
+    compared cross-multiplied, on reduced forms, so no gcd is taken.
     """
     Q = Fraction(z.q) ** z.r
-    lhs = (
-        RationalFunction.constant(Q**z.shift)
-        * RationalFunction.t(2 * z.shift)
-        * z.Z.reciprocal_arg(1 / Q)
-    )
-    return lhs == z.Z
+    w = z.Z.reciprocal_arg(1 / Q)
+    return Poly.x(2 * z.shift, Q**z.shift) * w.num * z.Z.den == z.Z.num * w.den
 
 
 def variant_report(c: CurveData) -> dict:

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from corpus import corpus_curves
 
 from curvezeta.artin import (
     CurveData,
@@ -11,10 +12,12 @@ from curvezeta.artin import (
     counts_from_numerator,
     numerator_from_counts,
     rh_check_artin,
+    zeta_hat_ratfun,
     zeta_hat_special,
     zeta_plain,
 )
-from curvezeta.exact import Poly
+from curvezeta.exact import Poly, RationalFunction
+from curvezeta.group_zeta import R_MAX
 
 F = Fraction
 
@@ -217,6 +220,36 @@ class TestRiemannHypothesis:
             if c.genuine and c.g >= 1:
                 rep = rh_check_artin(c, tol=1e-9)
                 assert rep.verdict, c.describe()
+
+
+def gcd_zeta(c: CurveData) -> RationalFunction:
+    """Reference: Z(t) = P(t) / ((1 - t)(1 - qt)) through the gcd constructor."""
+    return RationalFunction(c.numerator, Poly([1, -(c.q + 1), c.q]))
+
+
+def gcd_zeta_hat(c: CurveData, n: int) -> RationalFunction:
+    """Reference: q^{(g-1)n} t^{1-g} Z(q^{-n} t) through RationalFunction arithmetic,
+    each product reduced by a gcd."""
+    q = F(c.q)
+    prefactor = RationalFunction.constant(q ** ((c.g - 1) * n)) * RationalFunction.t(1 - c.g)
+    return prefactor * gcd_zeta(c).scale_arg(q**-n)
+
+
+# non-genuine numerators that vanish at a pole: P(1) = 0, P(1/q) = 0, both
+CANCELLING = [CurveData(3, 1, [1, -2, 1]), CurveData(3, 1, [1, -4, 3]), CurveData(2, 1, [1, -3, 2])]
+
+
+class TestZetaHatRatfun:
+    def test_matches_gcd_reference(self):
+        for c in [*corpus_curves(include_genus0=True), *CANCELLING]:
+            assert c.zeta_ratfun() == gcd_zeta(c), c.describe()
+            for n in range(R_MAX + 2):
+                assert zeta_hat_ratfun(c, n) == gcd_zeta_hat(c, n), (c.describe(), n)
+
+    def test_poles_cancel_exactly(self):
+        # (1 - t)(1 - 2t) over itself is 1, and (1 - t)^2 / ((1 - t)(1 - 3t)) keeps (1 - t)
+        assert CANCELLING[2].zeta_ratfun() == RationalFunction.one()
+        assert CANCELLING[0].zeta_ratfun() == RationalFunction([1, -1], [1, -3])
 
 
 def test_zeta_ratfun_matches_series_of_counts(curve_g2):

@@ -451,7 +451,6 @@ class TestRun:
         memoized = [
             artin.zeta_hat_special,
             artin.zeta_plain,
-            artin.zeta_hat_ratfun,
             rank2.alpha2_zero,
             rank2.rank2_invariants,
             mass._v_block,

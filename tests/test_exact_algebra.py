@@ -631,6 +631,18 @@ class TestComplexRoots:
             complex_roots(Poly([6, -5, 1, 7, 3]))
         assert len(info.value.roots) == 4 and len(info.value.residuals) == 4
 
+    def test_failure_roots_are_in_t_and_sorted(self, monkeypatch):
+        # solved in W = sqrt(5) T, reported in T like a result, sorted by (real, imag)
+        p = Poly([6, -5, 1, 7, 3])
+        solved = complex_roots(p, Q=5).roots
+        monkeypatch.setattr(exact, "_RESIDUAL_BOUND", 1e-300)
+        with pytest.raises(RootFindError) as info:
+            complex_roots(p, Q=5)
+        roots = info.value.roots
+        assert list(roots) == sorted(roots, key=lambda z: (z.real, z.imag))
+        assert len(roots) == len(solved) == 4
+        assert all(abs(z - w) <= 1e-9 for z, w in zip(roots, solved))
+
 
 def _weil_product(Q, traces):
     """prod (1 - a T + Q T^2) over the traces a."""
@@ -742,9 +754,9 @@ class TestTracePolynomial:
         seen = []
         polish = exact._polished
 
-        def spy(work, zs, converged):
+        def spy(work, zs, *rest):
             seen.append(len(work) - 1)
-            return polish(work, zs, converged)
+            return polish(work, zs, *rest)
 
         monkeypatch.setattr(exact, "_polished", spy)
         p = _weil_product(7, [1, -3, 4, 0, 5]) * Poly([1, 2, 3, 5, 7]) ** 2

@@ -15,30 +15,36 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curvezeta.artin import CurveData, zeta_hat_ratfun, zeta_hat_special
+from curvezeta.artin import CurveData, artin_fe_ratfun_check, zeta_hat_ratfun, zeta_hat_special
 from curvezeta import exact, group_zeta
 from curvezeta.cli import parse_job
-from curvezeta.exact import Poly, RationalFunction, complex_roots
+from curvezeta.exact import Poly, RationalFunction, _factored_sum, _FactoredTerm, complex_roots
 from curvezeta.group_zeta import (
     R_MAX,
     ConventionError,
     _divide_one_minus_u1,
-    _factored_sum,
-    _FactoredTerm,
-    _LinearTerm,
     _extract_numerator,
     _frak_w_p_perms,
     _slr_recipe,
+    _weyl_terms_r2,
     _weyl_terms_r3,
     period_residue_oracle,
-    period_sum_r2,
     slr_fe_check,
     slr_numerator,
     slr_rh_report,
     slr_zeta,
 )
 from curvezeta.mass import beta_hn_mass
-from curvezeta.rank2 import alpha2_zero, rank2_closed_form, rank2_invariants, rank2_numerator
+from curvezeta.rank2 import (
+    alpha2_zero,
+    closed_form_check,
+    numerator_check,
+    pure_fe_check,
+    pure_zeta,
+    rank2_closed_form,
+    rank2_invariants,
+    rank2_numerator,
+)
 
 F = Fraction
 
@@ -646,6 +652,27 @@ class TestSlrAssembly:
         for c in (GENUS3_DATUM, CurveData.elliptic(101, 3)):
             slr_zeta.__wrapped__(c, r)  # past the cache, which may hold this curve
 
+    def test_zeta_layers_count_no_gcd(self, monkeypatch):
+        # the assembly at every rank, zh, the rank-two period and the rank-two
+        # forms are all reduced by their known factors: poly_gcd is never called
+        calls = []
+        gcd = exact.poly_gcd
+        monkeypatch.setattr(exact, "poly_gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+        # fresh labels, so that no cache holds these curves
+        for c in (CurveData(2, 3, GENUS3_DATUM.A, label="no-gcd"), CurveData.elliptic(101, 3, label="no-gcd")):
+            for r in range(2, R_MAX + 1):
+                slr_zeta(c, r)
+            for n in range(R_MAX + 2):
+                zeta_hat_ratfun(c, n)
+            _factored_sum(_weyl_terms_r2(c)).ratfun()
+            assert artin_fe_ratfun_check(c)
+            rank2_closed_form(c)
+            assert closed_form_check(c) and numerator_check(c) and pure_fe_check(pure_zeta(c))
+        assert calls == []
+        # the count sees what it should: the gcd constructor of RationalFunction
+        RationalFunction([1, -1], [1, 0, -1])
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("r", range(2, 9))
     def test_fe_check_takes_no_gcd(self, monkeypatch, r):
         # u -> Q/u keeps the reduced combined form reduced, so the check needs no gcd
@@ -703,6 +730,24 @@ def factored_terms(draw):
     return q, k, den, num
 
 
+def as_factored(q: int, k: int, den: dict[int, int], num: Poly) -> _FactoredTerm:
+    """num(u) u^k / prod_e (1 - q^e u)^m_e as a factored term, num kept whole."""
+    term = _FactoredTerm(mono=(k, 0), poly=num)
+    for e, m in den.items():
+        term.mul_one_minus(q, e, 1, 0, -m)
+    return term
+
+
+def gcd_reduced(q: int, k: int, den: dict[int, int], num: Poly) -> RationalFunction:
+    """The same value through the gcd constructor of RationalFunction."""
+    d = Poly.one()
+    for e, m in den.items():
+        d = d * Poly([1, -F(q) ** e]) ** m
+    if k >= 0:
+        return RationalFunction(num * Poly.x(k), d)
+    return RationalFunction(num, d * Poly.x(-k))
+
+
 class TestFactoredReduction:
     @given(factored_terms())
     @example((3, -2, {1: 2, -1: 1}, Poly()))  # the zero polynomial
@@ -710,21 +755,40 @@ class TestFactoredReduction:
     @example((101, 2, {0: 3, 4: 1}, Poly([1, -1]) ** 3 * Poly([1, -(101**4)]) * Poly([F(2, 3)])))
     @settings(max_examples=200, deadline=None)
     def test_matches_gcd_reduction(self, case):
-        q, k, den, num = case
-        d = Poly.one()
-        for e, m in den.items():
-            d = d * Poly([1, -F(q) ** e]) ** m
-        if k >= 0:
-            expect = RationalFunction(num * Poly.x(k), d)
-        else:
-            expect = RationalFunction(num, d * Poly.x(-k))
-        got = _LinearTerm(num, k, dict(den)).ratfun(q)
+        expect = gcd_reduced(*case)
+        got = as_factored(*case).ratfun()
         assert got == expect
         assert (got.num.ints, got.num.scale, got.den.ints) == (
             expect.num.ints,
             expect.num.scale,
             expect.den.ints,
         )
+
+    @given(factored_terms(), factored_terms())
+    @example((3, 1, {1: 2}, Poly([1, -3])), (3, 0, {1: 1}, -Poly([0, 1])))  # u/(1 - 3u) - u/(1 - 3u) = 0
+    @settings(max_examples=100, deadline=None)
+    def test_sum_matches_gcd_sum(self, a, b):
+        # both summands at the first one's q, so that equal factors share keys
+        b = (a[0], *b[1:])
+        got = _factored_sum([as_factored(*a), as_factored(*b)])
+        assert isinstance(got, _FactoredTerm)
+        assert got.ratfun() == gcd_reduced(*a) + gcd_reduced(*b)
+
+    def test_non_linear_denominator_is_a_convention_error(self):
+        term = as_factored(3, 0, {1: 1}, Poly.one())
+        term.mul((1, 0, 1), 1, 0, -1)  # 1 / (1 + u^2)
+        with pytest.raises(ConventionError, match="non-linear"):
+            term.ratfun()
+        stretched = as_factored(3, 0, {}, Poly.one())
+        stretched.mul_one_minus(3, 1, 2, 0, -1)  # 1 / (1 - 3 u^2)
+        with pytest.raises(ConventionError, match="non-linear"):
+            stretched.ratfun()
+
+    def test_term_in_u2_is_a_convention_error(self):
+        term = _FactoredTerm()
+        term.mul_one_minus(3, 1, 0, 1, 1)  # 1 - 3 u2
+        with pytest.raises(ConventionError, match="u2"):
+            term.ratfun()
 
 
 class TestSlrRecipe:
@@ -802,11 +866,16 @@ class TestNumeratorInfo:
 
 class TestPeriodOracle:
     def test_rank2_identity_only_term(self, curve_g1):
-        # the period less its flip term is the identity term 1/(1 - u)
+        # the oracle's two-term sum less its flip term zh(s+1)/(1 - q^2/u) is
+        # its identity term zh(s+2)/(1 - u), each built by gcd reduction
         q = F(curve_g1.q)
-        quot = zeta_hat_ratfun(curve_g1, shift=1) / zeta_hat_ratfun(curve_g1, shift=2)
-        flip = RationalFunction([0, 1], [-(q**2), 1]) * quot  # 1/(1 - q^2/u) * zh(s+1)/zh(s+2)
-        assert period_sum_r2(curve_g1) - flip == RationalFunction([1], [1, -1])
+        identity, flip = _weyl_terms_r2(curve_g1)
+        flip_ref = zeta_hat_ratfun(curve_g1, shift=1) * RationalFunction([0, 1], [-(q**2), 1])
+        identity_ref = zeta_hat_ratfun(curve_g1, shift=2) * RationalFunction([1], [1, -1])
+        assert (identity.ratfun(), flip.ratfun()) == (identity_ref, flip_ref)
+        assert _factored_sum([identity, flip]).ratfun() - flip_ref == identity_ref
+        oracle, _ = period_residue_oracle(curve_g1, 2)
+        assert oracle == identity_ref + flip_ref
 
     def test_rank2_constant_is_one(self, corpus):
         for c in corpus[:6]:
