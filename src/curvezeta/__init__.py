@@ -6,9 +6,9 @@ The package computes, with exact rational arithmetic throughout:
   models or from given numerator coefficients;
 * the automorphism-weighted bundle-counting invariants alpha, beta, gamma
   in rank one and rank two;
-* SL_r group zetas assembled from the type A_{r-1} Weyl sum, each term
-  read straight off its permutation, together with their functional
-  equations and an independent period-residue oracle;
+* SL_r group zetas assembled from the type A_{r-1} Weyl sum as two chain
+  sums over compositions, together with their functional equations and an
+  independent period-residue oracle;
 * masses of semistable bundles (inclusion-exclusion sums in the completed
   zeta values, and the general-degree Harder-Narasimhan mass sum);
 * a rank-two zeta family with half-integral q-powers tracked exactly, its

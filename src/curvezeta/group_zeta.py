@@ -16,37 +16,39 @@ surviving Weyl term directly: a term survives the residues exactly when w
 maps every parabolic simple root into Delta or the negative roots, that is
 w(i+1) <= w(i) + 1 for i <= r - 2, the pole at stage j is always simple,
 and the zeta quotients along the roots through the last coordinate
-telescope to a single zh(s + n).  The per-term factors are read off the
-root combinatorics with no residue computation at all, straight off each
-permutation tuple; the module builds no root-system objects.
-The surviving set frak_W_P, of (r + 2) 2^{r-3} elements against r! in S_r,
-is generated directly, depth first over prefixes that keep the bound, in
-lexicographic order, so no rank lists S_r and r runs up to ``R_MAX``.  The
-constant weights are products of zh(n) at integers n < r, each evaluated
-once per assembly on first use and kept, like every product of them and of
-the constant factors 1/(1 - q^e), as a reduced integer pair (numerator,
-denominator).  The only denominators are powers of u and linear factors
-(1 - q^e u) with e an integer: a factor 1/(1 - q^e/u) is rewritten as
--q^{-e} u / (1 - q^{-e} u).  So the curve enters a term only through its
-constant weight; its shape, the shift n_w and the multiset of factors
-(1 - q^e u), depends on r alone.  :func:`_slr_recipe` groups frak_W_P by
-shape once per r, on first use, and for each curve the weights of one shape
-are summed into one polynomial in u, as integer numerators over one
-denominator per power of u, so each coefficient is one ``Fraction``: 30
-shapes at r = 6 and 138 at r = 10 against 64 and 1536 terms.
+telescope to a single zh(s + n).  So in each surviving w, with v = w(r),
+positions 1..r-1 hold runs of consecutive values in decreasing order: a
+composition of the r - v values above v, then one of the v - 1 values below
+it.  The surviving set frak_W_P, of (r + 2) 2^{r-3} elements against r! in
+S_r, is never listed: each term is read off its runs.  A run of l values
+weighs zh(1)...zh(l), except the first run, which weighs zh(2)...zh(l), so
+nothing divides by zh(1).  Two adjacent runs on one side of v, of lengths l
+and l', give the constant 1/(1 - q^{l+l'}).  The last run above v, of
+length a, gives 1/(1 - q^{a+v}/u) = -q^{-(a+v)} u / (1 - q^{-(a+v)} u),
+and the first run below v, of length b, gives 1/(1 - q^{b-v+1} u).  So
+R_v = U_v * D_v is a product of two chain sums over compositions, the
+composition form of the SL_n zeta of Weng and Zagier:
+
+    U_v = sum_a E_{r-v}(a) * (-q^{-(a+v)} u) / (1 - q^{-(a+v)} u),
+    D_v = sum_b B_{v-1}(b) / (1 - q^{b-v+1} u),
+
+with U_r = D_1 = 1.  E_n(a) sums the compositions of n whose last part is
+a, B_n(b) those whose first part is b, each by a dynamic program over
+(values used, end part) in O(r^3) ``Fraction`` operations per curve; the
+zh(n), n < r, are evaluated once per assembly, and none at r = 2.
 
 Every function here is a factored term of :mod:`curvezeta.exact`: a
 constant, a monomial, a polynomial kept whole and primitive integer factors
 with multiplicities, zh(s + n) among them through its one factorization
-(:func:`curvezeta.artin._mul_zeta_hat`).  Each R_n is the sum of its shapes
-over the LCM of their factored denominators, and zh_SLr the sum of the
-products R_n * zh(s + n), both by :func:`_factored_sum`.  Every root of
-those denominators is known, so each result is reduced without a gcd: a
-factor (1 - q^e u) is divided out exactly while the numerator vanishes at
-q^{-e}, and u while it vanishes at 0; what is left is coprime.  The T-grid
-numerator is one exact division of the reversed numerator, times the
-displayed poles, by the reversed denominator; an inexact one is a
-:class:`ConventionError`.  :func:`slr_fe_check` compares the combined form
+(:func:`curvezeta.artin._mul_zeta_hat`).  Each side of R_v is the sum of its
+terms over the LCM of their factored denominators, R_v the product of the
+two sides, and zh_SLr the sum of the products R_v * zh(s + v); both sums are
+:func:`_factored_sum`.  Every root of those denominators is known, so each
+result is reduced without a gcd: a factor (1 - q^e u) is divided out exactly
+while the numerator vanishes at q^{-e}, and u while it vanishes at 0; what
+is left is coprime.  The T-grid numerator is one exact division of the
+reversed numerator, times the displayed poles, by the reversed denominator;
+an inexact one is a :class:`ConventionError`.  :func:`slr_fe_check` compares the combined form
 with its image under u -> q^r / u, which keeps a reduced quotient reduced,
 so it takes no gcd either.  :func:`slr_rh_report` finds the zeros of the
 T-grid numerator with :func:`complex_roots`, in W = sqrt(Q) T, Q = q^r,
@@ -70,45 +72,20 @@ caller records and checks.
 from __future__ import annotations
 
 import itertools
-import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from curvezeta.artin import CurveData, _mul_zeta_hat, zeta_hat_ratfun, zeta_hat_special
 from curvezeta.exact import ConventionError, Poly, RationalFunction, ZeroReport, complex_roots, float_sqrt
-from curvezeta.exact import _factored_sum, _FactoredTerm, _q_power
+from curvezeta.exact import _factored_sum, _FactoredTerm
 from curvezeta.invariants import alpha_from_A
 
-# the largest rank accepted; on a 2-vCPU VM under Python 3.11 the first slr_zeta at
-# r = 10 takes about 0.065 s, 0.046 s of it building the recipe, and later ones 0.02 s
-# (medians of 7 fresh processes)
+# the largest rank accepted; on a 2-vCPU VM under Python 3.11 slr_zeta at r = 10
+# takes about 0.010 s, the first call in a process as much as later ones (medians of
+# 7 fresh processes, q = 2, g = 1 and 2)
 R_MAX = 10
-
-
-def _frak_w_p_perms(r: int) -> list[tuple[int, ...]]:
-    """The permutations w of 1..r with w(i+1) <= w(i) + 1 for 1 <= i <= r - 2.
-
-    Depth first over prefixes, each position trying the unused values in
-    increasing order, so the result comes in lexicographic order, the order
-    of the same filter over ``itertools.permutations``, without listing S_r.
-    The last position takes the one value left, unconstrained.
-    """
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], free: tuple[int, ...]) -> None:
-        if not free:
-            out.append(prefix)
-            return
-        bound = prefix[-1] + 1 if 0 < len(prefix) < r - 1 else r
-        for idx, v in enumerate(free):
-            if v > bound:
-                break
-            extend(prefix + (v,), free[:idx] + free[idx + 1 :])
-
-    extend((), tuple(range(1, r + 1)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -123,140 +100,80 @@ class SlrZeta:
     numerator_T: tuple[Fraction, ...]  # A(0..2g) of zh_SLr(-rs) on the T-grid
 
 
-Shape = tuple[int, tuple[tuple[int, int], ...]]  # (n_w, sorted (e, m) of prod (1 - q^e u)^m)
-Entry = tuple[int, tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]
-# (u-power k, non-zero zeta exponents (n, e), constant factors e, flipped e's)
+def _over_one_minus(q: int, num: int, den: int, k: int, e: int) -> _FactoredTerm:
+    """num/den * u^k / (1 - q^e u) as a factored term."""
+    t = _FactoredTerm(num, den, (k, 0))
+    t.mul_one_minus(q, e, 1, 0, -1)
+    return t
 
 
-@lru_cache(maxsize=None)
-def _slr_recipe(r: int) -> dict[Shape, dict[Entry, int]]:
-    """The curve-independent recipe of the SL_r Weyl sum: shape -> {entry: multiplicity}.
-
-    A Weyl term is mult * prod zh(n)^{e_n} / prod (1 - q^e) over its constant
-    factors, times prod -q^{-e} u over its flipped factors 1/(1 - q^e/u) =
-    -q^{-e} u / (1 - q^{-e} u), over its shape's denominator.  Only the shape
-    depends on u, so a curve's terms of one shape sum to one polynomial.
-    Each term is read off its permutation p: n_w = r - k for the k flipped
-    roots (x, r), which must be x = 1..k; zh(2..r-1), times zh(h)/zh(h+1)
-    for each flipped root of Phi_P^+ of height h, the telescoped quotients;
-    and for each simple root i, pulled back to (p^{-1}(i), p^{-1}(i+1)) of
-    height h, the factor 1/(1 - q^{1-h} u^{+-1}) through slot r, none when
-    a residue consumed it, and the constant 1/(1 - q^{1-h}) otherwise.
-    Built on first use for each r, never at import.  A broken telescoping run
-    or a negative leftover zeta exponent raises :class:`ConventionError`.
-    """
-    if not 2 <= r <= R_MAX:
-        raise ValueError(f"rank parameter must satisfy 2 <= r <= {R_MAX}")
-    recipe: dict[Shape, dict[Entry, int]] = {}
-    for p in _frak_w_p_perms(r):
-        w = (0, *p)  # w[x] = p(x), 1-based
-        starts = [x for x in range(1, r) if w[x] > w[r]]
-        if starts != list(range(1, len(starts) + 1)):
-            raise ConventionError(f"flipped roots through the last slot are not a prefix: {starts}")
-        zeta = [0, 0] + [1] * (r - 2) + [0]  # zeta[n] = exponent of zh(n), n = 0..r
-        for y in range(2, r):
-            for x in range(1, y):
-                if w[x] > w[y]:
-                    zeta[y - x] += 1
-                    zeta[y - x + 1] -= 1
-        if any(e < 0 for e in zeta):
-            raise ConventionError(f"zeta denominators survive clearing for w = {p}")
-        pos = {v: x for x, v in enumerate(p, start=1)}  # p^{-1}
-        den: dict[int, int] = {}
-        const_factors: list[int] = []
-        flipped: list[int] = []
-        for i in range(1, r):
-            a, b = pos[i], pos[i + 1]
-            h = b - a
-            if h == 1 and a <= r - 2:
-                continue  # the residue at stage a consumed this factor
-            if r in (a, b):
-                e = 1 - h
-                if h < 0:  # 1/(1 - q^e/u)
-                    flipped.append(e)
-                    e = -e
-                den[e] = den.get(e, 0) + 1
-            elif h == 1:
-                raise ConventionError("vanishing exponent in a constant factor")
-            else:
-                const_factors.append(1 - h)
-        shape = (r - len(starts), tuple(sorted(den.items())))
-        zetas = tuple((n, e) for n, e in enumerate(zeta) if e)
-        entry = (len(flipped), zetas, tuple(sorted(const_factors)), tuple(sorted(flipped)))
-        entries = recipe.setdefault(shape, {})
-        entries[entry] = entries.get(entry, 0) + 1
-    return recipe
+def _product(a: _FactoredTerm, b: _FactoredTerm) -> _FactoredTerm:
+    """The product of two terms, equal keys cancelling."""
+    factors = dict(a.factors)
+    for key, m in b.factors.items():
+        if m := factors.get(key, 0) + m:
+            factors[key] = m
+        else:
+            del factors[key]
+    mono = (a.mono[0] + b.mono[0], a.mono[1] + b.mono[1])
+    return _FactoredTerm(a.num * b.num, a.den * b.den, mono, factors, a.poly * b.poly)
 
 
-def _reduced(n: int, d: int) -> tuple[int, int]:
-    """n/d in lowest terms with d > 0, as an integer pair."""
-    g = math.gcd(n, d)
-    return (n // g, d // g) if d > 0 else (-n // g, -d // g)
-
-
-def _const_weight(q: int, const_factors: Sequence[int], flipped: Sequence[int]) -> tuple[int, int]:
-    """prod -q^{-e} over the flipped e's over prod (1 - q^e) over the constant
-    factors, as a reduced integer pair; with q^e = a/b, 1 - q^e = (b - a)/b."""
-    n = d = 1
-    for e in flipped:
-        a, b = _q_power(q, -e)
-        n, d = -n * a, d * b
-    for e in const_factors:
-        a, b = _q_power(q, e)
-        n, d = n * b, d * (b - a)
-    return _reduced(n, d)
+def _summed(terms: list[_FactoredTerm]) -> _FactoredTerm:
+    """The sum of the terms: one needs no sum, and an empty sum is zero."""
+    if len(terms) > 1:
+        return _factored_sum(terms)
+    return terms[0] if terms else _FactoredTerm(poly=Poly())
 
 
 @lru_cache(maxsize=256)
 def slr_zeta(c: CurveData, r: int) -> SlrZeta:
-    """Assemble zh_SLr(s) = sum_n R_n(s) zh(s + n) exactly in u = q^{-s}.
+    """Assemble zh_SLr(s) = sum_v R_v(s) zh(s + v) exactly in u = q^{-s}.
 
-    Each surviving Weyl term is collapsed through the residues by pure
-    combinatorics into the recipe of :func:`_slr_recipe` (see module
-    docstring); the curve enters only through the weight of each entry, an
-    integer pair, and the weights of a shape are summed as integer numerators
-    over one denominator per u-power, one ``Fraction`` per coefficient.  A
-    convention fault in the recipe or in the T-grid extraction raises
+    R_v = U_v * D_v, two chain sums over the compositions of the r - v values
+    above v and of the v - 1 values below it (see module docstring); each
+    side is a :func:`_factored_sum` of at most r - 1 terms, one per length of
+    the run next to v.  A convention fault in the T-grid extraction raises
     :class:`ConventionError` instead of silently producing a wrong
     normalization.
     """
     if c.g < 1:
         raise ValueError("group zeta needs genus >= 1")
-    zh: dict[int, tuple[int, int]] = {}  # zh(n) as (num, den), each evaluated on first use
-    zeta_parts: dict[tuple[tuple[int, int], ...], tuple[int, int]] = {}
-    const_parts: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]] = {}
-    R: dict[int, list[_FactoredTerm]] = {}
-    for (n_w, den), entries in _slr_recipe(r).items():
-        # per u-power, the integer numerators summed by denominator
-        by_power: list[dict[int, int]] = [{} for _ in range(1 + max(entry[0] for entry in entries))]
-        for (k, zetas, const_factors, flipped), mult in entries.items():
-            z = zeta_parts.get(zetas)
-            if z is None:
-                for n, _ in zetas:
-                    if n not in zh:
-                        v = zeta_hat_special(c, n)
-                        zh[n] = (v.numerator, v.denominator)
-                z = zeta_parts[zetas] = _reduced(
-                    math.prod(zh[n][0] ** e for n, e in zetas),
-                    math.prod(zh[n][1] ** e for n, e in zetas),
-                )
-            consts = (const_factors, flipped)
-            w = const_parts.get(consts)
-            if w is None:
-                w = const_parts[consts] = _const_weight(c.q, const_factors, flipped)
-            by_den = by_power[k]
-            d = z[1] * w[1]
-            by_den[d] = by_den.get(d, 0) + mult * z[0] * w[0]
-        coeffs = []
-        for by_den in by_power:
-            lcm = math.lcm(*by_den)
-            coeffs.append(Fraction(sum(a * (lcm // d) for d, a in by_den.items()), lcm))
-        term = _FactoredTerm(poly=Poly(coeffs))
-        for e, m in den:
-            term.mul_one_minus(c.q, e, 1, 0, -m)
-        R.setdefault(n_w, []).append(term)
+    if not 2 <= r <= R_MAX:
+        raise ValueError(f"rank parameter must satisfy 2 <= r <= {R_MAX}")
+    q = c.q
+    zh = [zeta_hat_special(c, n) for n in range(1, r)] if r > 2 else []  # zh(1..r-1); rank two needs none
+    full = list(itertools.accumulate(zh[:-1], operator.mul, initial=1))  # full[l] = zh(1)...zh(l)
+    top = [0, *itertools.accumulate(zh[1:], operator.mul, initial=1)]  # top[l] = zh(2)...zh(l)
+    pair = {k: Fraction(1, 1 - q**k) for k in range(2, r)}  # two adjacent runs, k values in all
 
-    sums = {n: _factored_sum(R[n]) for n in sorted(R)}
+    def chain(X: list[list[Fraction]], n: int, a: int, lone: list, joined: list) -> Fraction:
+        """The chains of n values whose end run has a values: weight lone[a] when
+        it is the only run, else joined[a] times each chain X[n - a] it joins."""
+        if a == n:
+            return lone[a]
+        return joined[a] * sum(X[n - a][b] * pair[a + b] for b in range(1, n - a + 1))
+
+    E: list[list[Fraction]] = [[]]  # E[n][a]: the runs above v, the last one of a values
+    for n in range(1, r):
+        E.append([0] + [chain(E, n, a, top, full) for a in range(1, n + 1)])
+    B: list[list[Fraction]] = [[]]  # B[n][b]: the runs below v, the first one of b values
+    for n in range(1, r - 1):
+        B.append([0] + [chain(B, n, b, full, full) for b in range(1, n + 1)])
+    # with nothing above v the first run below it is the top run
+    B.append([0] + [chain(B, r - 1, b, top, top) for b in range(1, r)])
+
+    sums: dict[int, _FactoredTerm] = {}
+    for v in range(1, r + 1):
+        up = _FactoredTerm() if v == r else _summed([
+            _over_one_minus(q, -w.numerator, w.denominator * q ** (a + v), 1, -(a + v))
+            for a, w in enumerate(E[r - v]) if w
+        ])
+        down = _FactoredTerm() if v == 1 else _summed([
+            _over_one_minus(q, w.numerator, w.denominator, 0, b - v + 1)
+            for b, w in enumerate(B[v - 1]) if w
+        ])
+        sums[v] = _product(up, down)
     terms = [(n, t.ratfun()) for n, t in sums.items()]
     for n, t in sums.items():
         _mul_zeta_hat(t, c, n)
@@ -366,7 +283,7 @@ def _weyl_terms_r3(c: CurveData) -> list[_FactoredTerm]:
     """The six Weyl terms of the SL_3 period in u_j = q^{-s_j}, factored.
 
     Each w in S_3 is read off its tuple p, with code of its own, not through
-    :func:`_slr_recipe`.  A root (x, y) stands for e_x - e_y, of height
+    the runs of :func:`slr_zeta`.  A root (x, y) stands for e_x - e_y, of height
     y - x, and pairs with the fundamental weight lambda_j to the sign of
     y - x when min(x, y) <= j < max(x, y), else to 0; those pairings are the
     exponents of u_1 and u_2.  Each simple root (i, i + 1), pulled back by w

@@ -734,6 +734,15 @@ class TestDeterminism:
         text = (out / "report.json").read_text()
         assert mask_floats(text) == (DATA / "slr_rank10_report.masked.json").read_text()
 
+    def test_slr_zero_residue_report_matches_recorded_bytes(self, tmp_path):
+        """`slr --rank 10` on a datum with zh(1) = 0, floats masked, as recorded in
+        tests/data: R_2..R_9 vanish, and no route divides by zh(1)."""
+        out = tmp_path / "r10"
+        job = DATA / "zero_residue_job.yaml"
+        assert main(["slr", str(job), "--rank", str(R_MAX), "--out", str(out)]) == 0
+        text = (out / "report.json").read_text()
+        assert mask_floats(text) == (DATA / "slr_zero_residue_rank10_report.masked.json").read_text()
+
     def test_zeros_csv_emitted(self, full_tree):
         _, tree = full_tree
         files = render(tree, "json")

@@ -2,10 +2,7 @@
 
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -24,8 +21,6 @@ from curvezeta.group_zeta import (
     ConventionError,
     _divide_one_minus_u1,
     _extract_numerator,
-    _frak_w_p_perms,
-    _slr_recipe,
     _weyl_terms_r2,
     _weyl_terms_r3,
     period_residue_oracle,
@@ -140,13 +135,37 @@ class ParabolicData:
     frak_w_p: tuple[WeylElt, ...]  # {w : Delta_P subset w^{-1}(Delta u Phi^-)}
 
 
+def _frak_w_p_perms(r: int) -> list[tuple[int, ...]]:
+    """The permutations w of 1..r with w(i+1) <= w(i) + 1 for 1 <= i <= r - 2.
+
+    Depth first over prefixes, each position trying the unused values in
+    increasing order, so the result comes in lexicographic order, the order
+    of the same filter over ``itertools.permutations``, without listing S_r.
+    The last position takes the one value left, unconstrained.
+    """
+    out: list[tuple[int, ...]] = []
+
+    def extend(prefix: tuple[int, ...], free: tuple[int, ...]) -> None:
+        if not free:
+            out.append(prefix)
+            return
+        bound = prefix[-1] + 1 if 0 < len(prefix) < r - 1 else r
+        for idx, v in enumerate(free):
+            if v > bound:
+                break
+            extend(prefix + (v,), free[:idx] + free[idx + 1 :])
+
+    extend((), tuple(range(1, r + 1)))
+    return out
+
+
 @lru_cache(maxsize=None)
 def build_root_system(r: int) -> tuple[RootSystemData, ParabolicData]:
     """All root data for 2 <= r <= R_MAX; the invariants are TestRootSystem's.
 
-    Only the surviving set frak_w_p is built, by the library's
-    ``_frak_w_p_perms``, which TestRootSystem checks against the defining
-    filter over all of S_r up to r = 8.
+    Only the surviving set frak_w_p is built, by :func:`_frak_w_p_perms`,
+    which TestRootSystem checks against the defining filter over all of S_r
+    up to r = 8.
     """
     if not 2 <= r <= R_MAX:
         raise ValueError(f"rank parameter must satisfy 2 <= r <= {R_MAX}")
@@ -236,18 +255,43 @@ def reference_recipe(r: int) -> dict:
     return recipe
 
 
-def pairwise_slr(c: CurveData, r: int):
-    """Reference: each R_n and the combined sum by pairwise RationalFunction additions."""
+@lru_cache(maxsize=None)
+def reference_terms(r: int) -> tuple:
+    """The distinct :func:`reference_term_data` over frak_W_P, with their
+    multiplicities, as (n_w, zeta exponents, constant factors, s_factors, mult)."""
     rs, pb = build_root_system(r)
-    q = F(c.q)
-    R = {}
+    counts: dict = {}
     for w in pb.frak_w_p:
         n_w, zeta_exp, const_factors, s_factors = reference_term_data(rs, pb, w, r)
-        value = F(1)
-        for n, e in zeta_exp.items():
-            value *= zeta_hat_special(c, n) ** e
-        for e in const_factors:
-            value /= 1 - q**e
+        term = (n_w, tuple(sorted(zeta_exp.items())), tuple(sorted(const_factors)), tuple(sorted(s_factors)))
+        counts[term] = counts.get(term, 0) + 1
+    return tuple((*term, m) for term, m in counts.items())
+
+
+def pairwise_slr(c: CurveData, r: int):
+    """Reference: each R_n and the combined sum by pairwise RationalFunction additions.
+
+    The Weyl terms that share n_w and their factors through the last slot
+    are added as constants first, so that each R_n is a sum of a few
+    RationalFunctions, not of (r + 2) 2^{r-3}.
+    """
+    q = F(c.q)
+    zh = {n: zeta_hat_special(c, n) for n in range(1, r)}
+
+    @lru_cache(maxsize=None)
+    def zeta_product(zeta_exp):
+        return math.prod(zh[n] ** e for n, e in zeta_exp)
+
+    @lru_cache(maxsize=None)
+    def const_product(const_factors):
+        return math.prod(1 / (1 - q**e) for e in const_factors)
+
+    shapes: dict = {}
+    for n_w, zeta_exp, const_factors, s_factors, mult in reference_terms(r):
+        value = mult * zeta_product(zeta_exp) * const_product(const_factors)
+        shapes[n_w, s_factors] = shapes.get((n_w, s_factors), 0) + value
+    R = {}
+    for (n_w, s_factors), value in shapes.items():
         term = RationalFunction.constant(value)
         for e, upow in s_factors:  # 1/(1 - q^e u^upow)
             if upow == 1:
@@ -791,40 +835,96 @@ class TestFactoredReduction:
             term.ratfun()
 
 
+def runs_reading(p: tuple[int, ...], r: int):
+    """(n_w, zeta exponents, constant factors, s_factors) of w in frak_W_P read
+    off its runs, as :func:`reference_term_data` returns them.
+
+    With v = w(r), positions 1..r-1 hold runs of consecutive values in
+    decreasing order, the r - v values above v first.  A run of length l
+    weighs zh(1)...zh(l), the first run zh(2)...zh(l); two adjacent runs on
+    one side of v, of lengths l and l', give 1/(1 - q^{l+l'}); the last run
+    above v, of length a, gives 1/(1 - q^{a+v}/u), and the first run below v,
+    of length b, gives 1/(1 - q^{b-v+1} u).
+    """
+    v = p[-1]
+    sides = []
+    for values, expect in ((p[: r - v], range(v + 1, r + 1)), (p[r - v : -1], range(1, v))):
+        runs: list[list[int]] = []
+        for i, x in enumerate(values):
+            if i and x == values[i - 1] + 1:
+                runs[-1].append(x)
+            else:
+                runs.append([x])
+        # the runs of one side are consecutive values placed in decreasing order
+        assert [x for run in reversed(runs) for x in run] == list(expect), p
+        sides.append([len(run) for run in runs])
+    above, below = sides
+    zeta_exp: dict[int, int] = {}
+    for i, l in enumerate(above + below):
+        for n in range(1 if i else 2, l + 1):
+            zeta_exp[n] = zeta_exp.get(n, 0) + 1
+    const_factors = [x + y for runs in sides for x, y in zip(runs, runs[1:])]
+    s_factors = ([(above[-1] + v, -1)] if above else []) + ([(below[0] - v + 1, 1)] if below else [])
+    return v, zeta_exp, const_factors, s_factors
+
+
 class TestSlrRecipe:
+    """The chain sums over compositions against the root-object reading of frak_W_P."""
+
     SHAPES = {2: 2, 3: 5, 4: 10, 5: 18, 6: 30, 7: 47, 8: 70, 9: 100, 10: 138}
 
     @pytest.mark.parametrize("r", range(2, R_MAX + 1))
     def test_multiplicities_and_shape_count(self, r):
-        recipe = _slr_recipe(r)
+        recipe = reference_recipe(r)
         size = 2 if r == 2 else (r + 2) * 2 ** (r - 3)
         assert sum(m for entries in recipe.values() for m in entries.values()) == size
         assert len(recipe) == self.SHAPES[r]
 
     @pytest.mark.parametrize("r", range(2, R_MAX + 1))
-    def test_matches_root_object_reading(self, r):
-        # the permutation reading against the root-object reading, dict order included
-        recipe, expect = _slr_recipe(r), reference_recipe(r)
-        assert recipe == expect
-        assert list(recipe) == list(expect)
-        assert [list(entries) for entries in recipe.values()] == [list(entries) for entries in expect.values()]
+    def test_runs_read_every_term(self, r):
+        # every Weyl term is read off v and the runs on either side of it
+        rs, pb = build_root_system(r)
+        for w in pb.frak_w_p:
+            n_w, zeta_exp, const_factors, s_factors = reference_term_data(rs, pb, w, r)
+            v, runs_zeta, runs_const, runs_s = runs_reading(w.perm, r)
+            assert (v, runs_zeta) == (n_w, {n: e for n, e in zeta_exp.items() if e}), w
+            assert (sorted(runs_const), sorted(runs_s)) == (sorted(const_factors), sorted(s_factors)), w
 
-    def test_out_of_range(self):
+    @pytest.mark.parametrize("r", range(2, R_MAX + 1))
+    def test_matches_root_object_reading(self, r, corpus):
+        # each chain-form R_v, and the combined sum, against the root-object reference
+        for c in corpus:
+            terms, combined = pairwise_slr(c, r)
+            z = slr_zeta(c, r)
+            assert z.terms == terms, c.describe()
+            assert z.combined == combined, c.describe()
+
+    def test_out_of_range(self, curve_g1):
         for r in (1, R_MAX + 1):
-            with pytest.raises(ValueError):
-                _slr_recipe(r)
+            with pytest.raises(ValueError, match="rank parameter"):
+                slr_zeta(curve_g1, r)
 
-    def test_not_built_at_import(self):
-        src = str(Path(group_zeta.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = (
-            "import curvezeta.cli\n"
-            "from curvezeta.group_zeta import _slr_recipe\n"
-            "print(_slr_recipe.cache_info().currsize)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0"
+
+class TestZeroResidue:
+    """P(1) = 0, so zh(1) = 0: every Weyl term with two or more runs vanishes,
+    and no route may divide by zh(1)."""
+
+    @pytest.fixture(scope="class")
+    def curve(self):
+        return parse_job(Path(__file__).parent / "data" / "zero_residue_job.yaml").curves[0]
+
+    def test_residue_vanishes(self, curve):
+        assert zeta_hat_special(curve, 1) == 0
+
+    @pytest.mark.parametrize("r", range(2, R_MAX + 1))
+    def test_matches_pairwise_sum(self, curve, r):
+        terms, combined = pairwise_slr(curve, r)
+        z = slr_zeta(curve, r)
+        assert z.terms == terms
+        assert z.combined == combined
+        assert z.numerator_T == reference_numerator(combined, curve, r)
+        # R_2..R_{r-1} have runs on both sides of v, so each carries zh(1)
+        assert [v for v, t in z.terms if t.is_zero()] == list(range(2, r))
 
 
 class TestNumeratorInfo:
