@@ -738,7 +738,8 @@ def _factored_sum(terms: Sequence[_FactoredTerm]) -> _FactoredTerm | tuple[Poly,
     contributes its value times L: its poly, and every key at L's
     multiplicity plus the term's own, which is never negative.  Keys that
     differ but share a polynomial factor are not merged, so L is a common
-    multiple, not always the least one; the quotient is the same.
+    multiple, not always the least one; the quotient is the same.  The empty
+    sum is the zero term.
 
     When no term involves u2 the sum is returned as one term: the numerator
     as its poly, over L kept factored.  Otherwise both numerator and
@@ -754,8 +755,8 @@ def _factored_sum(terms: Sequence[_FactoredTerm]) -> _FactoredTerm | tuple[Poly,
         for key, m in t.factors.items():
             if m < 0:
                 lcm[key] = max(lcm.get(key, 0), -m)
-    s1 = min(0, *(t.mono[0] for t in terms))
-    s2 = min(0, *(t.mono[1] for t in terms))
+    s1 = min((0, *(t.mono[0] for t in terms)))
+    s2 = min((0, *(t.mono[1] for t in terms)))
     parts = []  # (const, shifted monomial, key multiplicities, poly); the denominator last
     for t in terms:
         ms = dict(lcm)

@@ -9,11 +9,17 @@ log table, so a product is one lookup of exp at a sum of logs.  Before a
 modulus is walked, two necessary conditions for primitivity are tested: the
 norm (-1)^m c_0 of x must generate F_p^*, and for m > 1 the modulus must have
 no root in F_p^*.  Tables are built once per field, for p^m up to 2**20.
+In characteristic 2 the code sum(d_i 2^i) is the bit pattern of the digits,
+so the walk multiplies by x with a shift, and reduces with one XOR of the
+modulus bits when the shift sets bit m.
 
 The counts N_m = #X(F_{q^m}) are the ground truth for the zeta layer.  The
 model's coefficients lie in F_p, and the quadratic character and the absolute
 trace are both invariant under Frobenius z -> z^p, so f is evaluated once per
-Frobenius orbit of x and the orbit's points are counted by its size.
+Frobenius orbit of x and the orbit's points are counted by its size.  An
+Artin-Schreier f(x) is the XOR of c_0 and the power-table entries x^i with
+c_i = 1, with no Horner step; since Tr(z^2) = Tr(z), an even exponent counts
+as its odd part, and two equal exponents cancel.
 
 Supported smooth models, all with a single point at infinity:
 
@@ -160,18 +166,28 @@ def _field_tables(p: int, m: int) -> tuple[tuple[int, ...], array, array, int]:
     exp = array("l", [0]) * order
     log = array("l", [0]) * size
     for low in _candidate_moduli(p, m):
-        fold = [(w, -c % p) for w, c in zip(weights, low) if c]  # x^m, non-zero digits
         z = 1
-        for k in range(1, size):
-            exp[k - 1], log[z] = z, k - 1
-            d, z = divmod(z, top)
-            z *= p  # shift the digits up; the top digit d comes back as d * x^m
-            if d:
-                for w, b in fold:
-                    old = z // w % p
-                    z += ((old + d * b) % p - old) * w
-            if z == 1:
-                break
+        if p == 2:  # the code is the bit pattern: shift, then XOR the modulus bits
+            bits = size | sum(c << i for i, c in enumerate(low))
+            for k in range(1, size):
+                exp[k - 1], log[z] = z, k - 1
+                z <<= 1
+                if z & size:
+                    z ^= bits
+                if z == 1:
+                    break
+        else:
+            fold = [(w, -c % p) for w, c in zip(weights, low) if c]  # x^m, non-zero digits
+            for k in range(1, size):
+                exp[k - 1], log[z] = z, k - 1
+                d, z = divmod(z, top)
+                z *= p  # shift the digits up; the top digit d comes back as d * x^m
+                if d:
+                    for w, b in fold:
+                        old = z // w % p
+                        z += ((old + d * b) % p - old) * w
+                if z == 1:
+                    break
         if z != 1 or k != order:
             continue
         trace_mask = 0
@@ -269,7 +285,10 @@ def count_points(model: CurveModel, m: int) -> int:
     parity of log(z) modulo the even p^m - 1, and Tr(z^p) = Tr(z).  So every x
     in the Frobenius orbit {x, x^p, x^(p^2), ...} gives the same points.  In
     log coordinates Frobenius is lx -> p lx mod (p^m - 1); f is evaluated once
-    at the first lx of each orbit and weighted by the orbit's size.
+    at the first lx of each orbit and weighted by the orbit's size.  A
+    quadratic f(x) is evaluated by Horner; an Artin-Schreier one as c_0 XOR
+    exp[i lx] over the odd parts i of its exponents, whose trace is that of
+    f(x) because Tr is additive and Tr(z^2) = Tr(z).
     """
     if m < 1:
         raise ValueError("extension degree must be >= 1")
@@ -288,6 +307,13 @@ def count_points(model: CurveModel, m: int) -> int:
         return 2 - 2 * ((z & trace_mask).bit_count() & 1)
 
     total = 1 + points_over(coeffs[-1])  # the point at infinity, then x = 0
+    odd_parts = None  # the exponents of an Artin-Schreier f, evaluated by XOR
+    if model.kind == "artin_schreier":
+        odd = set()  # x^(2^j i) has the trace of x^i, and equal powers cancel
+        for i, c in enumerate(model.f[1:], 1):
+            if c % 2:
+                odd ^= {i // (i & -i)}
+        odd_parts = sorted(odd)
     seen = bytearray(order)
     for lx in range(order):  # x = exp[lx], every non-zero element in one orbit
         if seen[lx]:
@@ -297,12 +323,17 @@ def count_points(model: CurveModel, m: int) -> int:
             seen[k] = 1
             size += 1
             k = k * p % order
-        acc = 0  # Horner: acc * x is a lookup, adding c touches digit 0 only
-        for c in coeffs:
-            if acc:
-                acc = exp[(log[acc] + lx) % order]
-            low = acc % p
-            acc += (low + c) % p - low
+        if odd_parts is None:
+            acc = 0  # Horner: acc * x is a lookup, adding c touches digit 0 only
+            for c in coeffs:
+                if acc:
+                    acc = exp[(log[acc] + lx) % order]
+                low = acc % p
+                acc += (low + c) % p - low
+        else:
+            acc = coeffs[-1]
+            for i in odd_parts:
+                acc ^= exp[i * lx % order]
         total += size * points_over(acc)
     return total
 

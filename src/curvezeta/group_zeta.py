@@ -120,10 +120,8 @@ def _product(a: _FactoredTerm, b: _FactoredTerm) -> _FactoredTerm:
 
 
 def _summed(terms: list[_FactoredTerm]) -> _FactoredTerm:
-    """The sum of the terms: one needs no sum, and an empty sum is zero."""
-    if len(terms) > 1:
-        return _factored_sum(terms)
-    return terms[0] if terms else _FactoredTerm(poly=Poly())
+    """The sum of the terms; one needs no sum."""
+    return terms[0] if len(terms) == 1 else _factored_sum(terms)
 
 
 @lru_cache(maxsize=256)

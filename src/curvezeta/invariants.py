@@ -77,14 +77,18 @@ def alpha_from_A(A: Sequence[Rat], q: Rat, count: int) -> list[Fraction]:
     alpha_from_A(c.A, c.q, c.g).  With q replaced by Q = q^r and A by a
     numerator normalized to a unit constant term, the same system predicts
     the ratios alpha(r i)/alpha(0) of the SL_r and rank-two zetas.
+
+    The weights s_k = (q^{k+1} - 1)/(q - 1) satisfy s_k = q s_{k-1} + 1, so
+    alpha_i = q alpha_{i-1} + (A_0 + ... + A_i): O(count) exact steps, with
+    no power and no division.
     """
     q = Fraction(q)
-    out = []
+    out, alpha, partial = [], Fraction(0), Fraction(0)
     for i in range(count):
-        acc = Fraction(0)
-        for j in range(min(i, len(A) - 1) + 1):
-            acc += (q ** (i - j + 1) - 1) / (q - 1) * A[j]
-        out.append(acc)
+        if i < len(A):
+            partial += A[i]
+        alpha = q * alpha + partial
+        out.append(alpha)
     return out
 
 

@@ -818,6 +818,9 @@ class TestFactoredReduction:
         assert isinstance(got, _FactoredTerm)
         assert got.ratfun() == gcd_reduced(*a) + gcd_reduced(*b)
 
+    def test_empty_sum_is_zero(self):
+        assert _factored_sum([]).ratfun() == RationalFunction.zero()
+
     def test_non_linear_denominator_is_a_convention_error(self):
         term = as_factored(3, 0, {1: 1}, Poly.one())
         term.mul((1, 0, 1), 1, 0, -1)  # 1 / (1 + u^2)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curvezeta.artin import CurveData
 from curvezeta.invariants import (
@@ -29,7 +31,33 @@ def random_palindromic(rng: random.Random, q: int, g: int) -> CurveData:
     return CurveData(q, g, full)
 
 
+def triangular_alphas(A, q, count: int) -> list[Fraction]:
+    """The definition: alpha_i = sum_{j<=i} (q^{i-j+1} - 1)/(q - 1) * A_j,
+    with A_j = 0 past the end of A."""
+    q = F(q)
+    out = []
+    for i in range(count):
+        acc = F(0)
+        for j in range(min(i, len(A) - 1) + 1):
+            acc += (q ** (i - j + 1) - 1) / (q - 1) * A[j]
+        out.append(acc)
+    return out
+
+
 class TestAlphaFromA:
+    # q itself, or Q = q^r as the SL_r and rank-two ratios use it
+    @given(
+        st.lists(st.fractions(max_denominator=50), min_size=1, max_size=12),
+        st.builds(pow, st.sampled_from((2, 3, 5, 7)), st.integers(1, 10)) | st.just(1000003**3),
+        st.integers(0, 15),
+    )
+    @example([F(1), F(-3, 2), F(7)], 1000003**3, 15)
+    @settings(max_examples=200, deadline=None)
+    def test_recurrence_matches_definition(self, A, q, count):
+        got = alpha_from_A(A, q, count)
+        assert got == triangular_alphas(A, q, count)
+        assert all(type(a) is Fraction for a in got)
+
     def test_alpha0_is_one(self, corpus):
         for c in corpus:
             assert alpha_from_A(c.A, c.q, c.g)[0] == 1
