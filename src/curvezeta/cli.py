@@ -133,7 +133,7 @@ def _rational_list(src: dict, key: str) -> list[Fraction]:
     if isinstance(value, list):
         try:
             return [Fraction(str(v)) for v in value]  # str() also turns bools away
-        except ValueError:
+        except (ValueError, ZeroDivisionError):  # "1/0" parses, then divides by zero
             pass
     raise ValueError(f"{key} must be a list of numbers, got {value!r}")
 
@@ -354,7 +354,7 @@ def _task_slr(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
             checks["unit_normalization_r2"] = info.unit_constant
             checks["riemann_hypothesis_r2"] = rh.verdict
         if r in (2, 3):
-            _, ratio = period_residue_oracle(c, r)
+            ratio = period_residue_oracle(c, r)
             constant = ratio.is_constant()
             entry["period_oracle_ratio"] = ratio.constant_value() if constant else ratio
             checks[f"period_oracle_constant_r{r}"] = constant

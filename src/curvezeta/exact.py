@@ -9,13 +9,11 @@ polynomials is integral, so products, sums and exact divisions run on ints
 and touch the scale once, with integer gcds and no ``Fraction`` arithmetic.
 A rational function is a reduced quotient of two polynomials with a monic
 denominator, so equal values have equal representations and ``==`` is exact
-semantic equality.  Reduction uses :func:`poly_gcd`, a primitive
-pseudo-remainder sequence on the stored ints; a caller that has already
-cancelled every common factor skips it through
-:meth:`RationalFunction.coprime`, which builds the same canonical form, and
-so do the maps that keep a reduced quotient reduced: -f, f**n, f(t**k), and
-f(c t) and f(c/t) for c != 0.  ``Poly.coeffs`` gives the rational
-coefficients back for display and for the root finder.
+semantic equality.  It carries no field arithmetic.  A caller that has
+cancelled every common factor builds it through
+:meth:`RationalFunction.coprime`, and so does f(c/t) for c != 0, which keeps
+a reduced quotient reduced.  ``Poly.coeffs`` gives the rational coefficients
+back for display and for the root finder.
 
 Every zeta of the package has a denominator made of known binomials
 1 - q^e U and monomials, so it is kept as one factored type,
@@ -23,8 +21,12 @@ Every zeta of the package has a denominator made of known binomials
 and primitive integer factors with multiplicities, equal factors cancelling.
 :func:`_factored_sum` adds such terms over the LCM of their denominators,
 and :meth:`_FactoredTerm.ratfun` reduces a term in one variable by exact
-division at the known roots of its linear factors, with no gcd; the gcd is
-left to quotients whose factorization is unknown.
+division at the known roots of its linear factors, with no gcd.
+:func:`poly_gcd`, a primitive pseudo-remainder sequence on the stored ints,
+is left to where no factorization is known: the square-free split of the
+root finder's input (:func:`squarefree_decomposition`), and the
+:class:`RationalFunction` constructor, which on a CLI path reduces only the
+SL_r period oracle's ratio when the oracle and the assembly disagree.
 
 The only floating point in this module lives in :func:`complex_roots`.  It
 splits its input exactly into square-free factors and takes each along one
@@ -410,7 +412,9 @@ class RationalFunction:
 
     The canonical form (gcd(num, den) = 1, den monic, zero represented as
     0/1) makes ``==`` exact value equality, so identities can be asserted
-    structurally.
+    structurally.  The zeta layers build it through :meth:`coprime` after
+    cancelling known factors; the constructor takes a gcd, for a quotient
+    whose factorization is unknown.  It has no field arithmetic.
     """
 
     __slots__ = ("num", "den")
@@ -457,22 +461,8 @@ class RationalFunction:
         return RationalFunction(Poly())
 
     @staticmethod
-    def one() -> RationalFunction:
-        return RationalFunction(Poly.one())
-
-    @staticmethod
     def constant(c: Rat) -> RationalFunction:
         return RationalFunction(Poly([c]))
-
-    @staticmethod
-    def t(power: int = 1) -> RationalFunction:
-        """The monomial t**power; negative powers give 1/t**|power|."""
-        if power >= 0:
-            return RationalFunction(Poly.x(power))
-        return RationalFunction(Poly.one(), Poly.x(-power))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
 
     def is_constant(self) -> bool:
         return self.num.degree <= 0 and self.den.degree == 0
@@ -481,14 +471,6 @@ class RationalFunction:
         if not self.is_constant():
             raise ValueError("not a constant rational function")
         return self.num[0]
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
-    def as_poly(self) -> Poly:
-        if not self.is_polynomial():
-            raise ValueError("rational function has a nontrivial denominator")
-        return self.num
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -501,58 +483,6 @@ class RationalFunction:
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
-
-    def __add__(self, other: RationalFunction | Rat) -> RationalFunction:
-        other = _as_ratfun(other)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> RationalFunction:
-        return RationalFunction.coprime(-self.num, self.den)
-
-    def __sub__(self, other: RationalFunction | Rat) -> RationalFunction:
-        return self + (-_as_ratfun(other))
-
-    def __rsub__(self, other: Rat) -> RationalFunction:
-        return _as_ratfun(other) - self
-
-    def __mul__(self, other: RationalFunction | Rat) -> RationalFunction:
-        other = _as_ratfun(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: RationalFunction | Rat) -> RationalFunction:
-        other = _as_ratfun(other)
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other: Rat) -> RationalFunction:
-        return _as_ratfun(other) / self
-
-    def __pow__(self, n: int) -> RationalFunction:
-        if n < 0:
-            return RationalFunction.coprime(self.den, self.num) ** (-n)
-        return RationalFunction.coprime(self.num**n, self.den**n)
-
-    def evaluate(self, x):
-        d = self.den.evaluate(x)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at {x}")
-        return self.num.evaluate(x) / d
-
-    def scale_arg(self, c: Rat) -> RationalFunction:
-        """f(c*t).  For c != 0 a common root z of the images would make c z a
-        common root of num and den, so no gcd is taken."""
-        build = RationalFunction.coprime if c else RationalFunction
-        return build(self.num.scale_arg(c), self.den.scale_arg(c))
-
-    def stretch(self, k: int) -> RationalFunction:
-        """f(t**k); a common root z of the images would make z**k a common
-        root of num and den, so no gcd is taken."""
-        return RationalFunction.coprime(self.num.stretch(k), self.den.stretch(k))
 
     def reciprocal_arg(self, c: Rat = 1) -> RationalFunction:
         """f(c/t); clears the Laurent tail into the denominator.
@@ -598,16 +528,6 @@ class RationalFunction:
         if d == Poly.one():
             return f"RationalFunction({n!r})"
         return f"RationalFunction({n!r} / {d!r})"
-
-
-def _as_ratfun(x) -> RationalFunction:
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RationalFunction.constant(x)
-    if isinstance(x, Poly):
-        return RationalFunction(x)
-    raise TypeError(f"cannot coerce {type(x)} to RationalFunction")
 
 
 class ConventionError(RuntimeError):

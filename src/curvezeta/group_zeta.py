@@ -65,8 +65,8 @@ read off each tuple with code of its own, and summed by the same
 The limit lim (1 - u_1) f stays literal: (1 - u_1) divides a packed
 polynomial exactly when its column sums at u_1 = 1 vanish, and is then
 removed by exact division by (1 - x); u_1 = 1 is substituted by summing the
-columns.  The two routes must agree up to a constant ratio, which the
-caller records and checks.
+columns.  The two routes must agree up to a constant ratio, checked by
+cross-multiplication with no gcd, which the caller records.
 """
 
 from __future__ import annotations
@@ -333,8 +333,8 @@ def _divide_one_minus_u1(p: Poly, stride: int) -> Poly | None:
 
 
 @lru_cache(maxsize=64)
-def period_residue_oracle(c: CurveData, r: int) -> tuple[RationalFunction, RationalFunction]:
-    """The period route to zh_SLr, plus its ratio to the sum route.
+def period_residue_oracle(c: CurveData, r: int) -> RationalFunction:
+    """The period route to zh_SLr, as its ratio to the sum route.
 
     r = 2 sums its two Weyl terms in u and needs no residue.  At r = 3 the
     six bivariate terms are summed over the LCM of their factored
@@ -343,12 +343,20 @@ def period_residue_oracle(c: CurveData, r: int) -> tuple[RationalFunction, Ratio
     polynomials: (1 - u1) is stripped from each as often as it divides, the
     pole order never read off the factor keys, and then u1 = 1 is
     substituted.  A pole of order >= 2 raises; order <= 0 would make the
-    limit vanish, which is also reported.  The returned ratio is oracle /
-    assembled, a constant when the two routes agree; the caller checks that
-    it is.
+    limit vanish, which is also reported.  The residue is multiplied by
+    zh(2) and zh(s + 3) as polynomials, and never reduced.
+
+    The returned ratio is oracle / assembled, a constant when the two routes
+    agree; the caller checks that it is.  With oracle = on/od and assembled
+    = an/ad, agreement is checked cross-multiplied, on * ad == k * od * an,
+    with k the ratio of the leading coefficients (0 for a zero oracle), so
+    no gcd is taken.  Only when the check fails, or the assembled form is
+    zero, is the ratio reduced by the gcd constructor, which raises
+    ZeroDivisionError for a zero assembled form.
     """
     if r == 2:
         oracle = _factored_sum(_weyl_terms_r2(c)).ratfun()
+        on, od = oracle.num, oracle.den
     elif r == 3:
         num, den, stride = _factored_sum(_weyl_terms_r3(c))
         k_den = 0
@@ -364,13 +372,16 @@ def period_residue_oracle(c: CurveData, r: int) -> tuple[RationalFunction, Ratio
             raise ValueError(f"pole of order {order} at u1 = 1; limit unsupported")
         if order < 1:
             raise ValueError("no pole at u1 = 1; the residue vanishes")
-        residue = RationalFunction(_at_u1_one(num, stride), _at_u1_one(den, stride))
-        oracle = (
-            residue
-            * RationalFunction.constant(zeta_hat_special(c, 2))
-            * zeta_hat_ratfun(c, shift=3)
-        )
+        zh3 = zeta_hat_ratfun(c, shift=3)
+        on = _at_u1_one(num, stride) * zeta_hat_special(c, 2) * zh3.num
+        od = _at_u1_one(den, stride) * zh3.den
     else:
         raise ValueError("the period oracle covers r in {2, 3} only")
 
-    return oracle, oracle / slr_zeta(c, r).combined
+    assembled = slr_zeta(c, r).combined
+    left, right = on * assembled.den, od * assembled.num
+    if right.ints:
+        k = left[left.degree] / right[right.degree]  # a zero left reads 0 as its lead
+        if left == right * k:
+            return RationalFunction.constant(k)
+    return RationalFunction(left, right)

@@ -23,9 +23,10 @@ P~(t) = (qt)^{2h} P(1/(qt)) for h extra pairs,
 whose numerator splits into E(t) + sqrt(q) * O(t) with E and O rational.
 The half power (sqrt q)^{1-g} is applied once at the end by a rational
 scaling that swaps the parts when g - 1 is odd.  A member is kept as the
-one fraction (E + sqrt(q) O) / D, reduced once (:class:`HalfShiftRational`),
-so every result is a structural identity, never a numerical one.  When q
-is a perfect square the odd part folds away entirely.
+one fraction (E + sqrt(q) O) / D (:class:`HalfShiftRational`), reduced once
+by the known factors of D, so every result is a structural identity, never
+a numerical one.  When q is a perfect square the odd part folds away
+entirely, and 1 - qt^2 splits into 1 - sqrt(q) t and 1 + sqrt(q) t.
 
 The RH check, :func:`rh_check_zeta2`, solves the exact numerator
 E + sqrt(q) O through :func:`~curvezeta.exact.complex_roots`, like the
@@ -45,12 +46,12 @@ from typing import Callable, Sequence
 
 from curvezeta.artin import CurveData
 from curvezeta.exact import (
+    ConventionError,
     Poly,
     RationalFunction,
     ZeroReport,
     complex_roots,
     float_sqrt,
-    poly_gcd,
 )
 
 Rat = Fraction | int
@@ -68,9 +69,11 @@ class HalfShiftRational:
 
     No root is common to even, odd and den, and den is monic.  For a
     non-square q, 1 and sqrt(q) are independent over Q(t), so equal values
-    have equal fields and ``==`` and ``hash`` are exact.  Build a member with
-    :meth:`reduced`.  For square q the value is rational: the odd part is
-    folded into the even one before it gets here (:func:`_times_sqrt_power`).
+    have equal fields and ``==`` and ``hash`` are exact.  A member is built
+    by :func:`_reduced_by`, from a denominator whose factorization over Q is
+    known, with no gcd taken.  For square q the value is rational: the odd
+    part is folded into the even one before it gets here
+    (:func:`_times_sqrt_power`).
     """
 
     q: int
@@ -78,16 +81,26 @@ class HalfShiftRational:
     odd: Poly
     den: Poly
 
-    @staticmethod
-    def reduced(q: int, even: Poly, odd: Poly, den: Poly) -> HalfShiftRational:
-        """(even + sqrt(q) odd) / den in lowest terms: gcd(den, even), then,
-        unless that is 1 or odd is zero, its gcd with odd."""
-        g = poly_gcd(den, even)
-        if g.degree > 0 and not odd.is_zero():
-            g = poly_gcd(g, odd)
-        if g.degree > 0:
-            even, odd, den = even.exact_div(g), odd.exact_div(g), den.exact_div(g)
-        return _over_monic(q, even, odd, den)
+
+def _reduced_by(q: int, even: Poly, odd: Poly, factors: Sequence[tuple[Poly, int]]) -> HalfShiftRational:
+    """(even + sqrt(q) odd) / prod f^m in lowest terms, for the denominator's
+    factorization over Q, its factors f pairwise coprime and irreducible.
+
+    Each f is divided out of even and odd while it divides both exactly.  A
+    factor with rational coefficients divides even + sqrt(q) odd exactly when
+    it divides both parts (for square q the odd part is zero), so what is
+    left of the denominator is coprime to the numerator.
+    """
+    den = Poly.one()
+    for f, m in factors:
+        while m:
+            try:
+                even, odd = even.exact_div(f), odd.exact_div(f)
+            except ValueError:
+                break
+            m -= 1
+        den = den * f**m
+    return _over_monic(q, even, odd, den)
 
 
 def _over_monic(q: int, even: Poly, odd: Poly, den: Poly) -> HalfShiftRational:
@@ -171,9 +184,11 @@ def zeta2_family(ws: WeilPairSet, params: C1Params) -> HalfShiftRational:
     One pass (see the module's exactness note): the numerators of the even
     and odd parts of S = (sqrt q)^{g-1} zeta2 are formed as polynomials,
     scaled by (sqrt q)^{1-g}, and reduced together over the common
-    denominator (1-t)(1-qt)(1-qt^2) t^{a+h+2(g-1)} by
-    :meth:`HalfShiftRational.reduced`.  The factor (1+t)(1-q^2 t^2) shared
-    by the two terms of the definition is already cancelled.
+    denominator t^{a+h+2(g-1)} (1-t)(1-qt)(1-qt^2) by its known factors
+    (:func:`_reduced_by`), with no gcd: t, 1 - t, 1 - qt and 1 - qt^2, or
+    for a square q the two factors 1 -+ sqrt(q) t of the last.  The factor
+    (1+t)(1-q^2 t^2) shared by the two terms of the definition is already
+    cancelled.
     """
     a = params.a
     q = Fraction(ws.q)
@@ -198,8 +213,10 @@ def zeta2_family(ws: WeilPairSet, params: C1Params) -> HalfShiftRational:
         return (p * x1_sq - lifted * tilde) * shift
 
     even, odd = _times_sqrt_power(ws.q, part(pe), part(po), 1 - ws.g)
-    den = Poly([1, -1]) * Poly([1, -q]) * Poly([1, 0, -q]) * Poly.x(max(tpow, 0))
-    return HalfShiftRational.reduced(ws.q, even, odd, den)
+    root = math.isqrt(ws.q)  # 1 - qt^2 splits over Q exactly when q is a square
+    split = [Poly([1, -root]), Poly([1, root])] if root * root == ws.q else [Poly([1, 0, -q])]
+    factors = [(Poly.x(), max(tpow, 0)), *((f, 1) for f in (Poly([1, -1]), Poly([1, -q]), *split))]
+    return _reduced_by(ws.q, even, odd, factors)
 
 
 @lru_cache(maxsize=256)
@@ -234,19 +251,24 @@ def sextic_identity_report(z: HalfShiftRational, c_sum: Rat) -> dict:
         earlier, and exact division certifies (q t^2 - 1) as the true
         factor.  All three verdicts are reported so the discrepancy stays
         visible.
+
+    The canonical genus-one den divides t(1-t)(1-qt)(1-qt^2), so P6 is one
+    exact division times even, and the shapes compare as polynomials; any
+    other den is a :class:`ConventionError`.
     """
     q = z.q
     c_sum = Fraction(c_sum)
     qf = Fraction(q)
     p6 = Poly([0, 1]) * Poly([1, -1]) * Poly([1, -qf]) * Poly([1, 0, -qf])
     plain = z.odd.is_zero()
-    left = RationalFunction(p6 * z.even, z.den)
-    expansion = RationalFunction(
-        Poly([1, 0, -c_sum, 0, qf]) - Poly([0, 0, 1]) * Poly([1, 0, -qf * c_sum, 0, qf**3])
-    )
+    try:
+        left = p6.exact_div(z.den) * z.even
+    except ValueError:
+        raise ConventionError("zeta2 denominator does not divide t(1-t)(1-qt)(1-qt^2)") from None
+    expansion = Poly([1, 0, -c_sum, 0, qf]) - Poly([0, 0, 1]) * Poly([1, 0, -qf * c_sum, 0, qf**3])
     quartic = Poly([1, 0, qf - c_sum - 1, 0, qf * qf])
-    corrected = RationalFunction(Fraction(-1) * Poly([-1, 0, qf]) * quartic)
-    literal = RationalFunction(Fraction(-1) * Poly([1, 0, qf]) * quartic)
+    corrected = Fraction(-1) * Poly([-1, 0, qf]) * quartic
+    literal = Fraction(-1) * Poly([1, 0, qf]) * quartic
     return {
         "q": q,
         "c": c_sum,

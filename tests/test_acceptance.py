@@ -44,6 +44,7 @@ from curvezeta.yoshida import (
 )
 
 from corpus import census_models, corpus_curves, elliptic_grid
+from ratfun_reference import RatFun
 
 F = Fraction
 
@@ -142,9 +143,9 @@ def test_criterion_6_group_zeta_calibration():
             continue
         q = F(c.q)
         z = slr_zeta(c, 2)
-        display = zeta_hat_ratfun(c, shift=1) * RationalFunction(
+        display = zeta_hat_ratfun(c, shift=1) * RatFun(
             [0, 1], [-q * q, 1]
-        ) + zeta_hat_ratfun(c, shift=2) * RationalFunction([1], [1, -1])
+        ) + zeta_hat_ratfun(c, shift=2) * RatFun([1], [1, -1])
         ok = ok and z.combined == display
     for c in (CurveData(2, 1, [1, 0, 2], genuine=True), CurveData(2, 2, [1, 0, 0, 0, 4], genuine=True)):
         for r in (2, 3, 4):

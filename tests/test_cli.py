@@ -17,8 +17,9 @@ import pytest
 import yaml
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
+from ratfun_reference import RatFun
 
-from curvezeta import artin, cli, fields, group_zeta, invariants, mass, rank2
+from curvezeta import artin, cli, exact, fields, group_zeta, invariants, mass, rank2
 from curvezeta.cli import TASKS, JobError, main, parse_job, render, run
 from curvezeta.exact import Poly, RationalFunction, RootFindError
 from curvezeta.group_zeta import R_MAX, slr_rh_report, slr_zeta
@@ -125,6 +126,10 @@ BAD_VALUES = [
         "curves[0]: A must be a list of numbers",
     ),
     (
+        "curves:\n  - {type: coefficients, q: 5, g: 1, A: ['1/0', 0, 5]}\n",
+        "curves[0]: A must be a list of numbers",
+    ),
+    (
         "curves:\n  - {type: coefficients, q: 5, g: 1, A: [1, 0, 5], genuine: 'false'}\n",
         "curves[0]: genuine must be true or false",
     ),
@@ -159,6 +164,7 @@ BAD_VALUE_IDS = [
     "elliptic-a-missing",
     "counts-string",
     "coefficients-A-int",
+    "coefficients-A-zero-denominator",
     "genuine-string",
     "label-mapping",
 ]
@@ -318,7 +324,7 @@ class TestRun:
 
         def skewed(c, shift=0):
             f = zeta_hat_ratfun(c, shift)
-            return f * RationalFunction([1, 1]) if shift == 3 else f
+            return f * RatFun([1, 1]) if shift == 3 else f
 
         monkeypatch.setattr(group_zeta, "zeta_hat_ratfun", skewed)
         group_zeta.period_residue_oracle.cache_clear()
@@ -334,6 +340,24 @@ class TestRun:
         assert r3.pop("period_oracle_ratio") == {"num": ["1", "1"], "den": ["1"]}  # 1 + u
         assert good_r3.pop("period_oracle_ratio") == "1"
         assert r3 == good_r3
+
+    def test_period_oracle_over_a_zero_assembled_form_is_an_error_entry(self, tmp_path, monkeypatch):
+        # oracle / 0 has no value: the slr entry is the division's error, and
+        # the exit code is 1
+        path = tmp_path / "slr.yaml"
+        path.write_text("curves:\n  - {type: elliptic, q: 2, a: 0}\nranks: [2]\ntasks: [slr]\n")
+        monkeypatch.setattr(
+            group_zeta, "slr_zeta", lambda c, r: replace(slr_zeta(c, r), combined=RationalFunction.zero())
+        )
+        group_zeta.period_residue_oracle.cache_clear()
+        try:
+            code, tree = run(parse_job(path))
+        finally:
+            group_zeta.period_residue_oracle.cache_clear()
+        assert code == 1
+        (entry,) = tree["reports"]
+        assert entry["data"] == {"error": "ZeroDivisionError: rational function with zero denominator"}
+        assert entry["checks"] == {"completed": False}
 
     @pytest.mark.parametrize(
         "task, check, module, name, skew",
@@ -351,7 +375,7 @@ class TestRun:
                 "closed_form_two_term",
                 rank2,
                 "rank2_closed_form",
-                lambda out: (out[0] * RationalFunction([1, 1]), out[1]),
+                lambda out: (out[0] * RatFun([1, 1]), out[1]),
                 id="closed_form_two_term",
             ),
             pytest.param(
@@ -377,7 +401,7 @@ class TestRun:
                 "group_zeta_cross_check",
                 cli,
                 "slr_zeta",
-                lambda z: replace(z, combined=z.combined * 2),
+                lambda z: replace(z, combined=RatFun.of(z.combined) * 2),
                 id="group_zeta_cross_check",
             ),
         ],
@@ -708,6 +732,44 @@ class TestDegenerateInput:
         assert rh_entry["checks"] == {"artin_rh": True, "slr2_rh": True, "zeta2_rh": True}
 
 
+# one small curve per job, all seven tasks at rank two; elliptic q = 4, a = -4
+# has a repeated Frobenius root, so its numerators take the square-free split
+SWEEP_SHAPED = [
+    "{type: elliptic, q: 5, a: 2}",
+    "{type: elliptic, q: 9, a: -3}",
+    "{type: elliptic, q: 4, a: -4}",
+    "{type: model, kind: quadratic, q: 7, f: [1, 3, 0, 1]}",
+    "{type: model, kind: quadratic, q: 5, f: [1, 3, 2, 4, 0, 1]}",
+    "{type: model, kind: artin_schreier, q: 2, f: [0, 1, 0, 0, 0, 1]}",
+]
+
+
+class TestReductionRule:
+    def test_gcd_only_where_no_factorization_is_known(self, tmp_path, monkeypatch):
+        # every zeta is reduced by its known factors: the one poly_gcd left on
+        # a CLI path is the square-free split of a root finder's input
+        callers = []
+        gcd = exact.poly_gcd
+
+        def counting(a, b):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return gcd(a, b)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("curvezeta") and getattr(module, "poly_gcd", None) is gcd:
+                monkeypatch.setattr(module, "poly_gcd", counting)
+        jobs = [DATA / "criterion10_job.yaml", DATA / "square_q_genus2_job.yaml"]
+        for i, source in enumerate(SWEEP_SHAPED):
+            jobs.append(tmp_path / f"sweep{i}.yaml")
+            jobs[-1].write_text(f"curves:\n  - {source}\nranks: [2]\ntasks: [{', '.join(TASKS)}]\n")
+        for path in jobs:
+            clear_caches()  # as in a fresh process
+            code, _ = run(parse_job(path))
+            assert code == 0, path.name
+        clear_caches()
+        assert callers and set(callers) == {"squarefree_decomposition"}
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, jobfile):
         job1 = parse_job(jobfile)
@@ -742,6 +804,16 @@ class TestDeterminism:
         assert main(["slr", str(job), "--rank", str(R_MAX), "--out", str(out)]) == 0
         text = (out / "report.json").read_text()
         assert mask_floats(text) == (DATA / "slr_zero_residue_rank10_report.masked.json").read_text()
+
+    def test_square_q_genus2_report_matches_recorded_bytes(self):
+        """Two genus-two curves over the square fields F_9 and F_4, all seven
+        tasks at ranks 2 and 3, floats masked, as recorded in tests/data: zeta2
+        reduces by 1 - sqrt(q) t and 1 + sqrt(q) t where 1 - qt^2 splits."""
+        job = parse_job(DATA / "square_q_genus2_job.yaml")
+        code, tree = run(job)
+        assert code == 0
+        text = render(tree, job.fmt)["report.json"]
+        assert mask_floats(text) == (DATA / "square_q_genus2_report.masked.json").read_text()
 
     def test_zeros_csv_emitted(self, full_tree):
         _, tree = full_tree
@@ -830,7 +902,7 @@ class TestEmitter:
             assert text == json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 
-_JUNK = st.sampled_from(["x", True, 1.5, None, [], {}])
+_JUNK = st.sampled_from(["x", "1/0", True, 1.5, None, [], {}])
 
 
 def _mostly(valid: st.SearchStrategy, invalid: st.SearchStrategy = _JUNK) -> st.SearchStrategy:
@@ -849,7 +921,7 @@ def _curve_sources(draw) -> dict:
     elif kind == "coefficients":
         g = draw(st.integers(0, 3))
         size = 2 * g + draw(_mostly(st.just(0), st.sampled_from([-1, 1])))
-        A = [1] + draw(st.lists(st.integers(-3, 3), min_size=max(size, 0), max_size=max(size, 0)))
+        A = [draw(_mostly(st.just(1)))] + draw(st.lists(st.integers(-3, 3), min_size=max(size, 0), max_size=max(size, 0)))
         src = {"q": q, "g": g, "A": A, "genuine": draw(_mostly(st.just(False), st.just(True)))}
     elif kind == "counts":
         g = draw(st.integers(0, 2))
@@ -911,6 +983,7 @@ class TestExitCodeContract:
             ["run"],
         )
     )
+    @example(case=({"curves": [{"type": "coefficients", "q": 5, "g": 1, "A": ["1/0", 0, 5]}]}, ["run"]))
     @settings(max_examples=100, deadline=None)
     def test_exit_codes(self, case):
         job, args = case

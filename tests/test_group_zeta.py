@@ -3,7 +3,7 @@
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from ratfun_reference import RatFun
 
 from curvezeta.artin import CurveData, artin_fe_ratfun_check, zeta_hat_ratfun, zeta_hat_special
 from curvezeta import exact, group_zeta
@@ -269,11 +270,11 @@ def reference_terms(r: int) -> tuple:
 
 
 def pairwise_slr(c: CurveData, r: int):
-    """Reference: each R_n and the combined sum by pairwise RationalFunction additions.
+    """Reference: each R_n and the combined sum by pairwise reference additions.
 
     The Weyl terms that share n_w and their factors through the last slot
     are added as constants first, so that each R_n is a sum of a few
-    RationalFunctions, not of (r + 2) 2^{r-3}.
+    rational functions, not of (r + 2) 2^{r-3}.
     """
     q = F(c.q)
     zh = {n: zeta_hat_special(c, n) for n in range(1, r)}
@@ -292,28 +293,24 @@ def pairwise_slr(c: CurveData, r: int):
         shapes[n_w, s_factors] = shapes.get((n_w, s_factors), 0) + value
     R = {}
     for (n_w, s_factors), value in shapes.items():
-        term = RationalFunction.constant(value)
+        term = RatFun.constant(value)
         for e, upow in s_factors:  # 1/(1 - q^e u^upow)
             if upow == 1:
-                term = term * RationalFunction([1], [1, -(q**e)])
+                term = term * RatFun([1], [1, -(q**e)])
             else:
-                term = term * RationalFunction([0, 1], [-(q**e), 1])
-        R[n_w] = R.get(n_w, RationalFunction.zero()) + term
-    combined = RationalFunction.zero()
+                term = term * RatFun([0, 1], [-(q**e), 1])
+        R[n_w] = R.get(n_w, RatFun.zero()) + term
+    combined = RatFun.zero()
     for n in sorted(R):
         combined = combined + R[n] * zeta_hat_ratfun(c, shift=n)
     return tuple(sorted(R.items())), combined
 
 
-def reference_numerator(combined: RationalFunction, c: CurveData, r: int) -> tuple[F, ...]:
+def reference_numerator(combined: RatFun, c: CurveData, r: int) -> tuple[F, ...]:
     """A(0..2g) by composing with u = 1/T and clearing the display's poles
-    through RationalFunction arithmetic, not by the library's exact division."""
+    through the reference arithmetic, not by the library's exact division."""
     Q = F(c.q) ** r
-    E = (
-        combined.reciprocal_arg(1)
-        * RationalFunction.t(c.g - 1)
-        * RationalFunction(Poly([1, -1]) * Poly([1, -Q]))
-    )
+    E = combined.reciprocal_arg(1) * RatFun.t(c.g - 1) * RatFun(Poly([1, -1]) * Poly([1, -Q]))
     poly = E.as_poly()
     assert poly.degree <= 2 * c.g
     return tuple(poly[i] for i in range(2 * c.g + 1))
@@ -495,6 +492,30 @@ def u1_pole_order(num, den, divide) -> int:
     return k_den - k_num
 
 
+def reference_oracle(c: CurveData, r: int) -> RatFun:
+    """The period route by the reference arithmetic: at r = 2 the two Weyl
+    terms as rational functions, at r = 3 the dict/Fraction sum with (1 - u1)
+    stripped and u1 = 1 substituted on it, times zh(2) zh(s + 3)."""
+    q = F(c.q)
+    if r == 2:
+        flip = zeta_hat_ratfun(c, shift=1) * RatFun([0, 1], [-(q**2), 1])
+        return flip + zeta_hat_ratfun(c, shift=2) * RatFun([1], [1, -1])
+    num, den = ref_factored_sum(ref_weyl_terms_r3(c))
+    order = 0
+    while (nxt := p2_divide_one_minus_u1(den)) is not None:
+        den, order = nxt, order + 1
+    for _ in range(order - 1):
+        num = p2_divide_one_minus_u1(num)
+
+    def at_u1_one(p: Poly2) -> Poly:
+        cols = [F(0)] * (1 + max(j for _, j in p))
+        for (_, j), v in p.items():
+            cols[j] += v
+        return Poly(cols)
+
+    return RatFun(at_u1_one(num), at_u1_one(den)) * zeta_hat_special(c, 2) * zeta_hat_ratfun(c, shift=3)
+
+
 def criterion10_curves() -> list[CurveData]:
     return list(parse_job(Path(__file__).parent / "data" / "criterion10_job.yaml").curves)
 
@@ -625,9 +646,9 @@ class TestSlrAssembly:
                 continue
             q = F(c.q)
             z = slr_zeta(c, 2)
-            expect = zeta_hat_ratfun(c, shift=1) * RationalFunction(
+            expect = zeta_hat_ratfun(c, shift=1) * RatFun(
                 [0, 1], [-q * q, 1]
-            ) + zeta_hat_ratfun(c, shift=2) * RationalFunction([1], [1, -1])
+            ) + zeta_hat_ratfun(c, shift=2) * RatFun([1], [1, -1])
             assert z.combined == expect, c.describe()
 
     def test_rank2_reproduces_closed_form(self, corpus):
@@ -637,7 +658,7 @@ class TestSlrAssembly:
             z = slr_zeta(c, 2)
             Fm, shift = rank2_closed_form(c)
             lhs = z.combined.reciprocal_arg(1)  # the function of T
-            rhs = Fm * RationalFunction.t(-shift)
+            rhs = Fm * RatFun.t(-shift)
             assert lhs == rhs, c.describe()
 
     @pytest.mark.parametrize("r", [2, 3, 4])
@@ -730,14 +751,14 @@ class TestSlrAssembly:
     def test_off_grid_combined_is_a_convention_error(self, curve_g1):
         z = slr_zeta(curve_g1, 3)
         off_grid = [
-            z.combined / RationalFunction([1, -5]),  # a stray pole at T = 5
-            z.combined * RationalFunction.t(1),  # a stray pole at T = 0
+            z.combined / RatFun([1, -5]),  # a stray pole at T = 5
+            z.combined * RatFun.t(1),  # a stray pole at T = 0
         ]
         for combined in off_grid:  # each is an inexact division, never a ValueError
             with pytest.raises(ConventionError, match="does not reduce to the expected T-grid shape"):
                 _extract_numerator(combined, curve_g1, 3)
         with pytest.raises(ConventionError, match="exceeds 2g"):  # times T^3
-            _extract_numerator(z.combined * RationalFunction.t(-3), curve_g1, 3)
+            _extract_numerator(z.combined * RatFun.t(-3), curve_g1, 3)
 
     @pytest.mark.parametrize("q, g, seed", [(3, 12, 0)])
     def test_large_genus_rank6(self, q, g, seed):
@@ -755,7 +776,7 @@ class TestSlrAssembly:
 
         z = slr_zeta(curve_g1, 2)
         broken = dataclasses.replace(
-            z, combined=z.combined + zeta_hat_ratfun(curve_g1, shift=1)
+            z, combined=RatFun.of(z.combined) + zeta_hat_ratfun(curve_g1, shift=1)
         )
         assert not slr_fe_check(broken)
 
@@ -782,14 +803,14 @@ def as_factored(q: int, k: int, den: dict[int, int], num: Poly) -> _FactoredTerm
     return term
 
 
-def gcd_reduced(q: int, k: int, den: dict[int, int], num: Poly) -> RationalFunction:
+def gcd_reduced(q: int, k: int, den: dict[int, int], num: Poly) -> RatFun:
     """The same value through the gcd constructor of RationalFunction."""
     d = Poly.one()
     for e, m in den.items():
         d = d * Poly([1, -F(q) ** e]) ** m
     if k >= 0:
-        return RationalFunction(num * Poly.x(k), d)
-    return RationalFunction(num, d * Poly.x(-k))
+        return RatFun(num * Poly.x(k), d)
+    return RatFun(num, d * Poly.x(-k))
 
 
 class TestFactoredReduction:
@@ -927,7 +948,7 @@ class TestZeroResidue:
         assert z.combined == combined
         assert z.numerator_T == reference_numerator(combined, curve, r)
         # R_2..R_{r-1} have runs on both sides of v, so each carries zh(1)
-        assert [v for v, t in z.terms if t.is_zero()] == list(range(2, r))
+        assert [v for v, t in z.terms if t == 0] == list(range(2, r))
 
 
 class TestNumeratorInfo:
@@ -973,29 +994,28 @@ class TestPeriodOracle:
         # its identity term zh(s+2)/(1 - u), each built by gcd reduction
         q = F(curve_g1.q)
         identity, flip = _weyl_terms_r2(curve_g1)
-        flip_ref = zeta_hat_ratfun(curve_g1, shift=1) * RationalFunction([0, 1], [-(q**2), 1])
-        identity_ref = zeta_hat_ratfun(curve_g1, shift=2) * RationalFunction([1], [1, -1])
+        flip_ref = zeta_hat_ratfun(curve_g1, shift=1) * RatFun([0, 1], [-(q**2), 1])
+        identity_ref = zeta_hat_ratfun(curve_g1, shift=2) * RatFun([1], [1, -1])
         assert (identity.ratfun(), flip.ratfun()) == (identity_ref, flip_ref)
         assert _factored_sum([identity, flip]).ratfun() - flip_ref == identity_ref
-        oracle, _ = period_residue_oracle(curve_g1, 2)
-        assert oracle == identity_ref + flip_ref
+        assert RatFun.of(period_residue_oracle(curve_g1, 2)) * slr_zeta(curve_g1, 2).combined == identity_ref + flip_ref
 
     def test_rank2_constant_is_one(self, corpus):
         for c in corpus[:6]:
             if c.g < 1:
                 continue
-            _, ratio = period_residue_oracle(c, 2)
+            ratio = period_residue_oracle(c, 2)
             assert ratio == 1, c.describe()
 
     def test_rank3_constant_is_one(self, curve_g1, curve_g2):
         for c in (curve_g1, curve_g2, GENUS3_DATUM):
-            _, ratio = period_residue_oracle(c, 3)
+            ratio = period_residue_oracle(c, 3)
             assert ratio == 1, c.describe()
 
     @pytest.mark.parametrize("q, g, seed", ELLIPTIC_PRODUCTS)
     def test_rank3_constant_is_one_elliptic_products(self, q, g, seed):
         c = elliptic_product(q, g, seed)
-        _, ratio = period_residue_oracle(c, 3)
+        ratio = period_residue_oracle(c, 3)
         assert ratio == 1, c.describe()
 
     @pytest.mark.parametrize(
@@ -1040,8 +1060,8 @@ class TestPeriodOracle:
                     term /= 1 - q ** (1 - rs.pairing(rho, beta)) * u_root(beta)
                 for a in rs.flipped_positive_roots(w):
                     h = int(rs.pairing(rho, a))
-                    term *= zeta_hat_ratfun(c, shift=h).evaluate(u_root(a))
-                    term /= zeta_hat_ratfun(c, shift=h + 1).evaluate(u_root(a))
+                    term *= RatFun.of(zeta_hat_ratfun(c, shift=h)).evaluate(u_root(a))
+                    term /= RatFun.of(zeta_hat_ratfun(c, shift=h + 1)).evaluate(u_root(a))
                 expect += term
 
             assert p2_value(den, *u) != 0
@@ -1082,6 +1102,55 @@ class TestPeriodOracle:
         assert _divide_one_minus_u1(pack(one_minus_u1_plus_u2, stride), stride) is None
         # u1 - u2 packs to x - x^3, which (1 - x) divides, but (1 - u1) does not
         assert _divide_one_minus_u1(pack({(1, 0): F(1), (0, 1): F(-1)}, stride), stride) is None
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_ratio_matches_reference_quotient(self, corpus, r):
+        # the cross-multiplied verdict and constant are oracle / assembled,
+        # divided by the reference arithmetic and reduced by a gcd
+        for c in corpus:
+            ratio = period_residue_oracle(c, r)
+            assert ratio == reference_oracle(c, r) / slr_zeta(c, r).combined, c.describe()
+            assert ratio.is_constant(), c.describe()
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize(
+        "skew", [[3], [F(-1, 2)], [0], [1, 1], [0, 0, 2]], ids=["three", "minus-half", "zero", "1+u", "2u^2"]
+    )
+    def test_skewed_oracle_ratio(self, monkeypatch, curve_g2, r, skew):
+        # the oracle times a constant or a polynomial in u (the constant 0 makes
+        # a zero oracle): the ratio is that factor, as the reference quotient
+        # gives it, and constant exactly when the factor is
+        factor = RatFun(skew)
+        if r == 2:
+            weyl_terms = group_zeta._weyl_terms_r2
+
+            def skewed_terms(c):
+                terms = weyl_terms(c)
+                for t in terms:
+                    t.poly = t.poly * Poly(skew)
+                return terms
+
+            monkeypatch.setattr(group_zeta, "_weyl_terms_r2", skewed_terms)
+        else:
+            zh = group_zeta.zeta_hat_ratfun
+            monkeypatch.setattr(
+                group_zeta, "zeta_hat_ratfun", lambda c, shift=0: zh(c, shift) * factor if shift == 3 else zh(c, shift)
+            )
+        ratio = period_residue_oracle.__wrapped__(curve_g2, r)
+        assert ratio == reference_oracle(curve_g2, r) * factor / slr_zeta(curve_g2, r).combined
+        assert ratio == factor
+        assert ratio.is_constant() == (len(skew) == 1)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_zero_assembled_form_raises(self, monkeypatch, curve_g2, r):
+        # oracle / 0 is the gcd constructor's ZeroDivisionError, as in the reference
+        z = replace(slr_zeta(curve_g2, r), combined=RationalFunction.zero())
+        monkeypatch.setattr(group_zeta, "slr_zeta", lambda c, r: z)
+        message = "^rational function with zero denominator$"
+        with pytest.raises(ZeroDivisionError, match=message):
+            period_residue_oracle.__wrapped__(curve_g2, r)
+        with pytest.raises(ZeroDivisionError, match=message):
+            reference_oracle(curve_g2, r) / z.combined
 
     def test_rank4_unsupported(self, curve_g1):
         with pytest.raises(ValueError):

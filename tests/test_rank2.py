@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from ratfun_reference import RatFun
 
 from curvezeta import rank2
 from curvezeta.artin import CurveData, zeta_hat_special
@@ -33,11 +34,11 @@ def series_oracle(c: CurveData, order: int) -> list[Fraction]:
     """Independent route: expand the two-summand form, never the closed form."""
     q, g = F(c.q), c.g
     P = c.numerator
-    first = RationalFunction(P, Poly([1, -1]) * Poly([1, -q]) * Poly([1, -q * q]))
+    first = RatFun(P, Poly([1, -1]) * Poly([1, -q]) * Poly([1, -q * q]))
     second = (
-        RationalFunction.constant(q ** -(g - 1))
-        * RationalFunction(P.scale_arg(q), Poly([1, -q]) * Poly([1, -q * q]))
-        * RationalFunction(Poly([0, -1]), Poly([1, -1]))
+        RatFun.constant(q ** -(g - 1))
+        * RatFun(P.scale_arg(q), Poly([1, -q]) * Poly([1, -q * q]))
+        * RatFun(Poly([0, -1]), Poly([1, -1]))
     )
     return list((first + second).series(order))
 
@@ -86,7 +87,7 @@ class TestChecks:
 
     def test_closed_form_check_false_on_a_wrong_closed_form(self, curve_g1, monkeypatch):
         F, shift = rank2_closed_form(curve_g1)
-        monkeypatch.setattr(rank2, "rank2_closed_form", lambda c: (F * RationalFunction([1, 1]), shift))
+        monkeypatch.setattr(rank2, "rank2_closed_form", lambda c: (F * RatFun([1, 1]), shift))
         assert closed_form_check(curve_g1) is False
         assert numerator_check(curve_g1) is False
 
@@ -162,7 +163,7 @@ class TestInvariantExtraction:
     def test_normalization_error(self, curve_g1):
         Fm, shift = rank2_closed_form(curve_g1)
         with pytest.raises(NormalizationError):
-            eq_extract(Fm * RationalFunction.constant(2), shift, F(3), 2, 1)
+            eq_extract(Fm * RatFun.constant(2), shift, F(3), 2, 1)
 
     def test_triangular_relations_hold_for_all_m(self, corpus):
         # one global constant q^{-g} rescales the X-numerator onto the
@@ -192,7 +193,7 @@ class TestPureZeta:
 
     def test_broken_zeta_fails(self, curve_g1):
         z = pure_zeta(curve_g1)
-        broken = PureZeta(z.r, z.q, z.Z + RationalFunction.t(1), z.shift)
+        broken = PureZeta(z.r, z.q, z.Z + RatFun.t(1), z.shift)
         assert not pure_fe_check(broken)
 
 
