@@ -9,8 +9,9 @@ The package computes, with exact rational arithmetic throughout:
 * SL_r group zetas assembled from the type A_{r-1} Weyl sum as two chain
   sums over compositions, together with their functional equations and an
   independent period-residue oracle;
-* masses of semistable bundles (inclusion-exclusion sums in the completed
-  zeta values, and the general-degree Harder-Narasimhan mass sum);
+* masses of semistable bundles (the inclusion-exclusion telescope in the
+  completed zeta values, and the general-degree Harder-Narasimhan mass sum),
+  both chain sums over compositions;
 * a rank-two zeta family with half-integral q-powers tracked exactly, its
   functional equation, numerical Riemann-Hypothesis checks, and the
   multiplicity deformation that breaks RH for the bare family member.
@@ -71,7 +72,6 @@ from curvezeta.yoshida import (
     HalfShiftRational,
     WeilPairSet,
     counterexample_search,
-    modulus_ordering,
     rh_check_zeta2,
     zeta2_canonical,
     zeta2_family,
@@ -108,7 +108,6 @@ __all__ = [
     "elliptic_oracle",
     "gamma",
     "middle_coefficient_identity_check",
-    "modulus_ordering",
     "numerator_from_counts",
     "period_residue_oracle",
     "pure_fe_check",

@@ -17,15 +17,15 @@ Subcommands mirror the tasks (`artin`, `invariants`, `rank2`,
 `slr --rank R`, `mass --rank R --degree D`, `yoshida [--counterexample]`,
 `rh-report`) and `run` executes whatever the file's ``tasks`` lists.  Exit
 codes: 0 all asserted identities hold, 1 an asserted identity failed,
-2 bad input.  A failed identity is a false check next to its task's data.
-A task that stops, because its construction fails on the data, its root
-finder gives up or its float arithmetic overflows, still gets a report
-entry, ``{"error": "<Type>: <message>"}`` with the check
-``completed: false``.  ``rh-report`` runs its three parts one by one: a
-part that stops gets a null verdict and its message under ``errors``, and
-the other parts keep their zeros.  Reports render exact rationals as "p/q"
-strings and floats at fixed precision, so identical jobs produce
-byte-identical files.
+2 bad input or an ``--out`` directory that cannot be written.  A failed
+identity is a false check next to its task's data.  A task that stops,
+because its construction fails on the data, its root finder gives up or
+its float arithmetic overflows, still gets a report entry,
+``{"error": "<Type>: <message>"}`` with the check ``completed: false``.
+``rh-report`` runs its three parts one by one: a part that stops gets a
+null verdict and its message under ``errors``, and the other parts keep
+their zeros.  Reports render exact rationals as "p/q" strings and floats
+at fixed precision, so identical jobs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -604,9 +604,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     code, tree = run(job, tasks)
     files = render(tree, job.fmt)
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        for name, content in sorted(files.items()):
-            (args.out / name).write_text(content)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+            for name, content in sorted(files.items()):
+                (args.out / name).write_text(content)
+        except OSError as e:
+            print(f"cannot write reports to {args.out}: {e.strerror or e}", file=sys.stderr)
+            return 2
+        for name in sorted(files):
             print(f"wrote {args.out / name}")
     else:
         for name, content in sorted(files.items()):

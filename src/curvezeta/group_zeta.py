@@ -34,8 +34,10 @@ composition form of the SL_n zeta of Weng and Zagier:
 
 with U_r = D_1 = 1.  E_n(a) sums the compositions of n whose last part is
 a, B_n(b) those whose first part is b, each by a dynamic program over
-(values used, end part) in O(r^3) ``Fraction`` operations per curve; the
-zh(n), n < r, are evaluated once per assembly, and none at r = 2.
+(values used, end part) in O(r^3) ``Fraction`` operations per curve, one
+:func:`_chain_row` per n (the completed-zeta mass sums its telescope with
+it too); the zh(n), n < r, are evaluated once per assembly, and none at
+r = 2.
 
 Every function here is a factored term of :mod:`curvezeta.exact`: a
 constant, a monomial, a polynomial kept whole and primitive integer factors
@@ -124,6 +126,16 @@ def _summed(terms: list[_FactoredTerm]) -> _FactoredTerm:
     return terms[0] if len(terms) == 1 else _factored_sum(terms)
 
 
+def _chain_row(X: list[list[Fraction]], n: int, lone: list, joined: list, pair: dict) -> list:
+    """Row n of a chain sum over the compositions of n values: entry a sums
+    those whose end run has a values, weighing lone[a] when it is the only run,
+    else joined[a] times each entry X[n - a][b] it joins, times pair[a + b]."""
+    return [0] + [
+        lone[a] if a == n else joined[a] * sum(X[n - a][b] * pair[a + b] for b in range(1, n - a + 1))
+        for a in range(1, n + 1)
+    ]
+
+
 @lru_cache(maxsize=256)
 def slr_zeta(c: CurveData, r: int) -> SlrZeta:
     """Assemble zh_SLr(s) = sum_v R_v(s) zh(s + v) exactly in u = q^{-s}.
@@ -145,21 +157,14 @@ def slr_zeta(c: CurveData, r: int) -> SlrZeta:
     top = [0, *itertools.accumulate(zh[1:], operator.mul, initial=1)]  # top[l] = zh(2)...zh(l)
     pair = {k: Fraction(1, 1 - q**k) for k in range(2, r)}  # two adjacent runs, k values in all
 
-    def chain(X: list[list[Fraction]], n: int, a: int, lone: list, joined: list) -> Fraction:
-        """The chains of n values whose end run has a values: weight lone[a] when
-        it is the only run, else joined[a] times each chain X[n - a] it joins."""
-        if a == n:
-            return lone[a]
-        return joined[a] * sum(X[n - a][b] * pair[a + b] for b in range(1, n - a + 1))
-
     E: list[list[Fraction]] = [[]]  # E[n][a]: the runs above v, the last one of a values
     for n in range(1, r):
-        E.append([0] + [chain(E, n, a, top, full) for a in range(1, n + 1)])
+        E.append(_chain_row(E, n, top, full, pair))
     B: list[list[Fraction]] = [[]]  # B[n][b]: the runs below v, the first one of b values
     for n in range(1, r - 1):
-        B.append([0] + [chain(B, n, b, full, full) for b in range(1, n + 1)])
+        B.append(_chain_row(B, n, full, full, pair))
     # with nothing above v the first run below it is the top run
-    B.append([0] + [chain(B, r - 1, b, top, top) for b in range(1, r)])
+    B.append(_chain_row(B, r - 1, top, top, pair))
 
     sums: dict[int, _FactoredTerm] = {}
     for v in range(1, r + 1):

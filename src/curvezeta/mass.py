@@ -19,56 +19,48 @@ general-degree Harder-Narasimhan mass sum in the *plain* zeta values,
 where {x} is the fractional part.  The v_n exponent is read as (n^2-1)(g-1):
 the block variable must be n, not r, or the two formulas already disagree at
 rank two on any genus-two curve (the genus-one fixtures cannot tell, since
-the exponent vanishes there).  ``beta_crosscheck`` tabulates both routes
-and the rank-two series-derived value side by side, and records whether the
-two routes agree at every rank up to the one asked for; the CLI's mass task
-asks for the largest rank of the job.
+the exponent vanishes there).
+
+Both are chain sums: each factor depends only on a part, two adjacent parts
+or the values before a part, so neither walks the 2^{r-1} compositions.  A
+dynamic program over (values used, last part) sums them in O(r^3) exact
+operations.  The telescope is the chain row of the SL_r assembly
+(:func:`curvezeta.group_zeta._chain_row`), each part of l values weighing
+zh(1)...zh(l) and each adjacent pair of k values in all 1/(1 - q^k), since
+-1/(q^k - 1) = 1/(1 - q^k); the Harder-Narasimhan sum, whose step weight
+also depends on the prefix, has a dynamic program of its own.  The two
+routes share no arithmetic: one sums completed and one plain zeta values.
+``beta_crosscheck`` tabulates both routes and the rank-two series-derived
+value side by side, and records whether the two routes agree at every rank
+up to the one asked for; the CLI's mass task asks for the largest rank of
+the job.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from curvezeta.artin import CurveData, zeta_hat_special, zeta_plain
+from curvezeta.group_zeta import _chain_row
 from curvezeta.invariants import beta0
 from curvezeta.rank2 import beta_from_special_values, rank2_invariants
 
 
-def compositions(r: int) -> Iterator[tuple[int, ...]]:
-    """All 2^(r-1) compositions of r >= 1, as tuples of positive parts, in
-    lexicographic part order."""
-
-    def rec(remaining: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        for first in range(1, remaining + 1):
-            acc.append(first)
-            yield from rec(remaining - first, acc)
-            acc.pop()
-
-    return rec(r, [])
-
-
 def beta_composition_formula(c: CurveData, r: int) -> Fraction:
-    """beta_r(0) through the completed-zeta composition telescope."""
+    """beta_r(0) through the completed-zeta composition telescope, as a chain sum."""
     if r < 1 or c.g < 1:
         raise ValueError("need r >= 1 and genus >= 1")
     q = Fraction(c.q)
-    zh = {i: zeta_hat_special(c, i) for i in range(1, r + 1)}
-    total = Fraction(0)
-    for parts in compositions(r):
-        k = len(parts)
-        term = Fraction(-1) ** (k - 1)
-        for j in range(k - 1):
-            term /= q ** (parts[j] + parts[j + 1]) - 1
-        for n in parts:
-            for i in range(1, n + 1):
-                term *= zh[i]
-        total += term
-    return q ** ((c.g - 1) * r * (r - 1) // 2) * total
+    zh = [zeta_hat_special(c, i) for i in range(1, r + 1)]
+    full = list(itertools.accumulate(zh, operator.mul, initial=1))  # full[l] = zh(1)...zh(l)
+    pair = {k: 1 / (1 - q**k) for k in range(2, r + 1)}
+    X: list[list[Fraction]] = [[]]  # X[n][a]: the compositions of n, the last part a
+    for n in range(1, r + 1):
+        X.append(_chain_row(X, n, full, full, pair))
+    return q ** ((c.g - 1) * r * (r - 1) // 2) * sum(X[r])
 
 
 @lru_cache(maxsize=256)
@@ -85,35 +77,31 @@ def _v_block(c: CurveData, n: int) -> Fraction:
 def beta_hn_mass(c: CurveData, r: int, d: int) -> Fraction:
     """beta_r(d) through the Harder-Narasimhan mass sum (any integer d).
 
-    The q-exponent of each composition, (g-1) sum_{i<j} n_i n_j plus
-    sum_i (n_i + n_{i+1}) {k_i d / r} with k_i = n_1 + .. + n_i, is an
-    integer although its fractional-part terms need not be: without the
-    floors the second sum telescopes, sum_i (k_{i+1} - k_{i-1}) k_i d / r
-    = k_{s-1} d.  So it is added up exactly and q is raised to it once,
-    and the mass is an exact Fraction for every d.
+    The sum depends on d only through the fractional parts {k_i d / r},
+    k_i = n_1 + .. + n_i, so d is first reduced mod r.  Without the floors
+    the fractional-part exponents telescope, sum_i (k_{i+1} - k_{i-1}) k_i d / r
+    = k_{s-1} d, so a composition's q-exponent is (g-1) sum_{i<j} n_i n_j
+    + k_{s-1} d - sum_i (n_i + n_{i+1}) floor(k_i d / r), an integer term by
+    term.  The dynamic program appends a part of l values to the compositions
+    of p values that end in m, times v_l q^{(g-1) l p - (m+l) floor(p d / r)}
+    / (1 - q^{m+l}), and ends with q^{(r-l) d} for a last part of l values;
+    the mass is an exact Fraction, and its cost does not grow with |d|.
     """
     if r < 1 or c.g < 1:
         raise ValueError("need r >= 1 and genus >= 1")
-    q = Fraction(c.q)
-    total = Fraction(0)
-    for parts in compositions(r):
-        s = len(parts)
-        cross = sum(parts[i] * parts[j] for i in range(s) for j in range(i + 1, s))
-        exponent = Fraction((c.g - 1) * cross)
-        term = Fraction(1)
-        prefix = 0
-        for i in range(s - 1):
-            prefix += parts[i]
-            frac_part = Fraction(prefix * d, r) - (prefix * d // r)
-            exponent += (parts[i] + parts[i + 1]) * frac_part
-            term /= 1 - q ** (parts[i] + parts[i + 1])
-        if exponent.denominator != 1:
-            raise AssertionError(f"non-integer q-exponent {exponent} for {parts} at d = {d}")
-        term *= q**exponent.numerator
-        for n in parts:
-            term *= _v_block(c, n)
-        total += term
-    return total
+    q, d = Fraction(c.q), d % r
+    X: list[list[Fraction]] = [[]]  # X[n][l]: the compositions of n, the last part l
+    for n in range(1, r + 1):
+        row = [Fraction(0)]
+        for l in range(1, n):
+            p = n - l
+            floor = p * d // r
+            row.append(_v_block(c, l) * sum(
+                X[p][m] * q ** ((c.g - 1) * l * p - (m + l) * floor) / (1 - q ** (m + l))
+                for m in range(1, p + 1)
+            ))
+        X.append(row + [_v_block(c, n)])  # the composition of one part
+    return sum(X[r][l] * q ** ((r - l) * d) for l in range(1, r + 1))
 
 
 def beta_crosscheck(c: CurveData, rmax: int) -> dict:

@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -55,12 +54,6 @@ from curvezeta.exact import (
 )
 
 Rat = Fraction | int
-
-
-class Ordering(Enum):
-    LT = -1
-    EQ = 0
-    GT = 1
 
 
 @dataclass(frozen=True)
@@ -327,43 +320,6 @@ def rh_check_zeta2(z: HalfShiftRational, tol: float = 1e-9) -> ZeroReport:
         roots = tuple(W / s for W in complex_roots(_numerator_in_w(z.q, n1, n2)).roots)
     deviations = tuple(abs(abs(t) - critical) for t in roots)
     return ZeroReport(roots, critical, deviations, all(d <= tol for d in deviations), tol)
-
-
-def modulus_ordering(q, c, w) -> Ordering:
-    """Compare |w - a||w - b| against |1 - a w||1 - b w| for z^2 - cz + q roots.
-
-    Uses the difference of squared moduli
-        (q - 1)(1 - |w|^2) [ (q + 1)(1 + |w|^2) - 2 c Re(w) ],
-    which avoids extracting the roots: the bracket is positive under the
-    hypothesis |c| <= q + 1 away from |w| = 1, so the sign is decided by
-    1 - |w|^2.  Exact whenever q, c and the components of w are rational.
-
-    ``w`` may be a complex number or an (re, im) pair of rationals.
-    """
-    if isinstance(w, tuple):
-        re, im = Fraction(w[0]), Fraction(w[1])
-        qx, cx = Fraction(q), Fraction(c)
-        exact = True
-    else:
-        re, im = w.real, w.imag
-        qx, cx = float(q), float(c)
-        exact = False
-    if qx <= 1:
-        raise ValueError("need q > 1")
-    if abs(cx) > qx + 1:
-        raise ValueError("hypothesis |c| <= q + 1 violated")
-    norm = re * re + im * im
-    diff = (qx - 1) * (1 - norm) * ((qx + 1) * (1 + norm) - 2 * cx * re)
-    if exact:
-        if diff > 0:
-            return Ordering.GT
-        if diff < 0:
-            return Ordering.LT
-        return Ordering.EQ
-    scale = (qx + 1) ** 2 * (1 + norm) ** 2
-    if abs(diff) <= 1e-12 * scale:
-        return Ordering.EQ
-    return Ordering.GT if diff > 0 else Ordering.LT
 
 
 @dataclass(frozen=True)

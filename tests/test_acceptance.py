@@ -35,9 +35,7 @@ from curvezeta.invariants import (
 from curvezeta.mass import beta_composition_formula, beta_hn_mass
 from curvezeta.rank2 import rank2_closed_form, rank2_invariants, rank2_numerator, variant_report
 from curvezeta.yoshida import (
-    Ordering,
     counterexample_search,
-    modulus_ordering,
     rh_check_zeta2,
     sextic_identity_report,
     zeta2_canonical,
@@ -45,6 +43,7 @@ from curvezeta.yoshida import (
 
 from corpus import census_models, corpus_curves, elliptic_grid
 from ratfun_reference import RatFun
+from test_yoshida import Ordering, modulus_ordering
 
 F = Fraction
 

@@ -815,6 +815,16 @@ class TestDeterminism:
         text = render(tree, job.fmt)["report.json"]
         assert mask_floats(text) == (DATA / "square_q_genus2_report.masked.json").read_text()
 
+    def test_square_q_genus2_mass_report_matches_recorded_bytes(self, tmp_path):
+        """`mass --rank 10 --degree 7` on the genus-two square-q job, floats masked,
+        as recorded in tests/data: at genus two the (g - 1) cross term of the
+        Harder-Narasimhan exponent is live, and 7 is prime to every rank but 1 and 7."""
+        out = tmp_path / "m10"
+        job = DATA / "square_q_genus2_job.yaml"
+        assert main(["mass", str(job), "--rank", str(R_MAX), "--degree", "7", "--out", str(out)]) == 0
+        text = (out / "report.json").read_text()
+        assert mask_floats(text) == (DATA / "square_q_genus2_mass_rank10_degree7_report.masked.json").read_text()
+
     def test_zeros_csv_emitted(self, full_tree):
         _, tree = full_tree
         files = render(tree, "json")
@@ -1069,6 +1079,17 @@ class TestMain:
             "invalid job file:\n  degree: need an integer, got 'x'\n"
             f"invalid command-line option:\n  --rank: need an integer between 2 and {R_MAX}, got 1\n"
         )
+
+    @pytest.mark.parametrize("where", ["existing file", "under a file"])
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker if where == "existing file" else blocker / "sub"
+        assert main(["artin", str(DATA / "elliptic_q2_job.yaml"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write reports to {out}: ")
+        assert "Traceback" not in err
+        assert blocker.read_text() == ""
 
     def test_rank_flag_above_six(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,20 +1,150 @@
-"""Mass formulas: composition telescope vs Harder-Narasimhan sum."""
+"""Mass formulas: composition telescope vs Harder-Narasimhan sum.
 
+The package sums both formulas as chain sums; the enumerations over all
+2^(r-1) compositions below are the references they are checked against.
+"""
+
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from typing import Iterator
 
 import pytest
 
-from curvezeta.artin import CurveData, zeta_plain
+from curvezeta.artin import CurveData, zeta_hat_special, zeta_plain
 from curvezeta.invariants import beta0
 from curvezeta.mass import (
     beta_composition_formula,
     beta_crosscheck,
     beta_hn_mass,
-    compositions,
 )
 from curvezeta.rank2 import rank2_invariants
 
+from corpus import synthetic_genus3
+
 F = Fraction
+
+
+def compositions(r: int) -> Iterator[tuple[int, ...]]:
+    """All 2^(r-1) compositions of r >= 1, as tuples of positive parts, in
+    lexicographic part order."""
+
+    def rec(remaining: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield tuple(acc)
+            return
+        for first in range(1, remaining + 1):
+            acc.append(first)
+            yield from rec(remaining - first, acc)
+            acc.pop()
+
+    return rec(r, [])
+
+
+def composition_reference(c: CurveData, r: int) -> Fraction:
+    """beta_r(0) by the completed-zeta telescope, one term per composition."""
+    q = Fraction(c.q)
+    zh = {i: zeta_hat_special(c, i) for i in range(1, r + 1)}
+    total = Fraction(0)
+    for parts in compositions(r):
+        k = len(parts)
+        term = Fraction(-1) ** (k - 1)
+        for j in range(k - 1):
+            term /= q ** (parts[j] + parts[j + 1]) - 1
+        for n in parts:
+            for i in range(1, n + 1):
+                term *= zh[i]
+        total += term
+    return q ** ((c.g - 1) * r * (r - 1) // 2) * total
+
+
+def _v_reference(c: CurveData, n: int) -> Fraction:
+    """v_n(q) = h/(q-1) * q^{(n^2-1)(g-1)} * Z(q^-2)..Z(q^-n)."""
+    q = Fraction(c.q)
+    value = c.class_number / (q - 1) * q ** ((n * n - 1) * (c.g - 1))
+    for i in range(2, n + 1):
+        value *= zeta_plain(c, i)
+    return value
+
+
+def hn_reference(c: CurveData, r: int, d: int) -> Fraction:
+    """beta_r(d) by the Harder-Narasimhan sum, one term per composition, with the
+    fractional parts {k_i d / r} taken literally and d not reduced."""
+    q = Fraction(c.q)
+    total = Fraction(0)
+    for parts in compositions(r):
+        s = len(parts)
+        cross = sum(parts[i] * parts[j] for i in range(s) for j in range(i + 1, s))
+        exponent = Fraction((c.g - 1) * cross)
+        term = Fraction(1)
+        prefix = 0
+        for i in range(s - 1):
+            prefix += parts[i]
+            frac_part = Fraction(prefix * d, r) - (prefix * d // r)
+            exponent += (parts[i] + parts[i + 1]) * frac_part
+            term /= 1 - q ** (parts[i] + parts[i + 1])
+        assert exponent.denominator == 1, (parts, d)
+        term *= q**exponent.numerator
+        for n in parts:
+            term *= _v_reference(c, n)
+        total += term
+    return total
+
+
+def _reference_curves() -> list[CurveData]:
+    """Genus one to three: elliptic curves over F_2, F_3 and F_101, the
+    genus-two curve 1 - t + t^2 - 2t^3 + 4t^4 over F_2, a genus-three datum,
+    and a genus-two A without the functional equation."""
+    return [
+        CurveData.elliptic(2, 0),
+        CurveData.elliptic(3, 1),
+        CurveData.elliptic(101, 7),
+        CurveData(2, 2, [1, -1, 1, -2, 4], genuine=True, label="g2(q=2)"),
+        synthetic_genus3(),
+        CurveData(3, 2, [1, 2, 4, 5, 7], label="asymmetric-g2(q=3)"),
+    ]
+
+
+class TestChainSumsMatchEnumeration:
+    """Both chain sums equal their one-term-per-composition references."""
+
+    @pytest.mark.parametrize("c", _reference_curves(), ids=lambda c: c.describe())
+    def test_composition_formula(self, c):
+        for r in range(1, 10):
+            assert beta_composition_formula(c, r) == composition_reference(c, r), r
+
+    @pytest.mark.parametrize("c", _reference_curves(), ids=lambda c: c.describe())
+    def test_hn_mass(self, c):
+        for r in range(1, 10):
+            for d in range(-r - 1, 2 * r + 1):
+                assert beta_hn_mass(c, r, d) == hn_reference(c, r, d), (r, d)
+
+
+def test_hn_mass_time_does_not_grow_with_degree():
+    """beta_r(d + 10^12 r) = beta_r(d), in well under a second.  Run in a child
+    whose address space is capped: an unreduced degree would raise q to about
+    the 10^12-th power, which the cap turns into a prompt MemoryError."""
+    code = (
+        "import resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from curvezeta.artin import CurveData\n"
+        "from curvezeta.mass import beta_hn_mass\n"
+        "c = CurveData(2, 2, [1, -1, 1, -2, 4], genuine=True)\n"
+        "start = time.perf_counter()\n"
+        "ok = all(beta_hn_mass(c, r, d + 10**12 * r) == beta_hn_mass(c, r, d)"
+        " and beta_hn_mass(c, r, d - 10**12 * r) == beta_hn_mass(c, r, d)"
+        " for r in (1, 3, 7, 10) for d in range(r))\n"
+        "print(ok, time.perf_counter() - start)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src}
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    ok, elapsed = done.stdout.split()
+    assert ok == "True"
+    assert float(elapsed) < 0.5, elapsed
 
 
 class TestCompositions:

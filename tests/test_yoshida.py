@@ -2,6 +2,7 @@
 
 import math
 import random
+from enum import Enum
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,10 @@ from curvezeta.group_zeta import slr_zeta
 from curvezeta.yoshida import (
     C1Params,
     HalfShiftRational,
-    Ordering,
     WeilPairSet,
     _deformed_sides,
     canonical_group_cross_check,
     counterexample_search,
-    modulus_ordering,
     rh_check_zeta2,
     sextic_identity_report,
     zeta2_canonical,
@@ -263,6 +262,51 @@ class TestHalfShiftRational:
     def test_zero_is_zero_over_one(self):
         z = _member(5, [], [], [2, 7, 1])
         assert z == HalfShiftRational(5, Poly(), Poly(), Poly.one())
+
+
+# The exact modulus ordering behind the family's RH argument.  No CLI path
+# runs it, so it is kept here, with its tests, rather than in the package.
+class Ordering(Enum):
+    LT = -1
+    EQ = 0
+    GT = 1
+
+
+def modulus_ordering(q, c, w) -> Ordering:
+    """Compare |w - a||w - b| against |1 - a w||1 - b w| for z^2 - cz + q roots.
+
+    Uses the difference of squared moduli
+        (q - 1)(1 - |w|^2) [ (q + 1)(1 + |w|^2) - 2 c Re(w) ],
+    which avoids extracting the roots: the bracket is positive under the
+    hypothesis |c| <= q + 1 away from |w| = 1, so the sign is decided by
+    1 - |w|^2.  Exact whenever q, c and the components of w are rational.
+
+    ``w`` may be a complex number or an (re, im) pair of rationals.
+    """
+    if isinstance(w, tuple):
+        re, im = Fraction(w[0]), Fraction(w[1])
+        qx, cx = Fraction(q), Fraction(c)
+        exact = True
+    else:
+        re, im = w.real, w.imag
+        qx, cx = float(q), float(c)
+        exact = False
+    if qx <= 1:
+        raise ValueError("need q > 1")
+    if abs(cx) > qx + 1:
+        raise ValueError("hypothesis |c| <= q + 1 violated")
+    norm = re * re + im * im
+    diff = (qx - 1) * (1 - norm) * ((qx + 1) * (1 + norm) - 2 * cx * re)
+    if exact:
+        if diff > 0:
+            return Ordering.GT
+        if diff < 0:
+            return Ordering.LT
+        return Ordering.EQ
+    scale = (qx + 1) ** 2 * (1 + norm) ** 2
+    if abs(diff) <= 1e-12 * scale:
+        return Ordering.EQ
+    return Ordering.GT if diff > 0 else Ordering.LT
 
 
 class TestModulusOrdering:
