@@ -29,10 +29,9 @@ factorization (:func:`_mul_zeta_hat`), never by a gcd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from typing import Sequence
 
 from curvezeta.exact import Poly, RationalFunction, ZeroReport, complex_roots, series_exp
 from curvezeta.exact import _FactoredTerm, _q_power
@@ -40,20 +39,15 @@ from curvezeta.exact import _FactoredTerm, _q_power
 Rat = Fraction | int
 
 
-@dataclass(frozen=True)
 class CurveData:
     """Weil numerator data (q, g, A_0..A_{2g}) of a curve over F_q.
 
     ``genuine`` marks data produced from actual point counts; it switches on
     the stronger invariants (integer palindromic coefficients, nonnegative
-    reconstructed counts, positive class number).
+    reconstructed counts, positive class number).  The fields q, g, A (a
+    tuple of Fractions), genuine and label are read-only; equality and hash
+    are those of the fields, and derived data is kept on the instance.
     """
-
-    q: int
-    g: int
-    A: tuple[Fraction, ...]
-    genuine: bool = False
-    label: str = ""
 
     def __init__(self, q: int, g: int, A: Sequence[Rat], genuine: bool = False, label: str = ""):
         object.__setattr__(self, "q", int(q))
@@ -87,13 +81,28 @@ class CurveData:
             raise ValueError("trace violates |a| <= 2*sqrt(q)")
         return CurveData(q, 1, [1, -a, q], genuine=genuine, label=label or f"elliptic(q={q},a={a})")
 
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.q, self.g, self.A, self.genuine, self.label
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
     def __hash__(self) -> int:
         return self._field_hash
 
     @cached_property
     def _field_hash(self) -> int:
-        # the dataclass field hash, kept: every cache keyed by a curve asks for it
-        return hash((self.q, self.g, self.A, self.genuine, self.label))
+        # kept: every cache keyed by a curve asks for it
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        q, g, A, genuine, label = self._key()
+        return f"CurveData(q={q!r}, g={g!r}, A={A!r}, genuine={genuine!r}, label={label!r})"
 
     @cached_property
     def numerator(self) -> Poly:

@@ -34,10 +34,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
 
 import yaml
 
@@ -61,25 +61,39 @@ class JobError(ValueError):
     """Bad job file; the message carries every violation found."""
 
 
-@dataclass
-class JobSpec:
-    curves: list[artin.CurveData]
-    census_rows: list[tuple[CurveModel, list[int]]]  # counts N_1..N_g per model
-    ranks: list[int]
-    degree: int
-    tasks: list[str]
-    tolerance: float
-    fmt: str
-    counterexample: bool = False
+class JobSpec(
+    namedtuple("JobSpec", "curves census_rows ranks degree tasks tolerance fmt counterexample", defaults=(False,))
+):
+    """A checked job: the curves, the census rows (each model with its counts
+    N_1..N_g), the sorted ranks, the degree, the task names, the RH tolerance,
+    the output format and whether yoshida runs the counterexample search."""
+
+    __slots__ = ()
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int of any size.  CPython refuses to convert more than
+    sys.get_int_max_str_digits() digits (4300 by default); a longer n is split
+    at a power of ten and its halves are converted in turn."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits, log10(2) being 0.301
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
 
 
 def _fmt_number(x) -> str:
     if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        num = _decimal(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator)}"
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
-        return str(x)
+        return _decimal(x)
     if isinstance(x, float):  # + 0.0 turns a negative zero into 0.0
         return f"{x + 0.0:.12e}"
     if isinstance(x, complex):
@@ -90,6 +104,16 @@ def _fmt_number(x) -> str:
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, ZeroReport):  # a tuple too, but rendered as a mapping
+        return {
+            "critical_modulus": _fmt_number(obj.critical_modulus),
+            "zeros": [_fmt_number(z) for z in obj.zeros],
+            "deviations": [_fmt_number(d) for d in obj.deviations],
+            "max_deviation": _fmt_number(obj.max_deviation),
+            "excluded": [_fmt_number(z) for z in obj.excluded],
+            "tolerance": _fmt_number(obj.tol),
+            "verdict": obj.verdict,
+        }
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, bool) or obj is None:
@@ -101,16 +125,6 @@ def _jsonable(obj):
         return {
             "num": [_fmt_number(c) for c in n.coeffs],
             "den": [_fmt_number(c) for c in d.coeffs],
-        }
-    if isinstance(obj, ZeroReport):
-        return {
-            "critical_modulus": _fmt_number(obj.critical_modulus),
-            "zeros": [_fmt_number(z) for z in obj.zeros],
-            "deviations": [_fmt_number(d) for d in obj.deviations],
-            "max_deviation": _fmt_number(obj.max_deviation),
-            "excluded": [_fmt_number(z) for z in obj.excluded],
-            "tolerance": _fmt_number(obj.tol),
-            "verdict": obj.verdict,
         }
     return obj
 
@@ -150,7 +164,7 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
         raise JobError(f"job file not found: {path}")
     except OSError as e:
         raise JobError(f"cannot read job file {path}: {e.strerror or e}")
-    except yaml.YAMLError as e:
+    except (yaml.YAMLError, ValueError) as e:  # ValueError: an integer past int()'s digit limit
         raise JobError(f"cannot parse job file: {e}")
     if not isinstance(raw, dict):
         raise JobError("job file must hold a mapping at top level")
@@ -531,7 +545,7 @@ def _emit(obj, indent: str, out: list[str]) -> None:
             sep = ",\n" + inner
         out.append("\n" + indent + ("}" if is_dict else "]"))
     elif kind is int:
-        out.append(int.__repr__(obj))
+        out.append(_decimal(obj))
     elif obj is None or kind is bool:
         out.append("null" if obj is None else "true" if obj else "false")
     else:

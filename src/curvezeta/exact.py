@@ -47,10 +47,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 Rat = Fraction | int
 
@@ -542,7 +542,6 @@ def _q_power(q: int, e: int) -> tuple[int, int]:
 Key = tuple[int, int, tuple[int, ...]]  # (e1, e2, ints): sum_k ints[k] (u1^e1 u2^e2)^k
 
 
-@dataclass
 class _FactoredTerm:
     """num/den * poly(u1) * u1^a1 * u2^a2 * prod key^m, m > 0 upstairs and m < 0 downstairs.
 
@@ -550,17 +549,25 @@ class _FactoredTerm:
     U = u1^e1 u2^e2 with e1, e2 >= 0, and ints is primitive with a positive
     constant term (the coefficient of the lowest monomial).  The sign, the
     integer content and the monomial content of each factor are moved into
-    ``const`` = num/den and ``mono``, so equal factors from different sources
-    share one key and cancel as they are multiplied in.  ``poly`` is one more
-    factor upstairs, a polynomial in u1 kept whole, as a sum leaves its
-    numerator; the zero term has poly 0.
+    ``const`` = num/den and ``mono`` = (a1, a2), so equal factors from
+    different sources share one key and cancel as they are multiplied in.
+    ``factors`` maps each key to its m; a term built without it gets a dict
+    of its own.  ``poly`` is one more factor upstairs, a polynomial in u1 kept
+    whole, as a sum leaves its numerator; the zero term has poly 0.
     """
 
-    num: int = 1
-    den: int = 1
-    mono: tuple[int, int] = (0, 0)
-    factors: dict[Key, int] = field(default_factory=dict)
-    poly: Poly = _ONE
+    __slots__ = ("num", "den", "mono", "factors", "poly")
+
+    def __init__(
+        self,
+        num: int = 1,
+        den: int = 1,
+        mono: tuple[int, int] = (0, 0),
+        factors: dict[Key, int] | None = None,
+        poly: Poly = _ONE,
+    ):
+        self.num, self.den, self.mono, self.poly = num, den, mono, poly
+        self.factors = {} if factors is None else factors
 
     @property
     def const(self) -> Fraction:
@@ -741,29 +748,28 @@ class RootFindError(RuntimeError):
         self.residuals = tuple(residuals)
 
 
-@dataclass(frozen=True)
-class ComplexRootSet:
+class ComplexRootSet(namedtuple("ComplexRootSet", "roots residuals iterations")):
     """All complex roots of a polynomial, with per-root backward errors.
 
-    ``iterations`` counts the Aberth sweeps run, summed over square-free
-    factors; it is not part of any report.
+    ``roots`` and ``residuals`` are tuples of complex and float, in the same
+    order.  ``iterations`` counts the Aberth sweeps run, summed over
+    square-free factors; it is not part of any report.
     """
 
-    roots: tuple[complex, ...]
-    residuals: tuple[float, ...]
-    iterations: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ZeroReport:
-    """Zeros of a numerator with their distance from the critical modulus."""
+class ZeroReport(
+    namedtuple("ZeroReport", "zeros critical_modulus deviations verdict tol excluded", defaults=((),))
+):
+    """Zeros of a numerator with their distance from the critical modulus.
 
-    zeros: tuple[complex, ...]
-    critical_modulus: float
-    deviations: tuple[float, ...]
-    verdict: bool
-    tol: float
-    excluded: tuple[complex, ...] = field(default=())
+    ``zeros`` (complex) and ``deviations`` (float) are tuples in the same
+    order; ``verdict`` is whether every deviation is within ``tol``.
+    ``excluded`` holds the roots divided out as poles, () when there are none.
+    """
+
+    __slots__ = ()
 
     @property
     def max_deviation(self) -> float:

@@ -34,9 +34,9 @@ Supported smooth models, all with a single point at infinity:
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from typing import Iterator, Sequence
 
 from curvezeta.exact import _squarefree_mod_prime
 
@@ -203,46 +203,43 @@ def _field_tables(p: int, m: int) -> tuple[tuple[int, ...], array, array, int]:
     raise RuntimeError("no primitive modulus found")  # unreachable
 
 
-@dataclass(frozen=True)
-class CurveModel:
+class CurveModel(namedtuple("CurveModel", "kind q f label")):
     """An explicit smooth model over a prime field F_q (q = p prime here).
 
-    ``f`` holds the right-hand side coefficients, constant term first.  Odd
-    degree keeps a single point at infinity, which is what makes the naive
-    projective count a one-liner.
+    ``kind`` is projective_line, quadratic (y^2 = f(x)) or artin_schreier
+    (y^2 + y = f(x)).  ``f`` holds the right-hand side coefficients as a
+    tuple of ints, constant term first.  Odd degree keeps a single point at
+    infinity, which is what makes the naive projective count a one-liner.
     """
 
-    kind: str  # projective_line | quadratic | artin_schreier
-    q: int
-    f: tuple[int, ...] = ()
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("projective_line", "quadratic", "artin_schreier"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if isinstance(self.q, bool) or not isinstance(self.q, int):
-            raise ValueError(f"q must be an integer, got {self.q!r}")
-        if not isinstance(self.f, tuple) or any(
-            isinstance(c, bool) or not isinstance(c, int) for c in self.f
-        ):
-            raise ValueError(f"f must be a list of integers, got {self.f!r}")
-        if not _is_prime(self.q):
+    def __new__(cls, kind: str, q: int, f: tuple[int, ...] = (), label: str = ""):
+        if kind not in ("projective_line", "quadratic", "artin_schreier"):
+            raise ValueError(f"unknown model kind {kind!r}")
+        if isinstance(q, bool) or not isinstance(q, int):
+            raise ValueError(f"q must be an integer, got {q!r}")
+        if not isinstance(f, tuple) or any(isinstance(c, bool) or not isinstance(c, int) for c in f):
+            raise ValueError(f"f must be a list of integers, got {f!r}")
+        if not _is_prime(q):
             raise ValueError("explicit models are supported over prime base fields only")
-        if self.kind == "projective_line":
-            return
-        f = [c % self.q for c in self.f]
+        model = super().__new__(cls, kind, q, f, label)
+        if kind == "projective_line":
+            return model
+        f = [c % q for c in f]
         while f and f[-1] == 0:
             f.pop()
         deg = len(f) - 1
         if deg < 1 or deg % 2 == 0:
             raise ValueError("model needs odd-degree right-hand side")
-        if self.kind == "quadratic":
-            if self.q == 2:
+        if kind == "quadratic":
+            if q == 2:
                 raise ValueError("quadratic models need odd characteristic")
-            if not _squarefree_mod_prime(f, self.q):
+            if not _squarefree_mod_prime(f, q):
                 raise ValueError("right-hand side must be squarefree")
-        if self.kind == "artin_schreier" and self.q != 2:
+        if kind == "artin_schreier" and q != 2:
             raise ValueError("artin_schreier models need characteristic 2")
+        return model
 
     @property
     def genus(self) -> int:

@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -90,16 +90,15 @@ from curvezeta.invariants import alpha_from_A
 R_MAX = 10
 
 
-@dataclass(frozen=True)
-class SlrZeta:
-    """The assembled SL_r zeta: per-shift terms R_n and their combined sum."""
+class SlrZeta(namedtuple("SlrZeta", "r q g terms combined numerator_T")):
+    """The assembled SL_r zeta: per-shift terms R_n and their combined sum.
 
-    r: int
-    q: int
-    g: int
-    terms: tuple[tuple[int, RationalFunction], ...]  # (n, R_n), n = 1..r
-    combined: RationalFunction  # in u = q^{-s}
-    numerator_T: tuple[Fraction, ...]  # A(0..2g) of zh_SLr(-rs) on the T-grid
+    ``terms`` is the tuple of pairs (n, R_n), n = 1..r; ``combined`` is their
+    sum, a RationalFunction in u = q^{-s}; ``numerator_T`` is the tuple of
+    rationals A(0..2g) of zh_SLr(-rs) on the T-grid.
+    """
+
+    __slots__ = ()
 
 
 def _over_one_minus(q: int, num: int, den: int, k: int, e: int) -> _FactoredTerm:
@@ -207,14 +206,14 @@ def _extract_numerator(combined: RationalFunction, c: CurveData, r: int) -> tupl
     return tuple(poly[i] for i in range(2 * g + 1))
 
 
-@dataclass(frozen=True)
-class SlrNumeratorInfo:
-    """Extracted numerator with its normalization and predicted alpha ratios."""
+class SlrNumeratorInfo(namedtuple("SlrNumeratorInfo", "coeffs normalized alpha_ratios unit_constant")):
+    """Extracted numerator with its normalization and predicted alpha ratios.
 
-    coeffs: tuple[Fraction, ...]
-    normalized: tuple[Fraction, ...]
-    alpha_ratios: tuple[Fraction, ...]
-    unit_constant: bool
+    ``coeffs``, ``normalized`` (coeffs over coeffs[0]) and ``alpha_ratios``
+    are tuples of rationals; ``unit_constant`` is whether coeffs[0] == 1.
+    """
+
+    __slots__ = ()
 
 
 def slr_numerator(z: SlrZeta, c: CurveData) -> SlrNumeratorInfo:

@@ -25,32 +25,30 @@ curve's cached class number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from curvezeta.artin import CurveData
 
 Rat = Fraction | int
 
 
-@dataclass(frozen=True)
-class InvariantTable:
-    """alpha values on the degree grid r*Z, beta at zero, and gamma by degree."""
+class InvariantTable(namedtuple("InvariantTable", "r alphas beta0 gammas")):
+    """alpha values on the degree grid r*Z, beta at zero, and gamma by degree.
 
-    r: int
-    alphas: tuple[Fraction, ...]  # alpha(0), alpha(r), ..., alpha(r*(g-1))
-    beta0: Fraction
-    gammas: dict[int, Fraction]
+    ``alphas`` is the tuple alpha(0), alpha(r), ..., alpha(r*(g-1)); ``gammas``
+    maps a degree to its gamma.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BrillNoetherTable:
-    """Class counts w(d, i) = #{classes of degree d with h^0 = i}."""
+class BrillNoetherTable(namedtuple("BrillNoetherTable", "w h g")):
+    """Class counts w(d, i) = #{classes of degree d with h^0 = i}, as a dict
+    ``w`` keyed by (d, i), with the class number h and the genus g."""
 
-    w: dict[tuple[int, int], int]
-    h: int
-    g: int
+    __slots__ = ()
 
     def check(self, dmax: int) -> None:
         """Row sums, duality and the section bound, checked exhaustively."""

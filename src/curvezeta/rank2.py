@@ -22,10 +22,10 @@ and reported by :func:`variant_report`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from curvezeta.artin import CurveData, zeta_hat_special
 from curvezeta.exact import Poly, RationalFunction, _factored_sum, _FactoredTerm
@@ -36,28 +36,24 @@ class NormalizationError(ValueError):
     """The closed form's T^0 coefficient is not exactly one."""
 
 
-@dataclass(frozen=True)
-class Rank2Numerator:
-    """Palindromic coefficients of N(X), X = qT, from the grouped expansion."""
+class Rank2Numerator(namedtuple("Rank2Numerator", "coeffs")):
+    """Palindromic coefficients of N(X), X = qT, from the grouped expansion:
+    ``coeffs`` is a tuple of rationals, constant term first."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
 
     def is_palindromic(self) -> bool:
         return self.coeffs == tuple(reversed(self.coeffs))
 
 
-@dataclass(frozen=True)
-class PureZeta:
+class PureZeta(namedtuple("PureZeta", "r q Z shift")):
     """Z as a rational function of T = t^r, with the Laurent shift T^{-(g-1)}.
 
     The shift is carried as an explicit integer so the stored object stays a
     genuine polynomial quotient: zeta_hat(t) = Z(T) * T^{-shift}.
     """
 
-    r: int
-    q: int
-    Z: RationalFunction
-    shift: int
+    __slots__ = ()
 
 
 def _over_linear(q: int, p: Poly, es: Sequence[int], k: int = 0) -> _FactoredTerm:

@@ -38,10 +38,10 @@ the numerator has rational coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from curvezeta.artin import CurveData
 from curvezeta.exact import (
@@ -56,8 +56,7 @@ from curvezeta.exact import (
 Rat = Fraction | int
 
 
-@dataclass(frozen=True)
-class HalfShiftRational:
+class HalfShiftRational(namedtuple("HalfShiftRational", "q even odd den")):
     """(even(t) + sqrt(q) * odd(t)) / den(t), one reduced fraction.
 
     No root is common to even, odd and den, and den is monic.  For a
@@ -69,10 +68,7 @@ class HalfShiftRational:
     (:func:`_times_sqrt_power`).
     """
 
-    q: int
-    even: Poly
-    odd: Poly
-    den: Poly
+    __slots__ = ()
 
 
 def _reduced_by(q: int, even: Poly, odd: Poly, factors: Sequence[tuple[Poly, int]]) -> HalfShiftRational:
@@ -102,21 +98,17 @@ def _over_monic(q: int, even: Poly, odd: Poly, den: Poly) -> HalfShiftRational:
     return HalfShiftRational(q, even * scale, odd * scale, den.monic())
 
 
-@dataclass(frozen=True)
-class WeilPairSet:
+class WeilPairSet(namedtuple("WeilPairSet", "q g x1 pair_sums geometric", defaults=(None, False))):
     """Pairs (a_i, b_i), a_i b_i = q, through their numerator polynomial.
 
     The exact pipeline only ever consumes prod (1 - a_i t)(1 - b_i t), so
-    the set is stored as that polynomial; rational pair sums or a full
-    curve numerator both produce it exactly.  ``pair_sums`` keeps the sums
-    when they are known rationals (synthetic sets), else None.
+    the set is stored as that polynomial, the Poly ``x1``; rational pair
+    sums or a full curve numerator both produce it exactly.  ``pair_sums``
+    keeps the sums as a tuple when they are known rationals (synthetic
+    sets), else None.  ``geometric`` is False unless set.
     """
 
-    q: int
-    g: int
-    x1: Poly
-    pair_sums: tuple[Fraction, ...] | None = None
-    geometric: bool = False
+    __slots__ = ()
 
     @staticmethod
     def from_pair_sums(q: int, sums: Sequence[Rat]) -> WeilPairSet:
@@ -135,23 +127,23 @@ class WeilPairSet:
         return WeilPairSet(c.q, c.g, c.numerator, None, geometric=c.genuine)
 
 
-@dataclass(frozen=True)
-class C1Params:
+class C1Params(namedtuple("C1Params", "a extra_pair_sums")):
     """Shape parameters of the admissible prefactor C1.
 
     C1(s) = q^{a s} (1 + q^{-s}) q^{-h s} prod_j (1 - g_j q^{s-1/2})
     (1 - d_j q^{s-1/2}) with g_j d_j = q and real bounded sums.  ``a`` is
-    a nonnegative integer, so q^{as} is a monomial in 1/t.
+    a nonnegative integer, so q^{as} is a monomial in 1/t; the sums are the
+    tuple ``extra_pair_sums``.
     """
 
-    a: int = 1
-    extra_pair_sums: tuple[Fraction, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.a, int) or isinstance(self.a, bool):
-            raise ValueError(f"the exponent a must be an integer, got {self.a!r}")
-        if self.a < 0:
+    def __new__(cls, a: int = 1, extra_pair_sums: tuple[Fraction, ...] = ()):
+        if not isinstance(a, int) or isinstance(a, bool):
+            raise ValueError(f"the exponent a must be an integer, got {a!r}")
+        if a < 0:
             raise ValueError("the exponent a must be nonnegative")
+        return super().__new__(cls, a, extra_pair_sums)
 
 
 def _times_sqrt_power(q: int, even: Poly, odd: Poly, k: int) -> tuple[Poly, Poly]:
@@ -322,16 +314,13 @@ def rh_check_zeta2(z: HalfShiftRational, tol: float = 1e-9) -> ZeroReport:
     return ZeroReport(roots, critical, deviations, all(d <= tol for d in deviations), tol)
 
 
-@dataclass(frozen=True)
-class CounterexampleResult:
-    """Outcome of the multiplicity-deformation search for an off-line zero."""
+class CounterexampleResult(
+    namedtuple("CounterexampleResult", "found m w1 residual s re_s_deviation", defaults=(None,) * 5)
+):
+    """Outcome of the multiplicity-deformation search for an off-line zero:
+    with ``found`` false every other field is None."""
 
-    found: bool
-    m: int | None = None
-    w1: float | None = None
-    residual: float | None = None
-    s: complex | None = None
-    re_s_deviation: float | None = None
+    __slots__ = ()
 
 
 def _deformed_sides(q: float, alpha: complex, m: int) -> tuple[Callable, Callable]:

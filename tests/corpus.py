@@ -8,8 +8,6 @@ code paths the census cannot reach at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from curvezeta.artin import CurveData, numerator_from_counts
 from curvezeta.fields import CurveModel, census
 
@@ -34,7 +32,7 @@ def census_models() -> list[CurveModel]:
 def census_curves() -> list[CurveData]:
     """The census models as genuine curve data, labelled by their equations."""
     return [
-        replace(numerator_from_counts(model.q, model.genus, counts), label=model.describe())
+        numerator_from_counts(model.q, model.genus, counts, model.describe())
         for model, counts in census(census_models())
     ]
 

@@ -9,7 +9,7 @@ import re
 import sys
 import tempfile
 import time
-from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -137,6 +137,8 @@ BAD_VALUES = [
         "curves:\n  - {type: coefficients, q: 5, g: 1, A: [1, 0, 5], label: {x: 1}}\n",
         "curves[0]: label must be a string",
     ),
+    # q = 10^4515 + 7 has more digits than the loader's int() converts
+    ("curves:\n  - {type: elliptic, q: 1" + "0" * 4514 + "7, a: 0}\n", "cannot parse job file"),
 ]
 BAD_VALUE_IDS = [
     "elliptic-q6",
@@ -167,6 +169,7 @@ BAD_VALUE_IDS = [
     "coefficients-A-zero-denominator",
     "genuine-string",
     "label-mapping",
+    "q-4516-digits",
 ]
 
 
@@ -347,7 +350,7 @@ class TestRun:
         path = tmp_path / "slr.yaml"
         path.write_text("curves:\n  - {type: elliptic, q: 2, a: 0}\nranks: [2]\ntasks: [slr]\n")
         monkeypatch.setattr(
-            group_zeta, "slr_zeta", lambda c, r: replace(slr_zeta(c, r), combined=RationalFunction.zero())
+            group_zeta, "slr_zeta", lambda c, r: slr_zeta(c, r)._replace(combined=RationalFunction.zero())
         )
         group_zeta.period_residue_oracle.cache_clear()
         try:
@@ -367,7 +370,7 @@ class TestRun:
                 "elliptic_oracle",
                 invariants,
                 "elliptic_oracle",
-                lambda out: (out[0], replace(out[1], beta0=out[1].beta0 + 1)),
+                lambda out: (out[0], out[1]._replace(beta0=out[1].beta0 + 1)),
                 id="elliptic_oracle",
             ),
             pytest.param(
@@ -393,7 +396,7 @@ class TestRun:
                 "mass_series_r2",
                 mass,
                 "rank2_invariants",
-                lambda t: replace(t, beta0=t.beta0 + 1),
+                lambda t: t._replace(beta0=t.beta0 + 1),
                 id="mass_series_r2",
             ),
             pytest.param(
@@ -401,7 +404,7 @@ class TestRun:
                 "group_zeta_cross_check",
                 cli,
                 "slr_zeta",
-                lambda z: replace(z, combined=RatFun.of(z.combined) * 2),
+                lambda z: z._replace(combined=RatFun.of(z.combined) * 2),
                 id="group_zeta_cross_check",
             ),
         ],
@@ -693,6 +696,13 @@ class TestDegenerateInput:
         assert len(rh["zeros"]) == 2 and rh["excluded"] == [] and rh["verdict"] is True
         assert entry["checks"] == {"functional_equation_r5": True}
 
+    def test_coefficients_beyond_the_digit_limit(self, tmp_path, capsys):
+        # at r = 9 over q = 2^205 an R_n coefficient has more digits than
+        # str() converts by default (4300); the report is still written
+        out = tmp_path / "out"
+        assert main(["slr", str(DATA / "elliptic_q2pow205_job.yaml"), "--rank", "9", "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert max(map(len, re.findall(r"\d+", (out / "report.json").read_text()))) > 4300
 
     def test_zeta2_at_large_prime_q(self, tmp_path, capsys):
         # q = 10^15 + 37 parses without trial division to sqrt(q); every zeta2
@@ -848,6 +858,32 @@ class TestFmtNumber:
     )
     def test_no_negative_zero(self, x, text):
         assert cli._fmt_number(x) == text
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_beyond_the_digit_limit(self, sign):
+        # 10^5000 + 1 has more digits than int.__str__ converts by default;
+        # its zeros also fill the low half of the split
+        text = sign + "1" + "0" * 4999 + "1"
+        n = (-1 if sign else 1) * (10**5000 + 1)
+        assert cli._fmt_number(n) == text
+        assert cli._fmt_number(Fraction(n, 3)) == text + "/3"
+        assert cli._fmt_number(Fraction(3, 10**5000 + 1)) == "3/" + text.lstrip("-")
+        out: list[str] = []
+        cli._emit([n], "", out)
+        assert "".join(out) == f"[\n  {text}\n]"
+
+    @pytest.mark.parametrize(
+        "n", [3**20000, -(7**9000), 2**65536 - 1, 10**8600], ids=["3^20000", "-7^9000", "2^65536-1", "10^8600"]
+    )
+    def test_large_integer_digits_read_back(self, n):
+        text = cli._fmt_number(n)
+        digits = text.lstrip("-")
+        assert digits[0] != "0" and text.startswith("-") == (n < 0)
+        value = 0
+        for i in range(0, len(digits), 1000):  # 1000 digits at a time, below the limit
+            chunk = digits[i : i + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert (-value if n < 0 else value) == n
 
 
 class TestLoaders:

@@ -3,7 +3,7 @@
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -772,12 +772,8 @@ class TestSlrAssembly:
         assert len(rep.zeros) + len(rep.excluded) == Poly(z.numerator_T).degree
 
     def test_broken_term_breaks_fe(self, curve_g1):
-        import dataclasses
-
         z = slr_zeta(curve_g1, 2)
-        broken = dataclasses.replace(
-            z, combined=RatFun.of(z.combined) + zeta_hat_ratfun(curve_g1, shift=1)
-        )
+        broken = z._replace(combined=RatFun.of(z.combined) + zeta_hat_ratfun(curve_g1, shift=1))
         assert not slr_fe_check(broken)
 
 
@@ -1144,7 +1140,7 @@ class TestPeriodOracle:
     @pytest.mark.parametrize("r", [2, 3])
     def test_zero_assembled_form_raises(self, monkeypatch, curve_g2, r):
         # oracle / 0 is the gcd constructor's ZeroDivisionError, as in the reference
-        z = replace(slr_zeta(curve_g2, r), combined=RationalFunction.zero())
+        z = slr_zeta(curve_g2, r)._replace(combined=RationalFunction.zero())
         monkeypatch.setattr(group_zeta, "slr_zeta", lambda c, r: z)
         message = "^rational function with zero denominator$"
         with pytest.raises(ZeroDivisionError, match=message):
@@ -1223,12 +1219,10 @@ class TestRhReports:
         # T = 1/Q are the cleared poles, divided out exactly with their
         # multiplicities; the zeros of N sit within 1e-9 of T = 1/Q but are
         # kept, at W = sqrt(Q) T on the unit circle
-        import dataclasses
-
         z = slr_zeta(CurveData.elliptic(1000003, 1), 3)
         Q = 1000003**3
         poles = Poly([1, -1]) ** 2 * Poly([1, -Q]) * Poly(z.numerator_T)
-        rep = slr_rh_report(dataclasses.replace(z, numerator_T=poles.coeffs))
+        rep = slr_rh_report(z._replace(numerator_T=poles.coeffs))
         assert len(rep.zeros) == 2 and rep.verdict
         assert rep.excluded == (1, 1, 1 / Q)
         assert all(abs(T) < 1e-9 for T in rep.zeros)
