@@ -24,8 +24,9 @@ its float arithmetic overflows, still gets a report entry,
 ``{"error": "<Type>: <message>"}`` with the check ``completed: false``.
 ``rh-report`` runs its three parts one by one: a part that stops gets a
 null verdict and its message under ``errors``, and the other parts keep
-their zeros.  Reports render exact rationals as "p/q" strings and floats
-at fixed precision, so identical jobs produce byte-identical files.
+their zeros.  Reports render every leaf of the tasks' raw results through one
+formatter: exact rationals as "p/q" strings, floats at fixed precision, None
+as null, so identical jobs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -53,8 +54,20 @@ TASKS = ("artin", "invariants", "rank2", "slr", "mass", "yoshida", "rh-report")
 # whose construction failed, whose root finder gave up, or whose floats overflowed.
 _TASK_FAILURES = (AssertionError, ConventionError, RootFindError, ArithmeticError)
 
+
+def _construct_int(loader, node) -> int:
+    """The loader's int constructor: an integer past int()'s digit limit (4300
+    by default) is a YAML error that names its line and column."""
+    try:
+        return loader.construct_yaml_int(node)
+    except ValueError:
+        problem = f"an integer of {sum(map(str.isdigit, node.value))} digits is past int()'s digit limit"
+        raise yaml.constructor.ConstructorError(None, None, problem, node.start_mark) from None
+
+
 # libyaml's parser if PyYAML was built with it; both build with SafeConstructor
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_LOADER = type("JobLoader", (getattr(yaml, "CSafeLoader", yaml.SafeLoader),), {})
+_LOADER.add_constructor("tag:yaml.org,2002:int", _construct_int)
 
 
 class JobError(ValueError):
@@ -87,6 +100,8 @@ def _decimal(n: int) -> str:
 
 
 def _fmt_number(x) -> str:
+    """The text of a report leaf, in every report file: None is null and a str
+    itself; a type with no text raises TypeError."""
     if isinstance(x, Fraction):
         num = _decimal(x.numerator)
         return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator)}"
@@ -98,35 +113,25 @@ def _fmt_number(x) -> str:
         return f"{x + 0.0:.12e}"
     if isinstance(x, complex):
         return f"{x.real + 0.0:.12e}{x.imag + 0.0:+.12e}j"
-    return str(x)
+    if x is None:
+        return "null"
+    if isinstance(x, str):
+        return x
+    raise TypeError(f"a report has no text for a {type(x).__name__}")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, ZeroReport):  # a tuple too, but rendered as a mapping
-        return {
-            "critical_modulus": _fmt_number(obj.critical_modulus),
-            "zeros": [_fmt_number(z) for z in obj.zeros],
-            "deviations": [_fmt_number(d) for d in obj.deviations],
-            "max_deviation": _fmt_number(obj.max_deviation),
-            "excluded": [_fmt_number(z) for z in obj.excluded],
-            "tolerance": _fmt_number(obj.tol),
-            "verdict": obj.verdict,
-        }
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, (Fraction, float, complex)):
-        return _fmt_number(obj)
+def _mapping(obj) -> dict | None:
+    """The mapping a ZeroReport or a RationalFunction is reported as, its leaves
+    unformatted; None for any other object."""
+    if isinstance(obj, ZeroReport):  # a tuple too, but reported as a mapping
+        return dict(
+            critical_modulus=obj.critical_modulus, zeros=obj.zeros, deviations=obj.deviations,
+            max_deviation=obj.max_deviation, excluded=obj.excluded, tolerance=obj.tol, verdict=obj.verdict,
+        )
     if isinstance(obj, RationalFunction):
         n, d = obj.display_pair()
-        return {
-            "num": [_fmt_number(c) for c in n.coeffs],
-            "den": [_fmt_number(c) for c in d.coeffs],
-        }
-    return obj
+        return {"num": n.coeffs, "den": d.coeffs}
+    return None
 
 
 def _require_int(src: dict, key: str) -> int:
@@ -164,7 +169,7 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
         raise JobError(f"job file not found: {path}")
     except OSError as e:
         raise JobError(f"cannot read job file {path}: {e.strerror or e}")
-    except (yaml.YAMLError, ValueError) as e:  # ValueError: an integer past int()'s digit limit
+    except (yaml.YAMLError, ValueError) as e:  # ValueError: a bad date, such as 2020-13-45
         raise JobError(f"cannot parse job file: {e}")
     if not isinstance(raw, dict):
         raise JobError("job file must hold a mapping at top level")
@@ -475,12 +480,7 @@ def run(job: JobSpec, tasks: Sequence[str] | None = None) -> tuple[int, dict]:
     ``_TASK_FAILURES`` becomes a failed entry and the rest still run.
     """
     chosen = list(tasks) if tasks else job.tasks
-    out = {
-        "report_version": 1,
-        "tasks": chosen,
-        "tolerance": _fmt_number(job.tolerance),
-        "reports": [],
-    }
+    out = {"report_version": 1, "tasks": chosen, "tolerance": job.tolerance, "reports": []}
     failed = False
     if job.census_rows and ("artin" in chosen or "rh-report" in chosen):
         out["census"] = [
@@ -495,24 +495,20 @@ def run(job: JobSpec, tasks: Sequence[str] | None = None) -> tuple[int, dict]:
                 result, error = _attempt(lambda: _TASK_FN[task](c, job))
                 report, checks = ({"error": error}, {"completed": False}) if error else result
             failed = failed or not all(checks.values())
-            out["reports"].append(
-                {
-                    "curve": c.describe(),
-                    "q": c.q,
-                    "g": c.g,
-                    "task": task,
-                    "data": _jsonable(report),
-                    "checks": dict(sorted(checks.items())),
-                }
-            )
+            out["reports"].append({
+                "curve": c.describe(), "q": c.q, "g": c.g, "task": task,
+                "data": report, "checks": dict(sorted(checks.items())),
+            })
     return (1 if failed else 0), out
 
 
 def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
-    if isinstance(value, dict):
+    value = _mapping(value) or value
+    kind = type(value)
+    if kind is dict:
         for k in sorted(value):
             _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
-    elif isinstance(value, list):
+    elif kind is list or kind is tuple:
         for i, v in enumerate(value):
             _flatten(f"{prefix}[{i}]", v, rows)
     else:
@@ -524,7 +520,8 @@ _escape = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
 
 def _emit(obj, indent: str, out: list[str]) -> None:
     """Append json.dumps(obj, indent=2, sort_keys=True) for plain dicts (str keys),
-    lists, tuples, strs, ints, bools and None; other leaves use json.dumps."""
+    lists, tuples, strs, ints, bools and None; a ZeroReport or RationalFunction
+    is its _mapping, and any other leaf its _fmt_number text, quoted."""
     kind = type(obj)
     if kind is str:
         out.append(_escape(obj))
@@ -544,17 +541,19 @@ def _emit(obj, indent: str, out: list[str]) -> None:
             _emit(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + ("}" if is_dict else "]"))
-    elif kind is int:
-        out.append(_decimal(obj))
-    elif obj is None or kind is bool:
-        out.append("null" if obj is None else "true" if obj else "false")
-    else:
-        out.append(json.dumps(obj))
+    elif kind is int or kind is bool or obj is None:
+        out.append(_fmt_number(obj))
+    else:  # _fmt_number raises TypeError on a leaf it has no text for
+        mapped = _mapping(obj)
+        if mapped is None:
+            out.append(_escape(_fmt_number(obj)))
+        else:
+            _emit(mapped, indent, out)
 
 
 def render(tree: dict, fmt: str) -> dict[str, str]:
-    """Map of filename -> contents; stable bytes for identical trees.  ``report.json``
-    is ``json.dumps(tree, indent=2, sort_keys=True)`` plus a newline, by ``_emit``."""
+    """Map of filename -> contents, straight from ``run``'s raw tree; stable bytes for
+    identical trees.  ``_emit`` writes ``report.json``; every leaf is ``_fmt_number``'s."""
     files = {}
     if fmt == "json":
         out: list[str] = []
@@ -576,10 +575,8 @@ def render(tree: dict, fmt: str) -> dict[str, str]:
         if rep["task"] != "rh-report":
             continue
         for row in rep["data"].get("zeros", ()):  # none on skipped or failed entries
-            z = row["value"]
-            zero_lines.append(
-                f"\"{rep['curve']}\",{row['object']},{z},{row['modulus']},{row['deviation']}"
-            )
+            fields = (_fmt_number(row[key]) for key in ("value", "modulus", "deviation"))
+            zero_lines.append(f"\"{rep['curve']}\",{row['object']},{','.join(fields)}")
     if len(zero_lines) > 1:
         files["zeros.csv"] = "\n".join(zero_lines) + "\n"
     return files

@@ -1,5 +1,6 @@
 """CLI: job parsing, task execution, determinism, exit codes."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -9,6 +10,7 @@ import re
 import sys
 import tempfile
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -17,6 +19,7 @@ import pytest
 import yaml
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
+import report_reference
 from ratfun_reference import RatFun
 
 from curvezeta import artin, cli, exact, fields, group_zeta, invariants, mass, rank2
@@ -137,8 +140,15 @@ BAD_VALUES = [
         "curves:\n  - {type: coefficients, q: 5, g: 1, A: [1, 0, 5], label: {x: 1}}\n",
         "curves[0]: label must be a string",
     ),
-    # q = 10^4515 + 7 has more digits than the loader's int() converts
-    ("curves:\n  - {type: elliptic, q: 1" + "0" * 4514 + "7, a: 0}\n", "cannot parse job file"),
+    # q = 10^4515 + 7 has more digits than the loader's int() converts: the
+    # message names where it stands, not CPython's advice on the limit
+    (
+        "curves:\n  - {type: elliptic, q: 1" + "0" * 4514 + "7, a: 0}\n",
+        "cannot parse job file: an integer of 4516 digits is past int()'s digit limit\n"
+        '  in "<byte string>", line 2, column 25',
+    ),
+    # a date the YAML resolver reads, but no calendar has
+    ("curves:\n  - {type: elliptic, q: 2, a: 0, label: 2020-13-45}\n", "cannot parse job file"),
 ]
 BAD_VALUE_IDS = [
     "elliptic-q6",
@@ -170,14 +180,18 @@ BAD_VALUE_IDS = [
     "genuine-string",
     "label-mapping",
     "q-4516-digits",
+    "label-bad-date",
 ]
 
 
-# the pure-Python loader, and libyaml's when this PyYAML was built with it
-LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+# the job loader over the pure-Python parser, and over libyaml's when this
+# PyYAML was built with it
+PURE_LOADER = type("JobLoader", (yaml.SafeLoader,), {})
+PURE_LOADER.add_constructor("tag:yaml.org,2002:int", cli._construct_int)
+LOADERS = [PURE_LOADER] + ([cli._LOADER] if yaml.__with_libyaml__ else [])
 
 
-@pytest.fixture(params=LOADERS, ids=lambda loader: loader.__name__)
+@pytest.fixture(params=LOADERS, ids=lambda loader: loader.__mro__[1].__name__)
 def loader(request, monkeypatch):
     """Run the test with parse_job reading through each available YAML loader."""
     monkeypatch.setattr(cli, "_LOADER", request.param)
@@ -298,14 +312,14 @@ class TestRun:
         _, tree = full_tree
         by_key = {(r["curve"], r["task"]): r for r in tree["reports"]}
         artin = by_key[("elliptic(q=2,a=0)", "artin")]
-        assert artin["data"]["A"] == ["1", "0", "2"]
+        assert artin["data"]["A"] == [1, 0, 2]
         assert artin["data"]["counts"][0] == 3
         inv = by_key[("counts(q=2,N=[3, 5])", "invariants")]
-        assert inv["data"]["alpha"] == ["1", "3"]
-        assert inv["data"]["beta0"] == "5"
+        assert inv["data"]["alpha"] == [1, 3]
+        assert inv["data"]["beta0"] == 5
         rank2 = by_key[("elliptic(q=2,a=0)", "rank2")]
-        assert rank2["data"]["numerator_X"] == ["2", "1", "2"]
-        assert rank2["data"]["beta0"] == "6"
+        assert rank2["data"]["numerator_X"] == [2, 1, 2]
+        assert rank2["data"]["beta0"] == 6
 
     def test_failing_identity_sets_exit_code(self, tmp_path):
         path = tmp_path / "asym.yaml"
@@ -340,8 +354,9 @@ class TestRun:
         assert entry["checks"] == {**good_entry["checks"], "period_oracle_constant_r3": False}
         assert entry["data"]["r2"] == good_entry["data"]["r2"]
         r3, good_r3 = dict(entry["data"]["r3"]), dict(good_entry["data"]["r3"])
-        assert r3.pop("period_oracle_ratio") == {"num": ["1", "1"], "den": ["1"]}  # 1 + u
-        assert good_r3.pop("period_oracle_ratio") == "1"
+        assert r3.pop("period_oracle_ratio") == RatFun([1, 1])  # 1 + u
+        constant = good_r3.pop("period_oracle_ratio")
+        assert type(constant) is Fraction and constant == 1
         assert r3 == good_r3
 
     def test_period_oracle_over_a_zero_assembled_form_is_an_error_entry(self, tmp_path, monkeypatch):
@@ -558,7 +573,7 @@ class TestRun:
                 assert r["data"] and not all(r["checks"].values()), r
         # the genuine curve's entries are those of a job that holds it alone
         _, alone = run(parse_job(jobfile(good)))
-        assert reports[len(tasks):] == alone["reports"]
+        assert reports[len(tasks):] == json.loads(render(alone, "json")["report.json"])["reports"]
 
     def test_former_float_overflow_job_solves(self, tmp_path, capsys):
         # a genuine numerator whose SL_6 T-grid numerator has coefficients
@@ -615,10 +630,10 @@ class TestLargeQ:
         assert code == 0
         (entry,) = tree["reports"]
         assert entry["checks"] and all(entry["checks"].values())
-        # the report renders 12 digits; the memoized report has the floats
+        # the report holds the memoized zero report
         rh = slr_rh_report(slr_zeta(job.curves[0], r), job.tolerance)
         assert len(rh.zeros) == 2 * g and rh.excluded == () and rh.verdict
-        assert entry["data"][f"r{r}"]["rh"]["zeros"] == [cli._fmt_number(T) for T in rh.zeros]
+        assert entry["data"][f"r{r}"]["rh"] == rh
         s = math.sqrt(q**r)
         assert max(abs(abs(T) * s - 1) for T in rh.zeros) <= 1e-12
 
@@ -671,6 +686,17 @@ class TestDegenerateInput:
         assert [row["object"] for row in rows] == ["artin"] * 4 + ["zeta2"] * 10
         artin_values = [z for z in rh_entry["data"]["zeros"] if z["object"] == "artin"]
         assert [z["value"] for z in artin_values] == rh["zeros"]
+
+    def test_asymmetric_numerator_csv_writes_null(self, tmp_path, capsys):
+        # non-genuine data has no counts, and the failed SL_2 part no verdict:
+        # report.csv writes both as JSON's null
+        out = tmp_path / "out"
+        job = str(DATA / "asymmetric_coefficients_job.yaml")
+        assert main(["run", job, "--format", "csv", "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        lines = (out / "report.csv").read_text().splitlines()
+        assert '"coeffs(q=3,g=2)|artin",data.counts,null' in lines
+        assert '"coeffs(q=3,g=2)|rh-report",data.verdicts.slr2,null' in lines
 
     @pytest.mark.parametrize("tasks", ["[artin, invariants]", "[invariants]"])
     def test_counts_beyond_hasse_bound(self, tmp_path, capsys, tasks):
@@ -888,12 +914,12 @@ class TestFmtNumber:
 
 class TestLoaders:
     def test_libyaml_used_when_present(self):
-        assert cli._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+        assert cli._LOADER.__mro__[1] is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
 
     def test_criterion_10_job_same_under_both_loaders(self, monkeypatch):
         path = DATA / "criterion10_job.yaml"
         job = parse_job(path)
-        monkeypatch.setattr(cli, "_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(cli, "_LOADER", PURE_LOADER)
         pure = parse_job(path)
         assert pure == job
         _, tree = run(job)
@@ -903,15 +929,22 @@ class TestLoaders:
 
     @pytest.mark.parametrize("body, field", BAD_VALUES, ids=BAD_VALUE_IDS)
     def test_bad_value_exits_two_under_pure_loader(self, tmp_path, monkeypatch, capsys, body, field):
-        monkeypatch.setattr(cli, "_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(cli, "_LOADER", PURE_LOADER)
         path = tmp_path / "bad.yaml"
         path.write_text(body)
         assert main(["run", str(path)]) == 2
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err and "set_int_max_str_digits" not in err
 
 
 # str keys and leaves with quotes, backslashes, control and non-ASCII characters
 _TEXT = st.text(max_size=6) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\n\t", "é\u2028", "😀"])
+# integers past the 4300 digits that str() converts (built here, since
+# hypothesis cannot repr them as strategy arguments)
+_HUGE = st.builds(lambda k, sign: sign * (10**k + 7), st.integers(4400, 5000), st.sampled_from([1, -1]))
+_FRACTIONS = st.fractions() | st.builds(Fraction, _HUGE, st.sampled_from([1, 3]) | _HUGE.map(abs))
+_COMPLEX = st.complex_numbers()
+_FLOAT_TUPLES = st.lists(st.floats(), max_size=3).map(tuple)
 _LEAVES = (
     st.none()
     | st.booleans()
@@ -920,6 +953,22 @@ _LEAVES = (
     | st.integers(min_value=-(10**40), max_value=10**40)
     | st.floats()
     | _TEXT
+    | _FRACTIONS
+    | _COMPLEX
+    | st.builds(
+        exact.ZeroReport,
+        zeros=st.lists(_COMPLEX, max_size=3).map(tuple),
+        critical_modulus=st.floats(),
+        deviations=_FLOAT_TUPLES,
+        verdict=st.booleans(),
+        tol=st.floats(),
+        excluded=st.lists(_COMPLEX, max_size=2).map(tuple),
+    )
+    | st.builds(
+        RationalFunction,
+        st.lists(st.fractions(max_denominator=50), max_size=4),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(any),
+    )
 )
 _TREES = st.recursive(
     _LEAVES,
@@ -930,8 +979,17 @@ _TREES = st.recursive(
 )
 
 
+# every job in tests/data that loads, run as written, and the zero-residue job's
+# mass rows at rank 10, whose ratios are null
+_REFUSED = ("elliptic_q10pow4515p7_job.yaml", "elliptic_q2pow89m1_job.yaml")
+DATA_RUNS = [(p.name, None) for p in sorted(DATA.glob("*.yaml")) if p.name not in _REFUSED]
+DATA_RUNS.append(("zero_residue_job.yaml", 10))
+
+
 class TestEmitter:
-    """report.json is written by cli._emit; it must give json.dumps's exact bytes."""
+    """The report files are written straight from run's tree of raw results;
+    they must have the bytes of the replaced route: report.json json.dumps's
+    of the converted tree (tests/report_reference.py), report.csv its rows."""
 
     @given(tree=_TREES)
     @example(tree={"b": [True, 1, False, 0, None], "a": {}, "": [], "t": (), "f": 0.1, "n": -(10**30)})
@@ -939,13 +997,41 @@ class TestEmitter:
     def test_matches_json_dumps(self, tree):
         out: list[str] = []
         cli._emit(tree, "", out)
-        assert "".join(out) == json.dumps(tree, indent=2, sort_keys=True)
+        assert "".join(out) == json.dumps(report_reference.jsonable(tree), indent=2, sort_keys=True)
+
+    @given(tree=_TREES)
+    @example(tree={"b": [True, 1, False, 0, None], "a": {}, "": [], "t": (), "f": 0.1, "n": -(10**30)})
+    @settings(max_examples=300, deadline=None)
+    def test_csv_rows_match_reference(self, tree):
+        rows: list[tuple[str, str]] = []
+        cli._flatten("", tree, rows)
+        assert rows == report_reference.csv_rows(tree)
 
     def test_real_reports(self, full_tree):
         job = parse_job(DATA / "criterion10_job.yaml")
         for _, tree in (run(job), full_tree):
-            text = render(tree, "json")["report.json"]
-            assert text == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+            for fmt in ("json", "csv"):
+                assert render(tree, fmt) == report_reference.render(tree, fmt)
+
+    @pytest.mark.parametrize("name, rank", DATA_RUNS, ids=[f"{n}-r{r}" if r else n for n, r in DATA_RUNS])
+    def test_data_jobs_match_reference(self, name, rank):
+        # a null leaf is written null in report.csv, never as Python's None
+        job = parse_job(DATA / name, argparse.Namespace(rank=rank))
+        tasks = ["mass"] if rank else None
+        _, tree = run(job, tasks)
+        assert render(tree, "json") == report_reference.render(tree, "json")
+        files = render(tree, "csv")
+        assert files == report_reference.render(tree, "csv")
+        assert all("None" not in line.split(",") for line in files["report.csv"].splitlines())
+
+    @pytest.mark.parametrize("leaf", [object(), Decimal("1.5"), {1, 2}, b"x", exact.Poly([1, 2])], ids=repr)
+    def test_unknown_leaf_raises(self, leaf):
+        # a leaf the formatter has no text for is an error, not a silent null
+        with pytest.raises(TypeError):
+            cli._fmt_number(leaf)
+        for fmt in ("json", "csv"):
+            with pytest.raises(TypeError):
+                render({"reports": [], "x": [leaf]}, fmt)
 
 
 _JUNK = st.sampled_from(["x", "1/0", True, 1.5, None, [], {}])
@@ -1080,10 +1166,11 @@ class TestMain:
     def test_bad_value_exits_two(self, tmp_path, capsys, body, field):
         path = tmp_path / "bad.yaml"
         path.write_text(body)
-        with pytest.raises(JobError, match=field.replace("[", r"\[")):
+        with pytest.raises(JobError, match=re.escape(field)):
             parse_job(path)
         assert main(["run", str(path)]) == 2
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err and "set_int_max_str_digits" not in err
 
     @pytest.mark.parametrize("value", ["inf", "-1", "nan", "0"])
     def test_bad_tolerance_flag_exits_two(self, jobfile, capsys, value):

@@ -1,6 +1,7 @@
 """The package's record types: plain classes and namedtuples, which keep the
 equality, hashing, validation and import cost the reports rely on."""
 
+import json
 import os
 import subprocess
 import sys
@@ -128,7 +129,7 @@ def test_equal_fields_share_one_cache_entry(kind, curve_g2):
 
 def test_zero_report_renders_as_a_mapping():
     rep = ZeroReport((0.5j,), 0.5, (0.0,), True, 1e-9)
-    assert cli._jsonable({"rh": rep}) == {
+    assert json.loads(cli.render({"rh": rep}, "json")["report.json"]) == {
         "rh": {
             "critical_modulus": "5.000000000000e-01",
             "zeros": ["0.000000000000e+00+5.000000000000e-01j"],
