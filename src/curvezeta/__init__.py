@@ -36,7 +36,6 @@ from curvezeta.exact import (
     RationalFunction,
     ZeroReport,
     complex_roots,
-    series_exp,
 )
 from curvezeta.fields import CurveModel, census, count_points
 from curvezeta.group_zeta import (
@@ -117,7 +116,6 @@ __all__ = [
     "rank2_numerator",
     "rh_check_artin",
     "rh_check_zeta2",
-    "series_exp",
     "slr_fe_check",
     "slr_numerator",
     "slr_rh_report",

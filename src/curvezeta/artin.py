@@ -33,7 +33,7 @@ from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from fractions import Fraction
 
-from curvezeta.exact import Poly, RationalFunction, ZeroReport, complex_roots, series_exp
+from curvezeta.exact import Poly, RationalFunction, ZeroReport, complex_roots
 from curvezeta.exact import _FactoredTerm, _q_power
 
 Rat = Fraction | int
@@ -164,28 +164,23 @@ class CurveData:
 def numerator_from_counts(q: int, g: int, counts: Sequence[int], label: str = "") -> CurveData:
     """Weil numerator coefficients from the point counts N_1..N_g.
 
-    Expands exp(sum_{m<=g} N_m t^m / m) * (1 - t)(1 - q t) to order g with
-    exact series arithmetic and completes A_{g+1}..A_{2g} by the symmetry
-    A_{2g-i} = q^{g-i} A_i.  The genuine :class:`CurveData` is built, and
-    checked, once, with the given label.
+    Newton's identities on the power sums p_m = q^m + 1 - N_m of the
+    reciprocal roots give i A_i = -sum_{k<=i} p_k A_{i-k} for i <= g, in
+    integers; a sum that i does not divide makes A_i a Fraction, which the
+    genuine :class:`CurveData` then rejects.  A_{g+1}..A_{2g} are completed by
+    the symmetry A_{2g-i} = q^{g-i} A_i.  The curve is built, and checked,
+    once, with the given label.
     """
     if len(counts) != g:
         raise ValueError(f"need exactly g = {g} counts, got {len(counts)}")
     if any(n < 0 for n in counts):
         raise ValueError("point counts must be nonnegative")
-    log_terms = [Fraction(0)] + [Fraction(counts[m - 1], m) for m in range(1, g + 1)]
-    expanded = series_exp(log_terms)
-    poly = Poly([1, -(q + 1), q])
-    A = [Fraction(0)] * (2 * g + 1)
-    for i in range(g + 1):
-        acc = Fraction(0)
-        for j in range(min(i, 2) + 1):
-            acc += poly[j] * expanded[i - j]
-        A[i] = acc
-    if A[0] != 1:
-        raise ValueError("inconsistent counts: expansion has A_0 != 1")
-    for i in range(g):
-        A[2 * g - i] = Fraction(q) ** (g - i) * A[i]
+    p = [0] + [q**m + 1 - n for m, n in enumerate(counts, start=1)]
+    A: list[Rat] = [1]
+    for i in range(1, g + 1):
+        acc = -sum(p[k] * A[i - k] for k in range(1, i + 1))
+        A.append(acc // i if isinstance(acc, int) and acc % i == 0 else Fraction(acc, i))
+    A += [q ** (g - i) * A[i] for i in reversed(range(g))]
     return CurveData(q, g, A, genuine=True, label=label)
 
 
@@ -250,28 +245,41 @@ def zeta_hat_ratfun(c: CurveData, shift: int = 0) -> RationalFunction:
     return term.ratfun()
 
 
-def _mul_zeta_hat(
-    term: _FactoredTerm, c: CurveData, shift: int, e1: int = 1, e2: int = 0, power: int = 1
-) -> None:
-    """Multiply the term by zh(shift + e1*s1 + e2*s2)**power, in u_j = q^{-s_j}.
+@lru_cache(maxsize=1024)
+def _zeta_hat_numerator(c: CurveData, shift: int) -> tuple[tuple[int, ...], int, int]:
+    """(ints, num, den) with P(q^{-shift} U) = num/den * sum_k ints[k] U^k.
 
-    zh = q^{(g-1) shift} U^{-(g-1)} P(q^{-shift} U) / ((1 - q^{-shift} U)
-    (1 - q^{1-shift} U)) with U = u1^e1 u2^e2.  With P = scale * sum n_k t^k
-    and q^{-shift} = a/b, P(q^{-shift} U) = scale b^{-d} sum n_k a^k b^{d-k} U^k,
-    all in integers.  This is the one place the package writes zh's
-    factorization down.
+    With P = scale * sum n_k t^k and q^{-shift} = a/b the ints are
+    n_k a^k b^(d-k) and num/den is scale * q^{(g-1) shift} / b^d, all
+    integers: the data :func:`_mul_zeta_hat` multiplies in, kept per
+    (curve, shift) since one assembly or oracle asks for it many times.
     """
     q, g = c.q, c.g
     P = c.numerator
     a, b = _q_power(q, -shift)
     qa, qb = _q_power(q, (g - 1) * shift)
     d = len(P.ints) - 1
-    ints = [n * a**k * b ** (d - k) for k, n in enumerate(P.ints)]
+    ints = tuple(n * a**k * b ** (d - k) for k, n in enumerate(P.ints))
+    return ints, P.scale.numerator * qa, P.scale.denominator * qb * b**d
+
+
+def _mul_zeta_hat(
+    term: _FactoredTerm, c: CurveData, shift: int, e1: int = 1, e2: int = 0, power: int = 1
+) -> None:
+    """Multiply the term by zh(shift + e1*s1 + e2*s2)**power, in u_j = q^{-s_j}.
+
+    zh = q^{(g-1) shift} U^{-(g-1)} P(q^{-shift} U) / ((1 - q^{-shift} U)
+    (1 - q^{1-shift} U)) with U = u1^e1 u2^e2, P(q^{-shift} U) in integers
+    (:func:`_zeta_hat_numerator`).  This is the one place the package writes
+    zh's factorization down.
+    """
+    ints, num, den = _zeta_hat_numerator(c, shift)
+    g1 = c.g - 1
     a1, a2 = term.mono
-    term.mono = (a1 - power * e1 * (g - 1), a2 - power * e2 * (g - 1))
-    term.mul(ints, e1, e2, power, P.scale.numerator * qa, P.scale.denominator * qb * b**d)
-    term.mul_one_minus(q, -shift, e1, e2, -power)
-    term.mul_one_minus(q, 1 - shift, e1, e2, -power)
+    term.mono = (a1 - power * e1 * g1, a2 - power * e2 * g1)
+    term.mul(ints, e1, e2, power, num, den)
+    term.mul_one_minus(c.q, -shift, e1, e2, -power)
+    term.mul_one_minus(c.q, 1 - shift, e1, e2, -power)
 
 
 def artin_fe_check(c: CurveData) -> bool:

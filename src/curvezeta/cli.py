@@ -65,9 +65,21 @@ def _construct_int(loader, node) -> int:
         raise yaml.constructor.ConstructorError(None, None, problem, node.start_mark) from None
 
 
+def _construct_timestamp(loader, node):
+    """The loader's timestamp constructor: a date the resolver reads but no
+    calendar has, such as 2020-13-45, is a YAML error that names its line and
+    column."""
+    try:
+        return loader.construct_yaml_timestamp(node)
+    except ValueError as e:
+        problem = f"{node.value} is not a calendar date: {e}"
+        raise yaml.constructor.ConstructorError(None, None, problem, node.start_mark) from None
+
+
 # libyaml's parser if PyYAML was built with it; both build with SafeConstructor
 _LOADER = type("JobLoader", (getattr(yaml, "CSafeLoader", yaml.SafeLoader),), {})
 _LOADER.add_constructor("tag:yaml.org,2002:int", _construct_int)
+_LOADER.add_constructor("tag:yaml.org,2002:timestamp", _construct_timestamp)
 
 
 class JobError(ValueError):
@@ -99,25 +111,31 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(k)
 
 
+def _fraction_text(x: Fraction) -> str:
+    num = _decimal(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator)}"
+
+
+# the text of each leaf type, looked up by exact type: isinstance on Fraction,
+# an ABC, runs in Python, and a report has tens of thousands of leaves
+_LEAF_TEXT = {
+    Fraction: _fraction_text,
+    bool: lambda x: "true" if x else "false",
+    int: _decimal,
+    float: lambda x: f"{x + 0.0:.12e}",  # + 0.0 turns a negative zero into 0.0
+    complex: lambda x: f"{x.real + 0.0:.12e}{x.imag + 0.0:+.12e}j",
+    type(None): lambda x: "null",
+    str: lambda x: x,
+}
+
+
 def _fmt_number(x) -> str:
     """The text of a report leaf, in every report file: None is null and a str
     itself; a type with no text raises TypeError."""
-    if isinstance(x, Fraction):
-        num = _decimal(x.numerator)
-        return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator)}"
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return _decimal(x)
-    if isinstance(x, float):  # + 0.0 turns a negative zero into 0.0
-        return f"{x + 0.0:.12e}"
-    if isinstance(x, complex):
-        return f"{x.real + 0.0:.12e}{x.imag + 0.0:+.12e}j"
-    if x is None:
-        return "null"
-    if isinstance(x, str):
-        return x
-    raise TypeError(f"a report has no text for a {type(x).__name__}")
+    text = _LEAF_TEXT.get(type(x))
+    if text is None:
+        raise TypeError(f"a report has no text for a {type(x).__name__}")
+    return text(x)
 
 
 def _mapping(obj) -> dict | None:
@@ -169,7 +187,7 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
         raise JobError(f"job file not found: {path}")
     except OSError as e:
         raise JobError(f"cannot read job file {path}: {e.strerror or e}")
-    except (yaml.YAMLError, ValueError) as e:  # ValueError: a bad date, such as 2020-13-45
+    except (yaml.YAMLError, ValueError) as e:  # ValueError: an unwrapped constructor, as for !!float x
         raise JobError(f"cannot parse job file: {e}")
     if not isinstance(raw, dict):
         raise JobError("job file must hold a mapping at top level")
@@ -503,6 +521,10 @@ def run(job: JobSpec, tasks: Sequence[str] | None = None) -> tuple[int, dict]:
 
 
 def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
+    text = _LEAF_TEXT.get(type(value))
+    if text is not None:
+        rows.append((prefix, text(value)))
+        return
     value = _mapping(value) or value
     kind = type(value)
     if kind is dict:
@@ -542,13 +564,18 @@ def _emit(obj, indent: str, out: list[str]) -> None:
             sep = ",\n" + inner
         out.append("\n" + indent + ("}" if is_dict else "]"))
     elif kind is int or kind is bool or obj is None:
-        out.append(_fmt_number(obj))
-    else:  # _fmt_number raises TypeError on a leaf it has no text for
-        mapped = _mapping(obj)
-        if mapped is None:
-            out.append(_escape(_fmt_number(obj)))
-        else:
-            _emit(mapped, indent, out)
+        out.append(_LEAF_TEXT[kind](obj))
+    elif kind in _LEAF_TEXT:
+        out.append(_escape(_LEAF_TEXT[kind](obj)))
+    elif (mapped := _mapping(obj)) is not None:
+        _emit(mapped, indent, out)
+    else:
+        _fmt_number(obj)  # a leaf with no text: raises TypeError
+
+
+def _csv_quoted(text: str) -> str:
+    """text as one quoted CSV field, each embedded quote doubled (RFC 4180)."""
+    return '"' + text.replace('"', '""') + '"'
 
 
 def render(tree: dict, fmt: str) -> dict[str, str]:
@@ -565,10 +592,10 @@ def render(tree: dict, fmt: str) -> dict[str, str]:
         lines = ["section,key,value"]
         lines += [f"meta,{k},{v}" for k, v in rows]
         for rep in tree.get("reports", []):
-            base = f"{rep['curve']}|{rep['task']}"
+            base = _csv_quoted(f"{rep['curve']}|{rep['task']}")
             sub: list[tuple[str, str]] = []
             _flatten("", {"data": rep["data"], "checks": rep["checks"]}, sub)
-            lines += [f"\"{base}\",{k},{v}" for k, v in sub]
+            lines += [f"{base},{k},{v}" for k, v in sub]
         files["report.csv"] = "\n".join(lines) + "\n"
     zero_lines = ["curve,object,value,modulus,deviation"]
     for rep in tree.get("reports", []):
@@ -576,7 +603,7 @@ def render(tree: dict, fmt: str) -> dict[str, str]:
             continue
         for row in rep["data"].get("zeros", ()):  # none on skipped or failed entries
             fields = (_fmt_number(row[key]) for key in ("value", "modulus", "deviation"))
-            zero_lines.append(f"\"{rep['curve']}\",{row['object']},{','.join(fields)}")
+            zero_lines.append(f"{_csv_quoted(rep['curve'])},{row['object']},{','.join(fields)}")
     if len(zero_lines) > 1:
         files["zeros.csv"] = "\n".join(zero_lines) + "\n"
     return files

@@ -19,9 +19,12 @@ Every zeta of the package has a denominator made of known binomials
 1 - q^e U and monomials, so it is kept as one factored type,
 :class:`_FactoredTerm`: a constant, a monomial, one polynomial kept whole
 and primitive integer factors with multiplicities, equal factors cancelling.
-:func:`_factored_sum` adds such terms over the LCM of their denominators,
-and :meth:`_FactoredTerm.ratfun` reduces a term in one variable by exact
-division at the known roots of its linear factors, with no gcd.
+:func:`_over_lcm` puts such terms over the LCM of their denominators, in
+one variable or two; :func:`_factored_sum` adds terms in one variable that
+way, and :meth:`_FactoredTerm.ratfun` reduces a term in one variable by
+exact division at the known roots of its linear factors, with no gcd.  A
+sum in two variables is never multiplied out here: the SL_3 period oracle
+expands it at u1 = 1 to the few terms its limit needs.
 :func:`poly_gcd`, a primitive pseudo-remainder sequence on the stored ints,
 is left to where no factorization is known: the square-free split of the
 root finder's input (:func:`squarefree_decomposition`), and the
@@ -152,7 +155,8 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: Poly | Rat) -> Poly:
-        if isinstance(other, (int, Fraction)):
+        # the exact type first: isinstance on Fraction, an ABC, runs in Python
+        if type(other) is not Poly and isinstance(other, (int, Fraction)):
             if not other or not self.ints:
                 return _ZERO
             n, d = _scale_product(self._sn, self._sd, other.numerator, other.denominator)
@@ -657,25 +661,16 @@ def _key_power(ints: tuple[int, ...], k: int, m: int) -> Poly:
     return p.stretch(k) ** m
 
 
-def _factored_sum(terms: Sequence[_FactoredTerm]) -> _FactoredTerm | tuple[Poly, Poly, int]:
-    """The sum of the terms over the LCM of their factored denominators.
+def _over_lcm(terms: Sequence[_FactoredTerm]) -> list[tuple[Fraction, tuple[int, int], dict[Key, int], Poly]]:
+    """Each term times the LCM L of the terms' factored denominators, then L
+    itself, as (const, monomial, key multiplicities, poly), with no exponent
+    or multiplicity below zero.
 
-    The denominator L is that LCM: each key at its largest multiplicity
-    downstairs, times the monomial that clears negative exponents.  Each term
-    contributes its value times L: its poly, and every key at L's
-    multiplicity plus the term's own, which is never negative.  Keys that
-    differ but share a polynomial factor are not merged, so L is a common
-    multiple, not always the least one; the quotient is the same.  The empty
-    sum is the zero term.
-
-    When no term involves u2 the sum is returned as one term: the numerator
-    as its poly, over L kept factored.  Otherwise both numerator and
-    denominator are returned packed by Kronecker substitution, u1^i u2^j as
-    x^(i + D j), with the stride D also returned.  D exceeds the u1-degree
-    of every product formed, read off the monomial shifts, the polys' degrees
-    and the key multiplicities before anything is multiplied out, so the
-    packing is an injective ring homomorphism on everything the sum forms and
-    the products and sums run on :class:`Poly`.
+    L is each key at its largest multiplicity downstairs, times the monomial
+    that clears negative exponents.  Each term contributes its value times L:
+    its poly, and every key at L's multiplicity plus the term's own.  Keys
+    that differ but share a polynomial factor are not merged, so L is a
+    common multiple, not always the least one; the quotient is the same.
     """
     lcm: dict[Key, int] = {}
     for t in terms:
@@ -684,57 +679,37 @@ def _factored_sum(terms: Sequence[_FactoredTerm]) -> _FactoredTerm | tuple[Poly,
                 lcm[key] = max(lcm.get(key, 0), -m)
     s1 = min((0, *(t.mono[0] for t in terms)))
     s2 = min((0, *(t.mono[1] for t in terms)))
-    parts = []  # (const, shifted monomial, key multiplicities, poly); the denominator last
+    parts = []
     for t in terms:
         ms = dict(lcm)
         for key, m in t.factors.items():
             ms[key] = ms.get(key, 0) + m
         parts.append((t.const, (t.mono[0] - s1, t.mono[1] - s2), ms, t.poly))
     parts.append((Fraction(1), (-s1, -s2), lcm, _ONE))
-    bivariate = any(t.mono[1] or any(key[1] for key in t.factors) for t in terms)
-    stride = 1  # packing is the identity in u1 alone
-    if bivariate:  # the u1-degree of each product, before it is formed
-        stride += max(
-            mono[0] + poly.degree + sum(m * key[0] * (len(key[2]) - 1) for key, m in ms.items())
-            for _, mono, ms, poly in parts
-        )
-
-    def product(const: Fraction, mono: tuple[int, int], ms: dict[Key, int], poly: Poly) -> Poly:
-        p = poly
-        # keys with the most terms first, while p is short; each packed key is
-        # the left factor, whose zeros Poly.__mul__ skips
-        for (e1, e2, ints), m in sorted(ms.items(), key=lambda km: -len(km[0][2])):
-            if m:
-                p = _key_power(ints, e1 + stride * e2, m) * p
-        if not p.ints:
-            return p
-        n, d = _scale_product(p._sn, p._sd, const.numerator, const.denominator)
-        return _make((0,) * (mono[0] + stride * mono[1]) + p.ints, n, d)  # times const x^mono
-
-    num = _ZERO
-    for part in parts[:-1]:
-        num = num + product(*part)
-    if bivariate:
-        return num, product(*parts[-1]), stride
-    return _FactoredTerm(mono=(s1, 0), factors={key: -m for key, m in lcm.items()}, poly=num)
+    return parts
 
 
-def series_exp(c: Sequence[Rat]) -> tuple[Fraction, ...]:
-    """Formal exponential of c_0 + c_1 t + ... (c_0 = 0), to the same order.
-
-    Uses the derivative recurrence b_n = (1/n) * sum_{k=1..n} k a_k b_{n-k},
-    which keeps every coefficient an exact rational.
+def _factored_sum(terms: Sequence[_FactoredTerm]) -> _FactoredTerm:
+    """The sum of terms in u = u1 alone, as one term: the numerator over the
+    LCM of the factored denominators (:func:`_over_lcm`) as its poly, over
+    that LCM kept factored.  The empty sum is the zero term.  A term in u2 is
+    a :class:`ConventionError`, as it is to :meth:`_FactoredTerm.ratfun`.
     """
-    if c[0] != 0:
-        raise ValueError("series_exp requires a zero constant term")
-    m = len(c) - 1
-    out = [Fraction(1)] + [Fraction(0)] * m
-    for n in range(1, m + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            acc += k * c[k] * out[n - k]
-        out[n] = acc / n
-    return tuple(out)
+    if any(t.mono[1] or any(key[1] for key in t.factors) for t in terms):
+        raise ConventionError("a term in u2 has no form in u alone")
+    *parts, (_, (shift, _), lcm, _) = _over_lcm(terms)
+    num = _ZERO
+    for const, (k, _), ms, poly in parts:
+        p = poly
+        # keys with the most terms first, while p is short; each key is the
+        # left factor, whose zeros Poly.__mul__ skips
+        for (e1, _, ints), m in sorted(ms.items(), key=lambda km: -len(km[0][2])):
+            if m:
+                p = _key_power(ints, e1, m) * p
+        if p.ints:  # times const u^k
+            n, d = _scale_product(p._sn, p._sd, const.numerator, const.denominator)
+            num = num + _make((0,) * k + p.ints, n, d)
+    return _FactoredTerm(mono=(-shift, 0), factors={key: -m for key, m in lcm.items()}, poly=num)
 
 
 class RootFindError(RuntimeError):

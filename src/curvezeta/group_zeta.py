@@ -59,29 +59,32 @@ functional equation T -> 1/(QT).
 
 :func:`period_residue_oracle` instead sums the Weyl terms of the period
 itself, with their own reading, and shares only this arithmetic with the
-assembly.  At r = 2 the two terms are summed in u.  At r = 3 the six terms
-are bivariate in u_j = q^{-s_j}, the elements of S_3 listed and their roots
-read off each tuple with code of its own, and summed by the same
-:func:`_factored_sum`, which multiplies them out on the univariate integer
-:class:`Poly` core by Kronecker substitution, u1^i u2^j as x^(i + D j).
-The limit lim (1 - u_1) f stays literal: (1 - u_1) divides a packed
-polynomial exactly when its column sums at u_1 = 1 vanish, and is then
-removed by exact division by (1 - x); u_1 = 1 is substituted by summing the
-columns.  The two routes must agree up to a constant ratio, checked by
-cross-multiplication with no gcd, which the caller records.
+assembly.  At r = 2 the two terms are summed in u by :func:`_factored_sum`.
+At r = 3 the six terms are bivariate in u_j = q^{-s_j}, the elements of S_3
+listed and their roots read off each tuple with code of its own, and put
+over the LCM of their factored denominators (:func:`_over_lcm`), N / L.
+The limit lim (1 - u_1) N / L is never multiplied out in full: with
+u_1 = 1 - eps, (1 - u_1)^j divides a polynomial exactly when its first j
+eps-coefficients vanish, and the quotient at u_1 = 1 is the next one, so a
+few eps-coefficients of N and L, each a :class:`Poly` in u_2, give the pole
+order and the limit (:func:`_residue_at_u1_one`).  The two routes must
+agree up to a constant ratio, checked by cross-multiplication with no gcd,
+which the caller records.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from curvezeta.artin import CurveData, _mul_zeta_hat, zeta_hat_ratfun, zeta_hat_special
 from curvezeta.exact import ConventionError, Poly, RationalFunction, ZeroReport, complex_roots, float_sqrt
-from curvezeta.exact import _factored_sum, _FactoredTerm
+from curvezeta.exact import Key, _factored_sum, _FactoredTerm, _over_lcm, _poly
 from curvezeta.invariants import alpha_from_A
 
 # the largest rank accepted; on a 2-vCPU VM under Python 3.11 slr_zeta at r = 10
@@ -314,26 +317,82 @@ def _weyl_terms_r3(c: CurveData) -> list[_FactoredTerm]:
     return terms
 
 
-def _u1_columns(p: Poly, stride: int) -> list[int]:
-    """The integer column sums of a packed p: the ints of p at u1 = 1, by power of u2."""
-    ints = p.ints
-    return [sum(ints[j : j + stride]) for j in range(0, len(ints), stride)]
+def _at_one_minus_eps(ints: Sequence[int], e1: int, e2: int, K: int) -> list[Poly]:
+    """sum_k ints[k] U^k, U = u1^e1 u2^e2, at u1 = 1 - eps, modulo eps^K: its
+    coefficients of eps^0..eps^(K-1), polynomials in u2.  (1 - eps)^n has
+    eps^j coefficient (-1)^j C(n, j), so a key in u2 alone is a constant and
+    at K = 1 a key in u1 alone is the integer sum of its ints."""
+    out = []
+    for j in range(K):
+        cs = [0] * (e2 * (len(ints) - 1) + 1)
+        for k, a in enumerate(ints):
+            cs[e2 * k] += a * math.comb(e1 * k, j)
+        out.append(_poly(cs, -1 if j % 2 else 1, 1))
+    return out
 
 
-def _at_u1_one(p: Poly, stride: int) -> Poly:
-    """A packed polynomial at u1 = 1, a polynomial in u2."""
-    return Poly(_u1_columns(p, stride)) * p.scale
+def _eps_product(a: Sequence[Poly], b: Sequence[Poly]) -> list[Poly]:
+    """The product of two eps-series of one length K, modulo eps^K."""
+    return [reduce(operator.add, (a[i] * b[n - i] for i in range(n + 1))) for n in range(len(a))]
 
 
-def _divide_one_minus_u1(p: Poly, stride: int) -> Poly | None:
-    """The packed quotient p / (1 - u1), or None when (1 - u1) does not divide p.
+@lru_cache(maxsize=1024)
+def _eps_key_power(key: Key, m: int, K: int) -> tuple[Poly, ...]:
+    """A key to the power m > 0 at u1 = 1 - eps, modulo eps^K; kept, since the
+    six Weyl terms and their LCM share most keys."""
+    e1, e2, ints = key
+    base = _at_one_minus_eps(ints, e1, e2, K)
+    out = base
+    for _ in range(m - 1):
+        out = _eps_product(out, base)
+    return tuple(out)
 
-    (1 - u1) divides p exactly when p vanishes at u1 = 1, and (1 - u1) b
-    packs to (1 - x) pack(b), so the quotient is one exact univariate division.
+
+def _eps_series(parts: list, K: int) -> list[Poly]:
+    """The sum of cleared parts (:func:`_over_lcm`) at u1 = 1 - eps, modulo eps^K."""
+    total = [Poly()] * K
+    for const, (a1, a2), ms, poly in parts:
+        # u1^a1 poly(u1) is a polynomial in u1 alone: its eps-coefficients are constants
+        series = _at_one_minus_eps((0,) * a1 + poly.ints, 1, 0, K)
+        for key, m in ms.items():
+            if m:
+                series = _eps_product(_eps_key_power(key, m, K), series)
+        front = Poly.x(a2, const * poly.scale)
+        total = [t + front * c for t, c in zip(total, series)]
+    return total
+
+
+def _residue_at_u1_one(terms: list[_FactoredTerm]) -> tuple[Poly, Poly]:
+    """lim_{u1 -> 1} (1 - u1) times the sum of the terms, as a numerator and a
+    denominator in u2.
+
+    The sum is N / L over the LCM of the factored denominators (:func:`_over_lcm`).
+    With u1 = 1 - eps, (1 - u1)^j divides a polynomial exactly when its first
+    j eps-coefficients vanish, and the quotient at eps = 0 is the next one.
+    So L is expanded modulo eps^K, K = 2, 4, 8, ..., until a coefficient is
+    non-zero: its index is the order k of L at u1 = 1, never read off the
+    keys.  N is expanded at eps^0 only, where a key in u1 alone is a
+    constant, and modulo eps^k only when that coefficient vanishes and k > 1.
+    The limit is N_{k-1} / L_k; a pole of order >= 2 raises, and so does an
+    order <= 0, which would make the limit vanish.
     """
-    if any(_u1_columns(p, stride)):
-        return None
-    return p.exact_div(Poly([1, -1]))
+    *parts, den = _over_lcm(terms)
+    K = 2
+    L = _eps_series([den], K)
+    while not any(c.ints for c in L):
+        K *= 2
+        L = _eps_series([den], K)
+    k_den = next(k for k, c in enumerate(L) if c.ints)
+    N = _eps_series(parts, 1)
+    if k_den > 1 and not N[0].ints:
+        N = _eps_series(parts, k_den)
+    k_num = next((k for k, c in enumerate(N) if c.ints), k_den)
+    order = k_den - k_num
+    if order > 1:
+        raise ValueError(f"pole of order {order} at u1 = 1; limit unsupported")
+    if order < 1:
+        raise ValueError("no pole at u1 = 1; the residue vanishes")
+    return N[k_num], L[k_den]
 
 
 @lru_cache(maxsize=64)
@@ -341,14 +400,13 @@ def period_residue_oracle(c: CurveData, r: int) -> RationalFunction:
     """The period route to zh_SLr, as its ratio to the sum route.
 
     r = 2 sums its two Weyl terms in u and needs no residue.  At r = 3 the
-    six bivariate terms are summed over the LCM of their factored
-    denominators and multiplied out packed (:func:`_factored_sum`), and the
-    limit lim_{u1 -> 1} (1 - u1) * omega is taken literally on the two
-    polynomials: (1 - u1) is stripped from each as often as it divides, the
-    pole order never read off the factor keys, and then u1 = 1 is
-    substituted.  A pole of order >= 2 raises; order <= 0 would make the
-    limit vanish, which is also reported.  The residue is multiplied by
-    zh(2) and zh(s + 3) as polynomials, and never reduced.
+    six bivariate terms are put over the LCM of their factored denominators,
+    and the limit lim_{u1 -> 1} (1 - u1) * omega is read off the expansions
+    of numerator and denominator at u1 = 1 - eps (:func:`_residue_at_u1_one`),
+    the pole order never off the factor keys.  A pole of order >= 2 raises;
+    order <= 0 would make the limit vanish, which is also reported.  The
+    residue is multiplied by zh(2) and zh(s + 3) as polynomials, and never
+    reduced.
 
     The returned ratio is oracle / assembled, a constant when the two routes
     agree; the caller checks that it is.  With oracle = on/od and assembled
@@ -362,23 +420,10 @@ def period_residue_oracle(c: CurveData, r: int) -> RationalFunction:
         oracle = _factored_sum(_weyl_terms_r2(c)).ratfun()
         on, od = oracle.num, oracle.den
     elif r == 3:
-        num, den, stride = _factored_sum(_weyl_terms_r3(c))
-        k_den = 0
-        while (nxt := _divide_one_minus_u1(den, stride)) is not None:
-            den = nxt
-            k_den += 1
-        k_num = 0
-        while k_num < k_den and (nxt := _divide_one_minus_u1(num, stride)) is not None:
-            num = nxt
-            k_num += 1
-        order = k_den - k_num
-        if order > 1:
-            raise ValueError(f"pole of order {order} at u1 = 1; limit unsupported")
-        if order < 1:
-            raise ValueError("no pole at u1 = 1; the residue vanishes")
+        num, den = _residue_at_u1_one(_weyl_terms_r3(c))
         zh3 = zeta_hat_ratfun(c, shift=3)
-        on = _at_u1_one(num, stride) * zeta_hat_special(c, 2) * zh3.num
-        od = _at_u1_one(den, stride) * zh3.den
+        on = num * zeta_hat_special(c, 2) * zh3.num
+        od = den * zh3.den
     else:
         raise ValueError("the period oracle covers r in {2, 3} only")
 

@@ -82,15 +82,15 @@ def render(tree: dict, fmt: str) -> dict[str, str]:
         lines += [f"meta,{k},{v}" for k, v in csv_rows({k: v for k, v in plain.items() if k != "reports"})]
         for rep in plain.get("reports", []):
             rows = csv_rows({"data": rep["data"], "checks": rep["checks"]})
-            lines += [f"\"{rep['curve']}|{rep['task']}\",{k},{v}" for k, v in rows]
+            base = '"' + f"{rep['curve']}|{rep['task']}".replace('"', '""') + '"'
+            lines += [f"{base},{k},{v}" for k, v in rows]
         files["report.csv"] = "\n".join(lines) + "\n"
     zero_lines = ["curve,object,value,modulus,deviation"]
     for rep in plain.get("reports", []):
         if rep["task"] == "rh-report":
             for row in rep["data"].get("zeros", ()):
-                zero_lines.append(
-                    f"\"{rep['curve']}\",{row['object']},{row['value']},{row['modulus']},{row['deviation']}"
-                )
+                curve = '"' + rep["curve"].replace('"', '""') + '"'
+                zero_lines.append(f"{curve},{row['object']},{row['value']},{row['modulus']},{row['deviation']}")
     if len(zero_lines) > 1:
         files["zeros.csv"] = "\n".join(zero_lines) + "\n"
     return files

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from corpus import corpus_curves
 from ratfun_reference import RatFun
+from series_reference import numerator_by_series
 
 from curvezeta.artin import (
     CurveData,
@@ -108,14 +109,34 @@ class TestNumeratorFromCounts:
             numerator_from_counts(2, 1, [-1])
 
     def test_roundtrip_with_newton_recurrence(self, corpus):
-        # numerator_from_counts uses exp-series; counts_from_numerator uses
-        # Newton sums: composing them must be the identity, both ways
+        # numerator_from_counts runs Newton's identities up from the counts,
+        # counts_from_numerator the power-sum recurrence down from the A_i:
+        # composing them must be the identity, both ways
         for c in corpus:
             if not c.genuine or c.g < 1:
                 continue
             counts = [counts_from_numerator(c, m) for m in range(1, c.g + 1)]
             again = numerator_from_counts(c.q, c.g, counts)
             assert again.A == c.A
+
+    def test_matches_series_reference(self, corpus):
+        # the integer recurrence against exp(sum N_m t^m / m) (1 - t)(1 - q t)
+        for c in corpus:
+            if not c.genuine or c.g < 1:
+                continue
+            counts = [counts_from_numerator(c, m) for m in range(1, c.g + 1)]
+            assert numerator_from_counts(c.q, c.g, counts).A == numerator_by_series(c.q, c.g, counts)
+
+    @pytest.mark.parametrize("q, counts", [(2, [3, 4]), (2, [3, 4, 9]), (3, [4, 9, 30]), (5, [0, 0])])
+    def test_inconsistent_counts_fail_as_the_series_does(self, q, counts):
+        # counts that no curve has: a Fraction A_i, or an integer one that the
+        # genuine checks reject, with the message the series route gives
+        g = len(counts)
+        with pytest.raises(ValueError) as reference:
+            CurveData(q, g, numerator_by_series(q, g, counts), genuine=True)
+        with pytest.raises(ValueError) as got:
+            numerator_from_counts(q, g, counts)
+        assert str(got.value) == str(reference.value)
 
 
 class TestCountsFromNumerator:

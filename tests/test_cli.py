@@ -147,8 +147,12 @@ BAD_VALUES = [
         "cannot parse job file: an integer of 4516 digits is past int()'s digit limit\n"
         '  in "<byte string>", line 2, column 25',
     ),
-    # a date the YAML resolver reads, but no calendar has
-    ("curves:\n  - {type: elliptic, q: 2, a: 0, label: 2020-13-45}\n", "cannot parse job file"),
+    # a date the YAML resolver reads, but no calendar has: the message names where it stands
+    (
+        "curves:\n  - {type: elliptic, q: 2, a: 0, label: 2020-13-45}\n",
+        "cannot parse job file: 2020-13-45 is not a calendar date: month must be in 1..12\n"
+        '  in "<byte string>", line 2, column 41',
+    ),
 ]
 BAD_VALUE_IDS = [
     "elliptic-q6",
@@ -188,6 +192,7 @@ BAD_VALUE_IDS = [
 # PyYAML was built with it
 PURE_LOADER = type("JobLoader", (yaml.SafeLoader,), {})
 PURE_LOADER.add_constructor("tag:yaml.org,2002:int", cli._construct_int)
+PURE_LOADER.add_constructor("tag:yaml.org,2002:timestamp", cli._construct_timestamp)
 LOADERS = [PURE_LOADER] + ([cli._LOADER] if yaml.__with_libyaml__ else [])
 
 
@@ -868,6 +873,23 @@ class TestDeterminism:
         header, *rows = list(csv.reader(io.StringIO(files["zeros.csv"])))
         assert header == ["curve", "object", "value", "modulus", "deviation"]
         assert rows and all(len(row) == len(header) for row in rows)
+
+    def test_csv_label_with_comma_and_quote_reads_back(self, tmp_path):
+        # a label is one quoted CSV field, an embedded quote doubled
+        path = tmp_path / "label.yaml"
+        path.write_text(
+            "curves:\n  - {type: coefficients, q: 2, g: 1, A: [1, 0, 2], genuine: true, label: 'a,\"b'}\n"
+            "tasks: [artin, rh-report]\n"
+        )
+        _, tree = run(parse_job(path))
+        files = render(tree, "csv")
+        assert files == report_reference.render(tree, "csv")
+        header, *rows = list(csv.reader(io.StringIO(files["report.csv"])))
+        reports = [row for row in rows if row[0] != "meta"]
+        assert header == ["section", "key", "value"] and all(len(row) == 3 for row in rows)
+        assert {row[0] for row in reports} == {'a,"b|artin', 'a,"b|rh-report'}
+        header, *zeros = list(csv.reader(io.StringIO(files["zeros.csv"])))
+        assert zeros and all(len(row) == len(header) and row[0] == 'a,"b' for row in zeros)
 
 
 class TestFmtNumber:

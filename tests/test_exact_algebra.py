@@ -19,9 +19,9 @@ from curvezeta.exact import (
     RootFindError,
     complex_roots,
     poly_gcd,
-    series_exp,
     squarefree_decomposition,
 )
+from series_reference import series_exp
 
 F = Fraction
 

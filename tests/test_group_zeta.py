@@ -5,7 +5,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from pathlib import Path
 
 import pytest
@@ -16,12 +16,13 @@ from ratfun_reference import RatFun
 from curvezeta.artin import CurveData, artin_fe_ratfun_check, zeta_hat_ratfun, zeta_hat_special
 from curvezeta import exact, group_zeta
 from curvezeta.cli import parse_job
-from curvezeta.exact import Poly, RationalFunction, _factored_sum, _FactoredTerm, complex_roots
+from curvezeta.exact import Poly, RationalFunction, _factored_sum, _FactoredTerm, _over_lcm, complex_roots
 from curvezeta.group_zeta import (
     R_MAX,
     ConventionError,
-    _divide_one_minus_u1,
+    _eps_series,
     _extract_numerator,
+    _residue_at_u1_one,
     _weyl_terms_r2,
     _weyl_terms_r3,
     period_residue_oracle,
@@ -318,8 +319,8 @@ def reference_numerator(combined: RatFun, c: CurveData, r: int) -> tuple[F, ...]
 
 # ---------------------------------------------------------------------------
 # Reference for the r = 3 period oracle: bivariate polynomials as
-# dict[(i, j)] -> Fraction and Fraction-keyed factored terms, summed without
-# packing.  The library multiplies out on packed integer Poly instead.
+# dict[(i, j)] -> Fraction and Fraction-keyed factored terms, multiplied out
+# in full.  The library expands them at u1 = 1 - eps instead, to a few terms.
 # ---------------------------------------------------------------------------
 
 Poly2 = dict[tuple[int, int], Fraction]
@@ -463,18 +464,39 @@ def ref_factored_sum(terms: list[RefFactoredTerm]) -> tuple[Poly2, Poly2]:
     return num, den
 
 
-def pack(p: Poly2, stride: int) -> Poly:
-    """u1^i u2^j as x^(i + stride j), for 0 <= i < stride and j >= 0."""
-    coeffs = [F(0)] * (1 + max((i + stride * j for i, j in p), default=0))
-    for (i, j), v in p.items():
-        assert 0 <= i < stride and j >= 0
-        coeffs[i + stride * j] = v
-    return Poly(coeffs)
+def p2_at_u1_one(p: Poly2) -> Poly:
+    """p at u1 = 1, a polynomial in u2."""
+    cols = [F(0)] * (1 + max((j for _, j in p), default=0))
+    for (_, j), v in p.items():
+        cols[j] += v
+    return Poly(cols)
 
 
-def unpack(p: Poly, stride: int) -> Poly2:
-    """The bivariate polynomial a packed Poly stands for."""
-    return {(e % stride, e // stride): v for e, v in enumerate(p.coeffs) if v}
+def p2_eps_series(p: Poly2, K: int) -> list[Poly]:
+    """c_0..c_{K-1} of p = sum_j c_j(u2) (1 - u1)^j: each the value at u1 = 1
+    of what is left once the lower ones are taken out and (1 - u1) divided out."""
+    out = []
+    for _ in range(K):
+        c = p2_at_u1_one(p)
+        out.append(c)
+        p = p2_divide_one_minus_u1(p2_add(p, {(0, j): -v for j, v in enumerate(c.coeffs) if v}))
+    return out
+
+
+def monomial_parts(p: Poly2) -> list:
+    """p as cleared parts (const, monomial, key multiplicities, poly), one per monomial."""
+    return [(v, ij, {}, Poly.one()) for ij, v in p.items()]
+
+
+def part_poly2(part) -> Poly2:
+    """A cleared part of :func:`_over_lcm` multiplied out as a Poly2."""
+    const, (a1, a2), ms, poly = part
+    p = {(a1 + i, a2): const * c for i, c in enumerate(poly.coeffs) if c}
+    for (e1, e2, ints), m in ms.items():
+        key = {(e1 * k, e2 * k): F(v) for k, v in enumerate(ints) if v}
+        for _ in range(m):
+            p = p2_mul(p, key)
+    return p
 
 
 def p2_value(p: Poly2, u1: Fraction, u2: Fraction) -> Fraction:
@@ -506,14 +528,7 @@ def reference_oracle(c: CurveData, r: int) -> RatFun:
         den, order = nxt, order + 1
     for _ in range(order - 1):
         num = p2_divide_one_minus_u1(num)
-
-    def at_u1_one(p: Poly2) -> Poly:
-        cols = [F(0)] * (1 + max(j for _, j in p))
-        for (_, j), v in p.items():
-            cols[j] += v
-        return Poly(cols)
-
-    return RatFun(at_u1_one(num), at_u1_one(den)) * zeta_hat_special(c, 2) * zeta_hat_ratfun(c, shift=3)
+    return RatFun(p2_at_u1_one(num), p2_at_u1_one(den)) * zeta_hat_special(c, 2) * zeta_hat_ratfun(c, shift=3)
 
 
 def criterion10_curves() -> list[CurveData]:
@@ -1021,47 +1036,54 @@ class TestPeriodOracle:
         ids=lambda c: c.describe(),
     )
     def test_packed_sum_matches_reference(self, curve):
-        # the packed num/den against the dict/Fraction reference: the same
-        # quotient, and the same pole order at u1 = 1
-        num, den, stride = _factored_sum(_weyl_terms_r3(curve))
+        # the eps-expansion of the cleared numerator and denominator against
+        # the dict/Fraction reference multiplied out in full: the two sums
+        # clear by common multiples that differ by a constant, the pole at
+        # u1 = 1 is simple in both, and the residues agree
+        parts = _over_lcm(_weyl_terms_r3(curve))
         ref_num, ref_den = ref_factored_sum(ref_weyl_terms_r3(curve))
-        num2, den2 = unpack(num, stride), unpack(den, stride)
-        # num2 ref_den == ref_num den2, compared packed with a stride above the
-        # u1-degree of either product, where packing is injective
-        wide = 1 + 2 * max(i for i, _ in [*num2, *den2, *ref_num, *ref_den])
-        assert pack(num2, wide) * pack(ref_den, wide) == pack(ref_num, wide) * pack(den2, wide)
-        assert u1_pole_order(num, den, lambda p: _divide_one_minus_u1(p, stride)) == 1
+        K = 3
+        num, den = _eps_series(parts[:-1], K), _eps_series(parts[-1:], K)
+        ref_num_eps, ref_den_eps = p2_eps_series(ref_num, K), p2_eps_series(ref_den, K)
+        k = den[1][den[1].degree] / ref_den_eps[1][ref_den_eps[1].degree]
+        assert num == [c * k for c in ref_num_eps]
+        assert den == [c * k for c in ref_den_eps]
+        assert den[0].is_zero() and not num[0].is_zero()
         assert u1_pole_order(ref_num, ref_den, p2_divide_one_minus_u1) == 1
+        on, od = _residue_at_u1_one(_weyl_terms_r3(curve))
+        assert on * ref_den_eps[1] == od * ref_num_eps[0]
 
     @pytest.mark.parametrize("curve", ["g1", "genus3"])
     def test_rank3_sum_matches_termwise_values(self, curve, curve_g1):
-        # each Weyl term evaluated on its own from root pairings and zeta_hat_ratfun
+        # each Weyl term on its own from root pairings and zeta_hat_ratfun, as a
+        # function of u1 at a fixed u2; (1 - u1) times their sum, reduced by a
+        # gcd, at u1 = 1 is the residue
         c = curve_g1 if curve == "g1" else GENUS3_DATUM
         rs, _ = build_root_system(3)
         lam, rho = rs.fundamental_weights, rs.rho
         q = F(c.q)
-        num, den, stride = _factored_sum(_weyl_terms_r3(c))
-        num, den = unpack(num, stride), unpack(den, stride)
-        for u in [(F(1, 5), F(1, 7)), (F(3, 11), F(-2, 13)), (F(7, 3), F(5, 17))]:
+        num, den = _residue_at_u1_one(_weyl_terms_r3(c))
+        for u2 in [F(1, 7), F(-2, 13), F(5, 17)]:
 
-            def u_root(root):  # u1^<w1, root^> * u2^<w2, root^>
-                return u[0] ** int(rs.pairing(lam[0], root)) * u[1] ** int(rs.pairing(lam[1], root))
+            def at_root(f: RatFun, root) -> RatFun:  # f(u1^<w1, root^> u2^<w2, root^>) in u1
+                e, k = int(rs.pairing(lam[0], root)), u2 ** int(rs.pairing(lam[1], root))
+                return f.scale_arg(k) if e == 1 else f.reciprocal_arg(k) if e == -1 else RatFun.of(f.evaluate(k))
 
-            expect = F(0)
+            total = RatFun.zero()
             for w in weyl_group(3):
                 v = w.inverse()
-                term = F(1)
+                term = RatFun.one()
                 for alpha in rs.simple_roots:
                     beta = v.apply(alpha)
-                    term /= 1 - q ** (1 - rs.pairing(rho, beta)) * u_root(beta)
+                    term = term * at_root(RatFun([1], [1, -(q ** (1 - rs.pairing(rho, beta)))]), beta)
                 for a in rs.flipped_positive_roots(w):
                     h = int(rs.pairing(rho, a))
-                    term *= RatFun.of(zeta_hat_ratfun(c, shift=h)).evaluate(u_root(a))
-                    term /= RatFun.of(zeta_hat_ratfun(c, shift=h + 1)).evaluate(u_root(a))
-                expect += term
+                    term = term * at_root(RatFun.of(zeta_hat_ratfun(c, shift=h)), a)
+                    term = term / at_root(RatFun.of(zeta_hat_ratfun(c, shift=h + 1)), a)
+                total = total + term
 
-            assert p2_value(den, *u) != 0
-            assert p2_value(num, *u) / p2_value(den, *u) == expect, u
+            assert den.evaluate(u2) != 0
+            assert num.evaluate(u2) / den.evaluate(u2) == (total * RatFun([1, -1])).evaluate(1), u2
 
     def test_factored_sum_repeated_factor_and_negative_monomial(self):
         # u1^{-1} / (1 - u1)^2 + 3 u2 / (2 - 2 u1)
@@ -1073,31 +1095,99 @@ class TestPeriodOracle:
         assert a.mono == (-1, 0) and b.mono == (0, 1)
         assert a.factors == {(1, 0, (1, -1)): -2} and b.factors == {(1, 0, (1, -1)): -1}
         assert (a.const, b.const) == (1, F(3, 2))
-        num, den, stride = _factored_sum([a, b])
-        # u1^{-1} is cleared into the denominator: u1 divides it, every packed
-        # exponent is >= 0, and the stride exceeds both u1-degrees
-        assert den.ints[0] == 0
-        assert stride > max(i for i, _ in [*unpack(num, stride), *unpack(den, stride)])
-        num, den = unpack(num, stride), unpack(den, stride)
+        parts = _over_lcm([a, b])
+        # u1^{-1} is cleared into the denominator, the repeated factor at its
+        # largest multiplicity, and no exponent is left negative
+        assert parts[-1][1:3] == ((1, 0), {(1, 0, (1, -1)): 2})
+        assert all(e >= 0 for _, mono, ms, _ in parts for e in (*mono, *ms.values()))
+        num = reduce(p2_add, (part_poly2(part) for part in parts[:-1]))
+        den = part_poly2(parts[-1])
         for u1, u2 in [(F(1, 3), F(2, 5)), (F(-4, 7), F(9, 2))]:
             expect = 1 / (u1 * (1 - u1) ** 2) + 3 * u2 / (2 - 2 * u1)
             assert p2_value(num, u1, u2) / p2_value(den, u1, u2) == expect
+        K = 4
+        assert _eps_series(parts[:-1], K) == p2_eps_series(num, K)
+        assert _eps_series(parts[-1:], K) == p2_eps_series(den, K)
+        with pytest.raises(ValueError, match="^pole of order 2 at u1 = 1; limit unsupported$"):
+            _residue_at_u1_one([a, b])
+
+    def test_factored_sum_rejects_u2(self):
+        # a sum in u alone has no second variable: a monomial or a key in u2 is
+        # a convention error, as it is to ratfun
+        in_mono, in_key = _FactoredTerm(mono=(0, 1)), _FactoredTerm()
+        in_key.mul_one_minus(3, 1, 1, 1, -1)  # 1 / (1 - 3 u1 u2)
+        for term in (in_mono, in_key):
+            for call in (lambda: _factored_sum([_FactoredTerm(), term]), term.ratfun):
+                with pytest.raises(ConventionError, match="^a term in u2 has no form in u alone$"):
+                    call()
 
     def test_divide_one_minus_u1_exact(self):
+        # (1 - u1) b has eps-series eps * (that of b), and the reference
+        # division gives b back
         b = {(0, 0): F(2), (1, 1): F(-3), (2, 0): F(1, 2), (0, 3): F(5)}
         a = p2_mul(b, {(0, 0): F(1), (1, 0): F(-1)})  # a = (1 - u1) * b
-        stride = 4  # above the u1-degree 3 of a
-        assert unpack(_divide_one_minus_u1(pack(a, stride), stride), stride) == b
-        assert _divide_one_minus_u1(Poly(), stride) == Poly()
+        assert p2_divide_one_minus_u1(a) == b
+        K = 4
+        eps_a, eps_b = _eps_series(monomial_parts(a), K), _eps_series(monomial_parts(b), K)
+        assert eps_a == p2_eps_series(a, K) and eps_b == p2_eps_series(b, K)
+        assert eps_a[0].is_zero() and eps_a[1:] == eps_b[:-1]
+        assert _eps_series([], K) == [Poly()] * K
 
     def test_divide_one_minus_u1_inexact(self):
-        stride = 3
-        assert _divide_one_minus_u1(pack({(0, 0): F(1), (1, 0): F(1)}, stride), stride) is None
-        # 1 - u1 + u2: the u2 column leaves a remainder
-        one_minus_u1_plus_u2 = {(0, 0): F(1), (1, 0): F(-1), (0, 1): F(1)}
-        assert _divide_one_minus_u1(pack(one_minus_u1_plus_u2, stride), stride) is None
-        # u1 - u2 packs to x - x^3, which (1 - x) divides, but (1 - u1) does not
-        assert _divide_one_minus_u1(pack({(1, 0): F(1), (0, 1): F(-1)}, stride), stride) is None
+        # (1 - u1) divides none of these: each has a non-zero eps^0 coefficient,
+        # its value at u1 = 1, and the reference division leaves a remainder
+        cases = [
+            ({(0, 0): F(1), (1, 0): F(1)}, Poly([2])),  # 1 + u1
+            ({(0, 0): F(1), (1, 0): F(-1), (0, 1): F(1)}, Poly([0, 1])),  # 1 - u1 + u2
+            # u1 - u2 packed to x - x^3 at stride 3, which (1 - x) divides
+            ({(1, 0): F(1), (0, 1): F(-1)}, Poly([1, -1])),
+        ]
+        for p, at_one in cases:
+            assert p2_divide_one_minus_u1(p) is None
+            assert _eps_series(monomial_parts(p), 1) == [at_one] == p2_eps_series(p, 1)
+
+    def test_residue_numerator_vanishing_at_u1_one(self):
+        # u2 / (1 - u1)^2 - u1 u2 / (1 - u1)^2 = u2 / (1 - u1): L has eps-order
+        # 2, so its expansion modulo eps^2 is zero and K doubles; N(1, u2) = 0,
+        # so N is expanded again to eps^1; the residue is u2
+        a, b = _FactoredTerm(mono=(0, 1)), _FactoredTerm(-1, 1, (1, 1))
+        for t in (a, b):
+            t.mul_one_minus(2, 0, 1, 0, -2)
+        parts = _over_lcm([a, b])
+        assert not any(c.ints for c in _eps_series(parts[-1:], 2))
+        assert _eps_series(parts[:-1], 1) == [Poly()]
+        on, od = _residue_at_u1_one([a, b])
+        assert on * Poly.one() == od * Poly([0, 1])
+        # the reference division agrees
+        num, den = reduce(p2_add, map(part_poly2, parts[:-1])), part_poly2(parts[-1])
+        assert u1_pole_order(num, den, p2_divide_one_minus_u1) == 1
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            # (1 - u1)^-3 + u1 (1 - u1)^-3: N(1, u2) = 2, a pole of order 3
+            (1, "^pole of order 3 at u1 = 1; limit unsupported$"),
+            # (1 - u1)^-3 - u1 (1 - u1)^-3 = (1 - u1)^-2: N vanishes once
+            (-1, "^pole of order 2 at u1 = 1; limit unsupported$"),
+        ],
+    )
+    def test_residue_rejects_higher_poles(self, extra, message):
+        a, b = _FactoredTerm(), _FactoredTerm(extra, 1, (1, 0))
+        for t in (a, b):
+            t.mul_one_minus(2, 0, 1, 0, -3)
+        with pytest.raises(ValueError, match=message):
+            _residue_at_u1_one([a, b])
+
+    def test_residue_rejects_no_pole(self):
+        # 1 / (1 - u1 u2) and (1 - u1) / (1 - u1) have no pole at u1 = 1; nor
+        # does a sum that cancels to zero
+        regular, cancelled = _FactoredTerm(), _FactoredTerm()
+        regular.mul_one_minus(2, 0, 1, 1, -1)
+        cancelled.mul_one_minus(2, 0, 1, 0, -1)
+        minus = _FactoredTerm(-1, 1, (0, 0), dict(cancelled.factors))
+        for terms in ([regular], [cancelled, minus], [_FactoredTerm(mono=(0, 1)), _FactoredTerm(-1, 1, (1, 1))]):
+            with pytest.raises(ValueError, match="^no pole at u1 = 1; the residue vanishes$"):
+                _residue_at_u1_one(terms)
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_ratio_matches_reference_quotient(self, corpus, r):
