@@ -246,7 +246,7 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
                     counts = census_rows[-1][1]
                     curves.append(artin.numerator_from_counts(model.q, model.genus, counts, model.describe()))
             elif kind == "elliptic":
-                curves.append(artin.CurveData.elliptic(src["q"], _require_int(src, "a")))
+                curves.append(artin.CurveData.elliptic(src["q"], _require_int(src, "a"), label=src.get("label", "")))
             else:
                 raise ValueError(f"unknown curve source type {kind!r}")
         except KeyError as e:
@@ -578,6 +578,13 @@ def _csv_quoted(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
+def _csv_value(text: str) -> str:
+    """text as a CSV field, quoted only when it holds a comma, quote or line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return _csv_quoted(text)
+    return text
+
+
 def render(tree: dict, fmt: str) -> dict[str, str]:
     """Map of filename -> contents, straight from ``run``'s raw tree; stable bytes for
     identical trees.  ``_emit`` writes ``report.json``; every leaf is ``_fmt_number``'s."""
@@ -590,12 +597,12 @@ def render(tree: dict, fmt: str) -> dict[str, str]:
         rows: list[tuple[str, str]] = []
         _flatten("", {k: v for k, v in tree.items() if k != "reports"}, rows)
         lines = ["section,key,value"]
-        lines += [f"meta,{k},{v}" for k, v in rows]
+        lines += [f"meta,{k},{_csv_value(v)}" for k, v in rows]
         for rep in tree.get("reports", []):
             base = _csv_quoted(f"{rep['curve']}|{rep['task']}")
             sub: list[tuple[str, str]] = []
             _flatten("", {"data": rep["data"], "checks": rep["checks"]}, sub)
-            lines += [f"{base},{k},{v}" for k, v in sub]
+            lines += [f"{base},{k},{_csv_value(v)}" for k, v in sub]
         files["report.csv"] = "\n".join(lines) + "\n"
     zero_lines = ["curve,object,value,modulus,deviation"]
     for rep in tree.get("reports", []):

@@ -11,15 +11,22 @@ norm (-1)^m c_0 of x must generate F_p^*, and for m > 1 the modulus must have
 no root in F_p^*.  Tables are built once per field, for p^m up to 2**20.
 In characteristic 2 the code sum(d_i 2^i) is the bit pattern of the digits,
 so the walk multiplies by x with a shift, and reduces with one XOR of the
-modulus bits when the shift sets bit m.
+modulus bits when the shift sets bit m.  Over a prime field x is a number
+and the walk multiplies by it modulo p.  Otherwise x z is z p, less the top
+digit d times p^m, plus the code of d x^m reduced by the modulus, which is
+one table lookup; adding that code carries out of a digit i >= 1 exactly
+when digit i - 1 of z is at least a limit fixed by d, and the carry is then
+subtracted.  Only the modulus's non-zero digits can carry.
 
 The counts N_m = #X(F_{q^m}) are the ground truth for the zeta layer.  The
-model's coefficients lie in F_p, and the quadratic character and the absolute
-trace are both invariant under Frobenius z -> z^p, so f is evaluated once per
+model's coefficients lie in F_p and the quadratic character is invariant
+under Frobenius z -> z^p, so a quadratic f is evaluated by Horner once per
 Frobenius orbit of x and the orbit's points are counted by its size.  An
-Artin-Schreier f(x) is the XOR of c_0 and the power-table entries x^i with
-c_i = 1, with no Horner step; since Tr(z^2) = Tr(z), an even exponent counts
-as its odd part, and two equal exponents cancel.
+Artin-Schreier count needs no orbits: with bits[k] the absolute trace of
+x^k, the traces of x^i over all x != 0 are bits read with stride i around
+the cycle of powers, and since the trace is additive and Tr(z^2) = Tr(z),
+the traces of f(x) - c_0 are the XOR of these tables over the odd parts i of
+f's exponents, where equal odd parts cancel in pairs.
 
 Supported smooth models, all with a single point at infinity:
 
@@ -151,8 +158,11 @@ def _field_tables(p: int, m: int) -> tuple[tuple[int, ...], array, array, int]:
     first whose walk through the powers of x first returns to 1 at step
     p^m - 1 is kept: exp[k] = x^k and log[exp[k]] = k.  The skipped moduli
     are never primitive, so this is the lexicographically smallest primitive
-    modulus.  For p = 2, bit i of ``trace_mask`` is the absolute trace of x^i;
-    it is 0 for odd p.
+    modulus.  For odd p and m > 1 each step is a carry-checked shift: the
+    setup per modulus is a table of d x^m and, per non-zero modulus digit
+    i >= 1, a table of the limits above which digit i - 1 carries, each
+    indexed by the top digit d, so O(p) per non-zero digit.  For p = 2, bit i
+    of ``trace_mask`` is the absolute trace of x^i; it is 0 for odd p.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -169,26 +179,44 @@ def _field_tables(p: int, m: int) -> tuple[tuple[int, ...], array, array, int]:
         z = 1
         if p == 2:  # the code is the bit pattern: shift, then XOR the modulus bits
             bits = size | sum(c << i for i, c in enumerate(low))
-            for k in range(1, size):
-                exp[k - 1], log[z] = z, k - 1
+            for k in range(order):
+                exp[k], log[z] = z, k
                 z <<= 1
                 if z & size:
                     z ^= bits
                 if z == 1:
                     break
-        else:
-            fold = [(w, -c % p) for w, c in zip(weights, low) if c]  # x^m, non-zero digits
-            for k in range(1, size):
-                exp[k - 1], log[z] = z, k - 1
-                d, z = divmod(z, top)
-                z *= p  # shift the digits up; the top digit d comes back as d * x^m
-                if d:
-                    for w, b in fold:
-                        old = z // w % p
-                        z += ((old + d * b) % p - old) * w
+        elif m == 1:  # a prime field: x is the number g = -c_0
+            g = p - low[0]
+            for k in range(order):
+                exp[k], log[z] = z, k
+                z = z * g % p
                 if z == 1:
                     break
-        if z != 1 or k != order:
+        else:
+            # x z = z p - d p^m + (d x^m mod the modulus), d the top digit of
+            # z: red[d] is the sum of the last two.  Adding d x^m carries out
+            # of digit i >= 1 exactly when digit i - 1 of z is at least p less
+            # digit i of d x^m; each check takes back such a carry p^(i+1)
+            red = [-d * size for d in range(p)]
+            checks = []  # (p^i, limit[d] p^(i-1), p^(i+1)) per non-zero c_i, i >= 1
+            for i, c in enumerate(low):
+                if c:
+                    b, w = p - c, weights[i]
+                    red = [e + d * b % p * w for d, e in enumerate(red)]
+                    if i:
+                        checks.append((w, [(p - d * b % p) * weights[i - 1] for d in range(p)], w * p))
+            for k in range(order):
+                exp[k], log[z] = z, k
+                d = z // top
+                add = red[d]
+                for mod, limit, carry in checks:
+                    if z % mod >= limit[d]:
+                        add -= carry
+                z = z * p + add
+                if z == 1:
+                    break
+        if z != 1 or k != order - 1:
             continue
         trace_mask = 0
         if p == 2:
@@ -277,15 +305,20 @@ def count_points(model: CurveModel, m: int) -> int:
     Artin-Schreier count uses that y^2 + y = z has two solutions when the
     absolute trace of z vanishes and none otherwise.
 
-    f has coefficients in F_p, so f(x^p) = f(x)^p, and both the character and
-    the trace take the same value at z and z^p: log(z^p) = p log(z) has the
-    parity of log(z) modulo the even p^m - 1, and Tr(z^p) = Tr(z).  So every x
-    in the Frobenius orbit {x, x^p, x^(p^2), ...} gives the same points.  In
-    log coordinates Frobenius is lx -> p lx mod (p^m - 1); f is evaluated once
-    at the first lx of each orbit and weighted by the orbit's size.  A
-    quadratic f(x) is evaluated by Horner; an Artin-Schreier one as c_0 XOR
-    exp[i lx] over the odd parts i of its exponents, whose trace is that of
-    f(x) because Tr is additive and Tr(z^2) = Tr(z).
+    f has coefficients in F_p, so f(x^p) = f(x)^p, and the character takes
+    the same value at z and z^p: log(z^p) = p log(z) has the parity of
+    log(z) modulo the even p^m - 1.  So every x in the Frobenius orbit
+    {x, x^p, x^(p^2), ...} gives the same points.  In log coordinates
+    Frobenius is lx -> p lx mod (p^m - 1); a quadratic f is evaluated by
+    Horner once at the least lx of each orbit and weighted by the orbit's
+    size.  Multiplying by x reads a doubled power table, so no reduction
+    modulo p^m - 1 is needed, and adding a coefficient touches digit 0 only.
+
+    An Artin-Schreier count evaluates nothing per element.  With
+    bits[k] = Tr(x^k), Tr(x^(i lx)) for lx = 0, 1, ... is bits read with
+    stride i around the cycle of length p^m - 1; the XOR of these byte
+    tables over the odd parts i of f's exponents holds Tr(f(x) - c_0) for
+    every x != 0, and Tr(c_0) = c_0 Tr(1) flips all of them or none.
     """
     if m < 1:
         raise ValueError("extension degree must be >= 1")
@@ -296,42 +329,44 @@ def count_points(model: CurveModel, m: int) -> int:
     p = model.q
     _, exp, log, trace_mask = _field_tables(p, m)
     order = len(exp)
-    coeffs = [c % p for c in reversed(model.f)]
-
-    def points_over(z: int) -> int:
-        if model.kind == "quadratic":
-            return 1 if z == 0 else 2 - 2 * (log[z] & 1)
-        return 2 - 2 * ((z & trace_mask).bit_count() & 1)
-
-    total = 1 + points_over(coeffs[-1])  # the point at infinity, then x = 0
-    odd_parts = None  # the exponents of an Artin-Schreier f, evaluated by XOR
+    c_0 = model.f[0] % p
     if model.kind == "artin_schreier":
+        bits = bytes((z & trace_mask).bit_count() & 1 for z in exp)  # Tr(x^k)
         odd = set()  # x^(2^j i) has the trace of x^i, and equal powers cancel
         for i, c in enumerate(model.f[1:], 1):
             if c % 2:
                 odd ^= {i // (i & -i)}
-        odd_parts = sorted(odd)
+        traces = 0  # byte lx: Tr(f(x) - c_0) at x = exp[lx]
+        for i in odd:  # bits at lx i mod order, read with stride i around the cycle
+            traces ^= int.from_bytes(b"".join(bits[-j * order % i :: i] for j in range(i)), "big")
+        ones = traces.to_bytes(order, "big").count(1)
+        flip = c_0 & bits[0]  # Tr(c_0) = c_0 Tr(1) flips every trace or none
+        zeros = ones if flip else order - ones  # the x != 0 with Tr(f(x)) = 0
+        return 1 + 2 * (1 - flip) + 2 * zeros  # infinity, x = 0, then two y per zero
+    twice = exp + exp  # twice[log z + lx] is z x without a reduction mod p^m - 1
+    lead, *rest = [c % p for c in reversed(model.f)]
+    # infinity, then 1 + chi(f(x)) points at each x: chi(0) = 0, chi(z) = (-1)^log(z)
+    total = 2 + order + (0 if c_0 == 0 else 1 - 2 * (log[c_0] & 1))
     seen = bytearray(order)
-    for lx in range(order):  # x = exp[lx], every non-zero element in one orbit
-        if seen[lx]:
-            continue
-        size, k = 0, lx
-        while not seen[k]:  # x -> x^p until the orbit closes
+    lx = 0
+    while lx >= 0:  # lx is the least log of an orbit not yet seen
+        k = lx
+        for size in range(1, m + 1):  # x -> x^p until the orbit closes
             seen[k] = 1
-            size += 1
             k = k * p % order
-        if odd_parts is None:
-            acc = 0  # Horner: acc * x is a lookup, adding c touches digit 0 only
-            for c in coeffs:
-                if acc:
-                    acc = exp[(log[acc] + lx) % order]
-                low = acc % p
-                acc += (low + c) % p - low
-        else:
-            acc = coeffs[-1]
-            for i in odd_parts:
-                acc ^= exp[i * lx % order]
-        total += size * points_over(acc)
+            if k == lx:
+                break
+        acc = lead  # Horner: acc * x is a lookup, adding c touches digit 0 only
+        for c in rest:
+            if acc:
+                acc = twice[log[acc] + lx]
+            if c:
+                acc += c
+                if acc % p < c:  # digit 0 wrapped: take back the carry
+                    acc -= p
+        if acc:
+            total += size if log[acc] & 1 == 0 else -size
+        lx = seen.find(0, lx + 1)
     return total
 
 

@@ -71,6 +71,13 @@ def csv_rows(tree) -> list[tuple[str, str]]:
     return rows
 
 
+def _csv_field(text: str) -> str:
+    """text as a CSV field: quoted, quotes doubled, when it holds , " CR or LF."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def render(tree: dict, fmt: str) -> dict[str, str]:
     """The report files of a run tree, by the replaced route."""
     plain = jsonable(tree)
@@ -79,11 +86,12 @@ def render(tree: dict, fmt: str) -> dict[str, str]:
         files["report.json"] = json.dumps(plain, indent=2, sort_keys=True) + "\n"
     else:
         lines = ["section,key,value"]
-        lines += [f"meta,{k},{v}" for k, v in csv_rows({k: v for k, v in plain.items() if k != "reports"})]
+        meta = csv_rows({k: v for k, v in plain.items() if k != "reports"})
+        lines += [f"meta,{k},{_csv_field(v)}" for k, v in meta]
         for rep in plain.get("reports", []):
             rows = csv_rows({"data": rep["data"], "checks": rep["checks"]})
             base = '"' + f"{rep['curve']}|{rep['task']}".replace('"', '""') + '"'
-            lines += [f"{base},{k},{v}" for k, v in rows]
+            lines += [f"{base},{k},{_csv_field(v)}" for k, v in rows]
         files["report.csv"] = "\n".join(lines) + "\n"
     zero_lines = ["curve,object,value,modulus,deviation"]
     for rep in plain.get("reports", []):

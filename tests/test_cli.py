@@ -248,6 +248,23 @@ class TestParsing:
         assert len(job.curves) == 4
         assert len(calls) == len(job.curves)
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "{type: elliptic, q: 2, a: 0, label: mine}",
+            "{type: coefficients, q: 2, g: 1, A: [1, 0, 2], label: mine}",
+            "{type: counts, q: 2, g: 1, counts: [3], label: mine}",
+            "{type: model, kind: quadratic, q: 3, f: [1, 2, 0, 1], label: mine}",
+        ],
+        ids=["elliptic", "coefficients", "counts", "model"],
+    )
+    def test_every_source_keeps_its_label(self, tmp_path, source):
+        path = tmp_path / "job.yaml"
+        path.write_text(f"curves:\n  - {source}\ntasks: [artin]\n")
+        job = parse_job(path)
+        assert [c.label for c in job.curves] == ["mine"]
+        assert [rep["curve"] for rep in run(job)[1]["reports"]] == ["mine"]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(JobError):
             parse_job(tmp_path / "nope.yaml")
@@ -875,10 +892,12 @@ class TestDeterminism:
         assert rows and all(len(row) == len(header) for row in rows)
 
     def test_csv_label_with_comma_and_quote_reads_back(self, tmp_path):
-        # a label is one quoted CSV field, an embedded quote doubled
+        # a label is one quoted CSV field, an embedded quote doubled; a model's
+        # label is also a value, under the census key of the meta section
         path = tmp_path / "label.yaml"
         path.write_text(
             "curves:\n  - {type: coefficients, q: 2, g: 1, A: [1, 0, 2], genuine: true, label: 'a,\"b'}\n"
+            "  - {type: model, kind: quadratic, q: 3, f: [1, 2, 0, 1], label: 'm,\"x'}\n"
             "tasks: [artin, rh-report]\n"
         )
         _, tree = run(parse_job(path))
@@ -887,9 +906,20 @@ class TestDeterminism:
         header, *rows = list(csv.reader(io.StringIO(files["report.csv"])))
         reports = [row for row in rows if row[0] != "meta"]
         assert header == ["section", "key", "value"] and all(len(row) == 3 for row in rows)
-        assert {row[0] for row in reports} == {'a,"b|artin', 'a,"b|rh-report'}
+        assert {row[0] for row in reports} == {'a,"b|artin', 'a,"b|rh-report', 'm,"x|artin', 'm,"x|rh-report'}
+        assert ["meta", "census[0].model", 'm,"x'] in rows
         header, *zeros = list(csv.reader(io.StringIO(files["zeros.csv"])))
-        assert zeros and all(len(row) == len(header) and row[0] == 'a,"b' for row in zeros)
+        assert zeros and all(len(row) == len(header) and row[0] in ('a,"b', 'm,"x') for row in zeros)
+
+    def test_csv_values_quoted_only_when_needed(self):
+        assert [cli._csv_value(v) for v in ("1/2", "a b", "a,b", 'a"b', "a\nb", "a\rb")] == [
+            "1/2",
+            "a b",
+            '"a,b"',
+            '"a""b"',
+            '"a\nb"',
+            '"a\rb"',
+        ]
 
 
 class TestFmtNumber:

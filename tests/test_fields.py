@@ -81,6 +81,11 @@ def brute_force_count(model: CurveModel, m: int) -> int:
 # Every field F_{p^m} with p <= 13 and p^m <= 2**12.
 SMALL_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(1, 13) if p**m <= 2**12]
 
+# Beyond SMALL_FIELDS: x^9 + 2x^3 + x^2 + 1 carries out of two digits above
+# digit 0; over F_131 a digit holds more than 7 bits; a prime field's walk
+# has no digit above digit 0.
+WALK_FIELDS = [(3, 9), (131, 2), (8191, 1)]
+
 
 def unfiltered_tables(p: int, m: int) -> tuple[tuple[int, ...], list[int], list[int], int]:
     """The table search without screening: every modulus x^m + ... that x
@@ -280,7 +285,7 @@ class TestBuildField:
             pairs = [(a, b) for a in range(2**m) for b in range(2**m)]
             assert all(traces[a ^ b] == traces[a] ^ traces[b] for a, b in pairs)
 
-    @pytest.mark.parametrize("p,m", SMALL_FIELDS)
+    @pytest.mark.parametrize("p,m", SMALL_FIELDS + WALK_FIELDS)
     def test_same_tables_as_unfiltered_search(self, p, m):
         modulus, exp, log, trace_mask = _field_tables(p, m)
         assert (modulus, list(exp), list(log), trace_mask) == unfiltered_tables(p, m)
@@ -386,6 +391,23 @@ class TestCountPoints:
         models = [random_model(p, rng) for _ in range(2)] + ([EVEN_TERMS] if p == 2 else [])
         for model in models:
             assert count_points(model, m) == per_element_count(model, m), model.describe()
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            (1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1),  # x^13 + x^12 + x^6 + x^3 + 1
+            (1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),  # x^15 + x^12 + x^2 + x + 1
+            (0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1),  # x^17 + x^12 + x^6 + x^3
+        ],
+        ids=["shared-odd-part-3", "cancelled-x", "no-constant"],
+    )
+    def test_whole_table_trace_count_matches_per_element_count(self, f):
+        # Tr(1) = m mod 2, so c_0 = 1 flips the traces at odd m only; x^3, x^6
+        # and x^12 share the odd part 3, and x^2 cancels x
+        model = CurveModel("artin_schreier", 2, f)
+        for m in range(1, 11):
+            assert count_points(model, m) == per_element_count(model, m), m
+        assert [count_points(model, m) for m in (1, 2)] == [brute_force_count(model, m) for m in (1, 2)]
 
 
 class TestCensus:
