@@ -41,8 +41,8 @@ from curvezeta.fields import CurveModel, census, count_points
 from curvezeta.group_zeta import (
     SlrZeta,
     period_residue_oracle,
+    slr_alpha_ratios,
     slr_fe_check,
-    slr_numerator,
     slr_rh_report,
     slr_zeta,
 )
@@ -58,8 +58,6 @@ from curvezeta.invariants import (
 )
 from curvezeta.mass import beta_composition_formula, beta_crosscheck, beta_hn_mass
 from curvezeta.rank2 import (
-    PureZeta,
-    Rank2Numerator,
     pure_fe_check,
     pure_zeta,
     rank2_closed_form,
@@ -86,8 +84,6 @@ __all__ = [
     "HalfShiftRational",
     "InvariantTable",
     "Poly",
-    "PureZeta",
-    "Rank2Numerator",
     "RationalFunction",
     "SlrZeta",
     "WeilPairSet",
@@ -116,8 +112,8 @@ __all__ = [
     "rank2_numerator",
     "rh_check_artin",
     "rh_check_zeta2",
+    "slr_alpha_ratios",
     "slr_fe_check",
-    "slr_numerator",
     "slr_rh_report",
     "slr_zeta",
     "zeta2_canonical",

@@ -75,11 +75,11 @@ class CurveData:
                     raise ValueError(f"genuine curve data reconstructs N_{m} < 0")
 
     @staticmethod
-    def elliptic(q: int, a: int, genuine: bool = True, label: str = "") -> CurveData:
-        """Genus-one data with Frobenius trace a, i.e. numerator 1 - a t + q t^2."""
+    def elliptic(q: int, a: int, label: str = "") -> CurveData:
+        """Genuine genus-one data with Frobenius trace a, i.e. numerator 1 - a t + q t^2."""
         if a * a > 4 * q:
             raise ValueError("trace violates |a| <= 2*sqrt(q)")
-        return CurveData(q, 1, [1, -a, q], genuine=genuine, label=label or f"elliptic(q={q},a={a})")
+        return CurveData(q, 1, [1, -a, q], genuine=True, label=label or f"elliptic(q={q},a={a})")
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

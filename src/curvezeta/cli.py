@@ -46,7 +46,7 @@ from curvezeta import artin, invariants, mass, rank2, yoshida
 from curvezeta.exact import RationalFunction, RootFindError, ZeroReport
 from curvezeta.fields import CurveModel, census, is_prime_power
 from curvezeta.group_zeta import R_MAX, ConventionError, period_residue_oracle, slr_fe_check
-from curvezeta.group_zeta import slr_numerator, slr_rh_report, slr_zeta
+from curvezeta.group_zeta import slr_alpha_ratios, slr_rh_report, slr_zeta
 
 TASKS = ("artin", "invariants", "rank2", "slr", "mass", "yoshida", "rh-report")
 
@@ -84,6 +84,16 @@ _LOADER.add_constructor("tag:yaml.org,2002:timestamp", _construct_timestamp)
 
 class JobError(ValueError):
     """Bad job file; the message carries every violation found."""
+
+
+# the fields a job reads, and each source type besides type and label; no other may appear
+_JOB_FIELDS = ("curves", "ranks", "degree", "tasks", "tolerance", "format")
+_SOURCE_FIELDS = {
+    "coefficients": ("q", "g", "A", "genuine"),
+    "counts": ("q", "g", "counts"),
+    "model": ("kind", "q", "f"),
+    "elliptic": ("q", "a"),
+}
 
 
 class JobSpec(
@@ -191,6 +201,9 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
         raise JobError(f"cannot parse job file: {e}")
     if not isinstance(raw, dict):
         raise JobError("job file must hold a mapping at top level")
+    problems += [
+        f"unknown field {key!r}; a job reads {', '.join(_JOB_FIELDS)}" for key in raw if key not in _JOB_FIELDS
+    ]
 
     curves: list[artin.CurveData] = []
     census_rows: list[tuple[CurveModel, list[int]]] = []
@@ -204,9 +217,13 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
             if not isinstance(src, dict) or "type" not in src:
                 raise ValueError("each curve source needs a 'type'")
             kind = src["type"]
-            genuine = src.get("genuine", False)
-            if not isinstance(genuine, bool):
-                raise ValueError(f"genuine must be true or false, got {genuine!r}")
+            if not isinstance(kind, str) or kind not in _SOURCE_FIELDS:
+                raise ValueError(f"unknown curve source type {kind!r}")
+            read = ("type", "label", *_SOURCE_FIELDS[kind])
+            problems += [
+                f"{where}: unknown field {key!r}; a source of type {kind} reads {', '.join(read)}"
+                for key in src if key not in read
+            ]
             if not isinstance(src.get("label", ""), str):
                 raise ValueError(f"label must be a string, got {src['label']!r}")
             if kind in ("coefficients", "counts", "elliptic"):
@@ -220,6 +237,9 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
             if kind in ("coefficients", "counts"):
                 _require_int(src, "g")
             if kind == "coefficients":
+                genuine = src.get("genuine", False)
+                if not isinstance(genuine, bool):
+                    raise ValueError(f"genuine must be true or false, got {genuine!r}")
                 curves.append(
                     artin.CurveData(
                         src["q"],
@@ -245,10 +265,8 @@ def parse_job(path: Path, overrides: argparse.Namespace | None = None) -> JobSpe
                 if model.genus >= 1:
                     counts = census_rows[-1][1]
                     curves.append(artin.numerator_from_counts(model.q, model.genus, counts, model.describe()))
-            elif kind == "elliptic":
+            else:  # elliptic
                 curves.append(artin.CurveData.elliptic(src["q"], _require_int(src, "a"), label=src.get("label", "")))
-            else:
-                raise ValueError(f"unknown curve source type {kind!r}")
         except KeyError as e:
             problems.append(f"{where}: missing field {e.args[0]!r}")
         except (ValueError, TypeError) as e:
@@ -353,13 +371,12 @@ def _task_invariants(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
 
 
 def _task_rank2(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
-    F, shift = rank2.rank2_closed_form(c)
     table = rank2.rank2_invariants(c)
     numerator = rank2.rank2_numerator(c)
     report = {
-        "closed_form": F,
-        "shift": shift,
-        "numerator_X": list(numerator.coeffs),
+        "closed_form": rank2.rank2_closed_form(c),
+        "shift": c.g - 1,
+        "numerator_X": list(numerator),
         "alpha": list(table.alphas),
         "beta0": table.beta0,
         "variants": rank2.variant_report(c),
@@ -367,8 +384,8 @@ def _task_rank2(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
     checks = {
         "closed_form_two_term": rank2.closed_form_check(c),
         "numerator_closed_form": rank2.numerator_check(c),
-        "palindromic_numerator": numerator.is_palindromic(),
-        "functional_equation": rank2.pure_fe_check(rank2.pure_zeta(c)),
+        "palindromic_numerator": numerator == numerator[::-1],
+        "functional_equation": rank2.pure_fe_check(rank2.pure_zeta(c), c.q, c.g),
     }
     return report, checks
 
@@ -378,17 +395,17 @@ def _task_slr(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
     checks = {}
     for r in job.ranks:
         z = slr_zeta(c, r)
-        info = slr_numerator(z, c)
+        ratios = slr_alpha_ratios(z)
         rh = slr_rh_report(z, job.tolerance)
         entry = {
             "terms": {str(n): R for n, R in z.terms},
-            "numerator_T": list(info.coeffs),
-            "alpha_ratios": list(info.alpha_ratios),
+            "numerator_T": list(z.numerator_T),
+            "alpha_ratios": list(ratios),
             "rh": rh,
         }
         checks[f"functional_equation_r{r}"] = slr_fe_check(z)
         if r == 2:
-            checks["unit_normalization_r2"] = info.unit_constant
+            checks["unit_normalization_r2"] = z.numerator_T[0] == 1
             checks["riemann_hypothesis_r2"] = rh.verdict
         if r in (2, 3):
             ratio = period_residue_oracle(c, r)
@@ -401,7 +418,7 @@ def _task_slr(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
 
 def _task_mass(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
     rmax = max(job.ranks)
-    rows = mass.beta_crosscheck(c, rmax)["rows"]
+    rows = mass.beta_crosscheck(c, rmax)
     report = {
         "crosscheck": rows,
         "degree": job.degree,
@@ -622,9 +639,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     common.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
     common.add_argument("--out", type=Path, default=None, help="directory for report files")
     parser = argparse.ArgumentParser(
-        prog="curvezeta",
-        description="exact zeta computations for curves over finite fields",
-        parents=[common],
+        prog="curvezeta", description="exact zeta computations for curves over finite fields"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("run", *TASKS):

@@ -19,6 +19,7 @@ Every zeta of the package has a denominator made of known binomials
 1 - q^e U and monomials, so it is kept as one factored type,
 :class:`_FactoredTerm`: a constant, a monomial, one polynomial kept whole
 and primitive integer factors with multiplicities, equal factors cancelling.
+Terms are built (:meth:`_FactoredTerm.over_linear`) and multiplied (``*``) here.
 :func:`_over_lcm` puts such terms over the LCM of their denominators, in
 one variable or two; :func:`_factored_sum` adds terms in one variable that
 way, and :meth:`_FactoredTerm.ratfun` reduces a term in one variable by
@@ -573,9 +574,30 @@ class _FactoredTerm:
         self.num, self.den, self.mono, self.poly = num, den, mono, poly
         self.factors = {} if factors is None else factors
 
+    @staticmethod
+    def over_linear(
+        q: int, es: Sequence[int], k: int = 0, poly: Poly = _ONE, num: int = 1, den: int = 1
+    ) -> _FactoredTerm:
+        """num/den * u^k * poly(u) / prod_e (1 - q^e u), factored."""
+        term = _FactoredTerm(num, den, (k, 0), poly=poly)
+        for e in es:
+            term.mul_one_minus(q, e, 1, 0, -1)
+        return term
+
     @property
     def const(self) -> Fraction:
         return Fraction(self.num, self.den)
+
+    def __mul__(self, other: _FactoredTerm) -> _FactoredTerm:
+        """The product of two terms, a new term; equal keys cancel."""
+        factors = dict(self.factors)
+        for key, m in other.factors.items():
+            if m := factors.get(key, 0) + m:
+                factors[key] = m
+            else:
+                del factors[key]
+        mono = (self.mono[0] + other.mono[0], self.mono[1] + other.mono[1])
+        return _FactoredTerm(self.num * other.num, self.den * other.den, mono, factors, self.poly * other.poly)
 
     def mul(self, ints: Sequence[int], e1: int, e2: int, power: int, num: int = 1, den: int = 1) -> None:
         """Multiply by (num/den * sum_k ints[k] U^k)**power, U = u1^e1 u2^e2.
@@ -692,11 +714,14 @@ def _over_lcm(terms: Sequence[_FactoredTerm]) -> list[tuple[Fraction, tuple[int,
 def _factored_sum(terms: Sequence[_FactoredTerm]) -> _FactoredTerm:
     """The sum of terms in u = u1 alone, as one term: the numerator over the
     LCM of the factored denominators (:func:`_over_lcm`) as its poly, over
-    that LCM kept factored.  The empty sum is the zero term.  A term in u2 is
-    a :class:`ConventionError`, as it is to :meth:`_FactoredTerm.ratfun`.
+    that LCM kept factored.  The empty sum is the zero term; a lone term is
+    returned as it is.  A term in u2 is a :class:`ConventionError`, as it is
+    to :meth:`_FactoredTerm.ratfun`.
     """
     if any(t.mono[1] or any(key[1] for key in t.factors) for t in terms):
         raise ConventionError("a term in u2 has no form in u alone")
+    if len(terms) == 1:
+        return terms[0]
     *parts, (_, (shift, _), lcm, _) = _over_lcm(terms)
     num = _ZERO
     for const, (k, _), ms, poly in parts:

@@ -104,30 +104,6 @@ class SlrZeta(namedtuple("SlrZeta", "r q g terms combined numerator_T")):
     __slots__ = ()
 
 
-def _over_one_minus(q: int, num: int, den: int, k: int, e: int) -> _FactoredTerm:
-    """num/den * u^k / (1 - q^e u) as a factored term."""
-    t = _FactoredTerm(num, den, (k, 0))
-    t.mul_one_minus(q, e, 1, 0, -1)
-    return t
-
-
-def _product(a: _FactoredTerm, b: _FactoredTerm) -> _FactoredTerm:
-    """The product of two terms, equal keys cancelling."""
-    factors = dict(a.factors)
-    for key, m in b.factors.items():
-        if m := factors.get(key, 0) + m:
-            factors[key] = m
-        else:
-            del factors[key]
-    mono = (a.mono[0] + b.mono[0], a.mono[1] + b.mono[1])
-    return _FactoredTerm(a.num * b.num, a.den * b.den, mono, factors, a.poly * b.poly)
-
-
-def _summed(terms: list[_FactoredTerm]) -> _FactoredTerm:
-    """The sum of the terms; one needs no sum."""
-    return terms[0] if len(terms) == 1 else _factored_sum(terms)
-
-
 def _chain_row(X: list[list[Fraction]], n: int, lone: list, joined: list, pair: dict) -> list:
     """Row n of a chain sum over the compositions of n values: entry a sums
     those whose end run has a values, weighing lone[a] when it is the only run,
@@ -170,15 +146,15 @@ def slr_zeta(c: CurveData, r: int) -> SlrZeta:
 
     sums: dict[int, _FactoredTerm] = {}
     for v in range(1, r + 1):
-        up = _FactoredTerm() if v == r else _summed([
-            _over_one_minus(q, -w.numerator, w.denominator * q ** (a + v), 1, -(a + v))
+        up = _FactoredTerm() if v == r else _factored_sum([
+            _FactoredTerm.over_linear(q, (-(a + v),), 1, num=-w.numerator, den=w.denominator * q ** (a + v))
             for a, w in enumerate(E[r - v]) if w
         ])
-        down = _FactoredTerm() if v == 1 else _summed([
-            _over_one_minus(q, w.numerator, w.denominator, 0, b - v + 1)
+        down = _FactoredTerm() if v == 1 else _factored_sum([
+            _FactoredTerm.over_linear(q, (b - v + 1,), num=w.numerator, den=w.denominator)
             for b, w in enumerate(B[v - 1]) if w
         ])
-        sums[v] = _product(up, down)
+        sums[v] = up * down
     terms = [(n, t.ratfun()) for n, t in sums.items()]
     for n, t in sums.items():
         _mul_zeta_hat(t, c, n)
@@ -209,30 +185,19 @@ def _extract_numerator(combined: RationalFunction, c: CurveData, r: int) -> tupl
     return tuple(poly[i] for i in range(2 * g + 1))
 
 
-class SlrNumeratorInfo(namedtuple("SlrNumeratorInfo", "coeffs normalized alpha_ratios unit_constant")):
-    """Extracted numerator with its normalization and predicted alpha ratios.
-
-    ``coeffs``, ``normalized`` (coeffs over coeffs[0]) and ``alpha_ratios``
-    are tuples of rationals; ``unit_constant`` is whether coeffs[0] == 1.
-    """
-
-    __slots__ = ()
-
-
-def slr_numerator(z: SlrZeta, c: CurveData) -> SlrNumeratorInfo:
-    """Numerator coefficients plus the triangular alpha-ratio table.
+def slr_alpha_ratios(z: SlrZeta) -> tuple[Fraction, ...]:
+    """The triangular alpha-ratio table alpha(r m)/alpha(0) of the numerator.
 
     For r = 2 the assembly is normalized so A(0) = 1 exactly; for r >= 3
     the overall constant is not pinned by anything in the construction, so
-    only the ratios alpha(r m)/alpha(0) are meaningful.
+    the numerator is divided by A(0) first and only the ratios are
+    meaningful.  A(0) = 0 is a :class:`ConventionError`.
     """
     coeffs = z.numerator_T
     if coeffs[0] == 0:
         raise ConventionError("vanishing constant coefficient; ratios undefined")
-    normalized = tuple(a / coeffs[0] for a in coeffs)
     Q = Fraction(z.q) ** z.r
-    ratios = tuple(alpha_from_A(normalized, Q, z.g))
-    return SlrNumeratorInfo(coeffs, normalized, ratios, coeffs[0] == 1)
+    return tuple(alpha_from_A([a / coeffs[0] for a in coeffs], Q, z.g))
 
 
 def slr_fe_check(z: SlrZeta) -> bool:

@@ -104,8 +104,8 @@ def beta_hn_mass(c: CurveData, r: int, d: int) -> Fraction:
     return sum(X[r][l] * q ** ((r - l) * d) for l in range(1, r + 1))
 
 
-def beta_crosscheck(c: CurveData, rmax: int) -> dict:
-    """Both beta routes for r = 1..rmax, with the rank-two series value alongside.
+def beta_crosscheck(c: CurveData, rmax: int) -> list[dict]:
+    """One row for each r = 1..rmax: both beta routes, with the rank-two series value alongside.
 
     Each row records whether the two composition sums agree: the v_n
     exponent reading (n^2-1)(g-1) is pinned by the genus-two discriminating
@@ -132,4 +132,4 @@ def beta_crosscheck(c: CurveData, rmax: int) -> dict:
             row["series_value"] = rank2_invariants(c).beta0
             row["special_value_variant"] = beta_from_special_values(c)
         rows.append(row)
-    return {"curve": c.describe(), "rows": rows}
+    return rows

@@ -98,14 +98,14 @@ def _over_monic(q: int, even: Poly, odd: Poly, den: Poly) -> HalfShiftRational:
     return HalfShiftRational(q, even * scale, odd * scale, den.monic())
 
 
-class WeilPairSet(namedtuple("WeilPairSet", "q g x1 pair_sums geometric", defaults=(None, False))):
+class WeilPairSet(namedtuple("WeilPairSet", "q g x1 pair_sums", defaults=(None,))):
     """Pairs (a_i, b_i), a_i b_i = q, through their numerator polynomial.
 
     The exact pipeline only ever consumes prod (1 - a_i t)(1 - b_i t), so
     the set is stored as that polynomial, the Poly ``x1``; rational pair
     sums or a full curve numerator both produce it exactly.  ``pair_sums``
     keeps the sums as a tuple when they are known rationals (synthetic
-    sets), else None.  ``geometric`` is False unless set.
+    sets), else None.
     """
 
     __slots__ = ()
@@ -118,13 +118,13 @@ class WeilPairSet(namedtuple("WeilPairSet", "q g x1 pair_sums geometric", defaul
         x1 = Poly.one()
         for c in cs:
             x1 = x1 * Poly([1, -c, q])
-        return WeilPairSet(q, len(cs), x1, cs, geometric=all(c * c <= 4 * q for c in cs))
+        return WeilPairSet(q, len(cs), x1, cs)
 
     @staticmethod
     def from_curve(c: CurveData) -> WeilPairSet:
         if c.g < 1:
             raise ValueError("pair sets need genus >= 1")
-        return WeilPairSet(c.q, c.g, c.numerator, None, geometric=c.genuine)
+        return WeilPairSet(c.q, c.g, c.numerator)
 
 
 class C1Params(namedtuple("C1Params", "a extra_pair_sums")):
@@ -349,20 +349,19 @@ def counterexample_search(
     q: int,
     alpha: complex,
     m_range: range | Sequence[int] = range(1, 65),
-    samples: int = 10_000,
 ) -> CounterexampleResult:
     """Find the smallest multiplicity m with an off-critical-line real zero.
 
-    Scans the open interval (-sqrt q, -1) for a sign change of f - g (the
-    right side vanishes at -sqrt q, so the difference starts positive) and
-    bisects to machine precision.  A real zero w1 with |w1| != 1 maps to
-    s = 1/2 + ln|w1|/ln q + i pi/ln q, whose real part sits off 1/2 by
-    exactly ln|w1|/ln q.
+    Scans 10^4 points of the open interval (-sqrt q, -1) for a sign change
+    of f - g (the right side vanishes at -sqrt q, so the difference starts
+    positive) and bisects to machine precision.  A real zero w1 with
+    |w1| != 1 maps to s = 1/2 + ln|w1|/ln q + i pi/ln q, whose real part
+    sits off 1/2 by exactly ln|w1|/ln q.
     """
     if abs(abs(alpha) ** 2 - q) > 1e-9 * q:
         raise ValueError("alpha must satisfy |alpha|^2 = q (geometric case)")
     rootq = math.sqrt(q)
-    eps = 1e-6
+    eps, samples = 1e-6, 10_000
     lo, hi = -rootq + eps, -1.0 - eps
     for m in m_range:
         f, g = _deformed_sides(float(q), complex(alpha), m)

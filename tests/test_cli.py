@@ -153,6 +153,19 @@ BAD_VALUES = [
         "cannot parse job file: 2020-13-45 is not a calendar date: month must be in 1..12\n"
         '  in "<byte string>", line 2, column 41',
     ),
+    # a field that nothing reads is named, not ignored
+    (
+        "curves:\n  - {type: elliptic, q: 2, a: 0}\nrank: [3]\n",
+        "unknown field 'rank'; a job reads curves, ranks, degree, tasks, tolerance, format",
+    ),
+    (
+        "curves:\n  - {type: elliptic, q: 2, a: 0, genuine: false}\n",
+        "curves[0]: unknown field 'genuine'; a source of type elliptic reads type, label, q, a",
+    ),
+    (
+        "curves:\n  - {type: model, kind: quadratic, q: 5, f: [1, 1, 0, 1], colour: red}\n",
+        "curves[0]: unknown field 'colour'; a source of type model reads type, label, kind, q, f",
+    ),
 ]
 BAD_VALUE_IDS = [
     "elliptic-q6",
@@ -185,6 +198,9 @@ BAD_VALUE_IDS = [
     "label-mapping",
     "q-4516-digits",
     "label-bad-date",
+    "job-field-typo",
+    "elliptic-genuine",
+    "model-unknown-field",
 ]
 
 
@@ -415,7 +431,7 @@ class TestRun:
                 "closed_form_two_term",
                 rank2,
                 "rank2_closed_form",
-                lambda out: (out[0] * RatFun([1, 1]), out[1]),
+                lambda F: F * RatFun([1, 1]),
                 id="closed_form_two_term",
             ),
             pytest.param(
@@ -423,7 +439,7 @@ class TestRun:
                 "numerator_closed_form",
                 rank2,
                 "rank2_numerator",
-                lambda n: rank2.Rank2Numerator((n.coeffs[0], *(x + 1 for x in n.coeffs[1:-1]), n.coeffs[-1])),
+                lambda n: (n[0], *(x + 1 for x in n[1:-1]), n[-1]),
                 id="numerator_closed_form",
             ),
             pytest.param("mass", "mass_agreement_r2", mass, "beta_hn_mass", lambda b: b + 1, id="mass_agreement"),
@@ -1033,7 +1049,7 @@ _TREES = st.recursive(
 
 # every job in tests/data that loads, run as written, and the zero-residue job's
 # mass rows at rank 10, whose ratios are null
-_REFUSED = ("elliptic_q10pow4515p7_job.yaml", "elliptic_q2pow89m1_job.yaml")
+_REFUSED = ("elliptic_q10pow4515p7_job.yaml", "elliptic_q2pow89m1_job.yaml", "misspelled_field_job.yaml")
 DATA_RUNS = [(p.name, None) for p in sorted(DATA.glob("*.yaml")) if p.name not in _REFUSED]
 DATA_RUNS.append(("zero_residue_job.yaml", 10))
 
@@ -1102,7 +1118,7 @@ def _mostly(valid: st.SearchStrategy, invalid: st.SearchStrategy = _JUNK) -> st.
 @st.composite
 def _curve_sources(draw) -> dict:
     """A curve source of every type, valid or not: sizes kept small, a field
-    sometimes missing or of the wrong type."""
+    sometimes missing, of the wrong type or unknown to its type."""
     kind = draw(_mostly(st.sampled_from(["elliptic", "coefficients", "counts", "model"]), st.just("nope")))
     q = draw(_mostly(st.sampled_from([2, 3, 4, 5, 9, 1000003]), st.just(6)))  # 6 is no prime power
     if kind == "elliptic":
@@ -1122,8 +1138,10 @@ def _curve_sources(draw) -> dict:
     else:
         src = {"q": q}
     src = {"type": kind, **src}
-    change = draw(_mostly(st.just("keep"), st.sampled_from(["drop", "junk"])))
-    if change != "keep":
+    change = draw(_mostly(st.just("keep"), st.sampled_from(["drop", "junk", "unknown"])))
+    if change == "unknown":
+        src["colour"] = "red"
+    elif change != "keep":
         key = draw(st.sampled_from(sorted(src)))
         src[key] = draw(_JUNK)
         if change == "drop":
@@ -1213,6 +1231,19 @@ class TestMain:
         out = capsys.readouterr().out
         tree = json.loads(out)
         assert {r["task"] for r in tree["reports"]} == {"artin"}
+
+    @pytest.mark.parametrize(
+        "flag", [["--tolerance", "0.5"], ["--format", "csv"], ["--out", "OUT"]], ids=lambda f: f[0]
+    )
+    def test_flag_before_subcommand_exits_two(self, tmp_path, capsys, flag):
+        # options follow the subcommand: before it, the subcommand's default would overwrite them
+        out = tmp_path / "out"
+        flag = [str(out) if arg == "OUT" else arg for arg in flag]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*flag, "run", str(DATA / "elliptic_q2_job.yaml"), "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "usage: curvezeta" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_job_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

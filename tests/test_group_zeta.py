@@ -26,8 +26,8 @@ from curvezeta.group_zeta import (
     _weyl_terms_r2,
     _weyl_terms_r3,
     period_residue_oracle,
+    slr_alpha_ratios,
     slr_fe_check,
-    slr_numerator,
     slr_rh_report,
     slr_zeta,
 )
@@ -671,9 +671,8 @@ class TestSlrAssembly:
             if c.g < 1:
                 continue
             z = slr_zeta(c, 2)
-            Fm, shift = rank2_closed_form(c)
             lhs = z.combined.reciprocal_arg(1)  # the function of T
-            rhs = Fm * RatFun.t(-shift)
+            rhs = rank2_closed_form(c) * RatFun.t(-(c.g - 1))
             assert lhs == rhs, c.describe()
 
     @pytest.mark.parametrize("r", [2, 3, 4])
@@ -747,7 +746,7 @@ class TestSlrAssembly:
             _factored_sum(_weyl_terms_r2(c)).ratfun()
             assert artin_fe_ratfun_check(c)
             rank2_closed_form(c)
-            assert closed_form_check(c) and numerator_check(c) and pure_fe_check(pure_zeta(c))
+            assert closed_form_check(c) and numerator_check(c) and pure_fe_check(pure_zeta(c), c.q, c.g)
         assert calls == []
         # the count sees what it should: the gcd constructor of RationalFunction
         RationalFunction([1, -1], [1, 0, -1])
@@ -967,36 +966,40 @@ class TestNumeratorInfo:
         for c in corpus:
             if c.g < 1:
                 continue
-            info = slr_numerator(slr_zeta(c, 2), c)
-            assert info.unit_constant, c.describe()
+            assert slr_zeta(c, 2).numerator_T[0] == 1, c.describe()
 
     def test_rank2_ratios_match_extracted_alphas(self, corpus):
         for c in corpus:
             if c.g < 1:
                 continue
-            info = slr_numerator(slr_zeta(c, 2), c)
+            ratios = slr_alpha_ratios(slr_zeta(c, 2))
             table = rank2_invariants(c)
             for m in range(c.g):
-                assert info.alpha_ratios[m] == table.alphas[m] / table.alphas[0]
+                assert ratios[m] == table.alphas[m] / table.alphas[0]
 
     def test_rank2_proportional_to_grouped_numerator(self, corpus):
         # one global constant lambda with A_T(i) = lambda * N_i * q^i
         for c in corpus:
             if c.g < 1:
                 continue
-            info = slr_numerator(slr_zeta(c, 2), c)
+            coeffs = slr_zeta(c, 2).numerator_T
             n = rank2_numerator(c)
             q = F(c.q)
-            lam = info.coeffs[0] / n.coeffs[0]
+            lam = coeffs[0] / n[0]
             for i in range(2 * c.g + 1):
-                assert info.coeffs[i] == lam * n.coeffs[i] * q**i, c.describe()
+                assert coeffs[i] == lam * n[i] * q**i, c.describe()
             assert lam == q ** -c.g
 
     def test_rank3_ratio_pattern(self, curve_g1):
-        info = slr_numerator(slr_zeta(curve_g1, 3), curve_g1)
+        z = slr_zeta(curve_g1, 3)
         Q = F(8)
-        assert info.alpha_ratios[0] == 1
-        assert len(info.normalized) == 3
+        assert slr_alpha_ratios(z)[0] == 1
+        assert len(z.numerator_T) == 3
+
+    def test_vanishing_constant_term_raises(self, curve_g1):
+        z = slr_zeta(curve_g1, 3)
+        with pytest.raises(ConventionError, match="vanishing constant coefficient"):
+            slr_alpha_ratios(z._replace(numerator_T=(0, *z.numerator_T[1:])))
 
 
 class TestPeriodOracle:

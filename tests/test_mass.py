@@ -228,8 +228,7 @@ class TestHnMass:
 
 class TestCrosscheck:
     def test_g1_table(self, curve_g1):
-        out = beta_crosscheck(curve_g1, 6)
-        rows = out["rows"]
+        rows = beta_crosscheck(curve_g1, 6)
         assert rows[0]["composition"] == 3
         assert rows[1]["composition"] == 6
         assert rows[1]["series_value"] == 6
@@ -239,7 +238,7 @@ class TestCrosscheck:
         assert rows[0]["composition"] == rows[0]["beta0"]
 
     def test_g2_table(self, curve_g2):
-        rows = beta_crosscheck(curve_g2, 6)["rows"]
+        rows = beta_crosscheck(curve_g2, 6)
         assert [row["r"] for row in rows] == [1, 2, 3, 4, 5, 6]
         assert all(row["agree"] and row["ratio"] == 1 for row in rows)
         assert rows[0]["composition"] == rows[0]["beta0"]
@@ -252,10 +251,10 @@ class TestCrosscheck:
             assert beta_composition_formula(c, 2) == rank2_invariants(c).beta0, c.describe()
 
     def test_rank_four_reported(self, curve_g1):
-        out = beta_crosscheck(curve_g1, 4)
-        assert len(out["rows"]) == 4
-        assert "ratio" in out["rows"][3]
-        assert out["rows"][3]["agree"]
+        rows = beta_crosscheck(curve_g1, 4)
+        assert len(rows) == 4
+        assert "ratio" in rows[3]
+        assert rows[3]["agree"]
 
 
 class TestHnMassExact:

@@ -1,9 +1,12 @@
-"""Every module-level function or class in the package has a caller or is exported.
+"""Every module-level function or class in the package has a caller or is
+exported, and every function reads each of its parameters.
 
 A private name (leading underscore) is not part of the package's interface,
 so when no other line of ``src/curvezeta`` refers to it, nothing can reach
 it.  A public name is the interface only when ``curvezeta.__all__`` lists it;
 otherwise it too needs another line of ``src/curvezeta`` that refers to it.
+A parameter that no line of its function's body reads is a value the callers
+pass for nothing.
 """
 
 import ast
@@ -53,6 +56,42 @@ def orphans(src: Path = SRC) -> list[str]:
     return out
 
 
+def unread_parameters(src: Path = SRC) -> list[str]:
+    """module:function(parameter) of each parameter, keyword-only ones included,
+    that no line of its function's body reads.
+
+    Dunders are skipped, since their signatures are the protocol's, and so is
+    ``self`` or ``cls``.  Functions stored as the values of a dict display are
+    skipped too: they are called through the dict, so they share one signature.
+    """
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        shared = {
+            value.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Dict)
+            for value in node.values
+            if isinstance(value, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("__") or node.name in shared:
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            read = {
+                sub.id
+                for statement in node.body
+                for sub in ast.walk(statement)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            unread = [p.arg for p in params if p.arg not in read and p.arg not in ("self", "cls")]
+            out += [f"{path.stem}:{node.name}({name})" for name in unread]
+    return out
+
+
 def test_no_private_orphans():
     assert [o for o in orphans() if o.split(":")[1].startswith("_")] == []
 
@@ -73,3 +112,20 @@ def test_scan_finds_an_orphan(tmp_path):
     (tmp_path / "b.py").write_text("from a import public\n")
     (tmp_path / "__init__.py").write_text('from a import *\n\n__all__ = ["exported"]\n')
     assert orphans(tmp_path) == ["a:_orphan", "a:_Lonely", "a:public_orphan"]
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
+
+
+def test_scan_finds_an_unread_parameter(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x, unused, *, key=1, **extra):\n    return x + key\n\n\n"
+        "def g(x):\n    def inner(y):\n        return x\n    return inner\n\n\n"
+        "def task(c, job):\n    return c\n\n\n"
+        "TASKS = {'t': task}\n\n\n"
+        "class K:\n"
+        "    def __eq__(self, other):\n        return True\n\n"
+        "    def method(self, v):\n        return 1\n"
+    )
+    assert unread_parameters(tmp_path) == ["a:f(unused)", "a:f(extra)", "a:inner(y)", "a:method(v)"]
