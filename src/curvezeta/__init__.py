@@ -12,9 +12,10 @@ The package computes, with exact rational arithmetic throughout:
 * masses of semistable bundles (the inclusion-exclusion telescope in the
   completed zeta values, and the general-degree Harder-Narasimhan mass sum),
   both chain sums over compositions;
-* a rank-two zeta family with half-integral q-powers tracked exactly, its
-  functional equation, numerical Riemann-Hypothesis checks, and the
-  multiplicity deformation that breaks RH for the bare family member.
+* a rank-two zeta family, each member one rational function times a
+  half-integral power of q, its functional equation, numerical
+  Riemann-Hypothesis checks, and the multiplicity deformation that breaks
+  RH for the bare family member.
 
 Floating point appears only in the complex root finder and the RH verdicts;
 every identity test is an exact rational-function identity.
@@ -65,9 +66,6 @@ from curvezeta.rank2 import (
     rank2_numerator,
 )
 from curvezeta.yoshida import (
-    C1Params,
-    HalfShiftRational,
-    WeilPairSet,
     counterexample_search,
     rh_check_zeta2,
     zeta2_canonical,
@@ -77,16 +75,13 @@ from curvezeta.yoshida import (
 __all__ = [
     "A_from_alpha",
     "BrillNoetherTable",
-    "C1Params",
     "ComplexRootSet",
     "CurveData",
     "CurveModel",
-    "HalfShiftRational",
     "InvariantTable",
     "Poly",
     "RationalFunction",
     "SlrZeta",
-    "WeilPairSet",
     "ZeroReport",
     "alpha_from_A",
     "artin_fe_check",

@@ -33,7 +33,7 @@ from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from fractions import Fraction
 
-from curvezeta.exact import Poly, RationalFunction, ZeroReport, complex_roots
+from curvezeta.exact import Poly, RationalFunction, ZeroReport, complex_roots, fe_identity_holds
 from curvezeta.exact import _FactoredTerm, _q_power
 
 Rat = Fraction | int
@@ -292,14 +292,10 @@ def artin_fe_ratfun_check(c: CurveData) -> bool:
     """Functional equation as an exact rational-function identity in u = q^{-s}.
 
     q^{(g-1)(1-s)} Z(q^{s-1}) = q^{(g-1)s} Z(q^{-s}) becomes, after clearing
-    the u powers,  q^{g-1} u^{2(g-1)} Z(1/(q u)) = Z(u).  Both sides are
-    compared cross-multiplied, on reduced forms, so no gcd is taken.
+    the u powers,  q^{g-1} u^{2(g-1)} Z(1/(q u)) = Z(u)
+    (:func:`~curvezeta.exact.fe_identity_holds` with Q = q, k = g - 1).
     """
-    z = c.zeta_ratfun()
-    w = z.reciprocal_arg(Fraction(1, c.q))
-    k = 2 * (c.g - 1)
-    lhs = Poly.x(max(k, 0), Fraction(c.q) ** (c.g - 1)) * w.num * z.den
-    return lhs == Poly.x(max(-k, 0)) * z.num * w.den
+    return fe_identity_holds(c.zeta_ratfun(), c.q, c.g - 1)
 
 
 @lru_cache(maxsize=256)

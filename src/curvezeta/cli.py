@@ -434,26 +434,19 @@ def _task_mass(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
 
 def _task_yoshida(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
     z = yoshida.zeta2_canonical(c)
-    rh = yoshida.rh_check_zeta2(z, job.tolerance)
+    rh = yoshida.rh_check_zeta2(z, c.q, job.tolerance)
     report = {"rh": rh, "group_constant_half_power": c.g - 1}
     checks = {
-        "functional_equation": yoshida.zeta2_fe_check(z),
+        "functional_equation": yoshida.zeta2_fe_check(z, c.q),
         "riemann_hypothesis": rh.verdict,
         "group_zeta_cross_check": yoshida.canonical_group_cross_check(c, slr_zeta(c, 2).combined),
     }
     if c.g == 1 and c.genuine:
-        rep = yoshida.sextic_identity_report(z, -c.A[1])
-        report["sextic"] = {
-            "expansion_ok": rep["expansion_ok"],
-            "corrected_factorization_ok": rep["corrected_factorization_ok"],
-            "literal_factorization_ok": rep["literal_factorization_ok"],
-        }
-        checks["sextic_identity"] = rep["expansion_ok"] and rep["corrected_factorization_ok"]
+        sextic = report["sextic"] = yoshida.sextic_identity_report(z, c.q, -c.A[1])
+        checks["sextic_identity"] = sextic["expansion_ok"] and sextic["corrected_factorization_ok"]
     if c.g >= 2:
         # the alternative exponent choice a = g, reported but not asserted
-        ws = yoshida.WeilPairSet.from_curve(c)
-        zg = yoshida.zeta2_family(ws, yoshida.C1Params(a=c.g))
-        report["family_a_equals_g_fe"] = yoshida.zeta2_fe_check(zg)
+        report["family_a_equals_g_fe"] = yoshida.zeta2_fe_check(yoshida.zeta2_family(c, c.g), c.q)
     if job.counterexample:
         res = yoshida.counterexample_search(c.q, complex(0, float(c.q) ** 0.5))
         report["counterexample"] = {
@@ -480,7 +473,7 @@ def _task_rh_report(c: artin.CurveData, job: JobSpec) -> tuple[dict, dict]:
     parts = (  # (verdict key, zeros.csv object name, the zero report)
         ("artin", "artin", lambda: artin.rh_check_artin(c, job.tolerance)),
         ("slr2", "slr2_Tgrid", lambda: slr_rh_report(slr_zeta(c, 2), job.tolerance)),
-        ("zeta2", "zeta2", lambda: yoshida.rh_check_zeta2(yoshida.zeta2_canonical(c), job.tolerance)),
+        ("zeta2", "zeta2", lambda: yoshida.rh_check_zeta2(yoshida.zeta2_canonical(c), c.q, job.tolerance)),
     )
     zeros, verdicts, errors = [], {}, {}
     for key, name, solve in parts:
@@ -652,6 +645,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             p.add_argument("--degree", type=int, default=None)
         if name == "yoshida":
             p.add_argument("--counterexample", action="store_true")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        # argparse would take the option's value for the subcommand and name it
+        flag = argv[0].partition("=")[0]
+        parser.error(f"options follow the subcommand, e.g. curvezeta run job.yaml {flag} ...")
     args = parser.parse_args(argv)
 
     try:

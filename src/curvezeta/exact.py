@@ -535,6 +535,17 @@ class RationalFunction:
         return f"RationalFunction({n!r} / {d!r})"
 
 
+def fe_identity_holds(z: RationalFunction, Q: Rat, k: int) -> bool:
+    """The functional equation Q^k T^{2k} Z(1/(QT)) = Z(T), exactly.
+
+    Both sides are compared cross-multiplied, on reduced forms, so no gcd is
+    taken; k may be negative.
+    """
+    Q = Fraction(Q)
+    w = z.reciprocal_arg(1 / Q)
+    return Poly.x(max(2 * k, 0), Q**k) * w.num * z.den == Poly.x(max(-2 * k, 0)) * z.num * w.den
+
+
 class ConventionError(RuntimeError):
     """An assembled sum violates a structural expectation of its display."""
 

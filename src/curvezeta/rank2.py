@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from curvezeta.artin import CurveData, zeta_hat_special
-from curvezeta.exact import Poly, RationalFunction, _factored_sum, _FactoredTerm
+from curvezeta.exact import Poly, RationalFunction, _factored_sum, _FactoredTerm, fe_identity_holds
 from curvezeta.invariants import InvariantTable
 
 
@@ -158,12 +158,10 @@ def pure_fe_check(Z: RationalFunction, q: int, g: int) -> bool:
     """Exact functional equation zeta_hat(1/(qt)) = zeta_hat(t) of the rank-two zeta.
 
     With zeta_hat(t) = Z(T) T^{-(g-1)} and T = t^2 the substitution reads
-    Q^{g-1} T^{2(g-1)} Z(1/(QT)) = Z(T), Q = q^2.  Both sides are
-    compared cross-multiplied, on reduced forms, so no gcd is taken.
+    Q^{g-1} T^{2(g-1)} Z(1/(QT)) = Z(T), Q = q^2
+    (:func:`~curvezeta.exact.fe_identity_holds`).
     """
-    Q, shift = Fraction(q) ** 2, g - 1
-    w = Z.reciprocal_arg(1 / Q)
-    return Poly.x(2 * shift, Q**shift) * w.num * Z.den == Z.num * w.den
+    return fe_identity_holds(Z, q * q, g - 1)
 
 
 def variant_report(c: CurveData) -> dict:

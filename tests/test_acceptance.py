@@ -157,12 +157,12 @@ def test_criterion_7_sl2_riemann_hypothesis():
     ok = True
     for c in elliptic_grid():
         trace = -c.A[1]
-        rep = sextic_identity_report(zeta2_canonical(c), trace)
+        rep = sextic_identity_report(zeta2_canonical(c), c.q, trace)
         # the identity holds in its derivation-consistent form; the printed
         # factorization's sign typo stays flagged, never asserted
         ok = ok and rep["expansion_ok"] and rep["corrected_factorization_ok"]
         ok = ok and not rep["literal_factorization_ok"]
-        zrep = rh_check_zeta2(zeta2_canonical(c), tol=1e-9)
+        zrep = rh_check_zeta2(zeta2_canonical(c), c.q, tol=1e-9)
         ok = ok and zrep.verdict
     elapsed = time.perf_counter() - start
     _report(7, "genus-one sextic identity exact and all zero moduli within 1e-9", ok and elapsed < 5.0, elapsed)

@@ -1242,7 +1242,9 @@ class TestMain:
         with pytest.raises(SystemExit) as exit_info:
             main([*flag, "run", str(DATA / "elliptic_q2_job.yaml"), "--out", str(out)])
         assert exit_info.value.code == 2
-        assert "usage: curvezeta" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage: curvezeta" in err and "invalid choice" not in err
+        assert f"options follow the subcommand, e.g. curvezeta run job.yaml {flag[0]} ..." in err
         assert not out.exists()
 
     def test_bad_job_exits_two(self, tmp_path, capsys):

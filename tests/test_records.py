@@ -14,10 +14,10 @@ import yaml
 
 from curvezeta import cli
 from curvezeta.artin import CurveData
-from curvezeta.exact import ZeroReport, _FactoredTerm
+from curvezeta.exact import RationalFunction, ZeroReport, _FactoredTerm
 from curvezeta.fields import CurveModel
 from curvezeta.group_zeta import SlrZeta, slr_zeta
-from curvezeta.yoshida import C1Params, HalfShiftRational, zeta2_canonical
+from curvezeta.yoshida import zeta2_canonical, zeta2_family
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -76,12 +76,9 @@ def test_curve_model_fields():
     ],
 )
 def test_c1_params_rejects(a, message):
+    # a is the exponent of C1(s) = q^{as}(1 + q^-s), the family's one parameter
     with pytest.raises(ValueError, match=message):
-        C1Params(a=a)
-
-
-def test_c1_params_defaults():
-    assert C1Params() == C1Params(1, ()) and C1Params(a=0).a == 0
+        zeta2_family(CurveData(2, 1, [1, 0, 2]), a)
 
 
 def test_default_factored_terms_do_not_share_factors():
@@ -107,11 +104,11 @@ def _record_copy_other(kind: str, c: CurveData):
     if kind == "ZeroReport":
         rep = ZeroReport((0.5j, -0.5j), 0.5, (0.0, 0.0), True, 1e-9)
         return rep, ZeroReport(*rep), rep._replace(excluded=(1.0,))
-    h = zeta2_canonical(c)
-    return h, HalfShiftRational(*h), h._replace(q=h.q + 1)
+    z = zeta2_canonical(c)
+    return z, RationalFunction.coprime(z.num, z.den), RationalFunction.coprime(z.num * 2, z.den)
 
 
-@pytest.mark.parametrize("kind", ["SlrZeta", "ZeroReport", "HalfShiftRational"])
+@pytest.mark.parametrize("kind", ["SlrZeta", "ZeroReport", "RationalFunction"])
 def test_equal_fields_share_one_cache_entry(kind, curve_g2):
     record, copy, other = _record_copy_other(kind, curve_g2)
     assert copy is not record and copy == record and hash(copy) == hash(record)

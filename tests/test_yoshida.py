@@ -13,9 +13,6 @@ from curvezeta.artin import CurveData
 from curvezeta.exact import ConventionError, Poly, RationalFunction
 from curvezeta.group_zeta import slr_zeta
 from curvezeta.yoshida import (
-    C1Params,
-    HalfShiftRational,
-    WeilPairSet,
     _deformed_sides,
     canonical_group_cross_check,
     counterexample_search,
@@ -29,30 +26,19 @@ from curvezeta.yoshida import (
 F = Fraction
 
 
+def _curve(q, sums):
+    """The curve datum whose numerator is prod (1 - c t + q t^2) over the pair sums."""
+    x1 = math.prod((Poly([1, -c, q]) for c in sums), start=Poly.one())
+    return CurveData(q, len(sums), x1.coeffs)
+
+
 def _genus_one_member(q, c):
-    return zeta2_family(WeilPairSet.from_pair_sums(q, [c]), C1Params(a=1))
-
-
-def _reduced(q, even, odd, den):
-    """Reference: (even + sqrt(q) odd) / den in lowest terms by gcds, for any
-    den: gcd(den, even), then, unless that is 1 or odd is zero, its gcd with
-    odd.  The library reduces only over denominators of known factors."""
-    g = exact.poly_gcd(den, even)
-    if g.degree > 0 and not odd.is_zero():
-        g = exact.poly_gcd(g, odd)
-    if g.degree > 0:
-        even, odd, den = even.exact_div(g), odd.exact_div(g), den.exact_div(g)
-    return yoshida._over_monic(q, even, odd, den)
-
-
-def _member(q, even, odd=(), den=(1,)):
-    """The reduced member (even + sqrt(q) odd) / den from coefficient lists."""
-    return _reduced(q, Poly(even), Poly(odd), Poly(den))
+    return zeta2_canonical(_curve(q, [c]))
 
 
 def _value(z, t):
     """A member's float value at t."""
-    return (z.even.evaluate(t) + math.sqrt(z.q) * z.odd.evaluate(t)) / z.den.evaluate(t)
+    return z.num.evaluate(t) / z.den.evaluate(t)
 
 
 class _HalfShiftField:
@@ -87,12 +73,6 @@ class _HalfShiftField:
         if h % 2 == 0:
             return _HalfShiftField.of(q, RatFun.constant(qf ** (h // 2)))
         return _HalfShiftField(q, RatFun.zero(), RatFun.constant(qf ** ((h - 1) // 2)))
-
-    def member(self):
-        """The same value as one reduced fraction over the product of the
-        parts' denominators."""
-        e, o = self.even, self.odd
-        return _reduced(self.q, e.num * o.den, o.num * e.den, e.den * o.den)
 
     def __eq__(self, other):
         return (
@@ -153,66 +133,53 @@ class _HalfShiftField:
         return f"_HalfShiftField({self.even!r} + sqrt({self.q})*{self.odd!r})"
 
 
-def _zeta2_by_products(ws, params):
-    """Reference member: C1 Y(2s)/(1-qt) - C2 t/(1-t) Y(2s-1), term by term.
+def _zeta2_by_products(c, a):
+    """Reference zeta2: C1 Y(2s)/(1-qt) - C2 t/(1-t) Y(2s-1), term by term.
 
     Every factor is a _HalfShiftField and every step one of its field
     operations, as the definition reads; no half power is factored out.
-    The result is reduced to one fraction at the end.
     """
-    q, g, a = ws.q, ws.g, int(params.a)
-    h = len(params.extra_pair_sums)
+    q, g = c.q, c.g
     qf = F(q)
 
     def of(f):
         return _HalfShiftField.of(q, f)
 
-    c1 = of(RatFun.t(h - a) * RatFun([1, 1]))
-    for cj in params.extra_pair_sums:
-        # (1 - g q^{s-1/2})(1 - d q^{s-1/2}) = 1 + t^-2 - (c/q) sqrt(q) t^-1
-        c1 = c1 * _HalfShiftField(
-            q,
-            RatFun.one() + RatFun.t(-2),
-            RatFun.constant(-F(cj) / qf) * RatFun.t(-1),
-        )
+    c1 = of(RatFun.t(-a) * RatFun([1, 1]))
     c2 = c1.substitute_reciprocal(F(1, q))
     shift = RatFun.t(-2 * (g - 1))
-    x1 = RatFun(ws.x1)
+    x1 = RatFun(c.numerator)
     y_double = _HalfShiftField.sqrt_power(q, -(g - 1)) * of(
         shift * x1.stretch(2) / RatFun([1, 0, -1]) / RatFun([1, 0, -qf])
     )
     y_double_down = _HalfShiftField.sqrt_power(q, -3 * (g - 1)) * of(
         shift * x1.scale_arg(qf).stretch(2) / RatFun([1, 0, -qf]) / RatFun([1, 0, -qf * qf])
     )
-    value = c1 * y_double / of(RatFun([1, -qf])) - c2 * of(
-        RatFun([0, 1], [1, -1])
-    ) * y_double_down
-    return value.member()
+    return c1 * y_double / of(RatFun([1, -qf])) - c2 * of(RatFun([0, 1], [1, -1])) * y_double_down
 
 
-def _zeta2_numeric(ws, params):
-    """Reference member as a complex function of s, straight from the definition.
+def _scaled_reference(c, a):
+    """(sqrt q)^{g-1} times the reference zeta2: a rational function, so its
+    odd part is zero."""
+    s = _HalfShiftField.sqrt_power(c.q, c.g - 1) * _zeta2_by_products(c, a)
+    assert s.odd.is_zero(), c.describe()
+    return s.even
+
+
+def _zeta2_numeric(c, a):
+    """Reference zeta2 as a complex function of s, straight from the definition.
 
     C1(s) Y(2s)/(1 - q^{1-s}) - C1(1-s) q^-s Y(2s-1)/(1 - q^-s) in floats,
-    with Y(s) = q^{(g-1)(s-1/2)} X1(s)/((1 - q^-s)(1 - q^{1-s})) and X1 the
-    product over the pair sums the set carries; any nonnegative real a.
+    with C1(s) = q^{as}(1 + q^-s), Y(s) = q^{(g-1)(s-1/2)} X1(s)/((1 - q^-s)
+    (1 - q^{1-s})) and X1 the curve's numerator.
     """
-    sums = [float(c) for c in ws.pair_sums]
-    q, a, g = float(ws.q), float(params.a), ws.g
-    extra = [float(c) for c in params.extra_pair_sums]
-
-    def x1(s):
-        t = q**-s
-        return math.prod((1 - c * t + q * t * t for c in sums), start=1 + 0j)
+    q, g, x1 = float(c.q), c.g, c.numerator
 
     def y(s):
-        return q ** ((g - 1) * (s - 0.5)) * x1(s) / ((1 - q**-s) * (1 - q ** (1 - s)))
+        return q ** ((g - 1) * (s - 0.5)) * x1.evaluate(q**-s) / ((1 - q**-s) * (1 - q ** (1 - s)))
 
     def c1(s):
-        acc = q ** (a * s) * (1 + q**-s) * q ** (-len(extra) * s)
-        for c in extra:
-            acc *= 1 - c * q ** (s - 0.5) + q * q ** (2 * s - 1)
-        return acc
+        return q ** (a * s) * (1 + q**-s)
 
     def value(s):
         return c1(s) * y(2 * s) / (1 - q ** (1 - s)) - c1(1 - s) * q**-s * y(2 * s - 1) / (1 - q**-s)
@@ -221,7 +188,7 @@ def _zeta2_numeric(ws, params):
 
 
 class TestHalfShiftRational:
-    """The reduced member, and the reference's field arithmetic."""
+    """The reference's field arithmetic on E(t) + sqrt(q) O(t)."""
 
     def test_square_q_folds(self):
         x = _HalfShiftField.sqrt_power(4, 3)  # (sqrt 4)^3 = 8
@@ -233,9 +200,6 @@ class TestHalfShiftRational:
         assert (a * b) / b == a
         assert a - a == _HalfShiftField.of(2, 0)
         assert (a + b) - b == a
-        # and as reduced members
-        assert ((a * b) / b).member() == a.member()
-        assert (a - a).member() == _member(2, [])
 
     def test_sqrt_squares_to_q(self):
         s = _HalfShiftField.sqrt_power(3, 1)
@@ -243,25 +207,17 @@ class TestHalfShiftRational:
 
     def test_numeric_evaluation(self):
         a = _HalfShiftField(2, RatFun([1]), RatFun([0, 1]))
-        val = a.evaluate(0.25)
-        assert abs(val - (1 + math.sqrt(2) * 0.25)) < 1e-15
-        assert abs(_value(a.member(), 0.25) - val) < 1e-15
+        assert abs(a.evaluate(0.25) - (1 + math.sqrt(2) * 0.25)) < 1e-15
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_reduced_form_is_canonical(self, q):
-        # one member built twice, every field first scaled by a common
-        # polynomial and rational factor: equal fields, equal hashes
-        ws = WeilPairSet.from_pair_sums(q, [F(1), F(-2)])
-        z = zeta2_family(ws, C1Params(a=1, extra_pair_sums=(F(3, 2),)))
-        assert not z.even.is_zero() and z.den.monic() == z.den
+        # one member against its fields scaled by a common polynomial and
+        # rational factor, reduced by a gcd: equal values, equal hashes
+        z = zeta2_family(_curve(q, [F(1), F(-2)]), 1)
+        assert z.den.monic() == z.den
         for k in (Poly([F(-5, 3)]), Poly([3, -1, 2]), Poly([0, 1]) * Poly([1, 1]) ** 2):
-            again = _reduced(q, z.even * k, z.odd * k, z.den * k)
+            again = RationalFunction(z.num * k, z.den * k)
             assert again == z and hash(again) == hash(z)
-        assert len({z, _reduced(q, z.even * 2, z.odd * 2, z.den * 2)}) == 1
-
-    def test_zero_is_zero_over_one(self):
-        z = _member(5, [], [], [2, 7, 1])
-        assert z == HalfShiftRational(5, Poly(), Poly(), Poly.one())
 
 
 # The exact modulus ordering behind the family's RH argument.  No CLI path
@@ -357,33 +313,29 @@ class TestModulusOrdering:
 
 class TestSexticIdentity:
     def test_fixture_numbers(self):
-        rep = sextic_identity_report(_genus_one_member(2, 0), 0)
-        assert rep["expansion_ok"]
-        assert rep["corrected_factorization_ok"]
-        assert not rep["literal_factorization_ok"]
-        assert rep["quartic"] == Poly([1, 0, 1, 0, 4])
+        rep = sextic_identity_report(_genus_one_member(2, 0), 2, 0)
+        assert rep == {
+            "expansion_ok": True,
+            "corrected_factorization_ok": True,
+            "literal_factorization_ok": False,
+        }
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_all_integer_traces(self, q):
         for c in range(-(q + 1), q + 2):
-            rep = sextic_identity_report(_genus_one_member(q, c), c)
+            rep = sextic_identity_report(_genus_one_member(q, c), q, c)
             assert rep["expansion_ok"], (q, c)
             assert rep["corrected_factorization_ok"], (q, c)
 
     def test_foreign_denominator_is_a_convention_error(self):
         # 1 + t^3 does not divide t(1-t)(1-qt)(1-qt^2): no genus-one canonical member
         with pytest.raises(ConventionError, match="does not divide"):
-            sextic_identity_report(_member(2, [1], [], [1, 0, 0, 1]), 0)
+            sextic_identity_report(RationalFunction(Poly([1]), Poly([1, 0, 0, 1])), 2, 0)
 
     def test_a_zero_loses_the_trace(self):
         # with a = 0 the trace drops out of the numerator entirely
-        polys = set()
-        for c in (-2, 0, 2):
-            ws = WeilPairSet.from_pair_sums(2, [c])
-            z = zeta2_family(ws, C1Params(a=0))
-            num = (z.even.monic(), z.den)
-            polys.add(num)
-        assert len(polys) == 1
+        members = {zeta2_family(_curve(2, [c]), 0) for c in (-2, 0, 2)}
+        assert len({(z.num.monic(), z.den) for z in members}) == 1
 
 
 class TestFamily:
@@ -391,8 +343,7 @@ class TestFamily:
         for c in corpus:
             if c.g < 1:
                 continue
-            z = zeta2_canonical(c)
-            assert zeta2_fe_check(z), c.describe()
+            assert zeta2_fe_check(zeta2_canonical(c), c.q), c.describe()
 
     def test_functional_equation_fails_on_skewed_input(self, corpus):
         skew = Poly([1, 1])  # not symmetric under t -> 1/(qt)
@@ -400,77 +351,58 @@ class TestFamily:
             if c.g < 1:
                 continue
             z = zeta2_canonical(c)
-            skewed = _reduced(z.q, z.even * skew, z.odd * skew, z.den)
-            assert not zeta2_fe_check(skewed), c.describe()
+            assert not zeta2_fe_check(RationalFunction(z.num * skew, z.den), c.q), c.describe()
 
-    def test_family_with_extra_pair_fe(self):
-        ws = WeilPairSet.from_pair_sums(2, [0])
-        z = zeta2_family(ws, C1Params(a=1, extra_pair_sums=(F(3),)))
-        assert zeta2_fe_check(z)
-
-    def test_pair_sum_bound(self):
+    def test_exact_needs_integer_exponent(self, curve_g1):
         with pytest.raises(ValueError):
-            WeilPairSet.from_pair_sums(2, [4])
-
-    def test_extra_pair_bound(self):
-        ws = WeilPairSet.from_pair_sums(2, [0])
-        with pytest.raises(ValueError):
-            zeta2_family(ws, C1Params(a=1, extra_pair_sums=(F(7, 2),)))
-
-    def test_exact_needs_integer_exponent(self):
-        with pytest.raises(ValueError):
-            C1Params(a=0.5)
+            zeta2_family(curve_g1, 0.5)
 
     @pytest.mark.parametrize("a", [1.0, True, -1, "1"])
-    def test_exponent_is_a_nonnegative_int(self, a):
+    def test_exponent_is_a_nonnegative_int(self, curve_g1, a):
         with pytest.raises(ValueError):
-            C1Params(a=a)
+            zeta2_family(curve_g1, a)
+
+    def test_genus_zero_is_refused(self):
+        with pytest.raises(ValueError, match="genus >= 1"):
+            zeta2_family(CurveData(2, 0, [1]), 1)
 
     def test_numeric_matches_exact(self):
-        ws = WeilPairSet.from_pair_sums(2, [1])
-        z = zeta2_family(ws, C1Params(a=1))
-        fn = _zeta2_numeric(ws, C1Params(a=1))
+        c = _curve(2, [1])
+        z = zeta2_family(c, 1)
+        fn = _zeta2_numeric(c, 1)
         for s in (0.3 + 0.7j, 1.2 - 0.4j, 2.5 + 0j):
             t = 2.0**-s
             assert abs(_value(z, t) - fn(s)) < 1e-9 * (1 + abs(fn(s)))
 
     def test_numeric_fe_at_random_points(self):
-        ws = WeilPairSet.from_pair_sums(3, [2])
-        fn = _zeta2_numeric(ws, C1Params(a=1))
+        # the exact member at 1 - s against the reference at s
+        c = _curve(3, [2])
+        z = zeta2_family(c, 1)
+        fn = _zeta2_numeric(c, 1)
         rng = random.Random(5)
         for _ in range(100):
             s = complex(rng.uniform(-2, 3), rng.uniform(-8, 8))
-            lhs, rhs = fn(1 - s), fn(s)
+            lhs, rhs = _value(z, 3.0 ** (s - 1)), fn(s)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
     def test_genus_two_alternative_exponent(self, curve_g2):
-        ws = WeilPairSet.from_curve(curve_g2)
-        zg = zeta2_family(ws, C1Params(a=curve_g2.g))
-        assert zeta2_fe_check(zg)
+        assert zeta2_fe_check(zeta2_family(curve_g2, curve_g2.g), curve_g2.q)
 
 
-# the family grid: q square or not, g <= 3, a <= 3, and up to two extra pair
-# sums, half-integers among them
+# the family grid: q square or not, g <= 3 and a <= 3
 ZETA2_GRID_Q = [2, 3, 4, 5, 7, 9, 11, 16, 25]
-ZETA2_GRID_EXTRA = [(), (F(3, 2),), (F(-1),), (F(0),), (F(-5, 2),), (F(1, 2), F(-1)), (F(3, 2), F(3, 2)), (F(2), F(-1, 2))]
 
 
-def zeta2_grid_pair_sets(q: int) -> list[WeilPairSet]:
-    """Pair sets of genus 0..3, and, for g >= 1, a numerator without the
-    functional equation, as non-genuine curve data gives one."""
-    sets = [WeilPairSet.from_pair_sums(q, [F(1), F(-2), F(1, 2)][:g]) for g in range(4)]
-    return sets + [WeilPairSet(q, g, Poly([1, 1, *range(2, 2 * g + 1)])) for g in (1, 2, 3)]
-
-
-def zeta2_grid_extras(q: int) -> list[tuple[Fraction, ...]]:
-    """The extra pair sums of the grid, and sums at the bound +-(q + 1): one
-    vanishes at t = 1/sqrt(q), the other at t = -1/sqrt(q)."""
-    return [*ZETA2_GRID_EXTRA, (F(q + 1),), (F(-q - 1), F(1, 2))]
+def zeta2_grid_curves(q: int) -> list[CurveData]:
+    """Curve data of genus 1..3 from pair sums, and for each genus a
+    numerator without the functional equation, as non-genuine data gives."""
+    curves = [_curve(q, [F(1), F(-2), F(1, 2)][:g]) for g in (1, 2, 3)]
+    return curves + [CurveData(q, g, [1, 1, *range(2, 2 * g + 1)]) for g in (1, 2, 3)]
 
 
 class TestKnownFactorReduction:
     """zeta2_family reduces by the known factors of its denominator; the gcd
-    reduction of the same fields is the reference."""
+    reduction of the same numerator is the reference."""
 
     @pytest.mark.parametrize("q", ZETA2_GRID_Q)
     def test_matches_gcd_reference(self, monkeypatch, q):
@@ -478,17 +410,16 @@ class TestKnownFactorReduction:
         reduced_by = yoshida._reduced_by
         monkeypatch.setattr(yoshida, "_reduced_by", lambda *args: seen.append(args) or reduced_by(*args))
         t, qf = Poly.x(), F(q)
-        for ws in zeta2_grid_pair_sets(q):
+        for c in zeta2_grid_curves(q):
             for a in range(4):
-                for extra in zeta2_grid_extras(q):
-                    z = zeta2_family(ws, C1Params(a=a, extra_pair_sums=extra))
-                    (_, even, odd, factors), where = seen.pop(), (q, ws.x1, a, extra)
-                    # the factors are the denominator's factorization over Q
-                    den = math.prod((f**m for f, m in factors), start=Poly.one())
-                    k = max(a + len(extra) + 2 * (ws.g - 1), 0)
-                    assert den == t**k * Poly([1, -1]) * Poly([1, -qf]) * Poly([1, 0, -qf]), where
-                    assert all(f.degree == 1 for f, _ in factors) == (math.isqrt(q) ** 2 == q), where
-                    assert z == _reduced(q, even, odd, den), where
+                z = zeta2_family(c, a)
+                (num, factors), where = seen.pop(), (q, c.A, a)
+                # the factors are the denominator's factorization over Q
+                den = math.prod((f**m for f, m in factors), start=Poly.one())
+                k = a + 2 * (c.g - 1)
+                assert den == t**k * Poly([1, -1]) * Poly([1, -qf]) * Poly([1, 0, -qf]), where
+                assert all(f.degree == 1 for f, _ in factors) == (math.isqrt(q) ** 2 == q), where
+                assert z == RationalFunction(num, den), where
 
     def test_takes_no_gcd(self, monkeypatch):
         def no_gcd(a, b):
@@ -496,32 +427,38 @@ class TestKnownFactorReduction:
 
         monkeypatch.setattr(exact, "poly_gcd", no_gcd)
         for q in ZETA2_GRID_Q:
-            for ws in zeta2_grid_pair_sets(q):
-                for extra in zeta2_grid_extras(q):
-                    zeta2_family(ws, C1Params(a=1, extra_pair_sums=extra))
+            for c in zeta2_grid_curves(q):
+                zeta2_family(c, 1)
         assert not hasattr(yoshida, "poly_gcd")
 
 
+# pair-sum curves of genus 1..3 over square q, where 1 - qt^2 splits and
+# the half power (sqrt q)^{g-1} is rational
+SQUARE_Q_CURVES = [_curve(q, [F(1), F(-2), F(1, 2)][:g]) for q in (4, 9, 25) for g in (1, 2, 3)]
+
+
 class TestOnePassFamily:
-    """zeta2_family against the term-by-term HalfShiftRational reference."""
+    """zeta2_family against the term-by-term _HalfShiftField reference."""
+
+    @pytest.mark.parametrize("a", [0, 1, 2, 3])
+    def test_is_the_scaled_reference(self, corpus, a):
+        for c in corpus + SQUARE_Q_CURVES:
+            z = zeta2_family(c, a)
+            assert RatFun.of(z) == _scaled_reference(c, a), (c.describe(), a)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
     def test_equals_product_reference(self, q):
-        for g in (0, 1, 2):  # g = 0 gives a negative power of t
-            ws = WeilPairSet.from_pair_sums(q, [F(1), F(-2)][:g])
+        for g in (1, 2):
+            c = _curve(q, [F(1), F(-2)][:g])
             for a in sorted({0, 1, 3, g}):
-                for h in (0, 1, 2):
-                    params = C1Params(a=a, extra_pair_sums=(F(3, 2), F(-1))[:h])
-                    z = zeta2_family(ws, params)
-                    ref = _zeta2_by_products(ws, params)
-                    where = (q, g, a, h)
-                    assert z == ref and hash(z) == hash(ref), where
-                    assert zeta2_fe_check(z), where
-                    if a == 1 and h == 0 and g >= 1:
-                        curve = CurveData(q, g, ws.x1.coeffs)
-                        assert zeta2_canonical(curve) == z, where
-                        combined = slr_zeta(curve, 2).combined
-                        assert canonical_group_cross_check(curve, combined) is True, where
+                z = zeta2_family(c, a)
+                ref = _scaled_reference(c, a)
+                where = (q, g, a)
+                assert z == ref and hash(z) == hash(ref), where
+                assert zeta2_fe_check(z, q), where
+                if a == 1:
+                    assert zeta2_canonical(c) == z, where
+                    assert canonical_group_cross_check(c, slr_zeta(c, 2).combined) is True, where
 
     def test_cross_check_rejects_a_wrong_right_side(self, curve_g2):
         combined = slr_zeta(curve_g2, 2).combined
@@ -535,107 +472,36 @@ class TestOnePassFamily:
                 continue
             z = zeta2_canonical(c)
             combined = slr_zeta(c, 2).combined
-            assert zeta2_fe_check(z) and canonical_group_cross_check(c, combined)
-            part = z.even if z.odd.is_zero() else z.odd
-            bumped = part + Poly.one()
-            if part is z.even:
-                changed = _reduced(z.q, bumped, z.odd, z.den)
-            else:
-                changed = _reduced(z.q, z.even, bumped, z.den)
-            assert not zeta2_fe_check(changed), c.describe()
+            assert zeta2_fe_check(z, c.q) and canonical_group_cross_check(c, combined)
+            changed = RationalFunction(z.num + Poly.one(), z.den)
+            assert not zeta2_fe_check(changed, c.q), c.describe()
             with monkeypatch.context() as m:
                 m.setattr(yoshida, "zeta2_canonical", lambda _: changed)
                 assert canonical_group_cross_check(c, combined) is False, c.describe()
 
 
-def _float_route_zeros(z):
-    """The former zeta2 route, kept as a reference, built from the exact pair.
-
-    Float coefficients n1 + sqrt(q) n2 in t go to the Aberth driver with no
-    square-free split and no critical-circle map; roots where the least
-    common denominator vanishes, or within 1e-7 of +-1, +-q^{-1/2} and
-    +-1/q, are dropped.
-    """
-    n1, n2, lcm = z.even, z.odd, z.den
-    root = math.sqrt(z.q)
-    coeffs = [float(n1[i]) + root * float(n2[i]) for i in range(max(n1.degree, n2.degree) + 1)]
-    zeros = 0
-    while coeffs[zeros] == 0:
-        zeros += 1
-    coeffs = coeffs[zeros:]
-    n = len(coeffs) - 1
-    radius = (abs(coeffs[0]) / abs(coeffs[-1])) ** (1 / n)
-    work = [complex(c) / coeffs[-1] for c in coeffs]
-    roots, _, converged = exact._aberth(work, exact._start_circle(n, radius))
-    assert converged
-    poles = [sign * z.q ** (-k / 2) for k in (0, 1, 2) for sign in (1, -1)]
-    dscale = max(abs(float(c)) for c in lcm.coeffs)
-    return [
-        t
-        for t in [0j] * zeros + roots
-        if abs(lcm.evaluate(complex(t))) > 1e-9 * dscale * (1 + abs(t)) ** lcm.degree
-        and all(abs(t - p) > 1e-7 for p in poles)
-    ]
-
-
-def _same_multiset(xs, ys, rel):
-    """Each x matched to its own y within rel * |x|."""
-    ys = list(ys)
-    for x in xs:
-        k = min(range(len(ys)), key=lambda i: abs(ys[i] - x), default=None)
-        if k is None or abs(ys[k] - x) > rel * abs(x):
-            return False
-        ys.pop(k)
-    return not ys
-
-
 class TestRhChecks:
-    @pytest.mark.parametrize("q", [2, 3, 5, 7])
-    def test_mixed_members_match_the_float_route(self, q):
-        # both parts nonzero: the W = sqrt(q) t route against the former one
-        mixed = 0
-        for g in (0, 1, 2):
-            ws = WeilPairSet.from_pair_sums(q, [F(1), F(-2)][:g])
-            for a in sorted({0, 1, 3, g}):
-                for h in (1, 2):
-                    z = zeta2_family(ws, C1Params(a=a, extra_pair_sums=(F(3, 2), F(-1))[:h]))
-                    if z.even.is_zero() or z.odd.is_zero():
-                        continue
-                    mixed += 1
-                    rep = rh_check_zeta2(z)
-                    assert rep.excluded == ()
-                    assert _same_multiset(_float_route_zeros(z), rep.zeros, 1e-9), (q, g, a, h)
-        assert mixed == 19
-
     @pytest.mark.parametrize("q", [1000000000000037, 2**103])
     def test_canonical_zeros_at_large_q(self, q):
         # every zero lies within 1e-7 of t = +-q^{-1/2}, which an absolute
         # pole test once took for poles; at 2^103 the float t-plane
         # coefficients failed the residual bound
-        rep = rh_check_zeta2(zeta2_canonical(CurveData.elliptic(q, 1)))
+        rep = rh_check_zeta2(zeta2_canonical(CurveData.elliptic(q, 1)), q)
         assert len(rep.zeros) == 4 and rep.excluded == () and rep.verdict
         assert max(abs(abs(t) * math.sqrt(q) - 1) for t in rep.zeros) <= 1e-12
 
-    def test_parts_of_one_parity_raise(self):
-        # 1 + t^2 + 3 sqrt(2): sqrt(2) stays in every W-coefficient
-        z = _member(2, [1, 0, 1], [3])
-        with pytest.raises(ArithmeticError):
-            rh_check_zeta2(z)
-
     @pytest.mark.parametrize(
-        "even, odd, on_circle",
+        "num, on_circle",
         [
-            ([1], [0, 1], True),  # 1 + sqrt(2) t: t = -2^{-1/2}
-            ([1], [0, 3], False),  # 1 + 3 sqrt(2) t: t = -1/(3 sqrt(2))
-            ([0, 2], [1], True),  # 2 t + sqrt(2), odd n1: t = -2^{-1/2}
-            ([0, 1], [1], False),  # t + sqrt(2), odd n1: t = -sqrt(2)
-            ([1, 0, -9], [], False),  # one part: t = +-1/3
-            ([1, 0, 2], [], True),  # one part: t = +-i 2^{-1/2}
+            ([1, 0, -2], True),  # t = +-2^{-1/2}
+            ([1, 0, -18], False),  # t = +-1/(3 sqrt(2))
+            ([1, 0, -9], False),  # t = +-1/3
+            ([1, 0, 2], True),  # t = +-i 2^{-1/2}
         ],
     )
-    def test_verdict_reads_the_zeros(self, even, odd, on_circle):
-        z = _member(2, even, odd)
-        rep = rh_check_zeta2(z)
+    def test_verdict_reads_the_zeros(self, num, on_circle):
+        z = RationalFunction(Poly(num))
+        rep = rh_check_zeta2(z, 2)
         assert rep.verdict is on_circle and rep.excluded == ()
         for t in rep.zeros:
             assert abs(_value(z, t)) <= 1e-12
@@ -644,27 +510,15 @@ class TestRhChecks:
         for q in (2, 3, 4, 5):
             bound = int((4 * q) ** 0.5)
             for a in range(-bound, bound + 1):
-                c = CurveData.elliptic(q, a)
-                rep = rh_check_zeta2(zeta2_canonical(c))
+                rep = rh_check_zeta2(zeta2_canonical(CurveData.elliptic(q, a)), q)
                 assert rep.verdict, (q, a, rep.max_deviation)
-
-    def test_family_with_admissible_extra_pair(self):
-        ws = WeilPairSet.from_pair_sums(2, [0])
-        z = zeta2_family(ws, C1Params(a=1, extra_pair_sums=(F(3),)))
-        rep = rh_check_zeta2(z)
-        assert rep.verdict
 
     def test_zeros_match_group_route(self, curve_g1, curve_g2):
         # the canonical numerator is the T-grid numerator stretched to t^2:
-        # the prefactor zeros cancel against the denominator exactly.  The
-        # value sits in the parity component picked by (sqrt q)^{-(g-1)}.
+        # the prefactor zeros cancel against the denominator exactly
         for c in (curve_g1, curve_g2):
-            z = zeta2_canonical(c)
-            part = z.even if c.g % 2 == 1 else z.odd
-            assert (z.odd if c.g % 2 == 1 else z.even).is_zero()
-            A = slr_zeta(c, 2).numerator_T
-            stretched = Poly(A).stretch(2)
-            assert part.monic() == stretched.monic(), c.describe()
+            stretched = Poly(slr_zeta(c, 2).numerator_T).stretch(2)
+            assert zeta2_canonical(c).num.monic() == stretched.monic(), c.describe()
 
     def test_cross_check_constant(self, corpus):
         for c in corpus[:8]:
