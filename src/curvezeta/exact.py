@@ -22,10 +22,10 @@ and primitive integer factors with multiplicities, equal factors cancelling.
 Terms are built (:meth:`_FactoredTerm.over_linear`) and multiplied (``*``) here.
 :func:`_over_lcm` puts such terms over the LCM of their denominators, in
 one variable or two; :func:`_factored_sum` adds terms in one variable that
-way, and :meth:`_FactoredTerm.ratfun` reduces a term in one variable by
-exact division at the known roots of its linear factors, with no gcd.  A
-sum in two variables is never multiplied out here: the SL_3 period oracle
-expands it at u1 = 1 to the few terms its limit needs.
+way, normalized once, as :func:`_partial_fraction_sum` adds w_i/(1 - q^{e_i} u);
+:meth:`_FactoredTerm.ratfun` reduces a term in one variable by exact division
+at the known roots of its linear factors, with no gcd.  A sum in two variables
+is never multiplied out: the SL_3 period oracle expands it at u1 = 1.
 :func:`poly_gcd`, a primitive pseudo-remainder sequence on the stored ints,
 is left to where no factorization is known: the square-free split of the
 root finder's input (:func:`squarefree_decomposition`), and the
@@ -586,11 +586,9 @@ class _FactoredTerm:
         self.factors = {} if factors is None else factors
 
     @staticmethod
-    def over_linear(
-        q: int, es: Sequence[int], k: int = 0, poly: Poly = _ONE, num: int = 1, den: int = 1
-    ) -> _FactoredTerm:
-        """num/den * u^k * poly(u) / prod_e (1 - q^e u), factored."""
-        term = _FactoredTerm(num, den, (k, 0), poly=poly)
+    def over_linear(q: int, es: Sequence[int], k: int = 0, poly: Poly = _ONE) -> _FactoredTerm:
+        """u^k * poly(u) / prod_e (1 - q^e u), factored."""
+        term = _FactoredTerm(mono=(k, 0), poly=poly)
         for e in es:
             term.mul_one_minus(q, e, 1, 0, -1)
         return term
@@ -724,17 +722,18 @@ def _over_lcm(terms: Sequence[_FactoredTerm]) -> list[tuple[Fraction, tuple[int,
 
 def _factored_sum(terms: Sequence[_FactoredTerm]) -> _FactoredTerm:
     """The sum of terms in u = u1 alone, as one term: the numerator over the
-    LCM of the factored denominators (:func:`_over_lcm`) as its poly, over
-    that LCM kept factored.  The empty sum is the zero term; a lone term is
-    returned as it is.  A term in u2 is a :class:`ConventionError`, as it is
-    to :meth:`_FactoredTerm.ratfun`.
+    LCM of the factored denominators (:func:`_over_lcm`), added in integers and
+    normalized once, as its poly, over that LCM kept factored.  The empty sum
+    is the zero term; a lone term is returned as it is.  A term in u2 is a
+    :class:`ConventionError`, as it is to :meth:`_FactoredTerm.ratfun`.
     """
     if any(t.mono[1] or any(key[1] for key in t.factors) for t in terms):
         raise ConventionError("a term in u2 has no form in u alone")
     if len(terms) == 1:
         return terms[0]
     *parts, (_, (shift, _), lcm, _) = _over_lcm(terms)
-    num = _ZERO
+    # keys are integer polynomials, so each scale denominator divides const's times poly's
+    den, out = math.lcm(*(const.denominator * poly._sd for const, _, _, poly in parts)), []
     for const, (k, _), ms, poly in parts:
         p = poly
         # keys with the most terms first, while p is short; each key is the
@@ -742,10 +741,32 @@ def _factored_sum(terms: Sequence[_FactoredTerm]) -> _FactoredTerm:
         for (e1, _, ints), m in sorted(ms.items(), key=lambda km: -len(km[0][2])):
             if m:
                 p = _key_power(ints, e1, m) * p
-        if p.ints:  # times const u^k
-            n, d = _scale_product(p._sn, p._sd, const.numerator, const.denominator)
-            num = num + _make((0,) * k + p.ints, n, d)
-    return _FactoredTerm(mono=(-shift, 0), factors={key: -m for key, m in lcm.items()}, poly=num)
+        x = const.numerator * p._sn * (den // (const.denominator * p._sd))  # times const u^k
+        out += [0] * (k + len(p.ints) - len(out))
+        for i, c in enumerate(p.ints, k):
+            out[i] += x * c
+    return _FactoredTerm(mono=(-shift, 0), factors={key: -m for key, m in lcm.items()}, poly=_poly(out, 1, den))
+
+
+def _partial_fraction_sum(q: int, weights: Sequence[tuple[int, int, int]], k: int = 0) -> _FactoredTerm:
+    """sum_i n_i/d_i * u^k / (1 - q^{e_i} u) over triples (e_i, n_i, d_i),
+    d_i > 0 and e_i distinct (a repeated one raises ValueError), as one term.
+
+    With q^{e_i} = a_i/b_i and W = lcm(d_i), term i is c_i/W / L_i, with
+    L_i = b_i - a_i u and c_i = n_i (W/d_i) b_i: the term is 1/W * u^k * N
+    over the keys L_i, N run in integers, N <- N L_i + c_i P, P <- P L_i.
+    """
+    if len({e for e, _, _ in weights}) < len(weights):
+        raise ValueError("repeated exponent in a partial-fraction sum")
+    den = math.lcm(*(d for _, _, d in weights))
+    num, prod, factors = [], [1], {}
+    for e, n, d in weights:
+        a, b = _q_power(q, e)
+        c = n * (den // d) * b
+        num = [b * x - a * y + c * z for x, y, z in zip(num + [0], [0, *num], prod)]
+        prod = [b * x - a * y for x, y in zip(prod + [0], [0, *prod])]
+        factors[(1, 0, (b, -a))] = -1
+    return _FactoredTerm(1, den, (k, 0), factors, _poly(num, 1, 1))
 
 
 class RootFindError(RuntimeError):

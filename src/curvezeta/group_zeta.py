@@ -42,20 +42,22 @@ r = 2.
 Every function here is a factored term of :mod:`curvezeta.exact`: a
 constant, a monomial, a polynomial kept whole and primitive integer factors
 with multiplicities, zh(s + n) among them through its one factorization
-(:func:`curvezeta.artin._mul_zeta_hat`).  Each side of R_v is the sum of its
-terms over the LCM of their factored denominators, R_v the product of the
-two sides, and zh_SLr the sum of the products R_v * zh(s + v); both sums are
-:func:`_factored_sum`.  Every root of those denominators is known, so each
-result is reduced without a gcd: a factor (1 - q^e u) is divided out exactly
-while the numerator vanishes at q^{-e}, and u while it vanishes at 0; what
-is left is coprime.  The T-grid numerator is one exact division of the
-reversed numerator, times the displayed poles, by the reversed denominator;
-an inexact one is a :class:`ConventionError`.  :func:`slr_fe_check` compares the combined form
-with its image under u -> q^r / u, which keeps a reduced quotient reduced,
-so it takes no gcd either.  :func:`slr_rh_report` finds the zeros of the
-T-grid numerator with :func:`complex_roots`, in W = sqrt(Q) T, Q = q^r,
-where they lie on |W| = 1, and at half degree when the numerator has the
-functional equation T -> 1/(QT).
+(:func:`curvezeta.artin._mul_zeta_hat`).  Each side of R_v is one
+:func:`_partial_fraction_sum` over its distinct binomials 1 - q^e u, R_v
+the product of the two sides, and zh_SLr the sum of the products
+R_v * zh(s + v), a :func:`_factored_sum`; both sums add their numerators
+in integers and normalize once.  Every root of those denominators is
+known, so each result is reduced without a gcd: a factor (1 - q^e u) is
+divided out exactly while the numerator vanishes at q^{-e}, and u while it
+vanishes at 0; what is left is coprime.  The T-grid numerator is one exact
+division of the reversed numerator, times the displayed poles, by the
+reversed denominator; an inexact one is a :class:`ConventionError`.
+:func:`slr_fe_check` compares the combined form with its image under
+u -> q^r / u, which keeps a reduced quotient reduced, so it takes no gcd
+either.  :func:`slr_rh_report` finds the zeros of the T-grid numerator
+with :func:`complex_roots`, in W = sqrt(Q) T, Q = q^r, where they lie on
+|W| = 1, and at half degree when the numerator has the functional
+equation T -> 1/(QT).
 
 :func:`period_residue_oracle` instead sums the Weyl terms of the period
 itself, with their own reading, and shares only this arithmetic with the
@@ -84,12 +86,12 @@ from functools import lru_cache, reduce
 
 from curvezeta.artin import CurveData, _mul_zeta_hat, zeta_hat_ratfun, zeta_hat_special
 from curvezeta.exact import ConventionError, Poly, RationalFunction, ZeroReport, complex_roots, float_sqrt
-from curvezeta.exact import Key, _factored_sum, _FactoredTerm, _over_lcm, _poly
+from curvezeta.exact import Key, _factored_sum, _FactoredTerm, _over_lcm, _partial_fraction_sum, _poly
 from curvezeta.invariants import alpha_from_A
 
 # the largest rank accepted; on a 2-vCPU VM under Python 3.11 slr_zeta at r = 10
-# takes about 0.010 s, the first call in a process as much as later ones (medians of
-# 7 fresh processes, q = 2, g = 1 and 2)
+# takes about 0.006 s, the first call in a process about 10 % more than later ones
+# (medians of 7 fresh processes, q = 2, g = 1 and 2)
 R_MAX = 10
 
 
@@ -120,8 +122,8 @@ def slr_zeta(c: CurveData, r: int) -> SlrZeta:
 
     R_v = U_v * D_v, two chain sums over the compositions of the r - v values
     above v and of the v - 1 values below it (see module docstring); each
-    side is a :func:`_factored_sum` of at most r - 1 terms, one per length of
-    the run next to v.  A convention fault in the T-grid extraction raises
+    side is a :func:`_partial_fraction_sum` of at most r - 1 terms, one per
+    length of the run next to v.  A convention fault in the T-grid extraction raises
     :class:`ConventionError` instead of silently producing a wrong
     normalization.
     """
@@ -146,14 +148,12 @@ def slr_zeta(c: CurveData, r: int) -> SlrZeta:
 
     sums: dict[int, _FactoredTerm] = {}
     for v in range(1, r + 1):
-        up = _FactoredTerm() if v == r else _factored_sum([
-            _FactoredTerm.over_linear(q, (-(a + v),), 1, num=-w.numerator, den=w.denominator * q ** (a + v))
-            for a, w in enumerate(E[r - v]) if w
-        ])
-        down = _FactoredTerm() if v == 1 else _factored_sum([
-            _FactoredTerm.over_linear(q, (b - v + 1,), num=w.numerator, den=w.denominator)
-            for b, w in enumerate(B[v - 1]) if w
-        ])
+        up = _FactoredTerm() if v == r else _partial_fraction_sum(
+            q, [(-(a + v), -w.numerator, w.denominator * q ** (a + v)) for a, w in enumerate(E[r - v]) if w], 1
+        )
+        down = _FactoredTerm() if v == 1 else _partial_fraction_sum(
+            q, [(b - v + 1, w.numerator, w.denominator) for b, w in enumerate(B[v - 1]) if w]
+        )
         sums[v] = up * down
     terms = [(n, t.ratfun()) for n, t in sums.items()]
     for n, t in sums.items():

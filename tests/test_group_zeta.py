@@ -16,7 +16,8 @@ from ratfun_reference import RatFun
 from curvezeta.artin import CurveData, artin_fe_ratfun_check, zeta_hat_ratfun, zeta_hat_special
 from curvezeta import exact, group_zeta
 from curvezeta.cli import parse_job
-from curvezeta.exact import Poly, RationalFunction, _factored_sum, _FactoredTerm, _over_lcm, complex_roots
+from curvezeta.exact import Poly, RationalFunction, _factored_sum, _FactoredTerm, _over_lcm, _partial_fraction_sum
+from curvezeta.exact import _key_power, _make, _scale_product, complex_roots
 from curvezeta.group_zeta import (
     R_MAX,
     ConventionError,
@@ -869,6 +870,77 @@ class TestFactoredReduction:
             term.ratfun()
 
 
+def poly_addition_sum(terms: list[_FactoredTerm]) -> _FactoredTerm:
+    """The factored sum as it was built before it normalized once: each cleared
+    numerator added to the running Poly, one content gcd per addition."""
+    if len(terms) == 1:
+        return terms[0]
+    *parts, (_, (shift, _), lcm, _) = _over_lcm(terms)
+    num = Poly()
+    for const, (k, _), ms, poly in parts:
+        p = poly
+        for (e1, _, ints), m in sorted(ms.items(), key=lambda km: -len(km[0][2])):
+            if m:
+                p = _key_power(ints, e1, m) * p
+        if p.ints:
+            n, d = _scale_product(p._sn, p._sd, const.numerator, const.denominator)
+            num = num + _make((0,) * k + p.ints, n, d)
+    return _FactoredTerm(mono=(-shift, 0), factors={key: -m for key, m in lcm.items()}, poly=num)
+
+
+@st.composite
+def partial_fractions(draw):
+    """(q, k, triples) for one partial-fraction sum: 1-10 distinct exponents of
+    both signs, each with a non-zero rational weight n/d."""
+    q = draw(st.sampled_from([2, 3, 5, 101, 1000003]))
+    k = draw(st.sampled_from([0, 1]))
+    es = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=10, unique=True))
+    ws = [draw(st.fractions(min_value=-50, max_value=50, max_denominator=10**6).filter(bool)) for _ in es]
+    return q, k, [(e, w.numerator, w.denominator) for e, w in zip(es, ws)]
+
+
+class TestPartialFractionSum:
+    @given(partial_fractions())
+    @example((2, 0, [(0, 1, 1)]))  # one term: 1 / (1 - u)
+    @example((1000003, 1, [(-7, -3, 5)]))  # one term at a negative exponent
+    @example((3, 1, [(1, 1, 3), (-1, -1, 1)]))  # u/(3(1 - 3u)) - u/(1 - u/3): exponents of both signs
+    @settings(max_examples=200, deadline=None)
+    def test_matches_factored_sum_of_linear_terms(self, case):
+        q, k, triples = case
+        got = _partial_fraction_sum(q, triples, k)
+        terms = [_FactoredTerm.over_linear(q, (e,), k, Poly([F(n, d)])) for e, n, d in triples]
+        assert got.ratfun() == _factored_sum(terms).ratfun()
+        # one key per exponent, each once downstairs, and nothing else
+        assert sorted(got.factors) == sorted(key for t in terms for key in t.factors)
+        assert set(got.factors.values()) == {-1} and got.mono == (k, 0)
+
+    def test_empty_sum_is_zero(self):
+        assert _partial_fraction_sum(3, [], 1).ratfun() == RationalFunction.zero()
+
+    def test_repeated_exponent_raises(self):
+        with pytest.raises(ValueError, match="repeated exponent"):
+            _partial_fraction_sum(3, [(1, 1, 2), (-2, 1, 1), (1, 5, 7)])
+
+    def test_normalize_once_matches_poly_addition(self, monkeypatch, corpus):
+        # every factored sum of the corpus assemblies at r = 2..R_MAX gives the
+        # Poly the term-by-term addition gives, ints and scale
+        sums = []
+
+        def recording(terms):
+            sums.append(list(terms))
+            return _factored_sum(terms)
+
+        monkeypatch.setattr(group_zeta, "_factored_sum", recording)
+        for c in corpus:
+            for r in range(2, R_MAX + 1):
+                slr_zeta.__wrapped__(c, r)
+        assert len(sums) == len(corpus) * (R_MAX - 1)
+        for terms in sums:
+            got, expect = _factored_sum(terms), poly_addition_sum(terms)
+            assert (got.poly.ints, got.poly.scale) == (expect.poly.ints, expect.poly.scale)
+            assert (got.mono, got.factors, got.const) == (expect.mono, expect.factors, expect.const)
+
+
 def runs_reading(p: tuple[int, ...], r: int):
     """(n_w, zeta exponents, constant factors, s_factors) of w in frak_W_P read
     off its runs, as :func:`reference_term_data` returns them.
@@ -1281,6 +1353,36 @@ class TestSpecialUniformity:
         assert alpha0 == F(c.q) ** ((r - 1) * (c.g - 1)) * beta_hn_mass(c, r - 1, 0)
         if r == 2:
             assert alpha0 == alpha2_zero(c)
+
+    @staticmethod
+    def pole_identity(c: CurveData, r: int, degree: int = 0, assemble=slr_zeta) -> bool:
+        """N(1) q^{(r-1)(g-1)} beta_{r-1}(degree) == (Q - 1) A(0) beta_r(0), with A
+        the SL_r numerator on the T-grid, N(1) = sum A and Q = q^r.
+
+        The pole at T = 1 read off both sides: N(T)/A(0)/((1 - T)(1 - QT)) has
+        residue N(1)/(A(0)(1 - Q)) there, the pure zeta's tail
+        (Q - 1) beta_r(0) T^g/((1 - T)(1 - QT)) over alpha_r(0) has
+        -beta_r(0)/alpha_r(0), and alpha_r(0) = q^{(r-1)(g-1)} beta_{r-1}(0);
+        cross-multiplied, with no series.  At degree = 1 it must fail for r >= 3.
+        """
+        A = assemble(c, r).numerator_T
+        Q = F(c.q) ** r
+        left = sum(A) * F(c.q) ** ((r - 1) * (c.g - 1)) * beta_hn_mass(c, r - 1, degree)
+        return left == (Q - 1) * A[0] * beta_hn_mass(c, r, 0)
+
+    @pytest.mark.parametrize("r", range(2, R_MAX + 1))
+    def test_pole_identity_over_corpus(self, corpus, r):
+        for c in corpus:
+            assert self.pole_identity(c, r), c.label
+            assert r == 2 or not self.pole_identity(c, r, degree=1), c.label
+
+    @pytest.mark.parametrize("r", [12, 16])
+    def test_pole_identity_above_rank_cap(self, monkeypatch, r):
+        # the uncached assembly, so that no rank above the cap stays in the cache
+        monkeypatch.setattr(group_zeta, "R_MAX", 16)
+        c = CurveData.elliptic(1000003, 5)
+        assert self.pole_identity(c, r, assemble=slr_zeta.__wrapped__)
+        assert not self.pole_identity(c, r, degree=1, assemble=slr_zeta.__wrapped__)
 
 
 class TestRhReports:
