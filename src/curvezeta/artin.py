@@ -18,13 +18,14 @@ by "the number of classes" always use h, never N_1; the two are conflated
 in some classical displays and the distinction matters from genus two on.
 
 A curve computes its derived data on first use and keeps it: its field hash,
-the numerator polynomial, the class number, the reduced Z(t), the Newton
-power sums p_1, p_2, ... (extended by :func:`counts_from_numerator`) and the
-coefficients of the Z(t) series (extended by :meth:`CurveData.zeta_coefficient`).
-The per-(curve, n) values ``zeta_hat_special`` and ``zeta_plain`` are
-memoized, so a job derives each of them once.  The completed zeta as a
-function, ``zeta_hat_ratfun``, and Z(t) are reduced through their known
-factorization (:func:`_mul_zeta_hat`), never by a gcd.
+the numerator polynomial, the class number, the reduced Z(t) and the Newton
+power sums p_1, p_2, ... (extended by :func:`counts_from_numerator`).  The
+coefficients of the Z(t) series are the rank-one alphas, expanded by
+:func:`~curvezeta.invariants.alpha_from_A`.  The per-(curve, n) values
+``zeta_hat_special`` and ``zeta_plain`` are memoized, so a job derives each
+of them once.  The completed zeta as a function, ``zeta_hat_ratfun``, and
+Z(t) are reduced through their known factorization (:func:`_mul_zeta_hat`),
+never by a gcd.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import cached_property, lru_cache
 from fractions import Fraction
 
 from curvezeta.exact import Poly, RationalFunction, ZeroReport, complex_roots, fe_identity_holds
-from curvezeta.exact import _FactoredTerm, _q_power
+from curvezeta.exact import _FactoredTerm, _q_power, float_sqrt
 
 Rat = Fraction | int
 
@@ -124,22 +125,6 @@ class CurveData:
         """Z(t) as an exact rational function of t, reduced once per curve."""
         return self._zeta
 
-    def zeta_coefficient(self, d: int) -> Fraction:
-        """The t^d coefficient of Z(t), d >= 0, from one series kept on the curve.
-
-        Z(t) (1 - (q+1) t + q t^2) = P(t) gives a_d = A_d + (q+1) a_{d-1} - q a_{d-2};
-        the series is extended only past the largest d asked for so far.
-        """
-        A, a, q = self._exact_A, self._zeta_series, self.q
-        for n in range(len(a), d + 1):
-            acc = A[n] if n <= 2 * self.g else 0
-            if n >= 1:
-                acc += (q + 1) * a[n - 1]
-            if n >= 2:
-                acc -= q * a[n - 2]
-            a.append(acc)
-        return Fraction(a[d])
-
     @cached_property
     def _exact_A(self) -> tuple[Rat, ...]:
         # A_0..A_{2g} as ints when every one is an integer, else as Fractions
@@ -151,11 +136,6 @@ class CurveData:
     def _power_sums(self) -> list[Rat]:
         # [p_0, p_1, ...]: p_0 is a placeholder; counts_from_numerator extends it
         return [0]
-
-    @cached_property
-    def _zeta_series(self) -> list[Rat]:
-        # the t^0, t^1, ... coefficients of Z(t); zeta_coefficient extends it
-        return []
 
     def describe(self) -> str:
         return self.label or f"curve(q={self.q},g={self.g},A={[str(a) for a in self.A]})"
@@ -309,7 +289,7 @@ def rh_check_artin(c: CurveData, tol: float = 1e-9) -> ZeroReport:
     datum) has no zeros and passes vacuously.
     """
     rset = complex_roots(c.numerator, Q=c.q)
-    sq = float(c.q) ** 0.5
+    sq = float_sqrt(c.q)
     omegas = tuple(1 / t for t in rset.roots)
     deviations = tuple(abs(abs(w) - sq) for w in omegas)
     verdict = all(d <= tol * sq for d in deviations)

@@ -15,8 +15,8 @@ cancelled every common factor builds it through
 a reduced quotient reduced.  ``Poly.coeffs`` gives the rational coefficients
 back for display and for the root finder.
 
-Every zeta of the package has a denominator made of known binomials
-1 - q^e U and monomials, so it is kept as one factored type,
+Every zeta of the package, zeta2 included, has a denominator made of known
+binomials 1 - q^e U and monomials, so it is kept as one factored type,
 :class:`_FactoredTerm`: a constant, a monomial, one polynomial kept whole
 and primitive integer factors with multiplicities, equal factors cancelling.
 Terms are built (:meth:`_FactoredTerm.over_linear`) and multiplied (``*``) here.
@@ -24,7 +24,8 @@ Terms are built (:meth:`_FactoredTerm.over_linear`) and multiplied (``*``) here.
 one variable or two; :func:`_factored_sum` adds terms in one variable that
 way, normalized once, as :func:`_partial_fraction_sum` adds w_i/(1 - q^{e_i} u);
 :meth:`_FactoredTerm.ratfun` reduces a term in one variable by exact division
-at the known roots of its linear factors, with no gcd.  A sum in two variables
+at the known roots of its linear factors, and by trial exact division for a
+factor b - a u^2 that is irreducible over Q, with no gcd.  A sum in two variables
 is never multiplied out: the SL_3 period oracle expands it at u1 = 1.
 :func:`poly_gcd`, a primitive pseudo-remainder sequence on the stored ints,
 is left to where no factorization is known: the square-free split of the
@@ -490,31 +491,17 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def reciprocal_arg(self, c: Rat = 1) -> RationalFunction:
-        """f(c/t); clears the Laurent tail into the denominator.
+        """f(c/t) for c != 0; clears the Laurent tail into the denominator.
 
-        Both sides are reversed at d = max(deg num, deg den).  For c != 0 a
-        common root z != 0 of the images would make c/z a common root of num
-        and den, and z = 0 is not one: the side of degree d keeps a non-zero
-        constant term.  So no gcd is taken.
+        Both sides are reversed at d = max(deg num, deg den).  A common root
+        z != 0 of the images would make c/z a common root of num and den,
+        and z = 0 is not one: the side of degree d keeps a non-zero constant
+        term.  So no gcd is taken.  c = 0 is a ValueError.
         """
+        if not c:
+            raise ValueError("reciprocal_arg needs c != 0")
         d = max(self.num.degree, self.den.degree)
-        n = self.num.scale_arg(c).reversed(d)
-        m = self.den.scale_arg(c).reversed(d)
-        build = RationalFunction.coprime if c else RationalFunction
-        return build(n, m)
-
-    def series(self, order: int) -> tuple[Fraction, ...]:
-        """The coefficients of t^0..t^order of the power series at t = 0."""
-        if self.den[0] == 0:
-            raise ZeroDivisionError("pole at t = 0; no power series")
-        d0 = self.den[0]
-        out: list[Fraction] = []
-        for n in range(order + 1):
-            acc = self.num[n]
-            for k in range(1, n + 1):
-                acc -= self.den[k] * out[n - k]
-            out.append(acc / d0)
-        return tuple(out)
+        return RationalFunction.coprime(self.num.scale_arg(c).reversed(d), self.den.scale_arg(c).reversed(d))
 
     def display_pair(self) -> tuple[Poly, Poly]:
         """(num, den) rescaled to primitive integer polynomials.
@@ -650,13 +637,15 @@ class _FactoredTerm:
         """The canonical form of a term in u = u1 alone, reduced by its known
         factors instead of a gcd.
 
-        Every downstairs key must be linear, b - a u; any other is a
-        :class:`ConventionError`.  It is divided out of the numerator (poly
-        and the upstairs keys multiplied out) while the numerator vanishes at
-        its root b/a.  Then u is divided out of the numerator while it
-        vanishes at 0.  What is left of the denominator has only known roots,
-        none of them a root of the numerator, so the two are coprime and no
-        gcd is needed (:meth:`RationalFunction.coprime`).
+        Every downstairs key is divided out of the numerator (poly and the
+        upstairs keys multiplied out) as often as it divides it.  A linear
+        key b - a u is divided out while the numerator vanishes at its root
+        b/a.  A key b - a u^2 with a b not the square of an integer is
+        irreducible over Q, so it is divided out while the division is
+        exact.  Any other key is a :class:`ConventionError`.  Then u is
+        divided out of the numerator while it vanishes at 0.  What is left of
+        the denominator shares no factor with the numerator, so the two are
+        coprime and no gcd is needed (:meth:`RationalFunction.coprime`).
         """
         if self.mono[1] or any(e2 for _, e2, _ in self.factors):
             raise ConventionError("a term in u2 has no form in u alone")
@@ -668,19 +657,32 @@ class _FactoredTerm:
                 num = _key_power(ints, e1, m) * num
         for (e1, _, ints), m in self.factors.items():
             if m < 0:
-                if e1 != 1 or len(ints) != 2:
+                if len(ints) == 2 and e1 == 1:
+                    factor, root = _key_power(ints, 1, 1), Fraction(-ints[0], ints[1])
+                    while m and num.evaluate(root) == 0:
+                        num = num.exact_div(factor)
+                        m += 1
+                elif len(ints) == 2 and e1 == 2 and not _is_square(-ints[0] * ints[1]):
+                    factor = _key_power(ints, 2, 1)
+                    while m:
+                        try:
+                            num = num.exact_div(factor)
+                        except ValueError:
+                            break
+                        m += 1
+                else:
                     raise ConventionError(f"a non-linear factor {ints} in u^{e1} downstairs")
-                factor, root = _key_power(ints, 1, 1), Fraction(-ints[0], ints[1])
-                while m and num.evaluate(root) == 0:
-                    num = num.exact_div(factor)
-                    m += 1
-                den = _key_power(ints, 1, -m) * den
+                den = _key_power(ints, e1, -m) * den
         k = self.mono[0]
         while not num.ints[0]:  # dropping zeros keeps the ints primitive
             num, k = _make(num.ints[1:], num._sn, num._sd), k + 1
         if k >= 0:
             return RationalFunction.coprime(num * Poly.x(k), den)
         return RationalFunction.coprime(num, den * Poly.x(-k))
+
+
+def _is_square(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
 @lru_cache(maxsize=1024)

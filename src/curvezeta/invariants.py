@@ -16,11 +16,12 @@ numerator coefficients A_0..A_g, and a genus-one brute-force oracle that
 recomputes everything from the h^0 stratification directly, give two
 independent routes to the same numbers.
 
-alpha(d) is read from the Z(t) series the curve keeps
-(:meth:`~curvezeta.artin.CurveData.zeta_coefficient`): it is expanded once,
-on the curve's integer numerator when it has one, and only extended when a
-higher degree is asked for; Z(t) is never reduced for it.  beta_0 reads the
-curve's cached class number.
+alpha(d) is the t^d coefficient of P(t)/((1-t)(1-qt)), which
+:func:`alpha_from_A` expands by one recurrence; it is the package's one
+expansion of such a series, and the rank-two and SL_r alphas run through it
+too, with q replaced by Q = q^r.  :func:`invariant_table` takes
+alpha(0..2g-2) from one call, and Z(t) is never reduced for it.  beta_0
+reads the curve's cached class number.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def alpha_degree(c: CurveData, d: int) -> Fraction:
         raise ValueError("invariants need genus >= 1")
     if d < 0:
         return Fraction(0)
-    return c.zeta_coefficient(d)
+    return alpha_from_A(c.A, c.q, d + 1)[d]
 
 
 def gamma(c: CurveData, d: int) -> Fraction:
@@ -158,13 +159,13 @@ def middle_coefficient_identity_check(c: CurveData) -> bool:
 
 
 def invariant_table(c: CurveData) -> InvariantTable:
-    """The rank-one table with gamma evaluated for 0 <= d <= 2g."""
-    return InvariantTable(
-        r=1,
-        alphas=tuple(alpha_from_A(c.A, c.q, c.g)),
-        beta0=beta0(c),
-        gammas={d: gamma(c, d) for d in range(2 * c.g + 1)},
-    )
+    """The rank-one table with gamma evaluated for 0 <= d <= 2g; the alphas
+    of the special range 0 <= d <= 2g-2 come from one series expansion."""
+    b0 = beta0(c)
+    alphas = alpha_from_A(c.A, c.q, 2 * c.g - 1)
+    gammas = {d: a + b0 for d, a in enumerate(alphas)}
+    gammas.update((d, gamma(c, d)) for d in range(2 * c.g - 1, 2 * c.g + 1))
+    return InvariantTable(r=1, alphas=tuple(alphas[: c.g]), beta0=b0, gammas=gammas)
 
 
 def elliptic_oracle(q: int, a: int, dmax: int) -> tuple[BrillNoetherTable, InvariantTable]:

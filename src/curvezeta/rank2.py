@@ -13,6 +13,10 @@ integer palindromic polynomial N(X) -- the canonical rank-two numerator.
 The T-series coefficients of alpha(0) * F(T) are the rank-two
 alpha invariants on the even degree grid, and the T^g coefficient releases
 beta(0) through the tail term (Q - 1) beta(0) T^g / ((1-T)(1-QT)), Q = q^2.
+Since F(T) = N(qT) / (q^g (1-T)(1-QT)), the series is
+:func:`~curvezeta.invariants.alpha_from_A` on the coefficients of
+N(qT)/q^g, the one expansion the package has of such a series; the closed
+form is never expanded.
 
 Two display variants from the source derivation chain are exposed but not
 asserted: a prefactored coefficient list (equal to N's coefficients divided
@@ -28,11 +32,7 @@ from functools import lru_cache
 
 from curvezeta.artin import CurveData, zeta_hat_special
 from curvezeta.exact import Poly, RationalFunction, _factored_sum, _FactoredTerm, fe_identity_holds
-from curvezeta.invariants import InvariantTable
-
-
-class NormalizationError(ValueError):
-    """The closed form's T^0 coefficient is not exactly one."""
+from curvezeta.invariants import InvariantTable, alpha_from_A
 
 
 @lru_cache(maxsize=256)
@@ -116,35 +116,30 @@ def alpha2_zero(c: CurveData) -> Fraction:
     return Fraction(c.q) ** (c.g - 1) * zeta_hat_special(c, 1)
 
 
-def eq_extract(F: RationalFunction, alpha0: Fraction, q: int, g: int) -> InvariantTable:
-    """Rank-two invariants from the T-series of Z = alpha0 * F(T).
+@lru_cache(maxsize=256)
+def rank2_invariants(c: CurveData) -> InvariantTable:
+    """Rank-two invariants from the T-series of Z = alpha(0) * F(T).
 
     The coefficient of T^m is alpha(2m); the T^g coefficient carries
-    Q alpha(2(g-2)) + (Q-1) beta(0) with Q = q^2, which pins beta(0).
-    A unit T^0 coefficient of F is required -- anything else signals that
-    the caller's normalization (and hence alpha0) is inconsistent.
+    Q alpha(2(g-2)) + (Q-1) beta(0) with Q = q^2, which pins beta(0).  The
+    series is :func:`~curvezeta.invariants.alpha_from_A` on the coefficients
+    of N(qT)/q^g up to T^g: the constant one (A_0 = 1) and
+    :func:`normalized_coefficients`.  Up to T^g these come from the direct
+    expansion of N, so they are those of F's series for any data, symmetric
+    or not.
+
+    Memoized: callers share the returned table and must not change its
+    ``gammas``.
     """
-    series = F.series(g)
-    if series[0] != 1:
-        raise NormalizationError(f"T^0 coefficient is {series[0]}, expected 1")
-    Q = Fraction(q) ** 2
-    alphas = tuple(alpha0 * series[m] for m in range(g))
+    Q, g, alpha0 = Fraction(c.q) ** 2, c.g, alpha2_zero(c)
+    series = alpha_from_A([1, *normalized_coefficients(c)], Q, g + 1)
+    alphas = tuple(alpha0 * s for s in series[:g])
     top = alpha0 * series[g]
     if g >= 2:
         top -= Q * alphas[g - 2]
     beta = top / (Q - 1)
     gammas = {2 * m: alphas[m] + beta for m in range(g)}
     return InvariantTable(r=2, alphas=alphas, beta0=beta, gammas=gammas)
-
-
-@lru_cache(maxsize=256)
-def rank2_invariants(c: CurveData) -> InvariantTable:
-    """The full rank-two pipeline: closed form -> series -> invariants.
-
-    Memoized: callers share the returned table and must not change its
-    ``gammas``.
-    """
-    return eq_extract(rank2_closed_form(c), alpha2_zero(c), c.q, c.g)
 
 
 def pure_zeta(c: CurveData) -> RationalFunction:

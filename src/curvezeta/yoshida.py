@@ -19,11 +19,13 @@ nonnegative integer, a member is held as the rational function
       = [X1(t^2) - q^{a-g} t^{2a} X1(q t^2)]
         / [(1-t)(1-qt)(1-qt^2) t^{a+2(g-1)}],
 
-reduced once by the known factors of its denominator, so every result is
-a structural identity, never a numerical one.  When q is a perfect square
-1 - qt^2 splits into 1 - sqrt(q) t and 1 + sqrt(q) t.  The half power
-(sqrt q)^{g-1} is a non-zero constant: it changes neither the functional
-equation nor the zeros, and it shows only in the report, as
+kept as a factored term (:class:`~curvezeta.exact._FactoredTerm`), like
+every other zeta of the package, and reduced once by the known factors of
+its denominator, so every result is a structural identity, never a
+numerical one.  When q is a perfect square 1 - qt^2 splits into
+1 - sqrt(q) t and 1 + sqrt(q) t; otherwise it is irreducible over Q.  The
+half power (sqrt q)^{g-1} is a non-zero constant: it changes neither the
+functional equation nor the zeros, and it shows only in the report, as
 ``group_constant_half_power``.
 
 The RH check, :func:`rh_check_zeta2`, solves the numerator of S through
@@ -45,42 +47,24 @@ from curvezeta.exact import (
     Poly,
     RationalFunction,
     ZeroReport,
+    _FactoredTerm,
     complex_roots,
 )
 
 Rat = Fraction | int
 
 
-def _reduced_by(num: Poly, factors: Sequence[tuple[Poly, int]]) -> RationalFunction:
-    """num / prod f^m in lowest terms, for the denominator's factorization
-    over Q, its factors f pairwise coprime and irreducible.
-
-    Each f is divided out of num while it divides exactly, so what is left
-    of the denominator is coprime to the numerator and no gcd is taken.
-    """
-    den = Poly.one()
-    for f, m in factors:
-        while m:
-            try:
-                num = num.exact_div(f)
-            except ValueError:
-                break
-            m -= 1
-        den = den * f**m
-    return RationalFunction.coprime(num, den)
-
-
 def zeta2_family(c: CurveData, a: int) -> RationalFunction:
     """S = (sqrt q)^{g-1} zeta2 for the curve's pairs and C1 = q^{as}(1 + q^-s).
 
     One pass (see the module's exactness note): the numerator of S is formed
-    as one polynomial and reduced over the denominator
-    t^{a+2(g-1)} (1-t)(1-qt)(1-qt^2) by its known factors
-    (:func:`_reduced_by`), with no gcd: t, 1 - t, 1 - qt and 1 - qt^2, or
-    for a square q the two factors 1 -+ sqrt(q) t of the last.  The factor
-    (1+t)(1-q^2 t^2) shared by the two terms of the definition is already
-    cancelled.  ``a`` is a nonnegative integer, so q^{as} is a monomial in
-    1/t.
+    as one polynomial over the denominator t^{a+2(g-1)} (1-t)(1-qt)(1-qt^2),
+    kept factored, and reduced by those known factors
+    (:meth:`~curvezeta.exact._FactoredTerm.ratfun`), with no gcd: t, 1 - t,
+    1 - qt and 1 - qt^2, or for a square q the two factors 1 -+ sqrt(q) t
+    of the last.  The factor (1+t)(1-q^2 t^2) shared by the two terms of the
+    definition is already cancelled.  ``a`` is a nonnegative integer, so
+    q^{as} is a monomial in 1/t.
     """
     if not isinstance(a, int) or isinstance(a, bool):
         raise ValueError(f"the exponent a must be an integer, got {a!r}")
@@ -90,10 +74,14 @@ def zeta2_family(c: CurveData, a: int) -> RationalFunction:
         raise ValueError("zeta2 needs genus >= 1")
     q, x1 = Fraction(c.q), c.numerator
     num = x1.stretch(2) - Poly.x(2 * a, q ** (a - c.g)) * x1.scale_arg(q).stretch(2)
+    term = _FactoredTerm.over_linear(c.q, (0, 1), -(a + 2 * (c.g - 1)), num)
     root = math.isqrt(c.q)  # 1 - qt^2 splits over Q exactly when q is a square
-    split = [Poly([1, -root]), Poly([1, root])] if root * root == c.q else [Poly([1, 0, -q])]
-    factors = [(Poly.x(), a + 2 * (c.g - 1)), *((f, 1) for f in (Poly([1, -1]), Poly([1, -q]), *split))]
-    return _reduced_by(num, factors)
+    if root * root == c.q:
+        term.mul((1, -root), 1, 0, -1)
+        term.mul((1, root), 1, 0, -1)
+    else:
+        term.mul_one_minus(c.q, 1, 2, 0, -1)
+    return term.ratfun()
 
 
 @lru_cache(maxsize=256)

@@ -6,7 +6,8 @@ known factors.  The tests build independent references with ordinary field
 operations instead.  :class:`RatFun` adds them to the canonical form: sums,
 products and quotients reduce through the gcd constructor, and the maps
 that keep a reduced quotient reduced (-f, f**n, f(t**k), f(c t) for c != 0)
-skip the gcd.  A reference so shares only the canonical form, and so ``==``,
+skip the gcd.  :meth:`RatFun.series` expands a quotient at t = 0 by long
+division.  A reference so shares only the canonical form, and so ``==``,
 with the code under test.
 """
 
@@ -129,3 +130,18 @@ class RatFun(RationalFunction):
 
     def reciprocal_arg(self, c: Rat = 1) -> RatFun:
         return RatFun.of(super().reciprocal_arg(c))
+
+    def series(self, order: int) -> tuple[Fraction, ...]:
+        """The coefficients of t^0..t^order of the power series at t = 0,
+        by long division; the package's expansion of such a series is
+        :func:`~curvezeta.invariants.alpha_from_A`."""
+        if self.den[0] == 0:
+            raise ZeroDivisionError("pole at t = 0; no power series")
+        d0 = self.den[0]
+        out: list[Fraction] = []
+        for n in range(order + 1):
+            acc = self.num[n]
+            for k in range(1, n + 1):
+                acc -= self.den[k] * out[n - k]
+            out.append(acc / d0)
+        return tuple(out)

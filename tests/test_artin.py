@@ -276,7 +276,7 @@ class TestZetaHatRatfun:
 
 def test_zeta_ratfun_matches_series_of_counts(curve_g2):
     """Z(t)'s expansion encodes the counts through its log derivative."""
-    z = curve_g2.zeta_ratfun()
+    z = RatFun.of(curve_g2.zeta_ratfun())
     order = 6
     series = z.series(order)
     # oracle: d/dt log Z = sum N_m t^{m-1}; recover N_m from the series

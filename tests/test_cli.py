@@ -760,6 +760,17 @@ class TestDegenerateInput:
         assert len(rh["zeros"]) == 2 and rh["excluded"] == [] and rh["verdict"] is True
         assert entry["checks"] == {"functional_equation_r5": True}
 
+    def test_artin_rh_with_q_beyond_float_range(self, tmp_path, capsys):
+        # q = 2^1100 overflows a float; sqrt(q) = 2^550 and the reciprocal roots do not
+        out = tmp_path / "out"
+        assert main(["artin", str(DATA / "elliptic_q2pow1100_job.yaml"), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        (entry,) = json.loads((out / "report.json").read_text())["reports"]
+        rh = entry["data"]["rh"]
+        assert len(rh["zeros"]) == 2 and rh["verdict"] is True
+        assert rh["critical_modulus"] == f"{2.0**550:.12e}"
+        assert entry["checks"]["riemann_hypothesis"] is True
+
     def test_coefficients_beyond_the_digit_limit(self, tmp_path, capsys):
         # at r = 9 over q = 2^205 an R_n coefficient has more digits than
         # str() converts by default (4300); the report is still written

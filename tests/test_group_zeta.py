@@ -855,13 +855,31 @@ class TestFactoredReduction:
 
     def test_non_linear_denominator_is_a_convention_error(self):
         term = as_factored(3, 0, {1: 1}, Poly.one())
-        term.mul((1, 0, 1), 1, 0, -1)  # 1 / (1 + u^2)
+        term.mul((1, 0, 1), 1, 0, -1)  # 1 / (1 + u^2), a key in u
         with pytest.raises(ConventionError, match="non-linear"):
             term.ratfun()
-        stretched = as_factored(3, 0, {}, Poly.one())
-        stretched.mul_one_minus(3, 1, 2, 0, -1)  # 1 / (1 - 3 u^2)
+        stretched = as_factored(4, 0, {}, Poly.one())
+        stretched.mul_one_minus(4, 1, 2, 0, -1)  # 1 / (1 - 4 u^2) = 1 / ((1 - 2u)(1 + 2u))
         with pytest.raises(ConventionError, match="non-linear"):
             stretched.ratfun()
+
+    @pytest.mark.parametrize(
+        "k, power, num",
+        [
+            (0, 1, Poly.one()),
+            (-2, 2, Poly([1, 0, -3]) * Poly([2, 1])),  # one of two cancels
+            (1, 2, Poly([1, 0, -3]) ** 3 * Poly([0, 1])),  # both cancel, one stays upstairs
+            (-1, 3, Poly([1, 0, -3]) * Poly([1, 0, 3]) * Poly([F(1, 2), -1])),
+        ],
+    )
+    def test_irreducible_quadratic_denominator_matches_gcd_reduction(self, k, power, num):
+        # 1 - 3 u^2 is irreducible over Q: it leaves the numerator by trial exact division
+        term = as_factored(3, k, {1: 1}, num)
+        term.mul_one_minus(3, 1, 2, 0, -power)
+        expect = gcd_reduced(3, k, {1: 1}, num) * RatFun(Poly.one(), Poly([1, 0, -3]) ** power)
+        got = term.ratfun()
+        assert got == expect
+        assert (got.num.ints, got.num.scale, got.den.ints) == (expect.num.ints, expect.num.scale, expect.den.ints)
 
     def test_term_in_u2_is_a_convention_error(self):
         term = _FactoredTerm()
@@ -1323,7 +1341,7 @@ class TestSpecialUniformity:
 
     With s_m the T-series of N(T)/N(0)/((1 - T)(1 - QT)), N the SL_r numerator
     on the T-grid and Q = q^r, the group zeta gives beta_r(0)/alpha_r(0) as
-    (s_g - Q s_{g-2})/(Q - 1), the rank-r analogue of ``rank2.eq_extract``;
+    (s_g - Q s_{g-2})/(Q - 1), the rank-r analogue of ``rank2.rank2_invariants``;
     beta_r and beta_{r-1} come from the Harder-Narasimhan mass sum.
     """
 
