@@ -17,7 +17,7 @@ from curvezeta.artin import CurveData
 from curvezeta.exact import RationalFunction, ZeroReport, _FactoredTerm
 from curvezeta.fields import CurveModel
 from curvezeta.group_zeta import SlrZeta, slr_zeta
-from curvezeta.yoshida import zeta2_canonical
+from curvezeta.yoshida import zeta2_canonical, zeta2_family
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -63,6 +63,22 @@ def test_curve_model_fields():
     assert hash(model) == hash(("quadratic", 5, (1, 1, 0, 1), ""))
     assert repr(model) == "CurveModel(kind='quadratic', q=5, f=(1, 1, 0, 1), label='')"
     assert CurveModel("projective_line", 2).f == ()
+
+
+@pytest.mark.parametrize(
+    "a, message",
+    [
+        (0.5, "the exponent a must be an integer, got 0.5"),
+        (1.0, "must be an integer"),
+        (True, "must be an integer"),
+        ("1", "must be an integer"),
+        (-1, "must be nonnegative"),
+    ],
+)
+def test_c1_params_rejects(a, message):
+    # a is the exponent of C1(s) = q^{as}(1 + q^-s), the family's one parameter
+    with pytest.raises(ValueError, match=message):
+        zeta2_family(CurveData(2, 1, [1, 0, 2]), a)
 
 
 def test_default_factored_terms_do_not_share_factors():
