@@ -2,13 +2,17 @@
 
 An element of F_{p^m} is the integer sum(d_i p^i), where d_i is its x^i digit
 in F_p[x] modulo a monic modulus of degree m.  The modulus is the
-lexicographically smallest primitive one: walking the powers of x from 1
-returns to 1 first at step p^m - 1, which proves the modulus irreducible and
-makes x a generator.  That one walk fills the power table exp[k] = x^k and the
-log table, so a product is one lookup of exp at a sum of logs.  Before a
-modulus is walked, two necessary conditions for primitivity are tested: the
-norm (-1)^m c_0 of x must generate F_p^*, and for m > 1 the modulus must have
-no root in F_p^*.  Tables are built once per field, for p^m up to 2**20.
+lexicographically smallest primitive one, the first in the order of the code
+sum(c_i p^i) of its low digits.  For m > 1 that code is read from
+``_PRIMITIVE_MODULI``, recorded by a search over the moduli of every field
+up to the cap (the tests re-derive it); for m = 1 the modulus is
+x + c_0 with the first c_0 for which -c_0 generates F_p^*.  Walking the
+powers of x from 1 must return to 1 first at step p^m - 1, which proves the
+modulus irreducible and makes x a generator; a modulus that returns earlier
+raises ArithmeticError, so a bad record cannot give wrong counts.  That one
+walk fills the power table exp[k] = x^k and the log table, so a product is
+one lookup of exp at a sum of logs.  Tables are built once per field, for
+p^m up to 2**20.
 In characteristic 2 the code sum(d_i 2^i) is the bit pattern of the digits,
 so the walk multiplies by x with a shift, and reduces with one XOR of the
 modulus bits when the shift sets bit m.  Over a prime field x is a number
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from functools import lru_cache
 
 from curvezeta.exact import _squarefree_mod_prime
@@ -120,49 +124,59 @@ def _prime_factors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
-def _candidate_moduli(p: int, m: int) -> Iterator[list[int]]:
-    """Low digits [c_0, ..., c_{m-1}] of the moduli x^m + sum(c_i x^i), in the
-    order of sum(c_i p^i), less those that cannot make x primitive.
-
-    Skipped: c_0 = 0 (x divides the modulus); a norm (-1)^m c_0 that does not
-    generate F_p^*, since the norm of x is x^((p^m - 1)/(p - 1)), which has
-    order p - 1 when x does have order p^m - 1 (Lidl and Niederreiter, Finite
-    Fields, Thm. 3.18); and, for m > 1, a root in F_p^*, which makes the
-    modulus reducible.
-    """
-    weights = [p**i for i in range(m)]
-    norm_exponents = [(p - 1) // ell for ell in _prime_factors(p - 1)]
-    for code in range(1, p**m):
-        low = [code // w % p for w in weights]
-        norm = low[0] if m % 2 == 0 else -low[0] % p
-        if not norm or any(pow(norm, e, p) == 1 for e in norm_exponents):
-            continue
-        if m > 1 and any(_is_root(low, a, p) for a in range(1, p)):
-            continue
-        yield low
-
-
-def _is_root(low: list[int], a: int, p: int) -> bool:
-    v = 1  # Horner on the monic x^m + sum(low[i] x^i)
-    for c in reversed(low):
-        v = (v * a + c) % p
-    return v == 0
+# The code sum(c_i p^i) of the low digits of the smallest primitive modulus
+# x^m + sum(c_i x^i) of F_{p^m}, for every m >= 2 and p^m <= FIELD_CAP, as
+# "p^m=code" tokens.  Without cached bytecode every import compiles this
+# module, and one string compiles far faster than a 242-entry dict literal.
+_PRIMITIVE_MODULI_TEXT = """
+2^2=3 2^3=3 2^4=3 2^5=5 2^6=3 2^7=3 2^8=29 2^9=17 2^10=9 2^11=5 2^12=83 2^13=27
+2^14=43 2^15=3 2^16=45 2^17=9 2^18=39 2^19=39 2^20=9 3^2=5 3^3=7 3^4=5 3^5=7
+3^6=5 3^7=16 3^8=29 3^9=64 3^10=32 3^11=16 3^12=215 5^2=7 5^3=17 5^4=37 5^5=22
+5^6=7 5^7=17 5^8=38 7^2=10 7^3=23 7^4=75 7^5=11 7^6=159 7^7=44 11^2=18 11^3=15
+11^4=13 11^5=136 13^2=15 13^3=19 13^4=184 13^5=54 17^2=20 17^3=20 17^4=28
+19^2=21 19^3=23 19^4=48 23^2=30 23^3=26 23^4=34 29^2=32 29^3=40 29^4=48 31^2=43
+31^3=45 31^4=79 37^2=42 37^3=50 41^2=53 41^3=47 43^2=46 43^3=57 47^2=60 47^3=51
+53^2=58 53^3=58 59^2=61 59^3=62 61^2=63 61^3=78 67^2=79 67^3=73 71^2=82 71^3=79
+73^2=84 73^3=86 79^2=82 79^3=88 83^2=85 83^3=90 89^2=95 89^3=108 97^2=102
+97^3=104 101^2=104 101^3=104 103^2=108 107^2=112 109^2=115 113^2=123 127^2=130
+131^2=145 137^2=143 139^2=141 149^2=152 151^2=163 157^2=163 163^2=174 167^2=172
+173^2=178 179^2=186 181^2=199 191^2=210 193^2=198 197^2=200 199^2=205 211^2=214
+223^2=228 227^2=232 229^2=235 233^2=236 239^2=252 241^2=254 251^2=270 257^2=262
+263^2=270 269^2=271 271^2=292 277^2=288 281^2=284 283^2=286 293^2=295 307^2=312
+311^2=328 313^2=327 317^2=322 331^2=342 337^2=352 347^2=354 349^2=351 353^2=366
+359^2=366 367^2=373 373^2=379 379^2=389 383^2=388 389^2=397 397^2=410 401^2=418
+409^2=431 419^2=421 421^2=439 431^2=438 433^2=438 439^2=462 443^2=450 449^2=461
+457^2=472 461^2=463 463^2=474 467^2=473 479^2=513 487^2=497 491^2=499 499^2=509
+503^2=522 509^2=511 521^2=527 523^2=525 541^2=551 547^2=552 557^2=565 563^2=568
+569^2=572 571^2=574 577^2=587 587^2=595 593^2=596 599^2=606 601^2=612 607^2=610
+613^2=619 617^2=643 619^2=621 631^2=643 641^2=647 643^2=656 647^2=657 653^2=667
+659^2=669 661^2=663 673^2=678 677^2=680 683^2=688 691^2=703 701^2=704 709^2=719
+719^2=738 727^2=758 733^2=739 739^2=761 743^2=748 751^2=763 757^2=763 761^2=768
+769^2=790 773^2=775 787^2=789 797^2=805 809^2=821 811^2=821 821^2=824 823^2=837
+827^2=833 829^2=831 839^2=850 853^2=855 857^2=862 859^2=861 863^2=868 877^2=882
+881^2=896 883^2=911 887^2=897 907^2=912 911^2=948 919^2=934 929^2=936 937^2=948
+941^2=943 947^2=966 953^2=958 967^2=995 971^2=977 977^2=983 983^2=994
+991^2=1002 997^2=1008 1009^2=1020 1013^2=1020 1019^2=1025 1021^2=1031
+"""
+_PRIMITIVE_MODULI = dict(token.split("=") for token in _PRIMITIVE_MODULI_TEXT.split())
 
 
 @lru_cache(maxsize=None)
 def _field_tables(p: int, m: int) -> tuple[tuple[int, ...], array, array, int]:
     """(modulus, exp, log, trace_mask) for F_{p^m}, elements coded sum(d_i p^i).
 
-    The monic modulus is listed constant term first.  Of the moduli that
-    ``_candidate_moduli`` does not rule out, in the order of sum(c_i p^i), the
-    first whose walk through the powers of x first returns to 1 at step
-    p^m - 1 is kept: exp[k] = x^k and log[exp[k]] = k.  The skipped moduli
-    are never primitive, so this is the lexicographically smallest primitive
-    modulus.  For odd p and m > 1 each step is a carry-checked shift: the
-    setup per modulus is a table of d x^m and, per non-zero modulus digit
-    i >= 1, a table of the limits above which digit i - 1 carries, each
-    indexed by the top digit d, so O(p) per non-zero digit.  For p = 2, bit i
-    of ``trace_mask`` is the absolute trace of x^i; it is 0 for odd p.
+    The monic modulus is listed constant term first.  It is the
+    lexicographically smallest primitive modulus: for m > 1 the one recorded
+    in ``_PRIMITIVE_MODULI``, for m = 1 x + c_0 with the first c_0 whose
+    -c_0 generates F_p^*.  One walk through the powers of x fills
+    exp[k] = x^k and log[exp[k]] = k, and it must first return to 1 at step
+    p^m - 1, which proves the modulus primitive; otherwise ArithmeticError
+    names the field, and nothing is cached.  For odd p and m > 1 each step is
+    a carry-checked shift: the setup is a table of d x^m and, per non-zero
+    modulus digit i >= 1, a table of the limits above which digit i - 1
+    carries, each indexed by the top digit d, so O(p) per non-zero digit.
+    For p = 2, bit i of ``trace_mask`` is the absolute trace of x^i; it is 0
+    for odd p.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -173,62 +187,66 @@ def _field_tables(p: int, m: int) -> tuple[tuple[int, ...], array, array, int]:
         raise ValueError(f"field size {p}^{m} exceeds the cap {FIELD_CAP}")
     order, top = size - 1, size // p
     weights = [p**i for i in range(m)]
+    if m == 1:  # x = -c_0 is a generator exactly when its order is p - 1
+        exponents = [(p - 1) // ell for ell in _prime_factors(p - 1)]
+        low = [next(c for c in range(1, p) if all(pow(p - c, e, p) != 1 for e in exponents))]
+    else:
+        code = int(_PRIMITIVE_MODULI[f"{p}^{m}"])
+        low = [code // w % p for w in weights]
     exp = array("l", [0]) * order
     log = array("l", [0]) * size
-    for low in _candidate_moduli(p, m):
-        z = 1
-        if p == 2:  # the code is the bit pattern: shift, then XOR the modulus bits
-            bits = size | sum(c << i for i, c in enumerate(low))
-            for k in range(order):
-                exp[k], log[z] = z, k
-                z <<= 1
-                if z & size:
-                    z ^= bits
-                if z == 1:
-                    break
-        elif m == 1:  # a prime field: x is the number g = -c_0
-            g = p - low[0]
-            for k in range(order):
-                exp[k], log[z] = z, k
-                z = z * g % p
-                if z == 1:
-                    break
-        else:
-            # x z = z p - d p^m + (d x^m mod the modulus), d the top digit of
-            # z: red[d] is the sum of the last two.  Adding d x^m carries out
-            # of digit i >= 1 exactly when digit i - 1 of z is at least p less
-            # digit i of d x^m; each check takes back such a carry p^(i+1)
-            red = [-d * size for d in range(p)]
-            checks = []  # (p^i, limit[d] p^(i-1), p^(i+1)) per non-zero c_i, i >= 1
-            for i, c in enumerate(low):
-                if c:
-                    b, w = p - c, weights[i]
-                    red = [e + d * b % p * w for d, e in enumerate(red)]
-                    if i:
-                        checks.append((w, [(p - d * b % p) * weights[i - 1] for d in range(p)], w * p))
-            for k in range(order):
-                exp[k], log[z] = z, k
-                d = z // top
-                add = red[d]
-                for mod, limit, carry in checks:
-                    if z % mod >= limit[d]:
-                        add -= carry
-                z = z * p + add
-                if z == 1:
-                    break
-        if z != 1 or k != order - 1:
-            continue
-        trace_mask = 0
-        if p == 2:
-            for i in range(m):
-                t = 0
-                for j in range(m):
-                    t ^= exp[(i << j) % order]  # (x^i)^(2^j)
-                if t > 1:
-                    raise ArithmeticError("trace landed outside the prime field")
-                trace_mask |= t << i
-        return tuple(low) + (1,), exp, log, trace_mask
-    raise RuntimeError("no primitive modulus found")  # unreachable
+    z = 1
+    if p == 2:  # the code is the bit pattern: shift, then XOR the modulus bits
+        bits = size | sum(c << i for i, c in enumerate(low))
+        for k in range(order):
+            exp[k], log[z] = z, k
+            z <<= 1
+            if z & size:
+                z ^= bits
+            if z == 1:
+                break
+    elif m == 1:  # a prime field: x is the number g = -c_0
+        g = p - low[0]
+        for k in range(order):
+            exp[k], log[z] = z, k
+            z = z * g % p
+            if z == 1:
+                break
+    else:
+        # x z = z p - d p^m + (d x^m mod the modulus), d the top digit of
+        # z: red[d] is the sum of the last two.  Adding d x^m carries out
+        # of digit i >= 1 exactly when digit i - 1 of z is at least p less
+        # digit i of d x^m; each check takes back such a carry p^(i+1)
+        red = [-d * size for d in range(p)]
+        checks = []  # (p^i, limit[d] p^(i-1), p^(i+1)) per non-zero c_i, i >= 1
+        for i, c in enumerate(low):
+            if c:
+                b, w = p - c, weights[i]
+                red = [e + d * b % p * w for d, e in enumerate(red)]
+                if i:
+                    checks.append((w, [(p - d * b % p) * weights[i - 1] for d in range(p)], w * p))
+        for k in range(order):
+            exp[k], log[z] = z, k
+            d = z // top
+            add = red[d]
+            for mod, limit, carry in checks:
+                if z % mod >= limit[d]:
+                    add -= carry
+            z = z * p + add
+            if z == 1:
+                break
+    if z != 1 or k != order - 1:
+        raise ArithmeticError(f"F_{p}^{m}: the modulus with low digits {low} is not primitive")
+    trace_mask = 0
+    if p == 2:
+        for i in range(m):
+            t = 0
+            for j in range(m):
+                t ^= exp[(i << j) % order]  # (x^i)^(2^j)
+            if t > 1:
+                raise ArithmeticError("trace landed outside the prime field")
+            trace_mask |= t << i
+    return tuple(low) + (1,), exp, log, trace_mask
 
 
 class CurveModel(namedtuple("CurveModel", "kind q f label")):

@@ -2,7 +2,9 @@
 
 import json
 import random
-from math import gcd
+import textwrap
+from collections.abc import Iterator
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from curvezeta.fields import (
     CurveModel,
     _field_tables,
     _is_prime,
+    _prime_factors,
     census,
     count_points,
     is_prime_power,
@@ -58,6 +61,60 @@ def _pow(a: int, e: int, p: int, modulus: tuple[int, ...]) -> int:
         a = _mul(a, a, p, modulus)
         e >>= 1
     return result
+
+
+def _candidate_moduli(p: int, m: int) -> Iterator[list[int]]:
+    """Low digits [c_0, ..., c_{m-1}] of the moduli x^m + sum(c_i x^i), in the
+    order of sum(c_i p^i), less those that cannot make x primitive.
+
+    Skipped: c_0 = 0 (x divides the modulus); a norm (-1)^m c_0 that does not
+    generate F_p^*, since the norm of x is x^((p^m - 1)/(p - 1)), which has
+    order p - 1 when x does have order p^m - 1 (Lidl and Niederreiter, Finite
+    Fields, Thm. 3.18); and, for m > 1, a root in F_p^*, which makes the
+    modulus reducible.
+    """
+    weights = [p**i for i in range(m)]
+    norm_exponents = [(p - 1) // ell for ell in _prime_factors(p - 1)]
+    for code in range(1, p**m):
+        low = [code // w % p for w in weights]
+        norm = low[0] if m % 2 == 0 else -low[0] % p
+        if not norm or any(pow(norm, e, p) == 1 for e in norm_exponents):
+            continue
+        if m > 1 and any(_is_root(low, a, p) for a in range(1, p)):
+            continue
+        yield low
+
+
+def _is_root(low: list[int], a: int, p: int) -> bool:
+    v = 1  # Horner on the monic x^m + sum(low[i] x^i)
+    for c in reversed(low):
+        v = (v * a + c) % p
+    return v == 0
+
+
+def _is_primitive(low: list[int], p: int) -> bool:
+    """The order test for m >= 2: with n = p^m - 1, x^n = 1 and x^(n/l) != 1
+    for every prime l dividing n, so x has order n modulo x^m + sum(c_i x^i),
+    which makes that modulus primitive."""
+    modulus = tuple(low) + (1,)
+    n = p ** len(low) - 1
+    x = p  # the code of x
+    return _pow(x, n, p, modulus) == 1 and all(_pow(x, n // ell, p, modulus) != 1 for ell in _prime_factors(n))
+
+
+def recorded_moduli_text(cap: int = fields.FIELD_CAP) -> str:
+    """``fields._PRIMITIVE_MODULI_TEXT`` re-derived by the search: for every
+    prime p and m >= 2 with p^m <= cap, the code of the first candidate that
+    the screen keeps and the order test passes.  Regenerate the table with
+    this when ``FIELD_CAP`` changes."""
+    tokens = []
+    for p in filter(_is_prime, range(2, isqrt(cap) + 1)):
+        m = 2
+        while p**m <= cap:
+            code = next(_code(low, p) for low in _candidate_moduli(p, m) if _is_primitive(low, p))
+            tokens.append(f"{p}^{m}={code}")
+            m += 1
+    return "\n" + "\n".join(textwrap.wrap(" ".join(tokens), 79)) + "\n"
 
 
 def brute_force_count(model: CurveModel, m: int) -> int:
@@ -295,17 +352,52 @@ class TestBuildField:
         # a modulus walks to p^m - 1 exactly when it is the minimal polynomial
         # of a generator; no such modulus may be screened out
         primitive = primitive_moduli(p, m)
-        kept = {tuple(low) for low in fields._candidate_moduli(p, m)}
+        kept = {tuple(low) for low in _candidate_moduli(p, m)}
         assert primitive <= kept
         # the oracle is complete: each primitive modulus has m generators as roots
         assert len(primitive) * m == len([k for k in range(p**m - 1) if gcd(k, p**m - 1) == 1])
 
+    def test_recorded_moduli_cover_every_extension_field(self):
+        cap = fields.FIELD_CAP
+        fields_up_to_cap = {
+            f"{p}^{m}"
+            for p in filter(_is_prime, range(2, isqrt(cap) + 1))
+            for m in range(2, cap.bit_length())
+            if p**m <= cap
+        }
+        assert set(fields._PRIMITIVE_MODULI) == fields_up_to_cap
+
+    def test_recorded_moduli_are_the_search_results(self):
+        # CI compares all of them, which takes about 15 s
+        bound = 2**16
+        searched = dict(token.split("=") for token in recorded_moduli_text(bound).split())
+        recorded = {}
+        for field, code in fields._PRIMITIVE_MODULI.items():
+            p, m = map(int, field.split("^"))
+            if p**m <= bound:
+                recorded[field] = code
+        assert searched == recorded
+
+    @pytest.mark.parametrize(
+        "p, m, code",
+        [
+            (2, 4, "15"),  # x^4 + x^3 + x^2 + x + 1: irreducible, but x has order 5
+            (3, 2, "2"),  # x^2 + 2 = (x - 1)(x + 1)
+        ],
+    )
+    def test_bad_recorded_modulus_raises(self, p, m, code, monkeypatch):
+        monkeypatch.setitem(fields._PRIMITIVE_MODULI, f"{p}^{m}", code)
+        _field_tables.cache_clear()
+        with pytest.raises(ArithmeticError, match=rf"F_{p}\^{m}: .* not primitive"):
+            _field_tables(p, m)
+        assert _field_tables.cache_info().currsize == 0
+
     def test_screen_drops_bad_norms_and_roots(self):
-        assert (1, 0) not in map(tuple, fields._candidate_moduli(3, 2))  # norm 1 of x^2 + 1
-        kept = set(map(tuple, fields._candidate_moduli(5, 2)))
+        assert (1, 0) not in map(tuple, _candidate_moduli(3, 2))  # norm 1 of x^2 + 1
+        kept = set(map(tuple, _candidate_moduli(5, 2)))
         assert (2, 3) not in kept  # (x + 1)(x + 2), though its norm 2 generates F_5^*
         assert (2, 1) in kept  # x^2 + x + 2: norm 2, no root in F_5
-        assert (1, 0) not in map(tuple, fields._candidate_moduli(2, 2))  # x^2 + 1 = (x + 1)^2
+        assert (1, 0) not in map(tuple, _candidate_moduli(2, 2))  # x^2 + 1 = (x + 1)^2
 
 
 def _gcd_fp(a: list[int], b: list[int], p: int) -> list[int]:
