@@ -194,14 +194,20 @@ def zeta_hat_special(c: CurveData, n: int) -> Fraction:
 
     n = 0 and n = 1 are the simple-pole regularized values
     (sum A_i)/(q-1) and (sum A_i q^{g-i})/(q-1); every other integer is
-    q^{(g-1)n} times the plain value :func:`zeta_plain`.
+    q^{(g-1)n} times the plain value :func:`zeta_plain`.  All three are
+    read off the integer data q^{(g-1)n} P(q^{-n}) = num/den * sum(ints) of
+    :func:`_zeta_hat_numerator` and become one ``Fraction``.
     """
-    q, g = Fraction(c.q), c.g
+    q = c.q
+    ints, num, den = _zeta_hat_numerator(c, n)
+    value = num * sum(ints)
     if n == 0:
-        return c.class_number / (q - 1)
-    if n == 1:
-        return sum(a * q ** (g - i) for i, a in enumerate(c.A)) / (q - 1)
-    return q ** ((g - 1) * n) * zeta_plain(c, n)
+        return Fraction(value, den * (q - 1))
+    if n == 1:  # q^g P(1/q) / (q - 1)
+        return Fraction(value * q, den * (q - 1))
+    # times 1/((1 - u)(1 - qu)) = b^2/((b - a)(b - qa)) at u = q^{-n} = a/b
+    a, b = _q_power(q, -n)
+    return Fraction(value * b * b, den * (b - a) * (b - q * a))
 
 
 @lru_cache(maxsize=256)

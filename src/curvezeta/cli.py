@@ -31,7 +31,6 @@ as null, so identical jobs produce byte-identical files.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -627,6 +626,8 @@ def render(tree: dict, fmt: str) -> dict[str, str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    import argparse  # only the command line builds a parser; parse_job, run and render never do
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tolerance", type=float, default=None, help="RH check tolerance")
     common.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)

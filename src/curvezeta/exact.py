@@ -24,9 +24,11 @@ Terms are built (:meth:`_FactoredTerm.over_linear`) and multiplied (``*``) here.
 one variable or two; :func:`_factored_sum` adds terms in one variable that
 way, normalized once, as :func:`_partial_fraction_sum` adds w_i/(1 - q^{e_i} u);
 :meth:`_FactoredTerm.ratfun` reduces a term in one variable by exact division
-at the known roots of its linear factors, and by trial exact division for a
-factor b - a u^2 that is irreducible over Q, with no gcd.  A sum in two variables
-is never multiplied out: the SL_3 period oracle expands it at u1 = 1.
+at the known roots of its linear factors, each root tested by an integer
+sum (:func:`_value_at`), and by trial exact division for a factor
+b - a u^2 that is irreducible over Q, with no gcd and no ``Fraction``.  A
+sum in two variables is never multiplied out: the SL_3 period oracle
+expands it at u1 = 1.
 :func:`poly_gcd`, a primitive pseudo-remainder sequence on the stored ints,
 is left to where no factorization is known: the square-free split of the
 root finder's input (:func:`squarefree_decomposition`), and the
@@ -34,7 +36,10 @@ root finder's input (:func:`squarefree_decomposition`), and the
 SL_r period oracle's ratio when the oracle and the assembly disagree.
 
 The only floating point in this module lives in :func:`complex_roots`.  It
-splits its input exactly into square-free factors and takes each along one
+splits its input exactly into square-free factors (:func:`_squarefree_split`:
+an input with the functional equation T -> 1/(QT) is certified square-free
+at half degree, on its trace polynomial, and any other goes through
+:func:`squarefree_decomposition`) and takes each factor along one
 path: a root at the origin is divided out exactly, the rest is mapped onto
 the critical circle of Q with every coefficient an exact quotient rounded
 once, solved by a private, deterministic Aberth-Ehrlich iteration, and
@@ -172,12 +177,7 @@ class Poly:
         if len(b) == 1:
             return _make(a, n, d)
         # Gauss's lemma: a product of primitive polynomials is primitive
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, e in enumerate(b, i):
-                    out[j] += c * e
-        return _make(tuple(out), n, d)
+        return _make(tuple(_int_product(a, b)), n, d)
 
     __rmul__ = __mul__
 
@@ -216,13 +216,8 @@ class Poly:
         if isinstance(x, (Fraction, int)):
             if not self.ints:
                 return 0
-            # sum c_i a^i b^(n-i) over b^n, in integers
             a, b = x.numerator, x.denominator
-            acc, bpow = 0, 1
-            for c in reversed(self.ints):
-                acc = acc * a + c * bpow
-                bpow *= b
-            return Fraction(self._sn * acc, self._sd * (bpow // b))
+            return Fraction(self._sn * _value_at(self.ints, a, b), self._sd * b ** (len(self.ints) - 1))
         acc = 0 if not isinstance(x, complex) else 0j
         for c in reversed(self.coeffs):
             acc = acc * x + float(c)
@@ -332,6 +327,23 @@ def _poly(ints: list[int], n: int, d: int) -> Poly:
 
 _ZERO = _make((), 0, 1)
 _ONE = _make((1,), 1, 1)
+
+
+def _int_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two non-empty integer polynomials; the zeros of a are skipped."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, e in enumerate(b, i):
+                out[j] += c * e
+    return out
+
+
+def _times_binomial(p: list[int], ints: Sequence[int], k: int) -> list[int]:
+    """p times ints[0] + ints[1] x^k, for an integer list p."""
+    pad = [0] * k
+    b0, b1 = ints
+    return [b0 * x + b1 * y for x, y in zip(p + pad, pad + p)]
 
 
 def _exact_quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -638,47 +650,65 @@ class _FactoredTerm:
         factors instead of a gcd.
 
         Every downstairs key is divided out of the numerator (poly and the
-        upstairs keys multiplied out) as often as it divides it.  A linear
-        key b - a u is divided out while the numerator vanishes at its root
-        b/a.  A key b - a u^2 with a b not the square of an integer is
-        irreducible over Q, so it is divided out while the division is
-        exact.  Any other key is a :class:`ConventionError`.  Then u is
-        divided out of the numerator while it vanishes at 0.  What is left of
-        the denominator shares no factor with the numerator, so the two are
-        coprime and no gcd is needed (:meth:`RationalFunction.coprime`).
+        upstairs keys multiplied out) as often as it divides it, on the
+        numerator's primitive ints, whose quotients stay primitive (Gauss's
+        lemma).  A linear key b + a u is divided out while the numerator
+        vanishes at its root -b/a, an integer sum (:func:`_value_at`).  A key
+        b - a u^2 with a b not the square of an integer is irreducible over
+        Q, so it is divided out while the division is exact.  Any other key
+        is a :class:`ConventionError`.  Then u is divided out of the
+        numerator while it vanishes at 0.  What is left of the denominator
+        shares no factor with the numerator, so the two are coprime and no
+        gcd is needed (:meth:`RationalFunction.coprime`).
         """
         if self.mono[1] or any(e2 for _, e2, _ in self.factors):
             raise ConventionError("a term in u2 has no form in u alone")
-        num, den = self.poly * self.const, _ONE
-        if num.is_zero():
+        num, den = self.poly, [1]
+        if num.is_zero() or not self.num:
             return RationalFunction.zero()
         for (e1, _, ints), m in self.factors.items():
             if m > 0:
                 num = _key_power(ints, e1, m) * num
+        a = num.ints
         for (e1, _, ints), m in self.factors.items():
             if m < 0:
                 if len(ints) == 2 and e1 == 1:
-                    factor, root = _key_power(ints, 1, 1), Fraction(-ints[0], ints[1])
-                    while m and num.evaluate(root) == 0:
-                        num = num.exact_div(factor)
+                    while m and not _value_at(a, -ints[0], ints[1]):
+                        a = _exact_quotient(a, ints)
                         m += 1
                 elif len(ints) == 2 and e1 == 2 and not _is_square(-ints[0] * ints[1]):
-                    factor = _key_power(ints, 2, 1)
                     while m:
                         try:
-                            num = num.exact_div(factor)
+                            a = _exact_quotient(a, (ints[0], 0, ints[1]))
                         except ValueError:
                             break
                         m += 1
                 else:
                     raise ConventionError(f"a non-linear factor {ints} in u^{e1} downstairs")
-                den = _key_power(ints, e1, -m) * den
-        k = self.mono[0]
-        while not num.ints[0]:  # dropping zeros keeps the ints primitive
-            num, k = _make(num.ints[1:], num._sn, num._sd), k + 1
-        if k >= 0:
-            return RationalFunction.coprime(num * Poly.x(k), den)
-        return RationalFunction.coprime(num, den * Poly.x(-k))
+                for _ in range(-m):
+                    den = _times_binomial(den, ints, e1)
+        # the scale of poly, const and the upstairs keys; a negative lead moves into it
+        const = self.const
+        n, d = _scale_product(num._sn, num._sd, const.numerator, const.denominator)
+        if a[-1] < 0:
+            a, n = tuple(-c for c in a), -n
+        low = next(i for i, c in enumerate(a) if c)  # dropping zeros keeps the ints primitive
+        k = self.mono[0] + low
+        a, den = (0,) * k + a[low:], [0] * -k + den
+        # the keys are primitive, so their product is: only its sign is left
+        sign = 1 if den[-1] > 0 else -1
+        return RationalFunction.coprime(_make(a, n, d), _make(tuple(sign * c for c in den), sign, 1))
+
+
+def _value_at(ints: Sequence[int], a: int, b: int) -> int:
+    """b^n f(a/b) for f = sum_i ints[i] x^i of degree n: the integer sum
+    sum_i ints[i] a^i b^(n-i), by Horner's rule.  For b != 0 it vanishes
+    exactly when f(a/b) does, so a root test takes no ``Fraction``."""
+    acc, bpow = 0, 1
+    for c in reversed(ints):
+        acc = acc * a + c * bpow
+        bpow *= b
+    return acc
 
 
 def _is_square(n: int) -> bool:
@@ -688,7 +718,7 @@ def _is_square(n: int) -> bool:
 @lru_cache(maxsize=1024)
 def _key_power(ints: tuple[int, ...], k: int, m: int) -> Poly:
     """(sum_i ints[i] x^(k i))**m, from a key's primitive ints without
-    normalizing; kept, since the same binomials recur across the sums and
+    normalizing; kept, since the same keys recur across the sums and
     reductions of one job."""
     p = _make(ints, 1, 1) if ints[-1] > 0 else _make(tuple(-a for a in ints), -1, 1)
     return p.stretch(k) ** m
@@ -737,15 +767,19 @@ def _factored_sum(terms: Sequence[_FactoredTerm]) -> _FactoredTerm:
     # keys are integer polynomials, so each scale denominator divides const's times poly's
     den, out = math.lcm(*(const.denominator * poly._sd for const, _, _, poly in parts)), []
     for const, (k, _), ms, poly in parts:
-        p = poly
-        # keys with the most terms first, while p is short; each key is the
-        # left factor, whose zeros Poly.__mul__ skips
+        # poly times the keys in integers: a binomial in one pass, any other
+        # key while p is short (the most terms first) and as the left factor
+        p, sign = list(poly.ints), 1
         for (e1, _, ints), m in sorted(ms.items(), key=lambda km: -len(km[0][2])):
-            if m:
-                p = _key_power(ints, e1, m) * p
-        x = const.numerator * p._sn * (den // (const.denominator * p._sd))  # times const u^k
-        out += [0] * (k + len(p.ints) - len(out))
-        for i, c in enumerate(p.ints, k):
+            if len(ints) == 2:
+                for _ in range(m):
+                    p = _times_binomial(p, ints, e1)
+            elif m:
+                power = _key_power(ints, e1, m)  # primitive ints, scale +-1
+                p, sign = _int_product(power.ints, p), sign * power._sn
+        x = sign * const.numerator * poly._sn * (den // (const.denominator * poly._sd))  # times const u^k
+        out += [0] * (k + len(p) - len(out))
+        for i, c in enumerate(p, k):
             out[i] += x * c
     return _FactoredTerm(mono=(-shift, 0), factors={key: -m for key, m in lcm.items()}, poly=_poly(out, 1, den))
 
@@ -766,7 +800,7 @@ def _partial_fraction_sum(q: int, weights: Sequence[tuple[int, int, int]], k: in
         a, b = _q_power(q, e)
         c = n * (den // d) * b
         num = [b * x - a * y + c * z for x, y, z in zip(num + [0], [0, *num], prod)]
-        prod = [b * x - a * y for x, y in zip(prod + [0], [0, *prod])]
+        prod = _times_binomial(prod, (b, -a), 1)
         factors[(1, 0, (b, -a))] = -1
     return _FactoredTerm(1, den, (k, 0), factors, _poly(num, 1, 1))
 
@@ -901,11 +935,14 @@ def complex_roots(p: Poly, *, Q: int = 1) -> ComplexRootSet:
     """All roots of p with multiplicity, by Aberth-Ehrlich iteration, sorted
     by (real, imag) so that equal roots are adjacent.  A constant has none.
 
-    Exact square-free decomposition (:func:`squarefree_decomposition`) comes
-    first, so the iteration only ever sees simple roots (full double-precision
-    accuracy) and multiplicities are exact integers rather than numerical
-    clusters.  A square-free factor f has at most one root at the origin,
-    which is divided out exactly, so f_0 != 0.
+    An exact square-free split comes first, so the iteration only ever sees
+    simple roots (full double-precision accuracy) and multiplicities are
+    exact integers rather than numerical clusters.  A p with the functional
+    equation T -> 1/(QT) is certified square-free at half degree, on its
+    trace polynomial h, which the solve below reuses; any other p, or one
+    the certificate cannot pass, is split by Yun's algorithm
+    (:func:`_squarefree_split`).  A square-free factor f has at most one root
+    at the origin, which is divided out exactly, so f_0 != 0.
 
     Each factor f is solved on the critical circle of ``Q``: the roots of
     interest lie near |T| = Q^{-1/2}, so the driver works in W = sqrt(Q) T,
@@ -944,10 +981,8 @@ def complex_roots(p: Poly, *, Q: int = 1) -> ComplexRootSet:
     s = float_sqrt(Q)
     found: list[tuple[complex, float]] = []
     iterations = 0
-    for factor, mult in squarefree_decomposition(p):
-        f = factor.ints
+    for f, mult, h in _squarefree_split(p, Q):
         zero = 0 if f[0] else 1  # the root at the origin, if any
-        h = _trace_polynomial(f, Q)
         if h is None:
             b = _critical_circle_coeffs(f[zero:], Q, s)
             n = len(b) - 1
@@ -976,6 +1011,41 @@ def complex_roots(p: Poly, *, Q: int = 1) -> ComplexRootSet:
     if len(roots) != p.degree:
         raise RootFindError("square-free decomposition lost degree", roots, residuals)
     return ComplexRootSet(roots, residuals, iterations)
+
+
+def _squarefree_split(p: Poly, Q: int) -> list[tuple[tuple[int, ...], int, list[int] | None]]:
+    """The square-free factors of p, degree >= 1, as (ints, multiplicity, h),
+    h the factor's trace polynomial (:func:`_trace_polynomial`) or None.
+
+    The roots of a p with the functional equation T -> 1/(QT) are the pairs
+    QT^2 - yT + 1 = 0 over the roots y of h, so p is square-free exactly
+    when h is, as certified modulo a prime (:func:`_squarefree_mod_prime`),
+    and no pair is double, y^2 != 4Q (:func:`_off_double_pairs`).  Any other
+    p, and one the certificate cannot pass, goes through
+    :func:`squarefree_decomposition`; h is computed once per factor.
+    """
+    h = _trace_polynomial(p.ints, Q)
+    if h is not None and _squarefree_mod_prime(h, _CERT_PRIME) and _off_double_pairs(h, Q):
+        return [(p.ints, 1, h)]
+    return [
+        (f.ints, mult, h if f.ints == p.ints else _trace_polynomial(f.ints, Q))
+        for f, mult in squarefree_decomposition(p)
+    ]
+
+
+def _off_double_pairs(h: Sequence[int], Q: int) -> bool:
+    """h(2 sqrt(Q)) h(-2 sqrt(Q)) != 0, in integers.
+
+    With h(y) = E(y^2) + y O(y^2) the product is E(4Q)^2 - 4Q O(4Q)^2.  For
+    Q not a square it vanishes exactly when y^2 - 4Q divides h; for a square
+    Q also when one of y = +-2 sqrt(Q) alone is a root.
+    """
+    even = odd = 0
+    for c in reversed(h[::2]):
+        even = even * 4 * Q + c
+    for c in reversed(h[1::2]):
+        odd = odd * 4 * Q + c
+    return even * even != 4 * Q * odd * odd
 
 
 def _trace_polynomial(f: Sequence[int], Q: int) -> list[int] | None:

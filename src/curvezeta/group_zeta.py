@@ -34,10 +34,12 @@ composition form of the SL_n zeta of Weng and Zagier:
 
 with U_r = D_1 = 1.  E_n(a) sums the compositions of n whose last part is
 a, B_n(b) those whose first part is b, each by a dynamic program over
-(values used, end part) in O(r^3) ``Fraction`` operations per curve, one
+(values used, end part) in O(r^3) integer operations per curve, one
 :func:`_chain_row` per n (the completed-zeta mass sums its telescope with
-it too); the zh(n), n < r, are evaluated once per assembly, and none at
-r = 2.
+it too).  A row is integer numerators over a denominator of its own,
+reduced once by one gcd; one denominator for all rows would reach tens of
+thousands of digits at r = 24.  The zh(n), n < r, are evaluated once per
+assembly, and none at r = 2.
 
 Every function here is a factored term of :mod:`curvezeta.exact`: a
 constant, a monomial, a polynomial kept whole and primitive integer factors
@@ -48,10 +50,13 @@ the product of the two sides, and zh_SLr the sum of the products
 R_v * zh(s + v), a :func:`_factored_sum`; both sums add their numerators
 in integers and normalize once.  Every root of those denominators is
 known, so each result is reduced without a gcd: a factor (1 - q^e u) is
-divided out exactly while the numerator vanishes at q^{-e}, and u while it
-vanishes at 0; what is left is coprime.  The T-grid numerator is one exact
-division of the reversed numerator, times the displayed poles, by the
-reversed denominator; an inexact one is a :class:`ConventionError`.
+divided out exactly while the numerator vanishes at q^{-e}, an integer
+root test, and u while it vanishes at 0; what is left is coprime.  The
+T-grid numerator is one exact division of the reversed numerator, times
+the displayed poles, by the reversed denominator; an inexact one is a
+:class:`ConventionError`.  All of this runs on Python ints; past the zh(n)
+it reads, a ``Fraction`` is built only for what the report shows: the
+T-grid coefficients, the alpha ratios and the displayed terms.
 :func:`slr_fe_check` compares the combined form with its image under
 u -> q^r / u, which keeps a reduced quotient reduced, so it takes no gcd
 either.  :func:`slr_rh_report` finds the zeros of the T-grid numerator
@@ -86,11 +91,12 @@ from functools import lru_cache, reduce
 
 from curvezeta.artin import CurveData, _mul_zeta_hat, zeta_hat_ratfun, zeta_hat_special
 from curvezeta.exact import ConventionError, Poly, RationalFunction, ZeroReport, complex_roots, float_sqrt
-from curvezeta.exact import Key, _factored_sum, _FactoredTerm, _over_lcm, _partial_fraction_sum, _poly
+from curvezeta.exact import Key, _exact_quotient, _factored_sum, _FactoredTerm, _over_lcm
+from curvezeta.exact import _partial_fraction_sum, _poly, _scale_product, _value_at
 from curvezeta.invariants import alpha_from_A
 
 # the largest rank accepted; on a 2-vCPU VM under Python 3.11 slr_zeta at r = 10
-# takes about 0.006 s, the first call in a process about 10 % more than later ones
+# takes about 0.003 s, the first call in a process about 15 % more than later ones
 # (medians of 7 fresh processes, q = 2, g = 1 and 2)
 R_MAX = 10
 
@@ -106,14 +112,47 @@ class SlrZeta(namedtuple("SlrZeta", "r q g terms combined numerator_T")):
     __slots__ = ()
 
 
-def _chain_row(X: list[list[Fraction]], n: int, lone: list, joined: list, pair: dict) -> list:
+Row = tuple[list[int], int]  # a chain row: integer numerators over one denominator
+
+
+def _chain_row(X: list[Row], n: int, lone: list, joined: list, pair: tuple) -> Row:
     """Row n of a chain sum over the compositions of n values: entry a sums
     those whose end run has a values, weighing lone[a] when it is the only run,
-    else joined[a] times each entry X[n - a][b] it joins, times pair[a + b]."""
-    return [0] + [
-        lone[a] if a == n else joined[a] * sum(X[n - a][b] * pair[a + b] for b in range(1, n - a + 1))
-        for a in range(1, n + 1)
-    ]
+    else joined[a] times each entry X[n - a][b] it joins, times pair[a + b].
+    Weights are integer pairs (numerator, denominator), and pair is
+    (numerators, L) over one L.  The row is put over the LCM of its entries'
+    denominators and reduced once, by one gcd."""
+    nums, L = pair
+    parts = []
+    for a in range(1, n):
+        jn, jd = joined[a]
+        if jn:
+            xs, xd = X[n - a]
+            if s := sum(xs[b] * nums[a + b] for b in range(1, n - a + 1)):
+                parts.append((a, jn * s, jd * xd * L))
+    if lone[n][0]:
+        parts.append((n, *lone[n]))
+    den = math.lcm(*(d for _, _, d in parts))
+    row = [0] * (n + 1)
+    for a, x, d in parts:
+        row[a] = x * (den // d)
+    g = math.gcd(den, *row)
+    return [x // g for x in row], den // g
+
+
+def _products(values: list[Fraction]) -> list[tuple[int, int]]:
+    """The running products 1, v_0, v_0 v_1, ... as reduced integer pairs."""
+    out = [(1, 1)]
+    for v in values:
+        out.append(_scale_product(*out[-1], v.numerator, v.denominator))
+    return out
+
+
+def _pair_weights(q: int, top: int) -> tuple[dict[int, int], int]:
+    """The weights 1/(1 - q^k), k = 2..top, of two adjacent runs of k values
+    in all, as integer numerators over L = lcm(q^k - 1): -(L / (q^k - 1)) / L."""
+    L = math.lcm(*(q**k - 1 for k in range(2, top + 1)))
+    return {k: -(L // (q**k - 1)) for k in range(2, top + 1)}, L
 
 
 @lru_cache(maxsize=256)
@@ -133,14 +172,14 @@ def slr_zeta(c: CurveData, r: int) -> SlrZeta:
         raise ValueError(f"rank parameter must satisfy 2 <= r <= {R_MAX}")
     q = c.q
     zh = [zeta_hat_special(c, n) for n in range(1, r)] if r > 2 else []  # zh(1..r-1); rank two needs none
-    full = list(itertools.accumulate(zh[:-1], operator.mul, initial=1))  # full[l] = zh(1)...zh(l)
-    top = [0, *itertools.accumulate(zh[1:], operator.mul, initial=1)]  # top[l] = zh(2)...zh(l)
-    pair = {k: Fraction(1, 1 - q**k) for k in range(2, r)}  # two adjacent runs, k values in all
+    full = _products(zh[:-1])  # full[l] = zh(1)...zh(l)
+    top = [(0, 1), *_products(zh[1:])]  # top[l] = zh(2)...zh(l)
+    pair = _pair_weights(q, r - 1)
 
-    E: list[list[Fraction]] = [[]]  # E[n][a]: the runs above v, the last one of a values
+    E = [([], 1)]  # E[n][0][a]: the runs above v, the last one of a values, over E[n][1]
     for n in range(1, r):
         E.append(_chain_row(E, n, top, full, pair))
-    B: list[list[Fraction]] = [[]]  # B[n][b]: the runs below v, the first one of b values
+    B = [([], 1)]  # B[n][0][b]: the runs below v, the first one of b values, over B[n][1]
     for n in range(1, r - 1):
         B.append(_chain_row(B, n, full, full, pair))
     # with nothing above v the first run below it is the top run
@@ -148,11 +187,14 @@ def slr_zeta(c: CurveData, r: int) -> SlrZeta:
 
     sums: dict[int, _FactoredTerm] = {}
     for v in range(1, r + 1):
+        # E(a) (-q^{-(a+v)} u) = -E(a) q^{r-a-v} u / q^r: one denominator for the side
+        xs, den = E[r - v]
         up = _FactoredTerm() if v == r else _partial_fraction_sum(
-            q, [(-(a + v), -w.numerator, w.denominator * q ** (a + v)) for a, w in enumerate(E[r - v]) if w], 1
+            q, [(-(a + v), -x * q ** (r - a - v), den * q**r) for a, x in enumerate(xs) if x], 1
         )
+        xs, den = B[v - 1]
         down = _FactoredTerm() if v == 1 else _partial_fraction_sum(
-            q, [(b - v + 1, w.numerator, w.denominator) for b, w in enumerate(B[v - 1]) if w]
+            q, [(b - v + 1, x, den) for b, x in enumerate(xs) if x]
         )
         sums[v] = up * down
     terms = [(n, t.ratfun()) for n, t in sums.items()]
@@ -168,14 +210,14 @@ def _extract_numerator(combined: RationalFunction, c: CurveData, r: int) -> tupl
 
     With u = 1/T and d = max(deg num, deg den), combined(1/T) is
     rev_d(num) / rev_d(den), so the numerator is the exact quotient of
-    rev_d(num) (1-T)(1-QT) T^{g-1} by rev_d(den).  Composing with u = 1/T
-    must leave exactly the displayed pole structure; an inexact division
-    means a stray factor, a convention bug, reported as such.
+    rev_d(num) (1-T)(1-QT) T^{g-1} by rev_d(den), taken on their ints.
+    Composing with u = 1/T must leave exactly the displayed pole structure;
+    an inexact division means a stray factor, a convention bug, reported as
+    such.  The coefficients become ``Fraction`` only here, for the report.
     """
-    q, g = Fraction(c.q), c.g
-    Q = q**r
+    g, Q = c.g, c.q**r
     d = max(combined.num.degree, combined.den.degree)
-    top = combined.num.reversed(d) * Poly.x(g - 1) * Poly([1, -1]) * Poly([1, -Q])
+    top = combined.num.reversed(d) * _poly([0] * (g - 1) + [1, -1 - Q, Q], 1, 1)
     try:
         poly = top.exact_div(combined.den.reversed(d))
     except ValueError:
@@ -191,19 +233,19 @@ def slr_alpha_ratios(z: SlrZeta) -> tuple[Fraction, ...]:
     For r = 2 the assembly is normalized so A(0) = 1 exactly; for r >= 3
     the overall constant is not pinned by anything in the construction, so
     the numerator is divided by A(0) first and only the ratios are
-    meaningful.  A(0) = 0 is a :class:`ConventionError`.
+    meaningful.  A(0) = 0 is a :class:`ConventionError`.  The ratios
+    A(i)/A(0) are those of the numerator's primitive ints, so the
+    triangular system runs on integers and divides by ints[0] once per alpha.
     """
-    coeffs = z.numerator_T
-    if coeffs[0] == 0:
+    if z.numerator_T[0] == 0:
         raise ConventionError("vanishing constant coefficient; ratios undefined")
-    Q = Fraction(z.q) ** z.r
-    return tuple(alpha_from_A([a / coeffs[0] for a in coeffs], Q, z.g))
+    ints = Poly(z.numerator_T).ints
+    return tuple(a / ints[0] for a in alpha_from_A(ints, z.q**z.r, z.g))
 
 
 def slr_fe_check(z: SlrZeta) -> bool:
     """Exact identity zh_SLr(-r-s) = zh_SLr(s), i.e. u -> q^r / u."""
-    Q = Fraction(z.q) ** z.r
-    return z.combined.reciprocal_arg(Q) == z.combined
+    return z.combined.reciprocal_arg(z.q**z.r) == z.combined
 
 
 @lru_cache(maxsize=256)
@@ -211,23 +253,24 @@ def slr_rh_report(z: SlrZeta, tol: float = 1e-9) -> ZeroReport:
     """Zero moduli of the numerator against the critical value q^{-1/2}.
 
     The cleared poles T = 1 and T = 1/Q, Q = q^r, are removed exactly first:
-    (1 - T) and (1 - QT) are divided out of the numerator while it vanishes
-    at their roots, and each removed root is listed under ``excluded``.
+    (1 - T) and (1 - QT) are divided out of the numerator's primitive ints
+    while they vanish at the roots (an integer sum, no ``Fraction``), and
+    each removed root is listed under ``excluded``.
     The rest is solved in W = sqrt(Q) T (see :func:`complex_roots`), where
     the critical circle |T| = Q^{-1/2} is |W| = 1, and reported on the
     T-grid.  The deviation of the t-plane modulus |T|^{1/r} from q^{-1/2}
     is taken as q^{-1/2} | |W|^{1/r} - 1 |.
     """
-    poly = Poly(z.numerator_T)
+    ints = Poly(z.numerator_T).ints  # the zeros do not depend on the scale
     critical = float(z.q) ** -0.5
     Q = z.q**z.r
     excluded: list[complex] = []
-    for root, factor in ((Fraction(1), Poly([1, -1])), (Fraction(1, Q), Poly([1, -Q]))):
-        while poly.degree >= 1 and poly.evaluate(root) == 0:
-            poly = poly.exact_div(factor)
-            excluded.append(complex(root))
+    for b in (1, Q):  # the poles T = 1 and T = 1/Q, the roots of 1 - bT
+        while len(ints) > 1 and not _value_at(ints, 1, b):
+            ints = _exact_quotient(ints, (1, -b))
+            excluded.append(complex(1 / b))
     s = float_sqrt(Q)
-    zeros = complex_roots(poly, Q=Q).roots
+    zeros = complex_roots(_poly(list(ints), 1, 1), Q=Q).roots  # a quotient's lead may be negative
     deviations = tuple(critical * abs(abs(T * s) ** (1.0 / z.r) - 1) for T in zeros)
     verdict = all(d <= tol for d in deviations)
     return ZeroReport(zeros, critical, deviations, verdict, tol, tuple(excluded))

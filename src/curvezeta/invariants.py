@@ -79,15 +79,14 @@ def alpha_from_A(A: Sequence[Rat], q: Rat, count: int) -> list[Fraction]:
 
     The weights s_k = (q^{k+1} - 1)/(q - 1) satisfy s_k = q s_{k-1} + 1, so
     alpha_i = q alpha_{i-1} + (A_0 + ... + A_i): O(count) exact steps, with
-    no power and no division.
+    no power and no division, on integers when q and the A_i are integers.
     """
-    q = Fraction(q)
-    out, alpha, partial = [], Fraction(0), Fraction(0)
+    out, alpha, partial = [], 0, 0
     for i in range(count):
         if i < len(A):
             partial += A[i]
         alpha = q * alpha + partial
-        out.append(alpha)
+        out.append(Fraction(alpha))
     return out
 
 

@@ -38,13 +38,11 @@ the job.
 
 from __future__ import annotations
 
-import itertools
-import operator
 from fractions import Fraction
 from functools import lru_cache
 
 from curvezeta.artin import CurveData, zeta_hat_special, zeta_plain
-from curvezeta.group_zeta import _chain_row
+from curvezeta.group_zeta import _chain_row, _pair_weights, _products
 from curvezeta.invariants import beta0
 from curvezeta.rank2 import beta_from_special_values, rank2_invariants
 
@@ -53,14 +51,13 @@ def beta_composition_formula(c: CurveData, r: int) -> Fraction:
     """beta_r(0) through the completed-zeta composition telescope, as a chain sum."""
     if r < 1 or c.g < 1:
         raise ValueError("need r >= 1 and genus >= 1")
-    q = Fraction(c.q)
-    zh = [zeta_hat_special(c, i) for i in range(1, r + 1)]
-    full = list(itertools.accumulate(zh, operator.mul, initial=1))  # full[l] = zh(1)...zh(l)
-    pair = {k: 1 / (1 - q**k) for k in range(2, r + 1)}
-    X: list[list[Fraction]] = [[]]  # X[n][a]: the compositions of n, the last part a
+    full = _products([zeta_hat_special(c, i) for i in range(1, r + 1)])  # full[l] = zh(1)...zh(l)
+    pair = _pair_weights(c.q, r)
+    X = [([], 1)]  # X[n][0][a]: the compositions of n, the last part a, over X[n][1]
     for n in range(1, r + 1):
         X.append(_chain_row(X, n, full, full, pair))
-    return q ** ((c.g - 1) * r * (r - 1) // 2) * sum(X[r])
+    xs, den = X[r]
+    return Fraction(c.q) ** ((c.g - 1) * r * (r - 1) // 2) * Fraction(sum(xs), den)
 
 
 @lru_cache(maxsize=256)

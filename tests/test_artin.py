@@ -194,6 +194,18 @@ class TestZetaHatSpecial:
             for n in (0, 1, 2, 3):
                 assert zeta_hat_special(c, 1 - n) == zeta_hat_special(c, n)
 
+    def test_matches_the_defining_sums(self, corpus):
+        # the regularized sums at n = 0 and 1, and q^{(g-1)n} Z(q^{-n}) elsewhere
+        for c in corpus:
+            q, g = F(c.q), c.g
+            assert zeta_hat_special(c, 0) == sum(c.A) / (q - 1)
+            assert zeta_hat_special(c, 1) == sum(a * q ** (g - i) for i, a in enumerate(c.A)) / (q - 1)
+            for n in (-3, -1, 2, 5, 9):
+                u = q**-n
+                plain = c.numerator.evaluate(u) / ((1 - u) * (1 - q * u))
+                assert zeta_plain(c, n) == plain
+                assert zeta_hat_special(c, n) == q ** ((g - 1) * n) * plain
+
     def test_plain_rejects_poles(self, curve_g1):
         with pytest.raises(ValueError):
             zeta_plain(curve_g1, 1)

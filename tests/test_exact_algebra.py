@@ -808,6 +808,81 @@ class TestTracePolynomial:
             assert twins == list(range(twins[0], twins[0] + len(twins)))
 
 
+def _spy(monkeypatch, name):
+    """Record the arguments of every call to exact.<name>."""
+    seen = []
+    call = getattr(exact, name)
+
+    def spy(*args):
+        seen.append(args)
+        return call(*args)
+
+    monkeypatch.setattr(exact, name, spy)
+    return seen
+
+
+class TestHalfDegreeCertificate:
+    """A numerator with the functional equation is certified square-free on its
+    trace polynomial h; every other input takes Yun's algorithm."""
+
+    @staticmethod
+    def split(p, Q):
+        return [(Poly(f).monic(), m) for f, m, _ in exact._squarefree_split(p, Q)]
+
+    @pytest.mark.parametrize(
+        "Q, traces", [(2, [1]), (3, [0, 2, -3]), (101, [5, -7, 20, 0]), (1000003, [1, 2, 3, 4, 5, 6])]
+    )
+    def test_distinct_pairs_are_certified_without_yun(self, monkeypatch, Q, traces):
+        p = _weil_product(Q, traces)
+        yun = _spy(monkeypatch, "squarefree_decomposition")
+        traced = _spy(monkeypatch, "_trace_polynomial")
+        assert self.split(p, Q) == [(p.monic(), 1)]
+        assert yun == [] and len(traced) == 1
+        monkeypatch.undo()
+        assert self.split(p, Q) == squarefree_decomposition(p)
+
+    @pytest.mark.parametrize(
+        "p, Q",
+        [
+            (_weil_product(7, [3, 3, -1]), 7),  # (1 - 3T + 7T^2)^2 (1 + T + 7T^2): h = (y - 3)^2 (y + 1)
+            (_weil_product(101, [4]) ** 3, 101),
+            (Poly([1, -3]) ** 2, 9),  # (1 - sqrt(Q) T)^2 at a square Q: h = y - 6, y^2 = 4Q at its root
+            (Poly([1, -2]) ** 2 * _weil_product(4, [1]), 4),
+            (Poly([1, 0, -5]) ** 2, 5),  # (1 - Q T^2)^2 at a non-square Q: h = y^2 - 4Q
+            (Poly([1, 0, -1000003]) ** 2 * _weil_product(1000003, [17]), 1000003),
+        ],
+        ids=[
+            "repeated-pair", "cube", "square-q-double-root", "square-q-with-simple-pair",
+            "non-square-q", "non-square-q-times-pair",
+        ],
+    )
+    def test_repeated_roots_fall_back_to_yun(self, monkeypatch, p, Q):
+        assert exact._trace_polynomial(p.ints, Q) is not None  # each has the functional equation
+        yun = _spy(monkeypatch, "squarefree_decomposition")
+        traced = _spy(monkeypatch, "_trace_polynomial")
+        parts = self.split(p, Q)
+        assert len(yun) == 1
+        # one trace polynomial per factor, the input's reused when it is its own factor
+        assert len(traced) == 1 + sum(f.ints != p.ints for f, _ in parts)
+        monkeypatch.undo()
+        assert parts == squarefree_decomposition(p)
+        assert max(m for _, m in parts) >= 2
+        roots = complex_roots(p, Q=Q).roots
+        assert len(roots) == p.degree
+        for z in roots:
+            assert abs(p.evaluate(z)) <= 1e-9 * sum(abs(float(c)) * abs(z) ** i for i, c in enumerate(p.coeffs))
+
+    def test_trace_polynomial_of_the_non_square_case(self):
+        assert exact._trace_polynomial((Poly([1, 0, -5]) ** 2).ints, 5) == [-20, 0, 1]
+
+    @given(st.integers(-40, 40), st.sampled_from([2, 3, 4, 9, 25, 101]))
+    @settings(max_examples=200, deadline=None)
+    def test_double_pair_test_is_the_product_at_plus_minus_two_sqrt_q(self, a, Q):
+        # h = (y - a)(y^2 - a y + 1): h(2 sqrt Q) h(-2 sqrt Q) vanishes exactly when a^2 = 4Q
+        h = [x - a * y for x, y in zip([0, 1, -a, 1], [1, -a, 1, 0])]
+        assert exact._off_double_pairs(h, Q) == (a * a != 4 * Q)
+
+
 def test_closed_form_two_summand_equality_is_ratfun_equal(curve_g1):
     """The two-summand and single-fraction presentations agree under ==."""
     from curvezeta.rank2 import closed_form_check, rank2_closed_form

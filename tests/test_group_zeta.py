@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from ratfun_reference import RatFun
 
-from curvezeta.artin import CurveData, artin_fe_ratfun_check, zeta_hat_ratfun, zeta_hat_special
+from curvezeta.artin import CurveData, _mul_zeta_hat, artin_fe_ratfun_check, zeta_hat_ratfun, zeta_hat_special
 from curvezeta import exact, group_zeta
 from curvezeta.cli import parse_job
 from curvezeta.exact import Poly, RationalFunction, _factored_sum, _FactoredTerm, _over_lcm, _partial_fraction_sum
@@ -21,6 +22,7 @@ from curvezeta.exact import _key_power, _make, _scale_product, complex_roots
 from curvezeta.group_zeta import (
     R_MAX,
     ConventionError,
+    SlrZeta,
     _eps_series,
     _extract_numerator,
     _residue_at_u1_one,
@@ -888,6 +890,72 @@ class TestFactoredReduction:
             term.ratfun()
 
 
+@st.composite
+def linear_key_terms(draw):
+    """(q, k, den, num) with den 1-3 keys 1 - q^e u, e of both signs, each
+    downstairs 1-3 times, and num a non-zero rational polynomial times each
+    key 0 to one more time than it is downstairs: a key that divides num two
+    or more times is tested at its root and divided out that often."""
+    q = draw(st.sampled_from([2, 3, 5, 101, 1000003]))
+    k = draw(st.integers(-3, 3))
+    den = draw(st.dictionaries(st.integers(-6, 6), st.integers(1, 3), min_size=1, max_size=3))
+    base = draw(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=7), min_size=1, max_size=4))
+    num = Poly(base) if any(base) else Poly.one()
+    for e, m in sorted(den.items()):
+        num = num * Poly([1, -F(q) ** e]) ** draw(st.integers(0, m + 1))
+    return q, k, den, num
+
+
+class TestIntegerRootTest:
+    """_FactoredTerm.ratfun tests a linear key's root with an integer sum and
+    divides the key out on ints; the gcd constructor is the reference."""
+
+    @given(linear_key_terms())
+    @example((1000003, 0, {-2: 2, 3: 1}, Poly([1, -F(1, 1000003**2)]) ** 2 * Poly([1, -(1000003**3)]) ** 2))
+    @example((5, -3, {-1: 3}, Poly([1, F(-1, 5)]) ** 3 * Poly([F(2, 3), 1])))  # all three cancel
+    @example((101, 2, {4: 1, -4: 2}, Poly([1, -(101**4)]) ** 2 * Poly([1, F(-1, 101**4)])))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_gcd_constructor(self, case):
+        q, k, den, num = case
+        d = Poly.one()
+        for e, m in den.items():
+            d = d * Poly([1, -F(q) ** e]) ** m
+        expect = RationalFunction(num * Poly.x(k), d) if k >= 0 else RationalFunction(num, d * Poly.x(-k))
+        got = as_factored(*case).ratfun()
+        assert got == expect
+        assert (got.num.ints, got.num.scale, got.den.ints) == (expect.num.ints, expect.num.scale, expect.den.ints)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 101, 1000003])
+    @pytest.mark.parametrize("e", [-3, 2])
+    @pytest.mark.parametrize("up, down, tests, divisions", [(3, 2, 2, 2), (2, 3, 3, 2), (2, 2, 2, 2)])
+    def test_root_test_and_division_loop(self, monkeypatch, q, e, up, down, tests, divisions):
+        # (1 - q^e u)^up upstairs, ^down downstairs: the loop tests the root until
+        # the numerator stops vanishing or the key is gone, and divides on each hit
+        calls = {"test": 0, "divide": 0}
+        value, quotient = exact._value_at, exact._exact_quotient
+
+        def counting_test(*args):
+            calls["test"] += 1
+            return value(*args)
+
+        def counting_division(*args):
+            calls["divide"] += 1
+            return quotient(*args)
+
+        monkeypatch.setattr(exact, "_value_at", counting_test)
+        monkeypatch.setattr(exact, "_exact_quotient", counting_division)
+        key = Poly([1, -F(q) ** e])
+        got = as_factored(q, 0, {e: down}, key**up * Poly([3, 1])).ratfun()
+        assert calls == {"test": tests, "divide": divisions}
+        assert got == RationalFunction(key**up * Poly([3, 1]), key**down)
+
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8), st.integers(-50, 50), st.integers(1, 50))
+    @settings(max_examples=200, deadline=None)
+    def test_value_at_is_b_to_the_degree_times_the_value(self, ints, a, b):
+        x = F(a, b)
+        assert exact._value_at(ints, a, b) == b ** (len(ints) - 1) * sum(c * x**i for i, c in enumerate(ints))
+
+
 def poly_addition_sum(terms: list[_FactoredTerm]) -> _FactoredTerm:
     """The factored sum as it was built before it normalized once: each cleared
     numerator added to the running Poly, one content gcd per addition."""
@@ -957,6 +1025,99 @@ class TestPartialFractionSum:
             got, expect = _factored_sum(terms), poly_addition_sum(terms)
             assert (got.poly.ints, got.poly.scale) == (expect.poly.ints, expect.poly.scale)
             assert (got.mono, got.factors, got.const) == (expect.mono, expect.factors, expect.const)
+
+
+def fraction_chain_row(X: list[list[F]], n: int, lone: list, joined: list, pair: dict) -> list:
+    """Row n of a chain sum as it was built before the rows ran on integers:
+    one reduced Fraction per entry, the reference for :func:`group_zeta._chain_row`."""
+    return [0] + [
+        lone[a] if a == n else joined[a] * sum(X[n - a][b] * pair[a + b] for b in range(1, n - a + 1))
+        for a in range(1, n + 1)
+    ]
+
+
+def fraction_rows(c: CurveData, r: int) -> tuple[list, list]:
+    """The E and B rows of the rank-r assembly with Fraction entries."""
+    zh = [zeta_hat_special(c, n) for n in range(1, r)] if r > 2 else []
+    full = list(itertools.accumulate(zh[:-1], operator.mul, initial=1))
+    top = [0, *itertools.accumulate(zh[1:], operator.mul, initial=1)]
+    pair = {k: F(1, 1 - c.q**k) for k in range(2, r)}
+    E: list[list] = [[]]
+    for n in range(1, r):
+        E.append(fraction_chain_row(E, n, top, full, pair))
+    B: list[list] = [[]]
+    for n in range(1, r - 1):
+        B.append(fraction_chain_row(B, n, full, full, pair))
+    B.append(fraction_chain_row(B, r - 1, top, top, pair))
+    return E, B
+
+
+def integer_rows(c: CurveData, r: int) -> tuple[list, list]:
+    """The same rows through the library's integer chain rows, (numerators, denominator)."""
+    zh = [zeta_hat_special(c, n) for n in range(1, r)] if r > 2 else []
+    full, top = group_zeta._products(zh[:-1]), [(0, 1), *group_zeta._products(zh[1:])]
+    pair = group_zeta._pair_weights(c.q, r - 1)
+    E: list = [([], 1)]
+    for n in range(1, r):
+        E.append(group_zeta._chain_row(E, n, top, full, pair))
+    B: list = [([], 1)]
+    for n in range(1, r - 1):
+        B.append(group_zeta._chain_row(B, n, full, full, pair))
+    B.append(group_zeta._chain_row(B, r - 1, top, top, pair))
+    return E, B
+
+
+def fraction_slr_zeta(c: CurveData, r: int) -> SlrZeta:
+    """The assembly over the Fraction rows, each entry handed to the
+    partial-fraction sums as its reduced n/d, as before the rows ran on integers."""
+    q = c.q
+    E, B = fraction_rows(c, r)
+    sums = {}
+    for v in range(1, r + 1):
+        up = _FactoredTerm() if v == r else _partial_fraction_sum(
+            q, [(-(a + v), -F(w).numerator, F(w).denominator * q ** (a + v)) for a, w in enumerate(E[r - v]) if w], 1
+        )
+        down = _FactoredTerm() if v == 1 else _partial_fraction_sum(
+            q, [(b - v + 1, F(w).numerator, F(w).denominator) for b, w in enumerate(B[v - 1]) if w]
+        )
+        sums[v] = up * down
+    terms = [(n, t.ratfun()) for n, t in sums.items()]
+    for n, t in sums.items():
+        _mul_zeta_hat(t, c, n)
+    combined = _factored_sum(list(sums.values())).ratfun()
+    return SlrZeta(r, c.q, c.g, tuple(terms), combined, _extract_numerator(combined, c, r))
+
+
+class TestIntegerChainRows:
+    """The E and B rows on integers, one reduced denominator per row, against
+    the Fraction rows they replaced, and the assemblies built on each."""
+
+    @staticmethod
+    def assert_rows_match(c: CurveData, r: int) -> None:
+        for got, expect in zip(integer_rows(c, r), fraction_rows(c, r)):
+            for (xs, den), row in zip(got, expect):
+                assert [F(x, den) for x in xs] == row, (c.label, r)
+                assert math.gcd(den, *xs) == 1  # reduced once: the least common denominator
+
+    @pytest.mark.parametrize("r", range(2, R_MAX + 1))
+    def test_rows_and_assembly_over_corpus(self, corpus, r):
+        for c in corpus:
+            self.assert_rows_match(c, r)
+            assert slr_zeta(c, r) == fraction_slr_zeta(c, r), c.label
+
+    @pytest.mark.parametrize("r", range(2, R_MAX + 1))
+    def test_zero_residue_datum(self, r):
+        # zh(1) = 0: every row entry weighed by zh(1) vanishes, and rows of zeros are 0/1
+        c = parse_job(Path(__file__).parent / "data" / "zero_residue_job.yaml").curves[0]
+        self.assert_rows_match(c, r)
+        assert slr_zeta(c, r) == fraction_slr_zeta(c, r)
+
+    @pytest.mark.parametrize("r", [16, 24])
+    def test_above_rank_cap(self, monkeypatch, r):
+        # the uncached assembly, so that no rank above the cap stays in the cache
+        monkeypatch.setattr(group_zeta, "R_MAX", 24)
+        c = CurveData.elliptic(1000003, 5)
+        assert slr_zeta.__wrapped__(c, r) == fraction_slr_zeta(c, r)
 
 
 def runs_reading(p: tuple[int, ...], r: int):

@@ -34,6 +34,17 @@ def test_cli_import_loads_no_dataclasses_or_typing():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_argparse():
+    # only main builds a parser: importing the CLI for parse_job, run and render loads none
+    yaml_dir = os.path.dirname(os.path.dirname(yaml.__file__))
+    code = (
+        f"import sys; sys.path[:0] = [{str(SRC)!r}, {yaml_dir!r}]; import curvezeta.cli; "
+        "print('argparse' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
